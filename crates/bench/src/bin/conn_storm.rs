@@ -1,5 +1,5 @@
-//! conn_storm — massive-concurrency comparison of the server's I/O
-//! planes.
+//! conn_storm — massive-concurrency bench of the server's event loop,
+//! with and without commit batching.
 //!
 //! ```text
 //! conn_storm [--conns-small 64] [--conns-large 10000]
@@ -7,13 +7,13 @@
 //!            [--small-only]
 //! ```
 //!
-//! Six configurations: the thread-per-connection plane, the epoll
-//! plane, and the epoll plane with commit batching disabled — each at
-//! a small (`--conns-small`) and a large (`--conns-large`) connection
-//! count. Every connection runs a closed loop with one outstanding
-//! single-op counter script, so throughput measures how well a plane
-//! multiplexes many mostly-idle connections, and the no-batch ablation
-//! isolates what same-tick commit coalescing contributes.
+//! Four configurations: the server as shipped and the server with
+//! commit batching disabled — each at a small (`--conns-small`) and a
+//! large (`--conns-large`) connection count. Every connection runs a
+//! closed loop with one outstanding single-op counter script, so
+//! throughput measures how well one event loop multiplexes many
+//! mostly-idle connections, and the no-batch ablation isolates what
+//! same-tick commit coalescing contributes.
 //!
 //! The server runs in a **separate process** (this binary re-executes
 //! itself with `--serve`): 10k connections cost 10k descriptors on
@@ -22,11 +22,10 @@
 //! [`txboost_server::sys`]) — ten thousand blocking client threads
 //! would drown the measurement in scheduler noise.
 //!
-//! Results go to `BENCH_server_conns.json` (labels `threads_small`,
-//! `epoll_small`, `epoll_nobatch_small`, `threads_large`,
-//! `epoll_large`, `epoll_nobatch_large`; `threads` carries the
-//! connection count). `scripts/check_server_conns_json.py` gates the
-//! epoll/threads ratios in CI.
+//! Results go to `BENCH_server_conns.json` (labels `epoll_small`,
+//! `epoll_nobatch_small`, `epoll_large`, `epoll_nobatch_large`;
+//! `threads` carries the connection count).
+//! `scripts/check_bench_json.py server_conns` validates it in CI.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -36,7 +35,7 @@ use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_core::LatencyHistogram;
 use txboost_server::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
-use txboost_server::{IoModel, Server, ServerConfig};
+use txboost_server::{Server, ServerConfig};
 use txboost_wire as wire;
 use txboost_wire::{FrameDecoder, Request, Response, ScriptStatus, MAX_FRAME_LEN};
 
@@ -115,26 +114,15 @@ fn raise_nofile() {
 
 /// Run as the server until killed. Prints `LISTENING <addr>` once the
 /// socket is bound so the parent can connect.
-fn serve(io: IoModel, batch: bool) -> ! {
+fn serve(batch: bool) -> ! {
     raise_nofile();
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
         event_loops: 1,
         window: 64,
         ..ServerConfig::default()
     };
     cfg.batch.enabled = batch;
-    if io == IoModel::Threads {
-        // The thread plane's readers poll a read timeout of
-        // `poll_interval` to notice shutdown. At 10k mostly-idle
-        // connections a 25ms timeout is ~400k wakeups/s — enough to
-        // starve the acceptor on a small box before the storm even
-        // ramps. A long interval only slows shutdown polling (data
-        // arrival wakes a blocked read immediately), so give the
-        // baseline its best case.
-        cfg.poll_interval = Duration::from_millis(500);
-    }
     let server = Server::bind(cfg).expect("bind bench server");
     println!("LISTENING {}", server.local_addr());
     let _ = std::io::stdout().flush();
@@ -144,10 +132,10 @@ fn serve(io: IoModel, batch: bool) -> ! {
 
 /// Spawn this binary as the server child; returns the child and the
 /// address it listens on.
-fn spawn_server(io: &str, batch: bool) -> (Child, String) {
+fn spawn_server(batch: bool) -> (Child, String) {
     let exe = std::env::current_exe().expect("own path");
     let mut cmd = Command::new(exe);
-    cmd.arg("--serve").arg("--io").arg(io);
+    cmd.arg("--serve");
     if !batch {
         cmd.arg("--no-batch");
     }
@@ -210,7 +198,7 @@ fn run_client(addr: &str, n: usize, duration: Duration) -> Tally {
     };
 
     // Ramp with a bounded per-attempt timeout and a global deadline:
-    // a plane that cannot absorb the connect storm should fail the
+    // a server that cannot absorb the connect storm should fail the
     // bench loudly, not wedge it behind kernel SYN-retry backoff.
     let sock_addr: std::net::SocketAddr = addr.parse().expect("server addr");
     let ramp_deadline = Instant::now() + Duration::from_secs(90);
@@ -358,9 +346,9 @@ fn pump(epoll: &Epoll, conn: &mut CConn, idx: usize, frame: &[u8], tally: &mut T
 // Orchestration
 // ---------------------------------------------------------------------------
 
-fn run_config(label: &str, io: &str, batch: bool, conns: usize, args: &Args) -> SeriesPoint {
-    eprintln!("config {label}: io={io} batch={batch} conns={conns}");
-    let (mut child, addr) = spawn_server(io, batch);
+fn run_config(label: &str, batch: bool, conns: usize, args: &Args) -> SeriesPoint {
+    eprintln!("config {label}: batch={batch} conns={conns}");
+    let (mut child, addr) = spawn_server(batch);
     let tally = run_client(&addr, conns, args.duration);
     let _ = child.kill();
     let _ = child.wait();
@@ -388,12 +376,7 @@ fn main() {
     // else is the orchestrating client.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--serve") {
-        let io = match argv.iter().position(|a| a == "--io") {
-            Some(i) if argv.get(i + 1).map(String::as_str) == Some("threads") => IoModel::Threads,
-            _ => IoModel::Epoll,
-        };
-        let batch = !argv.iter().any(|a| a == "--no-batch");
-        serve(io, batch);
+        serve(!argv.iter().any(|a| a == "--no-batch"));
     }
 
     let args = parse_args();
@@ -407,18 +390,16 @@ fn main() {
         .meta("event_loops", "1")
         .meta("script", "counter_add x1 (batch-eligible)");
 
-    let mut plan: Vec<(&str, &str, bool, usize)> = vec![
-        ("threads_small", "threads", true, args.conns_small),
-        ("epoll_small", "epoll", true, args.conns_small),
-        ("epoll_nobatch_small", "epoll", false, args.conns_small),
+    let mut plan: Vec<(&str, bool, usize)> = vec![
+        ("epoll_small", true, args.conns_small),
+        ("epoll_nobatch_small", false, args.conns_small),
     ];
     if !args.small_only {
-        plan.push(("threads_large", "threads", true, args.conns_large));
-        plan.push(("epoll_large", "epoll", true, args.conns_large));
-        plan.push(("epoll_nobatch_large", "epoll", false, args.conns_large));
+        plan.push(("epoll_large", true, args.conns_large));
+        plan.push(("epoll_nobatch_large", false, args.conns_large));
     }
-    for (label, io, batch, conns) in plan {
-        report.push(run_config(label, io, batch, conns, &args));
+    for (label, batch, conns) in plan {
+        report.push(run_config(label, batch, conns, &args));
     }
 
     if let Some(dir) = &args.out_dir {

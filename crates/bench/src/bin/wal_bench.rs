@@ -86,14 +86,8 @@ fn run_config(label: &str, batch: Option<usize>, args: &Args) -> SeriesPoint {
         std::env::temp_dir().join(format!("txboost-walbench-{}-{label}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    // One worker per client: a worker blocks on its commit's
-    // durability ticket, so the worker count caps how many commits can
-    // share one fsync. Fewer workers than clients would silently cap
-    // the effective batch below `--wal-batch`.
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        acceptors: 2,
-        workers: args.threads.max(4),
         ..ServerConfig::default()
     };
     if let Some(batch_max) = batch {

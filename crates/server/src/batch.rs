@@ -1,16 +1,15 @@
 //! Same-tick commit batching.
 //!
 //! The paper's constant factor lives in abstract-lock traffic: every
-//! script pays a lock-manager entry, a WAL group-commit ticket, and an
-//! observability flush, even when consecutive scripts touch the *same*
-//! object with commuting operations. Readiness-driven I/O hands us a
-//! natural amortization unit — the poll tick: every script that
-//! arrived in one `epoll_wait` round is known before any of them
-//! executes. The batcher coalesces eligible runs of those scripts into
-//! one joint boosted transaction ([`crate::Executor::execute_batch`]):
-//! one pass over the lock manager (the transaction's lock-handle cache
-//! absorbs repeat acquisitions), one WAL record and durability ticket,
-//! one histogram timestamp.
+//! script pays a lock-manager entry and a WAL group-commit ticket,
+//! even when consecutive scripts touch the *same* object with
+//! commuting operations. Readiness-driven I/O hands us a natural
+//! amortization unit — the poll tick: every script that arrived in one
+//! `epoll_wait` round is known before any of them executes. The
+//! batcher coalesces eligible runs of those scripts into one joint
+//! boosted transaction ([`crate::Executor::execute_batch`]): one pass
+//! over the lock manager (the transaction's lock-handle cache absorbs
+//! repeat acquisitions), one WAL record and durability ticket.
 //!
 //! ## Why batching cannot merge conflicting scripts
 //!
@@ -28,8 +27,7 @@
 //!   transaction realizes arrival order.
 //!
 //! Everything else (guarded transfers, multi-object scripts, reads
-//! with expectations) takes the classic one-script-one-transaction
-//! path unchanged.
+//! with expectations) runs one script per transaction.
 //!
 //! ## Ordering
 //!
@@ -48,7 +46,7 @@ use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Master switch (`--no-batch` clears it). Off, every script runs
-    /// as its own transaction even on the event-loop plane.
+    /// as its own transaction.
     pub enabled: bool,
     /// Most scripts merged into one joint transaction.
     pub max_scripts: usize,
@@ -140,70 +138,74 @@ impl Batcher {
         mut other: impl FnMut(Request) -> Response,
         mut emit: impl FnMut(T, Response),
     ) {
-        let mut batch: Vec<(T, u64, Vec<ScriptOp>)> = Vec::new();
-        let mut batch_ops = 0usize;
+        let mut run = Run {
+            replies: Vec::new(),
+            scripts: Vec::new(),
+            ops: 0,
+        };
         for (token, req) in requests {
             match req {
                 Request::Script { req_id, ops } if self.cfg.enabled && batch_eligible(&ops) => {
-                    if batch.len() >= self.cfg.max_scripts
-                        || batch_ops + ops.len() > MAX_OPS_PER_SCRIPT as usize
+                    if run.scripts.len() >= self.cfg.max_scripts
+                        || run.ops + ops.len() > MAX_OPS_PER_SCRIPT as usize
                     {
-                        seal(exec, &mut batch, &mut batch_ops, &mut emit);
+                        run.seal(exec, &mut emit);
                     }
-                    batch_ops += ops.len();
-                    batch.push((token, req_id, ops));
+                    run.ops += ops.len();
+                    run.replies.push((token, req_id));
+                    run.scripts.push(ops);
                 }
                 req => {
                     // Program order: a connection's earlier batched
                     // scripts must commit before a later non-batchable
                     // request of the same connection executes.
-                    seal(exec, &mut batch, &mut batch_ops, &mut emit);
+                    run.seal(exec, &mut emit);
                     let resp = other(req);
                     emit(token, resp);
                 }
             }
         }
-        seal(exec, &mut batch, &mut batch_ops, &mut emit);
+        run.seal(exec, &mut emit);
     }
 }
 
-/// Execute and drain the pending batch (no-op when empty).
-fn seal<T: Copy>(
-    exec: &Executor,
-    batch: &mut Vec<(T, u64, Vec<ScriptOp>)>,
-    batch_ops: &mut usize,
-    emit: &mut impl FnMut(T, Response),
-) {
-    *batch_ops = 0;
-    if batch.is_empty() {
-        return;
-    }
-    seal_det();
-    if batch.len() == 1 {
-        // A run of one amortizes nothing; skip the joint machinery.
-        if let Some((token, req_id, ops)) = batch.pop() {
-            let out = exec.execute(&ops);
-            emit(token, script_response(req_id, out));
+/// The pending run of eligible scripts. Reply addresses and scripts
+/// sit in parallel vectors so the scripts are lent to the executor as
+/// one slice, uncopied.
+struct Run<T> {
+    /// `(token, req_id)` of each script, in arrival order.
+    replies: Vec<(T, u64)>,
+    scripts: Vec<Vec<ScriptOp>>,
+    /// Ops across `scripts` (one WAL record holds at most
+    /// [`MAX_OPS_PER_SCRIPT`]).
+    ops: usize,
+}
+
+impl<T: Copy> Run<T> {
+    /// Execute and drain the pending run (no-op when empty).
+    fn seal(&mut self, exec: &Executor, emit: &mut impl FnMut(T, Response)) {
+        self.ops = 0;
+        if self.scripts.is_empty() {
+            return;
         }
-        return;
-    }
-    let scripts: Vec<Vec<ScriptOp>> = batch.iter().map(|(_, _, ops)| ops.clone()).collect();
-    match exec.execute_batch(&scripts) {
-        Some(outcomes) => {
-            for ((token, req_id, _), out) in batch.drain(..).zip(outcomes) {
-                emit(token, script_response(req_id, out));
+        seal_det();
+        let replies = self.replies.drain(..);
+        match exec.execute_batch(&self.scripts) {
+            Some(outcomes) => {
+                for ((token, req_id), out) in replies.zip(outcomes) {
+                    emit(token, script_response(req_id, out));
+                }
+            }
+            None => {
+                // The joint transaction lost a conflict race (e.g. a
+                // cross-loop lock-order collision). Each script now
+                // retries on its own, so no client observes the merge.
+                for ((token, req_id), ops) in replies.zip(&self.scripts) {
+                    emit(token, script_response(req_id, exec.execute(ops)));
+                }
             }
         }
-        None => {
-            // The joint transaction lost a conflict race (e.g. a
-            // cross-loop lock-order collision). Fall back to the
-            // classic path: each script retries on its own, so no
-            // client observes the merge.
-            for (token, req_id, ops) in batch.drain(..) {
-                let out = exec.execute(&ops);
-                emit(token, script_response(req_id, out));
-            }
-        }
+        self.scripts.clear();
     }
 }
 
@@ -220,6 +222,7 @@ fn seal_det() {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use txboost_client::ScriptBuilder;
     use txboost_core::TxnConfig;
     use txboost_wire::{OpResult, ScriptStatus};
 
@@ -234,57 +237,30 @@ mod tests {
         )
     }
 
+    fn script() -> ScriptBuilder {
+        ScriptBuilder::new()
+    }
+
     fn add(obj: &str, delta: i64) -> Vec<ScriptOp> {
-        vec![ScriptOp::new(Op::CounterAdd {
-            obj: obj.into(),
-            delta,
-        })]
+        script().counter_add(obj, delta).build()
     }
 
     #[test]
     fn eligibility_rules() {
         assert!(batch_eligible(&add("c", 1)));
-        assert!(batch_eligible(&[
-            ScriptOp::new(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 1,
-            }),
-            ScriptOp::new(Op::CounterGet { obj: "c".into() }),
-        ]));
+        assert!(batch_eligible(
+            &script().counter_add("c", 1).counter_get("c").build()
+        ));
         // Empty, guarded, aborting, multi-object, cross-type: all out.
         assert!(!batch_eligible(&[]));
-        assert!(!batch_eligible(&[ScriptOp::guarded(
-            Op::MapContains {
-                obj: "m".into(),
-                key: 1,
-            },
-            Guard::ExpectTrue,
-        )]));
-        assert!(!batch_eligible(&[ScriptOp::new(Op::DebugAbort)]));
-        assert!(!batch_eligible(&[ScriptOp::new(Op::SemAcquire {
-            obj: "s".into()
-        })]));
-        assert!(!batch_eligible(&[
-            ScriptOp::new(Op::CounterAdd {
-                obj: "a".into(),
-                delta: 1,
-            }),
-            ScriptOp::new(Op::CounterAdd {
-                obj: "b".into(),
-                delta: 1,
-            }),
-        ]));
-        assert!(!batch_eligible(&[
-            ScriptOp::new(Op::CounterAdd {
-                obj: "x".into(),
-                delta: 1,
-            }),
-            ScriptOp::new(Op::MapInsert {
-                obj: "x".into(),
-                key: 1,
-                val: 1,
-            }),
-        ]));
+        let guarded = script().map_remove_guarded("m", 1, Guard::ExpectSome);
+        assert!(!batch_eligible(&guarded.build()));
+        assert!(!batch_eligible(&script().debug_abort().build()));
+        assert!(!batch_eligible(&script().sem_acquire("s").build()));
+        let two_objects = script().counter_add("a", 1).counter_add("b", 1);
+        assert!(!batch_eligible(&two_objects.build()));
+        let two_types = script().counter_add("x", 1).map_insert("x", 1, 1);
+        assert!(!batch_eligible(&two_types.build()));
     }
 
     #[test]
@@ -336,7 +312,7 @@ mod tests {
             },
         );
         assert_eq!(replies, vec![(0, 10), (1, 11), (0, 12), (1, 13)]);
-        let probe = e.execute(&[ScriptOp::new(Op::CounterGet { obj: "c".into() })]);
+        let probe = e.execute(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(7))]);
         // The first two scripts merged; the post-ping one ran alone.
         assert!(e
@@ -376,31 +352,23 @@ mod tests {
         let b = Batcher::new(BatchConfig::default());
         // Scripts of 400 ops each: three of them exceed the 1024-op
         // record cap, so the run must split 2 + 1.
-        let big = |_: usize| -> Vec<ScriptOp> {
-            (0..400)
-                .map(|_| {
-                    ScriptOp::new(Op::CounterAdd {
-                        obj: "c".into(),
-                        delta: 1,
-                    })
-                })
-                .collect()
-        };
+        let big = vec![
+            ScriptOp::new(Op::CounterAdd {
+                obj: "c".into(),
+                delta: 1
+            });
+            400
+        ];
         let reqs: Vec<(usize, Request)> = (0..3)
             .map(|i| {
-                (
-                    i,
-                    Request::Script {
-                        req_id: i as u64,
-                        ops: big(i),
-                    },
-                )
+                let (req_id, ops) = (i as u64, big.clone());
+                (i, Request::Script { req_id, ops })
             })
             .collect();
         let mut n = 0;
         b.run_tick(&e, reqs, |_| Response::Pong { req_id: 0 }, |_, _| n += 1);
         assert_eq!(n, 3);
-        let probe = e.execute(&[ScriptOp::new(Op::CounterGet { obj: "c".into() })]);
+        let probe = e.execute(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(1200))]);
     }
 }

@@ -1,16 +1,15 @@
-//! The event-driven I/O plane: raw `epoll`, one loop per core.
+//! The I/O plane: raw `epoll`, one loop per core.
 //!
-//! Readiness-based nonblocking multiplexing replaces the
-//! thread-per-connection readers: each loop owns an [`sys::Epoll`]
-//! instance, a clone of the listening socket, and every connection it
-//! accepted (connections are pinned to their accepting loop — no
-//! cross-loop handoff, no shared connection state). One iteration is a
-//! **poll tick**:
+//! Readiness-based nonblocking multiplexing: each loop owns an
+//! [`sys::Epoll`] instance, a clone of the listening socket, and every
+//! connection it accepted (connections are pinned to their accepting
+//! loop — no cross-loop handoff, no shared connection state). One
+//! iteration is a **poll tick**:
 //!
 //! 1. block in `epoll_wait` (bounded by the shutdown poll interval);
 //! 2. accept new connections (descriptor exhaustion backs the
 //!    acceptor off and sheds load instead of spinning — see
-//!    [`crate::threads::fd_exhausted`]);
+//!    [`fd_exhausted`]);
 //! 3. drain readable sockets edge-triggered into per-connection
 //!    resumable [`FrameDecoder`]s, decoding complete frames into the
 //!    tick's request queue — stopping per connection once its
@@ -31,7 +30,6 @@
 
 use crate::batch::{script_response, Batcher};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::threads::fd_exhausted;
 use crate::{proto_error_code, Shared};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -56,30 +54,68 @@ const TOK_CONN0: u64 = 2;
 /// Read/condition interest for every connection.
 const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
-/// The loops' join handles plus each loop's shutdown wakeup.
-type LoopHandles = (Vec<JoinHandle<()>>, Vec<Arc<sys::EventFd>>);
+/// The running loops: join handles plus each loop's shutdown wakeup.
+#[derive(Default)]
+pub(crate) struct Loops {
+    handles: Vec<JoinHandle<()>>,
+    wakeups: Vec<Arc<sys::EventFd>>,
+}
 
-/// Spawn `cfg.event_loops` loops over clones of the bound listener.
-/// Returns the join handles and each loop's wakeup (fired by
-/// [`crate::Server::shutdown`] so a drain does not wait out the poll
-/// interval).
-pub(crate) fn spawn_loops(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<LoopHandles> {
-    let n = shared.cfg.event_loops.max(1);
-    let mut loops = Vec::with_capacity(n);
-    let mut wakeups = Vec::with_capacity(n);
-    for i in 0..n {
+impl Loops {
+    /// Interrupt every loop's `epoll_wait`, so a drain does not wait
+    /// out the poll interval.
+    pub(crate) fn wake(&self) {
+        for wake in &self.wakeups {
+            wake.fire();
+        }
+    }
+
+    /// Join every loop (shutdown must already be requested).
+    pub(crate) fn join(self) {
+        for handle in self.handles {
+            let _ = handle.join();
+        }
+    }
+
+    /// Start one loop. Its epoll instance is created, and the listener
+    /// and wakeup registered in it, *before* the thread exists: a loop
+    /// that cannot accept is an error here, not a silent thread exit.
+    fn spawn_one(&mut self, shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
         let listener = listener.try_clone()?;
         let wake = Arc::new(sys::EventFd::new()?);
-        let shared2 = Arc::clone(shared);
-        let wake2 = Arc::clone(&wake);
-        loops.push(
+        let epoll = sys::Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
+        epoll.add(wake.raw(), EPOLLIN, TOK_WAKEUP)?;
+        let (shared, wake2) = (Arc::clone(shared), Arc::clone(&wake));
+        self.handles.push(
             std::thread::Builder::new()
-                .name(format!("txboost-eloop-{i}"))
-                .spawn(move || event_loop(&shared2, &listener, &wake2))?,
+                .name(format!("txboost-eloop-{}", self.handles.len()))
+                .spawn(move || event_loop(&shared, &epoll, &listener, &wake2))?,
         );
-        wakeups.push(wake);
+        self.wakeups.push(wake);
+        Ok(())
     }
-    Ok((loops, wakeups))
+}
+
+/// Spawn `cfg.event_loops` loops (at least one) over clones of the
+/// bound listener. An `Err` leaves nothing running.
+pub(crate) fn spawn_loops(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<Loops> {
+    let mut loops = Loops::default();
+    for _ in 0..shared.cfg.event_loops.max(1) {
+        if let Err(e) = loops.spawn_one(shared, listener) {
+            shared.shutdown.store(true, Ordering::SeqCst);
+            loops.wake();
+            loops.join();
+            return Err(e);
+        }
+    }
+    Ok(loops)
+}
+
+/// Whether an accept failure means descriptor exhaustion
+/// (`EMFILE` = 24, `ENFILE` = 23 on Linux).
+fn fd_exhausted(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
 }
 
 /// Per-connection state owned by exactly one event loop.
@@ -141,16 +177,14 @@ impl EConn {
 }
 
 /// One event loop: accept, read, execute (batched), flush, repeat.
-fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd) {
-    let Ok(epoll) = sys::Epoll::new() else {
-        // Without an epoll instance this loop can serve nothing; the
-        // sibling loops (or the thread plane) still can.
-        return;
-    };
-    let mut listener_registered = epoll
-        .add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)
-        .is_ok();
-    let _ = epoll.add(wake.raw(), EPOLLIN, TOK_WAKEUP);
+/// `epoll` arrives with the listener and `wake` already registered.
+fn event_loop(
+    shared: &Arc<Shared>,
+    epoll: &sys::Epoll,
+    listener: &TcpListener,
+    wake: &sys::EventFd,
+) {
+    let mut listener_registered = true;
 
     let batcher = Batcher::new(shared.cfg.batch.clone());
     let mut conns: Vec<Option<EConn>> = Vec::new();
@@ -177,9 +211,8 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
                 break;
             }
             if Instant::now() >= drain_deadline {
-                // Grace expired: drop stragglers (mid-frame stalls,
-                // unread replies) the way the thread plane abandons a
-                // stalled drain.
+                // Grace expired: drop the stragglers (mid-frame
+                // stalls, unread replies) unflushed.
                 for slot in &mut conns {
                     if let Some(conn) = slot.take() {
                         let _ = epoll.delete(conn.stream.as_raw_fd());
@@ -232,7 +265,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
             accept_loop(
                 shared,
                 listener,
-                &epoll,
+                epoll,
                 &mut conns,
                 &mut free,
                 &mut accept_cooldown,
@@ -415,8 +448,8 @@ fn service_read(
                 Ok(Some(payload)) => match wire::decode_request(&payload) {
                     Ok(req) => {
                         if matches!(req, Request::Shutdown { .. }) {
-                            // Mirror the thread plane: nothing is read
-                            // past a shutdown request.
+                            // Nothing is read past a shutdown request
+                            // (the sender has told the server to stop).
                             conn.stop_reading = true;
                         }
                         conn.inflight += 1;
@@ -440,8 +473,8 @@ fn service_read(
             return;
         }
         if conn.peer_eof {
-            // All complete frames are decoded; a partial tail is
-            // truncation, dropped like the thread plane drops it.
+            // All complete frames are decoded; a partial tail is a
+            // truncated frame no reply could answer, so it is dropped.
             conn.stop_reading = true;
             return;
         }

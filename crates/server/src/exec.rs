@@ -7,9 +7,14 @@
 //! service-time histogram, per-status script counters, and the
 //! contention registry that attributes lock-timeout aborts to the
 //! object (and key stripe) that caused them.
+//!
+//! A script, a same-tick batch and a snapshot read are one transaction
+//! with a different body length or [`TxnManager`] entry, so the three
+//! public entry points wrap one private core, [`Executor::run`].
 
 use crate::namespace::Namespace;
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -39,8 +44,8 @@ pub struct ScriptOutcome {
     pub wal_durable: Option<bool>,
 }
 
-/// Connection-level counters, shared between the acceptors, the
-/// readers and the stats document.
+/// Connection-level counters, shared between the event loops and the
+/// stats document.
 #[derive(Debug, Default)]
 pub struct ConnMetrics {
     /// Connections ever accepted.
@@ -49,10 +54,20 @@ pub struct ConnMetrics {
     pub open: AtomicU64,
     /// Protocol errors (each closed one connection).
     pub proto_errors: AtomicU64,
-    /// Accepts that failed on descriptor exhaustion (`EMFILE`/
-    /// `ENFILE`) or a reader-spawn failure; each shed one connection
-    /// attempt and backed the acceptor off instead of spinning.
+    /// Accepts shed on descriptor exhaustion (`EMFILE`/`ENFILE`) or a
+    /// failed epoll registration; each backed its loop's accepting off
+    /// instead of spinning.
     pub accept_errors: AtomicU64,
+}
+
+/// Which [`TxnManager`] entry a run goes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Abstract locks, undo log, retry loop: [`TxnManager::run`].
+    Locked,
+    /// Lock-free snapshot, one attempt, reads only:
+    /// [`TxnManager::run_read_only`].
+    Snapshot,
 }
 
 /// Executes scripts and accumulates the stats the `STATS` request
@@ -65,8 +80,8 @@ pub struct Executor {
     op_hist: [LatencyHistogram; NUM_OPCODES],
     /// Service time per whole script (execution only, not queueing).
     script_hist: LatencyHistogram,
-    /// Scripts finished per [`ScriptStatus`] (indexed by status byte).
-    status_counts: [AtomicU64; 7],
+    /// Scripts finished per status, indexed by [`ScriptStatus::index`].
+    status_counts: [AtomicU64; ScriptStatus::ALL.len()],
     /// Shared connection counters.
     pub conns: Arc<ConnMetrics>,
     started: Instant,
@@ -79,12 +94,12 @@ pub struct Executor {
     /// Replayed records the executor rejected (a recovery bug or a
     /// log/state divergence; counted, surfaced in stats, never fatal).
     wal_replay_failures: AtomicU64,
-    /// Joint transactions committed by [`Executor::execute_batch`].
+    /// Joint transactions (two or more scripts) that committed.
     batches: AtomicU64,
     /// Scripts that committed inside those joint transactions.
     batch_scripts: AtomicU64,
     /// Joint transactions that failed and fell back to per-script
-    /// execution (cross-loop conflict races; each is `batch.len()`
+    /// execution (cross-loop conflict races; each is `scripts.len()`
     /// scripts re-run individually).
     batch_fallbacks: AtomicU64,
 }
@@ -116,14 +131,9 @@ impl Executor {
         let _ = self.wal.set(wal);
     }
 
-    /// The attached WAL, if any.
-    pub fn wal(&self) -> Option<&Arc<GroupCommitWal>> {
-        self.wal.get()
-    }
-
     /// Stop and join the WAL flusher (no-op when WAL is off). Call
-    /// after the workers have drained: everything they enqueued gets
-    /// flushed before this returns.
+    /// after the event loops have drained: everything they enqueued
+    /// gets flushed before this returns.
     pub fn shutdown_wal(&self) {
         if let Some(wal) = self.wal.get() {
             wal.shutdown();
@@ -150,78 +160,162 @@ impl Executor {
     /// Run `ops` as one boosted transaction. Never panics on behalf of
     /// the script: every abort path is mapped to a [`ScriptStatus`].
     pub fn execute(&self, ops: &[ScriptOp]) -> ScriptOutcome {
+        self.run(Mode::Locked, &[ops])
+    }
+
+    /// Run `ops` as one **read-only snapshot transaction**: no abstract
+    /// locks, no undo log, no WAL record, and exactly one attempt —
+    /// snapshot reads cannot conflict, so there is nothing to retry or
+    /// back off from. Mutating ops (and `DebugAbort`) are rejected with
+    /// [`ScriptStatus::ReadOnlyViolation`] before touching any object.
+    pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
+        self.run(Mode::Snapshot, &[ops])
+    }
+
+    /// Run several scripts as **one** joint boosted transaction — the
+    /// commit-batching fast path (see [`crate::batch`]): one
+    /// lock-manager pass (the transaction's lock-handle cache absorbs
+    /// repeat acquisitions of the same abstract lock) and one WAL
+    /// record and group-commit ticket for the concatenated ops.
+    ///
+    /// The caller passes batch-eligible scripts
+    /// ([`crate::batch_eligible`]): guard-free and free of ops that can
+    /// abort on their own, so nothing in the joint body aborts by
+    /// choice. Returns `None` when a joint transaction of two or more
+    /// scripts still failed (conflict races with other event loops
+    /// exhausting retries) — the caller then re-runs each script
+    /// individually, so clients never observe the merge. A run of one
+    /// is that script's own transaction: its outcome is returned
+    /// whatever the status, and must not be re-run.
+    pub fn execute_batch(&self, scripts: &[Vec<ScriptOp>]) -> Option<Vec<ScriptOutcome>> {
+        let joint = self.run(Mode::Locked, scripts);
+        if scripts.len() > 1 && joint.status != ScriptStatus::Committed {
+            return None;
+        }
+        // Deal the concatenated results back out, script by script.
+        let mut results = joint.results.into_iter();
+        let outcomes = scripts.iter().map(|ops| ScriptOutcome {
+            status: joint.status,
+            attempts: joint.attempts,
+            failed_op: joint.failed_op,
+            results: results.by_ref().take(ops.len()).collect(),
+            wal_durable: joint.wal_durable,
+        });
+        Some(outcomes.collect())
+    }
+
+    /// The one op loop: run `scripts` back to back as a single
+    /// transaction through `mode`'s [`TxnManager`] entry and account
+    /// for it. The outcome is the transaction's: `results` concatenates
+    /// every script's, `failed_op` indexes into the script that gave up.
+    ///
+    /// Per-op service times use **chained stamps**: one clock read per
+    /// op boundary, each op's sample being the gap to the previous
+    /// stamp. Every script of the run gets an equal share of the whole
+    /// run (commit and WAL wait included) as its service time.
+    fn run<S: AsRef<[ScriptOp]>>(&self, mode: Mode, scripts: &[S]) -> ScriptOutcome {
         let t0 = Instant::now();
+        let n = scripts.len();
         let mut attempts: u32 = 0;
-        let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
-        // (op index, true = DebugAbort / false = guard mismatch); set
-        // immediately before raising the explicit abort the retry loop
-        // treats as terminal.
-        let failed: Cell<Option<(u16, bool)>> = Cell::new(None);
-        // WAL ticket for this script's commit record. The enqueue is
-        // the last statement of the transaction body: the abstract
-        // locks are still held there, so the LSN order assigned by the
-        // queue equals the serialization order, and since a boosted
-        // commit cannot fail after the body returns `Ok`, every
-        // enqueued record corresponds to a real commit. The ticket is
-        // awaited *after* `run` returns, with all locks released.
-        let wal_ticket: Cell<Option<Ticket>> = Cell::new(None);
-        let logs_wal = self.wal.get().is_some() && ops.iter().any(|sop| op_mutates(&sop.op));
-        let run = self.tm.run(|txn| {
-            attempts = attempts.saturating_add(1);
-            results.clear();
-            failed.set(None);
-            for (i, sop) in ops.iter().enumerate() {
-                let op_t0 = Instant::now();
-                let r = self.run_op(txn, &sop.op, i as u16, &failed)?;
-                // This closure re-runs on every conflict retry; an
-                // out-of-range opcode must degrade to an unrecorded
-                // sample, never a panic that kills the connection.
-                if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                    hist.record_duration(op_t0.elapsed());
-                }
-                if !sop.guard.admits(&r) {
-                    failed.set(Some((i as u16, false)));
-                    return Err(Abort::explicit());
-                }
-                results.push(r);
+        let mut results: Vec<OpResult> =
+            Vec::with_capacity(scripts.iter().map(|s| s.as_ref().len()).sum());
+        // (op index, the status it earns); set immediately before
+        // raising an abort the retry loop treats as terminal.
+        let failed: Cell<Option<(u16, ScriptStatus)>> = Cell::new(None);
+        // WAL ticket for the commit record. The enqueue is the last
+        // statement of the transaction body: the abstract locks are
+        // still held there, so the LSN order assigned by the queue
+        // equals the serialization order, and since a boosted commit
+        // cannot fail after the body returns `Ok`, every enqueued
+        // record corresponds to a real commit. The ticket is awaited
+        // *after* the transaction, with all locks released.
+        let ticket: Cell<Option<Ticket>> = Cell::new(None);
+        let all_ops = || scripts.iter().flat_map(S::as_ref);
+        let wal = self.wal.get();
+        let wal = wal.filter(|_| all_ops().any(|sop| op_mutates(&sop.op)));
+        // One record for the whole run: recovery replays the
+        // concatenation as one transaction, which rebuilds the state
+        // the joint commit produced. Built once — the scripts do not
+        // change across retries.
+        let joined: Vec<ScriptOp>;
+        let record: &[ScriptOp] = match scripts {
+            [one] => one.as_ref(),
+            _ if wal.is_some() => {
+                joined = all_ops().cloned().collect();
+                &joined
             }
-            if logs_wal {
-                if let Some(wal) = self.wal.get() {
-                    wal_ticket.set(Some(wal.enqueue(ops)));
+            _ => &[],
+        };
+        let mut last = t0;
+        let body = |txn: &Txn| -> TxResult<()> {
+            attempts = attempts.saturating_add(1);
+            if attempts > 1 {
+                results.clear();
+                failed.set(None);
+                last = Instant::now();
+            }
+            for script in scripts {
+                for (i, sop) in script.as_ref().iter().enumerate() {
+                    let give_up = |status, abort| {
+                        failed.set(Some((i as u16, status)));
+                        Err(abort)
+                    };
+                    let debug_abort = matches!(sop.op, Op::DebugAbort);
+                    if mode == Mode::Snapshot && (debug_abort || op_mutates(&sop.op)) {
+                        return give_up(
+                            ScriptStatus::ReadOnlyViolation,
+                            Abort::read_only_violation(),
+                        );
+                    }
+                    if debug_abort {
+                        return give_up(ScriptStatus::DebugAborted, Abort::explicit());
+                    }
+                    let r = self.run_op(txn, &sop.op)?;
+                    let now = Instant::now();
+                    // This closure re-runs on every conflict retry; an
+                    // out-of-range opcode must degrade to an unrecorded
+                    // sample, never a panic that kills the connection.
+                    if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
+                        hist.record_duration(now.duration_since(last));
+                    }
+                    last = now;
+                    if !sop.guard.admits(&r) {
+                        return give_up(ScriptStatus::GuardFailed, Abort::explicit());
+                    }
+                    results.push(r);
                 }
+            }
+            if let Some(wal) = wal {
+                ticket.set(Some(wal.enqueue(record)));
             }
             Ok(())
-        });
-        let (status, failed_op) = match run {
-            Ok(()) => (ScriptStatus::Committed, None),
-            Err(TxnError::ExplicitlyAborted) => match failed.get() {
-                Some((i, true)) => (ScriptStatus::DebugAborted, Some(i)),
-                Some((i, false)) => (ScriptStatus::GuardFailed, Some(i)),
-                None => (ScriptStatus::RetriesExhausted, None),
-            },
-            Err(TxnError::RetriesExhausted(reason)) => (
-                match reason {
-                    AbortReason::LockTimeout => ScriptStatus::LockTimeout,
-                    AbortReason::WouldBlock => ScriptStatus::WouldBlock,
-                    _ => ScriptStatus::RetriesExhausted,
-                },
-                None,
-            ),
-            // TxnError is non-exhaustive; treat anything future as a
-            // generic retry exhaustion rather than crashing the server.
-            Err(_) => (ScriptStatus::RetriesExhausted, None),
         };
+        let ran = match mode {
+            Mode::Locked => self.tm.run(body),
+            Mode::Snapshot => self.tm.run_read_only(body),
+        };
+        let (status, failed_op) = script_status(ran, failed.get());
         if status != ScriptStatus::Committed {
             results.clear();
         }
         // Group commit: block until the record's fsync batch is
         // durable, so the client's acknowledgement implies durability.
-        let wal_durable = match wal_ticket.take() {
-            Some(ticket) if status == ScriptStatus::Committed => Some(ticket.wait()),
-            _ => None,
-        };
-        self.script_hist.record_duration(t0.elapsed());
-        self.status_counts[status_index(status)].fetch_add(1, Ordering::Relaxed);
+        let wal_durable = ticket.take().map(|ticket| ticket.wait());
+        if n > 1 && status != ScriptStatus::Committed {
+            // The caller re-runs each script on its own; those runs do
+            // the per-script accounting.
+            self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let per_script = t0.elapsed() / (n.max(1) as u32);
+            for _ in 0..n {
+                self.script_hist.record_duration(per_script);
+            }
+            self.status_counts[status.index()].fetch_add(n as u64, Ordering::Relaxed);
+            if n > 1 {
+                self.batches.fetch_add(1, Ordering::Relaxed);
+                self.batch_scripts.fetch_add(n as u64, Ordering::Relaxed);
+            }
+        }
         ScriptOutcome {
             status,
             attempts,
@@ -231,155 +325,7 @@ impl Executor {
         }
     }
 
-    /// Run several independent single-object scripts as **one** joint
-    /// boosted transaction — the commit-batching fast path (see
-    /// [`crate::batch`]). One lock-manager pass (the transaction's
-    /// lock-handle cache absorbs repeat acquisitions of the same
-    /// abstract lock), one WAL record and group-commit ticket for the
-    /// concatenated ops, one histogram timestamp for the whole batch.
-    ///
-    /// The caller guarantees every script is batch-eligible
-    /// ([`crate::batch_eligible`]): guard-free and free of ops that
-    /// can abort on their own, so the joint body has no explicit-abort
-    /// path. Returns `None` when the joint transaction still failed
-    /// (conflict races with other event loops exhausting retries) —
-    /// the caller then re-runs each script individually, so clients
-    /// never observe the merge.
-    pub fn execute_batch(&self, scripts: &[Vec<ScriptOp>]) -> Option<Vec<ScriptOutcome>> {
-        let t0 = Instant::now();
-        let n = scripts.len();
-        let total_ops: usize = scripts.iter().map(Vec::len).sum();
-        let mut attempts: u32 = 0;
-        let mut results: Vec<Vec<OpResult>> = Vec::with_capacity(n);
-        // `run_op`'s failure slot: never set here, because eligible
-        // scripts contain no `DebugAbort`.
-        let failed: Cell<Option<(u16, bool)>> = Cell::new(None);
-        let wal_ticket: Cell<Option<Ticket>> = Cell::new(None);
-        let logs_wal =
-            self.wal.get().is_some() && scripts.iter().flatten().any(|sop| op_mutates(&sop.op));
-        // One record for the whole batch: recovery replays the
-        // concatenation as one transaction, which rebuilds the same
-        // state the joint commit produced. Built once — the scripts do
-        // not change across retries.
-        let joined: Vec<ScriptOp> = if logs_wal {
-            scripts.iter().flatten().cloned().collect()
-        } else {
-            Vec::new()
-        };
-        let run = self.tm.run(|txn| {
-            attempts = attempts.saturating_add(1);
-            results.clear();
-            for ops in scripts {
-                let mut rs = Vec::with_capacity(ops.len());
-                for (i, sop) in ops.iter().enumerate() {
-                    rs.push(self.run_op(txn, &sop.op, i as u16, &failed)?);
-                }
-                results.push(rs);
-            }
-            if logs_wal {
-                if let Some(wal) = self.wal.get() {
-                    wal_ticket.set(Some(wal.enqueue(&joined)));
-                }
-            }
-            Ok(())
-        });
-        if run.is_err() {
-            self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let wal_durable = wal_ticket.take().map(|ticket| ticket.wait());
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_scripts.fetch_add(n as u64, Ordering::Relaxed);
-        self.status_counts[status_index(ScriptStatus::Committed)]
-            .fetch_add(n as u64, Ordering::Relaxed);
-        // One timestamp for the whole batch; per-op and per-script
-        // samples get the amortized share, so counts stay exact while
-        // the clock is read twice per batch instead of twice per op.
-        let elapsed = t0.elapsed();
-        let per_op = elapsed / (total_ops.max(1) as u32);
-        let per_script = elapsed / (n.max(1) as u32);
-        for ops in scripts {
-            for sop in ops {
-                if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                    hist.record_duration(per_op);
-                }
-            }
-            self.script_hist.record_duration(per_script);
-        }
-        Some(
-            results
-                .into_iter()
-                .map(|rs| ScriptOutcome {
-                    status: ScriptStatus::Committed,
-                    attempts,
-                    failed_op: None,
-                    results: rs,
-                    wal_durable,
-                })
-                .collect(),
-        )
-    }
-
-    /// Run `ops` as one **read-only snapshot transaction**: no abstract
-    /// locks, no undo log, no WAL record, and exactly one attempt —
-    /// snapshot reads cannot conflict, so there is nothing to retry or
-    /// back off from. Mutating ops (and `DebugAbort`) are rejected with
-    /// [`ScriptStatus::ReadOnlyViolation`] before touching any object.
-    pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        let t0 = Instant::now();
-        let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
-        let failed: Cell<Option<u16>> = Cell::new(None);
-        let run = self.tm.run_read_only(|txn| {
-            for (i, sop) in ops.iter().enumerate() {
-                if op_mutates(&sop.op) || matches!(sop.op, Op::DebugAbort) {
-                    failed.set(Some(i as u16));
-                    return Err(Abort::read_only_violation());
-                }
-                let op_t0 = Instant::now();
-                // `failed` is only consulted on the violation and guard
-                // paths above/below; read ops never set it.
-                let guard_sink = Cell::new(None);
-                let r = self.run_op(txn, &sop.op, i as u16, &guard_sink)?;
-                if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                    hist.record_duration(op_t0.elapsed());
-                }
-                if !sop.guard.admits(&r) {
-                    failed.set(Some(i as u16));
-                    return Err(Abort::explicit());
-                }
-                results.push(r);
-            }
-            Ok(())
-        });
-        let (status, failed_op) = match run {
-            Ok(()) => (ScriptStatus::Committed, None),
-            Err(TxnError::ReadOnlyViolation) => (ScriptStatus::ReadOnlyViolation, failed.get()),
-            Err(TxnError::ExplicitlyAborted) => (ScriptStatus::GuardFailed, failed.get()),
-            // A snapshot read cannot time out or block, but map every
-            // future abort kind to a reply rather than a panic.
-            Err(_) => (ScriptStatus::RetriesExhausted, None),
-        };
-        if status != ScriptStatus::Committed {
-            results.clear();
-        }
-        self.script_hist.record_duration(t0.elapsed());
-        self.status_counts[status_index(status)].fetch_add(1, Ordering::Relaxed);
-        ScriptOutcome {
-            status,
-            attempts: 1,
-            failed_op,
-            results,
-            wal_durable: None,
-        }
-    }
-
-    fn run_op(
-        &self,
-        txn: &Txn,
-        op: &Op,
-        index: u16,
-        failed: &Cell<Option<(u16, bool)>>,
-    ) -> TxResult<OpResult> {
+    fn run_op(&self, txn: &Txn, op: &Op) -> TxResult<OpResult> {
         Ok(match op {
             Op::MapInsert { obj, key, val } => {
                 OpResult::Value(self.ns.map(obj).put(txn, *key, *val)?)
@@ -407,10 +353,8 @@ impl Executor {
                 OpResult::Unit
             }
             Op::PqRemoveMin { obj } => OpResult::Value(self.ns.pq(obj).remove_min(txn)?),
-            Op::DebugAbort => {
-                failed.set(Some((index, true)));
-                return Err(Abort::explicit());
-            }
+            // `run` attributes and raises this one before dispatch.
+            Op::DebugAbort => return Err(Abort::explicit()),
         })
     }
 
@@ -419,185 +363,82 @@ impl Executor {
     /// time, abort attribution by object, connection counters, and
     /// object census.
     pub fn stats_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        push_kv_u64(
-            &mut out,
-            "uptime_ms",
-            self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
-        );
-
-        let txn = self.tm.stats().snapshot();
-        out.push_str(",\"txn\":{");
-        push_kv_u64(&mut out, "started", txn.started);
-        out.push(',');
-        push_kv_u64(&mut out, "committed", txn.committed);
-        out.push(',');
-        push_kv_u64(&mut out, "aborted", txn.aborted);
-        out.push(',');
-        push_kv_u64(&mut out, "lock_timeouts", txn.lock_timeouts);
-        out.push(',');
-        push_kv_u64(&mut out, "would_block", txn.would_block_aborts);
-        out.push(',');
-        push_kv_u64(&mut out, "explicit", txn.explicit_aborts);
-        out.push('}');
-
-        out.push_str(",\"scripts\":{");
-        for (i, status) in [
-            ScriptStatus::Committed,
-            ScriptStatus::LockTimeout,
-            ScriptStatus::WouldBlock,
-            ScriptStatus::GuardFailed,
-            ScriptStatus::DebugAborted,
-            ScriptStatus::RetriesExhausted,
-            ScriptStatus::ReadOnlyViolation,
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut out = String::with_capacity(2048);
+        JsonObj::write(&mut out, |doc| {
+            let uptime = self.started.elapsed().as_millis();
+            doc.num("uptime_ms", uptime.min(u128::from(u64::MAX)) as u64);
+            let txn = self.tm.stats().snapshot();
+            doc.obj("txn", |o| {
+                o.num("started", txn.started)
+                    .num("committed", txn.committed)
+                    .num("aborted", txn.aborted)
+                    .num("lock_timeouts", txn.lock_timeouts)
+                    .num("would_block", txn.would_block_aborts)
+                    .num("explicit", txn.explicit_aborts);
+            });
+            doc.obj("scripts", |o| {
+                for (status, count) in ScriptStatus::ALL.iter().zip(&self.status_counts) {
+                    o.num(status.name(), load(count));
+                }
+            });
+            doc.obj("ops", |o| {
+                for (i, hist) in self.op_hist.iter().enumerate() {
+                    let name = op_name(i as u8 + 1).expect("opcode table covers histogram range");
+                    o.hist(name, &hist.snapshot());
+                }
+            });
+            doc.hist("script_service", &self.script_hist.snapshot());
+            doc.obj("batch", |o| {
+                o.num("batches", load(&self.batches))
+                    .num("scripts", load(&self.batch_scripts))
+                    .num("fallbacks", load(&self.batch_fallbacks));
+            });
+            doc.obj("abort_attribution", |o| {
+                for (object, timeouts) in self.ns.registry().snapshot().timeouts_by_object() {
+                    o.num(object, timeouts);
+                }
+            });
+            doc.obj("connections", |o| {
+                o.num("accepted", load(&self.conns.accepted))
+                    .num("open", load(&self.conns.open))
+                    .num("proto_errors", load(&self.conns.proto_errors))
+                    .num("accept_errors", load(&self.conns.accept_errors));
+            });
+            if let Some(wal) = self.wal.get() {
+                let d = wal.metrics().snapshot();
+                doc.obj("wal", |o| {
+                    o.num("records", d.records)
+                        .num("batches", d.batches)
+                        .num("bytes", d.bytes)
+                        .num("segments_rolled", d.segments_rolled)
+                        .num("errors", d.wal_errors)
+                        .num("replayed", load(&self.wal_replayed))
+                        .num("replay_failures", load(&self.wal_replay_failures))
+                        .hist("append", &d.append)
+                        .hist("fsync", &d.fsync);
+                });
             }
-            push_kv_u64(
-                &mut out,
-                status.name(),
-                self.status_counts[i].load(Ordering::Relaxed),
-            );
-        }
-        out.push('}');
-
-        out.push_str(",\"ops\":{");
-        let mut first = true;
-        for (i, hist) in self.op_hist.iter().enumerate() {
-            let name = op_name(i as u8 + 1).expect("opcode table covers histogram range");
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":");
-            push_hist(&mut out, &hist.snapshot());
-        }
-        out.push('}');
-
-        out.push_str(",\"script_service\":");
-        push_hist(&mut out, &self.script_hist.snapshot());
-
-        out.push_str(",\"batch\":{");
-        push_kv_u64(&mut out, "batches", self.batches.load(Ordering::Relaxed));
-        out.push(',');
-        push_kv_u64(
-            &mut out,
-            "scripts",
-            self.batch_scripts.load(Ordering::Relaxed),
-        );
-        out.push(',');
-        push_kv_u64(
-            &mut out,
-            "fallbacks",
-            self.batch_fallbacks.load(Ordering::Relaxed),
-        );
-        out.push('}');
-
-        out.push_str(",\"abort_attribution\":{");
-        let snap = self.ns.registry().snapshot();
-        for (i, (object, timeouts)) in snap.timeouts_by_object().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape_into(&mut out, object);
-            out.push_str("\":");
-            out.push_str(&timeouts.to_string());
-        }
-        out.push('}');
-
-        out.push_str(",\"connections\":{");
-        push_kv_u64(
-            &mut out,
-            "accepted",
-            self.conns.accepted.load(Ordering::Relaxed),
-        );
-        out.push(',');
-        push_kv_u64(&mut out, "open", self.conns.open.load(Ordering::Relaxed));
-        out.push(',');
-        push_kv_u64(
-            &mut out,
-            "proto_errors",
-            self.conns.proto_errors.load(Ordering::Relaxed),
-        );
-        out.push(',');
-        push_kv_u64(
-            &mut out,
-            "accept_errors",
-            self.conns.accept_errors.load(Ordering::Relaxed),
-        );
-        out.push('}');
-
-        if let Some(wal) = self.wal.get() {
-            let d = wal.metrics().snapshot();
-            out.push_str(",\"wal\":{");
-            push_kv_u64(&mut out, "records", d.records);
-            out.push(',');
-            push_kv_u64(&mut out, "batches", d.batches);
-            out.push(',');
-            push_kv_u64(&mut out, "bytes", d.bytes);
-            out.push(',');
-            push_kv_u64(&mut out, "segments_rolled", d.segments_rolled);
-            out.push(',');
-            push_kv_u64(&mut out, "errors", d.wal_errors);
-            out.push(',');
-            push_kv_u64(
-                &mut out,
-                "replayed",
-                self.wal_replayed.load(Ordering::Relaxed),
-            );
-            out.push(',');
-            push_kv_u64(
-                &mut out,
-                "replay_failures",
-                self.wal_replay_failures.load(Ordering::Relaxed),
-            );
-            out.push_str(",\"append\":");
-            push_hist(&mut out, &d.append);
-            out.push_str(",\"fsync\":");
-            push_hist(&mut out, &d.fsync);
-            out.push('}');
-        }
-
-        let mv = txboost_core::MvccDomain::global();
-        let mv_snap = mv.metrics.snapshot();
-        out.push_str(",\"mvcc\":{");
-        push_kv_u64(&mut out, "installs", mv_snap.installs);
-        out.push(',');
-        push_kv_u64(&mut out, "snapshot_reads", mv_snap.snapshot_reads);
-        out.push(',');
-        push_kv_u64(&mut out, "gc_reclaimed", mv_snap.gc_reclaimed);
-        out.push(',');
-        push_kv_u64(&mut out, "stable_ts", mv.clock.stable());
-        out.push(',');
-        push_kv_u64(&mut out, "live_readers", mv.readers.live_readers() as u64);
-        out.push_str(",\"chain_len\":");
-        push_hist(&mut out, &mv_snap.chain_len);
-        out.push_str(",\"snapshot_age\":");
-        push_hist(&mut out, &mv_snap.snapshot_age);
-        out.push('}');
-
-        let (maps, counters, sems, idgens, pqs) = self.ns.object_counts();
-        out.push_str(",\"objects\":{");
-        push_kv_u64(&mut out, "maps", maps as u64);
-        out.push(',');
-        push_kv_u64(&mut out, "counters", counters as u64);
-        out.push(',');
-        push_kv_u64(&mut out, "sems", sems as u64);
-        out.push(',');
-        push_kv_u64(&mut out, "idgens", idgens as u64);
-        out.push(',');
-        push_kv_u64(&mut out, "pqs", pqs as u64);
-        out.push('}');
-
-        out.push('}');
+            let mv = txboost_core::MvccDomain::global();
+            let mv_snap = mv.metrics.snapshot();
+            doc.obj("mvcc", |o| {
+                o.num("installs", mv_snap.installs)
+                    .num("snapshot_reads", mv_snap.snapshot_reads)
+                    .num("gc_reclaimed", mv_snap.gc_reclaimed)
+                    .num("stable_ts", mv.clock.stable())
+                    .num("live_readers", mv.readers.live_readers() as u64)
+                    .hist("chain_len", &mv_snap.chain_len)
+                    .hist("snapshot_age", &mv_snap.snapshot_age);
+            });
+            let (maps, counters, sems, idgens, pqs) = self.ns.object_counts();
+            doc.obj("objects", |o| {
+                o.num("maps", maps as u64)
+                    .num("counters", counters as u64)
+                    .num("sems", sems as u64)
+                    .num("idgens", idgens as u64)
+                    .num("pqs", pqs as u64);
+            });
+        });
         out
     }
 }
@@ -612,48 +453,87 @@ fn op_mutates(op: &Op) -> bool {
     )
 }
 
-fn status_index(s: ScriptStatus) -> usize {
-    match s {
-        ScriptStatus::Committed => 0,
-        ScriptStatus::LockTimeout => 1,
-        ScriptStatus::WouldBlock => 2,
-        ScriptStatus::GuardFailed => 3,
-        ScriptStatus::DebugAborted => 4,
-        ScriptStatus::RetriesExhausted => 5,
-        ScriptStatus::ReadOnlyViolation => 6,
+/// The reply status (and the op to blame) for how a transaction ended.
+/// `failed` is what the body recorded when it gave up on purpose.
+fn script_status(
+    ran: Result<(), TxnError>,
+    failed: Option<(u16, ScriptStatus)>,
+) -> (ScriptStatus, Option<u16>) {
+    match (ran, failed) {
+        (Ok(()), _) => (ScriptStatus::Committed, None),
+        (Err(TxnError::ExplicitlyAborted | TxnError::ReadOnlyViolation), Some((op, status))) => {
+            (status, Some(op))
+        }
+        (Err(TxnError::RetriesExhausted(AbortReason::LockTimeout)), _) => {
+            (ScriptStatus::LockTimeout, None)
+        }
+        (Err(TxnError::RetriesExhausted(AbortReason::WouldBlock)), _) => {
+            (ScriptStatus::WouldBlock, None)
+        }
+        // TxnError is non-exhaustive, and an abort nobody in `run`
+        // raised has no op to blame; answer with a generic retry
+        // exhaustion rather than crashing the server.
+        (Err(_), _) => (ScriptStatus::RetriesExhausted, None),
     }
 }
 
-fn push_kv_u64(out: &mut String, key: &str, value: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
+/// A JSON object being written: escaping keys, placing commas and
+/// closing the brace are its business, so `stats_json` only names what
+/// it reports. Values are numbers, histograms and nested objects —
+/// all the `STATS` document holds.
+struct JsonObj<'a> {
+    out: &'a mut String,
+    empty: bool,
 }
 
-fn push_hist(out: &mut String, h: &HistogramSnapshot) {
-    out.push('{');
-    push_kv_u64(out, "count", h.count());
-    out.push(',');
-    push_kv_u64(out, "mean_ns", h.mean());
-    out.push(',');
-    push_kv_u64(out, "p50_ns", h.p50());
-    out.push(',');
-    push_kv_u64(out, "p99_ns", h.p99());
-    out.push('}');
-}
+impl JsonObj<'_> {
+    /// Append `{`, whatever members `fill` adds, and `}` to `out`.
+    fn write(out: &mut String, fill: impl FnOnce(&mut JsonObj<'_>)) {
+        out.push('{');
+        fill(&mut JsonObj {
+            out: &mut *out,
+            empty: true,
+        });
+        out.push('}');
+    }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    /// Start a member: separator, escaped key, colon.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
         }
+        self.out.push('"');
+        for c in key.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn num(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    fn obj(&mut self, key: &str, fill: impl FnOnce(&mut JsonObj<'_>)) -> &mut Self {
+        JsonObj::write(self.key(key), fill);
+        self
+    }
+
+    fn hist(&mut self, key: &str, h: &HistogramSnapshot) -> &mut Self {
+        self.obj(key, |o| {
+            o.num("count", h.count())
+                .num("mean_ns", h.mean())
+                .num("p50_ns", h.p50())
+                .num("p99_ns", h.p99());
+        })
     }
 }
 
@@ -661,6 +541,8 @@ fn json_escape_into(out: &mut String, s: &str) {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use txboost_client::ScriptBuilder;
+    use txboost_wal::{recover, SimStorage, Storage, WalConfig};
     use txboost_wire::Guard;
 
     fn exec() -> Executor {
@@ -674,40 +556,66 @@ mod tests {
         )
     }
 
-    fn op(op: Op) -> ScriptOp {
-        ScriptOp::new(op)
+    /// Scripts are spelled the way clients spell them.
+    fn script() -> ScriptBuilder {
+        ScriptBuilder::new()
+    }
+
+    /// Attach a group-commit WAL over simulated storage (flusher
+    /// running); the storage is returned for recovery.
+    fn attach_sim_wal(e: &Executor) -> Arc<SimStorage> {
+        let storage = Arc::new(SimStorage::new(0));
+        let wal = GroupCommitWal::new(
+            Arc::clone(&storage) as Arc<dyn Storage>,
+            &WalConfig::default(),
+            1,
+            Arc::new(txboost_core::DurabilityMetrics::new()),
+        );
+        let wal = Arc::new(wal.unwrap());
+        wal.spawn_flusher().unwrap();
+        e.attach_wal(wal);
+        storage
+    }
+
+    /// Every leaf of a `STATS` document as `(dotted key path, value)`,
+    /// in document order. The document holds only objects and numbers.
+    fn leaves(json: &str) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        let mut path: Vec<&str> = Vec::new();
+        let mut rest = json;
+        while let Some(at) = rest.find(['"', '}']) {
+            if rest.as_bytes()[at] == b'}' {
+                path.pop();
+                rest = &rest[at + 1..];
+                continue;
+            }
+            let (key, after) = rest[at + 1..].split_once("\":").expect("key then colon");
+            if let Some(inner) = after.strip_prefix('{') {
+                path.push(key);
+                rest = inner;
+            } else {
+                let digits = after.find(|c: char| !c.is_ascii_digit()).unwrap();
+                let leaf: Vec<&str> = path.iter().chain([&key]).copied().collect();
+                out.push((leaf.join("."), after[..digits].parse().unwrap()));
+                rest = &after[digits..];
+            }
+        }
+        out
     }
 
     #[test]
     fn script_commits_and_returns_per_op_results() {
         let e = exec();
-        let out = e.execute(&[
-            op(Op::MapInsert {
-                obj: "m".into(),
-                key: 1,
-                val: 10,
-            }),
-            op(Op::MapInsert {
-                obj: "m".into(),
-                key: 1,
-                val: 20,
-            }),
-            op(Op::MapContains {
-                obj: "m".into(),
-                key: 1,
-            }),
-            op(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 5,
-            }),
-            op(Op::CounterGet { obj: "c".into() }),
-            op(Op::IdGen { obj: "g".into() }),
-            op(Op::PqAdd {
-                obj: "q".into(),
-                key: 3,
-            }),
-            op(Op::PqRemoveMin { obj: "q".into() }),
-        ]);
+        let every_type = script()
+            .map_insert("m", 1, 10)
+            .map_insert("m", 1, 20)
+            .map_contains("m", 1)
+            .counter_add("c", 5)
+            .counter_get("c")
+            .id_gen("g")
+            .pq_add("q", 3)
+            .pq_remove_min("q");
+        let out = e.execute(&every_type.build());
         assert_eq!(out.status, ScriptStatus::Committed);
         assert_eq!(out.attempts, 1);
         assert_eq!(
@@ -728,29 +636,16 @@ mod tests {
     #[test]
     fn debug_abort_rolls_back_everything() {
         let e = exec();
-        let out = e.execute(&[
-            op(Op::MapInsert {
-                obj: "m".into(),
-                key: 7,
-                val: 1,
-            }),
-            op(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 100,
-            }),
-            op(Op::DebugAbort),
-        ]);
+        let doomed = script()
+            .map_insert("m", 7, 1)
+            .counter_add("c", 100)
+            .debug_abort();
+        let out = e.execute(&doomed.build());
         assert_eq!(out.status, ScriptStatus::DebugAborted);
         assert_eq!(out.failed_op, Some(2));
         assert!(out.results.is_empty());
         // No partial effects.
-        let check = e.execute(&[
-            op(Op::MapContains {
-                obj: "m".into(),
-                key: 7,
-            }),
-            op(Op::CounterGet { obj: "c".into() }),
-        ]);
+        let check = e.execute(&script().map_contains("m", 7).counter_get("c").build());
         assert_eq!(
             check.results,
             vec![OpResult::Bool(false), OpResult::Value(Some(0))]
@@ -760,28 +655,15 @@ mod tests {
     #[test]
     fn guard_failure_aborts_atomically_and_names_the_op() {
         let e = exec();
-        let out = e.execute(&[
-            op(Op::MapInsert {
-                obj: "m".into(),
-                key: 1,
-                val: 1,
-            }),
-            // Key 2 is absent: the ExpectSome guard must fail.
-            ScriptOp::guarded(
-                Op::MapRemove {
-                    obj: "m".into(),
-                    key: 2,
-                },
-                Guard::ExpectSome,
-            ),
-        ]);
+        // Key 2 is absent: the ExpectSome guard must fail.
+        let guarded = script()
+            .map_insert("m", 1, 1)
+            .map_remove_guarded("m", 2, Guard::ExpectSome);
+        let out = e.execute(&guarded.build());
         assert_eq!(out.status, ScriptStatus::GuardFailed);
         assert_eq!(out.failed_op, Some(1));
         // The first op was rolled back too.
-        let check = e.execute(&[op(Op::MapContains {
-            obj: "m".into(),
-            key: 1,
-        })]);
+        let check = e.execute(&script().map_contains("m", 1).build());
         assert_eq!(check.results, vec![OpResult::Bool(false)]);
     }
 
@@ -796,7 +678,7 @@ mod tests {
             },
             0, // semaphores start empty
         );
-        let out = e.execute(&[op(Op::SemAcquire { obj: "s".into() })]);
+        let out = e.execute(&script().sem_acquire("s").build());
         assert_eq!(out.status, ScriptStatus::WouldBlock);
         assert!(out.attempts >= 2, "retry loop must have retried");
     }
@@ -804,32 +686,20 @@ mod tests {
     #[test]
     fn read_only_script_reads_a_committed_snapshot_without_locks() {
         let e = exec();
-        let seeded = e.execute(&[
-            op(Op::MapInsert {
+        let seeded = e.execute(&script().map_insert("m", 1, 10).counter_add("c", 5).build());
+        assert_eq!(seeded.status, ScriptStatus::Committed);
+        let expect_present = ScriptOp::guarded(
+            Op::MapContains {
                 obj: "m".into(),
                 key: 1,
-                val: 10,
-            }),
-            op(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 5,
-            }),
-        ]);
-        assert_eq!(seeded.status, ScriptStatus::Committed);
-        let out = e.execute_read_only(&[
-            ScriptOp::guarded(
-                Op::MapContains {
-                    obj: "m".into(),
-                    key: 1,
-                },
-                Guard::ExpectTrue,
-            ),
-            op(Op::MapContains {
-                obj: "m".into(),
-                key: 2,
-            }),
-            op(Op::CounterGet { obj: "c".into() }),
-        ]);
+            },
+            Guard::ExpectTrue,
+        );
+        let reads = script()
+            .push(expect_present)
+            .map_contains("m", 2)
+            .counter_get("c");
+        let out = e.execute_read_only(&reads.build());
         assert_eq!(out.status, ScriptStatus::Committed);
         assert_eq!(out.attempts, 1, "snapshot reads never retry");
         assert_eq!(out.wal_durable, None, "read-only scripts earn no record");
@@ -846,47 +716,26 @@ mod tests {
     #[test]
     fn read_only_script_rejects_mutations_with_a_typed_status() {
         let e = exec();
-        for mutating in [
-            Op::MapInsert {
-                obj: "m".into(),
-                key: 1,
-                val: 1,
-            },
-            Op::MapRemove {
-                obj: "m".into(),
-                key: 1,
-            },
-            Op::CounterAdd {
-                obj: "c".into(),
-                delta: 1,
-            },
-            Op::SemAcquire { obj: "s".into() },
-            Op::SemRelease { obj: "s".into() },
-            Op::IdGen { obj: "g".into() },
-            Op::PqAdd {
-                obj: "q".into(),
-                key: 1,
-            },
-            Op::PqRemoveMin { obj: "q".into() },
-            Op::DebugAbort,
+        for mutation in [
+            script().map_insert("m", 1, 1),
+            script().map_remove("m", 1),
+            script().counter_add("c", 1),
+            script().sem_acquire("s"),
+            script().sem_release("s"),
+            script().id_gen("g"),
+            script().pq_add("q", 1),
+            script().pq_remove_min("q"),
+            script().debug_abort(),
         ] {
-            let out = e.execute_read_only(&[
-                op(Op::MapContains {
-                    obj: "m".into(),
-                    key: 1,
-                }),
-                op(mutating.clone()),
-            ]);
-            assert_eq!(
-                out.status,
-                ScriptStatus::ReadOnlyViolation,
-                "op {mutating:?}"
-            );
+            let mut ops = script().map_contains("m", 1).build();
+            ops.extend(mutation.build());
+            let out = e.execute_read_only(&ops);
+            assert_eq!(out.status, ScriptStatus::ReadOnlyViolation, "{ops:?}");
             assert_eq!(out.failed_op, Some(1));
             assert!(out.results.is_empty());
         }
         // Nothing leaked into committed state.
-        let probe = e.execute_read_only(&[op(Op::CounterGet { obj: "c".into() })]);
+        let probe = e.execute_read_only(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(0))]);
     }
 
@@ -907,79 +756,31 @@ mod tests {
     #[test]
     fn stats_json_reports_per_op_histograms() {
         let e = exec();
-        e.execute(&[op(Op::MapInsert {
-            obj: "m".into(),
-            key: 1,
-            val: 1,
-        })]);
-        e.execute_read_only(&[op(Op::MapContains {
-            obj: "m".into(),
-            key: 1,
-        })]);
-        e.execute_read_only(&[op(Op::CounterAdd {
-            obj: "c".into(),
-            delta: 1,
-        })]);
+        e.execute(&script().map_insert("m", 1, 1).build());
+        e.execute_read_only(&script().map_contains("m", 1).build());
+        e.execute_read_only(&script().counter_add("c", 1).build());
         let json = e.stats_json();
         assert!(json.contains("\"map_insert\":{\"count\":1"), "{json}");
         assert!(json.contains("\"committed\":2"), "{json}");
         assert!(json.contains("\"read_only_violation\":1"), "{json}");
         assert!(json.contains("\"script_service\":{\"count\":3"), "{json}");
         assert!(json.contains("\"maps\":1"), "{json}");
-        // The MVCC section is present with its counters and histograms.
-        assert!(json.contains("\"mvcc\":{\"installs\":"), "{json}");
-        assert!(json.contains("\"snapshot_reads\":"), "{json}");
-        assert!(json.contains("\"gc_reclaimed\":"), "{json}");
-        assert!(json.contains("\"chain_len\":{"), "{json}");
-        assert!(json.contains("\"snapshot_age\":{"), "{json}");
         assert!(json.contains("\"live_readers\":0"), "{json}");
-        // Well-formed enough for line-oriented checks: braces balance.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
     }
 
     #[test]
     fn wal_round_trip_logs_commits_and_replay_rebuilds_state() {
-        use txboost_wal::{recover, SimStorage, Storage, WalConfig};
-        let storage = Arc::new(SimStorage::new(0));
         let e = exec();
-        let wal = Arc::new(
-            GroupCommitWal::new(
-                Arc::clone(&storage) as Arc<dyn Storage>,
-                &WalConfig::default(),
-                1,
-                Arc::new(txboost_core::DurabilityMetrics::new()),
-            )
-            .unwrap(),
-        );
-        wal.spawn_flusher().unwrap();
-        e.attach_wal(wal);
+        let storage = attach_sim_wal(&e);
 
-        let committed = e.execute(&[op(Op::MapInsert {
-            obj: "m".into(),
-            key: 1,
-            val: 10,
-        })]);
+        let committed = e.execute(&script().map_insert("m", 1, 10).build());
         assert_eq!(committed.status, ScriptStatus::Committed);
         assert_eq!(committed.wal_durable, Some(true), "ack implies durable");
 
         // Read-only scripts and failed scripts earn no record.
-        let read_only = e.execute(&[op(Op::MapContains {
-            obj: "m".into(),
-            key: 1,
-        })]);
+        let read_only = e.execute(&script().map_contains("m", 1).build());
         assert_eq!(read_only.wal_durable, None);
-        let aborted = e.execute(&[
-            op(Op::MapInsert {
-                obj: "m".into(),
-                key: 2,
-                val: 2,
-            }),
-            op(Op::DebugAbort),
-        ]);
+        let aborted = e.execute(&script().map_insert("m", 2, 2).debug_abort().build());
         assert_eq!(aborted.status, ScriptStatus::DebugAborted);
         assert_eq!(aborted.wal_durable, None);
 
@@ -990,28 +791,16 @@ mod tests {
         assert_eq!(log.records.len(), 1, "exactly the committed script");
         let e2 = exec();
         assert_eq!(log.replay(|record| e2.replay_record(record)), 0);
-        let probe = e2.execute(&[op(Op::MapContains {
-            obj: "m".into(),
-            key: 1,
-        })]);
+        let probe = e2.execute(&script().map_contains("m", 1).build());
         assert_eq!(probe.results, vec![OpResult::Bool(true)]);
     }
 
     #[test]
     fn execute_batch_commits_jointly_with_per_script_results() {
         let e = exec();
-        let scripts: Vec<Vec<ScriptOp>> = vec![
-            vec![op(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 3,
-            })],
-            vec![
-                op(Op::CounterAdd {
-                    obj: "c".into(),
-                    delta: 4,
-                }),
-                op(Op::CounterGet { obj: "c".into() }),
-            ],
+        let scripts = vec![
+            script().counter_add("c", 3).build(),
+            script().counter_add("c", 4).counter_get("c").build(),
         ];
         let outs = e.execute_batch(&scripts).expect("joint commit");
         assert_eq!(outs.len(), 2);
@@ -1037,28 +826,9 @@ mod tests {
 
     #[test]
     fn execute_batch_logs_one_wal_record_for_the_run() {
-        use txboost_wal::{recover, SimStorage, Storage, WalConfig};
-        let storage = Arc::new(SimStorage::new(0));
         let e = exec();
-        let wal = Arc::new(
-            GroupCommitWal::new(
-                Arc::clone(&storage) as Arc<dyn Storage>,
-                &WalConfig::default(),
-                1,
-                Arc::new(txboost_core::DurabilityMetrics::new()),
-            )
-            .unwrap(),
-        );
-        wal.spawn_flusher().unwrap();
-        e.attach_wal(wal);
-        let scripts: Vec<Vec<ScriptOp>> = (0..4)
-            .map(|_| {
-                vec![op(Op::CounterAdd {
-                    obj: "c".into(),
-                    delta: 1,
-                })]
-            })
-            .collect();
+        let storage = attach_sim_wal(&e);
+        let scripts = vec![script().counter_add("c", 1).build(); 4];
         let outs = e.execute_batch(&scripts).expect("joint commit");
         assert!(outs.iter().all(|o| o.wal_durable == Some(true)));
         e.shutdown_wal();
@@ -1066,14 +836,75 @@ mod tests {
         assert_eq!(log.records.len(), 1, "one record for the whole batch");
         let e2 = exec();
         assert_eq!(log.replay(|record| e2.replay_record(record)), 0);
-        let probe = e2.execute(&[op(Op::CounterGet { obj: "c".into() })]);
+        let probe = e2.execute(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(4))]);
     }
 
     #[test]
-    fn json_escaping_handles_hostile_names() {
+    fn json_writer_escapes_hostile_keys_and_places_commas() {
         let mut s = String::new();
-        json_escape_into(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "a\\\"b\\\\c\\u000ad");
+        JsonObj::write(&mut s, |o| {
+            o.num("a\"b\\c\nd", 1).obj("empty", |_| {}).num("z", 2);
+        });
+        assert_eq!(s, "{\"a\\\"b\\\\c\\u000ad\":1,\"empty\":{},\"z\":2}");
+    }
+
+    /// Every leaf key path of the `STATS` document, in order; `#` stands
+    /// for a histogram's four leaves, and the `wal.` rows appear only
+    /// with a WAL attached. `benchmark/` and operators scrape these.
+    const STATS_KEYS: &str = "\
+        uptime_ms txn.started txn.committed txn.aborted txn.lock_timeouts txn.would_block \
+        txn.explicit scripts.committed scripts.lock_timeout scripts.would_block \
+        scripts.guard_failed scripts.debug_aborted scripts.retries_exhausted \
+        scripts.read_only_violation ops.map_insert.# ops.map_remove.# ops.map_contains.# \
+        ops.counter_add.# ops.counter_get.# ops.sem_acquire.# ops.sem_release.# ops.id_gen.# \
+        ops.pq_add.# ops.pq_remove_min.# ops.debug_abort.# script_service.# batch.batches \
+        batch.scripts batch.fallbacks connections.accepted connections.open \
+        connections.proto_errors connections.accept_errors wal.records wal.batches wal.bytes \
+        wal.segments_rolled wal.errors wal.replayed wal.replay_failures wal.append.# \
+        wal.fsync.# mvcc.installs mvcc.snapshot_reads mvcc.gc_reclaimed mvcc.stable_ts \
+        mvcc.live_readers mvcc.chain_len.# mvcc.snapshot_age.# objects.maps objects.counters \
+        objects.sems objects.idgens objects.pqs";
+
+    #[test]
+    fn stats_document_keeps_every_key_path_in_order() {
+        let golden = |with_wal: bool| -> Vec<String> {
+            let rows = STATS_KEYS.split_whitespace();
+            let rows = rows.filter(|row| with_wal || !row.starts_with("wal."));
+            rows.flat_map(|row| match row.strip_suffix('#') {
+                Some(hist) => ["count", "mean_ns", "p50_ns", "p99_ns"]
+                    .map(|leaf| format!("{hist}{leaf}"))
+                    .to_vec(),
+                None => vec![row.to_string()],
+            })
+            .collect()
+        };
+        let paths = |e: &Executor| -> Vec<String> {
+            let json = e.stats_json();
+            // No lock has timed out, so the one keyless object is empty.
+            assert!(json.contains(",\"abort_attribution\":{},"), "{json}");
+            leaves(&json).into_iter().map(|(path, _)| path).collect()
+        };
+        let e = exec();
+        assert_eq!(paths(&e), golden(false));
+        attach_sim_wal(&e);
+        assert_eq!(paths(&e), golden(true));
+        e.shutdown_wal();
+    }
+
+    #[test]
+    fn a_joint_transaction_stamps_each_op_with_a_measured_gap() {
+        const N: u64 = 32;
+        let e = exec();
+        let scripts = vec![script().counter_add("c", 1).build(); N as usize];
+        let t0 = Instant::now();
+        e.execute_batch(&scripts).expect("joint commit");
+        let elapsed = t0.elapsed();
+        let adds = e.op_hist[3].snapshot();
+        assert_eq!(adds.count(), N, "one sample per op, not per batch");
+        // Chained stamps partition the body's wall time, so the gaps
+        // cannot add up to more than the call took.
+        assert!(u128::from(adds.sum) <= elapsed.as_nanos());
+        assert_eq!(e.script_hist.snapshot().count(), N);
     }
 }

@@ -6,27 +6,19 @@
 //! deadlock recovery with capped exponential backoff between retries),
 //! replying with per-op results or an abort code.
 //!
-//! ## I/O planes
+//! ## The I/O plane
 //!
-//! No async runtime: everything is `std::net` + threads + (on Linux)
-//! raw `epoll`. Two interchangeable planes implement the same wire
-//! semantics — pipelining, a bounded per-connection in-flight window,
-//! protocol-error isolation, graceful drain:
+//! No async runtime: `std::net` + threads + raw Linux `epoll`
+//! ([`sys`]). One event loop per core, connections pinned to the loop
+//! that accepted them, edge-triggered reads into per-connection
+//! resumable frame decoders, batched reply flushes with EAGAIN-aware
+//! write interest. Independent single-object scripts arriving in the
+//! same poll tick are coalesced into one joint transaction (see
+//! [`batch`]): one lock-manager pass, one WAL group-commit ticket.
 //!
-//! * [`IoModel::Epoll`] (default on Linux) — readiness-driven
-//!   nonblocking multiplexing: one event loop per core, connections
-//!   pinned to the loop that accepted them, edge-triggered reads into
-//!   per-connection resumable frame decoders, batched reply flushes
-//!   with EAGAIN-aware write interest. Independent single-object
-//!   scripts arriving in the same poll tick are coalesced into one
-//!   joint transaction (see [`batch`]): one lock-manager pass, one WAL
-//!   group-commit ticket, one histogram timestamp.
-//! * [`IoModel::Threads`] — sharded acceptors, one blocking reader
-//!   thread per connection, `conn_id % workers` executor pinning. The
-//!   classic plane, kept for comparison benchmarks and non-Linux
-//!   hosts.
-//!
-//! ## Shared semantics
+//! The *server* is Linux-only: on any other target [`Server::bind`]
+//! returns [`io::ErrorKind::Unsupported`]. [`Executor`], [`Batcher`]
+//! and [`Namespace`] are portable.
 //!
 //! * **Bounded in-flight window** — each connection holds
 //!   [`ServerConfig::window`] slots; when a client pipelines faster
@@ -49,42 +41,19 @@ mod namespace;
 pub mod signal;
 #[cfg(target_os = "linux")]
 pub mod sys;
-mod threads;
 
 pub use batch::{batch_eligible, BatchConfig, Batcher};
 pub use exec::{Executor, ScriptOutcome};
 pub use namespace::Namespace;
 
-use parking_lot::{Condvar, Mutex};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 use txboost_core::TxnConfig;
 use txboost_wire as wire;
 use txboost_wire::{ProtoErrorCode, WireError};
-
-/// Which I/O plane drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One blocking reader thread per connection (works everywhere).
-    Threads,
-    /// Readiness-driven nonblocking `epoll` event loops (Linux only;
-    /// falls back to [`IoModel::Threads`] elsewhere).
-    Epoll,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -92,17 +61,10 @@ pub struct ServerConfig {
     /// Listen address, e.g. `"127.0.0.1:7411"`. Use port 0 to let the
     /// OS pick (tests).
     pub addr: String,
-    /// Which I/O plane to run (see [`IoModel`]).
-    pub io: IoModel,
-    /// Event loops for the epoll plane (0 = one per core).
+    /// Event loops (default: one per core; at least one runs).
     pub event_loops: usize,
-    /// Commit batching for the epoll plane (ignored by the thread
-    /// plane, which learns about one request at a time).
+    /// Same-tick commit batching.
     pub batch: BatchConfig,
-    /// Acceptor shards racing on the listening socket (thread plane).
-    pub acceptors: usize,
-    /// Executor threads for the thread plane (default: one per core).
-    pub workers: usize,
     /// Per-connection in-flight request window (backpressure bound).
     pub window: usize,
     /// Maximum accepted frame payload size.
@@ -112,10 +74,9 @@ pub struct ServerConfig {
     /// Transaction runtime configuration: lock timeout (deadlock
     /// recovery), retry cap, and backoff bounds. `max_retries` should
     /// be `Some(_)` in a server — an unbounded retry loop would let one
-    /// pathological script occupy a worker forever.
+    /// pathological script occupy an event loop forever.
     pub txn: TxnConfig,
-    /// How often blocked reads/accepts/poll ticks wake up to check for
-    /// shutdown.
+    /// How long a poll tick may block before re-checking for shutdown.
     pub poll_interval: Duration,
     /// How long a drain waits for a half-received frame before giving
     /// up on that connection.
@@ -155,11 +116,8 @@ impl Default for ServerConfig {
             .unwrap_or(4);
         ServerConfig {
             addr: "127.0.0.1:7411".to_string(),
-            io: IoModel::default(),
             event_loops: cores,
             batch: BatchConfig::default(),
-            acceptors: cores.min(4),
-            workers: cores,
             window: 32,
             max_frame: wire::MAX_FRAME_LEN,
             default_sem_permits: 1024,
@@ -176,39 +134,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-connection in-flight window: a tiny counting semaphore (used by
-/// the thread plane; the event loop tracks the window with a plain
-/// counter since it never blocks).
-#[derive(Debug)]
-pub(crate) struct WindowSem {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl WindowSem {
-    pub(crate) fn new(n: usize) -> Self {
-        WindowSem {
-            permits: Mutex::new(n.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn acquire(&self) {
-        let mut p = self.permits.lock();
-        while *p == 0 {
-            self.cv.wait(&mut p);
-        }
-        *p -= 1;
-    }
-
-    pub(crate) fn release(&self) {
-        *self.permits.lock() += 1;
-        self.cv.notify_one();
-    }
-}
-
-/// State shared by every plane: the executor, the shutdown latch, and
-/// the configuration.
+/// State shared by every event loop: the executor, the shutdown
+/// latch, and the configuration.
 pub(crate) struct Shared {
     pub(crate) exec: Executor,
     pub(crate) shutdown: AtomicBool,
@@ -225,27 +152,21 @@ pub(crate) fn proto_error_code(err: &WireError) -> ProtoErrorCode {
     }
 }
 
-enum Plane {
-    Threads(threads::ThreadPlane),
-    #[cfg(target_os = "linux")]
-    Epoll {
-        loops: Vec<JoinHandle<()>>,
-        wakeups: Vec<Arc<sys::EventFd>>,
-    },
-}
-
 /// A running server. Dropping the handle does **not** stop the server;
 /// call [`Server::shutdown`] + [`Server::join`] (or [`Server::wait`]).
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    plane: Plane,
+    #[cfg(target_os = "linux")]
+    loops: eventloop::Loops,
 }
 
 impl Server {
-    /// Bind and start serving. Returns once the listener is live.
+    /// Bind and start serving. `Ok` means every event loop holds the
+    /// listener in its epoll instance; exhaustion here is an `Err`.
+    #[cfg(target_os = "linux")]
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let listener = std::net::TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
@@ -256,7 +177,7 @@ impl Server {
         });
 
         // Durability: recover + replay the committed prefix before any
-        // worker runs, then attach the group-commit WAL so new commits
+        // loop runs, then attach the group-commit WAL so new commits
         // are logged (replay itself must not be).
         if let Some(wal_cfg) = &cfg.wal {
             let storage: Arc<dyn txboost_wal::Storage> =
@@ -276,33 +197,29 @@ impl Server {
             shared.exec.attach_wal(wal);
         }
 
-        let plane = match cfg.io {
-            #[cfg(target_os = "linux")]
-            IoModel::Epoll => {
-                let (loops, wakeups) = eventloop::spawn_loops(&shared, &listener)?;
-                Plane::Epoll { loops, wakeups }
-            }
-            #[cfg(not(target_os = "linux"))]
-            IoModel::Epoll => Plane::Threads(threads::ThreadPlane::spawn(&shared, &listener)?),
-            IoModel::Threads => Plane::Threads(threads::ThreadPlane::spawn(&shared, &listener)?),
-        };
-
+        let loops = eventloop::spawn_loops(&shared, &listener).inspect_err(|_| {
+            // Nothing can enqueue: stop the flusher `bind` started.
+            shared.exec.shutdown_wal();
+        })?;
         Ok(Server {
             shared,
             addr,
-            plane,
+            loops,
         })
+    }
+
+    /// The I/O plane is Linux `epoll`; there is no server elsewhere.
+    #[cfg(not(target_os = "linux"))]
+    pub fn bind(_cfg: ServerConfig) -> io::Result<Server> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "txboost-server needs Linux epoll",
+        ))
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The executor (tests use it to seed or inspect objects without a
-    /// round trip; everything it touches is transactional).
-    pub fn executor(&self) -> &Executor {
-        &self.shared.exec
     }
 
     /// Request a graceful drain: accepting and reading stop, decoded
@@ -311,11 +228,7 @@ impl Server {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         #[cfg(target_os = "linux")]
-        if let Plane::Epoll { wakeups, .. } = &self.plane {
-            for w in wakeups {
-                w.fire();
-            }
-        }
+        self.loops.wake();
     }
 
     /// Whether a drain has been requested (wire `Shutdown`, SIGTERM
@@ -328,16 +241,9 @@ impl Server {
     /// yet. In-flight requests get their replies before this returns.
     pub fn join(self) {
         self.shutdown();
-        match self.plane {
-            Plane::Threads(plane) => plane.join(),
-            #[cfg(target_os = "linux")]
-            Plane::Epoll { loops, .. } => {
-                for h in loops {
-                    let _ = h.join();
-                }
-            }
-        }
-        // The plane is gone, so nothing enqueues anymore; flush what
+        #[cfg(target_os = "linux")]
+        self.loops.join();
+        // The loops are gone, so nothing enqueues anymore; flush what
         // remains and join the flusher. (Every acknowledged request was
         // already durable before its reply was written.)
         self.shared.exec.shutdown_wal();
@@ -365,38 +271,19 @@ impl Server {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
 
     #[test]
-    fn window_sem_blocks_at_zero_and_wakes_on_release() {
-        let sem = Arc::new(WindowSem::new(2));
-        sem.acquire();
-        sem.acquire();
-        let s2 = Arc::clone(&sem);
-        let waiter = std::thread::spawn(move || {
-            s2.acquire();
-            true
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "third acquire must block");
-        sem.release();
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
     fn bind_on_ephemeral_port_and_drain_immediately() {
-        for io in [IoModel::Threads, IoModel::Epoll] {
-            let server = Server::bind(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                io,
-                ..ServerConfig::default()
-            })
-            .unwrap();
-            assert_ne!(server.local_addr().port(), 0);
-            server.shutdown();
-            server.join(); // must not hang with zero connections
-        }
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        assert_ne!(server.local_addr().port(), 0);
+        server.shutdown();
+        server.join(); // must not hang with zero connections
     }
 }

@@ -1,20 +1,12 @@
-//! The `txboost-server` binary.
+//! The `txboost-server` binary (Linux: the I/O plane is `epoll`).
 //!
-//! ```text
-//! txboost-server [--addr 127.0.0.1:7411] [--workers N] [--acceptors N]
-//!                [--io epoll|threads] [--event-loops N]
-//!                [--no-batch] [--batch-max N]
-//!                [--window N] [--max-frame BYTES]
-//!                [--lock-timeout-us N] [--max-retries N]
-//!                [--default-sem-permits N]
-//!                [--wal-dir PATH] [--wal-batch N] [--wal-segment-bytes N]
-//! ```
-//!
-//! `--io` picks the I/O plane: `epoll` (default on Linux) multiplexes
-//! all connections over `--event-loops` readiness loops and coalesces
-//! same-tick single-object scripts into joint commits (`--no-batch`
-//! disables the coalescing, `--batch-max` caps scripts per batch);
-//! `threads` is the classic thread-per-connection plane.
+//! `--help` lists the flags. All connections are multiplexed over
+//! `--event-loops` readiness loops, and same-tick single-object scripts
+//! are coalesced into joint commits (`--no-batch` disables the
+//! coalescing, `--batch-max` caps scripts per batch). `--io epoll` is
+//! accepted and ignored — epoll is the only plane, and the repo's
+//! benchmark harness still passes the flag; any other `--io` value is a
+//! usage error.
 //!
 //! With `--wal-dir` the server recovers and replays the write-ahead
 //! log in PATH before accepting connections, then logs every
@@ -24,10 +16,34 @@
 //!
 //! Runs until a wire `Shutdown` frame, SIGTERM, or SIGINT, then drains
 //! gracefully: in-flight transactions finish and get replies before
-//! the process exits 0.
+//! the process exits 0. A usage error prints one line and exits 2.
 
+use std::str::FromStr;
 use std::time::Duration;
-use txboost_server::{IoModel, Server, ServerConfig, WalServerConfig};
+use txboost_server::{Server, ServerConfig, WalServerConfig};
+
+const USAGE: &str = "usage: txboost-server [--addr HOST:PORT] [--event-loops N] [--no-batch] \
+                     [--batch-max N] [--window N] [--max-frame BYTES] [--lock-timeout-us N] \
+                     [--max-retries N] [--default-sem-permits N] [--wal-dir PATH] \
+                     [--wal-batch N] [--wal-segment-bytes N] \
+                     [--io epoll (accepted and ignored: epoll is the only I/O plane)]";
+
+/// Every command-line mistake ends here: one line, exit status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("txboost-server: {msg} (try --help)");
+    std::process::exit(2);
+}
+
+fn parsed<T: FromStr>(flag: &str, raw: String) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value {raw:?} for {flag}")))
+}
+
+/// The WAL settings, switched on (directory `wal`) by the first
+/// `--wal-*` flag.
+fn wal(cfg: &mut ServerConfig) -> &mut WalServerConfig {
+    cfg.wal.get_or_insert_with(|| WalServerConfig::new("wal"))
+}
 
 fn main() {
     let mut cfg = ServerConfig::default();
@@ -35,70 +51,34 @@ fn main() {
     while let Some(flag) = it.next() {
         let mut val = || {
             it.next()
-                .unwrap_or_else(|| panic!("missing value for {flag}"))
+                .unwrap_or_else(|| usage_error(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
             "--addr" => cfg.addr = val(),
-            "--workers" => cfg.workers = val().parse().expect("bad --workers"),
-            "--acceptors" => cfg.acceptors = val().parse().expect("bad --acceptors"),
             "--io" => {
-                cfg.io = match val().as_str() {
-                    "epoll" => IoModel::Epoll,
-                    "threads" => IoModel::Threads,
-                    other => panic!("bad --io {other} (expected epoll|threads)"),
-                };
+                let plane = val();
+                if plane != "epoll" {
+                    usage_error(&format!("bad --io {plane}: epoll is the only I/O plane"));
+                }
             }
-            "--event-loops" => cfg.event_loops = val().parse().expect("bad --event-loops"),
+            "--event-loops" => cfg.event_loops = parsed(&flag, val()),
             "--no-batch" => cfg.batch.enabled = false,
-            "--batch-max" => cfg.batch.max_scripts = val().parse().expect("bad --batch-max"),
-            "--window" => cfg.window = val().parse().expect("bad --window"),
-            "--max-frame" => cfg.max_frame = val().parse().expect("bad --max-frame"),
+            "--batch-max" => cfg.batch.max_scripts = parsed(&flag, val()),
+            "--window" => cfg.window = parsed(&flag, val()),
+            "--max-frame" => cfg.max_frame = parsed(&flag, val()),
             "--lock-timeout-us" => {
-                cfg.txn.lock_timeout =
-                    Duration::from_micros(val().parse().expect("bad --lock-timeout-us"));
+                cfg.txn.lock_timeout = Duration::from_micros(parsed(&flag, val()));
             }
-            "--max-retries" => {
-                cfg.txn.max_retries = Some(val().parse().expect("bad --max-retries"));
-            }
-            "--default-sem-permits" => {
-                cfg.default_sem_permits = val().parse().expect("bad --default-sem-permits");
-            }
-            "--wal-dir" => {
-                let dir = val();
-                cfg.wal = Some(match cfg.wal.take() {
-                    Some(mut wal) => {
-                        wal.dir = dir.into();
-                        wal
-                    }
-                    None => WalServerConfig::new(dir),
-                });
-            }
-            "--wal-batch" => {
-                let batch = val().parse().expect("bad --wal-batch");
-                cfg.wal
-                    .get_or_insert_with(|| WalServerConfig::new("wal"))
-                    .batch_max = batch;
-            }
-            "--wal-segment-bytes" => {
-                let bytes = val().parse().expect("bad --wal-segment-bytes");
-                cfg.wal
-                    .get_or_insert_with(|| WalServerConfig::new("wal"))
-                    .segment_bytes = bytes;
-            }
+            "--max-retries" => cfg.txn.max_retries = Some(parsed(&flag, val())),
+            "--default-sem-permits" => cfg.default_sem_permits = parsed(&flag, val()),
+            "--wal-dir" => wal(&mut cfg).dir = val().into(),
+            "--wal-batch" => wal(&mut cfg).batch_max = parsed(&flag, val()),
+            "--wal-segment-bytes" => wal(&mut cfg).segment_bytes = parsed(&flag, val()),
             "--help" | "-h" => {
-                println!(
-                    "usage: txboost-server [--addr HOST:PORT] [--workers N] [--acceptors N] \
-                     [--io epoll|threads] [--event-loops N] [--no-batch] [--batch-max N] \
-                     [--window N] [--max-frame BYTES] [--lock-timeout-us N] [--max-retries N] \
-                     [--default-sem-permits N] [--wal-dir PATH] [--wal-batch N] \
-                     [--wal-segment-bytes N]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown flag {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
 

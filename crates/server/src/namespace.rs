@@ -16,14 +16,39 @@ use txboost_collections::{
 };
 use txboost_core::ContentionRegistry;
 
+/// One type's name → instance table: look up, else create and insert,
+/// under one lock.
+#[derive(Debug)]
+struct Table<T>(Mutex<HashMap<String, T>>);
+
+impl<T: Clone> Table<T> {
+    fn new() -> Self {
+        Table(Mutex::new(HashMap::new()))
+    }
+
+    fn get_or_create(&self, name: &str, create: impl FnOnce() -> T) -> T {
+        let mut table = self.0.lock();
+        if let Some(existing) = table.get(name) {
+            return existing.clone();
+        }
+        let created = create();
+        table.insert(name.to_string(), created.clone());
+        created
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().len()
+    }
+}
+
 /// Named object instances, created lazily.
 #[derive(Debug)]
 pub struct Namespace {
-    maps: Mutex<HashMap<String, Arc<BoostedHashMap<i64, i64>>>>,
-    counters: Mutex<HashMap<String, Arc<BoostedCounter>>>,
-    sems: Mutex<HashMap<String, TSemaphore>>,
-    idgens: Mutex<HashMap<String, UniqueIdGen>>,
-    pqs: Mutex<HashMap<String, Arc<BoostedPQueue<i64>>>>,
+    maps: Table<Arc<BoostedHashMap<i64, i64>>>,
+    counters: Table<Arc<BoostedCounter>>,
+    sems: Table<TSemaphore>,
+    idgens: Table<UniqueIdGen>,
+    pqs: Table<Arc<BoostedPQueue<i64>>>,
     registry: Arc<ContentionRegistry>,
     default_sem_permits: u64,
 }
@@ -44,11 +69,11 @@ impl Namespace {
     /// Semaphores are created with `default_sem_permits` permits.
     pub fn new(registry: Arc<ContentionRegistry>, default_sem_permits: u64) -> Self {
         Namespace {
-            maps: Mutex::new(HashMap::new()),
-            counters: Mutex::new(HashMap::new()),
-            sems: Mutex::new(HashMap::new()),
-            idgens: Mutex::new(HashMap::new()),
-            pqs: Mutex::new(HashMap::new()),
+            maps: Table::new(),
+            counters: Table::new(),
+            sems: Table::new(),
+            idgens: Table::new(),
+            pqs: Table::new(),
             registry,
             default_sem_permits,
         }
@@ -61,88 +86,56 @@ impl Namespace {
 
     /// The map named `name`, created on first reference.
     pub fn map(&self, name: &str) -> Arc<BoostedHashMap<i64, i64>> {
-        let mut maps = self.maps.lock();
-        match maps.get(name) {
-            Some(m) => Arc::clone(m),
-            None => {
-                let m = Arc::new(BoostedHashMap::with_registry(
-                    intern_label("map", name),
-                    &self.registry,
-                ));
-                maps.insert(name.to_string(), Arc::clone(&m));
-                m
-            }
-        }
+        self.maps.get_or_create(name, || {
+            Arc::new(BoostedHashMap::with_registry(
+                intern_label("map", name),
+                &self.registry,
+            ))
+        })
     }
 
     /// The counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<BoostedCounter> {
-        let mut counters = self.counters.lock();
-        match counters.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(BoostedCounter::with_registry(
-                    intern_label("counter", name),
-                    &self.registry,
-                ));
-                counters.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
+        self.counters.get_or_create(name, || {
+            Arc::new(BoostedCounter::with_registry(
+                intern_label("counter", name),
+                &self.registry,
+            ))
+        })
     }
 
     /// The semaphore named `name` (created with the configured default
     /// permit count).
     pub fn sem(&self, name: &str) -> TSemaphore {
-        let mut sems = self.sems.lock();
-        match sems.get(name) {
-            Some(s) => s.clone(),
-            None => {
-                let s = TSemaphore::new(self.default_sem_permits);
-                sems.insert(name.to_string(), s.clone());
-                s
-            }
-        }
+        self.sems
+            .get_or_create(name, || TSemaphore::new(self.default_sem_permits))
     }
 
     /// The unique-ID generator named `name`.
     pub fn idgen(&self, name: &str) -> UniqueIdGen {
-        let mut idgens = self.idgens.lock();
-        match idgens.get(name) {
-            Some(g) => g.clone(),
-            None => {
-                let g = UniqueIdGen::new(ReleasePolicy::Leak);
-                idgens.insert(name.to_string(), g.clone());
-                g
-            }
-        }
+        self.idgens
+            .get_or_create(name, || UniqueIdGen::new(ReleasePolicy::Leak))
     }
 
     /// The priority queue named `name`.
     pub fn pq(&self, name: &str) -> Arc<BoostedPQueue<i64>> {
-        let mut pqs = self.pqs.lock();
-        match pqs.get(name) {
-            Some(q) => Arc::clone(q),
-            None => {
-                let q = Arc::new(BoostedPQueue::with_registry(
-                    intern_label("pq", name),
-                    &self.registry,
-                ));
-                pqs.insert(name.to_string(), Arc::clone(&q));
-                q
-            }
-        }
+        self.pqs.get_or_create(name, || {
+            Arc::new(BoostedPQueue::with_registry(
+                intern_label("pq", name),
+                &self.registry,
+            ))
+        })
     }
 
     /// Number of live object instances per type:
     /// `(maps, counters, sems, idgens, pqs)`.
     pub fn object_counts(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.maps.lock().len(),
-            self.counters.lock().len(),
-            self.sems.lock().len(),
-            self.idgens.lock().len(),
-            self.pqs.lock().len(),
+            self.maps.len(),
+            self.counters.len(),
+            self.sems.len(),
+            self.idgens.len(),
+            self.pqs.len(),
         )
     }
 }

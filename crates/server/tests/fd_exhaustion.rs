@@ -7,15 +7,17 @@
 //! The test caps `RLIMIT_NOFILE` just above the process's current
 //! usage, provokes the failure, watches the `accept_errors` counter
 //! through an already-open connection, then restores the limit and
-//! proves new connections work again. One test per plane; nothing else
-//! runs in this binary, because the rlimit is process-wide.
+//! proves new connections work again. Under the same kind of limit a
+//! second `Server::bind` must fail outright, not hand back a server
+//! whose event loop got no epoll descriptor and accepts nothing. One
+//! test; nothing else runs in this binary: the rlimit is process-wide.
 
 #![cfg(target_os = "linux")]
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use txboost_client::{Connection, ScriptBuilder};
-use txboost_server::{IoModel, Server, ServerConfig};
+use txboost_server::{Server, ServerConfig};
 use txboost_wire::ScriptStatus;
 
 const RLIMIT_NOFILE: i32 = 7;
@@ -30,6 +32,7 @@ struct RLimit {
 extern "C" {
     fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    fn fcntl(fd: i32, cmd: i32, ...) -> i32;
 }
 
 fn get_nofile() -> RLimit {
@@ -57,6 +60,19 @@ fn max_open_fd() -> u64 {
         .unwrap_or(0)
 }
 
+/// The soft limit under which exactly `free` descriptor numbers are
+/// still unused (the limit bounds the *number* a new descriptor gets).
+/// Probes with `fcntl`, which — unlike listing `/proc/self/fd` — takes
+/// no descriptor of its own.
+fn limit_leaving(free: usize) -> u64 {
+    const F_GETFD: i32 = 1;
+    // SAFETY: F_GETFD reads one descriptor's flags and touches no
+    // memory; on a closed descriptor it fails with EBADF.
+    let unused = |fd: &i32| unsafe { fcntl(*fd, F_GETFD) } == -1;
+    let last = (0..).filter(unused).nth(free - 1);
+    last.expect("descriptor numbers do not run out") as u64 + 1
+}
+
 /// Pull the `accept_errors` counter out of the stats document.
 fn accept_errors(stats: &str) -> u64 {
     let tail = stats
@@ -70,12 +86,10 @@ fn accept_errors(stats: &str) -> u64 {
         .expect("accept_errors should be a number")
 }
 
-fn exercise(io: IoModel) {
+#[test]
+fn emfile_on_accept_sheds_and_recovers() {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io,
-        acceptors: 1,
-        workers: 2,
         ..ServerConfig::default()
     })
     .expect("bind test server");
@@ -91,6 +105,26 @@ fn exercise(io: IoModel) {
     let baseline = accept_errors(&scout.stats_json().unwrap());
 
     let saved = get_nofile();
+    // Binding a second server without room for its epoll instance must
+    // fail, not hand back a server that accepts nothing. Three free
+    // descriptors cover the listener, its per-loop clone and the
+    // loop's wakeup eventfd — the epoll instance is the one that does
+    // not fit.
+    set_nofile(RLimit {
+        cur: limit_leaving(3),
+        max: saved.max,
+    });
+    let second = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        event_loops: 1,
+        ..ServerConfig::default()
+    });
+    set_nofile(saved);
+    match second {
+        Err(e) => assert_eq!(e.raw_os_error(), Some(24), "expected EMFILE, got {e}"),
+        Ok(_) => panic!("bind reported success without an epoll instance"),
+    }
+
     // Leave room for roughly one more descriptor: the victim's client
     // socket fits, the server-side accept does not.
     set_nofile(RLimit {
@@ -117,7 +151,7 @@ fn exercise(io: IoModel) {
         }
         assert!(
             Instant::now() < deadline,
-            "accept_errors never incremented under EMFILE ({io:?})"
+            "accept_errors never incremented under EMFILE"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -133,7 +167,7 @@ fn exercise(io: IoModel) {
             Err(e) => {
                 assert!(
                     Instant::now() < deadline,
-                    "server never resumed accepting after EMFILE ({io:?}): {e}"
+                    "server never resumed accepting after EMFILE: {e}"
                 );
                 std::thread::sleep(Duration::from_millis(50));
             }
@@ -150,11 +184,4 @@ fn exercise(io: IoModel) {
     drop(fresh);
     drop(scout);
     server.join();
-}
-
-#[test]
-fn emfile_on_accept_sheds_and_recovers() {
-    // Sequential on purpose: the rlimit is process state.
-    exercise(IoModel::Epoll);
-    exercise(IoModel::Threads);
 }

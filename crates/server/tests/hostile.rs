@@ -12,13 +12,12 @@ use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 use txboost_client::{Connection, ScriptBuilder};
-use txboost_server::{IoModel, Server, ServerConfig};
+use txboost_server::{Server, ServerConfig};
 use txboost_wire::{recv_response, Request, Response, ScriptStatus, MAX_FRAME_LEN};
 
 fn start_server(window: usize) -> Server {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io: IoModel::Epoll,
         window,
         ..ServerConfig::default()
     })

@@ -3,6 +3,8 @@
 //! checker asserting the scripts were atomic — no partial effects,
 //! including across guard failures and forced aborts.
 
+#![cfg(target_os = "linux")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,8 +15,6 @@ use txboost_wire::{Guard, OpResult, ScriptStatus};
 fn start_server() -> Server {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        acceptors: 2,
-        workers: 4,
         window: 16,
         ..ServerConfig::default()
     })
@@ -421,8 +421,6 @@ fn read_only_scripts_interleave_with_writers_and_stay_consistent() {
 fn semaphore_scripts_block_and_release_across_the_wire() {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        acceptors: 1,
-        workers: 2,
         default_sem_permits: 1,
         txn: txboost_core::TxnConfig {
             lock_timeout: Duration::from_millis(5),

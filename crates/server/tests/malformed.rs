@@ -2,6 +2,8 @@
 //! produce a protocol-error reply (or a clean close) — never a panic —
 //! and must cost only the offending connection.
 
+#![cfg(target_os = "linux")]
+
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -12,8 +14,6 @@ use txboost_wire::{recv_response, ProtoErrorCode, Response, ScriptStatus, MAX_FR
 fn start_server() -> Server {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        acceptors: 1,
-        workers: 2,
         ..ServerConfig::default()
     })
     .expect("bind test server")

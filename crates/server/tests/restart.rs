@@ -6,7 +6,7 @@
 //! `Committed` reply from a `--wal-dir` server holds a durable commit,
 //! whatever happens to the process afterwards.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};

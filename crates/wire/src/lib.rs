@@ -365,54 +365,59 @@ pub enum Request {
     },
 }
 
-/// Why a script's transaction did not commit (or that it did).
+/// Why a script's transaction did not commit (or that it did). The
+/// discriminant is the wire status byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ScriptStatus {
     /// The transaction committed; per-op results follow.
-    Committed,
+    Committed = 0,
     /// Abstract-lock acquisition kept timing out; the retry budget
     /// (with capped exponential backoff) ran out.
-    LockTimeout,
+    LockTimeout = 1,
     /// Conditional synchronization (semaphore acquire) kept timing
     /// out; the retry budget ran out.
-    WouldBlock,
+    WouldBlock = 2,
     /// A [`Guard`] rejected an op's result; the whole transaction was
     /// rolled back. `failed_op` in the reply names the op.
-    GuardFailed,
+    GuardFailed = 3,
     /// The script contained [`Op::DebugAbort`].
-    DebugAborted,
+    DebugAborted = 4,
     /// Retries exhausted for some other reason.
-    RetriesExhausted,
+    RetriesExhausted = 5,
     /// A [`Request::ReadOnlyScript`] contained a mutating op. Read-only
     /// transactions cannot abort, so this is a rejection, not a
     /// rollback; `failed_op` names the offending op.
-    ReadOnlyViolation,
+    ReadOnlyViolation = 6,
 }
 
 impl ScriptStatus {
+    /// Every status in wire-byte order (`ALL[s.index()] == s`): the one
+    /// list that per-status counters and stats keys derive from.
+    pub const ALL: [ScriptStatus; 7] = [
+        ScriptStatus::Committed,
+        ScriptStatus::LockTimeout,
+        ScriptStatus::WouldBlock,
+        ScriptStatus::GuardFailed,
+        ScriptStatus::DebugAborted,
+        ScriptStatus::RetriesExhausted,
+        ScriptStatus::ReadOnlyViolation,
+    ];
+
+    /// Position in [`ScriptStatus::ALL`] (equal to the wire byte).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     fn to_byte(self) -> u8 {
-        match self {
-            ScriptStatus::Committed => 0,
-            ScriptStatus::LockTimeout => 1,
-            ScriptStatus::WouldBlock => 2,
-            ScriptStatus::GuardFailed => 3,
-            ScriptStatus::DebugAborted => 4,
-            ScriptStatus::RetriesExhausted => 5,
-            ScriptStatus::ReadOnlyViolation => 6,
-        }
+        self as u8
     }
 
     fn from_byte(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => ScriptStatus::Committed,
-            1 => ScriptStatus::LockTimeout,
-            2 => ScriptStatus::WouldBlock,
-            3 => ScriptStatus::GuardFailed,
-            4 => ScriptStatus::DebugAborted,
-            5 => ScriptStatus::RetriesExhausted,
-            6 => ScriptStatus::ReadOnlyViolation,
-            other => return Err(WireError::UnknownStatus(other)),
-        })
+        Self::ALL
+            .get(b as usize)
+            .copied()
+            .ok_or(WireError::UnknownStatus(b))
     }
 
     /// Stable lower-snake name (stats keys, load-generator reports).
@@ -1050,6 +1055,19 @@ pub fn recv_response(r: &mut impl Read, max_len: u32) -> Result<Option<Response>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn status_list_is_in_wire_byte_order_and_rejects_the_next_byte() {
+        for (i, status) in ScriptStatus::ALL.iter().enumerate() {
+            assert_eq!(status.index(), i);
+            assert_eq!(ScriptStatus::from_byte(status.to_byte()).unwrap(), *status);
+        }
+        let past = ScriptStatus::ALL.len() as u8;
+        assert!(matches!(
+            ScriptStatus::from_byte(past),
+            Err(WireError::UnknownStatus(b)) if b == past
+        ));
+    }
 
     fn sample_ops() -> Vec<ScriptOp> {
         vec![

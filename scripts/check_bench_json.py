@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Schema check and ratio gates for the BENCH_*.json baselines.
+
+One validator for every baseline a bench binary writes into
+bench_results/ (arena, readmostly, server_conns, wal). CI runs it twice
+per baseline: on the JSON a fresh short run just emitted (schema only —
+shared runners say nothing about throughput) and on the committed file
+(schema plus the gate, which was measured on quiet hardware).
+
+Usage: check_bench_json.py NAME PATH [--gate KEY=RATIO ...]
+
+BASELINES below is the whole per-baseline knowledge: where the points
+live, which fields they carry, which labels must appear, and the named
+ratio gates. A gate compares two series at their largest `threads`
+value: `min` gates require first/second >= RATIO, `max` gates <= RATIO.
+"""
+
+import json
+import math
+import sys
+
+SERIES = {
+    "points": "series",
+    "tags": ("label",),
+    "ints": ("threads", "committed", "aborted"),
+    "floats": ("throughput", "p50_us", "p99_us"),
+    "nonzero": ("threads", "committed"),
+}
+CONNS_SMALL = ["epoll_small", "epoll_nobatch_small"]
+CONNS_LARGE = ["epoll_large", "epoll_nobatch_large"]
+BASELINES = {
+    "arena": {
+        "points": "cells",
+        "tags": ("backend", "workload"),
+        "ints": ("threads", "key_range", "committed", "aborted"),
+        "floats": ("throughput", "abort_rate", "p50_us", "p99_us"),
+        "nonzero": ("threads", "key_range"),
+        # Every value of these fields must occur, and no other.
+        "cover": {
+            "backend": {"boosted", "rwstm", "tvar"},
+            "workload": {"counter", "map", "transfer", "pqueue"},
+        },
+        "at_most_one": ("abort_rate",),
+    },
+    "readmostly": {
+        **SERIES,
+        "cover": {"label": {"locked", "readonly"}},
+        # Both series at every rung of the thread ladder, once each.
+        "ladder": True,
+        "meta": {"read_only_errors": "0"},
+        "gates": {"snapshot": ("readonly", "locked", "min")},
+    },
+    "server_conns": {
+        **SERIES,
+        "labels": (CONNS_SMALL, CONNS_SMALL + CONNS_LARGE),
+        # Series that must share one connection count, and its floor.
+        "tiers": ((CONNS_SMALL, 1), (CONNS_LARGE, 10_000)),
+        "gates": {"batching": ("epoll_large", "epoll_nobatch_large", "min")},
+    },
+    "wal": {
+        **SERIES,
+        "labels": (["wal_off", "wal_b1", "wal_b8", "wal_b64"],),
+        "gates": {"slowdown": ("wal_off", "wal_b64", "max")},
+    },
+}
+
+
+def fail(msg):
+    print(f"{sys.argv[2]}: {msg}", file=sys.stderr)
+    sys.exit(1)
+
+
+def check_point(spec, i, point):
+    for key in spec["tags"] + spec["ints"] + spec["floats"]:
+        if key not in point:
+            fail(f"point {i} missing {key}")
+    for key in spec["ints"]:
+        if not isinstance(point[key], int) or point[key] < 0:
+            fail(f"point {i}: {key} = {point[key]!r} not a non-negative int")
+    for key in spec["nonzero"]:
+        if point[key] == 0:
+            fail(f"point {i}: {key} is zero (no progress, or an empty rung)")
+    for key in spec["floats"]:
+        v = point[key]
+        if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+            fail(f"point {i}: {key} = {v!r} not finite and non-negative")
+    for key in spec.get("at_most_one", ()):
+        if point[key] > 1:
+            fail(f"point {i}: {key} = {point[key]} > 1")
+
+
+def top(points, label):
+    """The `label` series at its largest thread count."""
+    mine = [p for p in points if p.get("label") == label]
+    if not mine:
+        fail(f"gate needs the {label} series, which is absent")
+    return max(mine, key=lambda p: p["threads"])
+
+
+def main():
+    if len(sys.argv) < 3 or sys.argv[1] not in BASELINES:
+        sys.exit(f"usage: check_bench_json.py {{{'|'.join(BASELINES)}}} PATH [--gate KEY=RATIO ...]")
+    name, path, rest = sys.argv[1], sys.argv[2], sys.argv[3:]
+    spec = BASELINES[name]
+    if len(rest) % 2 or any(flag != "--gate" for flag in rest[::2]):
+        fail(f"unknown arguments {rest}")
+    gates = dict(arg.split("=", 1) for arg in rest[1::2])
+    if set(gates) - set(spec.get("gates", {})):
+        fail(f"{name} has no gate named {sorted(set(gates) - set(spec.get('gates', {})))}")
+
+    with open(path) as f:
+        doc = json.load(f)
+    if doc.get("name") != name:
+        fail(f'name is {doc.get("name")!r}, expected {name!r}')
+    for key, want in spec.get("meta", {}).items():
+        if doc.get("meta", {}).get(key) != want:
+            fail(f"meta.{key} is not {want!r}")
+    points = doc.get(spec["points"])
+    if not points:
+        fail(f'no {spec["points"]}')
+    for i, point in enumerate(points):
+        check_point(spec, i, point)
+
+    for key, allowed in spec.get("cover", {}).items():
+        seen = {p[key] for p in points}
+        if seen != allowed:
+            fail(f"{key} values {sorted(seen)} != {sorted(allowed)}")
+    labels = [p.get("label") for p in points]
+    if "labels" in spec and labels not in spec["labels"]:
+        fail(f'labels {labels} are none of {spec["labels"]}')
+    if spec.get("ladder"):
+        rungs = [(p["label"], p["threads"]) for p in points]
+        if len(set(rungs)) != len(rungs):
+            fail("a (label, threads) point appears twice")
+        for threads in {t for _, t in rungs}:
+            if {l for l, t in rungs if t == threads} != spec["cover"]["label"]:
+                fail(f"thread count {threads} lacks a series")
+    for tier, floor in spec.get("tiers", ()):
+        counts = {p["threads"] for p in points if p["label"] in tier}
+        if len(counts) > 1 or any(c < floor for c in counts):
+            fail(f"{tier} ran at {sorted(counts)} connections; want one count >= {floor}")
+
+    for key, ratio in gates.items():
+        first, second, kind = spec["gates"][key]
+        base = top(points, second)["throughput"]
+        if base <= 0:
+            fail(f"{second} throughput is zero")
+        got, want = top(points, first)["throughput"] / base, float(ratio)
+        if (got < want) if kind == "min" else (got > want):
+            fail(f"gate {key}: {first}/{second} = {got:.2f}x, {kind} allowed {want:.2f}x")
+        print(f"{path}: gate {key} ok ({first}/{second} = {got:.2f}x, {kind} {want:.2f}x)")
+
+    print(f'{path}: {len(points)} {spec["points"]} OK')
+
+
+if __name__ == "__main__":
+    main()
