@@ -1,16 +1,15 @@
-//! # Competitive bench arena — boosted vs TL2 vs TVar STM
+//! # Competitive bench arena — boosted vs the TL2 read/write STM
 //!
 //! The paper's central empirical claim (Figures 9–11) is that boosted
 //! objects beat read/write-conflict STM under contention. This module
 //! turns that claim into a *continuously enforced* harness: one
-//! [`Backend`] trait, three implementations (boosted objects, the
-//! TL2-style [`txboost_rwstm::Stm`] baseline, and the vendored
-//! [`txboost_rwstm::TVarStm`]), four workloads, and a thread ×
-//! contention ladder driver that emits one JSON cell per
+//! [`Backend`] trait, two implementations (boosted objects and the
+//! TL2-style [`txboost_rwstm::Stm`] baseline), four workloads, and a
+//! thread × contention ladder driver that emits one JSON cell per
 //! (backend, workload, threads, key-range) coordinate — the shape CI's
 //! `arena-smoke` gate asserts on.
 //!
-//! All three backends execute the *same* [`ArenaOp`] scripts, so a
+//! Both backends execute the *same* [`ArenaOp`] scripts, so a
 //! throughput difference is attributable entirely to the
 //! synchronization discipline — commutativity-aware abstract locks vs
 //! read/write conflict detection — in the spirit of the
@@ -30,9 +29,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use txboost_collections::{BoostedCounter, BoostedHashMap, BoostedPQueue};
 use txboost_core::{LatencyHistogram, TxnConfig, TxnManager, TxnStatsSnapshot};
-use txboost_rwstm::{Stm, StmVar, TVar, TVarStm};
+use txboost_rwstm::{Stm, StmVar};
 
-/// Buckets backing the STM backends' hash maps. One transactional
+/// Buckets backing the STM backend's hash map. One transactional
 /// variable per bucket — word/object granularity: two transactions
 /// touching the same bucket conflict even when their keys differ.
 const MAP_BUCKETS: usize = 1024;
@@ -133,31 +132,24 @@ pub trait Backend: Send + Sync {
     fn state(&self) -> ArenaState;
 }
 
-/// The three competitors.
+/// The two competitors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// Boosted objects: commutativity-aware abstract locks + undo log.
     Boosted,
     /// The TL2-style read/write STM baseline (`txboost_rwstm::Stm`).
     RwStm,
-    /// The vendored fast-stm-style TVar STM (`txboost_rwstm::TVarStm`).
-    TVarStm,
 }
 
 impl BackendKind {
     /// Every competitor, boosted first.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Boosted,
-        BackendKind::RwStm,
-        BackendKind::TVarStm,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Boosted, BackendKind::RwStm];
 
     /// Stable JSON/CLI name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Boosted => "boosted",
             BackendKind::RwStm => "rwstm",
-            BackendKind::TVarStm => "tvar",
         }
     }
 
@@ -276,7 +268,6 @@ pub fn build_backend(
     let backend: Box<dyn Backend> = match kind {
         BackendKind::Boosted => Box::new(BoostedBackend::new(params, config)),
         BackendKind::RwStm => Box::new(RwStmBackend::new(params, config)),
-        BackendKind::TVarStm => Box::new(TVarBackend::new(params, config)),
     };
     for script in prefill_scripts(params) {
         backend.exec(&script, Duration::ZERO);
@@ -371,10 +362,10 @@ impl Backend for BoostedBackend {
 }
 
 // ---------------------------------------------------------------------
-// Backends: the two word-granularity STMs
+// Backend: the word-granularity STM
 // ---------------------------------------------------------------------
 
-/// Bucket index for the STM backends' maps (identity hash: adjacent
+/// Bucket index for the STM backend's map (identity hash: adjacent
 /// keys land in distinct buckets, so the *key range* is what controls
 /// bucket contention — the same knob the boosted map's per-key locks
 /// respond to).
@@ -495,98 +486,6 @@ impl Backend for RwStmBackend {
             map,
             counter: self.counter.load(),
             accounts: self.accounts.iter().map(StmVar::load).collect(),
-            pq: heap_to_sorted(self.pq.load()),
-        }
-    }
-}
-
-struct TVarBackend {
-    stm: TVarStm,
-    map: Vec<TVar<Vec<(i64, i64)>>>,
-    counter: TVar<i64>,
-    accounts: Vec<TVar<i64>>,
-    pq: TVar<MinHeap>,
-}
-
-impl TVarBackend {
-    fn new(params: &ArenaParams, config: TxnConfig) -> TVarBackend {
-        TVarBackend {
-            stm: TVarStm::new(config),
-            map: (0..MAP_BUCKETS).map(|_| TVar::new(Vec::new())).collect(),
-            counter: TVar::new(0),
-            accounts: (0..params.accounts).map(|_| TVar::new(0)).collect(),
-            pq: TVar::new(MinHeap::new()),
-        }
-    }
-}
-
-impl Backend for TVarBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TVarStm
-    }
-
-    fn exec(&self, ops: &[ArenaOp], think: Duration) {
-        self.stm
-            .run(|t| {
-                for op in ops {
-                    match *op {
-                        ArenaOp::MapInsert(k, v) => {
-                            let var = &self.map[bucket_of(k)];
-                            let bucket = var.read(t)?;
-                            var.write(t, bucket_insert(bucket, k, v));
-                        }
-                        ArenaOp::MapLookup(k) => {
-                            let bucket = self.map[bucket_of(k)].read(t)?;
-                            let _ = bucket.iter().find(|(key, _)| *key == k);
-                        }
-                        ArenaOp::MapDelete(k) => {
-                            let var = &self.map[bucket_of(k)];
-                            let bucket = var.read(t)?;
-                            var.write(t, bucket_remove(bucket, k));
-                        }
-                        ArenaOp::CounterAdd(n) => {
-                            let x = self.counter.read(t)?;
-                            self.counter.write(t, x + n);
-                        }
-                        ArenaOp::Transfer { from, to, amount } => {
-                            let a = self.accounts[from].read(t)?;
-                            self.accounts[from].write(t, a - amount);
-                            let b = self.accounts[to].read(t)?;
-                            self.accounts[to].write(t, b + amount);
-                        }
-                        ArenaOp::Deposit { account, amount } => {
-                            let a = self.accounts[account].read(t)?;
-                            self.accounts[account].write(t, a + amount);
-                        }
-                        ArenaOp::PqPush(k) => {
-                            let mut heap = self.pq.read(t)?;
-                            heap.push(Reverse(k));
-                            self.pq.write(t, heap);
-                        }
-                        ArenaOp::PqPopMin => {
-                            let mut heap = self.pq.read(t)?;
-                            heap.pop();
-                            self.pq.write(t, heap);
-                        }
-                    }
-                }
-                think_wait(think);
-                Ok(())
-            })
-            .unwrap();
-    }
-
-    fn stats(&self) -> TxnStatsSnapshot {
-        self.stm.stats().snapshot()
-    }
-
-    fn state(&self) -> ArenaState {
-        let mut map: Vec<(i64, i64)> = self.map.iter().flat_map(TVar::load).collect();
-        map.sort_by_key(|&(k, _)| k);
-        ArenaState {
-            map,
-            counter: self.counter.load(),
-            accounts: self.accounts.iter().map(TVar::load).collect(),
             pq: heap_to_sorted(self.pq.load()),
         }
     }
@@ -848,7 +747,6 @@ mod tests {
             .map(|&k| build_backend(k, &params, Duration::ZERO).state())
             .collect();
         assert_eq!(states[0], states[1], "boosted vs rwstm prefill drift");
-        assert_eq!(states[0], states[2], "boosted vs tvar prefill drift");
         assert_eq!(states[0].accounts.len(), params.accounts);
         assert!(states[0]
             .accounts

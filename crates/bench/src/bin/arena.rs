@@ -1,9 +1,9 @@
-//! The competitive bench arena: boosted objects vs the TL2 baseline vs
-//! the vendored TVar STM on identical workloads.
+//! The competitive bench arena: boosted objects vs the TL2 read/write
+//! STM baseline on identical workloads.
 //!
 //! ```text
 //! arena [--smoke] [--assert-gate]
-//!       [--backends boosted,rwstm,tvar] [--workloads counter,map,transfer,pqueue]
+//!       [--backends boosted,rwstm] [--workloads counter,map,transfer,pqueue]
 //!       [--threads 1,2,4] [--key-ranges 16,256,4096]
 //!       [--duration-ms 500] [--think-us 2000] [--seed 42]
 //!       [--out-dir bench_results | --no-json]
@@ -103,7 +103,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: arena [--smoke] [--assert-gate] \
-                     [--backends boosted,rwstm,tvar] \
+                     [--backends boosted,rwstm] \
                      [--workloads counter,map,transfer,pqueue] \
                      [--threads 1,2,4] [--key-ranges 16,256,4096] \
                      [--duration-ms 500] [--think-us 2000] [--seed 42] \

@@ -26,11 +26,10 @@
 //! [`idgen_run`] (Section 3.4's unique-ID generator vs a read/write STM
 //! counter).
 //!
-//! The `figures` binary sweeps thread counts and prints the series;
-//! `cargo bench` runs one criterion bench per figure. The paper's
-//! 100 ms think time is scaled down (default 2 ms) so a full sweep
-//! finishes in minutes; pass `--think-us 100000` to `figures` for the
-//! paper's regime.
+//! The `figures` binary sweeps thread counts and prints the series
+//! (`--fig N` regenerates one figure). The paper's 100 ms think time
+//! is scaled down (default 2 ms) so a full sweep finishes in minutes;
+//! pass `--think-us 100000` to `figures` for the paper's regime.
 
 pub mod arena;
 pub mod readmostly;
@@ -773,31 +772,6 @@ pub fn overhead_run(cfg: &RunConfig) -> Vec<(&'static str, f64)> {
 /// linearizable import at every call site.
 type BoostedSkipListSetBase = txboost_linearizable::LazySkipListSet<i64>;
 
-/// Run `total_txns` transactions spread over `threads` threads (work
-/// claimed from a shared counter) and return the wall-clock time —
-/// the shape `criterion::iter_custom` wants.
-pub fn timed_transactions(threads: usize, total_txns: u64, w: &Workload) -> Duration {
-    use std::sync::atomic::AtomicU64;
-    let remaining = AtomicU64::new(total_txns);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let remaining = &remaining;
-            let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ t as u64);
-            s.spawn(move || loop {
-                let prev = remaining.fetch_sub(1, Ordering::Relaxed);
-                if prev == 0 || prev > total_txns {
-                    // Underflow guard: put the token back and stop.
-                    remaining.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                w.run_one(&mut rng);
-            });
-        }
-    });
-    start.elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,13 +930,5 @@ mod tests {
             "instrumentation costs {:.1}% (bare {bare:.0} ops/s, instrumented {instrumented:.0} ops/s)",
             cost * 100.0
         );
-    }
-
-    #[test]
-    fn timed_transactions_runs_exactly_n() {
-        let w = fig10_workload(Fig10Lock::PerKey, 64, Duration::ZERO);
-        let before = w.stats().committed;
-        let _ = timed_transactions(2, 100, &w);
-        assert_eq!(w.stats().committed - before, 100);
     }
 }

@@ -160,7 +160,7 @@ impl BenchReport {
 /// arena report.
 #[derive(Debug, Clone)]
 pub struct ArenaCellPoint {
-    /// Competitor name (`boosted` / `rwstm` / `tvar`).
+    /// Competitor name (`boosted` / `rwstm`).
     pub backend: String,
     /// Workload name (`counter` / `map` / `transfer` / `pqueue`).
     pub workload: String,

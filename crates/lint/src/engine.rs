@@ -78,10 +78,6 @@ pub struct Report {
     /// The workspace lock-acquisition-order graph (built over every
     /// linted file's transactional methods).
     pub lock_graph: Option<LockOrderGraph>,
-    /// `path::fn` of bodies the parser could not handle, which were
-    /// checked with the line heuristics instead. Non-empty is a smell:
-    /// the self-tests pin this to zero for the real boosted sources.
-    pub parse_fallbacks: Vec<String>,
 }
 
 impl Report {
@@ -99,7 +95,6 @@ impl Report {
         self.diagnostics.append(&mut other.diagnostics);
         self.inventory.append(&mut other.inventory);
         self.files += other.files;
-        self.parse_fallbacks.append(&mut other.parse_fallbacks);
     }
 
     fn sort(&mut self) {
@@ -167,7 +162,7 @@ fn lint_one(rel_path: &str, text: &str, mutation: TransferMutation) -> FileResul
             (rule.run)(&fa, &mut out);
         }
     }
-    let (fn_cfgs, fallbacks) = rules::cfg_pass(&fa, mutation, &mut out);
+    let fn_cfgs = rules::cfg_pass(&fa, mutation, &mut out);
     // Apply suppressions: a finding is silenced by an allow comment for
     // its rule targeting its line. Suppressions without a reason are
     // themselves findings — the policy requires a written justification.
@@ -202,10 +197,6 @@ fn lint_one(rel_path: &str, text: &str, mutation: TransferMutation) -> FileResul
             inventory: out.inventory,
             files: 1,
             lock_graph: None,
-            parse_fallbacks: fallbacks
-                .into_iter()
-                .map(|f| format!("{rel_path}::{f}"))
-                .collect(),
         },
         cfgs: FileCfgs {
             path: fa.path.clone(),
@@ -267,8 +258,10 @@ pub fn lint_source_mutated(rel_path: &str, text: &str, mutation: TransferMutatio
 }
 
 /// Recursively lint every `.rs` file under `root`. Paths in the report
-/// are relative to `root`. Skips `target/`, VCS metadata, and the
-/// analyzer's own (intentionally violating) fixture trees.
+/// are relative to `root`. Skips `target/`, VCS metadata, the
+/// analyzer's own (intentionally violating) fixture trees, and nested
+/// cargo workspaces (a different workspace is a different policy
+/// domain; lint it by pointing `--path` at it).
 pub fn lint_tree(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -281,6 +274,13 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
     Ok(finish(results))
 }
 
+/// Whether `dir/Cargo.toml` has a `[workspace]` table, i.e. `dir` is
+/// the root of a cargo workspace.
+pub fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -288,7 +288,11 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') || name == "fixtures" {
+            if name == "target"
+                || name.starts_with('.')
+                || name == "fixtures"
+                || declares_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(root, &path, out)?;

@@ -41,7 +41,9 @@ pub mod sarif;
 pub mod source;
 
 pub use dataflow::TransferMutation;
-pub use engine::{lint_source, lint_source_mutated, lint_tree, Diagnostic, Report, UnsafeSite};
+pub use engine::{
+    declares_workspace, lint_source, lint_source_mutated, lint_tree, Diagnostic, Report, UnsafeSite,
+};
 pub use lockgraph::LockOrderGraph;
 pub use rules::{RuleKind, RULES, SUPPRESSION_MISSING_REASON};
 pub use sarif::to_sarif;

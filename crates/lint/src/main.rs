@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use txboost_lint::{lint_tree, to_sarif, Report, RULES};
+use txboost_lint::{declares_workspace, lint_tree, to_sarif, Report, RULES};
 
 struct Args {
     workspace: bool,
@@ -78,13 +78,8 @@ fn parse_args() -> Result<Args, String> {
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(dir);
-                }
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
@@ -170,14 +165,6 @@ fn run() -> Result<ExitCode, String> {
             .unwrap_or_default(),
         graph_note
     );
-    if !report.parse_fallbacks.is_empty() {
-        eprintln!(
-            "txboost-lint: note: {} function(s) fell back to line heuristics (parser did not \
-             handle the body): {}",
-            report.parse_fallbacks.len(),
-            report.parse_fallbacks.join(", ")
-        );
-    }
     if args.deny_all && unsuppressed > 0 {
         return Ok(ExitCode::FAILURE);
     }

@@ -7,9 +7,9 @@
 //! language boosted methods are written in (`let`/`let-else`, `if`/
 //! `if let`, `match` with guards, `loop`/`while`/`for`, `?`, method
 //! chains, closures, macros-as-opaque-leaves, struct literals, casts)
-//! and reports a [`ParseError`] on anything else. The engine falls back
-//! to the PR-4 line rules for any function that fails to parse, so an
-//! exotic construct degrades precision, never correctness.
+//! and reports a [`ParseError`] on anything else. The engine turns that
+//! into a `parse-failure` finding, so an exotic construct fails the lint
+//! run instead of going unchecked.
 //!
 //! Every AST node that matters for diagnostics carries the *original*
 //! token index from the lexer (not the cooked index), so downstream
@@ -269,7 +269,7 @@ fn walk_block(b: &Block, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// A parse failure: the function falls back to the line rules.
+/// A parse failure: reported as a `parse-failure` finding.
 #[derive(Debug, Clone)]
 pub struct ParseError {
     pub line: u32,

@@ -97,6 +97,14 @@ pub const RULES: &[Rule] = &[
         run: cfg_rule_stub,
     },
     Rule {
+        name: "parse-failure",
+        summary: "every boosted method body must parse: the path-sensitive rules cannot check what the parser rejects",
+        paper: "analyzer policy: a method outside the parser's grammar is unchecked against §3 Rules 2-3, not clean",
+        applies: is_boosted_src,
+        kind: RuleKind::Cfg,
+        run: cfg_rule_stub,
+    },
+    Rule {
         name: "potential-deadlock",
         summary: "the workspace lock-order graph must be acyclic; cycles are reported with witness acquisition paths",
         paper: "§6: boosted transactions deadlock when abstract locks are acquired in conflicting orders; timeouts only recover",
@@ -265,18 +273,6 @@ fn txn_methods(fa: &FileAnalysis) -> impl Iterator<Item = (&Function, (usize, us
     })
 }
 
-/// Whether token `i` is a `self.base.<method>(` call; returns the
-/// method-name token index.
-fn base_call(fa: &FileAnalysis, i: usize) -> Option<usize> {
-    (fa.is_ident(i, "self")
-        && fa.is_punct(i + 1, ".")
-        && fa.is_ident(i + 2, "base")
-        && fa.is_punct(i + 3, ".")
-        && matches!(fa.tok(i + 4), Some(t) if t.kind == TokKind::Ident)
-        && fa.is_punct(i + 5, "("))
-    .then_some(i + 4)
-}
-
 /// Whether token `i` is a method call `.name(` with `name` in `names`.
 fn method_call(fa: &FileAnalysis, i: usize, names: &[&str]) -> bool {
     i > 0
@@ -312,17 +308,16 @@ fn file_stem(path: &str) -> String {
 /// Run the path-sensitive checks over every transactional method of
 /// `fa`: parse the body, lower to a CFG, and run the lockset dataflow
 /// ([`crate::dataflow`]). Returns the per-function CFGs (input to the
-/// workspace lock-order graph) and the names of functions whose bodies
-/// the parser could not handle — those fall back to the PR-4 line
-/// heuristics so unknown syntax degrades to the old coverage instead of
-/// silence.
+/// workspace lock-order graph). A body the parser cannot handle is a
+/// `parse-failure` finding at the offending token's line: unknown
+/// syntax fails loudly rather than going unanalysed.
 pub fn cfg_pass(
     fa: &FileAnalysis,
     mutation: TransferMutation,
     out: &mut RuleOutput,
-) -> (Vec<lockgraph::FnCfg>, Vec<String>) {
+) -> Vec<lockgraph::FnCfg> {
     if !is_boosted_src(&fa.path) || fa.is_test_file() {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     }
     let local_txn_fns: BTreeSet<String> = txn_methods(fa).map(|(f, _)| f.name.clone()).collect();
     let mut local_acquires: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
@@ -338,7 +333,6 @@ pub fn cfg_pass(
         mutation,
     };
     let mut fn_cfgs = Vec::new();
-    let mut fallbacks = Vec::new();
     for (f, body) in txn_methods(fa) {
         match parser::parse_body(fa, body) {
             Ok(block) => {
@@ -354,227 +348,24 @@ pub fn cfg_pass(
                     cfg: g,
                 });
             }
-            Err(_) => {
-                fallbacks.push(f.name.clone());
-                fallback_line_rules(fa, body, out);
-            }
+            Err(e) => out.diags.push(Diagnostic {
+                rule: "parse-failure",
+                path: fa.path.clone(),
+                // An error at end-of-body has no token to point at.
+                line: if e.line == 0 { f.line } else { e.line },
+                col: 1,
+                message: format!(
+                    "`{}` was not analysed: the parser rejected its body ({})",
+                    f.name, e.what
+                ),
+                suppressed: None,
+            }),
         }
     }
-    (fn_cfgs, fallbacks)
-}
-
-/// Per-function fallback when a body does not parse: the PR-4 line
-/// heuristics for the three disciplines.
-pub(crate) fn fallback_line_rules(fa: &FileAnalysis, body: (usize, usize), out: &mut RuleOutput) {
-    lock_before_mutate_in(fa, body.0, body.1, out);
-    inverse_pairing_in(fa, body.0, body.1, out);
-    two_phase_discipline_in(fa, body.0, body.1, out);
-}
-
-/// The PR-4 line-heuristic checks, kept callable whole-file so the
-/// regression tests can show differentially what the CFG rules catch
-/// that these miss (e.g. an inverse logged a few statements after its
-/// mutation, or a lock acquired on only one branch).
-pub mod legacy {
-    use super::{
-        inverse_pairing_in, lock_before_mutate_in, two_phase_discipline_in, txn_methods,
-        FileAnalysis, RuleOutput,
-    };
-
-    pub fn lock_before_mutate(fa: &FileAnalysis, out: &mut RuleOutput) {
-        for (_f, (b0, b1)) in txn_methods(fa) {
-            lock_before_mutate_in(fa, b0, b1, out);
-        }
-    }
-
-    pub fn inverse_pairing(fa: &FileAnalysis, out: &mut RuleOutput) {
-        for (_f, (b0, b1)) in txn_methods(fa) {
-            inverse_pairing_in(fa, b0, b1, out);
-        }
-    }
-
-    pub fn two_phase_discipline(fa: &FileAnalysis, out: &mut RuleOutput) {
-        for (_f, (b0, b1)) in txn_methods(fa) {
-            two_phase_discipline_in(fa, b0, b1, out);
-        }
-    }
+    fn_cfgs
 }
 
 // ---------------------------------------------------------------- rules
-
-/// Rule 2 of the methodology: in a boosted method, the abstract lock
-/// must be acquired before the base object is touched. (Line-heuristic
-/// variant; the CFG pass supersedes it when the body parses.)
-fn lock_before_mutate_in(fa: &FileAnalysis, b0: usize, b1: usize, out: &mut RuleOutput) {
-    {
-        let mut lock_held = false;
-        for i in b0..=b1 {
-            if fa.in_handler(i) {
-                // Inverses run post-abort, when the abstract lock is
-                // still held by the runtime — they are exempt.
-                continue;
-            }
-            if method_call(fa, i, ACQUIRE_METHODS) {
-                lock_held = true;
-            }
-            if let Some(m) = base_call(fa, i) {
-                if !lock_held {
-                    let name = fa.tokens[m].text.clone();
-                    diag(
-                        out,
-                        fa,
-                        "lock-before-mutate",
-                        m,
-                        format!(
-                            "call `self.base.{name}(..)` is not dominated by an abstract-lock \
-                             acquisition in this method"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Rule 3: every mutating base call on the success path must be
-/// followed by exactly one undo/deferred registration; an undo pushed
-/// *before* its base call is flagged as a forward-order push.
-/// (Line-heuristic variant; the CFG pass supersedes it.)
-fn inverse_pairing_in(fa: &FileAnalysis, b0: usize, b1: usize, out: &mut RuleOutput) {
-    {
-        let mut mutators: Vec<usize> = Vec::new(); // method-name token idx
-        let mut regs: Vec<(usize, HandlerKind)> = Vec::new(); // name_idx
-        for i in b0..=b1 {
-            if !fa.in_handler(i) {
-                if let Some(m) = base_call(fa, i) {
-                    let name = fa.tokens[m].text.as_str();
-                    if !BASE_READ_METHODS.contains(&name) {
-                        mutators.push(m);
-                    }
-                }
-            }
-        }
-        for h in &fa.handlers {
-            if h.name_idx >= b0 && h.name_idx <= b1 && h.kind != HandlerKind::RetryClosure {
-                regs.push((h.name_idx, h.kind));
-            }
-        }
-        regs.sort_unstable_by_key(|r| r.0);
-
-        // Pair each mutator (in order) with the first registration
-        // occurring after it.
-        let mut ri = 0usize;
-        for &m in &mutators {
-            while ri < regs.len() && regs[ri].0 < m {
-                ri += 1;
-            }
-            if ri < regs.len() {
-                ri += 1; // consumed
-            } else {
-                let name = fa.tokens[m].text.clone();
-                diag(
-                    out,
-                    fa,
-                    "inverse-pairing",
-                    m,
-                    format!(
-                        "mutating base call `self.base.{name}(..)` has no following \
-                         undo/deferred-action registration on its success path"
-                    ),
-                );
-            }
-        }
-        // Forward-order pushes: an undo logged before any base mutation
-        // has happened, with a mutator still to come.
-        for &(r, kind) in &regs {
-            if kind != HandlerKind::Undo {
-                continue; // deferred disposables legally precede nothing
-            }
-            let any_before = mutators.iter().any(|&m| m < r);
-            let any_after = mutators.iter().any(|&m| m > r);
-            if !any_before && any_after {
-                diag(
-                    out,
-                    fa,
-                    "inverse-pairing",
-                    r,
-                    "undo logged before the base call it inverts (forward-order push): \
-                     if the call never happens, abort replays a spurious inverse"
-                        .to_string(),
-                );
-            }
-        }
-    }
-}
-
-/// Strict two-phase locking: a boosted method must not release a lock
-/// (or drop a guard) on its own — release happens at commit/abort.
-/// (Line-heuristic variant; the CFG pass supersedes it.)
-fn two_phase_discipline_in(fa: &FileAnalysis, b0: usize, b1: usize, out: &mut RuleOutput) {
-    {
-        for i in b0..=b1 {
-            if fa.in_handler(i) {
-                continue;
-            }
-            // drop(<ident mentioning lock/guard>)
-            if fa.is_ident(i, "drop") && fa.is_punct(i + 1, "(") {
-                if let Some(arg) = fa.tok(i + 2) {
-                    let lower = arg.text.to_lowercase();
-                    if arg.kind == TokKind::Ident
-                        && (lower.contains("lock") || lower.contains("guard"))
-                        && fa.is_punct(i + 3, ")")
-                    {
-                        diag(
-                            out,
-                            fa,
-                            "two-phase-discipline",
-                            i,
-                            format!(
-                                "`drop({})` releases a lock before commit/abort — abstract \
-                                 locks are strict two-phase",
-                                arg.text
-                            ),
-                        );
-                    }
-                }
-            }
-            // .unlock* calls
-            if i > 0
-                && fa.is_punct(i - 1, ".")
-                && matches!(fa.tok(i), Some(t) if t.kind == TokKind::Ident && t.text.starts_with("unlock"))
-            {
-                diag(
-                    out,
-                    fa,
-                    "two-phase-discipline",
-                    i,
-                    format!(
-                        "`.{}()` before commit/abort breaks strict two-phase locking",
-                        fa.tokens[i].text
-                    ),
-                );
-            }
-            // <something-lock>.release(..)
-            if method_call(fa, i, &["release"]) && i >= 2 {
-                if let Some(recv) = fa.tok(i - 2) {
-                    if recv.kind == TokKind::Ident && recv.text.to_lowercase().contains("lock") {
-                        diag(
-                            out,
-                            fa,
-                            "two-phase-discipline",
-                            i,
-                            format!(
-                                "`{}.release(..)` before commit/abort breaks strict two-phase \
-                                 locking",
-                                recv.text
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Panic sources forbidden inside handlers. `debug_assert!` family is
 /// allowed: it vanishes in release builds, where handlers actually run

@@ -84,3 +84,73 @@ fn suppressed_finding_in_violations_tree_is_counted_but_silent() {
     let report = lint_tree(&fixture_root("violations")).expect("lint violations tree");
     assert_eq!(report.suppressed().count(), 1);
 }
+
+// ------------------------------------------------- temp-tree tests
+
+/// Materialize `files` (relative path, contents) under a fresh
+/// per-test temp directory.
+fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("txboost-lint-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, text) in files {
+        let p = root.join(rel);
+        std::fs::create_dir_all(p.parent().expect("file paths have a parent")).expect("mkdir");
+        std::fs::write(&p, text).expect("write fixture file");
+    }
+    root
+}
+
+#[test]
+fn the_walker_stops_at_a_nested_workspace_but_walks_member_crates() {
+    const BARE_UNSAFE: &str = "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+    let root = temp_tree(
+        "nested-ws",
+        &[
+            ("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n"),
+            ("member/Cargo.toml", "[package]\nname = \"member\"\n"),
+            ("member/src/lib.rs", BARE_UNSAFE),
+            (
+                "nested/Cargo.toml",
+                "[package]\nname = \"nested\"\n\n[workspace]\n",
+            ),
+            ("nested/src/lib.rs", BARE_UNSAFE),
+        ],
+    );
+    let report = lint_tree(&root).expect("lint temp tree");
+    assert_eq!(
+        compact(&report),
+        vec!["unsafe-inventory member/src/lib.rs:2"]
+    );
+    assert_eq!(report.files, 1);
+    // The nested workspace is still lintable when named as the root.
+    let nested = lint_tree(&root.join("nested")).expect("lint nested tree");
+    assert_eq!(compact(&nested), vec!["unsafe-inventory src/lib.rs:2"]);
+    std::fs::remove_dir_all(&root).expect("clean up temp tree");
+}
+
+#[test]
+fn deny_all_exits_nonzero_on_a_parse_failure() {
+    let src =
+        std::fs::read_to_string(fixture_root("violations").join("crates/boosted/src/bad_parse.rs"))
+            .expect("read bad_parse.rs");
+    let root = temp_tree(
+        "parse-failure",
+        &[("crates/boosted/src/bad_parse.rs", &src)],
+    );
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_txboost-lint"))
+        .args([
+            "--path",
+            root.to_str().expect("utf-8 temp path"),
+            "--deny-all",
+        ])
+        .output()
+        .expect("run txboost-lint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
+    assert_eq!(stdout.matches("warning[").count(), 1, "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("warning[parse-failure]"),
+        "stdout:\n{stdout}"
+    );
+    std::fs::remove_dir_all(&root).expect("clean up temp tree");
+}

@@ -1,8 +1,13 @@
 //! Violates lock-before-mutate path-sensitively: the abstract lock is
 //! acquired on only one branch, so the base call is reachable with no
-//! lock held. The PR-4 line heuristic saw an acquisition earlier in the
-//! token stream and stayed silent; the CFG rule's must-intersection at
-//! the join catches the uncovered path.
+//! lock held; the must-intersection at the join catches the uncovered
+//! path.
+//!
+//! Frozen differential, recorded once at commit b9075a2 (the last with
+//! the PR-4 line-heuristic engine): its `lock_before_mutate` check saw
+//! an acquisition earlier in the token stream and reported nothing on
+//! this file. The CFG rule reports `lock-before-mutate` on the
+//! `self.base.add` line.
 
 use std::sync::Arc;
 

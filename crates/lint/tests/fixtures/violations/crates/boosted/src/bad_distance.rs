@@ -1,9 +1,13 @@
-//! Violates inverse-pairing in a way the PR-4 adjacency heuristic could
-//! not see: the undo *is* logged after the mutation, but a fallible call
-//! sits between them — on its error path the `?` leaves the method with
-//! the mutation unlogged, so abort cannot undo it. Only the CFG rule's
-//! path-sensitivity catches this (the old line rule pairs the mutation
-//! with the later registration and stays silent).
+//! Violates inverse-pairing path-sensitively: the undo *is* logged after
+//! the mutation, but a fallible call sits between them — on its error
+//! path the `?` leaves the method with the mutation unlogged, so abort
+//! cannot undo it.
+//!
+//! Frozen differential, recorded once at commit b9075a2 (the last with
+//! the PR-4 line-heuristic engine): its order-based `inverse_pairing`
+//! check reported nothing on this file, pairing the mutation with the
+//! later registration. The CFG rule reports `inverse-pairing` on the
+//! `self.base.add` line.
 
 use std::sync::Arc;
 

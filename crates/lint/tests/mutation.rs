@@ -202,27 +202,18 @@ fn breaking_the_join_to_union_misses_the_planted_branch_bug() {
     );
 }
 
-// ----------------------------------- differential: CFG vs line rules
+// ------------------------------------------- frozen CFG differential
+
+// What the deleted PR-4 line-heuristic engine reported on these two
+// fixtures (nothing) is recorded in each fixture's header comment; the
+// CFG side of the differential stays asserted here.
 
 #[test]
 fn cfg_rule_catches_the_error_path_the_line_heuristic_missed() {
-    // Satellite regression for the old Rule 3 false-negative class: the
-    // undo is logged after the mutation (so the order-based line rule
-    // pairs them and stays quiet), but a fallible call in between can
-    // exit with the mutation unlogged.
+    // The undo is logged after the mutation, but a fallible call in
+    // between can exit with the mutation unlogged.
     let rel = "crates/boosted/src/bad_distance.rs";
-    let src = violation_fixture(rel);
-
-    let fa = txboost_lint::analysis::FileAnalysis::build(rel, &src);
-    let mut legacy_out = txboost_lint::engine::RuleOutput::default();
-    txboost_lint::rules::legacy::inverse_pairing(&fa, &mut legacy_out);
-    assert!(
-        legacy_out.diags.is_empty(),
-        "the PR-4 line rule was blind to this bug by construction, got {:?}",
-        legacy_out.diags
-    );
-
-    let report = lint_source(rel, &src);
+    let report = lint_source(rel, &violation_fixture(rel));
     assert!(
         report.unsuppressed().any(|d| d.rule == "inverse-pairing"),
         "the CFG rule must flag the mutation that can escape via `?`"
@@ -232,18 +223,7 @@ fn cfg_rule_catches_the_error_path_the_line_heuristic_missed() {
 #[test]
 fn cfg_rule_catches_the_one_branch_lock_the_line_heuristic_missed() {
     let rel = "crates/boosted/src/bad_branch_lock.rs";
-    let src = violation_fixture(rel);
-
-    let fa = txboost_lint::analysis::FileAnalysis::build(rel, &src);
-    let mut legacy_out = txboost_lint::engine::RuleOutput::default();
-    txboost_lint::rules::legacy::lock_before_mutate(&fa, &mut legacy_out);
-    assert!(
-        legacy_out.diags.is_empty(),
-        "the PR-4 line rule saw an acquisition earlier in the token stream, got {:?}",
-        legacy_out.diags
-    );
-
-    let report = lint_source(rel, &src);
+    let report = lint_source(rel, &violation_fixture(rel));
     assert!(
         report
             .unsuppressed()

@@ -55,20 +55,21 @@ fn every_workspace_suppression_has_a_reason() {
 }
 
 #[test]
-fn every_boosted_method_parses_into_the_cfg_analyzer() {
-    // The parse-error fallback path (old line heuristics) must never be
-    // what actually checks the real boosted sources — if the parser
-    // cannot handle a body, extend the parser rather than regress the
-    // analysis silently.
+fn every_transactional_method_parses_into_the_cfg_analyzer() {
+    // Counted over suppressed findings too: if the parser cannot handle
+    // a body, extend the parser — an `allow(parse-failure)` would leave
+    // the method unchecked against Rules 2 and 3.
     let report = lint_tree(workspace_root()).expect("lint workspace");
-    let boosted: Vec<&String> = report
-        .parse_fallbacks
+    let failures: Vec<String> = report
+        .diagnostics
         .iter()
-        .filter(|f| f.contains("crates/boosted"))
+        .filter(|d| d.rule == "parse-failure")
+        .map(|d| format!("{}:{}: {}", d.path, d.line, d.message))
         .collect();
     assert!(
-        boosted.is_empty(),
-        "boosted methods fell back to line heuristics (parser gap): {boosted:?}"
+        failures.is_empty(),
+        "method bodies outside the parser's grammar:\n{}",
+        failures.join("\n")
     );
 }
 

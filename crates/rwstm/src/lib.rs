@@ -34,7 +34,5 @@
 pub mod listset;
 pub mod rbtree;
 mod stm;
-pub mod tvar;
 
 pub use stm::{Stm, StmTxn, StmVar};
-pub use tvar::{TVar, TVarStm, TVarTxn};

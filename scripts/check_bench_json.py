@@ -37,7 +37,7 @@ BASELINES = {
         "nonzero": ("threads", "key_range"),
         # Every value of these fields must occur, and no other.
         "cover": {
-            "backend": {"boosted", "rwstm", "tvar"},
+            "backend": {"boosted", "rwstm"},
             "workload": {"counter", "map", "transfer", "pqueue"},
         },
         "at_most_one": ("abort_rate",),
