@@ -14,6 +14,9 @@
 //!   lock-handle cache) is strictly cheaper than first acquisition;
 //! * a 3-operation boosted-map transaction performs **zero** heap
 //!   allocations end to end (measured by a counting global allocator);
+//! * a 4-lookup read-only snapshot script over a 262,144-key map (one
+//!   version-slot probe per lookup, each a cache miss) allocates
+//!   nothing either;
 //! * small undo closures stay inline in the log; oversized ones are
 //!   boxed and *counted* (the sanity check that the allocator
 //!   instrumentation actually observes boxing).
@@ -137,7 +140,7 @@ struct Measurement {
 impl Measurement {
     fn print(&self) {
         println!(
-            "  {:<24} {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
+            "  {:<28} {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
             self.label,
             self.ns_per_op,
             1e9 / self.ns_per_op,
@@ -321,6 +324,34 @@ fn bench_map3(iters: u64) -> Measurement {
     })
 }
 
+/// A read-only snapshot script of four lookups scattered over `keys`
+/// keys: what one version-slot probe per lookup costs — cache-resident
+/// at 1,024 keys, a real miss each at 262,144 (the benchmark's
+/// read-mostly map) — and that the whole snapshot path (register, four
+/// reads, deregister) allocates nothing.
+fn bench_snapshot4(label: &'static str, keys: i64, iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    let map = BoostedHashMap::<i64, i64>::new();
+    for k in 0..keys {
+        tm.run(|t| map.put(t, k, k)).unwrap();
+    }
+    measure(label, iters, iters, || {
+        let start = Instant::now();
+        let mut key = 0i64;
+        for _ in 0..iters {
+            tm.run_read_only(|t| {
+                for _ in 0..4 {
+                    key = (key + 40_503) % keys;
+                    let _ = map.get(t, &key)?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        start.elapsed()
+    })
+}
+
 fn main() {
     let args = parse_args();
     println!("hotpath microbench ({} txns per measurement)", args.iters);
@@ -330,8 +361,19 @@ fn main() {
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
     let map3 = bench_map3(args.iters);
+    let snapshot4_small = bench_snapshot4("snapshot scan4 @1024 keys", 1024, args.iters);
+    let snapshot4 = bench_snapshot4("snapshot scan4 @262144 keys", 262_144, args.iters);
 
-    let all = [&empty, &first, &re, &log_inline, &log_boxed, &map3];
+    let all = [
+        &empty,
+        &first,
+        &re,
+        &log_inline,
+        &log_boxed,
+        &map3,
+        &snapshot4_small,
+        &snapshot4,
+    ];
     for m in all {
         m.print();
     }
@@ -347,12 +389,18 @@ fn main() {
         map3.allocs_per_txn, 0,
         "a 3-op boosted-map transaction must not allocate"
     );
+    assert_eq!(
+        snapshot4.allocs_per_txn, 0,
+        "a 4-lookup snapshot script must not allocate"
+    );
     assert_eq!(log_inline.allocs_per_txn, 0, "inline undo pushes allocated");
     assert!(
         log_boxed.allocs_per_txn >= LOG_PUSHES,
         "boxed pushes must be visible to the counting allocator"
     );
-    println!("invariants: reacquire < first-acquire; map 3-op txn allocation-free");
+    println!(
+        "invariants: reacquire < first-acquire; map 3-op txn and 4-lookup snapshot allocation-free"
+    );
 
     if let Some(dir) = args.out_dir {
         let mut report = BenchReport::new("hotpath");
@@ -363,6 +411,10 @@ fn main() {
             .meta("empty_txn_ns", format!("{:.1}", empty.ns_per_op))
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
             .meta("allocs_per_txn_map3", map3.allocs_per_txn.to_string())
+            .meta(
+                "allocs_per_txn_snapshot4",
+                snapshot4.allocs_per_txn.to_string(),
+            )
             .meta(
                 "allocs_per_txn_log_inline",
                 log_inline.allocs_per_txn.to_string(),

@@ -11,8 +11,7 @@
 
 use std::sync::Arc;
 use txboost_core::locks::TxRwLock;
-use txboost_core::mvcc::MvccDomain;
-use txboost_core::{DeltaChain, TxResult, Txn, DEFAULT_CHAIN_BOUND};
+use txboost_core::{DeltaChain, TxResult, Txn};
 use txboost_linearizable::StripedCounter;
 
 /// A transactional signed counter boosted from the striped counter.
@@ -38,7 +37,7 @@ impl BoostedCounter {
         BoostedCounter {
             base: Arc::new(StripedCounter::default()),
             lock: Arc::new(TxRwLock::new()),
-            deltas: Arc::new(DeltaChain::new(MvccDomain::global(), DEFAULT_CHAIN_BOUND)),
+            deltas: Arc::new(DeltaChain::new_global()),
         }
     }
 
@@ -51,7 +50,7 @@ impl BoostedCounter {
         BoostedCounter {
             base: Arc::new(StripedCounter::default()),
             lock: Arc::new(TxRwLock::labeled(object, registry)),
-            deltas: Arc::new(DeltaChain::new(MvccDomain::global(), DEFAULT_CHAIN_BOUND)),
+            deltas: Arc::new(DeltaChain::new_global()),
         }
     }
 

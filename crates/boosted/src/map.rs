@@ -36,7 +36,7 @@ use txboost_linearizable::StripedHashMap;
 pub struct BoostedHashMap<K: 'static, V: 'static> {
     base: Arc<StripedHashMap<K, V>>,
     locks: KeyLockMap<K>,
-    /// Per-key committed-version chains serving read-only snapshot
+    /// Per-key committed-version slots serving read-only snapshot
     /// transactions (see `txboost_core::mvcc`). Fed by commit-time
     /// installs logged in `put`/`remove`.
     versions: Arc<VersionStore<K, V>>,
@@ -133,7 +133,7 @@ where
     /// abstract lock still serializes against concurrent mutators of
     /// the same key, per Rule 2).
     pub fn get(&self, txn: &Txn, key: &K) -> TxResult<Option<V>> {
-        // Read-only snapshot transactions read the version chain at
+        // Read-only snapshot transactions read the version slot at
         // their snapshot timestamp: no lock, no blocking, no abort.
         if let Some(ts) = txn.snapshot_ts() {
             return Ok(self.versions.read_at(key, ts));

@@ -27,24 +27,24 @@ impl<K: Hash + Eq + Clone> SetLocks<K> {
 }
 
 macro_rules! boosted_set {
-    ($(#[$meta:meta])* $name:ident, $base:ident, $base_bound:path) => {
+    ($(#[$meta:meta])* $name:ident, $base:ident, $key_trait:path) => {
         $(#[$meta])*
         #[derive(Debug)]
         pub struct $name<K: 'static> {
             base: Arc<$base<K>>,
             locks: SetLocks<K>,
-            /// Per-key membership version chains (`Some(())` present,
+            /// Per-key membership version slots (`Some(())` present,
             /// `None` absent) serving read-only snapshot transactions.
             versions: Arc<VersionStore<K, ()>>,
         }
 
-        impl<K: $base_bound + Hash + Eq + Clone + Send + Sync + 'static> Default for $name<K> {
+        impl<K: $key_trait + Hash + Eq + Clone + Send + Sync + 'static> Default for $name<K> {
             fn default() -> Self {
                 Self::new()
             }
         }
 
-        impl<K: $base_bound + Hash + Eq + Clone + Send + Sync + 'static> $name<K> {
+        impl<K: $key_trait + Hash + Eq + Clone + Send + Sync + 'static> $name<K> {
             /// An empty set with per-key abstract locking (the paper's
             /// recommended discipline).
             pub fn new() -> Self {
@@ -144,7 +144,7 @@ macro_rules! boosted_set {
             /// (Rule 2).
             pub fn contains(&self, txn: &Txn, key: &K) -> TxResult<bool> {
                 // Read-only snapshot transactions consult the version
-                // chain at their snapshot timestamp: no lock, no abort.
+                // slot at their snapshot timestamp: no lock, no abort.
                 if let Some(ts) = txn.snapshot_ts() {
                     return Ok(self.versions.read_at(key, ts).is_some());
                 }

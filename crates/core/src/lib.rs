@@ -76,8 +76,8 @@ mod txn;
 pub use backoff::{Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
-    CommitClock, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry, SnapshotGuard,
-    VersionChain, VersionStore, DEFAULT_CHAIN_BOUND,
+    CommitClock, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry, Slot,
+    SnapshotGuard, VersionStore,
 };
 pub use obs::{
     ContentionRegistry, ContentionSnapshot, DurabilityMetrics, DurabilitySnapshot,

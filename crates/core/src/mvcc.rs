@@ -7,10 +7,10 @@
 //! detection and can abort or stall behind writers. The multi-version
 //! object-based STM line (Juyal/Kulkarni/Kumari/Peri/Somani, arXiv
 //! 1712.09803 / 1905.01200) shows the fix at object granularity: keep
-//! a short chain of committed versions per key, stamp each commit with
-//! a global timestamp, and let read-only transactions return instantly
-//! on the newest version at-or-below their snapshot — no locks, no
-//! undo log, no aborts.
+//! the few committed versions a reader can still need per key, stamp
+//! each commit with a global timestamp, and let read-only transactions
+//! return instantly on the newest version at-or-below their snapshot —
+//! no locks, no undo log, no aborts.
 //!
 //! ## The snapshot protocol
 //!
@@ -29,18 +29,24 @@
 //!   the reader's whole lifetime. That is why read-only transactions
 //!   *cannot* abort — there is no conflict left to detect.
 //!
-//! ## Bounded chains and GC
+//! ## Version slots and the GC floor
 //!
-//! Chains are pruned back toward [`DEFAULT_CHAIN_BOUND`] entries on
-//! every install. A version may be dropped only when a newer version
-//! at-or-below the **GC floor** exists, where the floor is
+//! A [`VersionStore`] shard is one hash table whose entries *are* the
+//! versions: a [`Slot`] holds the key's two newest versions inline and
+//! spills to the heap only while a registered reader pins more. A
+//! snapshot read is one shard lock and one probe; an install into an
+//! existing slot allocates nothing.
+//!
+//! Every install prunes: a version is dropped as soon as a newer
+//! version at-or-below the **GC floor** exists, where the floor is
 //! `min(oldest registered reader, stable)` — so no registered snapshot
 //! reader can ever lose the version it would read. Registration and
 //! floor computation read the clock under the same registry mutex,
-//! which closes the register-vs-GC race: a GC that misses a concurrent
-//! registration is guaranteed (by mutex ordering and the clock's
-//! monotonicity) to have used a floor at-or-below that reader's
-//! snapshot.
+//! which closes the register-vs-GC race: a floor that misses a
+//! concurrent registration is guaranteed (by mutex ordering and the
+//! clock's monotonicity) to be at-or-below that reader's snapshot. For
+//! the same reason a floor stays safe once computed, so a commit reads
+//! it once for all its installs ([`MvccDomain::commit`]).
 //!
 //! Everything here is shared-state-only (no per-`Txn` storage); the
 //! transaction integration — snapshot guards on [`crate::Txn`], the
@@ -53,35 +59,24 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
 
-/// Default cap on versions retained per key. Chains may exceed it
-/// transiently when an old registered reader pins history; installs
-/// prune back down as soon as the floor advances.
-pub const DEFAULT_CHAIN_BOUND: usize = 8;
-
-/// Shards in a [`VersionStore`]'s chain table (power of two).
+/// Shards in a [`VersionStore`]'s slot table (power of two).
 const STORE_SHARDS: usize = 64;
 
 thread_local! {
-    /// Timestamp of the commit currently replaying its version log on
-    /// this thread (0 = none). Set by `Txn::do_commit` around the
-    /// version-install closures so they stay small `FnOnce`s — the
-    /// timestamp does not exist yet when the closure is logged.
-    static CURRENT_COMMIT_TS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `(timestamp, GC floor)` of the commit currently replaying its
+    /// version log on this thread (timestamp 0 = none). Set by
+    /// [`MvccDomain::commit`] around the version-install closures so
+    /// they stay small `FnOnce`s — neither value exists yet when the
+    /// closure is logged.
+    static CURRENT_COMMIT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
-/// Install `ts` as the current thread's commit timestamp for the
-/// duration of `f` (the version-log replay window).
-pub(crate) fn with_commit_ts<R>(ts: u64, f: impl FnOnce() -> R) -> R {
-    CURRENT_COMMIT_TS.with(|c| c.set(ts));
-    let r = f();
-    CURRENT_COMMIT_TS.with(|c| c.set(0));
-    r
-}
-
-/// The commit timestamp of the version-log replay in progress on this
-/// thread, or 0 outside one.
-fn current_commit_ts() -> u64 {
-    CURRENT_COMMIT_TS.with(std::cell::Cell::get)
+/// `(timestamp, GC floor)` of the version-log replay in progress on
+/// this thread, or `None` outside one.
+fn current_commit() -> Option<(u64, u64)> {
+    let commit = CURRENT_COMMIT.with(std::cell::Cell::get);
+    debug_assert!(commit.0 != 0, "version install outside a commit");
+    (commit.0 != 0).then_some(commit)
 }
 
 /// The global commit-timestamp clock.
@@ -153,9 +148,6 @@ impl CommitClock {
     }
 }
 
-/// Sentinel floor value when no reader is registered.
-const NO_READERS: u64 = u64::MAX;
-
 /// Live snapshot readers, keyed by snapshot timestamp.
 ///
 /// GC may drop a version only when a newer version at-or-below
@@ -197,11 +189,6 @@ impl ReaderRegistry {
         }
     }
 
-    /// Oldest registered snapshot timestamp ([`NO_READERS`] if none).
-    fn oldest_locked(readers: &[(u64, usize)]) -> u64 {
-        readers.iter().map(|(t, _)| *t).min().unwrap_or(NO_READERS)
-    }
-
     /// Number of live registrations (diagnostics).
     pub fn live_readers(&self) -> usize {
         self.readers.lock().unwrap().iter().map(|(_, n)| n).sum()
@@ -214,7 +201,7 @@ impl ReaderRegistry {
 /// [`crate::obs`]).
 #[derive(Debug, Default)]
 pub struct MvccMetrics {
-    /// Chain length observed at each version install.
+    /// Versions the installed key retains after each version install.
     pub chain_len: LatencyHistogram,
     /// Snapshot age (in commit timestamps: `stable - snapshot_ts`) at
     /// read-only transaction end — how far behind the frontier
@@ -226,10 +213,21 @@ pub struct MvccMetrics {
 }
 
 impl MvccMetrics {
-    /// Record `n` versions reclaimed by one GC pass.
+    /// Record one install that left its key `len` versions after
+    /// reclaiming `reclaimed`.
     #[inline]
-    fn note_reclaimed(&self, n: u64) {
-        self.gc_reclaimed.fetch_add(n, Ordering::Relaxed);
+    fn note_install(&self, len: usize, reclaimed: usize) {
+        self.installs.fetch_add(1, Ordering::Relaxed);
+        self.chain_len.record(len as u64);
+        if reclaimed > 0 {
+            self.gc_reclaimed
+                .fetch_add(reclaimed as u64, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn note_snapshot_read(&self) {
+        self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the counters and histograms.
@@ -249,18 +247,18 @@ impl MvccMetrics {
 pub struct MvccSnapshot {
     /// Versions installed by committed writes.
     pub installs: u64,
-    /// Reads served from version chains (including misses).
+    /// Reads served from version slots (including misses).
     pub snapshot_reads: u64,
-    /// Versions reclaimed by chain GC.
+    /// Versions reclaimed (or deltas folded) by install-time GC.
     pub gc_reclaimed: u64,
-    /// Chain-length histogram (sampled at install).
+    /// Retained-versions-per-key histogram (sampled at install).
     pub chain_len: HistogramSnapshot,
     /// Snapshot-age histogram (sampled at read-only txn end).
     pub snapshot_age: HistogramSnapshot,
 }
 
 /// One multi-version world: a commit clock, its reader registry, and
-/// the metrics fed by every chain attached to it.
+/// the metrics fed by every store attached to it.
 ///
 /// Production code uses the process-wide [`MvccDomain::global`] (the
 /// boosted collections default to it, and `TxnManager` stamps commits
@@ -286,21 +284,40 @@ impl MvccDomain {
     }
 
     /// The process-wide domain shared by every boosted collection and
-    /// `TxnManager` that does not opt out.
-    pub fn global() -> Arc<MvccDomain> {
+    /// `TxnManager`; the per-transaction paths touch no reference count.
+    pub fn global() -> &'static MvccDomain {
+        Self::global_arc()
+    }
+
+    /// The global domain as the `Arc` the stores hold (one field type
+    /// with the tests' private domains), cloned once per collection.
+    fn global_arc() -> &'static Arc<MvccDomain> {
         static GLOBAL: OnceLock<Arc<MvccDomain>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(|| Arc::new(MvccDomain::new())))
+        GLOBAL.get_or_init(|| Arc::new(MvccDomain::new()))
     }
 
     /// Begin a snapshot read: register at the stable frontier and
     /// return a guard that deregisters (and records the snapshot's
     /// final age) on drop.
-    pub fn begin_snapshot(self: &Arc<Self>) -> SnapshotGuard {
+    pub fn begin_snapshot(&self) -> SnapshotGuard<'_> {
         let ts = self.readers.register(&self.clock);
-        SnapshotGuard {
-            domain: Arc::clone(self),
-            ts,
-        }
+        SnapshotGuard { domain: self, ts }
+    }
+
+    /// Run `installs` as one commit: read the GC floor, reserve a
+    /// timestamp, run the closure as that commit's version-install
+    /// window, publish. The caller still holds whatever serializes it
+    /// against conflicting writers (a transaction's abstract locks).
+    pub fn commit<R>(&self, installs: impl FnOnce() -> R) -> R {
+        // One registry-mutex pass per commit, not per install: the
+        // floor only rises, so a stale one prunes less, never more.
+        let floor = self.gc_floor();
+        let ts = self.clock.reserve();
+        CURRENT_COMMIT.with(|c| c.set((ts, floor)));
+        let r = installs();
+        CURRENT_COMMIT.with(|c| c.set((0, 0)));
+        self.clock.publish(ts);
+        r
     }
 
     /// The GC floor: versions strictly older than the newest version
@@ -314,7 +331,7 @@ impl MvccDomain {
         if self.ignore_readers.load(Ordering::Relaxed) {
             return stable;
         }
-        ReaderRegistry::oldest_locked(&readers).min(stable)
+        readers.iter().map(|&(ts, _)| ts).fold(stable, u64::min)
     }
 
     /// Make `gc_floor` ignore the reader registry, so the det sweep
@@ -331,19 +348,19 @@ impl MvccDomain {
 /// below `ts()` for its lifetime; records the snapshot's age into the
 /// domain metrics on drop.
 #[derive(Debug)]
-pub struct SnapshotGuard {
-    domain: Arc<MvccDomain>,
+pub struct SnapshotGuard<'d> {
+    domain: &'d MvccDomain,
     ts: u64,
 }
 
-impl SnapshotGuard {
+impl SnapshotGuard<'_> {
     /// The snapshot timestamp this guard pins.
     pub fn ts(&self) -> u64 {
         self.ts
     }
 }
 
-impl Drop for SnapshotGuard {
+impl Drop for SnapshotGuard<'_> {
     fn drop(&mut self) {
         self.domain.readers.deregister(self.ts);
         let age = self.domain.clock.stable().saturating_sub(self.ts);
@@ -351,119 +368,165 @@ impl Drop for SnapshotGuard {
     }
 }
 
-/// A bounded chain of committed versions of one logical value.
-///
-/// Entries are `(commit ts, value)` sorted by timestamp; `None` is a
-/// tombstone (the key was absent as of that commit). The chain is the
-/// unit both of snapshot reads (newest entry ≤ snapshot ts) and of GC.
-///
-/// Determinism note: every public method yields to the deterministic
-/// scheduler exactly once, *unconditionally* — `install` always calls
-/// `gc`, and `gc` yields before deciding whether to prune. Prune
-/// amounts depend on cross-test global clock state, so making the
-/// yields structural (never value-dependent) is what keeps recorded
-/// schedules replayable.
+/// One committed version: `(commit ts, value)`; `None` is a tombstone
+/// (the key was absent as of that commit).
+type Version<V> = (u64, Option<V>);
+
+/// The versions of one key below its newest, ascending by timestamp:
+/// none, one held inline, or — only while a registered reader pins
+/// that much history — a heap vector.
 #[derive(Debug)]
-pub struct VersionChain<V> {
-    domain: Arc<MvccDomain>,
-    bound: usize,
-    versions: Mutex<Vec<(u64, Option<V>)>>,
+enum Older<V> {
+    None,
+    One(Version<V>),
+    // Boxed so the enum stays the size of one version: the pointer
+    // fits beside `One`'s niche, a `Vec`'s three words would not.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<Version<V>>>),
 }
 
-impl<V: Clone> VersionChain<V> {
-    /// An empty chain pruned toward `bound` retained versions.
-    pub fn new(domain: Arc<MvccDomain>, bound: usize) -> Self {
-        assert!(bound >= 1, "a chain must retain at least one version");
-        VersionChain {
-            domain,
-            bound,
-            versions: Mutex::new(Vec::new()),
+impl<V> Older<V> {
+    fn as_slice(&self) -> &[Version<V>] {
+        match self {
+            Older::None => &[],
+            Older::One(v) => std::slice::from_ref(v),
+            Older::Many(vs) => vs,
         }
     }
 
-    /// Install the version committed at `ts` (`None` = tombstone),
-    /// then run a GC pass. Installs may arrive out of timestamp order
-    /// (commits race between `reserve` and `publish`), so the entry is
-    /// sort-inserted; a same-timestamp entry is overwritten (one
-    /// transaction writing a key twice installs last-write-wins).
-    pub fn install(&self, ts: u64, value: Option<V>) {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionInstall);
-        let len = {
-            let mut versions = self.versions.lock().unwrap();
-            let i = versions.partition_point(|&(t, _)| t < ts);
-            if versions.get(i).is_some_and(|&(t, _)| t == ts) {
-                versions[i].1 = value;
-            } else {
-                versions.insert(i, (ts, value));
-            }
-            versions.len()
-        };
-        self.domain.metrics.installs.fetch_add(1, Ordering::Relaxed);
-        self.domain.metrics.chain_len.record(len as u64);
-        let floor = self.domain.gc_floor();
-        let metrics = &self.domain.metrics;
-        self.gc(floor, &mut |n| metrics.note_reclaimed(n));
+    fn as_mut_slice(&mut self) -> &mut [Version<V>] {
+        match self {
+            Older::None => &mut [],
+            Older::One(v) => std::slice::from_mut(v),
+            Older::Many(vs) => vs,
+        }
     }
 
-    /// Prune versions no snapshot at-or-above `floor` can read,
-    /// reporting the reclaimed count. A version is reclaimable iff a
-    /// newer version ≤ `floor` exists — plus one special case: a
-    /// tombstone that *is* the newest version ≤ `floor`, with nothing
-    /// older left, reads identically to an empty prefix and is dropped
-    /// too. Pruning only triggers once the chain exceeds its bound
-    /// (the `Vec` keeps its capacity, so steady-state installs stay
-    /// allocation-free).
-    pub fn gc(&self, floor: u64, on_reclaim: &mut dyn FnMut(u64)) {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionGc);
-        let mut versions = self.versions.lock().unwrap();
-        if versions.len() <= self.bound {
+    fn insert(&mut self, i: usize, version: Version<V>) {
+        *self = match std::mem::replace(self, Older::None) {
+            Older::None => Older::One(version),
+            Older::One(only) => {
+                let mut vs = vec![only];
+                vs.insert(i, version);
+                Older::Many(Box::new(vs))
+            }
+            Older::Many(mut vs) => {
+                vs.insert(i, version);
+                Older::Many(vs)
+            }
+        };
+    }
+
+    /// Drop the `n` oldest versions, returning to the inline forms
+    /// (and freeing the heap vector) once at most one is left.
+    fn drop_oldest(&mut self, n: usize) {
+        if n == 0 {
             return;
         }
-        // Entries [0, at_or_below) have ts ≤ floor; the newest of them
-        // (index at_or_below - 1) must survive unless it is a leading
-        // tombstone.
-        let at_or_below = versions.partition_point(|&(t, _)| t <= floor);
-        let mut cut = at_or_below.saturating_sub(1);
-        if cut + 1 == at_or_below && versions.get(cut).is_some_and(|(_, v)| v.is_none()) {
-            cut = at_or_below;
+        *self = match std::mem::replace(self, Older::None) {
+            Older::Many(mut vs) => {
+                vs.drain(..n);
+                if vs.len() > 1 {
+                    Older::Many(vs)
+                } else {
+                    vs.pop().map_or(Older::None, Older::One)
+                }
+            }
+            _ => Older::None,
+        };
+    }
+}
+
+/// Every retained committed version of one key — the entry type of a
+/// [`VersionStore`] shard, and the unit both of snapshot reads (newest
+/// version ≤ snapshot ts) and of GC.
+///
+/// Two versions fit inline: a commit's timestamp is above the floor
+/// it prunes by, so two is what a rewritten key holds when no reader
+/// pins more. A slot is plain data under the shard mutex; the
+/// deterministic yield points sit in [`VersionStore`], outside it.
+#[derive(Debug)]
+pub struct Slot<V> {
+    newest: Version<V>,
+    older: Older<V>,
+}
+
+impl<V> Slot<V> {
+    /// A slot holding the single version committed at `ts`.
+    pub fn new(ts: u64, value: Option<V>) -> Self {
+        Slot {
+            newest: (ts, value),
+            older: Older::None,
         }
-        if cut > 0 {
-            versions.drain(..cut);
-            on_reclaim(cut as u64);
+    }
+
+    /// Install the version committed at `ts` (`None` = tombstone) and
+    /// prune by `floor`; returns how many versions were dropped.
+    ///
+    /// Installs may arrive out of timestamp order (commits race
+    /// between `reserve` and `publish`), so the version is sorted in; a
+    /// same-timestamp version is overwritten (one transaction writing
+    /// a key twice installs last-write-wins).
+    pub fn install(&mut self, ts: u64, value: Option<V>, floor: u64) -> usize {
+        // Prune first, so a rewrite makes room inline instead of
+        // spilling; again after, for what the new version supersedes.
+        let reclaimed = self.prune(floor);
+        match ts.cmp(&self.newest.0) {
+            std::cmp::Ordering::Greater => {
+                let prev = std::mem::replace(&mut self.newest, (ts, value));
+                self.older.insert(self.older.as_slice().len(), prev);
+            }
+            std::cmp::Ordering::Equal => self.newest.1 = value,
+            std::cmp::Ordering::Less => {
+                let older = self.older.as_mut_slice();
+                let i = older.partition_point(|&(t, _)| t < ts);
+                match older.get_mut(i) {
+                    Some(same) if same.0 == ts => same.1 = value,
+                    _ => self.older.insert(i, (ts, value)),
+                }
+            }
         }
+        reclaimed + self.prune(floor)
+    }
+
+    /// Drop every version no snapshot at-or-above `floor` can read: a
+    /// version goes iff a newer version ≤ `floor` exists — plus one
+    /// special case: a tombstone that *is* the newest version ≤
+    /// `floor`, with nothing older left, reads identically to an empty
+    /// prefix and goes too (unless it is all the slot holds).
+    fn prune(&mut self, floor: u64) -> usize {
+        let older = self.older.as_slice();
+        let cut = if self.newest.0 <= floor {
+            older.len()
+        } else {
+            let at_or_below = older.partition_point(|&(t, _)| t <= floor);
+            match at_or_below.checked_sub(1) {
+                Some(keep) if older[keep].1.is_some() => keep,
+                _ => at_or_below,
+            }
+        };
+        self.older.drop_oldest(cut);
+        cut
     }
 
     /// The newest value at-or-below snapshot `ts` (`None`: the key was
     /// absent — or tombstoned — as of `ts`).
-    pub fn read_at(&self, ts: u64) -> Option<V> {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::SnapshotRead);
-        self.domain
-            .metrics
-            .snapshot_reads
-            .fetch_add(1, Ordering::Relaxed);
-        let versions = self.versions.lock().unwrap();
-        let i = versions.partition_point(|&(t, _)| t <= ts);
-        if i == 0 {
-            return None;
+    pub fn read_at(&self, ts: u64) -> Option<&V> {
+        if self.newest.0 <= ts {
+            return self.newest.1.as_ref();
         }
-        versions[i - 1].1.clone()
+        let older = self.older.as_slice();
+        let i = older.partition_point(|&(t, _)| t <= ts);
+        older[..i].last().and_then(|(_, v)| v.as_ref())
     }
 
-    /// Current number of retained versions.
-    pub fn len(&self) -> usize {
-        self.versions.lock().unwrap().len()
-    }
-
-    /// Whether the chain holds no versions yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Number of retained versions (at least one).
+    pub fn versions(&self) -> usize {
+        1 + self.older.as_slice().len()
     }
 }
 
-/// The counter's version chain: a folded base plus per-commit deltas.
+/// The counter's versions: a folded base plus per-commit deltas.
 ///
 /// A counter version cannot be captured as a full value at install
 /// time — concurrent writers hold the *shared* counter lock, so the
@@ -471,10 +534,16 @@ impl<V: Clone> VersionChain<V> {
 /// commute, so each commit installs only its own delta; a snapshot
 /// read sums `base + deltas ≤ ts`, and GC folds reclaimable deltas
 /// into the base instead of dropping state.
+///
+/// Determinism note: here and in [`VersionStore`], `install` yields
+/// to the deterministic scheduler before and after its critical
+/// section and `read_at` once — *unconditionally*, never under the
+/// mutex. Prune amounts depend on cross-test global clock state, so
+/// only structural (never value-dependent) yields keep recorded
+/// schedules replayable.
 #[derive(Debug)]
 pub struct DeltaChain {
     domain: Arc<MvccDomain>,
-    bound: usize,
     inner: Mutex<DeltaInner>,
 }
 
@@ -492,63 +561,49 @@ struct DeltaInner {
 
 impl DeltaChain {
     /// An empty delta chain (counter value 0 at every timestamp).
-    pub fn new(domain: Arc<MvccDomain>, bound: usize) -> Self {
-        assert!(bound >= 1, "a delta chain must retain at least the base");
+    pub fn new(domain: Arc<MvccDomain>) -> Self {
         DeltaChain {
             domain,
-            bound,
             inner: Mutex::new(DeltaInner::default()),
         }
     }
 
-    /// Install the delta committed at `ts`, then run a GC pass.
-    pub fn install(&self, ts: u64, delta: i64) {
+    /// An empty delta chain on the global domain.
+    pub fn new_global() -> Self {
+        DeltaChain::new(Arc::clone(MvccDomain::global_arc()))
+    }
+
+    /// Install the delta committed at `ts`, then fold every delta
+    /// at-or-below `floor` into the base. Nothing is lost — folding
+    /// moves a delta into `base_value` — and the floor rule is the
+    /// slots': no registered snapshot sinks below `base_ts`. (The
+    /// `Vec` keeps its capacity: steady-state installs do not allocate.)
+    pub fn install(&self, ts: u64, delta: i64, floor: u64) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionInstall);
-        let len = {
-            let mut inner = self.inner.lock().unwrap();
+        let (len, folded) = {
+            let mut inner = self.inner.lock().expect("delta chain poisoned");
             debug_assert!(ts > inner.base_ts, "install below the folded base");
             let i = inner.deltas.partition_point(|&(t, _)| t <= ts);
             inner.deltas.insert(i, (ts, delta));
-            inner.deltas.len() + 1
+            let cut = inner.deltas.partition_point(|&(t, _)| t <= floor);
+            if cut > 0 {
+                inner.base_ts = inner.deltas[cut - 1].0;
+                inner.base_value += inner.deltas.drain(..cut).map(|(_, d)| d).sum::<i64>();
+            }
+            (inner.deltas.len() + 1, cut)
         };
-        self.domain.metrics.installs.fetch_add(1, Ordering::Relaxed);
-        self.domain.metrics.chain_len.record(len as u64);
-        let floor = self.domain.gc_floor();
-        let metrics = &self.domain.metrics;
-        self.gc(floor, &mut |n| metrics.note_reclaimed(n));
-    }
-
-    /// Install using the in-progress commit's timestamp (the shape the
-    /// version-log closures call; see `with_commit_ts`).
-    pub fn install_current(&self, delta: i64) {
-        let ts = current_commit_ts();
-        if ts == 0 {
-            debug_assert!(false, "version install outside a commit");
-            return;
-        }
-        self.install(ts, delta);
-    }
-
-    /// Fold deltas at-or-below `floor` into the base. Unlike
-    /// [`VersionChain::gc`] nothing is lost — reclaiming a delta just
-    /// moves it into `base_value` — but the floor rule is identical:
-    /// a registered reader's snapshot never sinks below `base_ts`.
-    pub fn gc(&self, floor: u64, on_reclaim: &mut dyn FnMut(u64)) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionGc);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.deltas.len() < self.bound {
-            return;
+        self.domain.metrics.note_install(len, folded);
+    }
+
+    /// Install using the in-progress commit's timestamp and floor (the
+    /// shape the version-log closures call; see [`MvccDomain::commit`]).
+    pub fn install_current(&self, delta: i64) {
+        if let Some((ts, floor)) = current_commit() {
+            self.install(ts, delta, floor);
         }
-        let cut = inner.deltas.partition_point(|&(t, _)| t <= floor);
-        if cut == 0 {
-            return;
-        }
-        inner.base_ts = inner.deltas[cut - 1].0;
-        inner.base_value += inner.deltas[..cut].iter().map(|&(_, d)| d).sum::<i64>();
-        inner.deltas.drain(..cut);
-        on_reclaim(cut as u64);
     }
 
     /// The counter value at snapshot `ts`: base plus every delta ≤
@@ -557,11 +612,8 @@ impl DeltaChain {
     pub fn read_at(&self, ts: u64) -> i64 {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::SnapshotRead);
-        self.domain
-            .metrics
-            .snapshot_reads
-            .fetch_add(1, Ordering::Relaxed);
-        let inner = self.inner.lock().unwrap();
+        self.domain.metrics.note_snapshot_read();
+        let inner = self.inner.lock().expect("delta chain poisoned");
         debug_assert!(inner.base_ts <= ts, "snapshot read below the folded base");
         inner.base_value
             + inner
@@ -574,30 +626,28 @@ impl DeltaChain {
 }
 
 /// One lock-striped bucket of a [`VersionStore`].
-type Shard<K, V> = Mutex<HashMap<K, Arc<VersionChain<V>>>>;
+type Shard<K, V> = Mutex<HashMap<K, Slot<V>>>;
 
-/// A sharded map from key to [`VersionChain`] — the per-collection
-/// version side-table behind the boosted map and sets.
+/// A sharded map from key to [`Slot`] — the per-collection version
+/// side-table behind the boosted map and sets.
 ///
-/// Chains are created lazily on first install. A key with no chain was
-/// never written, hence absent at every snapshot; once created, a
-/// chain is never removed (its GC keeps the newest floor-visible
-/// version, so it also never reads as empty).
+/// Slots are created on first install. A key with no slot was never
+/// written, hence absent at every snapshot; once created, a slot is
+/// never removed (it always keeps its newest version).
 #[derive(Debug)]
 pub struct VersionStore<K, V> {
     shards: Box<[Shard<K, V>]>,
     hasher: RandomState,
     domain: Arc<MvccDomain>,
-    bound: usize,
 }
 
 impl<K, V> VersionStore<K, V>
 where
-    K: std::hash::Hash + Eq + Clone,
+    K: std::hash::Hash + Eq,
     V: Clone,
 {
-    /// An empty store whose chains prune toward `bound` versions.
-    pub fn new(domain: Arc<MvccDomain>, bound: usize) -> Self {
+    /// An empty store stamping and counting against `domain`.
+    pub fn new(domain: Arc<MvccDomain>) -> Self {
         let shards = (0..STORE_SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
@@ -605,76 +655,64 @@ where
             shards,
             hasher: RandomState::new(),
             domain,
-            bound,
         }
     }
 
-    /// An empty store on the global domain with the default bound.
+    /// An empty store on the global domain.
     pub fn new_global() -> Self {
-        VersionStore::new(MvccDomain::global(), DEFAULT_CHAIN_BOUND)
+        VersionStore::new(Arc::clone(MvccDomain::global_arc()))
     }
 
-    /// The domain this store stamps and reads against.
-    pub fn domain(&self) -> &Arc<MvccDomain> {
-        &self.domain
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<VersionChain<V>>>> {
+    fn shard(&self, key: &K) -> &Shard<K, V> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h & (STORE_SHARDS - 1)]
     }
 
     /// Install `value` (`None` = tombstone) for `key` at the
-    /// in-progress commit's timestamp. This is the version-log closure
-    /// entry point (see `with_commit_ts`); the key's chain is
-    /// created on first install.
+    /// in-progress commit's timestamp, pruning the key's slot by that
+    /// commit's floor (see [`Slot::install`]); the slot is created on
+    /// first install. This is the version-log closure entry point: it
+    /// must run inside [`MvccDomain::commit`].
     pub fn install(&self, key: K, value: Option<V>) {
-        let ts = current_commit_ts();
-        if ts == 0 {
-            debug_assert!(false, "version install outside a commit");
+        let Some((ts, floor)) = current_commit() else {
             return;
-        }
-        let chain = {
-            let mut shard = self.shard(&key).lock().unwrap();
-            // Probe before insert: the steady state is an existing
-            // chain, which must not pay the entry API's key clone.
-            match shard.get(&key) {
-                Some(chain) => Arc::clone(chain),
+        };
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::VersionInstall);
+        let (len, reclaimed) = {
+            let mut shard = self.shard(&key).lock().expect("version shard poisoned");
+            match shard.get_mut(&key) {
+                Some(slot) => {
+                    let reclaimed = slot.install(ts, value, floor);
+                    (slot.versions(), reclaimed)
+                }
                 None => {
-                    let chain = Arc::new(VersionChain::new(Arc::clone(&self.domain), self.bound));
-                    shard.insert(key, Arc::clone(&chain));
-                    chain
+                    shard.insert(key, Slot::new(ts, value));
+                    (1, 0)
                 }
             }
         };
-        chain.install(ts, value);
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::VersionGc);
+        self.domain.metrics.note_install(len, reclaimed);
     }
 
     /// The newest value for `key` at-or-below snapshot `ts`. Yields
     /// (and counts) exactly one snapshot read whether or not the key
-    /// has a chain, so schedules stay replayable.
+    /// has a slot, so schedules stay replayable.
     pub fn read_at(&self, key: &K, ts: u64) -> Option<V> {
-        let chain = {
-            let shard = self.shard(key).lock().unwrap();
-            shard.get(key).map(Arc::clone)
-        };
-        match chain {
-            Some(chain) => chain.read_at(ts),
-            None => {
-                #[cfg(feature = "deterministic")]
-                crate::det::yield_point(crate::det::Point::SnapshotRead);
-                self.domain
-                    .metrics
-                    .snapshot_reads
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        self.domain.metrics.note_snapshot_read();
+        let shard = self.shard(key).lock().expect("version shard poisoned");
+        shard.get(key).and_then(|slot| slot.read_at(ts)).cloned()
     }
 
-    /// The chain backing `key`, if one exists (test introspection).
-    pub fn chain(&self, key: &K) -> Option<Arc<VersionChain<V>>> {
-        self.shard(key).lock().unwrap().get(key).map(Arc::clone)
+    /// Retained versions of `key`, 0 if it was never written (test
+    /// introspection).
+    pub fn versions(&self, key: &K) -> usize {
+        let shard = self.shard(key).lock().expect("version shard poisoned");
+        shard.get(key).map_or(0, Slot::versions)
     }
 }
 
@@ -733,119 +771,94 @@ mod tests {
     }
 
     #[test]
-    fn chain_reads_the_newest_version_at_or_below_the_snapshot() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 8);
-        for (ts, v) in [(2u64, 20i64), (5, 50), (9, 90)] {
-            chain.install(ts, Some(v));
-        }
-        assert_eq!(chain.read_at(1), None, "before the first version");
-        assert_eq!(chain.read_at(2), Some(20));
-        assert_eq!(chain.read_at(4), Some(20));
-        assert_eq!(chain.read_at(5), Some(50));
-        assert_eq!(chain.read_at(100), Some(90));
-        chain.install(11, None); // tombstone: removed
-        assert_eq!(chain.read_at(10), Some(90));
-        assert_eq!(chain.read_at(11), None);
+    fn slot_reads_the_newest_version_at_or_below_the_snapshot() {
+        // Floor 0 throughout: nothing may be pruned.
+        let mut slot = Slot::new(2, Some(20i64));
+        slot.install(5, Some(50), 0);
+        slot.install(9, Some(90), 0);
+        assert_eq!(slot.read_at(1), None, "before the first version");
+        assert_eq!(slot.read_at(2), Some(&20));
+        assert_eq!(slot.read_at(4), Some(&20));
+        assert_eq!(slot.read_at(5), Some(&50));
+        assert_eq!(slot.read_at(100), Some(&90));
+        slot.install(11, None, 0); // tombstone: removed
+        assert_eq!(slot.read_at(10), Some(&90));
+        assert_eq!(slot.read_at(11), None);
+        assert_eq!(slot.versions(), 4);
     }
 
     #[test]
-    fn same_timestamp_install_is_last_write_wins() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 8);
-        chain.install(3, Some(1));
-        chain.install(3, Some(2));
-        assert_eq!(chain.len(), 1, "one version per commit timestamp");
-        assert_eq!(chain.read_at(3), Some(2));
+    fn out_of_order_installs_sort_in_and_a_same_timestamp_install_wins() {
+        let mut slot = Slot::new(7, Some(70));
+        slot.install(3, Some(30), 0);
+        slot.install(5, Some(50), 0);
+        assert_eq!(slot.read_at(4), Some(&30));
+        assert_eq!(slot.read_at(6), Some(&50));
+        assert_eq!(slot.read_at(8), Some(&70));
+        slot.install(7, Some(71), 0); // the newest version, rewritten
+        slot.install(3, Some(31), 0); // and one below it
+        assert_eq!(slot.versions(), 3, "one version per commit timestamp");
+        assert_eq!(slot.read_at(4), Some(&31));
+        assert_eq!(slot.read_at(8), Some(&71));
     }
 
     #[test]
-    fn out_of_order_installs_sort_by_timestamp() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 8);
-        chain.install(7, Some(70));
-        chain.install(3, Some(30));
-        chain.install(5, Some(50));
-        assert_eq!(chain.read_at(4), Some(30));
-        assert_eq!(chain.read_at(6), Some(50));
-        assert_eq!(chain.read_at(8), Some(70));
-    }
-
-    #[test]
-    fn gc_respects_the_bound_and_the_floor() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 2);
-        // No readers: the floor tracks stable. Keep stable at 0 so
-        // nothing can be pruned despite the bound.
-        for ts in 1..=5u64 {
-            chain.install(ts, Some(ts as i64));
+    fn every_install_prunes_to_the_newest_version_at_or_below_the_floor() {
+        let mut slot = Slot::new(1, Some(1));
+        for ts in 2..=5u64 {
+            assert_eq!(
+                slot.install(ts, Some(ts), 0),
+                0,
+                "floor 0 pins every version"
+            );
         }
-        assert_eq!(chain.len(), 5, "floor 0 pins every version");
-        // Advance stable past ts 4: versions 1..3 become reclaimable
-        // (4 is the newest ≤ floor, 5 is above it).
-        for _ in 0..4 {
-            let ts = d.clock.reserve();
-            d.clock.publish(ts);
-        }
-        assert_eq!(d.clock.stable(), 4);
-        chain.gc(d.gc_floor(), &mut |_| {});
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain.read_at(4), Some(4), "newest ≤ floor survives");
-        assert_eq!(chain.read_at(5), Some(5));
-    }
-
-    #[test]
-    fn gc_never_drops_a_version_a_registered_reader_can_see() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 1);
-        let t1 = d.clock.reserve();
-        chain.install(t1, Some(10));
-        d.clock.publish(t1);
-        let reader = d.begin_snapshot(); // pins t1
-        for v in [20i64, 30, 40] {
-            let ts = d.clock.reserve();
-            chain.install(ts, Some(v));
-            d.clock.publish(ts);
-        }
-        // Bound is 1 but the reader pins t1: the t1 version survives.
-        assert_eq!(chain.read_at(reader.ts()), Some(10));
-        drop(reader);
-        let mut reclaimed = 0;
-        chain.gc(d.gc_floor(), &mut |n| reclaimed += n);
-        assert_eq!(reclaimed, 3);
-        assert_eq!(chain.len(), 1);
+        assert_eq!(slot.versions(), 5);
+        // Floor 4: versions 1..3 go (4 is the newest ≤ floor, 5 and 6
+        // are above it).
+        assert_eq!(slot.install(6, Some(6), 4), 3);
+        assert_eq!(slot.versions(), 3);
+        assert_eq!(slot.read_at(4), Some(&4), "newest ≤ floor survives");
+        assert_eq!(slot.read_at(5), Some(&5));
+        // A floor at-or-above the newest version leaves only it.
+        assert_eq!(slot.install(6, Some(60), 6), 2);
+        assert_eq!(slot.versions(), 1);
+        assert_eq!(slot.read_at(9), Some(&60));
     }
 
     #[test]
     fn gc_drops_a_leading_tombstone() {
-        let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 1);
-        let t1 = d.clock.reserve();
-        chain.install(t1, None);
-        d.clock.publish(t1);
-        let t2 = d.clock.reserve();
-        chain.install(t2, Some(5));
-        d.clock.publish(t2);
-        // Floor = stable = t2; the newest ≤ floor is (t2, Some) so the
-        // tombstone below it goes — and had the chain been
-        // [tombstone] alone, the tombstone itself would go.
-        chain.gc(d.gc_floor(), &mut |_| {});
-        assert_eq!(chain.len(), 1);
-        let chain2 = VersionChain::<i64>::new(Arc::clone(&d), 1);
-        chain2.install(t1, None);
-        chain2.install(t2, None);
-        chain2.gc(d.gc_floor(), &mut |_| {});
-        assert_eq!(chain2.len(), 0, "all-tombstone prefix reads as absent");
-        assert_eq!(chain2.read_at(t2), None);
+        // [tombstone, value]: once the floor reaches the tombstone it
+        // reads like the empty prefix, so it goes.
+        let mut slot = Slot::new(1, None);
+        assert_eq!(slot.install(2, Some(5), 1), 1);
+        assert_eq!(slot.versions(), 1);
+        assert_eq!(slot.read_at(1), None);
+        // A tombstone that shadows an older value must stay until the
+        // floor passes it.
+        let mut slot = Slot::new(1, Some(5));
+        slot.install(2, None, 0);
+        assert_eq!(slot.install(3, Some(6), 1), 0);
+        assert_eq!(slot.read_at(2), None);
+        assert_eq!(slot.install(4, Some(7), 2), 2, "value and its tombstone");
+        assert_eq!(slot.read_at(2), None);
+        assert_eq!(slot.read_at(3), Some(&6));
+    }
+
+    #[test]
+    fn a_slot_is_two_inline_versions_and_no_wider() {
+        // What the footprint claim rests on: the `older` side adds one
+        // version's worth of bytes, not a `Vec` header on top.
+        use std::mem::size_of;
+        assert_eq!(size_of::<Slot<i64>>(), 2 * size_of::<Version<i64>>());
+        assert_eq!(size_of::<Slot<()>>(), 2 * size_of::<Version<()>>());
     }
 
     #[test]
     fn delta_chain_sums_deltas_at_or_below_the_snapshot() {
-        let d = domain();
-        let deltas = DeltaChain::new(Arc::clone(&d), 8);
-        deltas.install(2, 10);
-        deltas.install(5, -3);
-        deltas.install(9, 1);
+        let deltas = DeltaChain::new(domain());
+        deltas.install(2, 10, 0);
+        deltas.install(9, 1, 0);
+        deltas.install(5, -3, 0);
         assert_eq!(deltas.read_at(1), 0);
         assert_eq!(deltas.read_at(2), 10);
         assert_eq!(deltas.read_at(5), 7);
@@ -853,58 +866,48 @@ mod tests {
     }
 
     #[test]
-    fn delta_gc_folds_into_the_base_without_changing_reads() {
+    fn delta_installs_fold_into_the_base_without_changing_reads() {
         let d = domain();
-        let deltas = DeltaChain::new(Arc::clone(&d), 2);
-        for ts in 1..=6u64 {
-            let t = d.clock.reserve();
-            assert_eq!(t, ts);
-            deltas.install(t, 1);
-            d.clock.publish(t);
+        let deltas = DeltaChain::new(Arc::clone(&d));
+        for _ in 0..6 {
+            d.commit(|| deltas.install_current(1));
         }
-        // Installs already folded eagerly as stable advanced past the
-        // bound; a final explicit pass folds the rest.
-        let mut reclaimed = 0;
-        deltas.gc(d.gc_floor(), &mut |n| reclaimed += n);
-        let total = d.metrics.snapshot().gc_reclaimed + reclaimed;
-        assert!(total >= 4, "bound 2 forces folding, got {total}");
+        // Each install folds everything its floor (the previous
+        // commit) covers: only the last delta is still unfolded.
+        assert_eq!(d.metrics.snapshot().gc_reclaimed, 5);
         assert_eq!(deltas.read_at(d.clock.stable()), 6, "folding loses nothing");
     }
 
     #[test]
-    fn store_reads_route_through_per_key_chains() {
+    fn store_reads_route_through_per_key_slots() {
         let d = domain();
-        let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d), 8);
-        let ts = d.clock.reserve();
-        with_commit_ts(ts, || {
+        let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
+        d.commit(|| {
             store.install(7, Some(70));
             store.install(8, Some(80));
         });
-        d.clock.publish(ts);
         let s = d.clock.stable();
         assert_eq!(store.read_at(&7, s), Some(70));
         assert_eq!(store.read_at(&8, s), Some(80));
         assert_eq!(store.read_at(&9, s), None, "never-written key");
-        assert_eq!(store.read_at(&7, ts - 1), None, "before the commit");
+        assert_eq!(store.read_at(&7, s - 1), None, "before the commit");
+        assert_eq!((store.versions(&7), store.versions(&9)), (1, 0));
     }
 
     #[test]
     fn metrics_count_installs_reads_and_reclaims() {
         let d = domain();
-        let chain = VersionChain::new(Arc::clone(&d), 1);
+        let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
         for _ in 0..4 {
-            let ts = d.clock.reserve();
-            chain.install(ts, Some(1));
-            d.clock.publish(ts);
+            d.commit(|| store.install(0, Some(1)));
         }
-        chain.gc(d.gc_floor(), &mut |n| d.metrics.note_reclaimed(n));
-        let _ = chain.read_at(d.clock.stable());
+        let _ = store.read_at(&0, d.clock.stable());
         drop(d.begin_snapshot());
         let snap = d.metrics.snapshot();
         assert_eq!(snap.installs, 4);
-        assert!(snap.snapshot_reads >= 1);
-        assert!(snap.gc_reclaimed >= 3);
-        assert!(snap.chain_len.count() >= 4);
+        assert_eq!(snap.snapshot_reads, 1);
+        assert_eq!(snap.gc_reclaimed, 2, "installs 3 and 4 each drop one");
+        assert_eq!(snap.chain_len.count(), 4);
         assert_eq!(snap.snapshot_age.count(), 1);
     }
 
@@ -915,13 +918,11 @@ mod tests {
         // abstract locks a real boosted transaction holds across its
         // read-modify-write.
         let d = domain();
-        let store: Arc<VersionStore<u64, i64>> = Arc::new(VersionStore::new(Arc::clone(&d), 4));
-        let seed = d.clock.reserve();
-        with_commit_ts(seed, || {
+        let store: Arc<VersionStore<u64, i64>> = Arc::new(VersionStore::new(Arc::clone(&d)));
+        d.commit(|| {
             store.install(0, Some(100));
             store.install(1, Some(100));
         });
-        d.clock.publish(seed);
         let write_lock = Arc::new(Mutex::new(()));
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
@@ -934,17 +935,15 @@ mod tests {
                     let mut moved = 1i64;
                     while !stop.load(Ordering::Relaxed) {
                         let guard = write_lock.lock().unwrap();
-                        let ts = d.clock.reserve();
                         // A "transfer": both installs carry one ts, so
                         // they are atomic to any snapshot.
                         let s = d.clock.stable();
                         let a = store.read_at(&0, s).unwrap();
                         let b = store.read_at(&1, s).unwrap();
-                        with_commit_ts(ts, || {
+                        d.commit(|| {
                             store.install(0, Some(a - moved));
                             store.install(1, Some(b + moved));
                         });
-                        d.clock.publish(ts);
                         drop(guard);
                         moved = -moved;
                     }

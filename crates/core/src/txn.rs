@@ -187,7 +187,7 @@ pub struct Txn {
     version_log: RefCell<ActionLog<VERSION_INLINE>>,
     /// `Some` for read-only snapshot transactions: the registered
     /// reader guard pinning the GC floor at the snapshot timestamp.
-    snapshot: Option<crate::mvcc::SnapshotGuard>,
+    snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
     held_locks: RefCell<InlineVec<Arc<dyn HeldLock>, LOCKS_INLINE>>,
     /// Fast-path reacquire cache; see [`crate::locks::cache`].
     lock_cache: RefCell<LockCache>,
@@ -212,7 +212,7 @@ impl Txn {
     fn new(
         id: TxnId,
         lock_timeout: Duration,
-        snapshot: Option<crate::mvcc::SnapshotGuard>,
+        snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
     ) -> Self {
         Txn {
             id,
@@ -240,7 +240,7 @@ impl Txn {
 
     /// The snapshot timestamp a read-only transaction reads at
     /// (`None` for a normal read-write transaction). Boosted read
-    /// methods route through their version chains when this is set.
+    /// methods route through their version slots when this is set.
     pub fn snapshot_ts(&self) -> Option<u64> {
         self.snapshot.as_ref().map(crate::mvcc::SnapshotGuard::ts)
     }
@@ -333,7 +333,7 @@ impl Txn {
     /// Log a version install to run if this transaction commits. The
     /// closure typically calls [`crate::VersionStore::install`] (or
     /// [`crate::DeltaChain::install_current`]); it runs inside the
-    /// commit's `with_commit_ts` window — after the
+    /// commit's [`crate::MvccDomain::commit`] window — after the
     /// undo log is discarded, while abstract locks are still held —
     /// in the order logged. Discarded without running on abort.
     ///
@@ -527,15 +527,12 @@ impl Txn {
         // timestamp order extends the lock-serialization order, and a
         // conflicting writer cannot commit between our installs.
         if !self.version_log.borrow().is_empty() {
-            let domain = crate::mvcc::MvccDomain::global();
-            let ts = domain.clock.reserve();
             let installs = std::mem::take(&mut *self.version_log.borrow_mut());
-            crate::mvcc::with_commit_ts(ts, || {
+            crate::mvcc::MvccDomain::global().commit(|| {
                 for a in installs {
                     a.invoke();
                 }
             });
-            domain.clock.publish(ts);
         }
         self.release_locks();
         let actions = std::mem::take(&mut *self.on_commit.borrow_mut());
@@ -691,7 +688,7 @@ impl TxnManager {
 
     /// Begin a **read-only snapshot transaction**: it registers as a
     /// reader at the global [`crate::MvccDomain`]'s stable timestamp
-    /// and reads boosted objects from their version chains at that
+    /// and reads boosted objects from their version slots at that
     /// snapshot. It acquires no abstract locks, logs no inverses, and
     /// cannot abort on conflicts — mutating calls fail with
     /// [`AbortReason::ReadOnlyViolation`] instead. Most callers should

@@ -37,9 +37,10 @@ impl<K: Hash + Eq, V> StripedHashMap<K, V> {
         StripedHashMap::with_stripes(DEFAULT_STRIPES)
     }
 
-    /// A map with `stripes` partitions (rounded up to at least 1).
+    /// A map with `stripes` partitions (rounded up to the next power
+    /// of two, and to at least 1, so stripe selection is a bit mask).
     pub fn with_stripes(stripes: usize) -> Self {
-        let n = stripes.max(1);
+        let n = stripes.max(1).next_power_of_two();
         let stripes = (0..n)
             .map(|_| RwLock::new(HashMap::with_hasher(RandomState::new())))
             .collect::<Vec<_>>()
@@ -53,7 +54,8 @@ impl<K: Hash + Eq, V> StripedHashMap<K, V> {
 
 impl<K: Hash + Eq, V, S: BuildHasher> StripedHashMap<K, V, S> {
     fn stripe(&self, key: &K) -> &RwLock<HashMap<K, V, S>> {
-        let idx = (self.hasher.hash_one(key) as usize) % self.stripes.len();
+        // `with_stripes` made the count a power of two.
+        let idx = (self.hasher.hash_one(key) as usize) & (self.stripes.len() - 1);
         &self.stripes[idx]
     }
 
@@ -197,7 +199,8 @@ mod tests {
 
     #[test]
     fn len_and_for_each_cover_all_stripes() {
-        let m = StripedHashMap::with_stripes(4);
+        // 3 rounds up to 4: every key must still land on a stripe.
+        let m = StripedHashMap::with_stripes(3);
         for i in 0..100 {
             m.insert(i, i * 10);
         }

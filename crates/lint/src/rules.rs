@@ -239,11 +239,15 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         &["WalRecoveryStep"],
     ),
     // The multi-version read path: replay determinism requires every
-    // chain operation (version + delta chains alike — the names are
-    // shared deliberately) to yield exactly once, unconditionally.
-    ("crates/core/src/mvcc.rs", "install", &["VersionInstall"]),
+    // store operation (version store + delta chain alike — the names
+    // are shared deliberately) to yield unconditionally. GC runs
+    // inside the install, so the install sites owe both hooks.
+    (
+        "crates/core/src/mvcc.rs",
+        "install",
+        &["VersionInstall", "VersionGc"],
+    ),
     ("crates/core/src/mvcc.rs", "read_at", &["SnapshotRead"]),
-    ("crates/core/src/mvcc.rs", "gc", &["VersionGc"]),
     // The event-driven I/O plane: the readiness tick, the commit
     // batcher's seal, and the reply flush are the three points a det
     // schedule needs to interleave server loops.

@@ -1,24 +1,18 @@
-//! Violates yield-point-coverage: `install` lost its deterministic
-//! hook, and `read_at` (a registered site) is missing entirely.
+//! Violates yield-point-coverage: `install` kept its install hook but
+//! lost the `VersionGc` one its folded-in GC owes, and `read_at` (a
+//! registered site) is missing entirely.
 
-pub struct VersionChain {
-    versions: Mutex<Vec<(u64, Option<u64>)>>,
+pub struct VersionStore {
+    slots: Mutex<Vec<(u64, Option<u64>)>>,
 }
 
-impl VersionChain {
-    pub fn install(&self, ts: u64, value: Option<u64>) {
-        if let Ok(mut versions) = self.versions.lock() {
-            versions.push((ts, value));
-        }
-        self.gc(ts, &mut |_| {});
-    }
-
-    pub fn gc(&self, floor: u64, on_reclaim: &mut dyn FnMut(u64)) {
-        det::yield_point(det::Point::VersionGc);
-        if let Ok(mut versions) = self.versions.lock() {
-            let cut = versions.partition_point(|&(t, _)| t < floor);
-            versions.drain(..cut);
-            on_reclaim(cut as u64);
+impl VersionStore {
+    pub fn install(&self, value: Option<u64>, ts: u64) {
+        det::yield_point(det::Point::VersionInstall);
+        if let Ok(mut slots) = self.slots.lock() {
+            slots.push((ts, value));
+            let cut = slots.partition_point(|&(t, _)| t < ts);
+            slots.drain(..cut);
         }
     }
 }

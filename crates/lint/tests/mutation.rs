@@ -105,7 +105,7 @@ fn deleting_the_mvcc_yield_hooks_trips_yield_point_coverage() {
     let src = clean_fixture(rel);
     assert_eq!(lint_source(rel, &src).unsuppressed().count(), 0);
 
-    // Each chain method is a registered site: deleting any one of its
+    // Each store method is a registered site: deleting any one of its
     // hooks must fire (the rule is per-row, not per-file).
     for marker in ["VersionInstall", "SnapshotRead", "VersionGc"] {
         let mutated = strip_lines(&src, |l| l.contains(marker));
@@ -123,8 +123,8 @@ fn adding_a_panic_to_the_version_install_closure_is_caught() {
     let rel = "crates/core/src/mvcc.rs";
     let src = clean_fixture(rel);
     let mutated = src.replace(
-        "chain.install(ts, None);",
-        "chain.install(ts, None).unwrap();",
+        "store.install(None, ts);",
+        "store.install(None, ts).unwrap();",
     );
     assert_ne!(src, mutated, "fixture lost its version-install closure");
     let report = lint_source(rel, &mutated);

@@ -36,10 +36,24 @@
 //! and executed *before* any non-batchable request runs. A
 //! connection's pipelined requests therefore execute — and reply — in
 //! program order, batched or not.
+//!
+//! ## One durability wait per tick
+//!
+//! The tick is also the unit of acknowledgement: no reply leaves before
+//! the tick has been executed in full. So under a WAL no transaction of
+//! the tick blocks on its own commit record; each leaves its
+//! group-commit ticket behind, and [`Batcher::run_tick`] waits for all
+//! of them once, after the last request. The records of a tick thereby
+//! share fsyncs (the flusher seals whatever queued up while the
+//! previous fsync ran) instead of the loop thread sleeping through one
+//! fsync per record, and *ack-after-durable* is unchanged: `run_tick`
+//! returns — and only then are replies flushed — once every record of
+//! the tick is durable.
 
-use crate::exec::{Executor, ScriptOutcome};
+use crate::exec::{deal_out, Executor, ScriptOutcome};
 #[cfg(feature = "deterministic")]
 use txboost_core::det;
+use txboost_wal::Ticket;
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 
 /// Commit-batching knobs.
@@ -126,11 +140,18 @@ impl Batcher {
     ///
     /// Eligible `Script` requests are coalesced (up to
     /// [`BatchConfig::max_scripts`] scripts / [`MAX_OPS_PER_SCRIPT`]
-    /// total ops) and executed jointly; every other request is handed
-    /// to `other`, which computes its reply. All replies flow through
+    /// total ops) and executed jointly, every other `Script` runs as
+    /// its own transaction, and any other request is handed to
+    /// `other`, which computes its reply. All replies flow through
     /// `emit(token, response)` in arrival order — per-connection FIFO
     /// is the caller's invariant to keep, and it follows directly from
     /// emission order here.
+    ///
+    /// A reply is emitted when its transaction has committed, which
+    /// under a WAL is before the commit record is durable; the records
+    /// of the whole tick are awaited once, before this returns. The
+    /// caller must not let an emitted reply out before then (the event
+    /// loop flushes after the tick).
     pub fn run_tick<T: Copy>(
         &self,
         exec: &Executor,
@@ -142,6 +163,7 @@ impl Batcher {
             replies: Vec::new(),
             scripts: Vec::new(),
             ops: 0,
+            tickets: Vec::new(),
         };
         for (token, req) in requests {
             match req {
@@ -160,12 +182,23 @@ impl Batcher {
                     // scripts must commit before a later non-batchable
                     // request of the same connection executes.
                     run.seal(exec, &mut emit);
-                    let resp = other(req);
+                    let resp = match req {
+                        Request::Script { req_id, ops } => {
+                            let out = exec.run_deferred(&[ops], &mut run.tickets);
+                            script_response(req_id, out)
+                        }
+                        req => other(req),
+                    };
                     emit(token, resp);
                 }
             }
         }
         run.seal(exec, &mut emit);
+        // Tickets complete in log order, so after the first sleep the
+        // rest are mostly done already.
+        for ticket in run.tickets {
+            ticket.wait();
+        }
     }
 }
 
@@ -179,6 +212,9 @@ struct Run<T> {
     /// Ops across `scripts` (one WAL record holds at most
     /// [`MAX_OPS_PER_SCRIPT`]).
     ops: usize,
+    /// Group-commit tickets of the tick's commits so far, batched or
+    /// not; awaited together at the end of the tick.
+    tickets: Vec<Ticket>,
 }
 
 impl<T: Copy> Run<T> {
@@ -190,7 +226,8 @@ impl<T: Copy> Run<T> {
         }
         seal_det();
         let replies = self.replies.drain(..);
-        match exec.execute_batch(&self.scripts) {
+        let joint = exec.run_deferred(&self.scripts, &mut self.tickets);
+        match deal_out(joint, &self.scripts) {
             Some(outcomes) => {
                 for ((token, req_id), out) in replies.zip(outcomes) {
                     emit(token, script_response(req_id, out));
@@ -201,7 +238,8 @@ impl<T: Copy> Run<T> {
                 // cross-loop lock-order collision). Each script now
                 // retries on its own, so no client observes the merge.
                 for ((token, req_id), ops) in replies.zip(&self.scripts) {
-                    emit(token, script_response(req_id, exec.execute(ops)));
+                    let out = exec.run_deferred(&[ops], &mut self.tickets);
+                    emit(token, script_response(req_id, out));
                 }
             }
         }
@@ -318,6 +356,67 @@ mod tests {
         assert!(e
             .stats_json()
             .contains("\"batch\":{\"batches\":1,\"scripts\":2"));
+    }
+
+    #[test]
+    fn a_tick_waits_once_for_all_its_commit_records() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use txboost_wal::{GroupCommitWal, SimStorage, Storage, WalConfig};
+
+        // A WAL nobody flushes yet: no record becomes durable until the
+        // test pumps it by hand.
+        let e = Arc::new(exec());
+        let wal = GroupCommitWal::new(
+            Arc::new(SimStorage::new(0)) as Arc<dyn Storage>,
+            &WalConfig::default(),
+            1,
+            Arc::new(txboost_core::DurabilityMetrics::new()),
+        );
+        let wal = Arc::new(wal.unwrap());
+        e.attach_wal(Arc::clone(&wal));
+        // Three commit records: a joint run of two, then two scripts
+        // the batcher runs on their own (guarded; two objects).
+        let scripts = vec![
+            add("c", 1),
+            add("c", 2),
+            script()
+                .map_insert_guarded("m", 1, 1, Guard::ExpectNone)
+                .build(),
+            script().counter_add("a", 1).counter_add("b", 1).build(),
+        ];
+        let emitted = Arc::new(AtomicUsize::new(0));
+        let tick = std::thread::spawn({
+            let (e, emitted) = (Arc::clone(&e), Arc::clone(&emitted));
+            move || {
+                let reqs = scripts.into_iter().enumerate();
+                let reqs = reqs.map(|(i, ops)| {
+                    let req_id = i as u64;
+                    (i, Request::Script { req_id, ops })
+                });
+                Batcher::new(BatchConfig::default()).run_tick(
+                    &e,
+                    reqs.collect(),
+                    |_| Response::Pong { req_id: 0 },
+                    |_, _| {
+                        emitted.fetch_add(1, Ordering::SeqCst);
+                    },
+                );
+            }
+        });
+        // A transaction that slept on its own record would stall the
+        // tick at the first one; all four scripts execute instead.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while emitted.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(emitted.load(Ordering::SeqCst), 4, "the tick stalled");
+        assert_eq!(wal.next_lsn(), 4);
+        assert!(!tick.is_finished(), "run_tick returned before durability");
+        while wal.flush_once() {}
+        tick.join().unwrap();
+        let durable = wal.metrics().snapshot();
+        assert_eq!((durable.records, durable.batches), (3, 1), "one fsync");
     }
 
     #[test]

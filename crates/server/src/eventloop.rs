@@ -18,7 +18,9 @@
 //! 4. execute the tick's requests through the commit [`Batcher`]
 //!    (same-tick single-object scripts coalesce into one joint
 //!    transaction), appending replies to per-connection write buffers
-//!    in arrival order — per-connection FIFO falls out;
+//!    in arrival order — per-connection FIFO falls out; under a WAL
+//!    the batcher returns once every commit record of the tick is
+//!    durable (one wait per tick, not one per record);
 //! 5. flush write buffers until `EAGAIN`, arming `EPOLLOUT` interest
 //!    for whatever remains.
 //!
@@ -295,6 +297,8 @@ fn event_loop(
                 &shared.exec,
                 requests,
                 |req| match req {
+                    // `run_tick` runs every mutating script itself,
+                    // batched or not; this arm keeps the match total.
                     Request::Script { req_id, ops } => {
                         script_response(req_id, shared.exec.execute(&ops))
                     }

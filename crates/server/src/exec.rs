@@ -40,8 +40,29 @@ pub struct ScriptOutcome {
     /// reply: `Some(true)` for a WAL-logged commit whose fsync batch
     /// completed, `Some(false)` if the WAL hit an I/O error (the
     /// in-memory commit stands), `None` when no record was logged
-    /// (WAL off, read-only script, or not committed).
+    /// (WAL off, read-only script, or not committed) or the wait was
+    /// deferred to the end of the poll tick.
     pub wal_durable: Option<bool>,
+}
+
+/// Deal a joint run's concatenated results back out, script by script
+/// (`None`: a joint transaction of two or more scripts failed).
+pub(crate) fn deal_out(
+    joint: ScriptOutcome,
+    scripts: &[Vec<ScriptOp>],
+) -> Option<Vec<ScriptOutcome>> {
+    if scripts.len() > 1 && joint.status != ScriptStatus::Committed {
+        return None;
+    }
+    let mut results = joint.results.into_iter();
+    let outcomes = scripts.iter().map(|ops| ScriptOutcome {
+        status: joint.status,
+        attempts: joint.attempts,
+        failed_op: joint.failed_op,
+        results: results.by_ref().take(ops.len()).collect(),
+        wal_durable: joint.wal_durable,
+    });
+    Some(outcomes.collect())
 }
 
 /// Connection-level counters, shared between the event loops and the
@@ -160,7 +181,24 @@ impl Executor {
     /// Run `ops` as one boosted transaction. Never panics on behalf of
     /// the script: every abort path is mapped to a [`ScriptStatus`].
     pub fn execute(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Locked, &[ops])
+        self.run(Mode::Locked, &[ops], None)
+    }
+
+    /// [`execute`](Self::execute) / [`execute_batch`](Self::execute_batch)
+    /// for a caller that acknowledges a whole poll tick at once: run
+    /// `scripts` as one transaction, but instead of blocking until the
+    /// commit record is durable, push its [`Ticket`] onto `tickets`
+    /// (`wal_durable` stays `None`). The caller must wait for every
+    /// ticket before a reply of the tick leaves the process; in
+    /// exchange the tick's records share fsyncs instead of paying one
+    /// each (see [`crate::Batcher::run_tick`]). Returns the joint
+    /// outcome; [`deal_out`] splits it per script.
+    pub(crate) fn run_deferred<S: AsRef<[ScriptOp]>>(
+        &self,
+        scripts: &[S],
+        tickets: &mut Vec<Ticket>,
+    ) -> ScriptOutcome {
+        self.run(Mode::Locked, scripts, Some(tickets))
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
@@ -169,7 +207,7 @@ impl Executor {
     /// back off from. Mutating ops (and `DebugAbort`) are rejected with
     /// [`ScriptStatus::ReadOnlyViolation`] before touching any object.
     pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Snapshot, &[ops])
+        self.run(Mode::Snapshot, &[ops], None)
     }
 
     /// Run several scripts as **one** joint boosted transaction — the
@@ -188,20 +226,7 @@ impl Executor {
     /// is that script's own transaction: its outcome is returned
     /// whatever the status, and must not be re-run.
     pub fn execute_batch(&self, scripts: &[Vec<ScriptOp>]) -> Option<Vec<ScriptOutcome>> {
-        let joint = self.run(Mode::Locked, scripts);
-        if scripts.len() > 1 && joint.status != ScriptStatus::Committed {
-            return None;
-        }
-        // Deal the concatenated results back out, script by script.
-        let mut results = joint.results.into_iter();
-        let outcomes = scripts.iter().map(|ops| ScriptOutcome {
-            status: joint.status,
-            attempts: joint.attempts,
-            failed_op: joint.failed_op,
-            results: results.by_ref().take(ops.len()).collect(),
-            wal_durable: joint.wal_durable,
-        });
-        Some(outcomes.collect())
+        deal_out(self.run(Mode::Locked, scripts, None), scripts)
     }
 
     /// The one op loop: run `scripts` back to back as a single
@@ -212,8 +237,14 @@ impl Executor {
     /// Per-op service times use **chained stamps**: one clock read per
     /// op boundary, each op's sample being the gap to the previous
     /// stamp. Every script of the run gets an equal share of the whole
-    /// run (commit and WAL wait included) as its service time.
-    fn run<S: AsRef<[ScriptOp]>>(&self, mode: Mode, scripts: &[S]) -> ScriptOutcome {
+    /// run as its service time: commit included, and the WAL wait too
+    /// unless it is `deferred` to the caller.
+    fn run<S: AsRef<[ScriptOp]>>(
+        &self,
+        mode: Mode,
+        scripts: &[S],
+        deferred: Option<&mut Vec<Ticket>>,
+    ) -> ScriptOutcome {
         let t0 = Instant::now();
         let n = scripts.len();
         let mut attempts: u32 = 0;
@@ -298,9 +329,17 @@ impl Executor {
         if status != ScriptStatus::Committed {
             results.clear();
         }
-        // Group commit: block until the record's fsync batch is
-        // durable, so the client's acknowledgement implies durability.
-        let wal_durable = ticket.take().map(|ticket| ticket.wait());
+        // Group commit: the client's acknowledgement must imply
+        // durability. Block until the record's fsync batch is durable —
+        // or hand the ticket to a caller that holds every reply of its
+        // tick back until all of the tick's tickets are.
+        let wal_durable = match (ticket.take(), deferred) {
+            (Some(ticket), Some(tickets)) => {
+                tickets.push(ticket);
+                None
+            }
+            (ticket, _) => ticket.map(|ticket| ticket.wait()),
+        };
         if n > 1 && status != ScriptStatus::Committed {
             // The caller re-runs each script on its own; those runs do
             // the per-script accounting.

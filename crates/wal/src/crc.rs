@@ -23,43 +23,14 @@ const fn make_table() -> [u32; 256] {
 
 static TABLE: [u32; 256] = make_table();
 
-/// Streaming CRC-32 state, for checksumming a record without first
-/// materializing its payload in one buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// Fresh state (all-ones preset, per the IEEE definition).
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Fold `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// Finish and return the checksum.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC-32 of `bytes`.
+/// CRC-32 of `bytes` (all-ones preset and final inversion, per the
+/// IEEE definition).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
+    let mut c = 0xFFFF_FFFF_u32;
+    for &b in bytes {
+        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -71,17 +42,6 @@ mod tests {
         // The canonical check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in 0..data.len() {
-            let mut c = Crc32::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finish(), crc32(data));
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use parking_lot::{Condvar, Mutex};
 use txboost_core::DurabilityMetrics;
 use txboost_wire::ScriptOp;
 
-use crate::record::frame_record;
+use crate::record::{seal_record, RECORD_PREFIX_LEN};
 use crate::storage::Storage;
 use crate::writer::Wal;
 
@@ -181,8 +181,12 @@ impl GroupCommitWal {
     /// the locks guarantee it matches the serialization order. Await
     /// the ticket *after* commit, with the locks released.
     pub fn enqueue(&self, ops: &[ScriptOp]) -> Ticket {
-        let mut ops_bytes = Vec::new();
-        txboost_wire::encode_ops(&mut ops_bytes, ops);
+        // One buffer per record: the ops are encoded straight into the
+        // frame, behind the bytes the LSN assigned below seals. Sized
+        // so a script of a few ops never regrows it.
+        let mut frame = Vec::with_capacity(128);
+        frame.resize(RECORD_PREFIX_LEN, 0);
+        txboost_wire::encode_ops(&mut frame, ops);
         let ticket = Ticket::new();
         let mut q = self.queue.lock();
         if q.stopped {
@@ -192,7 +196,7 @@ impl GroupCommitWal {
         }
         let lsn = q.next_lsn;
         q.next_lsn += 1;
-        let frame = frame_record(lsn, &ops_bytes);
+        seal_record(&mut frame, lsn);
         q.pending.push_back(Pending {
             lsn,
             frame,

@@ -12,7 +12,7 @@
 //! or bit-flipped record — length field, checksum, LSN, or op bytes —
 //! is always detected. `len` counts payload bytes only.
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::crc32;
 use txboost_wire::ScriptOp;
 
 /// First bytes of every segment file.
@@ -48,20 +48,31 @@ pub fn parse_segment_header(buf: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(lsn_bytes))
 }
 
-/// Frame one commit record: `lsn` plus the already-encoded op bytes
-/// (`txboost_wire::encode_ops` output).
-pub fn frame_record(lsn: u64, ops_bytes: &[u8]) -> Vec<u8> {
-    let len = 8 + ops_bytes.len();
-    debug_assert!(len <= MAX_PAYLOAD_LEN);
-    let mut crc = Crc32::new();
-    crc.update(&lsn.to_le_bytes());
-    crc.update(ops_bytes);
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + len);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(ops_bytes);
-    out
+/// Bytes a record frame holds before its op bytes: the frame header
+/// plus the LSN. A frame is built in one buffer — these bytes reserved,
+/// the ops encoded in place after them, then [`seal_record`].
+pub const RECORD_PREFIX_LEN: usize = RECORD_HEADER_LEN + 8;
+
+/// Finish a frame whose op bytes (`txboost_wire::encode_ops` output)
+/// already follow [`RECORD_PREFIX_LEN`] reserved bytes: write the LSN,
+/// then the payload length and the CRC of the payload as written.
+pub fn seal_record(frame: &mut [u8], lsn: u64) {
+    let len = frame.len() - RECORD_HEADER_LEN;
+    debug_assert!((8..=MAX_PAYLOAD_LEN).contains(&len));
+    frame[RECORD_HEADER_LEN..RECORD_PREFIX_LEN].copy_from_slice(&lsn.to_le_bytes());
+    let crc = crc32(&frame[RECORD_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A sealed frame around raw `ops_bytes` (tests frame payloads that
+/// are not op lists).
+#[cfg(test)]
+pub(crate) fn frame_record(lsn: u64, ops_bytes: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0; RECORD_PREFIX_LEN];
+    frame.extend_from_slice(ops_bytes);
+    seal_record(&mut frame, lsn);
+    frame
 }
 
 /// Outcome of parsing the bytes at one record boundary.

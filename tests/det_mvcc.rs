@@ -3,8 +3,8 @@
 //!
 //! Three behaviours are swept across seeds, plus one *mutation check*:
 //! with the reader-registry GC floor deliberately disabled (via a
-//! test-only hook on `MvccDomain`), chain GC must prune a version a
-//! registered snapshot reader is still pinning, and the sweep must
+//! test-only hook on `MvccDomain`), install-time GC must prune a version
+//! a registered snapshot reader is still pinning, and the sweep must
 //! observe the resulting torn read — evidence these tests have teeth.
 //!
 //! Every boosted collection shares the process-global `MvccDomain`, so
@@ -171,10 +171,9 @@ fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
     );
 }
 
-/// One writer commits `PUTS` versions of a single key — enough to blow
-/// well past `DEFAULT_CHAIN_BOUND` — while a reader pins a snapshot
-/// from before the churn. Returns how many runs saw the reader's
-/// second read disagree with its first.
+/// One writer commits `PUTS` versions of a single key while a reader
+/// pins a snapshot from before the churn. Returns how many runs saw
+/// the reader's second read disagree with its first.
 fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>) -> u64 {
     const PUTS: i64 = 14;
     struct W {
@@ -200,9 +199,10 @@ fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>) -> u64 {
                 w.tm.run(|t| w.map.put(t, 0, -1).map(|_| ())).unwrap();
                 w.seeded.store(true, Ordering::SeqCst);
                 spin_until(&w.pinned);
-                // Each commit appends one version; with the chain
-                // bounded at DEFAULT_CHAIN_BOUND (8) this forces GC on
-                // every later install.
+                // Each commit installs one version and prunes by its
+                // floor, so GC is exercised on every one of them: the
+                // pinned version must outlive all `PUTS` prunes, and
+                // under the mutation the second one already drops it.
                 for i in 0..PUTS {
                     w.tm.run(|t| w.map.put(t, 0, i).map(|_| ())).unwrap();
                 }
@@ -234,7 +234,7 @@ fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>) -> u64 {
 fn pinned_snapshots_survive_chain_gc_on_every_seed() {
     // With the reader registry honoured, GC must never reclaim the
     // version a registered snapshot still reads: the reader's two
-    // reads agree on every seed even though the chain was pruned
+    // reads agree on every seed even though the slot was pruned
     // around its pin.
     let _g = domain_guard();
     let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60));

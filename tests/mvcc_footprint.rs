@@ -1,0 +1,219 @@
+//! Heap footprint of the multi-version side-table, measured with this
+//! binary's own counting allocator (live bytes, live blocks, and
+//! allocation calls, all per thread so parallel tests cannot disturb
+//! each other).
+//!
+//! The claims under test are the ones the inline-slot layout exists
+//! for: a version store costs a bounded number of bytes per key and no
+//! heap block per key; with no reader pinning history it does not grow
+//! however often keys are rewritten; steady-state installs and
+//! snapshot lookups allocate nothing; and the history a pinned reader
+//! does force onto the heap is given back by the first install after
+//! its guard drops.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use transactional_boosting::core::{MvccDomain, VersionStore};
+use transactional_boosting::prelude::*;
+
+thread_local! {
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Add to this thread's counters. `try_with`: the allocator also runs
+/// while a thread's locals are being torn down.
+fn count(bytes: isize, blocks: isize, calls: u64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+    let _ = LIVE_BLOCKS.try_with(|c| c.set(c.get() + blocks));
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + calls));
+}
+
+/// A pass-through allocator that keeps the counters above.
+struct CountingAlloc;
+
+// SAFETY: every method forwards verbatim to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are plain thread-local cells
+// with no effect on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: inherits `GlobalAlloc::alloc`'s contract verbatim.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize, 1, 1);
+        // SAFETY: same layout contract as our own caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: inherits `GlobalAlloc::alloc_zeroed`'s contract verbatim.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize, 1, 1);
+        // SAFETY: same layout contract as our own caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: inherits `GlobalAlloc::dealloc`'s contract verbatim.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize), -1, 0);
+        // SAFETY: `ptr`/`layout` come from a successful alloc above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: inherits `GlobalAlloc::realloc`'s contract verbatim.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize, 0, 1);
+        // SAFETY: `ptr`/`layout` come from a successful alloc above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// This thread's heap counters at one instant.
+struct Heap {
+    bytes: isize,
+    blocks: isize,
+    calls: u64,
+}
+
+impl Heap {
+    fn now() -> Heap {
+        Heap {
+            bytes: LIVE_BYTES.get(),
+            blocks: LIVE_BLOCKS.get(),
+            calls: ALLOC_CALLS.get(),
+        }
+    }
+}
+
+/// One commit on a private domain: every write at one timestamp.
+fn commit(domain: &MvccDomain, store: &VersionStore<i64, i64>, writes: &[(i64, Option<i64>)]) {
+    domain.commit(|| {
+        for &(key, value) in writes {
+            store.install(key, value);
+        }
+    });
+}
+
+#[test]
+fn an_unpinned_store_is_flat_blockless_and_allocation_free() {
+    const KEYS: i64 = 65_536;
+    const FLIPS: i64 = 100_000;
+    let domain = Arc::new(MvccDomain::new());
+    // Which twin of pair `p` (keys 2p, 2p+1) holds the binding; sized
+    // before the first reading so it is in none of the deltas.
+    let mut even_holds = vec![false; (KEYS / 2) as usize];
+    // Likewise the clock's pending list: the domain's, not the store's.
+    domain.clock.publish(domain.clock.reserve());
+
+    let empty = Heap::now();
+    let store = VersionStore::new(Arc::clone(&domain));
+    for key in 0..KEYS {
+        commit(&domain, &store, &[(key, Some(key))]);
+    }
+    for key in (0..KEYS).step_by(2) {
+        commit(&domain, &store, &[(key, None)]);
+    }
+    let sized = Heap::now();
+    let per_key = (sized.bytes - empty.bytes) / KEYS as isize;
+    assert!(per_key <= 128, "{per_key} version-store bytes per key");
+    // The shard array plus at most one table per shard: a constant,
+    // whatever the key count — no key owns a heap block.
+    let blocks = sized.blocks - empty.blocks;
+    assert!(blocks <= 1 + 64, "{blocks} live blocks for {KEYS} keys");
+
+    // Flip bindings between twins (a tombstone and a value per
+    // commit), revisiting every pair several times.
+    let started = std::time::Instant::now();
+    for i in 0..FLIPS {
+        let pair = (i * 7919) % (KEYS / 2);
+        let held = &mut even_holds[pair as usize];
+        let (from, to) = if *held {
+            (2 * pair, 2 * pair + 1)
+        } else {
+            (2 * pair + 1, 2 * pair)
+        };
+        *held = !*held;
+        commit(&domain, &store, &[(from, None), (to, Some(i))]);
+    }
+    let ns_per_flip = started.elapsed().as_nanos() / FLIPS as u128;
+    let flipped = Heap::now();
+    // Printed only now: capturing output allocates.
+    println!("{KEYS} keys: {per_key} B/key in {blocks} heap blocks");
+    println!(
+        "{FLIPS} flips: {ns_per_flip} ns/flip, {} allocations, {} B net growth",
+        flipped.calls - sized.calls,
+        flipped.bytes - sized.bytes
+    );
+    assert_eq!(
+        flipped.calls - sized.calls,
+        0,
+        "allocations over {FLIPS} flips"
+    );
+    assert_eq!(
+        flipped.bytes - sized.bytes,
+        0,
+        "net growth over {FLIPS} flips"
+    );
+    assert!((0..KEYS).all(|key| store.versions(&key) <= 2));
+    let snap = domain.metrics.snapshot();
+    assert_eq!(snap.installs, (KEYS + KEYS / 2 + 2 * FLIPS) as u64);
+}
+
+#[test]
+fn a_four_lookup_snapshot_script_allocates_nothing() {
+    let tm = TxnManager::default();
+    let map = BoostedHashMap::<i64, i64>::new();
+    for key in 0..1024 {
+        tm.run(|t| map.put(t, key, key)).unwrap();
+    }
+    let scan = |i: i64| {
+        tm.run_read_only(|t| {
+            let mut sum = 0;
+            for k in 0..4 {
+                sum += map.get(t, &((i * 4 + k) % 2048))?.unwrap_or(0);
+            }
+            Ok(sum)
+        })
+        .unwrap()
+    };
+    scan(0); // one-time lazy state (the reader registry's first slot)
+    let before = Heap::now();
+    let total: i64 = (0..10_000).map(scan).sum();
+    assert_eq!(
+        Heap::now().calls - before.calls,
+        0,
+        "allocations in 10k scans"
+    );
+    assert!(total > 0);
+}
+
+#[test]
+fn history_spills_while_a_reader_pins_it_and_collapses_after() {
+    let domain = Arc::new(MvccDomain::new());
+    let store = VersionStore::new(Arc::clone(&domain));
+    commit(&domain, &store, &[(0, Some(0))]);
+    drop(domain.begin_snapshot()); // warm the registry's first slot
+    let unpinned = Heap::now();
+
+    let reader = domain.begin_snapshot();
+    for v in 1..=50 {
+        commit(&domain, &store, &[(0, Some(v))]);
+    }
+    assert_eq!(
+        store.versions(&0),
+        51,
+        "every version since the pin is kept"
+    );
+    assert!(
+        Heap::now().bytes > unpinned.bytes,
+        "pinned history lives on the heap"
+    );
+    assert_eq!(store.read_at(&0, reader.ts()), Some(0));
+
+    drop(reader);
+    commit(&domain, &store, &[(0, Some(99))]);
+    assert_eq!(store.versions(&0), 2, "first install after the drop prunes");
+    assert_eq!(Heap::now().bytes, unpinned.bytes, "and frees the spill");
+}

@@ -12,14 +12,15 @@
 //!   offer/take sequences;
 //! * the Section 5 checkers agree with a brute-force oracle on small
 //!   randomly generated histories;
-//! * bounded version chains (and the counter's delta chains) never GC
-//!   a version a registered snapshot reader can still read, whatever
-//!   the install/register/deregister interleaving.
+//! * version slots (and the counter's delta chains) never GC a version
+//!   a registered snapshot reader can still read, whatever the
+//!   install/register/deregister interleaving, and never keep more
+//!   than one version at-or-below the GC floor.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use transactional_boosting::core::{DeltaChain, MvccDomain, SnapshotGuard, VersionChain};
+use transactional_boosting::core::{DeltaChain, MvccDomain, Slot, SnapshotGuard};
 use transactional_boosting::model::spec::SetOp;
 use transactional_boosting::model::{check_commit_order_serializable, SetSpec, TxnLabel};
 use transactional_boosting::prelude::*;
@@ -224,108 +225,129 @@ proptest! {
         prop_assert_eq!(checker_ok, oracle_ok);
     }
 
-    /// GC on a bounded version chain must never reclaim a version a
-    /// registered reader can still read: after every step of an
-    /// arbitrary install / tombstone / register / deregister script,
-    /// each live reader's `read_at` still answers exactly what was
-    /// newest at its registration. With no readers pinned, the chain
-    /// must also actually shrink back toward its bound.
+    /// Eager floor-driven pruning must never reclaim a version a
+    /// registered reader can still read: after every install of an
+    /// arbitrary script — values, tombstones, out-of-order pairs,
+    /// same-timestamp rewrites, register, deregister — each live
+    /// reader's `read_at` still answers exactly what the GC-free log
+    /// held at its registration. And pruning must actually happen: at
+    /// most one version at-or-below the floor survives an install, so
+    /// with no reader registered a slot never holds more than two.
     #[test]
-    fn bounded_chains_never_drop_a_reader_visible_version(
-        bound in 1..6usize,
-        script in proptest::collection::vec((0..4u8, 0..100i32), 1..80),
+    fn slots_never_drop_a_reader_visible_version(
+        script in proptest::collection::vec((0..6u8, 0..100i32), 1..80),
     ) {
-        let domain = Arc::new(MvccDomain::new());
-        let chain = VersionChain::new(Arc::clone(&domain), bound);
-        // Every committed (ts, value) in order — the GC-free oracle.
-        let mut log: Vec<(u64, Option<i32>)> = Vec::new();
+        let domain = MvccDomain::new();
+        let mut slot: Option<Slot<i32>> = None;
+        // Every committed version, never pruned — the oracle. A map,
+        // so a same-timestamp rewrite is last-write-wins here too.
+        let mut log: BTreeMap<u64, Option<i32>> = BTreeMap::new();
         let mut readers: Vec<(SnapshotGuard, Option<i32>)> = Vec::new();
         for (op, v) in script {
-            match op {
-                0 | 1 => {
-                    // Commit protocol order: reserve, install, publish.
-                    let ts = domain.clock.reserve();
-                    let val = (op == 0).then_some(v);
-                    chain.install(ts, val);
-                    domain.clock.publish(ts);
-                    log.push((ts, val));
-                    if readers.is_empty() {
-                        prop_assert!(
-                            chain.len() <= bound.max(2),
-                            "unpinned chain failed to shrink: len {} bound {}",
-                            chain.len(), bound
-                        );
-                    }
-                }
-                2 => {
+            // Commit protocol order: floor, reserve, install, publish.
+            // Each entry installs `val` at the `nth` reserved timestamp.
+            let installs: &[(usize, Option<i32>)] = match op {
+                0 => &[(0, Some(v))],
+                1 => &[(0, None)],
+                2 => &[(1, Some(v)), (0, Some(-v))], // later commit lands first
+                3 => &[(0, Some(v)), (0, Some(v + 1))], // one commit, two writes
+                4 => {
                     let guard = domain.begin_snapshot();
-                    let expected = log
-                        .iter()
-                        .rev()
-                        .find(|&&(t, _)| t <= guard.ts())
-                        .and_then(|(_, v)| *v);
+                    let expected = log.range(..=guard.ts()).next_back().and_then(|(_, v)| *v);
                     readers.push((guard, expected));
+                    &[]
                 }
                 _ => {
                     if !readers.is_empty() {
                         readers.remove(0);
                     }
+                    &[]
+                }
+            };
+            let floor = domain.gc_floor();
+            let reserved = [domain.clock.reserve(), domain.clock.reserve()];
+            for &(nth, val) in installs {
+                let ts = reserved[nth];
+                match slot.as_mut() {
+                    Some(slot) => {
+                        slot.install(ts, val, floor);
+                    }
+                    None => slot = Some(Slot::new(ts, val)),
+                }
+                log.insert(ts, val);
+                let slot = slot.as_ref().unwrap();
+                let above_floor = log.range(floor + 1..).count();
+                prop_assert!(
+                    slot.versions() <= above_floor + 1,
+                    "{} versions kept, only {} above floor {}",
+                    slot.versions(), above_floor, floor
+                );
+                if readers.is_empty() && op != 2 {
+                    prop_assert!(slot.versions() <= 2, "unpinned slot holds {}", slot.versions());
+                }
+                for (guard, expected) in &readers {
+                    prop_assert_eq!(
+                        slot.read_at(guard.ts()),
+                        expected.as_ref(),
+                        "reader pinned at ts {} lost its version",
+                        guard.ts()
+                    );
                 }
             }
-            for (guard, expected) in &readers {
-                prop_assert_eq!(
-                    &chain.read_at(guard.ts()),
-                    expected,
-                    "reader pinned at ts {} lost its version",
-                    guard.ts()
-                );
+            for ts in reserved {
+                domain.clock.publish(ts);
             }
         }
     }
 
-    /// Same property for the counter's delta chains: folding old
-    /// deltas into the base during GC must never change the prefix sum
-    /// any registered reader observes.
+    /// Same property for the counter's delta chains: folding deltas
+    /// at-or-below the floor into the base on every install must never
+    /// change the prefix sum any registered reader observes.
     #[test]
-    fn bounded_delta_chains_preserve_registered_reader_sums(
-        bound in 1..6usize,
-        script in proptest::collection::vec((0..4u8, -5..6i64), 1..80),
+    fn delta_chains_preserve_registered_reader_sums(
+        script in proptest::collection::vec((0..5u8, -5..6i64), 1..80),
     ) {
         let domain = Arc::new(MvccDomain::new());
-        let chain = DeltaChain::new(Arc::clone(&domain), bound);
+        let chain = DeltaChain::new(Arc::clone(&domain));
         let mut log: Vec<(u64, i64)> = Vec::new();
         let mut readers: Vec<(SnapshotGuard, i64)> = Vec::new();
         for (op, d) in script {
-            match op {
-                0 | 1 => {
-                    let ts = domain.clock.reserve();
-                    chain.install(ts, d);
-                    domain.clock.publish(ts);
-                    log.push((ts, d));
-                }
-                2 => {
+            let installs: &[(usize, i64)] = match op {
+                0 => &[(0, d)],
+                1 => &[(1, d), (0, -d)], // later commit lands first
+                2 => &[(0, d), (0, d + 1)], // one commit, two adds
+                3 => {
                     let guard = domain.begin_snapshot();
-                    let expected: i64 = log
-                        .iter()
-                        .filter(|&&(t, _)| t <= guard.ts())
-                        .map(|&(_, d)| d)
-                        .sum();
+                    let expected = log.iter().filter(|e| e.0 <= guard.ts()).map(|e| e.1).sum();
                     readers.push((guard, expected));
+                    &[]
                 }
                 _ => {
                     if !readers.is_empty() {
                         readers.remove(0);
                     }
+                    &[]
+                }
+            };
+            let floor = domain.gc_floor();
+            let reserved = [domain.clock.reserve(), domain.clock.reserve()];
+            for &(nth, delta) in installs {
+                chain.install(reserved[nth], delta, floor);
+                log.push((reserved[nth], delta));
+                for (guard, expected) in &readers {
+                    prop_assert_eq!(
+                        chain.read_at(guard.ts()),
+                        *expected,
+                        "reader pinned at ts {} saw its sum change",
+                        guard.ts()
+                    );
                 }
             }
-            for (guard, expected) in &readers {
-                prop_assert_eq!(
-                    chain.read_at(guard.ts()),
-                    *expected,
-                    "reader pinned at ts {} saw its sum change",
-                    guard.ts()
-                );
+            for ts in reserved {
+                domain.clock.publish(ts);
             }
         }
+        let total: i64 = log.iter().map(|e| e.1).sum();
+        prop_assert_eq!(chain.read_at(domain.clock.stable()), total, "folding lost a delta");
     }
 }
