@@ -1,6 +1,6 @@
 //! Microbenchmark for the transaction hot path: CAS-word abstract-lock
-//! acquisition, per-transaction lock-handle reacquisition, and the
-//! inline (allocation-free) undo log.
+//! acquisition and reacquisition through the fixed lock-slot table, and
+//! the inline (allocation-free) undo log.
 //!
 //! ```text
 //! hotpath [--out-dir bench_results] [--no-json] [--iters N]
@@ -10,8 +10,11 @@
 //! prices the *uncontended* single-thread costs the paper's overhead
 //! claim rests on, and proves the structural invariants CI asserts:
 //!
-//! * reacquiring a held key lock (answered by the transaction's
-//!   lock-handle cache) is strictly cheaper than first acquisition;
+//! * reacquiring a held key lock (a failed CAS on a word the
+//!   transaction owns) is strictly cheaper than first acquisition;
+//! * first acquisition costs the same whether the keys come from a
+//!   universe of 8 or of 262,144 (the table does not grow), and a
+//!   transaction that locks 8 keys allocates nothing;
 //! * a 3-operation boosted-map transaction performs **zero** heap
 //!   allocations end to end (measured by a counting global allocator);
 //! * a 4-lookup read-only snapshot script over a 262,144-key map (one
@@ -85,10 +88,12 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Keys per transaction in the acquire measurements — chosen to fit the
-/// per-transaction lock-handle cache exactly, so every reacquisition is
-/// answered without touching the shared table.
+/// Keys per transaction in the acquire measurements.
 const ACQUIRE_KEYS: i64 = 8;
+/// Step between the keys a transaction locks: odd, so consecutive keys
+/// are distinct in any power-of-two universe and scatter over a large
+/// one.
+const KEY_STRIDE: i64 = 40_503;
 /// Reacquire rounds per transaction (amortizes the timers).
 const REACQUIRE_ROUNDS: usize = 32;
 /// Undo-log pushes per transaction — within the inline capacity, so the
@@ -191,35 +196,36 @@ fn bench_empty_txn(iters: u64) -> Measurement {
 }
 
 /// First acquisition vs reacquisition of key locks, timed inside the
-/// same transaction so per-transaction overhead cancels out.
-fn bench_acquire(iters: u64) -> (Measurement, Measurement) {
+/// same transaction so per-transaction overhead cancels out. Each
+/// transaction locks the next `ACQUIRE_KEYS` keys of a walk over
+/// `universe` keys: at 8 every transaction locks the same keys, at
+/// 262,144 almost every key is new to the table.
+fn bench_acquire(
+    first_label: &'static str,
+    universe: i64,
+    iters: u64,
+) -> (Measurement, Measurement) {
     let tm = TxnManager::default();
     let map = KeyLockMap::<i64>::new();
-    // Pre-create every table entry: first-acquire then measures the
-    // steady-state probe + CAS, not one-time entry insertion.
-    tm.run(|t| {
-        for k in 0..ACQUIRE_KEYS {
-            map.lock(t, &k)?;
-        }
-        Ok(())
-    })
-    .unwrap();
-
     let first_total = Cell::new(Duration::ZERO);
     let re_total = Cell::new(Duration::ZERO);
+    let next = Cell::new(0i64);
     let run = || {
         first_total.set(Duration::ZERO);
         re_total.set(Duration::ZERO);
         for _ in 0..iters {
+            let keys: [i64; ACQUIRE_KEYS as usize] =
+                std::array::from_fn(|j| (next.get() + j as i64 * KEY_STRIDE) % universe);
+            next.set((keys[keys.len() - 1] + KEY_STRIDE) % universe);
             tm.run(|t| {
                 let start = Instant::now();
-                for k in 0..ACQUIRE_KEYS {
-                    map.lock(t, &k)?;
+                for k in &keys {
+                    map.lock(t, k)?;
                 }
                 let after_first = Instant::now();
                 for _ in 0..REACQUIRE_ROUNDS {
-                    for k in 0..ACQUIRE_KEYS {
-                        map.lock(t, &k)?;
+                    for k in &keys {
+                        map.lock(t, k)?;
                     }
                 }
                 first_total.set(first_total.get() + (after_first - start));
@@ -232,11 +238,11 @@ fn bench_acquire(iters: u64) -> (Measurement, Measurement) {
 
     let first_ops = iters * ACQUIRE_KEYS as u64;
     let re_ops = first_ops * REACQUIRE_ROUNDS as u64;
-    let first = measure("first-acquire", iters, first_ops, || {
+    let first = measure(first_label, iters, first_ops, || {
         run();
         first_total.get()
     });
-    let re = measure("reacquire (cache hit)", iters, re_ops, || {
+    let re = measure("reacquire", iters, re_ops, || {
         run();
         re_total.get()
     });
@@ -357,7 +363,8 @@ fn main() {
     println!("hotpath microbench ({} txns per measurement)", args.iters);
 
     let empty = bench_empty_txn(args.iters);
-    let (first, re) = bench_acquire(args.iters / 4);
+    let (first, re) = bench_acquire("first-acquire", ACQUIRE_KEYS, args.iters / 4);
+    let (first_wide, _) = bench_acquire("first-acquire @262144 keys", 262_144, args.iters / 4);
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
     let map3 = bench_map3(args.iters);
@@ -367,6 +374,7 @@ fn main() {
     let all = [
         &empty,
         &first,
+        &first_wide,
         &re,
         &log_inline,
         &log_boxed,
@@ -385,6 +393,16 @@ fn main() {
         re.ns_per_op,
         first.ns_per_op
     );
+    assert!(
+        first_wide.ns_per_op <= 2.0 * first.ns_per_op,
+        "first acquire over 262,144 keys ({:.1} ns) must stay within 2x of 8 keys ({:.1} ns)",
+        first_wide.ns_per_op,
+        first.ns_per_op
+    );
+    assert_eq!(
+        first.allocs_per_txn, 0,
+        "a transaction locking {ACQUIRE_KEYS} keys must not allocate"
+    );
     assert_eq!(
         map3.allocs_per_txn, 0,
         "a 3-op boosted-map transaction must not allocate"
@@ -399,7 +417,8 @@ fn main() {
         "boxed pushes must be visible to the counting allocator"
     );
     println!(
-        "invariants: reacquire < first-acquire; map 3-op txn and 4-lookup snapshot allocation-free"
+        "invariants: reacquire < first-acquire; first-acquire independent of the key universe; \
+         8-lock txn, map 3-op txn and 4-lookup snapshot allocation-free"
     );
 
     if let Some(dir) = args.out_dir {
@@ -407,9 +426,14 @@ fn main() {
         report
             .meta("iters", args.iters.to_string())
             .meta("first_acquire_ns", format!("{:.1}", first.ns_per_op))
+            .meta(
+                "first_acquire_262144_ns",
+                format!("{:.1}", first_wide.ns_per_op),
+            )
             .meta("reacquire_ns", format!("{:.1}", re.ns_per_op))
             .meta("empty_txn_ns", format!("{:.1}", empty.ns_per_op))
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
+            .meta("allocs_per_txn_lock8", first.allocs_per_txn.to_string())
             .meta("allocs_per_txn_map3", map3.allocs_per_txn.to_string())
             .meta(
                 "allocs_per_txn_snapshot4",

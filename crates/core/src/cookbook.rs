@@ -17,7 +17,10 @@
 //! 3. **Pick an abstract-lock discipline** that conservatively covers
 //!    the table (Rule 2): any non-commuting pair must map to
 //!    conflicting locks. Per-register locks
-//!    ([`crate::locks::KeyLockMap`]) are the natural fit here.
+//!    ([`crate::locks::KeyLockMap`]) are the natural fit here: the
+//!    register index picks a slot of a fixed lock table, and two
+//!    registers that happen to share a slot merely conflict more than
+//!    the table requires — which Rule 2 always permits.
 //! 4. **Write the inverse table** (Definition 5.3): `write(r, new)`
 //!    returning `old` has inverse `write(r, old)`; a successful
 //!    `cas(r, a, b)` has inverse `write(r, a)`; reads invert to

@@ -39,12 +39,6 @@ pub enum Point {
     LockBlocked,
     /// A two-phase lock is about to be released at commit/abort.
     LockRelease,
-    /// A timed-out `KeyLockMap` acquisition is about to unregister the
-    /// per-key entry it created.
-    LockCleanup,
-    /// A `KeyLockMap` acquisition was answered from the transaction's
-    /// lock-handle cache without touching the shared table.
-    LockCacheHit,
     /// An inverse was pushed onto the undo log.
     UndoPush,
     /// A transaction is about to commit.

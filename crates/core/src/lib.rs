@@ -13,8 +13,9 @@
 //!   commits or aborts. Acquisition uses timeouts so that deadlocked
 //!   transactions abort and retry rather than hang (Section 2 of the
 //!   paper). Three disciplines are provided, matching the paper's
-//!   experiments: a per-key lock table ([`locks::KeyLockMap`], the
-//!   paper's `LockKey`), a transactional readers-writer lock
+//!   experiments: a key-hashed table of lock words
+//!   ([`locks::KeyLockMap`], the paper's `LockKey` with a fixed
+//!   footprint), a transactional readers-writer lock
 //!   ([`locks::TxRwLock`], used by the boosted heap), and a single
 //!   transactional mutex ([`locks::TxMutex`], the coarse-grained
 //!   baseline).

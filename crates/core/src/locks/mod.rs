@@ -18,7 +18,7 @@
 //!
 //! | Type | Paper analogue | Granularity |
 //! |---|---|---|
-//! | [`KeyLockMap`] | `LockKey` (Fig. 3) | one lock per key — `add(x)`/`remove(x)`/`contains(x)` conflict only on equal `x` |
+//! | [`KeyLockMap`] | `LockKey` (Fig. 3) | one lock per key-hash slot of a fixed table — `add(x)`/`remove(x)`/`contains(x)` conflict on equal `x` (and, safely by Rule 2, on the rare `y` sharing `x`'s slot) |
 //! | [`TxRwLock`] | heap's two-phase readers-writer lock (Fig. 5) | `add` = shared, `removeMin` = exclusive |
 //! | [`TxMutex`] | "single transactional lock" baselines (Figs. 9, 10, 11) | everything conflicts |
 //!
@@ -30,7 +30,6 @@
 //! `txboost-bench`.
 
 mod abstract_lock;
-pub(crate) mod cache;
 mod keymap;
 mod mutex;
 mod rwlock;

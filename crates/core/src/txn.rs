@@ -2,8 +2,7 @@
 
 use crate::error::{Abort, AbortReason, TxnError};
 use crate::inline::ActionLog;
-use crate::locks::cache::LockCache;
-use crate::locks::{AbstractLock, HeldLock};
+use crate::locks::HeldLock;
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
 use std::cell::{Cell, RefCell};
@@ -189,8 +188,6 @@ pub struct Txn {
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
     held_locks: RefCell<InlineVec<Arc<dyn HeldLock>, LOCKS_INLINE>>,
-    /// Fast-path reacquire cache; see [`crate::locks::cache`].
-    lock_cache: RefCell<LockCache>,
     lock_timeout: Duration,
     started: Instant,
     /// Opt out of Send/Sync: a transaction is thread-confined.
@@ -223,7 +220,6 @@ impl Txn {
             version_log: RefCell::new(ActionLog::new()),
             snapshot,
             held_locks: RefCell::new(InlineVec::default()),
-            lock_cache: RefCell::new(LockCache::default()),
             lock_timeout,
             started: Instant::now(),
             _not_send: PhantomData,
@@ -447,53 +443,6 @@ impl Txn {
         self.held_locks.borrow().len()
     }
 
-    /// How many [`crate::locks::KeyLockMap`] acquisitions were answered
-    /// from this transaction's lock-handle cache instead of the shared
-    /// table (diagnostics/tests).
-    pub fn lock_cache_hits(&self) -> u64 {
-        self.lock_cache.borrow().hits()
-    }
-
-    /// Whether this transaction's lock cache proves it already holds
-    /// the lock tagged `(table, h1, h2)`; see [`crate::locks::cache`].
-    /// On a hit the acquisition is settled without touching the shared
-    /// lock table (the reentrant-acquire outcome).
-    pub(crate) fn lock_cache_hit(&self, table: u64, h1: u64, h2: u64) -> bool {
-        if self.lock_cache.borrow_mut().hit(table, h1, h2) {
-            #[cfg(feature = "deterministic")]
-            crate::det::yield_point(crate::det::Point::LockCacheHit);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record a successful key-lock acquisition in the fast-path cache.
-    /// Must only be called with a lock this transaction now holds.
-    pub(crate) fn lock_cache_insert(&self, table: u64, h1: u64, h2: u64, lock: &Arc<AbstractLock>) {
-        debug_assert_eq!(self.state.get(), TxnState::Active);
-        debug_assert_eq!(lock.owner(), Some(self.id));
-        self.lock_cache.borrow_mut().insert(table, h1, h2, lock);
-    }
-
-    /// Test-only mutation hook: plant a cache entry for a lock this
-    /// transaction does **not** hold, bypassing the ownership checks of
-    /// [`Txn::lock_cache_insert`]. Simulates a broken cache-invalidation
-    /// scheme so the deterministic-harness mutation test can confirm a
-    /// seeded sweep detects the resulting mutual-exclusion violation.
-    /// Never call outside tests.
-    #[cfg(feature = "deterministic")]
-    #[doc(hidden)]
-    pub fn poison_lock_cache_for_test(
-        &self,
-        table: u64,
-        h1: u64,
-        h2: u64,
-        lock: &Arc<AbstractLock>,
-    ) {
-        self.lock_cache.borrow_mut().insert(table, h1, h2, lock);
-    }
-
     /// Register a two-phase lock acquired on behalf of this transaction.
     /// The runtime calls [`HeldLock::release`] exactly once when the
     /// transaction commits or finishes aborting. Lock implementations in
@@ -564,11 +513,6 @@ impl Txn {
     }
 
     fn release_locks(&self) {
-        // Invalidate the reacquire cache first: from here on this
-        // transaction provably holds nothing, so a stale hit is
-        // impossible no matter how release interleaves with other
-        // transactions' acquisitions.
-        self.lock_cache.borrow_mut().clear();
         // Release in reverse acquisition order (not required for
         // correctness — two-phase locking permits any release order at
         // end of transaction — but it keeps lock hand-off FIFO-ish).

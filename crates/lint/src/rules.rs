@@ -187,11 +187,6 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         &["LockAcquire", "block_tick"],
     ),
     (
-        "crates/core/src/txn.rs",
-        "lock_cache_hit",
-        &["LockCacheHit"],
-    ),
-    (
         "crates/core/src/locks/rwlock.rs",
         "read_lock_det",
         &["LockAcquire", "block_tick"],
@@ -200,11 +195,6 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         "crates/core/src/locks/rwlock.rs",
         "write_lock_det",
         &["LockAcquire", "block_tick"],
-    ),
-    (
-        "crates/core/src/locks/keymap.rs",
-        "cleanup_after_timeout",
-        &["LockCleanup"],
     ),
     ("crates/rwstm/src/stm.rs", "read", &["StmRead"]),
     (

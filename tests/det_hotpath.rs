@@ -1,11 +1,11 @@
 //! Deterministic-harness coverage for the hot-path machinery: the
-//! CAS-word `AbstractLock`, the per-transaction lock-handle cache, and
-//! their interaction with virtual-time timeouts.
+//! CAS-word `AbstractLock` behind `KeyLockMap`'s fixed slot table and
+//! its interaction with virtual-time timeouts.
 //!
-//! Three behaviours are swept across seeds, plus one *mutation check*:
-//! a deliberately broken cache (an entry planted without acquiring the
-//! lock, via a test-only hook) must be caught by the sweep as a
-//! mutual-exclusion violation — evidence that these tests have teeth.
+//! Four behaviours are swept across seeds: reacquisition is reentrant
+//! and registers nothing, a CAS loser parks and wakes, a contended
+//! acquire times out on virtual time, and two *distinct* keys that
+//! share a slot exclude each other exactly like one key.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use transactional_boosting::prelude::*;
@@ -21,11 +21,10 @@ fn spin_until(flag: &AtomicBool) {
 }
 
 #[test]
-fn reacquire_hits_the_txn_cache_on_every_seed() {
+fn reacquire_is_reentrant_on_every_seed() {
     // Each thread locks its own key and reacquires it twice. On every
-    // interleaving the reacquisitions must be answered by the
-    // transaction's lock-handle cache (no shard-mutex round trip), and
-    // must register no duplicate held lock.
+    // interleaving the reacquisitions must succeed without registering
+    // a second held lock, and the commit must release the key.
     struct W {
         tm: TxnManager,
         map: KeyLockMap<i64>,
@@ -39,21 +38,21 @@ fn reacquire_hits_the_txn_cache_on_every_seed() {
         },
         |w, tid| {
             let key = tid as i64;
+            assert_ne!(w.map.slot_of(&0), w.map.slot_of(&1));
             w.tm.run(|t| {
                 w.map.lock(t, &key)?;
-                assert_eq!(t.lock_cache_hits(), 0, "first acquire must miss");
-                w.map.lock(t, &key)?;
-                w.map.lock(t, &key)?;
-                assert_eq!(t.lock_cache_hits(), 2, "reacquires must hit the cache");
                 assert_eq!(t.held_lock_count(), 1);
+                w.map.lock(t, &key)?;
+                w.map.lock(t, &key)?;
+                assert_eq!(t.held_lock_count(), 1, "reacquires must be AlreadyHeld");
                 Ok(())
             })
             .unwrap();
-            // A fresh transaction starts with a cold cache: the old
-            // transaction's (released) locks must not leak into it.
+            // A fresh transaction must take the released lock anew.
+            assert!(!w.map.is_locked(&key));
             w.tm.run(|t| {
                 w.map.lock(t, &key)?;
-                assert_eq!(t.lock_cache_hits(), 0, "new txn must take the slow path");
+                assert_eq!(t.held_lock_count(), 1);
                 Ok(())
             })
             .unwrap();
@@ -172,73 +171,58 @@ fn contended_acquire_times_out_on_virtual_time() {
 }
 
 #[test]
-fn poisoned_lock_cache_is_caught_by_the_sweep() {
-    // Mutation check: simulate the bug the cache-invalidation rules
-    // prevent (a cache entry claiming a lock the transaction does not
-    // hold) via the test-only poison hook, and confirm the sweep's
-    // detectors actually fire. If this test ever stops detecting the
-    // violation, the reacquire/mutual-exclusion tests above have lost
-    // their teeth.
+fn keys_sharing_a_slot_exclude_each_other_on_every_seed() {
+    // Three threads, two distinct keys that hash to one slot: the flag
+    // checked inside the critical section proves the two keys are one
+    // conflict location on every interleaving (Rule 2 allows the false
+    // conflict; it does not allow two owners).
     struct W {
         tm: TxnManager,
         map: KeyLockMap<i64>,
-        held: AtomicBool,
+        keys: [i64; 2],
         in_cs: AtomicBool,
-        probed: AtomicBool,
+        entries: AtomicU64,
     }
-    let phantom_grants = AtomicU64::new(0);
-    let exclusion_breaks = AtomicU64::new(0);
     txboost_sched::sweep_setup(
-        txboost_sched::seeds_from_env(50),
-        2,
-        || W {
-            tm: TxnManager::default(),
-            map: KeyLockMap::new(),
-            held: AtomicBool::new(false),
-            in_cs: AtomicBool::new(false),
-            probed: AtomicBool::new(false),
+        txboost_sched::seeds_from_env(150),
+        3,
+        || {
+            let map = KeyLockMap::new();
+            let twin = (1..1 << 20)
+                .find(|k| map.slot_of(k) == map.slot_of(&0))
+                .unwrap();
+            W {
+                tm: TxnManager::default(),
+                map,
+                keys: [0, twin],
+                in_cs: AtomicBool::new(false),
+                entries: AtomicU64::new(0),
+            }
         },
         |w, tid| {
-            if tid == 0 {
+            for round in 0..4 {
+                let key = w.keys[(tid + round) % 2];
                 w.tm.run(|t| {
-                    w.map.lock(t, &0)?;
-                    w.in_cs.store(true, Ordering::SeqCst);
-                    w.held.store(true, Ordering::SeqCst);
-                    // Stay in the critical section until the poisoned
-                    // transaction has probed, so the violation window
-                    // is open on every seed.
-                    spin_until(&w.probed);
+                    w.map.lock(t, &key)?;
+                    assert!(
+                        !w.in_cs.swap(true, Ordering::SeqCst),
+                        "two transactions hold keys of one slot at once"
+                    );
+                    det::yield_point(det::Point::User);
+                    // The other key is the same lock: reentrant here.
+                    w.map.lock(t, &w.keys[(tid + round + 1) % 2])?;
+                    assert_eq!(t.held_lock_count(), 1);
+                    det::yield_point(det::Point::User);
                     w.in_cs.store(false, Ordering::SeqCst);
+                    w.entries.fetch_add(1, Ordering::Relaxed);
                     Ok(())
                 })
                 .unwrap();
-            } else {
-                spin_until(&w.held);
-                let txn = w.tm.begin();
-                w.map.poison_txn_cache_for_test(&txn, &0);
-                // The poisoned cache answers the "reacquire" — the lock
-                // is granted without being acquired.
-                w.map.lock(&txn, &0).unwrap();
-                if txn.held_lock_count() == 0 {
-                    phantom_grants.fetch_add(1, Ordering::Relaxed);
-                }
-                if w.in_cs.load(Ordering::SeqCst) {
-                    exclusion_breaks.fetch_add(1, Ordering::Relaxed);
-                }
-                w.probed.store(true, Ordering::SeqCst);
-                w.tm.commit(txn);
             }
         },
-        |_w, _report| {},
-    );
-    assert!(
-        phantom_grants.load(Ordering::Relaxed) > 0,
-        "poisoning never produced a lock grant without a held lock — \
-         the mutation is not reaching the cache fast path"
-    );
-    assert!(
-        exclusion_breaks.load(Ordering::Relaxed) > 0,
-        "no seed observed two transactions in the critical section — \
-         the sweep cannot catch broken cache invalidation"
+        |w, _report| {
+            assert_eq!(w.entries.load(Ordering::Relaxed), 3 * 4);
+            assert!(w.keys.iter().all(|k| !w.map.is_locked(k)));
+        },
     );
 }

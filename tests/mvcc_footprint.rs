@@ -9,7 +9,8 @@
 //! however often keys are rewritten; steady-state installs and
 //! snapshot lookups allocate nothing; and the history a pinned reader
 //! does force onto the heap is given back by the first install after
-//! its guard drops.
+//! its guard drops. The same allocator pins the lock table's claim: its
+//! memory is bounded by its slot count, not by the keys ever locked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -187,6 +188,33 @@ fn a_four_lookup_snapshot_script_allocates_nothing() {
         "allocations in 10k scans"
     );
     assert!(total > 0);
+}
+
+#[test]
+fn a_lock_table_does_not_grow_with_the_keys_it_has_locked() {
+    // The hostile-client shape: every transaction probes a key nobody
+    // has asked about before (and that is not in the map).
+    const KEYS: i64 = 1_000_000;
+    let tm = TxnManager::default();
+    let empty = Heap::now();
+    let map = BoostedHashMap::<i64, i64>::new();
+    let probe = |key: i64| assert_eq!(tm.run(|t| map.get(t, &key)).unwrap(), None);
+    (0..KEYS / 2).for_each(probe);
+    let half = Heap::now();
+    (KEYS / 2..KEYS).for_each(probe);
+    let full = Heap::now();
+    println!(
+        "{KEYS} keys locked once: {} B live in {} heap blocks",
+        full.bytes - empty.bytes,
+        full.blocks - empty.blocks
+    );
+    assert!(
+        full.bytes - empty.bytes <= 512 * 1024,
+        "{} live bytes after {KEYS} distinct keys",
+        full.bytes - empty.bytes
+    );
+    assert_eq!(full.blocks, half.blocks, "blocks added by the second half");
+    assert_eq!(full.calls, half.calls, "allocations in the second half");
 }
 
 #[test]
