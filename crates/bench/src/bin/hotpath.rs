@@ -15,6 +15,10 @@
 //! * first acquisition costs the same whether the keys come from a
 //!   universe of 8 or of 262,144 (the table does not grow), and a
 //!   transaction that locks 8 keys allocates nothing;
+//! * taking a lock in shared mode and giving it back at commit costs at
+//!   most twice a first (exclusive) acquisition — both modes are one
+//!   compare-and-swap on the same word — and a one-`add` counter
+//!   transaction, which takes its lock shared, allocates nothing;
 //! * a 3-operation boosted-map transaction performs **zero** heap
 //!   allocations end to end (measured by a counting global allocator);
 //! * a 4-lookup read-only snapshot script over a 262,144-key map (one
@@ -34,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
-use txboost_collections::BoostedHashMap;
-use txboost_core::locks::KeyLockMap;
+use txboost_collections::{BoostedCounter, BoostedHashMap};
+use txboost_core::locks::{KeyLockMap, TxRwLock};
 use txboost_core::TxnManager;
 
 /// Heap allocations observed process-wide (frees are not tracked; the
@@ -249,6 +253,41 @@ fn bench_acquire(
     (first, re)
 }
 
+/// A shared-mode acquisition and its release at commit: transactions
+/// that each take `ACQUIRE_KEYS` distinct locks shared, minus as many
+/// empty transactions timed in the same window, per lock.
+fn bench_shared_acquire(iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    let locks: [TxRwLock; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| TxRwLock::new());
+    measure("shared-acquire", iters, iters * ACQUIRE_KEYS as u64, || {
+        let start = Instant::now();
+        for _ in 0..iters {
+            tm.run(|_| Ok(())).unwrap();
+        }
+        let empty = start.elapsed();
+        let start = Instant::now();
+        for _ in 0..iters {
+            tm.run(|t| locks.iter().try_for_each(|l| l.read_lock(t)))
+                .unwrap();
+        }
+        start.elapsed().saturating_sub(empty)
+    })
+}
+
+/// The wire benchmark's commonest script: one `add` on a boosted
+/// counter (shared lock, one inverse, one version install).
+fn bench_counter_add(iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    let counter = BoostedCounter::new();
+    measure("counter-add 1-op txn", iters, iters, || {
+        let start = Instant::now();
+        for _ in 0..iters {
+            tm.run(|t| counter.add(t, 1)).unwrap();
+        }
+        start.elapsed()
+    })
+}
+
 /// Undo-log pushes whose closures fit the inline slots: no allocation.
 fn bench_log_inline(iters: u64) -> Measurement {
     let tm = TxnManager::default();
@@ -365,6 +404,8 @@ fn main() {
     let empty = bench_empty_txn(args.iters);
     let (first, re) = bench_acquire("first-acquire", ACQUIRE_KEYS, args.iters / 4);
     let (first_wide, _) = bench_acquire("first-acquire @262144 keys", 262_144, args.iters / 4);
+    let shared = bench_shared_acquire(args.iters);
+    let counter_add = bench_counter_add(args.iters);
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
     let map3 = bench_map3(args.iters);
@@ -376,6 +417,8 @@ fn main() {
         &first,
         &first_wide,
         &re,
+        &shared,
+        &counter_add,
         &log_inline,
         &log_boxed,
         &map3,
@@ -399,9 +442,19 @@ fn main() {
         first_wide.ns_per_op,
         first.ns_per_op
     );
+    assert!(
+        shared.ns_per_op <= 2.0 * first.ns_per_op,
+        "a shared acquire + release ({:.1} ns) must stay within 2x of a first acquire ({:.1} ns)",
+        shared.ns_per_op,
+        first.ns_per_op
+    );
     assert_eq!(
         first.allocs_per_txn, 0,
         "a transaction locking {ACQUIRE_KEYS} keys must not allocate"
+    );
+    assert_eq!(
+        counter_add.allocs_per_txn, 0,
+        "a one-add counter transaction must not allocate"
     );
     assert_eq!(
         map3.allocs_per_txn, 0,
@@ -418,7 +471,8 @@ fn main() {
     );
     println!(
         "invariants: reacquire < first-acquire; first-acquire independent of the key universe; \
-         8-lock txn, map 3-op txn and 4-lookup snapshot allocation-free"
+         shared-acquire <= 2x first-acquire; 8-lock txn, counter-add txn, map 3-op txn and \
+         4-lookup snapshot allocation-free"
     );
 
     if let Some(dir) = args.out_dir {
@@ -431,9 +485,18 @@ fn main() {
                 format!("{:.1}", first_wide.ns_per_op),
             )
             .meta("reacquire_ns", format!("{:.1}", re.ns_per_op))
+            .meta("shared_acquire_ns", format!("{:.1}", shared.ns_per_op))
+            .meta(
+                "counter_add_txn_ns",
+                format!("{:.1}", counter_add.ns_per_op),
+            )
             .meta("empty_txn_ns", format!("{:.1}", empty.ns_per_op))
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
             .meta("allocs_per_txn_lock8", first.allocs_per_txn.to_string())
+            .meta(
+                "allocs_per_txn_counter_add",
+                counter_add.allocs_per_txn.to_string(),
+            )
             .meta("allocs_per_txn_map3", map3.allocs_per_txn.to_string())
             .meta(
                 "allocs_per_txn_snapshot4",

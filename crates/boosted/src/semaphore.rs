@@ -12,7 +12,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::Instant;
+use txboost_core::locks::Deadline;
 use txboost_core::{Abort, TxResult, Txn};
 
 #[derive(Debug)]
@@ -74,7 +74,10 @@ impl TSemaphore {
     /// timeout) while the committed count is zero, then decrements. On
     /// abort the undo log re-increments. A timeout aborts the
     /// transaction with [`Abort::would_block`] — the conditional-
-    /// synchronization analogue of deadlock recovery.
+    /// synchronization analogue of deadlock recovery. The wait goes
+    /// through [`Deadline`], so under a deterministic scheduler every
+    /// blocked round is a schedulable event and the harness explores
+    /// wake orders between blocked consumers and committing producers.
     pub fn acquire(&self, txn: &Txn) -> TxResult<()> {
         // Taking a permit mutates abstract state; read-only snapshot
         // transactions are rejected with a typed, non-retried error.
@@ -82,13 +85,11 @@ impl TSemaphore {
             return Err(Abort::read_only_violation());
         }
         #[cfg(feature = "deterministic")]
-        if txboost_core::det::active() {
-            return self.acquire_det(txn);
-        }
-        let deadline = Instant::now() + txn.lock_timeout();
+        txboost_core::det::yield_point(txboost_core::det::Point::LockAcquire);
+        let deadline = Deadline::after(txn.lock_timeout());
         let mut count = self.inner.count.lock();
         while *count == 0 {
-            if self.inner.cv.wait_until(&mut count, deadline).timed_out() && *count == 0 {
+            if deadline.wait(&self.inner.cv, &mut count) && *count == 0 {
                 return Err(Abort::would_block());
             }
         }
@@ -97,35 +98,6 @@ impl TSemaphore {
         let inner = Arc::clone(&self.inner);
         txn.log_undo(move || inner.increment());
         Ok(())
-    }
-
-    /// Acquisition loop under a deterministic scheduler: the condvar
-    /// wait becomes a scheduling round and the timeout runs on virtual
-    /// ticks, mirroring `AbstractLock::acquire_det`. Every poll
-    /// of the counter is a schedulable event, so the harness can
-    /// explore wake orders between blocked consumers and committing
-    /// producers.
-    #[cfg(feature = "deterministic")]
-    fn acquire_det(&self, txn: &Txn) -> TxResult<()> {
-        use txboost_core::det::{self, Point};
-        let deadline = det::virtual_now() + det::ticks_for(txn.lock_timeout());
-        loop {
-            det::yield_point(Point::LockAcquire);
-            {
-                let mut count = self.inner.count.lock();
-                if *count > 0 {
-                    *count -= 1;
-                    drop(count);
-                    let inner = Arc::clone(&self.inner);
-                    txn.log_undo(move || inner.increment());
-                    return Ok(());
-                }
-            }
-            if det::virtual_now() >= deadline {
-                return Err(Abort::would_block());
-            }
-            det::block_tick();
-        }
     }
 
     /// Transactionally return a permit.

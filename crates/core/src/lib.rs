@@ -12,8 +12,9 @@
 //!   granularity of *method calls* and held until the owning transaction
 //!   commits or aborts. Acquisition uses timeouts so that deadlocked
 //!   transactions abort and retry rather than hang (Section 2 of the
-//!   paper). Three disciplines are provided, matching the paper's
-//!   experiments: a key-hashed table of lock words
+//!   paper). There is one lock ([`locks::AbstractLock`], a lock word
+//!   held shared or exclusive) and three handles onto it, matching the
+//!   paper's experiments: a key-hashed table of lock words
 //!   ([`locks::KeyLockMap`], the paper's `LockKey` with a fixed
 //!   footprint), a transactional readers-writer lock
 //!   ([`locks::TxRwLock`], used by the boosted heap), and a single

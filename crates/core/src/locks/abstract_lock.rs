@@ -1,97 +1,121 @@
-//! The basic owner-tracked, transaction-reentrant, timeout lock.
+//! The abstract lock: one owner-tracked, transaction-reentrant,
+//! two-mode, timeout lock. Every discipline in [`super`] is a handle
+//! onto this one state machine.
 //!
 //! # Lock-word state encoding
 //!
 //! The whole lock state is a single `AtomicU64`:
 //!
 //! ```text
-//! ┌─────────┬───────────────────────────────────────────────┐
-//! │ bit 63  │ bits 62..0                                    │
-//! │ WAITERS │ owner TxnId (0 = free)                        │
-//! └─────────┴───────────────────────────────────────────────┘
+//! ┌─────────┬────────┬──────────────────────────────────────┐
+//! │ bit 63  │ bit 62 │ bits 61..0                           │
+//! │ WAITERS │ SHARED │ owner TxnId, or reader count         │
+//! └─────────┴────────┴──────────────────────────────────────┘
 //! ```
 //!
-//! * `0` — free. Uncontended acquire is one `compare_exchange(0, id)`;
-//!   no mutex, no condvar, no clock read.
-//! * `id` — owned by transaction `id`, nobody parked. Release is one
-//!   `swap(0)`, and the missing `WAITERS` bit proves no wakeup is owed.
-//! * `id | WAITERS` — owned, with at least one waiter parked (or about
-//!   to park) on the condvar. Release must take the park mutex and
-//!   `notify_all`.
+//! * `0` — free. An uncontended acquire in either mode is one
+//!   `compare_exchange` (`0 → id` or `0 → SHARED | 1`): no mutex, no
+//!   condvar, no clock read.
+//! * `id` — held exclusively by transaction `id`.
+//! * `SHARED | n` — held in shared mode by `n ≥ 1` transactions. The
+//!   word counts them, it does not name them: a transaction learns "I
+//!   am one of the `n`" from its own held-lock list, consulted only
+//!   when the word is already `SHARED`.
+//! * `… | WAITERS` — at least one transaction is parked (or about to
+//!   park) on the condvar; the release that makes progress possible
+//!   must take the park mutex and `notify_all`.
+//!
+//! Exclusive mode implies shared mode, and the only reader may upgrade
+//! (`SHARED | 1 → id`). Readers join a `SHARED` word whether or not a
+//! writer is parked — there is no writer preference.
 //!
 //! A contended acquire spins briefly ([`crate::backoff::SpinWait`]) and
-//! only then parks: it takes the park mutex, sets `WAITERS` (so the
-//! releasing owner knows to notify), and waits on the condvar with the
-//! transaction's timeout as deadline. Setting `WAITERS` *before*
-//! checking the state again, under the same mutex the releaser must
-//! take to notify, is the classic no-lost-wakeup protocol: either the
-//! waiter's `WAITERS` CAS happens before the owner's `swap(0)` (the
-//! owner sees the bit and notifies under the mutex, after the waiter is
-//! registered) or it fails because the swap already happened (the
-//! waiter re-reads `0` and claims the lock instead of parking).
-//!
-//! Under a deterministic scheduler the parking machinery is bypassed
-//! entirely ([`AbstractLock::acquire_det`]): blocking becomes virtual-
-//! time ticks and `WAITERS` is never set, so schedules stay replayable.
+//! then parks: under the park mutex it tries to claim, sets `WAITERS`
+//! on the word it found busy, and waits ([`Deadline::wait`]). Setting
+//! `WAITERS` by `compare_exchange` against the exact word that was
+//! found busy, under the mutex every notifier must take, is the
+//! no-lost-wakeup protocol: either that CAS lands before the holder's
+//! releasing CAS — which then sees the bit and notifies, after the
+//! waiter is in `wait` — or it fails because the word changed, and the
+//! waiter re-reads instead of parking. Every release with the bit set
+//! notifies, a reader leaving included: the departure that leaves one
+//! reader wakes a parked upgrader, the last one wakes parked writers.
 
-use super::HeldLock;
+use super::deadline::Deadline;
 use crate::backoff::SpinWait;
 use crate::obs::LockSiteStats;
 use crate::{Abort, TxResult, Txn, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-/// Waiters-parked flag in the lock word (bit 63). Transaction ids are
-/// drawn from a counter starting at 1, so an id can never collide with
-/// this bit within the lifetime of any conceivable process.
+/// Waiters-parked flag in the lock word.
 const WAITERS: u64 = 1 << 63;
 
-/// Mask selecting the owner id from the lock word.
-const OWNER_MASK: u64 = WAITERS - 1;
+/// Shared-mode flag: the low bits count readers instead of naming an
+/// owner.
+const SHARED: u64 = 1 << 62;
 
-/// Result of a single acquisition attempt (diagnostics and internal
-/// bookkeeping; most callers use [`AbstractLock::acquire`], which maps
-/// timeouts to [`Abort`]).
+/// Mask selecting the owner id, or the reader count, from the lock
+/// word. Transaction ids are drawn from a counter starting at 1, so an
+/// id cannot reach the flag bits within the lifetime of any conceivable
+/// process.
+const OWNER_MASK: u64 = SHARED - 1;
+
+/// The two ways to hold an [`AbstractLock`]. Calls that commute with
+/// each other take `Shared`; a call that commutes with nothing else on
+/// the object takes `Exclusive`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcquireOutcome {
-    /// The lock was free (or became free in time) and is now owned by
-    /// the requesting transaction.
-    Acquired,
-    /// The requesting transaction already owned the lock; nothing to do
-    /// (abstract locks are reentrant *per transaction*, not per thread).
-    AlreadyHeld,
-    /// Another transaction held the lock for the whole timeout window.
-    TimedOut,
+pub enum Mode {
+    /// Compatible with other `Shared` holders.
+    Shared,
+    /// Compatible with no other holder.
+    Exclusive,
 }
 
-/// A mutual-exclusion abstract lock owned by at most one transaction.
+impl Mode {
+    /// The word a free lock takes when transaction `me` claims it.
+    fn fresh(self, me: u64) -> u64 {
+        match self {
+            Mode::Exclusive => me,
+            Mode::Shared => SHARED | 1,
+        }
+    }
+}
+
+/// What a successful claim changed for the claiming transaction.
+enum Claim {
+    /// It holds the lock now and did not before: register for release.
+    New,
+    /// Its shared hold became exclusive; already registered.
+    Upgrade,
+    /// It already held the lock in a sufficient mode.
+    Reentrant,
+}
+
+/// A two-phase abstract lock held by one transaction exclusively or by
+/// several in shared mode.
 ///
-/// This is the building block from which [`super::KeyLockMap`] (the
-/// paper's `LockKey`) and [`super::TxMutex`] are made. Unlike an OS
-/// mutex it is:
+/// [`super::KeyLockMap`] (the paper's `LockKey`), [`super::TxRwLock`]
+/// and [`super::TxMutex`] are handles onto this type. Unlike an OS
+/// lock it is:
 ///
-/// * **transaction-owned** — the owner is a [`TxnId`], not a thread, so
+/// * **transaction-owned** — the holder is a [`TxnId`], not a thread, so
 ///   a transaction may re-acquire a lock it already holds no matter how
 ///   its code paths are composed;
-/// * **two-phase** — the acquiring transaction registers the lock via
-///   [`Txn::register_held_lock`]; release happens only at commit/abort;
+/// * **two-phase** — acquiring registers the lock with the transaction;
+///   release happens only at commit/abort;
 /// * **timeout-based** — a blocked acquisition gives up after
 ///   [`Txn::lock_timeout`] and aborts the transaction, breaking any
-///   deadlock cycle.
-///
-/// The uncontended fast path is a single `compare_exchange` on the lock
-/// word (see the module docs for the encoding); the mutex + condvar
-/// slow path is entered only after a bounded spin under real contention.
+///   deadlock cycle (two concurrent upgraders are one).
 #[derive(Debug, Default)]
 pub struct AbstractLock {
-    /// The lock word: `0` free, else owner id with an optional
-    /// [`WAITERS`] flag. See the module docs.
+    /// The lock word; see the module docs.
     state: AtomicU64,
     /// Number of waiters parked (or committed to parking) on `cv`.
-    /// Serves as the condvar's guarded state and lets the last leaving
-    /// waiter avoid re-propagating [`WAITERS`].
+    /// Serves as the condvar's guarded state and tells a claimer
+    /// whether to keep [`WAITERS`] set.
     park: Mutex<usize>,
     cv: Condvar,
     /// Contention-attribution site; `None` (the default) skips every
@@ -100,7 +124,7 @@ pub struct AbstractLock {
 }
 
 impl AbstractLock {
-    /// A fresh, unowned lock.
+    /// A fresh, unheld lock.
     pub fn new() -> Self {
         AbstractLock::default()
     }
@@ -115,236 +139,192 @@ impl AbstractLock {
         }
     }
 
-    /// Acquire for `txn`, registering with the transaction on success
-    /// so that release happens automatically at commit/abort.
+    /// Acquire in `mode` for `txn`, registering with the transaction so
+    /// that release happens automatically at commit/abort. A no-op if
+    /// `txn` already holds the lock in a sufficient mode; upgrades a
+    /// shared hold when `mode` is exclusive.
     ///
-    /// Returns `Err(Abort::lock_timeout())` if another transaction held
+    /// Returns `Err(Abort::lock_timeout())` if conflicting holders kept
     /// the lock for the entire timeout window.
-    pub fn acquire(self: &Arc<Self>, txn: &Txn) -> TxResult<()> {
-        // Read-only snapshot transactions hold no abstract locks, ever
-        // — that structural guarantee (not a convention) is what makes
-        // them abort-free. Any mutating call funnels through here and
-        // is rejected with a typed, non-retried error.
+    pub fn acquire(self: &Arc<Self>, txn: &Txn, mode: Mode) -> TxResult<()> {
+        // Read-only snapshot transactions hold no abstract locks, in
+        // either mode — that structural guarantee (not a convention) is
+        // what makes them abort-free. Any locking call funnels through
+        // here and is rejected with a typed, non-retried error.
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());
         }
-        match self.try_acquire_raw(txn.id(), txn.lock_timeout()) {
-            AcquireOutcome::Acquired => {
-                txn.register_held_lock(Arc::clone(self) as Arc<dyn HeldLock>);
-                Ok(())
-            }
-            AcquireOutcome::AlreadyHeld => Ok(()),
-            AcquireOutcome::TimedOut => Err(Abort::lock_timeout()),
-        }
-    }
-
-    /// Low-level acquisition without transaction registration. Exposed
-    /// for tests and for lock disciplines built on top of this one.
-    ///
-    /// The fast path — lock free, or already owned by `id` — is one
-    /// `compare_exchange` with no clock read; everything else drops
-    /// into the outlined contended path (`acquire_contended`).
-    pub fn try_acquire_raw(&self, id: TxnId, timeout: std::time::Duration) -> AcquireOutcome {
         #[cfg(feature = "deterministic")]
-        if crate::det::active() {
-            return self.acquire_det(id, timeout);
+        crate::det::yield_point(crate::det::Point::LockAcquire);
+        let me = txn.id().raw();
+        debug_assert_eq!(me & !OWNER_MASK, 0, "transaction id reaches the flag bits");
+        let (claim, waited) = match self.state.compare_exchange(
+            0,
+            mode.fresh(me),
+            Ordering::Acquire,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => (Claim::New, None),
+            // The failure load may be Relaxed: observing our own id
+            // is only possible if *this* transaction wrote it earlier
+            // on this same thread (transactions are thread-confined).
+            Err(cur) if cur & !WAITERS == me => return Ok(()),
+            Err(cur) => self.acquire_slow(txn, mode, cur)?,
+        };
+        if matches!(claim, Claim::Reentrant) {
+            return Ok(());
         }
-        let raw = id.raw();
-        debug_assert_eq!(raw & WAITERS, 0, "transaction id overflows the owner field");
-        match self
-            .state
-            .compare_exchange(0, raw, Ordering::Acquire, Ordering::Relaxed)
-        {
-            Ok(_) => {
-                self.note_acquired_uncontended(id);
-                AcquireOutcome::Acquired
-            }
-            // The failure load may be Relaxed: observing our own id is
-            // only possible if *this* transaction wrote it earlier on
-            // this same thread (transactions are thread-confined).
-            Err(cur) if cur & OWNER_MASK == raw => AcquireOutcome::AlreadyHeld,
-            Err(_) => self.acquire_contended(id, timeout),
+        if let Some(site) = &self.site {
+            // No clock was read unless the acquire actually waited.
+            site.record_acquired(waited.unwrap_or_default(), waited.is_some());
         }
+        crate::trace_event!(LockAcquired {
+            txn: txn.id(),
+            wait_ns: waited.map_or(0, |w| w.as_nanos().min(u64::MAX as u128) as u64),
+        });
+        if matches!(claim, Claim::New) {
+            txn.register_held_lock(Arc::clone(self));
+        }
+        Ok(())
     }
 
-    /// Try to claim a free lock, requesting `WAITERS` if other waiters
-    /// remain parked. Returns `true` on success.
-    fn try_claim(&self, raw: u64, parked_others: bool) -> bool {
-        let want = if parked_others { raw | WAITERS } else { raw };
-        self.state
-            .compare_exchange(0, want, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// The contended path: spin briefly, then park on the condvar until
-    /// the owner's release notifies us or the timeout deadline passes.
-    #[cold]
-    fn acquire_contended(&self, id: TxnId, timeout: std::time::Duration) -> AcquireOutcome {
-        let raw = id.raw();
-        let start = Instant::now();
-        let deadline = start + timeout;
-        crate::trace_event!(LockWait { txn: id });
+    /// Everything past the first compare-and-swap — joining readers,
+    /// upgrading, and the one blocking loop (spin briefly, then park
+    /// until a release notifies or the deadline passes) — kept out of
+    /// line so the two hot outcomes inline into the callers. `cur` is
+    /// the word that compare-and-swap found. Returns the claim and how
+    /// long it waited, if it did.
+    #[inline(never)]
+    fn acquire_slow(
+        self: &Arc<Self>,
+        txn: &Txn,
+        mode: Mode,
+        cur: u64,
+    ) -> TxResult<(Claim, Option<Duration>)> {
+        let me = txn.id().raw();
+        // Whether `txn` is one of a `SHARED` word's readers. Settled
+        // here for the whole call: if it is, the word stays `SHARED`
+        // until it leaves; if the word is not `SHARED` now, it is not.
+        let mine = cur & SHARED != 0 && txn.holds_lock(self);
+        if let Ok(claim) = self.try_claim(me, mode, mine, false) {
+            return Ok((claim, None));
+        }
+        let deadline = Deadline::after(txn.lock_timeout());
+        crate::trace_event!(LockWait { txn: txn.id() });
 
         // Phase 1: bounded spin — abstract locks are often released
-        // within the owner's commit, a few hundred cycles away.
+        // within the holder's commit, a few hundred cycles away.
         let mut spin = SpinWait::new();
         while spin.spin() {
-            if self.state.load(Ordering::Relaxed) == 0 && self.try_claim(raw, false) {
-                self.note_acquired(id, start, true);
-                return AcquireOutcome::Acquired;
+            if let Ok(claim) = self.try_claim(me, mode, mine, false) {
+                return Ok((claim, Some(deadline.elapsed())));
             }
         }
 
         // Phase 2: park. All waiter bookkeeping happens under the park
         // mutex; see the module docs for the lost-wakeup argument.
         let mut parked = self.park.lock();
+        let mut timed_out = false;
         loop {
-            let cur = self.state.load(Ordering::Relaxed);
-            if cur == 0 {
-                if self.try_claim(raw, *parked > 0) {
-                    drop(parked);
-                    self.note_acquired(id, start, true);
-                    return AcquireOutcome::Acquired;
-                }
-                continue; // raced with another claimer; re-read
-            }
-            // Lock is held: make sure the owner will notify on release.
-            if cur & WAITERS == 0
-                && self
-                    .state
-                    .compare_exchange(cur, cur | WAITERS, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_err()
-            {
-                continue; // owner changed or released; re-read
-            }
-            *parked += 1;
-            let timed_out = self.cv.wait_until(&mut parked, deadline).timed_out();
-            *parked -= 1;
+            // After a timeout this is the last chance: the release may
+            // have raced the deadline.
+            let busy = match self.try_claim(me, mode, mine, *parked > 0) {
+                Ok(claim) => return Ok((claim, Some(deadline.elapsed()))),
+                Err(busy) => busy,
+            };
             if timed_out {
-                // Last chance: the owner may have released exactly at
-                // the deadline (the notify raced our timeout).
-                if self.state.load(Ordering::Relaxed) == 0 && self.try_claim(raw, *parked > 0) {
-                    drop(parked);
-                    self.note_acquired(id, start, true);
-                    return AcquireOutcome::Acquired;
-                }
                 drop(parked);
                 if let Some(site) = &self.site {
-                    site.record_timeout(start.elapsed());
+                    site.record_timeout(deadline.elapsed());
                 }
-                return AcquireOutcome::TimedOut;
+                return Err(Abort::lock_timeout());
+            }
+            // Make sure the release we are waiting for will notify.
+            if busy & WAITERS == 0
+                && self
+                    .state
+                    .compare_exchange(busy, busy | WAITERS, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_err()
+            {
+                continue; // the word changed under us; re-read
+            }
+            *parked += 1;
+            timed_out = deadline.wait(&self.cv, &mut parked);
+            *parked -= 1;
+        }
+    }
+
+    /// One attempt to move the word to a state in which transaction
+    /// `me` holds the lock in `mode`, retrying only when the CAS loses a
+    /// race; `Err` carries the word that makes the claim impossible for
+    /// now. `mine`: `me` is one of a `SHARED` word's readers.
+    /// `parked_others`: keep [`WAITERS`] set for them.
+    fn try_claim(
+        &self,
+        me: u64,
+        mode: Mode,
+        mine: bool,
+        parked_others: bool,
+    ) -> Result<Claim, u64> {
+        let mut cur = self.state.load(Ordering::Relaxed);
+        loop {
+            let held = cur & !WAITERS;
+            let (next, claim) = if held == 0 {
+                (mode.fresh(me), Claim::New)
+            } else if held & SHARED == 0 {
+                // Another transaction's: `acquire` answered "mine" itself.
+                return Err(cur);
+            } else {
+                match mode {
+                    Mode::Shared if mine => return Ok(Claim::Reentrant),
+                    Mode::Shared => (held + 1, Claim::New),
+                    Mode::Exclusive if mine && held == SHARED | 1 => (me, Claim::Upgrade),
+                    Mode::Exclusive => return Err(cur),
+                }
+            };
+            let flag = if parked_others {
+                WAITERS
+            } else {
+                cur & WAITERS
+            };
+            match self.state.compare_exchange(
+                cur,
+                next | flag,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(claim),
+                Err(changed) => cur = changed,
             }
         }
     }
 
-    /// Acquisition loop under a deterministic scheduler: one CAS per
-    /// scheduling round, blocking becomes [`crate::det::block_tick`]
-    /// and the timeout deadline is measured in virtual ticks, so a
-    /// deadlock cycle resolves identically on every replay of a seed.
-    /// The parking machinery is bypassed and [`WAITERS`] never set.
-    #[cfg(feature = "deterministic")]
-    fn acquire_det(&self, id: TxnId, timeout: std::time::Duration) -> AcquireOutcome {
-        use crate::det::{self, Point};
-        let raw = id.raw();
-        let deadline = det::virtual_now() + det::ticks_for(timeout);
-        let mut contended = false;
-        loop {
-            det::yield_point(Point::LockAcquire);
+    /// Give up `id`'s hold at commit/abort. Only [`Txn`] calls this, for
+    /// locks on its held list: a `SHARED` word cannot tell whether `id`
+    /// is among its readers, so the caller must know. An exclusive word
+    /// naming another owner is left alone.
+    pub(crate) fn release(&self, id: TxnId) {
+        let mut cur = self.state.load(Ordering::Relaxed);
+        let prev = loop {
+            let held = cur & !WAITERS;
+            let next = if held == id.raw() || held == SHARED | 1 {
+                0 // the exclusive holder, or the last reader, leaves
+            } else if held & SHARED == 0 {
+                return; // exclusively someone else's, or free
+            } else {
+                cur - 1 // one reader fewer; WAITERS stays for the rest
+            };
             match self
                 .state
-                .compare_exchange(0, raw, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(cur, next, Ordering::Release, Ordering::Relaxed)
             {
-                Ok(_) => {
-                    if let Some(site) = &self.site {
-                        site.record_acquired(std::time::Duration::ZERO, contended);
-                    }
-                    crate::trace_event!(LockAcquired {
-                        txn: id,
-                        wait_ns: 0
-                    });
-                    return AcquireOutcome::Acquired;
-                }
-                Err(cur) if cur & OWNER_MASK == raw => return AcquireOutcome::AlreadyHeld,
-                Err(_) => {
-                    if !contended {
-                        contended = true;
-                        crate::trace_event!(LockWait { txn: id });
-                    }
-                    if det::virtual_now() >= deadline {
-                        if let Some(site) = &self.site {
-                            // Virtual waits have no meaningful wall
-                            // duration; attribute the timeout only.
-                            site.record_timeout(std::time::Duration::ZERO);
-                        }
-                        return AcquireOutcome::TimedOut;
-                    }
-                    det::block_tick();
-                }
+                Ok(prev) => break prev,
+                Err(changed) => cur = changed,
             }
-        }
-    }
-
-    /// Bookkeeping after an uncontended fast-path acquisition: no clock
-    /// was read and no wait happened, so this is at most one relaxed
-    /// counter increment (and nothing at all for un-instrumented locks).
-    #[inline]
-    fn note_acquired_uncontended(&self, id: TxnId) {
-        let _ = id; // only the (feature-gated) trace event consumes it
-        if let Some(site) = &self.site {
-            site.record_acquired(std::time::Duration::ZERO, false);
-        }
-        crate::trace_event!(LockAcquired {
-            txn: id,
-            wait_ns: 0
-        });
-    }
-
-    /// Bookkeeping after a successful contended acquisition.
-    #[inline]
-    fn note_acquired(&self, id: TxnId, start: Instant, contended: bool) {
-        let _ = id; // only the (feature-gated) trace event consumes it
-        if let Some(site) = &self.site {
-            // Skip the clock read when nothing was waited for: the
-            // uncontended wait is ~0 and the extra `Instant::now()`
-            // would be the dominant instrumentation cost.
-            let wait = if contended {
-                start.elapsed()
-            } else {
-                std::time::Duration::ZERO
-            };
-            site.record_acquired(wait, contended);
-        }
-        crate::trace_event!(LockAcquired {
-            txn: id,
-            wait_ns: if contended {
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-            } else {
-                0
-            },
-        });
-    }
-
-    /// The transaction currently owning the lock, if any.
-    pub fn owner(&self) -> Option<TxnId> {
-        TxnId::from_raw(self.state.load(Ordering::Acquire) & OWNER_MASK)
-    }
-}
-
-impl HeldLock for AbstractLock {
-    fn release(&self, id: TxnId) {
-        let raw = id.raw();
-        // Non-owner release must be a no-op. The unsynchronized check
-        // is sound: only the owner's own thread can make the owner
-        // field equal `raw` (acquisition happens on the transaction's
-        // thread), so a mismatch here is stable.
-        if self.state.load(Ordering::Relaxed) & OWNER_MASK != raw {
-            return;
-        }
-        let prev = self.state.swap(0, Ordering::Release);
-        debug_assert_eq!(prev & OWNER_MASK, raw);
+        };
         if prev & WAITERS != 0 {
             // Take and drop the park mutex before notifying: a waiter
-            // that set WAITERS but has not yet reached `cv.wait` still
+            // that set WAITERS but has not yet reached `wait` still
             // holds the mutex, and this acquisition orders the notify
             // after its registration — no wakeup can be lost.
             drop(self.park.lock());
@@ -352,6 +332,22 @@ impl HeldLock for AbstractLock {
             // lock when woken, losers go back to sleep.
             self.cv.notify_all();
         }
+    }
+
+    /// Snapshot of (exclusive holder, shared-holder count) for
+    /// diagnostics/tests; at most one of the two is set.
+    pub fn holders(&self) -> (Option<TxnId>, usize) {
+        let held = self.state.load(Ordering::Acquire) & !WAITERS;
+        if held & SHARED == 0 {
+            (TxnId::from_raw(held), 0)
+        } else {
+            (None, (held & OWNER_MASK) as usize)
+        }
+    }
+
+    /// The transaction holding the lock exclusively, if any.
+    pub fn owner(&self) -> Option<TxnId> {
+        self.holders().0
     }
 }
 
@@ -374,7 +370,7 @@ mod tests {
         let tm = manager(50);
         let lock = Arc::new(AbstractLock::new());
         let txn = tm.begin();
-        lock.acquire(&txn).unwrap();
+        lock.acquire(&txn, Mode::Exclusive).unwrap();
         assert_eq!(lock.owner(), Some(txn.id()));
         assert_eq!(txn.held_lock_count(), 1);
         tm.commit(txn);
@@ -386,8 +382,8 @@ mod tests {
         let tm = manager(50);
         let lock = Arc::new(AbstractLock::new());
         let txn = tm.begin();
-        lock.acquire(&txn).unwrap();
-        lock.acquire(&txn).unwrap();
+        lock.acquire(&txn, Mode::Exclusive).unwrap();
+        lock.acquire(&txn, Mode::Exclusive).unwrap();
         assert_eq!(txn.held_lock_count(), 1);
         tm.commit(txn);
         assert_eq!(lock.owner(), None);
@@ -398,10 +394,10 @@ mod tests {
         let tm = manager(5);
         let lock = Arc::new(AbstractLock::new());
         let holder = tm.begin();
-        lock.acquire(&holder).unwrap();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
 
         let waiter = tm.begin();
-        let err = lock.acquire(&waiter).unwrap_err();
+        let err = lock.acquire(&waiter, Mode::Exclusive).unwrap_err();
         assert_eq!(err, Abort::lock_timeout());
         // The loser holds nothing new.
         assert_eq!(waiter.held_lock_count(), 0);
@@ -409,13 +405,16 @@ mod tests {
         tm.abort(waiter, crate::AbortReason::LockTimeout);
     }
 
+    /// The exclusive case only: a shared word counts its holders without
+    /// naming them, so a shared release trusts its caller — and the one
+    /// caller, `Txn::release_locks`, walks its own held list.
     #[test]
     fn release_is_noop_for_non_owner() {
         let tm = manager(50);
         let lock = Arc::new(AbstractLock::new());
         let a = tm.begin();
         let b = tm.begin();
-        lock.acquire(&a).unwrap();
+        lock.acquire(&a, Mode::Exclusive).unwrap();
         // b never acquired; releasing on b's behalf must not free a's lock.
         lock.release(b.id());
         assert_eq!(lock.owner(), Some(a.id()));
@@ -428,12 +427,12 @@ mod tests {
         let tm = Arc::new(manager(1_000));
         let lock = Arc::new(AbstractLock::new());
         let holder = tm.begin();
-        lock.acquire(&holder).unwrap();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
 
         let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
         let waiter = std::thread::spawn(move || {
             let txn = tm2.begin();
-            let r = lock2.acquire(&txn);
+            let r = lock2.acquire(&txn, Mode::Exclusive);
             tm2.commit(txn);
             r
         });
@@ -447,7 +446,7 @@ mod tests {
         let tm = manager(50);
         let lock = Arc::new(AbstractLock::new());
         let txn = tm.begin();
-        lock.acquire(&txn).unwrap();
+        lock.acquire(&txn, Mode::Exclusive).unwrap();
         tm.abort(txn, crate::AbortReason::Explicit);
         assert_eq!(lock.owner(), None);
     }
@@ -459,21 +458,19 @@ mod tests {
         let tm = manager(5);
         let lock = Arc::new(AbstractLock::new());
         let holder = tm.begin();
-        lock.acquire(&holder).unwrap();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
         let loser = tm.begin();
         assert_eq!(
-            lock.try_acquire_raw(loser.id(), Duration::from_millis(5)),
-            AcquireOutcome::TimedOut
+            lock.acquire(&loser, Mode::Exclusive).unwrap_err(),
+            Abort::lock_timeout()
         );
-        tm.commit(holder); // release with WAITERS possibly still set
+        tm.commit(holder); // release with WAITERS still set
         assert_eq!(lock.owner(), None);
+        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
         // The word is fully free again: a fresh acquire takes the fast path.
         let next = tm.begin();
-        assert_eq!(
-            lock.try_acquire_raw(next.id(), Duration::from_millis(5)),
-            AcquireOutcome::Acquired
-        );
-        lock.release(next.id());
+        lock.acquire(&next, Mode::Exclusive).unwrap();
+        assert_eq!(lock.state.load(Ordering::Relaxed), next.id().raw());
         tm.commit(next);
         tm.abort(loser, crate::AbortReason::LockTimeout);
     }
@@ -483,13 +480,13 @@ mod tests {
         let tm = Arc::new(manager(2_000));
         let lock = Arc::new(AbstractLock::new());
         let holder = tm.begin();
-        lock.acquire(&holder).unwrap();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
 
         let spawn_waiter = || {
             let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
             std::thread::spawn(move || {
                 let txn = tm2.begin();
-                let r = lock2.acquire(&txn);
+                let r = lock2.acquire(&txn, Mode::Exclusive);
                 tm2.commit(txn);
                 r.is_ok()
             })
@@ -501,5 +498,103 @@ mod tests {
         assert!(w1.join().unwrap());
         assert!(w2.join().unwrap());
         assert_eq!(lock.owner(), None);
+    }
+
+    #[test]
+    fn the_lock_stays_one_word_a_park_mutex_a_condvar_and_a_site() {
+        // 4,096 of these per `KeyLockMap`: the shared mode must not
+        // have grown the slot.
+        assert!(std::mem::size_of::<AbstractLock>() <= 40);
+    }
+
+    #[test]
+    fn lockword_counts_readers_and_keeps_waiters_until_the_last_leaves() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let (a, b) = (tm.begin(), tm.begin());
+        lock.acquire(&a, Mode::Shared).unwrap();
+        lock.acquire(&b, Mode::Shared).unwrap();
+        lock.acquire(&a, Mode::Shared).unwrap(); // reentrant: not counted twice
+        assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 2);
+        assert_eq!((a.held_lock_count(), b.held_lock_count()), (1, 1));
+        // A writer parks, times out and leaves its WAITERS bit behind.
+        let w = tm.begin();
+        assert_eq!(
+            lock.acquire(&w, Mode::Exclusive).unwrap_err(),
+            Abort::lock_timeout()
+        );
+        assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 2 | WAITERS);
+        // A reader joining or leaving keeps the bit; the last one clears it.
+        let c = tm.begin();
+        lock.acquire(&c, Mode::Shared).unwrap();
+        assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 3 | WAITERS);
+        tm.commit(c);
+        tm.commit(a);
+        assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 1 | WAITERS);
+        tm.commit(b);
+        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+        tm.abort(w, crate::AbortReason::LockTimeout);
+    }
+
+    /// Spin until a waiter has registered itself on `lock`'s word.
+    fn until_parked(lock: &AbstractLock) {
+        while lock.state.load(Ordering::Relaxed) & WAITERS == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    // In the two tests below the timeout is far beyond the test: a lost
+    // wakeup shows as a stall that trips the elapsed-time bound.
+
+    #[test]
+    fn lockword_parked_writer_wakes_on_the_last_shared_release() {
+        let tm = Arc::new(manager(20_000));
+        let lock = Arc::new(AbstractLock::new());
+        let (r1, r2) = (tm.begin(), tm.begin());
+        lock.acquire(&r1, Mode::Shared).unwrap();
+        lock.acquire(&r2, Mode::Shared).unwrap();
+        let start = std::time::Instant::now();
+        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
+        let writer = std::thread::spawn(move || {
+            let txn = tm2.begin();
+            let r = lock2.acquire(&txn, Mode::Exclusive);
+            let inside = lock2.holders();
+            tm2.commit(txn);
+            r.map(|()| inside)
+        });
+        until_parked(&lock);
+        tm.commit(r1); // one reader left: still nothing for the writer
+        assert_eq!(lock.holders(), (None, 1));
+        tm.commit(r2);
+        let (owner, readers) = writer.join().unwrap().unwrap();
+        assert!(owner.is_some() && readers == 0);
+        assert!(start.elapsed() < Duration::from_secs(10));
+        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn lockword_parked_upgrader_wakes_when_it_becomes_the_only_reader() {
+        let tm = Arc::new(manager(20_000));
+        let lock = Arc::new(AbstractLock::new());
+        let other = tm.begin();
+        lock.acquire(&other, Mode::Shared).unwrap();
+        let start = std::time::Instant::now();
+        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
+        let upgrader = std::thread::spawn(move || {
+            let txn = tm2.begin();
+            lock2.acquire(&txn, Mode::Shared).unwrap();
+            let r = lock2.acquire(&txn, Mode::Exclusive);
+            let inside = (lock2.owner(), txn.held_lock_count());
+            tm2.commit(txn);
+            r.map(|()| inside)
+        });
+        until_parked(&lock);
+        assert_eq!(lock.holders(), (None, 2));
+        tm.commit(other);
+        let (owner, held) = upgrader.join().unwrap().unwrap();
+        assert!(owner.is_some());
+        assert_eq!(held, 1, "an upgrade is not a second hold");
+        assert!(start.elapsed() < Duration::from_secs(10));
+        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
     }
 }

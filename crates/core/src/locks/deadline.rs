@@ -1,0 +1,60 @@
+//! The seam through which every blocking wait reaches the clock and
+//! the condvar.
+//!
+//! A wait loop builds one [`Deadline`] and calls [`Deadline::wait`]
+//! each time it has to block. Normally that is the wall clock and a
+//! timed condvar wait. With a deterministic scheduler installed on
+//! the thread (the `deterministic` feature) the same calls run on
+//! virtual time: a wait is one [`crate::det::block_tick`] — a
+//! scheduling round that advances the virtual clock — and the loop's
+//! own re-check after it stands in for the notification. So the
+//! harness executes the loops that ship, not a twin of them.
+
+use parking_lot::{Condvar, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// When a blocking wait gives up, fixed at the moment the wait began.
+#[derive(Debug)]
+pub struct Deadline {
+    start: Instant,
+    timeout: Duration,
+    /// The virtual tick at which the wait times out; `Some` iff a
+    /// deterministic scheduler was installed when the wait began.
+    #[cfg(feature = "deterministic")]
+    virtual_end: Option<u64>,
+}
+
+impl Deadline {
+    /// A deadline `timeout` from now.
+    pub fn after(timeout: Duration) -> Deadline {
+        Deadline {
+            start: Instant::now(),
+            timeout,
+            #[cfg(feature = "deterministic")]
+            virtual_end: crate::det::active()
+                .then(|| crate::det::virtual_now() + crate::det::ticks_for(timeout)),
+        }
+    }
+
+    /// Block on `cv` until notified or the deadline passes, releasing
+    /// `guard`'s mutex meanwhile; `true` means the deadline passed.
+    /// Wake-ups may be spurious — the caller re-checks its condition
+    /// either way, and once more after a timeout.
+    pub fn wait<T>(&self, cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
+        #[cfg(feature = "deterministic")]
+        if let Some(end) = self.virtual_end {
+            // The guard must be released across the tick: a logical
+            // thread that yields while holding the mutex wedges the
+            // harness as soon as the thread it yields to wants it.
+            MutexGuard::unlocked(guard, crate::det::block_tick);
+            return crate::det::virtual_now() >= end;
+        }
+        cv.wait_until(guard, self.start + self.timeout).timed_out()
+    }
+
+    /// Wall-clock time since the wait began (what the contention
+    /// histograms record, under either clock).
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+}

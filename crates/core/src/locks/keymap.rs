@@ -1,7 +1,7 @@
 //! `KeyLockMap` — the paper's `LockKey` (Figure 3) as a fixed table of
 //! lock words: a key's abstract lock is the slot its hash selects.
 
-use super::abstract_lock::AbstractLock;
+use super::abstract_lock::{AbstractLock, Mode};
 use crate::obs::{ContentionRegistry, LockLabel, LockSiteStats};
 use crate::{TxResult, Txn};
 use std::fmt;
@@ -35,8 +35,7 @@ const SITES: usize = 64;
 /// many distinct keys are ever locked, there is no per-key entry to
 /// create, find or reclaim, and acquiring is one hash, one mask and the
 /// slot's own compare-and-swap. Reacquisition is the same path — the
-/// CAS fails on a word the transaction itself wrote
-/// ([`super::AcquireOutcome::AlreadyHeld`]).
+/// CAS fails on a word the transaction itself wrote.
 ///
 /// The hash is **fixed-seed**: which keys share a slot is a property
 /// of the keys, not of the process, so a deterministic-scheduler seed
@@ -109,7 +108,7 @@ impl<K: Hash> KeyLockMap<K> {
                     None => AbstractLock::new(),
                 })
             })
-            .acquire(txn)
+            .acquire(txn, Mode::Exclusive)
     }
 
     /// Whether any transaction currently holds `key`'s slot

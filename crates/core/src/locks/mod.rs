@@ -7,16 +7,18 @@
 //! calls do not commute (the paper's Rule 2, *Commutativity Isolation*).
 //! Abstract locks are strict two-phase: once acquired they are held
 //! until the transaction commits or finishes aborting, at which point
-//! the runtime releases them via [`HeldLock::release`].
+//! the runtime releases them.
 //!
 //! Acquisition blocks with a timeout ([`crate::Txn::lock_timeout`]);
 //! timing out aborts the requesting transaction, which is how deadlocks
 //! among abstract locks are broken (aborting releases everything, then
 //! the transaction retries after backoff).
 //!
-//! Three disciplines are provided, matching the paper's experiments:
+//! There is one lock — [`AbstractLock`], a lock word held in
+//! [`Mode::Shared`] or [`Mode::Exclusive`] — and three handles onto it,
+//! matching the paper's experiments:
 //!
-//! | Type | Paper analogue | Granularity |
+//! | Handle | Paper analogue | Granularity |
 //! |---|---|---|
 //! | [`KeyLockMap`] | `LockKey` (Fig. 3) | one lock per key-hash slot of a fixed table — `add(x)`/`remove(x)`/`contains(x)` conflict on equal `x` (and, safely by Rule 2, on the rare `y` sharing `x`'s slot) |
 //! | [`TxRwLock`] | heap's two-phase readers-writer lock (Fig. 5) | `add` = shared, `removeMin` = exclusive |
@@ -30,27 +32,13 @@
 //! `txboost-bench`.
 
 mod abstract_lock;
+mod deadline;
 mod keymap;
 mod mutex;
 mod rwlock;
 
-pub use abstract_lock::{AbstractLock, AcquireOutcome};
+pub use abstract_lock::{AbstractLock, Mode};
+pub use deadline::Deadline;
 pub use keymap::KeyLockMap;
 pub use mutex::TxMutex;
 pub use rwlock::TxRwLock;
-
-use crate::TxnId;
-
-/// A two-phase lock registered with a transaction.
-///
-/// Implementations are registered via
-/// [`crate::Txn::register_held_lock`] when first acquired; the runtime
-/// calls [`HeldLock::release`] exactly once per registration when the
-/// owning transaction commits or finishes aborting. `release` must be
-/// idempotent with respect to ownership: if `id` no longer owns the
-/// lock, the call must be a no-op.
-pub trait HeldLock: Send + Sync {
-    /// Release whatever hold transaction `id` has on this lock and wake
-    /// waiters.
-    fn release(&self, id: TxnId);
-}

@@ -1,6 +1,6 @@
 //! `TxMutex` — a single transactional two-phase lock.
 
-use super::abstract_lock::AbstractLock;
+use super::abstract_lock::{AbstractLock, Mode};
 use crate::obs::{ContentionRegistry, LockLabel};
 use crate::{TxResult, Txn, TxnId};
 use std::sync::Arc;
@@ -41,7 +41,7 @@ impl TxMutex {
     /// the transaction with a lock timeout if another transaction holds
     /// it too long.
     pub fn lock(&self, txn: &Txn) -> TxResult<()> {
-        self.inner.acquire(txn)
+        self.inner.acquire(txn, Mode::Exclusive)
     }
 
     /// The current owner, if any (diagnostics/tests).

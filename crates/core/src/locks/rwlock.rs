@@ -1,25 +1,12 @@
 //! `TxRwLock` — a two-phase transactional readers-writer lock.
 
-use super::HeldLock;
-use crate::obs::{ContentionRegistry, LockLabel, LockSiteStats};
-use crate::{Abort, TxResult, Txn, TxnId};
-use parking_lot::{Condvar, Mutex};
+use super::abstract_lock::{AbstractLock, Mode};
+use crate::obs::{ContentionRegistry, LockLabel};
+use crate::{TxResult, Txn, TxnId};
 use std::sync::Arc;
-use std::time::Instant;
 
-#[derive(Debug, Default)]
-struct RwState {
-    writer: Option<TxnId>,
-    readers: Vec<TxnId>,
-}
-
-impl RwState {
-    fn holds_any(&self, id: TxnId) -> bool {
-        self.writer == Some(id) || self.readers.contains(&id)
-    }
-}
-
-/// A two-phase readers-writer abstract lock.
+/// A two-phase readers-writer abstract lock: an [`AbstractLock`] whose
+/// callers pick the mode per method.
 ///
 /// This is the conflict discipline of the paper's boosted heap
 /// (Figure 5): `add(x)` calls commute with each other (the base heap's
@@ -38,13 +25,9 @@ impl RwState {
 ///   are broken by the acquisition timeout, aborting one of them.
 /// * all holds are released together when the transaction commits or
 ///   aborts (strict two-phase locking).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TxRwLock {
-    state: Mutex<RwState>,
-    cv: Condvar,
-    /// Contention-attribution site; `None` (the default) records
-    /// nothing.
-    site: Option<Arc<LockSiteStats>>,
+    inner: Arc<AbstractLock>,
 }
 
 impl TxRwLock {
@@ -53,261 +36,37 @@ impl TxRwLock {
         TxRwLock::default()
     }
 
-    /// A fresh lock whose waits and timeouts are charged to `site`.
-    pub fn with_site(site: Arc<LockSiteStats>) -> Self {
-        TxRwLock {
-            site: Some(site),
-            ..TxRwLock::default()
-        }
-    }
-
     /// Like [`TxRwLock::new`], but waits and timeouts are charged to
     /// `object` in `registry`.
     pub fn labeled(object: &'static str, registry: &ContentionRegistry) -> Self {
-        TxRwLock::with_site(registry.register(LockLabel::object(object)))
-    }
-
-    /// Bookkeeping after a successful non-reentrant acquisition, in
-    /// either mode; runs after the state mutex is dropped.
-    #[inline]
-    fn note_acquired(&self, id: TxnId, start: Instant, contended: bool) {
-        let _ = id; // only the (feature-gated) trace event consumes it
-        if let Some(site) = &self.site {
-            // As in `AbstractLock`: no clock read on the uncontended
-            // path, where the wait is ~0 by definition.
-            let wait = if contended {
-                start.elapsed()
-            } else {
-                std::time::Duration::ZERO
-            };
-            site.record_acquired(wait, contended);
-        }
-        crate::trace_event!(LockAcquired {
-            txn: id,
-            wait_ns: if contended {
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-            } else {
-                0
-            },
-        });
-    }
-
-    #[inline]
-    fn note_timeout(&self, start: Instant) {
-        if let Some(site) = &self.site {
-            site.record_timeout(start.elapsed());
+        TxRwLock {
+            inner: Arc::new(AbstractLock::with_site(
+                registry.register(LockLabel::object(object)),
+            )),
         }
     }
 
     /// Acquire in shared (read) mode for `txn`.
-    pub fn read_lock(self: &Arc<Self>, txn: &Txn) -> TxResult<()> {
-        // Even shared mode is forbidden for read-only snapshot
-        // transactions: they read version chains, not the live object,
-        // so a lock would only let them block (and be blocked by)
-        // writers — the exact stall this mode exists to remove.
-        if txn.is_read_only() {
-            return Err(Abort::read_only_violation());
-        }
-        #[cfg(feature = "deterministic")]
-        if crate::det::active() {
-            return self.read_lock_det(txn);
-        }
-        let start = Instant::now();
-        let deadline = start + txn.lock_timeout();
-        let mut contended = false;
-        let mut st = self.state.lock();
-        if st.holds_any(txn.id()) {
-            // Already a reader, or a writer (write implies read).
-            return Ok(());
-        }
-        while st.writer.is_some() {
-            if !contended {
-                contended = true;
-                crate::trace_event!(LockWait { txn: txn.id() });
-            }
-            if self.cv.wait_until(&mut st, deadline).timed_out() && st.writer.is_some() {
-                drop(st);
-                self.note_timeout(start);
-                return Err(Abort::lock_timeout());
-            }
-        }
-        st.readers.push(txn.id());
-        drop(st);
-        self.note_acquired(txn.id(), start, contended);
-        txn.register_held_lock(Arc::clone(self) as Arc<dyn HeldLock>);
-        Ok(())
+    pub fn read_lock(&self, txn: &Txn) -> TxResult<()> {
+        self.inner.acquire(txn, Mode::Shared)
     }
 
     /// Acquire in exclusive (write) mode for `txn`, upgrading from
     /// shared mode if necessary.
-    pub fn write_lock(self: &Arc<Self>, txn: &Txn) -> TxResult<()> {
-        if txn.is_read_only() {
-            return Err(Abort::read_only_violation());
-        }
-        #[cfg(feature = "deterministic")]
-        if crate::det::active() {
-            return self.write_lock_det(txn);
-        }
-        let start = Instant::now();
-        let deadline = start + txn.lock_timeout();
-        let me = txn.id();
-        let mut contended = false;
-        let mut st = self.state.lock();
-        if st.writer == Some(me) {
-            return Ok(());
-        }
-        let was_holding = st.holds_any(me);
-        loop {
-            let blocked_by_writer = st.writer.is_some() && st.writer != Some(me);
-            let blocked_by_readers = st.readers.iter().any(|&r| r != me);
-            if !blocked_by_writer && !blocked_by_readers {
-                break;
-            }
-            if !contended {
-                contended = true;
-                crate::trace_event!(LockWait { txn: me });
-            }
-            if self.cv.wait_until(&mut st, deadline).timed_out() {
-                let still_blocked = (st.writer.is_some() && st.writer != Some(me))
-                    || st.readers.iter().any(|&r| r != me);
-                if still_blocked {
-                    drop(st);
-                    self.note_timeout(start);
-                    return Err(Abort::lock_timeout());
-                }
-                break;
-            }
-        }
-        st.readers.retain(|&r| r != me); // upgrade consumes the read hold
-        st.writer = Some(me);
-        drop(st);
-        self.note_acquired(me, start, contended);
-        if !was_holding {
-            txn.register_held_lock(Arc::clone(self) as Arc<dyn HeldLock>);
-        }
-        Ok(())
-    }
-
-    /// Shared acquisition under a deterministic scheduler: condvar
-    /// waits become scheduling rounds and the timeout runs on virtual
-    /// ticks, mirroring the wall-clock loop above exactly.
-    #[cfg(feature = "deterministic")]
-    fn read_lock_det(self: &Arc<Self>, txn: &Txn) -> TxResult<()> {
-        use crate::det::{self, Point};
-        let deadline = det::virtual_now() + det::ticks_for(txn.lock_timeout());
-        let mut contended = false;
-        loop {
-            det::yield_point(Point::LockAcquire);
-            let mut st = self.state.lock();
-            if st.holds_any(txn.id()) {
-                return Ok(());
-            }
-            if st.writer.is_none() {
-                st.readers.push(txn.id());
-                drop(st);
-                if let Some(site) = &self.site {
-                    site.record_acquired(std::time::Duration::ZERO, contended);
-                }
-                crate::trace_event!(LockAcquired {
-                    txn: txn.id(),
-                    wait_ns: 0
-                });
-                txn.register_held_lock(Arc::clone(self) as Arc<dyn HeldLock>);
-                return Ok(());
-            }
-            drop(st);
-            if !contended {
-                contended = true;
-                crate::trace_event!(LockWait { txn: txn.id() });
-            }
-            if det::virtual_now() >= deadline {
-                if let Some(site) = &self.site {
-                    site.record_timeout(std::time::Duration::ZERO);
-                }
-                return Err(Abort::lock_timeout());
-            }
-            det::block_tick();
-        }
-    }
-
-    /// Exclusive acquisition (with upgrade) under a deterministic
-    /// scheduler; replicates the `was_holding` / upgrade semantics of
-    /// the wall-clock loop above.
-    #[cfg(feature = "deterministic")]
-    fn write_lock_det(self: &Arc<Self>, txn: &Txn) -> TxResult<()> {
-        use crate::det::{self, Point};
-        let me = txn.id();
-        let deadline = det::virtual_now() + det::ticks_for(txn.lock_timeout());
-        let mut contended = false;
-        let mut was_holding = None;
-        loop {
-            det::yield_point(Point::LockAcquire);
-            let mut st = self.state.lock();
-            if st.writer == Some(me) {
-                return Ok(());
-            }
-            let was_holding = *was_holding.get_or_insert_with(|| st.holds_any(me));
-            let blocked_by_writer = st.writer.is_some() && st.writer != Some(me);
-            let blocked_by_readers = st.readers.iter().any(|&r| r != me);
-            if !blocked_by_writer && !blocked_by_readers {
-                st.readers.retain(|&r| r != me); // upgrade consumes the read hold
-                st.writer = Some(me);
-                drop(st);
-                if let Some(site) = &self.site {
-                    site.record_acquired(std::time::Duration::ZERO, contended);
-                }
-                crate::trace_event!(LockAcquired {
-                    txn: me,
-                    wait_ns: 0
-                });
-                if !was_holding {
-                    txn.register_held_lock(Arc::clone(self) as Arc<dyn HeldLock>);
-                }
-                return Ok(());
-            }
-            drop(st);
-            if !contended {
-                contended = true;
-                crate::trace_event!(LockWait { txn: me });
-            }
-            if det::virtual_now() >= deadline {
-                if let Some(site) = &self.site {
-                    site.record_timeout(std::time::Duration::ZERO);
-                }
-                return Err(Abort::lock_timeout());
-            }
-            det::block_tick();
-        }
+    pub fn write_lock(&self, txn: &Txn) -> TxResult<()> {
+        self.inner.acquire(txn, Mode::Exclusive)
     }
 
     /// Snapshot of (writer, reader-count) for diagnostics/tests.
     pub fn holders(&self) -> (Option<TxnId>, usize) {
-        let st = self.state.lock();
-        (st.writer, st.readers.len())
-    }
-}
-
-impl HeldLock for TxRwLock {
-    fn release(&self, id: TxnId) {
-        let mut st = self.state.lock();
-        let mut changed = false;
-        if st.writer == Some(id) {
-            st.writer = None;
-            changed = true;
-        }
-        let before = st.readers.len();
-        st.readers.retain(|&r| r != id);
-        changed |= st.readers.len() != before;
-        if changed {
-            self.cv.notify_all();
-        }
+        self.inner.holders()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TxnConfig, TxnManager};
+    use crate::{Abort, TxnConfig, TxnManager};
     use std::time::Duration;
 
     fn manager(timeout_ms: u64) -> TxnManager {

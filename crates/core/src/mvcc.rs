@@ -28,6 +28,13 @@
 //!   serialization order: all-or-nothing per writer, and immutable for
 //!   the reader's whole lifetime. That is why read-only transactions
 //!   *cannot* abort — there is no conflict left to detect.
+//! * Real-time order: a commit that has returned is in every snapshot
+//!   begun afterwards. `stable` alone does not give that — it lags
+//!   while an *older* timestamp is still installing — so
+//!   [`MvccDomain::begin_snapshot`] first waits for `stable` to reach
+//!   the highest timestamp published when it was called
+//!   ([`CommitClock::await_published`]): at most the installs already
+//!   in flight, which hold no lock the reader could need.
 //!
 //! ## Version slots and the GC floor
 //!
@@ -56,7 +63,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
+use crate::locks::Deadline;
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
 
 /// Shards in a [`VersionStore`]'s slot table (power of two).
@@ -92,11 +101,23 @@ pub struct CommitClock {
     next: AtomicU64,
     /// Cached stable frontier, recomputed on every publish.
     stable: AtomicU64,
+    /// Highest timestamp published so far; above `stable` exactly while
+    /// an older commit is still installing.
+    published: AtomicU64,
+    pending: parking_lot::Mutex<Pending>,
+    /// Signalled by a publish while a snapshot waits for `stable`.
+    caught_up: parking_lot::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Pending {
     /// Reserved-but-unpublished timestamps. A `Vec` rather than an
     /// ordered set: it holds at most one entry per concurrently
     /// committing thread, and a warm `Vec` keeps the commit path
     /// allocation-free (the zero-allocs-per-txn bench invariant).
-    pending: Mutex<Vec<u64>>,
+    reserved: Vec<u64>,
+    /// Snapshots blocked in [`CommitClock::await_published`].
+    waiters: usize,
 }
 
 impl Default for CommitClock {
@@ -104,7 +125,9 @@ impl Default for CommitClock {
         CommitClock {
             next: AtomicU64::new(1),
             stable: AtomicU64::new(0),
-            pending: Mutex::new(Vec::new()),
+            published: AtomicU64::new(0),
+            pending: parking_lot::Mutex::default(),
+            caught_up: parking_lot::Condvar::new(),
         }
     }
 }
@@ -115,9 +138,9 @@ impl CommitClock {
     /// can never compute a stable frontier that includes a timestamp
     /// whose versions are not yet installed.
     pub fn reserve(&self) -> u64 {
-        let mut pending = self.pending.lock().unwrap();
+        let mut pending = self.pending.lock();
         let ts = self.next.fetch_add(1, Ordering::Relaxed);
-        pending.push(ts);
+        pending.reserved.push(ts);
         ts
     }
 
@@ -127,18 +150,45 @@ impl CommitClock {
     /// observes `stable() >= ts` also observes every version install
     /// that preceded `publish(ts)`.
     pub fn publish(&self, ts: u64) {
-        let mut pending = self.pending.lock().unwrap();
-        match pending.iter().position(|&p| p == ts) {
+        let mut pending = self.pending.lock();
+        match pending.reserved.iter().position(|&p| p == ts) {
             Some(i) => {
-                pending.swap_remove(i);
+                pending.reserved.swap_remove(i);
             }
             None => debug_assert!(false, "publish({ts}) without a matching reserve"),
         }
-        let stable = match pending.iter().copied().min() {
+        let stable = match pending.reserved.iter().copied().min() {
             Some(oldest_pending) => oldest_pending - 1,
             None => self.next.load(Ordering::Relaxed) - 1,
         };
         self.stable.store(stable, Ordering::Release);
+        // Relaxed: the value publishes no data (`stable` does that); a
+        // snapshot that begins after this commit returned is ordered
+        // after this store by whatever told it the commit returned.
+        self.published.fetch_max(ts, Ordering::Relaxed);
+        if pending.waiters > 0 {
+            self.caught_up.notify_all();
+        }
+    }
+
+    /// Block until `stable` covers every timestamp published before the
+    /// call, so the caller's snapshot contains every commit that had
+    /// already returned. Returns at once unless an older commit is
+    /// mid-install; then it waits for the installs in flight right now
+    /// and nothing else (an install window takes no abstract lock).
+    pub fn await_published(&self) {
+        let target = self.published.load(Ordering::Relaxed);
+        if self.stable() >= target {
+            return;
+        }
+        let mut pending = self.pending.lock();
+        pending.waiters += 1;
+        while self.stable() < target {
+            // Every publish notifies while `waiters > 0`; the bound
+            // only paces a re-check.
+            Deadline::after(Duration::from_millis(1)).wait(&self.caught_up, &mut pending);
+        }
+        pending.waiters -= 1;
     }
 
     /// The stable frontier: every commit with timestamp ≤ this value
@@ -296,10 +346,12 @@ impl MvccDomain {
         GLOBAL.get_or_init(|| Arc::new(MvccDomain::new()))
     }
 
-    /// Begin a snapshot read: register at the stable frontier and
-    /// return a guard that deregisters (and records the snapshot's
-    /// final age) on drop.
+    /// Begin a snapshot read: register at the stable frontier — once
+    /// it covers every commit that has already returned — and return a
+    /// guard that deregisters (and records the snapshot's final age) on
+    /// drop.
     pub fn begin_snapshot(&self) -> SnapshotGuard<'_> {
+        self.clock.await_published();
         let ts = self.readers.register(&self.clock);
         SnapshotGuard { domain: self, ts }
     }
@@ -733,6 +785,46 @@ mod tests {
         assert_eq!(clock.stable(), 0, "reserved but unpublished");
         clock.publish(ts);
         assert_eq!(clock.stable(), 1);
+    }
+
+    #[test]
+    fn a_snapshot_begun_after_a_commit_returned_waits_for_older_installs_and_contains_it() {
+        // T0's install window is held open, T1 (a later timestamp)
+        // commits and returns: `stable` is stuck below T1, yet a
+        // snapshot begun now must contain T1. It can only block until
+        // T0 publishes.
+        let d = domain();
+        let (entered, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                d.commit(|| {
+                    entered.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let t1 = d.commit(|| current_commit().unwrap().0);
+            assert_eq!(
+                (t1, d.clock.stable()),
+                (2, 0),
+                "T1 returned; T0 still installing"
+            );
+            let reader = s.spawn(|| d.begin_snapshot().ts());
+            while d.clock.pending.lock().waiters == 0 {
+                std::thread::yield_now(); // until the reader is blocked
+            }
+            assert!(!reader.is_finished());
+            release.store(true, Ordering::SeqCst);
+            assert!(
+                reader.join().unwrap() >= t1,
+                "snapshot misses a returned commit"
+            );
+        });
+        assert_eq!(d.clock.pending.lock().waiters, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::{Abort, AbortReason, TxnError};
 use crate::inline::ActionLog;
-use crate::locks::HeldLock;
+use crate::locks::AbstractLock;
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
 use std::cell::{Cell, RefCell};
@@ -146,6 +146,10 @@ impl<T, const N: usize> InlineVec<T, N> {
             self.inline[self.len].take()
         }
     }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.inline.iter().flatten().chain(&self.spill)
+    }
 }
 
 /// A high-water mark in a transaction's logs; see [`Txn::savepoint`].
@@ -187,7 +191,7 @@ pub struct Txn {
     /// `Some` for read-only snapshot transactions: the registered
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
-    held_locks: RefCell<InlineVec<Arc<dyn HeldLock>, LOCKS_INLINE>>,
+    held_locks: RefCell<InlineVec<Arc<AbstractLock>, LOCKS_INLINE>>,
     lock_timeout: Duration,
     started: Instant,
     /// Opt out of Send/Sync: a transaction is thread-confined.
@@ -443,17 +447,25 @@ impl Txn {
         self.held_locks.borrow().len()
     }
 
-    /// Register a two-phase lock acquired on behalf of this transaction.
-    /// The runtime calls [`HeldLock::release`] exactly once when the
-    /// transaction commits or finishes aborting. Lock implementations in
-    /// [`crate::locks`] call this automatically; it is public so that
-    /// user-defined abstract-lock disciplines can participate too.
+    /// Register a lock this transaction now holds and did not before;
+    /// it is released exactly once, when the transaction commits or
+    /// finishes aborting.
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
-    pub fn register_held_lock(&self, lock: Arc<dyn HeldLock>) {
+    pub(crate) fn register_held_lock(&self, lock: Arc<AbstractLock>) {
         self.assert_active("register_held_lock");
         self.held_locks.borrow_mut().push(lock);
+    }
+
+    /// Whether `lock` is on this transaction's held list. A lock word in
+    /// shared mode counts its holders without naming them, so this list
+    /// is how a transaction recognises its own shared hold.
+    pub(crate) fn holds_lock(&self, lock: &Arc<AbstractLock>) -> bool {
+        self.held_locks
+            .borrow()
+            .iter()
+            .any(|held| Arc::ptr_eq(held, lock))
     }
 
     fn assert_active(&self, op: &str) {

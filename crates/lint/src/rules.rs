@@ -181,21 +181,14 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
     ("crates/core/src/txn.rs", "commit", &["Commit"]),
     ("crates/core/src/txn.rs", "abort", &["Abort"]),
     ("crates/core/src/backoff.rs", "backoff", &["Backoff"]),
+    // One acquisition path for every lock discipline, and one seam
+    // through which it (and the semaphore) blocks.
     (
         "crates/core/src/locks/abstract_lock.rs",
-        "acquire_det",
-        &["LockAcquire", "block_tick"],
+        "acquire",
+        &["LockAcquire"],
     ),
-    (
-        "crates/core/src/locks/rwlock.rs",
-        "read_lock_det",
-        &["LockAcquire", "block_tick"],
-    ),
-    (
-        "crates/core/src/locks/rwlock.rs",
-        "write_lock_det",
-        &["LockAcquire", "block_tick"],
-    ),
+    ("crates/core/src/locks/deadline.rs", "wait", &["block_tick"]),
     ("crates/rwstm/src/stm.rs", "read", &["StmRead"]),
     (
         "crates/rwstm/src/stm.rs",
@@ -204,8 +197,8 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
     ),
     (
         "crates/boosted/src/semaphore.rs",
-        "acquire_det",
-        &["LockAcquire", "block_tick"],
+        "acquire",
+        &["LockAcquire"],
     ),
     (
         "crates/wal/src/writer.rs",

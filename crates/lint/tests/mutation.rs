@@ -100,6 +100,39 @@ fn deleting_the_yield_hook_trips_yield_point_coverage() {
 }
 
 #[test]
+fn deleting_a_lock_path_hook_trips_yield_point_coverage() {
+    // The workspace's own files, not fixtures: the one acquisition path
+    // owes `LockAcquire`, the one blocking seam owes `block_tick`.
+    for (rel, marker) in [
+        (
+            "crates/core/src/locks/abstract_lock.rs",
+            "Point::LockAcquire",
+        ),
+        ("crates/core/src/locks/deadline.rs", "block_tick)"),
+        ("crates/boosted/src/semaphore.rs", "Point::LockAcquire"),
+    ] {
+        let p = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel);
+        let src = std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        assert_eq!(lint_source(rel, &src).unsuppressed().count(), 0);
+
+        let mutated = strip_lines(&src, |l| l.contains(marker));
+        assert_ne!(
+            mutated.lines().count(),
+            src.lines().count(),
+            "{rel}: no {marker}"
+        );
+        let report = lint_source(rel, &mutated);
+        let fired: Vec<_> = report.unsuppressed().map(|d| d.rule).collect();
+        assert!(
+            fired.contains(&"yield-point-coverage"),
+            "{rel}: removing {marker} must trip yield-point-coverage, got {fired:?}"
+        );
+    }
+}
+
+#[test]
 fn deleting_the_mvcc_yield_hooks_trips_yield_point_coverage() {
     let rel = "crates/core/src/mvcc.rs";
     let src = clean_fixture(rel);

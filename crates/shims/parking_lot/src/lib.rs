@@ -31,7 +31,11 @@ impl<T: Default> Default for Mutex<T> {
 
 /// RAII guard for [`Mutex`].
 #[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
+pub struct MutexGuard<'a, T: ?Sized> {
+    inner: std::sync::MutexGuard<'a, T>,
+    /// The mutex `inner` locks, so [`MutexGuard::unlocked`] can re-lock.
+    mutex: &'a std::sync::Mutex<T>,
+}
 
 impl<T> Mutex<T> {
     /// A new mutex holding `value`.
@@ -48,16 +52,23 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Block until the lock is acquired.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
+        MutexGuard {
+            inner: self.0.lock().unwrap_or_else(|e| e.into_inner()),
+            mutex: &self.0,
+        }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(g)),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner,
+            mutex: &self.0,
+        })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -66,16 +77,41 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Release the lock, run `f`, and re-acquire it before returning
+    /// (also when `f` unwinds). An associated function, as in
+    /// `parking_lot`: `MutexGuard::unlocked(&mut guard, || ..)`.
+    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                let relocked = self.0.mutex.lock().unwrap_or_else(|e| e.into_inner());
+                // SAFETY: `unlocked` moved the slot's guard out and dropped
+                // it before building this value, so the slot holds stale
+                // bits; `write` stores the live guard without dropping them.
+                unsafe { std::ptr::write(&mut self.0.inner, relocked) };
+            }
+        }
+        // SAFETY: the guard read out here is dropped exactly once (now,
+        // unlocking the mutex), and `Relock` overwrites the slot with a
+        // fresh guard on every exit from this function, unwinding
+        // included, before `s` is reachable again.
+        drop(unsafe { std::ptr::read(&s.inner) });
+        let _relock = Relock(s);
+        f()
+    }
+}
+
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        &mut self.inner
     }
 }
 
@@ -162,9 +198,9 @@ impl Condvar {
         // below; `f` (std condvar wait/wait_timeout) returns the guard
         // even on poison and does not unwind.
         unsafe {
-            let inner = std::ptr::read(&guard.0);
+            let inner = std::ptr::read(&guard.inner);
             let (inner, out) = f(inner);
-            std::ptr::write(&mut guard.0, inner);
+            std::ptr::write(&mut guard.inner, inner);
             out
         }
     }
@@ -373,6 +409,22 @@ mod tests {
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn unlocked_releases_for_the_closure_and_relocks_even_on_unwind() {
+        let m = Mutex::new(0);
+        let mut g = m.lock();
+        MutexGuard::unlocked(&mut g, || *m.try_lock().expect("released inside") += 1);
+        assert!(m.try_lock().is_none(), "re-locked afterwards");
+        assert_eq!(*g, 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("inside"));
+        }));
+        assert!(unwound.is_err());
+        assert!(m.try_lock().is_none(), "re-locked after the unwind");
+        drop(g);
+        assert!(m.try_lock().is_some());
     }
 
     #[test]

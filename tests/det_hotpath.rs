@@ -44,7 +44,7 @@ fn reacquire_is_reentrant_on_every_seed() {
                 assert_eq!(t.held_lock_count(), 1);
                 w.map.lock(t, &key)?;
                 w.map.lock(t, &key)?;
-                assert_eq!(t.held_lock_count(), 1, "reacquires must be AlreadyHeld");
+                assert_eq!(t.held_lock_count(), 1, "reacquires must be reentrant");
                 Ok(())
             })
             .unwrap();

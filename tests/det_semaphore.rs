@@ -4,11 +4,12 @@
 //! wake orders are schedulable events and permit-exhaustion timeouts
 //! replay identically on every machine.
 //!
-//! These tests exercise the `acquire_det` path added alongside the
-//! `yield-point-coverage` lint rule — the rule's table demands
-//! `Point::LockAcquire` + `block_tick` hooks in
-//! `crates/boosted/src/semaphore.rs::acquire`, and this suite proves
-//! the hooks actually schedule.
+//! `acquire` is one loop under either clock: it blocks through the
+//! `txboost_core::locks::Deadline` seam, which turns each wait into a
+//! `block_tick` when a scheduler is installed. The
+//! `yield-point-coverage` lint rule demands `Point::LockAcquire` in
+//! `crates/boosted/src/semaphore.rs::acquire` and `block_tick` in the
+//! seam; this suite proves the hooks actually schedule.
 
 use std::time::Duration;
 use transactional_boosting::prelude::*;
