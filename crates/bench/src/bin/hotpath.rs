@@ -24,6 +24,12 @@
 //! * a 4-lookup read-only snapshot script over a 262,144-key map (one
 //!   version-slot probe per lookup, each a cache miss) allocates
 //!   nothing either;
+//! * begin + commit of an empty transaction costs at most three first
+//!   acquisitions (no clock read, no histogram, no shared counter
+//!   line), and costs each of two threads sharing one manager about
+//!   what it costs one;
+//! * the `exec_contended` transfer script through the server's executor
+//!   allocates exactly once (its `results` vector);
 //! * small undo closures stay inline in the log; oversized ones are
 //!   boxed and *counted* (the sanity check that the allocator
 //!   instrumentation actually observes boxing).
@@ -35,12 +41,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
+use txboost_client::ScriptBuilder;
 use txboost_collections::{BoostedCounter, BoostedHashMap};
 use txboost_core::locks::{KeyLockMap, TxRwLock};
-use txboost_core::TxnManager;
+use txboost_core::{TxnConfig, TxnManager};
+use txboost_server::Executor;
+use txboost_wire::ScriptStatus;
 
 /// Heap allocations observed process-wide (frees are not tracked; the
 /// zero-allocation claim is about *allocating*, and dealloc-only
@@ -141,6 +150,7 @@ fn parse_args() -> Args {
 /// number of heap allocations per transaction.
 struct Measurement {
     label: &'static str,
+    threads: usize,
     ns_per_op: f64,
     ops: u64,
     allocs_per_txn: u64,
@@ -149,7 +159,7 @@ struct Measurement {
 impl Measurement {
     fn print(&self) {
         println!(
-            "  {:<28} {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
+            "  {:<30} {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
             self.label,
             self.ns_per_op,
             1e9 / self.ns_per_op,
@@ -181,22 +191,47 @@ fn measure(
     }
     Measurement {
         label,
+        threads: 1,
         ns_per_op: best.as_nanos() as f64 / ops as f64,
         ops,
         allocs_per_txn,
     }
 }
 
+/// How long `iters` empty transactions (begin + commit) take on `tm`.
+fn time_empty_txns(tm: &TxnManager, iters: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        tm.run(|_| Ok(())).unwrap();
+    }
+    start.elapsed()
+}
+
 /// Baseline: begin + commit with an empty body.
 fn bench_empty_txn(iters: u64) -> Measurement {
     let tm = TxnManager::default();
-    measure("empty-txn", iters, iters, || {
-        let start = Instant::now();
-        for _ in 0..iters {
-            tm.run(|_| Ok(())).unwrap();
-        }
-        start.elapsed()
-    })
+    measure("empty-txn", iters, iters, || time_empty_txns(&tm, iters))
+}
+
+/// Two threads running empty transactions on one shared manager, as the
+/// mean nanoseconds each thread paid per transaction: what `begin` and
+/// `commit` cost when another core is doing the same (id blocks and
+/// counter stripes keep them off each other's cache lines).
+fn bench_empty_txn_x2(iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    let mut m = measure("empty-txn x2 threads", 2 * iters, 2 * iters, || {
+        let go = Barrier::new(2);
+        let one_thread = || {
+            go.wait();
+            time_empty_txns(&tm, iters)
+        };
+        std::thread::scope(|s| {
+            let other = s.spawn(one_thread);
+            one_thread() + other.join().expect("bench thread panicked")
+        })
+    });
+    m.threads = 2;
+    m
 }
 
 /// First acquisition vs reacquisition of key locks, timed inside the
@@ -260,11 +295,7 @@ fn bench_shared_acquire(iters: u64) -> Measurement {
     let tm = TxnManager::default();
     let locks: [TxRwLock; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| TxRwLock::new());
     measure("shared-acquire", iters, iters * ACQUIRE_KEYS as u64, || {
-        let start = Instant::now();
-        for _ in 0..iters {
-            tm.run(|_| Ok(())).unwrap();
-        }
-        let empty = start.elapsed();
+        let empty = time_empty_txns(&tm, iters);
         let start = Instant::now();
         for _ in 0..iters {
             tm.run(|t| locks.iter().try_for_each(|l| l.read_lock(t)))
@@ -397,11 +428,67 @@ fn bench_snapshot4(label: &'static str, keys: i64, iters: u64) -> Measurement {
     })
 }
 
+/// An executor with map `"accounts"` holding keys `0..keys`.
+fn seeded_executor(keys: i64) -> Executor {
+    let exec = Executor::new(TxnConfig::default(), 1024);
+    let accounts = exec.namespace().map("accounts");
+    let tm = TxnManager::default();
+    for k in 0..keys {
+        tm.run(|t| accounts.put(t, k, k)).unwrap();
+    }
+    exec
+}
+
+/// The `exec_contended` benchmark's script through `Executor::execute`:
+/// move a binding (`map_remove` + `map_insert` on one map) and count the
+/// move (`counter_add`) — two objects, three ops, one transaction.
+fn bench_exec_transfer3(iters: u64) -> Measurement {
+    let exec = seeded_executor(1);
+    let transfer = |from: i64, to: i64| {
+        let moved = ScriptBuilder::new()
+            .map_remove("accounts", from)
+            .map_insert("accounts", to, from);
+        moved.counter_add("moves", 1).build()
+    };
+    let there_and_back = [transfer(0, 1), transfer(1, 0)];
+    measure("executor transfer 3-op script", iters, iters, || {
+        let start = Instant::now();
+        for script in there_and_back.iter().cycle().take(iters as usize) {
+            let out = exec.execute(script);
+            assert_eq!(out.status, ScriptStatus::Committed);
+        }
+        start.elapsed()
+    })
+}
+
+/// `wire_readmostly`'s read: four `map_contains` on one map through
+/// `Executor::execute_read_only` (one snapshot, no locks).
+fn bench_exec_rscan4(iters: u64) -> Measurement {
+    const KEYS: i64 = 1024;
+    let exec = seeded_executor(KEYS);
+    let scans: Vec<_> = (0..64)
+        .map(|i| {
+            let keys = (0..4).map(|j| (i * 4 + j) * KEY_STRIDE % KEYS);
+            keys.fold(ScriptBuilder::new(), |s, k| s.map_contains("accounts", k))
+                .build()
+        })
+        .collect();
+    measure("executor rscan4 script", iters, iters, || {
+        let start = Instant::now();
+        for script in scans.iter().cycle().take(iters as usize) {
+            let out = exec.execute_read_only(script);
+            assert_eq!(out.status, ScriptStatus::Committed);
+        }
+        start.elapsed()
+    })
+}
+
 fn main() {
     let args = parse_args();
     println!("hotpath microbench ({} txns per measurement)", args.iters);
 
     let empty = bench_empty_txn(args.iters);
+    let empty_x2 = bench_empty_txn_x2(args.iters);
     let (first, re) = bench_acquire("first-acquire", ACQUIRE_KEYS, args.iters / 4);
     let (first_wide, _) = bench_acquire("first-acquire @262144 keys", 262_144, args.iters / 4);
     let shared = bench_shared_acquire(args.iters);
@@ -411,9 +498,12 @@ fn main() {
     let map3 = bench_map3(args.iters);
     let snapshot4_small = bench_snapshot4("snapshot scan4 @1024 keys", 1024, args.iters);
     let snapshot4 = bench_snapshot4("snapshot scan4 @262144 keys", 262_144, args.iters);
+    let exec_transfer3 = bench_exec_transfer3(args.iters);
+    let exec_rscan4 = bench_exec_rscan4(args.iters);
 
     let all = [
         &empty,
+        &empty_x2,
         &first,
         &first_wide,
         &re,
@@ -424,6 +514,8 @@ fn main() {
         &map3,
         &snapshot4_small,
         &snapshot4,
+        &exec_transfer3,
+        &exec_rscan4,
     ];
     for m in all {
         m.print();
@@ -448,6 +540,16 @@ fn main() {
         shared.ns_per_op,
         first.ns_per_op
     );
+    assert!(
+        empty.ns_per_op <= 3.0 * first.ns_per_op,
+        "an empty transaction ({:.1} ns) must stay within 3x of a first acquire ({:.1} ns)",
+        empty.ns_per_op,
+        first.ns_per_op
+    );
+    assert_eq!(
+        exec_transfer3.allocs_per_txn, 1,
+        "an executor transfer script allocates its results vector and nothing else"
+    );
     assert_eq!(
         first.allocs_per_txn, 0,
         "a transaction locking {ACQUIRE_KEYS} keys must not allocate"
@@ -471,8 +573,9 @@ fn main() {
     );
     println!(
         "invariants: reacquire < first-acquire; first-acquire independent of the key universe; \
-         shared-acquire <= 2x first-acquire; 8-lock txn, counter-add txn, map 3-op txn and \
-         4-lookup snapshot allocation-free"
+         shared-acquire <= 2x first-acquire; empty-txn <= 3x first-acquire; 8-lock txn, \
+         counter-add txn, map 3-op txn and 4-lookup snapshot allocation-free; executor \
+         transfer script 1 alloc"
     );
 
     if let Some(dir) = args.out_dir {
@@ -491,6 +594,18 @@ fn main() {
                 format!("{:.1}", counter_add.ns_per_op),
             )
             .meta("empty_txn_ns", format!("{:.1}", empty.ns_per_op))
+            .meta(
+                "empty_txn_2threads_ns",
+                format!("{:.1}", empty_x2.ns_per_op),
+            )
+            .meta(
+                "executor_transfer3_ns",
+                format!("{:.1}", exec_transfer3.ns_per_op),
+            )
+            .meta(
+                "executor_rscan4_ns",
+                format!("{:.1}", exec_rscan4.ns_per_op),
+            )
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
             .meta("allocs_per_txn_lock8", first.allocs_per_txn.to_string())
             .meta(
@@ -501,6 +616,10 @@ fn main() {
             .meta(
                 "allocs_per_txn_snapshot4",
                 snapshot4.allocs_per_txn.to_string(),
+            )
+            .meta(
+                "allocs_per_script_transfer3",
+                exec_transfer3.allocs_per_txn.to_string(),
             )
             .meta(
                 "allocs_per_txn_log_inline",
@@ -521,7 +640,7 @@ fn main() {
         for m in all {
             report.push(SeriesPoint {
                 label: m.label.to_string(),
-                threads: 1,
+                threads: m.threads,
                 throughput: 1e9 / m.ns_per_op,
                 committed: m.ops,
                 aborted: 0,

@@ -4,48 +4,71 @@
 //! far lower abort rate than read/write-conflict STMs; these counters
 //! are what the benchmark harness reads to reproduce that comparison.
 
-use crate::obs::LatencyHistogram;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Shared, lock-free counters maintained by a [`crate::TxnManager`].
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization, and must never perturb the measured code paths.
+/// Counter stripes per [`TxnStats`]; threads beyond this many share.
+const STRIPES: usize = 32;
+
+/// One thread's counters, padded to its own cache lines (128 B covers
+/// the adjacent-line prefetcher) so commits on different threads never
+/// write the same line.
 #[derive(Debug, Default)]
-pub struct TxnStats {
-    started: AtomicU64,
+#[repr(align(128))]
+struct Stripe {
     committed: AtomicU64,
     aborted: AtomicU64,
     lock_timeouts: AtomicU64,
     explicit_aborts: AtomicU64,
     conflict_aborts: AtomicU64,
     would_block_aborts: AtomicU64,
-    attempt_ns: LatencyHistogram,
-    undo_depth_commit: LatencyHistogram,
-    undo_depth_abort: LatencyHistogram,
+}
+
+/// Stripe indices are dealt round-robin, one per thread, on a thread's
+/// first recorded outcome.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static MY_STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Shared, lock-free counters maintained by a [`crate::TxnManager`].
+///
+/// All counters use relaxed atomics: they are statistics, not
+/// synchronization, and must never perturb the measured code paths.
+/// Each thread adds to its own [`Stripe`]; [`TxnStats::snapshot`] sums
+/// them, so every total is exact.
+#[derive(Debug, Default)]
+pub struct TxnStats {
+    stripes: [Stripe; STRIPES],
 }
 
 impl TxnStats {
-    /// Count one transaction attempt. Public so that sibling runtimes
-    /// (e.g. the read/write STM baseline) can reuse these counters.
-    pub fn record_start(&self) {
-        self.started.fetch_add(1, Ordering::Relaxed);
+    /// The calling thread's stripe.
+    fn stripe(&self) -> &Stripe {
+        let mut mine = MY_STRIPE.get();
+        if mine == usize::MAX {
+            mine = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+            MY_STRIPE.set(mine);
+        }
+        &self.stripes[mine]
     }
 
-    /// Count one commit.
+    /// Count one commit. Public so that sibling runtimes (e.g. the
+    /// read/write STM baseline) can reuse these counters.
     pub fn record_commit(&self) {
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.stripe().committed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one abort, attributed to `reason`.
     pub fn record_abort(&self, reason: crate::AbortReason) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        let stripe = self.stripe();
+        stripe.aborted.fetch_add(1, Ordering::Relaxed);
         let c = match reason {
-            crate::AbortReason::LockTimeout => &self.lock_timeouts,
-            crate::AbortReason::Explicit => &self.explicit_aborts,
-            crate::AbortReason::Conflict => &self.conflict_aborts,
-            crate::AbortReason::WouldBlock => &self.would_block_aborts,
+            crate::AbortReason::LockTimeout => &stripe.lock_timeouts,
+            crate::AbortReason::Explicit => &stripe.explicit_aborts,
+            crate::AbortReason::Conflict => &stripe.conflict_aborts,
+            crate::AbortReason::WouldBlock => &stripe.would_block_aborts,
             // Read-only violations are program errors surfaced to the
             // caller, not contention; like `Other` they count only in
             // the total (the server tracks them per-script instead).
@@ -54,46 +77,27 @@ impl TxnStats {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the shape of one finished attempt: its wall-clock
-    /// duration and the undo-log depth it reached, bucketed separately
-    /// for commits and aborts. Called by [`crate::TxnManager`] (and the
-    /// read/write STM baseline) at commit/abort time — never on a path
-    /// a transaction can observe.
-    pub fn record_attempt(&self, duration: Duration, undo_depth: u64, committed: bool) {
-        self.attempt_ns.record_duration(duration);
-        if committed {
-            self.undo_depth_commit.record(undo_depth);
-        } else {
-            self.undo_depth_abort.record(undo_depth);
-        }
-    }
-
-    /// Histogram of attempt wall-clock durations, in nanoseconds
-    /// (commits and aborts alike).
-    pub fn attempt_durations(&self) -> &LatencyHistogram {
-        &self.attempt_ns
-    }
-
-    /// Histogram of undo-log depth at commit.
-    pub fn undo_depth_at_commit(&self) -> &LatencyHistogram {
-        &self.undo_depth_commit
-    }
-
-    /// Histogram of undo-log depth at abort (inverses replayed).
-    pub fn undo_depth_at_abort(&self) -> &LatencyHistogram {
-        &self.undo_depth_abort
-    }
-
-    /// Take a consistent-enough snapshot of all counters.
+    /// Take a consistent-enough snapshot of all counters. `started` is
+    /// derived: an attempt ends in exactly one commit or abort, so
+    /// nothing is counted when it begins. (One still running, or
+    /// dropped by a panic unwinding through its body, is in no total.)
     pub fn snapshot(&self) -> TxnStatsSnapshot {
+        let sum = |counter: fn(&Stripe) -> &AtomicU64| -> u64 {
+            let each = self
+                .stripes
+                .iter()
+                .map(|s| counter(s).load(Ordering::Relaxed));
+            each.sum()
+        };
+        let (committed, aborted) = (sum(|s| &s.committed), sum(|s| &s.aborted));
         TxnStatsSnapshot {
-            started: self.started.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            lock_timeouts: self.lock_timeouts.load(Ordering::Relaxed),
-            explicit_aborts: self.explicit_aborts.load(Ordering::Relaxed),
-            conflict_aborts: self.conflict_aborts.load(Ordering::Relaxed),
-            would_block_aborts: self.would_block_aborts.load(Ordering::Relaxed),
+            started: committed + aborted,
+            committed,
+            aborted,
+            lock_timeouts: sum(|s| &s.lock_timeouts),
+            explicit_aborts: sum(|s| &s.explicit_aborts),
+            conflict_aborts: sum(|s| &s.conflict_aborts),
+            would_block_aborts: sum(|s| &s.would_block_aborts),
         }
     }
 }
@@ -101,7 +105,8 @@ impl TxnStats {
 /// A point-in-time copy of [`TxnStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TxnStatsSnapshot {
-    /// Transaction attempts started (each retry counts as a new start).
+    /// Transaction attempts finished, `committed + aborted` (each retry
+    /// counts as a new attempt).
     pub started: u64,
     /// Transactions that committed.
     pub committed: u64,
@@ -137,36 +142,19 @@ mod tests {
     #[test]
     fn counters_accumulate_by_reason() {
         let s = TxnStats::default();
-        s.record_start();
-        s.record_start();
         s.record_commit();
         s.record_abort(AbortReason::LockTimeout);
         s.record_abort(AbortReason::Explicit);
         s.record_abort(AbortReason::Conflict);
         s.record_abort(AbortReason::WouldBlock);
         let snap = s.snapshot();
-        assert_eq!(snap.started, 2);
+        assert_eq!(snap.started, 5);
         assert_eq!(snap.committed, 1);
         assert_eq!(snap.aborted, 4);
         assert_eq!(snap.lock_timeouts, 1);
         assert_eq!(snap.explicit_aborts, 1);
         assert_eq!(snap.conflict_aborts, 1);
         assert_eq!(snap.would_block_aborts, 1);
-    }
-
-    #[test]
-    fn attempt_metrics_split_by_outcome() {
-        let s = TxnStats::default();
-        s.record_attempt(Duration::from_micros(10), 3, true);
-        s.record_attempt(Duration::from_micros(20), 5, false);
-        s.record_attempt(Duration::from_micros(30), 0, true);
-        assert_eq!(s.attempt_durations().snapshot().count(), 3);
-        let commit = s.undo_depth_at_commit().snapshot();
-        assert_eq!(commit.count(), 2);
-        assert_eq!(commit.sum, 3);
-        let abort = s.undo_depth_at_abort().snapshot();
-        assert_eq!(abort.count(), 1);
-        assert_eq!(abort.sum, 5);
     }
 
     #[test]

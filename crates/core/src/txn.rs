@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Globally unique transaction identifier.
 ///
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 pub struct TxnId(NonZeroU64);
 
 impl TxnId {
-    /// The raw id, for packing into a lock word. Ids are minted by a
+    /// The raw id, for packing into a lock word. Ids are minted from a
     /// counter starting at 1, so the value is nonzero and far below the
     /// lock word's flag bit.
     pub(crate) fn raw(self) -> u64 {
@@ -193,7 +193,6 @@ pub struct Txn {
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
     held_locks: RefCell<InlineVec<Arc<AbstractLock>, LOCKS_INLINE>>,
     lock_timeout: Duration,
-    started: Instant,
     /// Opt out of Send/Sync: a transaction is thread-confined.
     _not_send: PhantomData<*const ()>,
 }
@@ -225,7 +224,6 @@ impl Txn {
             snapshot,
             held_locks: RefCell::new(InlineVec::default()),
             lock_timeout,
-            started: Instant::now(),
             _not_send: PhantomData,
         }
     }
@@ -259,12 +257,6 @@ impl Txn {
     /// with; abstract locks consult it when blocking.
     pub fn lock_timeout(&self) -> Duration {
         self.lock_timeout
-    }
-
-    /// When this attempt began ([`TxnManager::begin`] time); the
-    /// manager uses it to histogram attempt durations.
-    pub fn started_at(&self) -> Instant {
-        self.started
     }
 
     /// Log the inverse of a method call that just completed.
@@ -431,7 +423,7 @@ impl Txn {
         self.undo_log.borrow().len()
     }
 
-    /// Number of logged closures (across all three logs) that were too
+    /// Number of logged closures (across all four logs) that were too
     /// large for inline storage and fell back to a heap allocation.
     /// Every in-tree inverse stays inline; the `ablation_hotpath` bench
     /// asserts this is 0 for the boosted-map transaction script.
@@ -564,8 +556,29 @@ pub struct TxnManager {
 /// Transaction ids are drawn from one process-wide counter so that ids
 /// are unique even across multiple managers — abstract-lock ownership
 /// is keyed by [`TxnId`], and objects may be shared by transactions
-/// from different managers.
+/// from different managers. Threads carve [`ID_BLOCK`] ids at a time
+/// off it, so `begin` writes no shared cache line.
 static NEXT_TXN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Ids a thread takes from [`NEXT_TXN_ID`] at once. A thread that exits
+/// mid-block leaks the rest: ids are never reused.
+const ID_BLOCK: u64 = 1024;
+
+thread_local! {
+    /// This thread's unminted ids, `next..end` (empty until first use).
+    static MY_IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Mint a fresh id from this thread's block, refilling it when empty.
+fn next_txn_id() -> TxnId {
+    let (mut next, mut end) = MY_IDS.get();
+    if next == end {
+        next = NEXT_TXN_ID.fetch_add(ID_BLOCK, Ordering::Relaxed);
+        end = next + ID_BLOCK;
+    }
+    MY_IDS.set((next + 1, end));
+    TxnId(NonZeroU64::new(next).expect("transaction id counter overflowed"))
+}
 
 impl Default for TxnManager {
     fn default() -> Self {
@@ -635,9 +648,7 @@ impl TxnManager {
     /// history recording, and integrating with external control flow;
     /// most code should prefer [`TxnManager::run`].
     pub fn begin(&self) -> Txn {
-        self.stats.record_start();
-        let raw = NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed);
-        let id = TxnId(NonZeroU64::new(raw).expect("transaction id counter overflowed"));
+        let id = next_txn_id();
         crate::trace_event!(Begin { txn: id });
         Txn::new(id, self.config.lock_timeout, None)
     }
@@ -650,9 +661,7 @@ impl TxnManager {
     /// [`AbortReason::ReadOnlyViolation`] instead. Most callers should
     /// prefer [`TxnManager::run_read_only`].
     pub fn begin_read_only(&self) -> Txn {
-        self.stats.record_start();
-        let raw = NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed);
-        let id = TxnId(NonZeroU64::new(raw).expect("transaction id counter overflowed"));
+        let id = next_txn_id();
         crate::trace_event!(Begin { txn: id });
         let snapshot = crate::mvcc::MvccDomain::global().begin_snapshot();
         Txn::new(id, self.config.lock_timeout, Some(snapshot))
@@ -689,16 +698,12 @@ impl TxnManager {
     pub fn commit(&self, txn: Txn) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::Commit);
-        // Capture before `do_commit` clears the log.
-        let undo_depth = txn.undo_log_len() as u64;
         crate::trace_event!(Commit {
             txn: txn.id,
-            undo_depth: undo_depth as usize,
+            undo_depth: txn.undo_log_len(),
         });
         txn.do_commit();
         self.stats.record_commit();
-        self.stats
-            .record_attempt(txn.started.elapsed(), undo_depth, true);
     }
 
     /// Abort a transaction begun with [`TxnManager::begin`]: replay its
@@ -706,17 +711,13 @@ impl TxnManager {
     pub fn abort(&self, txn: Txn, reason: AbortReason) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::Abort);
-        // Capture before `do_rollback` drains the log.
-        let undo_depth = txn.undo_log_len() as u64;
         crate::trace_event!(Abort {
             txn: txn.id,
             reason,
-            undo_depth: undo_depth as usize,
+            undo_depth: txn.undo_log_len(),
         });
         txn.do_rollback();
         self.stats.record_abort(reason);
-        self.stats
-            .record_attempt(txn.started.elapsed(), undo_depth, false);
     }
 }
 
@@ -848,6 +849,76 @@ mod tests {
         assert_ne!(a.id(), b.id());
         tm1.commit(a);
         tm2.commit(b);
+    }
+
+    #[test]
+    fn txn_ids_are_unique_across_threads_and_managers() {
+        const THREADS: usize = 8;
+        const BEGINS: usize = 5_000; // several ID_BLOCKs per thread
+        let managers = [TxnManager::default(), TxnManager::default()];
+        let per_thread: Vec<Vec<TxnId>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let begin = |i: usize| {
+                            let tm = &managers[i % 2];
+                            let txn = tm.begin();
+                            let id = txn.id();
+                            tm.commit(txn);
+                            id
+                        };
+                        (0..BEGINS).map(begin).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "not increasing");
+        }
+        let distinct: std::collections::HashSet<_> = per_thread.iter().flatten().collect();
+        assert_eq!(distinct.len(), THREADS * BEGINS, "an id was minted twice");
+    }
+
+    #[test]
+    fn a_thread_that_exits_mid_block_leaks_its_ids() {
+        let tm = TxnManager::default();
+        let one_begin = || std::thread::scope(|s| s.spawn(|| tm.begin().id()).join().unwrap());
+        let block_of = |id: TxnId| (id.raw() - 1) / ID_BLOCK;
+        let first = one_begin();
+        let second = one_begin();
+        // The first thread used one id of its block; the rest are gone
+        // for good, not handed to the next thread.
+        assert!(block_of(second) > block_of(first), "{first} then {second}");
+    }
+
+    #[test]
+    fn snapshot_is_exact_after_a_concurrent_outcome_mix() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 500;
+        let tm = TxnManager::new(TxnConfig {
+            max_retries: Some(0),
+            ..TxnConfig::default()
+        });
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        tm.run(|_| Ok(())).unwrap();
+                        tm.run(|_| Ok(())).unwrap();
+                        let _ = tm.run(|t| Err::<(), _>(t.abort()));
+                        let _ = tm.run(|_| Err::<(), _>(Abort::conflict()));
+                        tm.abort(tm.begin(), AbortReason::Other);
+                    }
+                });
+            }
+        });
+        let n = THREADS * ROUNDS;
+        let snap = tm.stats().snapshot();
+        assert_eq!((snap.committed, snap.aborted), (2 * n, 3 * n));
+        assert_eq!(snap.started, snap.committed + snap.aborted);
+        assert_eq!((snap.explicit_aborts, snap.conflict_aborts), (n, n));
+        assert_eq!((snap.lock_timeouts, snap.would_block_aborts), (0, 0));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use txboost_core::{Abort, Backoff, TxResult, TxnConfig, TxnError, TxnStats};
 
 struct VarInner<T> {
@@ -330,37 +329,20 @@ impl Stm {
         let mut backoff = Backoff::new(self.config.backoff_min, self.config.backoff_max);
         let mut attempts: u64 = 0;
         loop {
-            self.stats.record_start();
-            let attempt_start = Instant::now();
             let mut txn = StmTxn {
                 stm: self,
                 rv: self.clock.load(Ordering::Acquire),
                 reads: Vec::new(),
                 writes: BTreeMap::new(),
             };
-            // The write-set size plays the role undo-log depth plays in
-            // the boosted runtime: work buffered per attempt.
-            let (outcome, write_depth) = match body(&mut txn) {
-                Ok(value) => {
-                    let depth = txn.write_set_len() as u64;
-                    (self.try_commit(txn).map(|()| value), depth)
-                }
-                Err(abort) => {
-                    let depth = txn.write_set_len() as u64;
-                    (Err(abort), depth)
-                }
-            };
+            let outcome = body(&mut txn).and_then(|value| self.try_commit(txn).map(|()| value));
             match outcome {
                 Ok(value) => {
                     self.stats.record_commit();
-                    self.stats
-                        .record_attempt(attempt_start.elapsed(), write_depth, true);
                     return Ok(value);
                 }
                 Err(abort) => {
                     self.stats.record_abort(abort.reason());
-                    self.stats
-                        .record_attempt(attempt_start.elapsed(), write_depth, false);
                     // Mirror `TxnManager::run`: explicit aborts are a
                     // decision, not a conflict — never retried.
                     if abort.reason() == txboost_core::AbortReason::Explicit {
@@ -614,10 +596,9 @@ mod tests {
             breakdown.iter().all(|&(a, _)| a != cold.addr()),
             "uncontended variable was blamed"
         );
-        // Attempt metrics flowed into the shared stats histograms.
-        let stats = stm.stats();
-        assert!(stats.attempt_durations().snapshot().count() >= 2);
-        assert!(stats.undo_depth_at_commit().snapshot().count() >= 1);
+        // Both attempts reached the shared counters.
+        let stats = stm.stats().snapshot();
+        assert_eq!((stats.committed, stats.started), (2, 3));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! `epoll_wait` round is known before any of them executes. The
 //! batcher coalesces eligible runs of those scripts into one joint
 //! boosted transaction ([`crate::Executor::execute_batch`]): one pass
-//! over the lock manager (the transaction's lock-handle cache absorbs
-//! repeat acquisitions), one WAL record and durability ticket.
+//! over the lock manager (re-acquiring a lock the transaction already
+//! holds is `AbstractLock::acquire`'s reentrant arm: one failed
+//! compare-and-swap on the owned word, ~17 ns), namespace lookups
+//! remembered from op to op, one WAL record and durability ticket.
 //!
 //! ## Why batching cannot merge conflicting scripts
 //!

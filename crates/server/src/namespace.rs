@@ -127,6 +127,18 @@ impl Namespace {
         })
     }
 
+    /// An empty per-run memo over this namespace.
+    pub(crate) fn resolved(&self) -> Resolved<'_> {
+        Resolved {
+            ns: self,
+            maps: Memo::new(),
+            counters: Memo::new(),
+            sems: Memo::new(),
+            idgens: Memo::new(),
+            pqs: Memo::new(),
+        }
+    }
+
     /// Number of live object instances per type:
     /// `(maps, counters, sems, idgens, pqs)`.
     pub fn object_counts(&self) -> (usize, usize, usize, usize, usize) {
@@ -137,6 +149,80 @@ impl Namespace {
             self.idgens.len(),
             self.pqs.len(),
         )
+    }
+}
+
+/// Names per type a [`Resolved`] memo holds at once. Every script shape
+/// in the tree names at most two objects of one type; a run naming more
+/// (a joint batch of one-op scripts over dozens of counters) recycles
+/// the slots round-robin, which costs it the lookups it always paid.
+/// Remembering them all instead was measured and lost: a scan over that
+/// many names is no cheaper than the hash lookup it replaces.
+const MEMO_NAMES: usize = 2;
+
+/// One type's most recently looked-up objects, by name.
+#[derive(Debug)]
+struct Memo<'s, T> {
+    slots: [Option<(&'s str, T)>; MEMO_NAMES],
+    /// The slot the next unremembered name takes.
+    next: usize,
+}
+
+impl<'s, T> Memo<'s, T> {
+    fn new() -> Self {
+        Memo {
+            slots: [const { None }; MEMO_NAMES],
+            next: 0,
+        }
+    }
+
+    /// The object remembered under `name`, else `lookup`'s, remembered.
+    fn get(&mut self, name: &'s str, lookup: impl FnOnce() -> T) -> &T {
+        let known = |slot: &Option<(&str, T)>| slot.as_ref().is_some_and(|(n, _)| *n == name);
+        let at = self.slots.iter().position(known).unwrap_or_else(|| {
+            let at = self.next;
+            self.next = (at + 1) % MEMO_NAMES;
+            self.slots[at] = Some((name, lookup()));
+            at
+        });
+        &self.slots[at].as_ref().expect("matched or just filled").1
+    }
+}
+
+/// What one executor run has named lately: a (type, name) costs one
+/// [`Namespace`] lookup — mutex, hash, handle clone — on first use and a
+/// two-slot scan after, across the run's ops, scripts and retry
+/// attempts, for as long as the run names at most [`MEMO_NAMES`]
+/// objects of that type. Objects are still created lazily, in op order.
+#[derive(Debug)]
+pub(crate) struct Resolved<'s> {
+    ns: &'s Namespace,
+    maps: Memo<'s, Arc<BoostedHashMap<i64, i64>>>,
+    counters: Memo<'s, Arc<BoostedCounter>>,
+    sems: Memo<'s, TSemaphore>,
+    idgens: Memo<'s, UniqueIdGen>,
+    pqs: Memo<'s, Arc<BoostedPQueue<i64>>>,
+}
+
+impl<'s> Resolved<'s> {
+    pub(crate) fn map(&mut self, name: &'s str) -> &BoostedHashMap<i64, i64> {
+        self.maps.get(name, || self.ns.map(name))
+    }
+
+    pub(crate) fn counter(&mut self, name: &'s str) -> &BoostedCounter {
+        self.counters.get(name, || self.ns.counter(name))
+    }
+
+    pub(crate) fn sem(&mut self, name: &'s str) -> &TSemaphore {
+        self.sems.get(name, || self.ns.sem(name))
+    }
+
+    pub(crate) fn idgen(&mut self, name: &'s str) -> &UniqueIdGen {
+        self.idgens.get(name, || self.ns.idgen(name))
+    }
+
+    pub(crate) fn pq(&mut self, name: &'s str) -> &BoostedPQueue<i64> {
+        self.pqs.get(name, || self.ns.pq(name))
     }
 }
 
@@ -164,6 +250,31 @@ mod tests {
         let _ = ns.counter("x");
         let _ = ns.pq("x");
         assert_eq!(ns.object_counts(), (1, 1, 0, 0, 1));
+    }
+
+    #[test]
+    fn a_memo_looks_up_once_per_name_within_its_slots() {
+        let lookups = std::cell::Cell::new(0);
+        let mut memo = Memo::new();
+        let mut get = |name: &'static str, object: usize| {
+            let got = *memo.get(name, || {
+                lookups.set(lookups.get() + 1);
+                object
+            });
+            assert_eq!(got, object, "{name}");
+        };
+        for _ in 0..3 {
+            get("a", 0);
+            get("b", 1);
+            get("a", 0);
+        }
+        assert_eq!(lookups.get(), MEMO_NAMES);
+        // A third name recycles a slot: still the right objects, at the
+        // price of a lookup for whichever name was displaced.
+        for (object, name) in ["c", "a", "b", "c"].into_iter().enumerate() {
+            get(name, 10 + object);
+        }
+        assert_eq!(lookups.get(), MEMO_NAMES + 4);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 """Schema check and ratio gates for the BENCH_*.json baselines.
 
 One validator for every baseline a bench binary writes into
-bench_results/ (arena, readmostly, server_conns, wal). CI runs it twice
-per baseline: on the JSON a fresh short run just emitted (schema only —
-shared runners say nothing about throughput) and on the committed file
-(schema plus the gate, which was measured on quiet hardware).
+bench_results/ (arena and its think-0 ladder, hotpath, readmostly,
+server_conns, wal). CI runs it twice per baseline: on the JSON a fresh
+short run just emitted (schema only — shared runners say nothing about
+throughput) and on the committed file (schema plus the gate, which was
+measured on quiet hardware).
 
 Usage: check_bench_json.py NAME PATH [--gate KEY=RATIO ...]
 
@@ -28,19 +29,43 @@ SERIES = {
 }
 CONNS_SMALL = ["epoll_small", "epoll_nobatch_small"]
 CONNS_LARGE = ["epoll_large", "epoll_nobatch_large"]
+ARENA = {
+    "points": "cells",
+    "tags": ("backend", "workload"),
+    "ints": ("threads", "key_range", "committed", "aborted"),
+    "floats": ("throughput", "abort_rate", "p50_us", "p99_us"),
+    "nonzero": ("threads", "key_range"),
+    # Every value of these fields must occur, and no other.
+    "cover": {
+        "backend": {"boosted", "rwstm"},
+        "workload": {"counter", "map", "transfer", "pqueue"},
+    },
+    "at_most_one": ("abort_rate",),
+}
 BASELINES = {
-    "arena": {
-        "points": "cells",
-        "tags": ("backend", "workload"),
-        "ints": ("threads", "key_range", "committed", "aborted"),
-        "floats": ("throughput", "abort_rate", "p50_us", "p99_us"),
-        "nonzero": ("threads", "key_range"),
-        # Every value of these fields must occur, and no other.
-        "cover": {
-            "backend": {"boosted", "rwstm"},
-            "workload": {"counter", "map", "transfer", "pqueue"},
-        },
-        "at_most_one": ("abort_rate",),
+    "arena": ARENA,
+    # BENCH_arena_think0.json: the same binary's ladder with the sleep
+    # removed, where the runtime's fixed cost per transaction shows.
+    "arena_think0": {**ARENA, "name": "arena", "meta": {"think_us": "0"}},
+    "hotpath": {
+        **SERIES,
+        "labels": ([
+            "empty-txn",
+            "empty-txn x2 threads",
+            "first-acquire",
+            "first-acquire @262144 keys",
+            "reacquire",
+            "shared-acquire",
+            "counter-add 1-op txn",
+            "log-undo inline",
+            "log-undo boxed",
+            "map 3-op txn",
+            "snapshot scan4 @1024 keys",
+            "snapshot scan4 @262144 keys",
+            "executor transfer 3-op script",
+            "executor rscan4 script",
+        ],),
+        "meta": {"allocs_per_script_transfer3": "1"},
     },
     "readmostly": {
         **SERIES,
@@ -110,8 +135,8 @@ def main():
 
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("name") != name:
-        fail(f'name is {doc.get("name")!r}, expected {name!r}')
+    if doc.get("name") != spec.get("name", name):
+        fail(f'name is {doc.get("name")!r}, expected {spec.get("name", name)!r}')
     for key, want in spec.get("meta", {}).items():
         if doc.get("meta", {}).get(key) != want:
             fail(f"meta.{key} is not {want!r}")
