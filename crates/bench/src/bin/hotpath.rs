@@ -30,6 +30,11 @@
 //!   what it costs one;
 //! * the `exec_contended` transfer script through the server's executor
 //!   allocates exactly once (its `results` vector);
+//! * the executor's accounting costs less than the transaction it
+//!   accounts for: a four-lookup snapshot script through
+//!   `Executor::execute_read_only` costs at most twice the same four
+//!   lookups as a bare read-only transaction (exact counts, a clock
+//!   read on one run in 64);
 //! * small undo closures stay inline in the log; oversized ones are
 //!   boxed and *counted* (the sanity check that the allocator
 //!   instrumentation actually observes boxing).
@@ -546,6 +551,12 @@ fn main() {
         empty.ns_per_op,
         first.ns_per_op
     );
+    assert!(
+        exec_rscan4.ns_per_op <= 2.0 * snapshot4_small.ns_per_op,
+        "an executor rscan4 script ({:.1} ns) must stay within 2x of the bare snapshot scan ({:.1} ns)",
+        exec_rscan4.ns_per_op,
+        snapshot4_small.ns_per_op
+    );
     assert_eq!(
         exec_transfer3.allocs_per_txn, 1,
         "an executor transfer script allocates its results vector and nothing else"
@@ -573,9 +584,9 @@ fn main() {
     );
     println!(
         "invariants: reacquire < first-acquire; first-acquire independent of the key universe; \
-         shared-acquire <= 2x first-acquire; empty-txn <= 3x first-acquire; 8-lock txn, \
-         counter-add txn, map 3-op txn and 4-lookup snapshot allocation-free; executor \
-         transfer script 1 alloc"
+         shared-acquire <= 2x first-acquire; empty-txn <= 3x first-acquire; executor rscan4 <= 2x \
+         snapshot scan4; 8-lock txn, counter-add txn, map 3-op txn and 4-lookup snapshot \
+         allocation-free; executor transfer script 1 alloc"
     );
 
     if let Some(dir) = args.out_dir {
@@ -605,6 +616,10 @@ fn main() {
             .meta(
                 "executor_rscan4_ns",
                 format!("{:.1}", exec_rscan4.ns_per_op),
+            )
+            .meta(
+                "snapshot4_1024_ns",
+                format!("{:.1}", snapshot4_small.ns_per_op),
             )
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
             .meta("allocs_per_txn_lock8", first.allocs_per_txn.to_string())

@@ -168,8 +168,9 @@ impl Drop for LoggedAction {
 /// inline slots and a spill `Vec` for deeper logs.
 ///
 /// Live slots occupy indices `head..len`; `head` is nonzero only while
-/// a consuming [`IntoIter`] drains from the front. Slot `i` lives in
-/// the inline array for `i < N` and in `spill[i - N]` otherwise.
+/// [`ActionLog::pop_front`] is draining the log, and returns to zero
+/// with the last action. Slot `i` lives in the inline array for `i < N`
+/// and in `spill[i - N]` otherwise.
 pub(crate) struct ActionLog<const N: usize> {
     inline: [MaybeUninit<Slot>; N],
     spill: Vec<Slot>,
@@ -245,12 +246,14 @@ impl<const N: usize> ActionLog<N> {
             // out exactly once and never dropped by the container.
             unsafe { self.inline[self.len].assume_init_read() }
         };
+        self.rewind_if_drained();
         Some(LoggedAction { slot, live: true })
     }
 
     /// Remove and return the oldest live action (FIFO — the order
-    /// deferred commit/abort actions run in). Used by [`IntoIter`].
-    fn take_front(&mut self) -> Option<LoggedAction> {
+    /// deferred commit/abort actions and version installs run in). The
+    /// log is drained where it lies: nothing is moved but the one slot.
+    pub(crate) fn pop_front(&mut self) -> Option<LoggedAction> {
         if self.head == self.len {
             return None;
         }
@@ -269,7 +272,19 @@ impl<const N: usize> ActionLog<N> {
             // `Drop` impl.
             unsafe { std::ptr::read(self.spill.as_ptr().add(i - N)) }
         };
+        self.rewind_if_drained();
         Some(LoggedAction { slot, live: true })
+    }
+
+    /// Once the last live action is gone, make the log pushable again:
+    /// `head` back to zero, and the spill's dead bits (slots
+    /// `pop_front` read out) forgotten — `Slot` has no `Drop`.
+    fn rewind_if_drained(&mut self) {
+        if self.head == self.len {
+            self.head = 0;
+            self.len = 0;
+            self.spill.clear();
+        }
     }
 
     /// Discard (without running) every action past `new_len`, newest
@@ -291,7 +306,7 @@ impl<const N: usize> ActionLog<N> {
 impl<const N: usize> Drop for ActionLog<N> {
     fn drop(&mut self) {
         // Dispose of (never run) anything still live. `pop` handles the
-        // head boundary, so a partially drained `IntoIter` is fine.
+        // head boundary, so a partially drained log is fine.
         while self.pop().is_some() {}
     }
 }
@@ -303,42 +318,6 @@ impl<const N: usize> std::fmt::Debug for ActionLog<N> {
             .field("inline_slots", &N)
             .field("boxed", &self.boxed)
             .finish()
-    }
-}
-
-/// Consuming iterator over an [`ActionLog`]. `next` yields oldest-first
-/// (deferred-action order); `next_back` yields newest-first (undo
-/// replay order, via `.rev()`). Dropping the iterator disposes of any
-/// remaining closures without running them.
-pub(crate) struct IntoIter<const N: usize>(ActionLog<N>);
-
-impl<const N: usize> Iterator for IntoIter<N> {
-    type Item = LoggedAction;
-
-    fn next(&mut self) -> Option<LoggedAction> {
-        self.0.take_front()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.0.len();
-        (n, Some(n))
-    }
-}
-
-impl<const N: usize> DoubleEndedIterator for IntoIter<N> {
-    fn next_back(&mut self) -> Option<LoggedAction> {
-        self.0.pop()
-    }
-}
-
-impl<const N: usize> ExactSizeIterator for IntoIter<N> {}
-
-impl<const N: usize> IntoIterator for ActionLog<N> {
-    type Item = LoggedAction;
-    type IntoIter = IntoIter<N>;
-
-    fn into_iter(self) -> IntoIter<N> {
-        IntoIter(self)
     }
 }
 
@@ -373,7 +352,7 @@ mod tests {
             let h = Arc::clone(&hits);
             log.push(move || h.lock().unwrap().push(i));
         }
-        for a in log.into_iter().rev() {
+        while let Some(a) = log.pop() {
             a.invoke();
         }
         assert_eq!(*hits.lock().unwrap(), vec![6, 5, 4, 3, 2, 1, 0]);
@@ -387,10 +366,16 @@ mod tests {
             let h = Arc::clone(&hits);
             log.push(move || h.lock().unwrap().push(i));
         }
-        for a in log {
+        while let Some(a) = log.pop_front() {
             a.invoke();
         }
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 3, 4]);
+        // Drained in place, the log takes pushes again.
+        let h = Arc::clone(&hits);
+        log.push(move || h.lock().unwrap().push(5));
+        assert_eq!(log.len(), 1);
+        log.pop().unwrap().invoke();
+        assert_eq!(hits.lock().unwrap().last(), Some(&5));
     }
 
     #[test]
@@ -429,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_partially_drained_iterator_disposes_the_rest() {
+    fn dropping_a_partially_drained_log_disposes_the_rest() {
         let ran = Arc::new(AtomicUsize::new(0));
         let dropped = Arc::new(AtomicUsize::new(0));
         let mut log = ActionLog::<2>::new();
@@ -441,10 +426,9 @@ mod tests {
                 r.fetch_add(1, Ordering::SeqCst);
             });
         }
-        let mut it = log.into_iter();
-        it.next().unwrap().invoke(); // front (inline)
-        it.next_back().unwrap().invoke(); // back (spill)
-        drop(it);
+        log.pop_front().unwrap().invoke(); // front (inline)
+        log.pop().unwrap().invoke(); // back (spill)
+        drop(log);
         assert_eq!(ran.load(Ordering::SeqCst), 2);
         assert_eq!(dropped.load(Ordering::SeqCst), 6);
     }
@@ -457,14 +441,14 @@ mod tests {
             let h = Arc::clone(&hits);
             log.push(move || h.lock().unwrap().push(i));
         }
-        let mut it = log.into_iter();
-        it.next().unwrap().invoke(); // 0
-        it.next().unwrap().invoke(); // 1
-        it.next().unwrap().invoke(); // 2 (crosses into spill)
-        it.next_back().unwrap().invoke(); // 5
-        it.next().unwrap().invoke(); // 3
-        it.next_back().unwrap().invoke(); // 4
-        assert!(it.next().is_none());
+        log.pop_front().unwrap().invoke(); // 0
+        log.pop_front().unwrap().invoke(); // 1
+        log.pop_front().unwrap().invoke(); // 2 (crosses into spill)
+        log.pop().unwrap().invoke(); // 5
+        log.pop_front().unwrap().invoke(); // 3
+        log.pop().unwrap().invoke(); // 4
+        assert!(log.pop_front().is_none());
+        assert!(log.is_empty());
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 5, 3, 4]);
     }
 
@@ -502,7 +486,7 @@ mod tests {
             panic!("inverse failed");
         });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            for a in log.into_iter().rev() {
+            while let Some(a) = log.pop() {
                 a.invoke();
             }
         }));

@@ -18,23 +18,42 @@
 //!   timestamp `ts` *while its abstract locks are still held*, so
 //!   timestamp order extends the lock-serialization order.
 //! * The writer installs one version per mutated key (stamped `ts`),
-//!   then calls [`CommitClock::publish`]. The clock's **stable**
-//!   timestamp is the largest `S` such that every commit with
-//!   timestamp ≤ `S` has fully installed its versions (no holes).
+//!   then calls [`CommitClock::publish`], which marks `ts` finished and
+//!   returns once the clock's **stable** timestamp covers it. Commits
+//!   become stable **in timestamp order**: `stable` moves from `S` to
+//!   `S + 1` only when commit `S + 1` is marked finished, so it is
+//!   always the largest `S` such that every commit with timestamp ≤ `S`
+//!   has fully installed its versions (no holes). Whoever finds the
+//!   next commit finished moves `stable` over it, so a commit that
+//!   finished early is carried along by the older one it waited for.
+//! * Who waits for whom: a writer that finishes its installs while an
+//!   *older* timestamp is still installing waits for that commit — a
+//!   brief spin, then a park that the advance reaching it wakes. Only a
+//!   commit *mid-install* can hold anyone back; one that has finished
+//!   cannot, whether or not its thread is running. The waiter still
+//!   holds its transaction's abstract locks — they are released only
+//!   once the commit is stable, or a lock-based reader could see its
+//!   effects in the base object before any snapshot can (below). The
+//!   wait cannot cycle all the same: it holds no mutex, the commit it
+//!   waits for is past its last lock acquisition (an install window
+//!   takes no abstract lock), and it waits only for older timestamps.
+//!   The price is paid under oversubscription: a committer preempted
+//!   mid-install delays the commits behind it, locks included.
 //! * A read-only transaction snapshots at `S = stable()` via
 //!   `ReaderRegistry::register` and reads, per key, the newest
 //!   version with timestamp ≤ `S`. Because `S` is below every
 //!   in-flight commit, the snapshot is a consistent prefix of the
 //!   serialization order: all-or-nothing per writer, and immutable for
 //!   the reader's whole lifetime. That is why read-only transactions
-//!   *cannot* abort — there is no conflict left to detect.
-//! * Real-time order: a commit that has returned is in every snapshot
-//!   begun afterwards. `stable` alone does not give that — it lags
-//!   while an *older* timestamp is still installing — so
-//!   [`MvccDomain::begin_snapshot`] first waits for `stable` to reach
-//!   the highest timestamp published when it was called
-//!   ([`CommitClock::await_published`]): at most the installs already
-//!   in flight, which hold no lock the reader could need.
+//!   *cannot* abort — there is no conflict left to detect — and why
+//!   beginning one never waits.
+//! * Real-time order: [`MvccDomain::commit`] returns only after
+//!   `stable ≥ ts`, so a commit that has returned is in every snapshot
+//!   begun afterwards, by construction. A transaction calls it with its
+//!   abstract locks still held and releases them after it returns, so
+//!   the same holds for whatever a *lock-based* transaction read from
+//!   the base objects: it could take the lock only once the writer was
+//!   stable, and a snapshot begun after it contains that writer.
 //!
 //! ## Version slots and the GC floor
 //!
@@ -65,6 +84,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use crate::backoff::SpinWait;
 use crate::locks::Deadline;
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
 
@@ -88,36 +108,47 @@ fn current_commit() -> Option<(u64, u64)> {
     (commit.0 != 0).then_some(commit)
 }
 
+/// Commits that can be between [`CommitClock::reserve`] and the stable
+/// frontier at once (power of two). Each is one thread inside
+/// `commit`, so the bound is never met short of that many committing
+/// threads; one more waits, in [`CommitClock::publish`], for the oldest.
+const IN_FLIGHT: u64 = 64;
+
 /// The global commit-timestamp clock.
 ///
 /// `stable()` is the heart of the protocol: the largest timestamp `S`
-/// such that *every* reserved timestamp ≤ `S` has been published. A
-/// reader snapshotting at `S` therefore never races an in-flight
+/// such that *every* reserved timestamp ≤ `S` has finished installing.
+/// A reader snapshotting at `S` therefore never races an in-flight
 /// install — writers still installing all carry timestamps > `S`.
+///
+/// Commits become stable in timestamp order and without a lock: a
+/// finished commit marks its slot of a small ring, and whoever finds
+/// the slot after `stable` marked moves `stable` over it — its own or
+/// a later commit's, so a commit that finished early is carried past
+/// by the older one it was waiting for and holds nobody back while its
+/// thread is off the CPU. The park mutex and condvar are for a commit
+/// that must wait for an older one still installing, and for the one
+/// that wakes it.
 #[derive(Debug)]
 pub struct CommitClock {
     /// Next timestamp to hand out (timestamps start at 1; 0 means
     /// "before every commit").
     next: AtomicU64,
-    /// Cached stable frontier, recomputed on every publish.
+    /// The stable frontier.
     stable: AtomicU64,
-    /// Highest timestamp published so far; above `stable` exactly while
-    /// an older commit is still installing.
-    published: AtomicU64,
-    pending: parking_lot::Mutex<Pending>,
-    /// Signalled by a publish while a snapshot waits for `stable`.
-    caught_up: parking_lot::Condvar,
-}
-
-#[derive(Debug, Default)]
-struct Pending {
-    /// Reserved-but-unpublished timestamps. A `Vec` rather than an
-    /// ordered set: it holds at most one entry per concurrently
-    /// committing thread, and a warm `Vec` keeps the commit path
-    /// allocation-free (the zero-allocs-per-txn bench invariant).
-    reserved: Vec<u64>,
-    /// Snapshots blocked in [`CommitClock::await_published`].
-    waiters: usize,
+    /// `installed[ts % IN_FLIGHT] == ts` once commit `ts` has finished
+    /// installing; the slot is reused by `ts + IN_FLIGHT`, which
+    /// `publish` holds back until `stable` has passed `ts`.
+    installed: [AtomicU64; IN_FLIGHT as usize],
+    /// Commits parked (or about to park) until `stable` reaches them;
+    /// read by whoever advances `stable`, after advancing it.
+    waiters: AtomicU64,
+    park: parking_lot::Mutex<()>,
+    stable_advanced: parking_lot::Condvar,
+    /// Test hook: when set, `publish` makes its timestamp stable without
+    /// regard to older ones.
+    #[cfg(feature = "deterministic")]
+    publish_out_of_order: AtomicBool,
 }
 
 impl Default for CommitClock {
@@ -125,70 +156,128 @@ impl Default for CommitClock {
         CommitClock {
             next: AtomicU64::new(1),
             stable: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            pending: parking_lot::Mutex::default(),
-            caught_up: parking_lot::Condvar::new(),
+            installed: [const { AtomicU64::new(0) }; IN_FLIGHT as usize],
+            waiters: AtomicU64::new(0),
+            park: parking_lot::Mutex::new(()),
+            stable_advanced: parking_lot::Condvar::new(),
+            #[cfg(feature = "deterministic")]
+            publish_out_of_order: AtomicBool::new(false),
         }
     }
 }
 
 impl CommitClock {
-    /// Reserve the next commit timestamp. The fetch-add happens under
-    /// the pending mutex so a concurrent [`publish`](Self::publish)
-    /// can never compute a stable frontier that includes a timestamp
-    /// whose versions are not yet installed.
+    /// Reserve the next commit timestamp. Relaxed: the value publishes
+    /// nothing, and `stable` cannot pass it before its own
+    /// [`publish`](Self::publish).
     pub fn reserve(&self) -> u64 {
-        let mut pending = self.pending.lock();
-        let ts = self.next.fetch_add(1, Ordering::Relaxed);
-        pending.reserved.push(ts);
-        ts
+        self.next.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Mark `ts` fully installed and advance the stable frontier. The
-    /// store is `Release` and [`stable`](Self::stable) loads `Acquire`:
-    /// combined with the mutex ordering of publishes, a reader that
-    /// observes `stable() >= ts` also observes every version install
-    /// that preceded `publish(ts)`.
+    /// Mark `ts` fully installed, move the stable frontier as far as it
+    /// will go, and return once it covers `ts` — at once if every older
+    /// commit had finished, else when the last of them has (it moves
+    /// `stable` over `ts` on its way).
+    ///
+    /// Every access below is `SeqCst`. For visibility release/acquire
+    /// would do: the slot store follows this commit's installs, the
+    /// advancing compare-exchanges form one chain, and a reader that
+    /// observes `stable() >= ts` (an `Acquire` load) therefore observes
+    /// every version install of every commit ≤ `ts`. `SeqCst` is for
+    /// the two store-then-load races. Of two commits finishing together
+    /// one must see the other's slot: if the older one's advance stops
+    /// short of the younger's slot, that slot was stored later in the
+    /// one total order, so the younger's advance — later still — starts
+    /// from where the older one stopped and moves `stable` over itself;
+    /// nobody waits for a mark nobody will read. And an advance must see
+    /// the count of a commit that is about to park, or that commit's
+    /// re-check the advance.
     pub fn publish(&self, ts: u64) {
-        let mut pending = self.pending.lock();
-        match pending.reserved.iter().position(|&p| p == ts) {
-            Some(i) => {
-                pending.reserved.swap_remove(i);
-            }
-            None => debug_assert!(false, "publish({ts}) without a matching reserve"),
-        }
-        let stable = match pending.reserved.iter().copied().min() {
-            Some(oldest_pending) => oldest_pending - 1,
-            None => self.next.load(Ordering::Relaxed) - 1,
-        };
-        self.stable.store(stable, Ordering::Release);
-        // Relaxed: the value publishes no data (`stable` does that); a
-        // snapshot that begins after this commit returned is ordered
-        // after this store by whatever told it the commit returned.
-        self.published.fetch_max(ts, Ordering::Relaxed);
-        if pending.waiters > 0 {
-            self.caught_up.notify_all();
-        }
-    }
-
-    /// Block until `stable` covers every timestamp published before the
-    /// call, so the caller's snapshot contains every commit that had
-    /// already returned. Returns at once unless an older commit is
-    /// mid-install; then it waits for the installs in flight right now
-    /// and nothing else (an install window takes no abstract lock).
-    pub fn await_published(&self) {
-        let target = self.published.load(Ordering::Relaxed);
-        if self.stable() >= target {
+        if self.cannot_wait() {
+            self.stable.fetch_max(ts, Ordering::SeqCst);
             return;
         }
-        let mut pending = self.pending.lock();
-        pending.waiters += 1;
-        while self.stable() < target {
-            // Every publish notifies while `waiters > 0`; the bound
-            // only paces a re-check.
-            Deadline::after(Duration::from_millis(1)).wait(&self.caught_up, &mut pending);
+        let slot = &self.installed[(ts % IN_FLIGHT) as usize];
+        // The slot's last user, `ts - IN_FLIGHT`, must be stable first.
+        self.wait_until(|| ts <= self.stable.load(Ordering::SeqCst) + IN_FLIGHT);
+        slot.store(ts, Ordering::SeqCst);
+        self.advance();
+        self.wait_until(|| self.stable.load(Ordering::SeqCst) >= ts);
+    }
+
+    /// Move `stable` over every consecutive finished commit, and wake
+    /// the parked commits if that reached any.
+    fn advance(&self) {
+        let mut stable = self.stable.load(Ordering::SeqCst);
+        let mut advanced = false;
+        loop {
+            let next = stable + 1;
+            let slot = &self.installed[(next % IN_FLIGHT) as usize];
+            if slot.load(Ordering::SeqCst) != next {
+                break;
+            }
+            // Losing the race means someone else made `next` stable —
+            // or went past it out of order (`cannot_wait`); go on from
+            // where they stopped.
+            match self
+                .stable
+                .compare_exchange(stable, next, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => (stable, advanced) = (next, true),
+                Err(now) => stable = now,
+            }
         }
-        pending.waiters -= 1;
+        if advanced && self.waiters.load(Ordering::SeqCst) > 0 {
+            // Take and drop the park mutex first: a waiter that counted
+            // itself but has not reached `wait` still holds it, so the
+            // notify lands after it is waiting.
+            drop(self.park.lock());
+            self.stable_advanced.notify_all();
+        }
+    }
+
+    /// Return once `ready()`: at once if it already is, else spin
+    /// briefly — an install window is a few hundred nanoseconds — then
+    /// park until an advance notifies. The caller holds no mutex and no
+    /// abstract lock a committer could need, and under a det scheduler
+    /// each parked wait is a scheduling round in which the commit it
+    /// waits for can run.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        if ready() {
+            return;
+        }
+        let mut spin = SpinWait::new();
+        while spin.spin() {
+            if ready() {
+                return;
+            }
+        }
+        let mut parked = self.park.lock();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        while !ready() {
+            // Every advance notifies while `waiters > 0`; the bound
+            // only paces a re-check.
+            Deadline::after(Duration::from_millis(1)).wait(&self.stable_advanced, &mut parked);
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether this publish must go ahead of older ones: the mutation
+    /// check asked for it, or the thread is unwinding under a det
+    /// scheduler, where a wait cannot yield to the commit it waits for
+    /// ([`crate::det::block_tick`] is a no-op while panicking) and would
+    /// hang the run whose failure is being reported. Constant `false`
+    /// without the `deterministic` feature.
+    #[cfg(feature = "deterministic")]
+    fn cannot_wait(&self) -> bool {
+        (std::thread::panicking() && crate::det::active())
+            || self.publish_out_of_order.load(Ordering::Relaxed)
+    }
+
+    #[cfg(not(feature = "deterministic"))]
+    #[allow(clippy::unused_self)]
+    fn cannot_wait(&self) -> bool {
+        false
     }
 
     /// The stable frontier: every commit with timestamp ≤ this value
@@ -346,30 +435,50 @@ impl MvccDomain {
         GLOBAL.get_or_init(|| Arc::new(MvccDomain::new()))
     }
 
-    /// Begin a snapshot read: register at the stable frontier — once
-    /// it covers every commit that has already returned — and return a
-    /// guard that deregisters (and records the snapshot's final age) on
-    /// drop.
+    /// Begin a snapshot read: register at the stable frontier and
+    /// return a guard that deregisters (and records the snapshot's final
+    /// age) on drop. Never waits: every commit that has returned is
+    /// already at-or-below `stable`.
     pub fn begin_snapshot(&self) -> SnapshotGuard<'_> {
-        self.clock.await_published();
         let ts = self.readers.register(&self.clock);
         SnapshotGuard { domain: self, ts }
     }
 
     /// Run `installs` as one commit: read the GC floor, reserve a
-    /// timestamp, run the closure as that commit's version-install
-    /// window, publish. The caller still holds whatever serializes it
-    /// against conflicting writers (a transaction's abstract locks).
+    /// timestamp, make both what [`VersionStore::install`] and
+    /// [`DeltaChain::install_current`] stamp with on this thread, run
+    /// the closure as the install window, and publish — waiting, if
+    /// need be, for every older commit to publish first, so the commit
+    /// is in every snapshot begun after this returns.
+    ///
+    /// The caller holds whatever serializes it against conflicting
+    /// writers (a transaction's abstract locks) from before this call
+    /// until after it returns: the timestamp is reserved inside the
+    /// locked window, and nobody who waited for those locks can see the
+    /// commit's effects before a snapshot can.
+    ///
+    /// The window closes on every exit, unwinding included: if an
+    /// install panics the timestamp is still published, so later commits
+    /// and snapshots are not wedged behind it. That commit is *torn* —
+    /// the versions installed before the panic are stamped with its
+    /// timestamp and visible to every snapshot at-or-above it, the rest
+    /// are missing, and such a snapshot reads the previous version of
+    /// those keys.
     pub fn commit<R>(&self, installs: impl FnOnce() -> R) -> R {
+        struct Window<'d>(&'d CommitClock, u64);
+        impl Drop for Window<'_> {
+            fn drop(&mut self) {
+                CURRENT_COMMIT.with(|c| c.set((0, 0)));
+                self.0.publish(self.1);
+            }
+        }
         // One registry-mutex pass per commit, not per install: the
         // floor only rises, so a stale one prunes less, never more.
         let floor = self.gc_floor();
         let ts = self.clock.reserve();
         CURRENT_COMMIT.with(|c| c.set((ts, floor)));
-        let r = installs();
-        CURRENT_COMMIT.with(|c| c.set((0, 0)));
-        self.clock.publish(ts);
-        r
+        let _window = Window(&self.clock, ts);
+        installs()
     }
 
     /// The GC floor: versions strictly older than the newest version
@@ -393,6 +502,17 @@ impl MvccDomain {
     #[doc(hidden)]
     pub fn ignore_reader_floor_for_test(&self, ignore: bool) {
         self.ignore_readers.store(ignore, Ordering::Relaxed);
+    }
+
+    /// Make `publish` stop waiting for its predecessor, so the det
+    /// sweep can prove it notices a snapshot containing timestamp
+    /// `t + 1` without `t` (the mutation check in `tests/det_mvcc.rs`).
+    #[cfg(feature = "deterministic")]
+    #[doc(hidden)]
+    pub fn publish_out_of_order_for_test(&self, skip: bool) {
+        self.clock
+            .publish_out_of_order
+            .store(skip, Ordering::Relaxed);
     }
 }
 
@@ -787,12 +907,19 @@ mod tests {
         assert_eq!(clock.stable(), 1);
     }
 
+    /// Spin until a publisher is parked behind its predecessor.
+    fn until_a_publisher_waits(clock: &CommitClock) {
+        while clock.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn a_snapshot_begun_after_a_commit_returned_waits_for_older_installs_and_contains_it() {
-        // T0's install window is held open, T1 (a later timestamp)
-        // commits and returns: `stable` is stuck below T1, yet a
-        // snapshot begun now must contain T1. It can only block until
-        // T0 publishes.
+    fn a_commit_returns_after_older_installs_and_the_next_snapshot_contains_it() {
+        // T0's install window is held open while T1 (a later timestamp)
+        // finishes its installs: T1's `commit` may not return — and
+        // `stable` may not move — until T0 publishes, and a snapshot
+        // begun once T1 has returned contains both without waiting.
         let d = domain();
         let (entered, release) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -807,24 +934,20 @@ mod tests {
             while !entered.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            let t1 = d.commit(|| current_commit().unwrap().0);
-            assert_eq!(
-                (t1, d.clock.stable()),
-                (2, 0),
-                "T1 returned; T0 still installing"
-            );
-            let reader = s.spawn(|| d.begin_snapshot().ts());
-            while d.clock.pending.lock().waiters == 0 {
-                std::thread::yield_now(); // until the reader is blocked
-            }
-            assert!(!reader.is_finished());
+            let later = s.spawn(|| d.commit(|| current_commit().unwrap().0));
+            until_a_publisher_waits(&d.clock);
+            assert!(!later.is_finished(), "T1 returned ahead of T0's installs");
+            assert_eq!(d.clock.stable(), 0, "T0 still installing");
             release.store(true, Ordering::SeqCst);
-            assert!(
-                reader.join().unwrap() >= t1,
+            let t1 = later.join().unwrap();
+            assert_eq!((t1, d.clock.stable()), (2, 2));
+            assert_eq!(
+                d.begin_snapshot().ts(),
+                t1,
                 "snapshot misses a returned commit"
             );
         });
-        assert_eq!(d.clock.pending.lock().waiters, 0);
+        assert_eq!(d.clock.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -832,13 +955,87 @@ mod tests {
         let clock = CommitClock::default();
         let a = clock.reserve();
         let b = clock.reserve();
-        let c = clock.reserve();
-        clock.publish(b);
-        clock.publish(c);
-        // a (the oldest) is still installing: nothing newer is stable.
-        assert_eq!(clock.stable(), a - 1);
-        clock.publish(a);
-        assert_eq!(clock.stable(), c);
+        std::thread::scope(|s| {
+            s.spawn(|| clock.publish(b));
+            until_a_publisher_waits(&clock);
+            // a (the oldest) is still installing: nothing newer is stable.
+            assert_eq!(clock.stable(), a - 1);
+            clock.publish(a);
+            // a carried b along: b's thread need not run for the commits
+            // behind it to go ahead.
+            assert_eq!(clock.stable(), b);
+        });
+    }
+
+    #[test]
+    fn a_commit_that_would_reuse_a_live_ring_slot_waits_for_it() {
+        // Timestamps 2..=65 finish while 1 is still installing; 65
+        // shares 1's slot and must not mark it until 1 is stable.
+        let clock = CommitClock::default();
+        let oldest = clock.reserve();
+        std::thread::scope(|s| {
+            for _ in 0..IN_FLIGHT {
+                let ts = clock.reserve();
+                let clock = &clock;
+                s.spawn(move || clock.publish(ts));
+            }
+            while clock.waiters.load(Ordering::SeqCst) < IN_FLIGHT {
+                std::thread::yield_now();
+            }
+            assert_eq!(clock.stable(), 0);
+            let shared = &clock.installed[(oldest % IN_FLIGHT) as usize];
+            assert_eq!(shared.load(Ordering::SeqCst), 0, "slot taken early");
+            clock.publish(oldest);
+        });
+        assert_eq!(clock.stable(), oldest + IN_FLIGHT);
+    }
+
+    #[test]
+    fn unserialized_committers_all_become_stable_in_order() {
+        // Nothing but the clock orders these commits. Each returns only
+        // once stable covers it, and the last leaves stable at the count.
+        const THREADS: u64 = 4;
+        const COMMITS: u64 = 20_000;
+        let d = domain();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let mine = DeltaChain::new(Arc::clone(&d));
+                    for _ in 0..COMMITS {
+                        let ts = d.commit(|| {
+                            mine.install_current(1);
+                            current_commit().unwrap().0
+                        });
+                        assert!(d.clock.stable() >= ts, "returned before stable");
+                    }
+                });
+            }
+        });
+        assert_eq!(d.clock.stable(), THREADS * COMMITS);
+        assert_eq!(d.clock.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_panicking_install_window_still_publishes() {
+        let d = domain();
+        let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.commit(|| {
+                store.install(0, Some(1));
+                panic!("install failed");
+            });
+        }));
+        assert!(torn.is_err());
+        assert_eq!(CURRENT_COMMIT.get(), (0, 0), "window left open");
+        // Neither a later writer nor a later snapshot is wedged.
+        let t2 = d.commit(|| current_commit().unwrap().0);
+        let snap = d.begin_snapshot();
+        assert_eq!((t2, snap.ts(), d.clock.stable()), (2, 2, 2));
+        assert_eq!(
+            store.read_at(&0, snap.ts()),
+            Some(1),
+            "the half that landed"
+        );
     }
 
     #[test]

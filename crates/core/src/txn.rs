@@ -1,7 +1,7 @@
 //! Transactions and the transaction manager.
 
 use crate::error::{Abort, AbortReason, TxnError};
-use crate::inline::ActionLog;
+use crate::inline::{ActionLog, LoggedAction};
 use crate::locks::AbstractLock;
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
@@ -478,20 +478,16 @@ impl Txn {
         // Stamp and install versions while abstract locks are still
         // held: the timestamp is reserved inside the locked window, so
         // timestamp order extends the lock-serialization order, and a
-        // conflicting writer cannot commit between our installs.
+        // conflicting writer cannot commit between our installs. The
+        // locks stay held until the commit is stable too (`commit`
+        // returns), so whoever takes one next — a locked reader
+        // included — saw nothing a snapshot begun afterwards could miss.
         if !self.version_log.borrow().is_empty() {
-            let installs = std::mem::take(&mut *self.version_log.borrow_mut());
-            crate::mvcc::MvccDomain::global().commit(|| {
-                for a in installs {
-                    a.invoke();
-                }
-            });
+            crate::mvcc::MvccDomain::global()
+                .commit(|| drain(&self.version_log, ActionLog::pop_front));
         }
         self.release_locks();
-        let actions = std::mem::take(&mut *self.on_commit.borrow_mut());
-        for a in actions {
-            a.invoke();
-        }
+        drain(&self.on_commit, ActionLog::pop_front);
     }
 
     /// Abort protocol: replay inverses LIFO *while still holding locks*
@@ -503,17 +499,9 @@ impl Txn {
         self.state.set(TxnState::Aborted);
         self.on_commit.borrow_mut().clear();
         self.version_log.borrow_mut().clear();
-        if !self.undo_log.borrow().is_empty() {
-            let inverses = std::mem::take(&mut *self.undo_log.borrow_mut());
-            for inv in inverses.into_iter().rev() {
-                inv.invoke();
-            }
-        }
+        drain(&self.undo_log, ActionLog::pop);
         self.release_locks();
-        let actions = std::mem::take(&mut *self.on_abort.borrow_mut());
-        for a in actions {
-            a.invoke();
-        }
+        drain(&self.on_abort, ActionLog::pop_front);
     }
 
     fn release_locks(&self) {
@@ -530,6 +518,21 @@ impl Txn {
     }
 }
 
+/// Run every action of `log` where it lies, in the order `next` takes
+/// them ([`ActionLog::pop_front`] oldest-first, [`ActionLog::pop`]
+/// newest-first). The borrow is released around each call, as in
+/// [`Txn::rollback_to`].
+fn drain<const N: usize>(
+    log: &RefCell<ActionLog<N>>,
+    next: impl Fn(&mut ActionLog<N>) -> Option<LoggedAction>,
+) {
+    loop {
+        let action = next(&mut log.borrow_mut());
+        let Some(action) = action else { break };
+        action.invoke();
+    }
+}
+
 impl Drop for Txn {
     /// Panic safety: if user code unwinds out of a transaction closure,
     /// the transaction still replays its undo log and releases its
@@ -539,6 +542,9 @@ impl Drop for Txn {
         if self.state.get() == TxnState::Active {
             self.do_rollback();
         }
+        // A commit or rollback that unwound part-way (a panicking
+        // version install or inverse) never reached its release.
+        self.release_locks();
     }
 }
 
@@ -935,6 +941,24 @@ mod tests {
             // unwinding through the transaction closure).
         }
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_panicking_version_install_still_releases_locks() {
+        let tm = TxnManager::default();
+        let lock = Arc::new(AbstractLock::new());
+        let txn = tm.begin();
+        lock.acquire(&txn, crate::locks::Mode::Exclusive).unwrap();
+        txn.log_version_install(|| panic!("install failed"));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tm.commit(txn)));
+        assert!(unwound.is_err());
+        assert_eq!(lock.owner(), None, "lock outlived its transaction");
+        // The global commit window closed too: the next commit returns.
+        tm.run(|t| {
+            t.log_version_install(|| {});
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]

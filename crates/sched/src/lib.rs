@@ -16,6 +16,11 @@
 //! * for small bounds, [`explore_dfs`] enumerates *every* schedule by
 //!   depth-first search over the recorded branching structure.
 //!
+//! Runs are themselves serialized, process-wide: two tests of one
+//! binary take turns, because a commit in one could otherwise wait on
+//! the other's (the commit clock is process-global) and the wait would
+//! leak into its schedule.
+//!
 //! Lock timeouts run on **virtual time**: a blocked thread burns one
 //! tick per scheduling round instead of waiting on a wall clock, so
 //! deadlock recovery (the paper's timeout-abort discipline) resolves
@@ -62,10 +67,11 @@ pub const MAX_STEPS: usize = 200_000;
 
 /// One recorded scheduling decision.
 ///
-/// `choice` indexes the ascending list of threads alive at decision
-/// time (`alternatives` long); together they reconstruct both *who ran*
-/// and *how wide* the decision was, which is exactly what the DFS mode
-/// needs to enumerate sibling schedules.
+/// `choice` indexes the ascending list of threads that could run next
+/// (`alternatives` long: the threads alive at decision time, less the
+/// deciding thread itself at a blocked tick); together they reconstruct
+/// both *who ran* and *how wide* the decision was, which is exactly
+/// what the DFS mode needs to enumerate sibling schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
     /// The thread that reached the decision point (for
@@ -73,9 +79,9 @@ pub struct Step {
     pub tid: usize,
     /// Which instrumented point was reached.
     pub point: Point,
-    /// Index of the chosen thread among the alive threads, ascending.
+    /// Index of the chosen thread among the candidates, ascending.
     pub choice: usize,
-    /// Number of alive threads the choice was made over.
+    /// Number of candidate threads the choice was made over.
     pub alternatives: usize,
     /// Virtual clock (ticks) when the decision was taken.
     pub clock: u64,
@@ -126,8 +132,17 @@ impl Inner {
     /// next thread to run. Never panics — the step-budget check lives
     /// in `switch`, so the hand-off paths (`kickoff`, `finish`) stay
     /// panic-free even on an overrunning schedule.
+    ///
+    /// A thread that reports itself blocked is not a candidate at that
+    /// decision while another thread is alive: it cannot move until
+    /// someone else has, and a wait with no timeout (a commit waiting
+    /// for an older one to publish) would otherwise let the DFS mode's
+    /// lowest-thread-first completion re-run the waiter for ever.
     fn decide(&mut self, tid: usize, point: Point) -> usize {
-        let candidates = self.alive_tids();
+        let mut candidates = self.alive_tids();
+        if point == Point::LockBlocked && candidates.len() > 1 {
+            candidates.retain(|&t| t != tid);
+        }
         debug_assert!(!candidates.is_empty());
         let alternatives = candidates.len();
         let choice = match &mut self.mode {
@@ -339,8 +354,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Held for the length of a run: one run at a time, process-wide. The
+/// runtime has process-global state a run can block on — a commit
+/// waits for every older timestamp of `MvccDomain::global()`'s clock to
+/// publish — so a second run in the same process (another `#[test]` of
+/// the binary) parked inside its install window would show up in this
+/// one's schedule as blocked ticks, and the run would no longer be a
+/// function of its seed.
+static ONE_RUN: Mutex<()> = Mutex::new(());
+
 fn run_mode(seed: u64, threads: usize, mode: Mode, body: &(impl Fn(usize) + Sync)) -> RunReport {
     assert!(threads > 0, "need at least one logical thread");
+    let _one_run = ONE_RUN.lock();
     let sched = Arc::new(Scheduler::new(threads, mode));
     std::thread::scope(|scope| {
         for tid in 0..threads {

@@ -3,10 +3,17 @@
 //! The executor owns the shared [`TxnManager`] (lock-timeout deadlock
 //! recovery, capped exponential backoff between retries — the paper's
 //! retry loop) and the observability surface the `STATS` request
-//! exports: a per-op-type service-time histogram, a whole-script
-//! service-time histogram, per-status script counters, and the
-//! contention registry that attributes lock-timeout aborts to the
-//! object (and key stripe) that caused them.
+//! exports: a per-op-type call counter and service-time histogram, a
+//! whole-script service-time histogram, per-status script counters,
+//! and the contention registry that attributes lock-timeout aborts to
+//! the object (and key stripe) that caused them.
+//!
+//! **Exact counts, sampled clocks.** Every executed op and every
+//! finished script is counted, so what `STATS` reports as `count` is
+//! exact; the clock is read only on one run in [`TIMED_EVERY`], and the
+//! `mean_ns`/`p50_ns`/`p99_ns` fields describe those runs. A clock read
+//! costs about as much as a lock acquisition, and a script should pay
+//! for its ops, not for being watched.
 //!
 //! A script, a same-tick batch and a snapshot read are one transaction
 //! with a different body length or [`TxnManager`] entry, so the three
@@ -81,6 +88,23 @@ pub struct ConnMetrics {
     pub accept_errors: AtomicU64,
 }
 
+/// One run in this many is timed, per thread, starting with the
+/// thread's first — so a thread's share of the samples is its share of
+/// the runs, and deciding costs no shared line.
+const TIMED_EVERY: u32 = 64;
+
+thread_local! {
+    /// Runs this thread has begun.
+    static RUNS_BEGUN: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Whether the run now beginning on this thread is a timed one.
+fn begin_run_timed() -> bool {
+    let begun = RUNS_BEGUN.get();
+    RUNS_BEGUN.set(begun.wrapping_add(1));
+    begun.is_multiple_of(TIMED_EVERY)
+}
+
 /// Which [`TxnManager`] entry a run goes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -97,9 +121,13 @@ enum Mode {
 pub struct Executor {
     ns: Namespace,
     tm: TxnManager,
-    /// Service time per op type, indexed by `opcode - 1`.
+    /// Ops executed per op type, indexed by `opcode - 1`: every one,
+    /// retried attempts included.
+    op_calls: [AtomicU64; NUM_OPCODES],
+    /// Service time per op type in the timed runs, indexed likewise.
     op_hist: [LatencyHistogram; NUM_OPCODES],
-    /// Service time per whole script (execution only, not queueing).
+    /// Service time per whole script (execution only, not queueing) in
+    /// the timed runs.
     script_hist: LatencyHistogram,
     /// Scripts finished per status, indexed by [`ScriptStatus::index`].
     status_counts: [AtomicU64; ScriptStatus::ALL.len()],
@@ -132,6 +160,7 @@ impl Executor {
         Executor {
             ns: Namespace::new(Arc::clone(&registry), default_sem_permits),
             tm: TxnManager::new(txn_config),
+            op_calls: std::array::from_fn(|_| AtomicU64::new(0)),
             op_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             script_hist: LatencyHistogram::new(),
             status_counts: Default::default(),
@@ -237,18 +266,20 @@ impl Executor {
     /// for it. The outcome is the transaction's: `results` concatenates
     /// every script's, `failed_op` indexes into the script that gave up.
     ///
-    /// Per-op service times use **chained stamps**: one clock read per
-    /// op boundary, each op's sample being the gap to the previous
-    /// stamp. Every script of the run gets an equal share of the whole
-    /// run as its service time: commit included, and the WAL wait too
-    /// unless it is `deferred` to the caller.
+    /// Ops and scripts are counted on every run; the clock is read only
+    /// on a timed one ([`TIMED_EVERY`]). There, per-op service times use
+    /// **chained stamps**: one clock read per op boundary, each op's
+    /// sample being the gap to the previous stamp, and every script of
+    /// the run gets an equal share of the whole run as its service time:
+    /// commit included, and the WAL wait too unless it is `deferred` to
+    /// the caller.
     fn run<S: AsRef<[ScriptOp]>>(
         &self,
         mode: Mode,
         scripts: &[S],
         deferred: Option<&mut Vec<Ticket>>,
     ) -> ScriptOutcome {
-        let t0 = Instant::now();
+        let t0 = begin_run_timed().then(Instant::now);
         let n = scripts.len();
         let mut attempts: u32 = 0;
         let mut results: Vec<OpResult> =
@@ -280,6 +311,7 @@ impl Executor {
             }
             _ => &[],
         };
+        // The previous op boundary of a timed run.
         let mut last = t0;
         // Outside the body, so retries reuse what earlier attempts
         // looked up.
@@ -289,7 +321,7 @@ impl Executor {
             if attempts > 1 {
                 results.clear();
                 failed.set(None);
-                last = Instant::now();
+                last = t0.map(|_| Instant::now());
             }
             for script in scripts {
                 for (i, sop) in script.as_ref().iter().enumerate() {
@@ -308,14 +340,18 @@ impl Executor {
                         return give_up(ScriptStatus::DebugAborted, Abort::explicit());
                     }
                     let r = Self::run_op(txn, &sop.op, &mut memo)?;
-                    let now = Instant::now();
                     // This closure re-runs on every conflict retry; an
-                    // out-of-range opcode must degrade to an unrecorded
-                    // sample, never a panic that kills the connection.
-                    if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                        hist.record_duration(now.duration_since(last));
+                    // out-of-range opcode must degrade to an uncounted
+                    // op, never a panic that kills the connection.
+                    let opcode = (sop.op.opcode() - 1) as usize;
+                    if let Some(calls) = self.op_calls.get(opcode) {
+                        calls.fetch_add(1, Ordering::Relaxed);
                     }
-                    last = now;
+                    if let (Some(prev), Some(hist)) = (last, self.op_hist.get(opcode)) {
+                        let now = Instant::now();
+                        hist.record_duration(now.duration_since(prev));
+                        last = Some(now);
+                    }
                     if !sop.guard.admits(&r) {
                         return give_up(ScriptStatus::GuardFailed, Abort::explicit());
                     }
@@ -351,9 +387,11 @@ impl Executor {
             // the per-script accounting.
             self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
         } else {
-            let per_script = t0.elapsed() / (n.max(1) as u32);
-            for _ in 0..n {
-                self.script_hist.record_duration(per_script);
+            if let Some(t0) = t0 {
+                let per_script = t0.elapsed() / (n.max(1) as u32);
+                for _ in 0..n {
+                    self.script_hist.record_duration(per_script);
+                }
             }
             self.status_counts[status.index()].fetch_add(n as u64, Ordering::Relaxed);
             if n > 1 {
@@ -401,9 +439,11 @@ impl Executor {
     }
 
     /// Render the `STATS` document: transaction counters, per-op-type
-    /// service-time histograms (count/mean/p50/p99), script service
-    /// time, abort attribution by object, connection counters, and
-    /// object census.
+    /// call counts and service times (count/mean/p50/p99), script
+    /// service time, abort attribution by object, connection counters,
+    /// and object census. Under `ops` and `script_service`, `count` is
+    /// exact and the latency fields come from the timed runs, one in 64
+    /// per thread.
     pub fn stats_json(&self) -> String {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let mut out = String::with_capacity(2048);
@@ -425,12 +465,14 @@ impl Executor {
                 }
             });
             doc.obj("ops", |o| {
-                for (i, hist) in self.op_hist.iter().enumerate() {
+                for (i, (calls, hist)) in self.op_calls.iter().zip(&self.op_hist).enumerate() {
                     let name = op_name(i as u8 + 1).expect("opcode table covers histogram range");
-                    o.hist(name, &hist.snapshot());
+                    o.sampled_hist(name, load(calls), &hist.snapshot());
                 }
             });
-            doc.hist("script_service", &self.script_hist.snapshot());
+            // A finished script is counted under exactly one status.
+            let scripts = self.status_counts.iter().map(load).sum();
+            doc.sampled_hist("script_service", scripts, &self.script_hist.snapshot());
             doc.obj("batch", |o| {
                 o.num("batches", load(&self.batches))
                     .num("scripts", load(&self.batch_scripts))
@@ -570,8 +612,13 @@ impl JsonObj<'_> {
     }
 
     fn hist(&mut self, key: &str, h: &HistogramSnapshot) -> &mut Self {
+        self.sampled_hist(key, h.count(), h)
+    }
+
+    /// A histogram fed by a sample of `count` events.
+    fn sampled_hist(&mut self, key: &str, count: u64, h: &HistogramSnapshot) -> &mut Self {
         self.obj(key, |o| {
-            o.num("count", h.count())
+            o.num("count", count)
                 .num("mean_ns", h.mean())
                 .num("p50_ns", h.p50())
                 .num("p99_ns", h.p99());
@@ -601,6 +648,12 @@ mod tests {
     /// Scripts are spelled the way clients spell them.
     fn script() -> ScriptBuilder {
         ScriptBuilder::new()
+    }
+
+    /// Run `f` on a thread that has begun no run yet, so its first run
+    /// is a timed one whatever the test harness ran on this thread.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("test thread panicked"))
     }
 
     /// Attach a group-commit WAL over simulated storage (flusher
@@ -935,21 +988,17 @@ mod tests {
             .counter_add("c", 1)
             .map_contains("m", 1)
             .counter_get("c");
-        let (held_tx, held_rx) = std::sync::mpsc::channel();
         let out = std::thread::scope(|s| {
-            s.spawn(|| {
-                let txn = holder.begin();
-                map.put(&txn, 1, 7).unwrap();
-                held_tx.send(()).unwrap();
-                // Keep key 1 locked until the script has timed out on
-                // it at least once.
-                while e.tm.stats().snapshot().lock_timeouts == 0 {
-                    std::thread::yield_now();
-                }
-                holder.commit(txn);
-            });
-            held_rx.recv().unwrap();
-            e.execute(&transfer.build())
+            let txn = holder.begin();
+            map.put(&txn, 1, 7).unwrap();
+            let script = s.spawn(|| e.execute(&transfer.build()));
+            // Keep key 1 locked until the script has timed out on it at
+            // least once.
+            while e.tm.stats().snapshot().lock_timeouts == 0 {
+                std::thread::yield_now();
+            }
+            holder.commit(txn);
+            script.join().unwrap()
         });
         assert_eq!(out.status, ScriptStatus::Committed);
         assert!(out.attempts > 1, "attempts = {}", out.attempts);
@@ -962,9 +1011,15 @@ mod tests {
                 OpResult::Value(Some(1)),
             ]
         );
-        // The first attempt never reached op 1, the last one ran it.
+        // The first attempt never reached op 1, the last one ran it —
+        // and, the run being its thread's first, stamped it: one sample
+        // per op, each from the attempt that committed.
         assert_eq!(e.namespace().object_counts(), (1, 1, 0, 0, 0));
-        assert_eq!(e.op_hist[3].snapshot().count(), 1);
+        for opcode in [0, 2, 3, 4] {
+            assert_eq!(e.op_calls[opcode].load(Ordering::Relaxed), 1);
+            assert_eq!(e.op_hist[opcode].snapshot().count(), 1);
+        }
+        assert_eq!(e.script_hist.snapshot().count(), 1);
     }
 
     #[test]
@@ -1038,14 +1093,75 @@ mod tests {
         const N: u64 = 32;
         let e = exec();
         let scripts = vec![script().counter_add("c", 1).build(); N as usize];
-        let t0 = Instant::now();
-        e.execute_batch(&scripts).expect("joint commit");
-        let elapsed = t0.elapsed();
+        let elapsed = on_fresh_thread(|| {
+            let t0 = Instant::now();
+            e.execute_batch(&scripts).expect("joint commit");
+            t0.elapsed()
+        });
         let adds = e.op_hist[3].snapshot();
         assert_eq!(adds.count(), N, "one sample per op, not per batch");
         // Chained stamps partition the body's wall time, so the gaps
         // cannot add up to more than the call took.
         assert!(u128::from(adds.sum) <= elapsed.as_nanos());
         assert_eq!(e.script_hist.snapshot().count(), N);
+    }
+
+    #[test]
+    fn counts_are_exact_and_one_run_in_64_is_timed() {
+        const RUNS: u32 = 200;
+        let e = exec();
+        let locked = script().map_insert("m", 1, 1).counter_add("c", 1).build();
+        let snapshot = script().map_contains("m", 1).build();
+        let batch = vec![script().counter_add("c", 1).build(); 3];
+        let doomed = script().counter_get("c").debug_abort().build();
+        // Ops executed by opcode index and scripts finished, over
+        // [every run, the timed runs]; the timed ones — 0, 64, 128, 192
+        // — are a locked, a snapshot, a batch and a locked run.
+        let mut ops = [[0u64; NUM_OPCODES]; 2];
+        let mut scripts = [0u64; 2];
+        let mut aborted = 0;
+        on_fresh_thread(|| {
+            for run in 0..RUNS {
+                let (ran, finished): (&[usize], u64) = if run % 10 == 9 {
+                    assert_eq!(e.execute(&doomed).status, ScriptStatus::DebugAborted);
+                    aborted += 1;
+                    (&[4], 1)
+                } else if run % 3 == 0 {
+                    assert_eq!(e.execute(&locked).status, ScriptStatus::Committed);
+                    (&[0, 3], 1)
+                } else if run % 3 == 1 {
+                    let out = e.execute_read_only(&snapshot);
+                    assert_eq!(out.status, ScriptStatus::Committed);
+                    (&[2], 1)
+                } else {
+                    e.execute_batch(&batch).expect("joint commit");
+                    (&[3, 3, 3], 3)
+                };
+                for which in 0..=usize::from(run.is_multiple_of(TIMED_EVERY)) {
+                    for &opcode in ran {
+                        ops[which][opcode] += 1;
+                    }
+                    scripts[which] += finished;
+                }
+            }
+        });
+        assert_eq!(scripts[1], 1 + 1 + 3 + 1);
+        let json = e.stats_json();
+        let stat = |path: &str| -> u64 {
+            let found = leaves(&json).into_iter().find(|(p, _)| p == path);
+            found
+                .unwrap_or_else(|| panic!("{path} missing from {json}"))
+                .1
+        };
+        for (i, (all, timed)) in ops[0].iter().zip(&ops[1]).enumerate() {
+            let name = op_name(i as u8 + 1).unwrap();
+            assert_eq!(stat(&format!("ops.{name}.count")), *all, "{name}");
+            assert_eq!(e.op_hist[i].snapshot().count(), *timed, "{name} samples");
+        }
+        assert_eq!(stat("script_service.count"), scripts[0]);
+        assert_eq!(e.script_hist.snapshot().count(), scripts[1]);
+        assert_eq!(stat("scripts.debug_aborted"), aborted);
+        assert_eq!(stat("scripts.committed"), scripts[0] - aborted);
+        assert!(stat("ops.map_insert.mean_ns") > 0 && stat("script_service.mean_ns") > 0);
     }
 }

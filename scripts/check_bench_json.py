@@ -11,8 +11,8 @@ measured on quiet hardware).
 Usage: check_bench_json.py NAME PATH [--gate KEY=RATIO ...]
 
 BASELINES below is the whole per-baseline knowledge: where the points
-live, which fields they carry, which labels must appear, and the named
-ratio gates. A gate compares two series at their largest `threads`
+live, which fields they carry, which labels must appear, which meta
+scalars bound which, and the named ratio gates. A gate compares two series at their largest `threads`
 value: `min` gates require first/second >= RATIO, `max` gates <= RATIO.
 """
 
@@ -66,6 +66,9 @@ BASELINES = {
             "executor rscan4 script",
         ],),
         "meta": {"allocs_per_script_transfer3": "1"},
+        # meta[first] <= RATIO * meta[second]: the executor's accounting
+        # costs less than the transaction it accounts for.
+        "meta_at_most": (("executor_rscan4_ns", 2.0, "snapshot4_1024_ns"),),
     },
     "readmostly": {
         **SERIES,
@@ -140,6 +143,10 @@ def main():
     for key, want in spec.get("meta", {}).items():
         if doc.get("meta", {}).get(key) != want:
             fail(f"meta.{key} is not {want!r}")
+    for first, ratio, second in spec.get("meta_at_most", ()):
+        meta = doc.get("meta", {})
+        if not float(meta.get(first, "inf")) <= ratio * float(meta.get(second, "0")):
+            fail(f"meta.{first} = {meta.get(first)} above {ratio} x meta.{second} = {meta.get(second)}")
     points = doc.get(spec["points"])
     if not points:
         fail(f'no {spec["points"]}')

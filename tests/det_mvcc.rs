@@ -1,18 +1,21 @@
 //! Deterministic-harness coverage for the multi-version read path:
 //! read-only snapshot transactions racing committing writers.
 //!
-//! Three behaviours are swept across seeds, plus one *mutation check*:
-//! with the reader-registry GC floor deliberately disabled (via a
-//! test-only hook on `MvccDomain`), install-time GC must prune a version
-//! a registered snapshot reader is still pinning, and the sweep must
-//! observe the resulting torn read — evidence these tests have teeth.
+//! Five behaviours are swept across seeds, plus two *mutation checks*,
+//! evidence these tests have teeth. With the reader-registry GC floor
+//! deliberately disabled (via a test-only hook on `MvccDomain`),
+//! install-time GC must prune a version a registered snapshot reader is
+//! still pinning, and the sweep must observe the resulting torn read.
+//! With in-order publish disabled (a second hook), a commit must become
+//! visible ahead of an older one still installing, and the sweep must
+//! observe a snapshot with a hole in it.
 //!
 //! Every boosted collection shares the process-global `MvccDomain`, so
 //! the tests in this binary serialize on a file-level mutex: the
 //! mutation check flips a global flag the honest tests must never see.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use transactional_boosting::prelude::*;
 use txboost_core::MvccDomain;
 use txboost_sched::core_det as det;
@@ -37,13 +40,14 @@ fn domain_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Restores the reader-registry floor even if the sweep panics, so a
-/// failing mutation check cannot corrupt the honest tests.
-struct FloorRestore;
+/// Switches both mutation hooks back off even if the sweep panics, so
+/// a failing mutation check cannot corrupt the honest tests.
+struct MutationsOff;
 
-impl Drop for FloorRestore {
+impl Drop for MutationsOff {
     fn drop(&mut self) {
         MvccDomain::global().ignore_reader_floor_for_test(false);
+        MvccDomain::global().publish_out_of_order_for_test(false);
     }
 }
 
@@ -249,12 +253,270 @@ fn skipping_the_reader_registry_floor_is_caught_by_the_sweep() {
     // second read comes back different (absent). If this stopped
     // firing, the honest test above would be vacuous.
     let _g = domain_guard();
-    let _restore = FloorRestore;
+    let _restore = MutationsOff;
     MvccDomain::global().ignore_reader_floor_for_test(true);
     let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60));
     assert!(
         torn > 0,
         "sweep failed to notice GC ignoring registered readers — the \
          pinned-snapshot test has no teeth"
+    );
+}
+
+/// What `overlapping_install_windows` saw over a sweep.
+struct Overlaps {
+    /// Snapshots that were torn or had a hole (half of a commit, or
+    /// timestamp `t + 1` without `t`), plus runs in which the younger
+    /// commit returned while the older one was still installing.
+    broken: u64,
+    /// Runs in which a publisher had to wait for its predecessor.
+    waited: u64,
+}
+
+/// Two writers whose transactions do not conflict — each bumps its own
+/// pair of counters in shared mode, so both can be inside their install
+/// windows at once — and a reader snapshotting all four counters.
+///
+/// The first round is staged: the older writer parks *inside* its
+/// install window (one counter installed, one not) until the reader
+/// lets it go, the younger writer commits meanwhile, and the reader
+/// snapshots across the moment the younger one has finished its
+/// installs. After that everyone runs free.
+///
+/// Every commit on the global domain during a run adds exactly 1 to
+/// both counters of one pair, so a snapshot at timestamp `S` holds
+/// every commit up to `S`, whole, iff each pair agrees and the pairs
+/// sum to `S` minus the clock's reading when the run began.
+fn overlapping_install_windows(seeds: std::ops::Range<u64>) -> Overlaps {
+    const COMMITS: i64 = 3;
+    const SNAPSHOTS: usize = 8;
+    #[derive(Default)]
+    struct Stage {
+        older_parked: AtomicBool,
+        older_released: AtomicBool,
+        younger_installed: AtomicBool,
+        younger_returned: AtomicBool,
+    }
+    struct W {
+        tm: TxnManager,
+        pairs: [[BoostedCounter; 2]; 2],
+        /// The stable timestamp before the run's first commit.
+        base: u64,
+        stage: Arc<Stage>,
+    }
+    let (broken, waited) = (AtomicU64::new(0), AtomicU64::new(0));
+    txboost_sched::sweep_setup(
+        seeds,
+        3,
+        || W {
+            tm: TxnManager::default(),
+            pairs: std::array::from_fn(|_| std::array::from_fn(|_| BoostedCounter::new())),
+            base: MvccDomain::global().clock.stable(),
+            stage: Arc::default(),
+        },
+        |w, tid| {
+            let stage = &w.stage;
+            if let Some([a, b]) = w.pairs.get(tid) {
+                for done in 1..=COMMITS {
+                    let staged = done == 1;
+                    if staged && tid == 1 {
+                        // A later timestamp: the older window is open.
+                        spin_until(&stage.older_parked);
+                    }
+                    w.tm.run(|t| {
+                        a.add(t, 1)?;
+                        // Version installs run in the order logged: the
+                        // older writer parks between its two, the
+                        // younger one signals after both of its own.
+                        if staged && tid == 0 {
+                            let st = Arc::clone(stage);
+                            t.log_version_install(move || {
+                                st.older_parked.store(true, Ordering::SeqCst);
+                                spin_until(&st.older_released);
+                            });
+                        }
+                        b.add(t, 1)?;
+                        if staged && tid == 1 {
+                            let st = Arc::clone(stage);
+                            t.log_version_install(move || {
+                                st.younger_installed.store(true, Ordering::SeqCst);
+                            });
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
+                    if staged && tid == 1 {
+                        stage.younger_returned.store(true, Ordering::SeqCst);
+                    }
+                    // The commit has returned, so `stable` covers it:
+                    // a snapshot begun now contains it.
+                    let seen = w.tm.run_read_only(|t| a.get(t));
+                    let seen = seen.expect("a read-only txn can never abort");
+                    assert_eq!(seen, done, "a returned commit is missing from a snapshot");
+                }
+            } else {
+                let snapshots = || {
+                    for _ in 0..SNAPSHOTS {
+                        let got = w.tm.run_read_only(|t| {
+                            let mut sums = [0; 2];
+                            let mut whole = true;
+                            for ([a, b], sum) in w.pairs.iter().zip(&mut sums) {
+                                *sum = a.get(t)?;
+                                whole &= *sum == b.get(t)?;
+                            }
+                            let commits = t.snapshot_ts().expect("read-only") - w.base;
+                            Ok(whole && u64::try_from(sums[0] + sums[1]) == Ok(commits))
+                        });
+                        if !got.expect("a read-only txn can never abort") {
+                            broken.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                };
+                spin_until(&stage.younger_installed);
+                snapshots();
+                // The older commit is still parked in its window, so the
+                // younger one cannot be stable, so it cannot have returned.
+                if stage.younger_returned.load(Ordering::SeqCst) {
+                    broken.fetch_add(1, Ordering::SeqCst);
+                }
+                stage.older_released.store(true, Ordering::SeqCst);
+                snapshots();
+            }
+        },
+        |_w, report| {
+            // Shared-mode adds never block each other and the reader
+            // takes no lock: a blocked tick here is a publisher waiting.
+            let blocked = |s: &txboost_sched::Step| s.point == det::Point::LockBlocked;
+            if report.schedule.iter().any(blocked) {
+                waited.fetch_add(1, Ordering::SeqCst);
+            }
+        },
+    );
+    Overlaps {
+        broken: broken.load(Ordering::SeqCst),
+        waited: waited.load(Ordering::SeqCst),
+    }
+}
+
+#[test]
+fn commits_publish_in_timestamp_order_on_every_seed() {
+    // A writer descheduled inside its install window holds back the
+    // later-timestamp writer's `commit`, not the snapshots: on every
+    // seed the younger commit waits, no snapshot has a hole or half a
+    // commit, a returned commit is in the next snapshot, and read-only
+    // transactions still never abort.
+    let _g = domain_guard();
+    let seeds = txboost_sched::seeds_from_env(60);
+    let runs = seeds.end - seeds.start;
+    let seen = overlapping_install_windows(seeds);
+    assert_eq!(
+        seen.broken, 0,
+        "t + 1 became visible, or returned, ahead of t"
+    );
+    assert_eq!(seen.waited, runs, "the younger commit did not have to wait");
+}
+
+#[test]
+fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
+    // Real-time order through the locks: an older writer sits inside
+    // its install window, a younger one (no conflict with it) finishes
+    // installing key 0 and must wait to become stable, and a third
+    // thread reads key 0 under its abstract lock — a transaction with no
+    // installs, so it waits for nobody's timestamp — and then snapshots
+    // it. The younger writer keeps its lock until it is stable, so the
+    // locked read sees its value only once every snapshot does too: no
+    // snapshot may be older than the locked read before it.
+    const ROUNDS: usize = 6;
+    const HOLD: usize = 40;
+    #[derive(Default)]
+    struct Stage {
+        older_parked: AtomicBool,
+        younger_installed: AtomicBool,
+    }
+    struct W {
+        tm: TxnManager,
+        map: BoostedHashMap<i64, i64>,
+        other: BoostedCounter,
+        stage: Arc<Stage>,
+    }
+    let _g = domain_guard();
+    txboost_sched::sweep_setup(
+        txboost_sched::seeds_from_env(60),
+        3,
+        || {
+            let w = W {
+                tm: TxnManager::default(),
+                map: BoostedHashMap::new(),
+                other: BoostedCounter::new(),
+                stage: Arc::default(),
+            };
+            w.tm.run(|t| w.map.put(t, 0, 0).map(|_| ())).unwrap();
+            w
+        },
+        |w, tid| match tid {
+            0 => {
+                w.tm.run(|t| {
+                    w.other.add(t, 1)?;
+                    // Stay mid-install until the younger writer has
+                    // finished its own installs, and a while longer.
+                    let st = Arc::clone(&w.stage);
+                    t.log_version_install(move || {
+                        st.older_parked.store(true, Ordering::SeqCst);
+                        spin_until(&st.younger_installed);
+                        for _ in 0..HOLD {
+                            det::yield_point(det::Point::User);
+                        }
+                    });
+                    Ok(())
+                })
+                .unwrap();
+            }
+            1 => {
+                spin_until(&w.stage.older_parked);
+                w.tm.run(|t| {
+                    w.map.put(t, 0, 1)?;
+                    let st = Arc::clone(&w.stage);
+                    t.log_version_install(move || {
+                        st.younger_installed.store(true, Ordering::SeqCst);
+                    });
+                    Ok(())
+                })
+                .unwrap();
+            }
+            _ => {
+                spin_until(&w.stage.older_parked);
+                for _ in 0..ROUNDS {
+                    let locked = w.tm.run(|t| w.map.get(t, &0)).unwrap();
+                    let snapshot = w.tm.run_read_only(|t| w.map.get(t, &0));
+                    let snapshot = snapshot.expect("a read-only txn can never abort");
+                    assert!(
+                        snapshot >= locked,
+                        "reads went back in time: {locked:?} under the lock, \
+                         then {snapshot:?} from a snapshot"
+                    );
+                }
+            }
+        },
+        |w, _report| {
+            let last = w.tm.run_read_only(|t| w.map.get(t, &0)).unwrap();
+            assert_eq!(last, Some(1));
+        },
+    );
+}
+
+#[test]
+fn publishing_out_of_order_is_caught_by_the_sweep() {
+    // Mutation check: let `publish` go ahead of an older commit still
+    // installing and the *same* workload must show a snapshot with half
+    // of the older commit in it (or the younger one returning early).
+    // If this stopped firing, the honest test above would be vacuous.
+    let _g = domain_guard();
+    let _restore = MutationsOff;
+    MvccDomain::global().publish_out_of_order_for_test(true);
+    let seen = overlapping_install_windows(txboost_sched::seeds_from_env(60));
+    assert!(
+        seen.broken > 0,
+        "sweep failed to notice commits publishing out of timestamp order — \
+         the in-order test has no teeth"
     );
 }

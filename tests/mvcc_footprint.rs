@@ -105,9 +105,6 @@ fn an_unpinned_store_is_flat_blockless_and_allocation_free() {
     // Which twin of pair `p` (keys 2p, 2p+1) holds the binding; sized
     // before the first reading so it is in none of the deltas.
     let mut even_holds = vec![false; (KEYS / 2) as usize];
-    // Likewise the clock's pending list: the domain's, not the store's.
-    domain.clock.publish(domain.clock.reserve());
-
     let empty = Heap::now();
     let store = VersionStore::new(Arc::clone(&domain));
     for key in 0..KEYS {
