@@ -32,7 +32,6 @@
 //! pass `--think-us 100000` to `figures` for the paper's regime.
 
 pub mod arena;
-pub mod readmostly;
 pub mod report;
 
 use rand::prelude::*;

@@ -1,6 +1,6 @@
 //! Machine-readable benchmark reports.
 //!
-//! Every CSV the `figures` binary writes (and every `loadgen` run) gets
+//! Every CSV the `figures` binary writes (and every `hotpath` run) gets
 //! a sibling `BENCH_<name>.json` so CI and tooling can assert on
 //! throughput and latency percentiles without parsing console tables.
 //! The schema is flat on purpose:
@@ -38,7 +38,7 @@ pub struct SeriesPoint {
     /// Aborted attempts.
     pub aborted: u64,
     /// p50 latency in microseconds (contended lock wait for figure
-    /// runs, end-to-end request latency for loadgen).
+    /// runs, time per operation for `hotpath` rows).
     pub p50_us: f64,
     /// p99 latency, same convention.
     pub p99_us: f64,

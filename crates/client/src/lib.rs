@@ -3,8 +3,7 @@
 //! A [`Connection`] is one TCP connection speaking the `txboost-wire`
 //! protocol: build a script with [`ScriptBuilder`], [`Connection::execute`]
 //! it atomically, or pipeline with [`Connection::send_script`] /
-//! [`Connection::recv_script`]. A [`Pool`] shares a fixed set of
-//! connections between threads (checkout/checkin via RAII guard).
+//! [`Connection::recv_script`].
 //!
 //! ```no_run
 //! use txboost_client::{Connection, ScriptBuilder};
@@ -24,11 +23,9 @@
 
 #![warn(missing_docs)]
 
-use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 use txboost_wire::{
     self as wire, Guard, Op, OpResult, ProtoErrorCode, Request, Response, ScriptOp, ScriptStatus,
@@ -398,119 +395,6 @@ impl Connection {
     }
 }
 
-/// A fixed-size, thread-safe pool of connections.
-///
-/// Connections are created lazily up to `capacity`; when all are
-/// checked out, [`Pool::get`] blocks until one is returned. A
-/// connection that errored should be discarded with
-/// [`PooledConn::discard`] so the pool replaces it on next demand.
-#[derive(Debug)]
-pub struct Pool {
-    addr: String,
-    inner: Mutex<PoolInner>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    idle: Vec<Connection>,
-    outstanding: usize,
-    capacity: usize,
-}
-
-impl Pool {
-    /// A pool of up to `capacity` connections to `addr`.
-    pub fn new(addr: impl Into<String>, capacity: usize) -> Pool {
-        Pool {
-            addr: addr.into(),
-            inner: Mutex::new(PoolInner {
-                idle: Vec::new(),
-                outstanding: 0,
-                capacity: capacity.max(1),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Check out a connection (connecting if below capacity, blocking
-    /// if the pool is exhausted).
-    pub fn get(&self) -> io::Result<PooledConn<'_>> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(conn) = inner.idle.pop() {
-                inner.outstanding += 1;
-                return Ok(PooledConn {
-                    pool: self,
-                    conn: Some(conn),
-                });
-            }
-            if inner.outstanding < inner.capacity {
-                inner.outstanding += 1;
-                drop(inner);
-                match Connection::connect(&self.addr) {
-                    Ok(conn) => {
-                        return Ok(PooledConn {
-                            pool: self,
-                            conn: Some(conn),
-                        })
-                    }
-                    Err(e) => {
-                        self.inner.lock().outstanding -= 1;
-                        self.cv.notify_one();
-                        return Err(e);
-                    }
-                }
-            }
-            self.cv.wait(&mut inner);
-        }
-    }
-
-    fn put_back(&self, conn: Option<Connection>) {
-        let mut inner = self.inner.lock();
-        inner.outstanding -= 1;
-        if let Some(conn) = conn {
-            inner.idle.push(conn);
-        }
-        self.cv.notify_one();
-    }
-}
-
-/// RAII pool checkout; derefs to [`Connection`] and returns it to the
-/// pool on drop.
-#[derive(Debug)]
-pub struct PooledConn<'a> {
-    pool: &'a Pool,
-    conn: Option<Connection>,
-}
-
-impl PooledConn<'_> {
-    /// Drop the connection instead of returning it (after an error).
-    pub fn discard(mut self) {
-        self.conn = None;
-        // Drop impl does the bookkeeping.
-    }
-}
-
-impl Deref for PooledConn<'_> {
-    type Target = Connection;
-
-    fn deref(&self) -> &Connection {
-        self.conn.as_ref().expect("connection present until drop")
-    }
-}
-
-impl DerefMut for PooledConn<'_> {
-    fn deref_mut(&mut self) -> &mut Connection {
-        self.conn.as_mut().expect("connection present until drop")
-    }
-}
-
-impl Drop for PooledConn<'_> {
-    fn drop(&mut self) {
-        self.pool.put_back(self.conn.take());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,21 +431,5 @@ mod tests {
             .counter_get("c");
         assert!(ro.is_read_only());
         assert_eq!(ro.build().len(), 2);
-    }
-
-    #[test]
-    fn pool_capacity_is_at_least_one() {
-        let pool = Pool::new("127.0.0.1:1", 0);
-        assert_eq!(pool.inner.lock().capacity, 1);
-    }
-
-    #[test]
-    fn failed_connect_releases_the_slot() {
-        // Port 1 refuses connections; the failed checkout must not
-        // leak the capacity slot.
-        let pool = Pool::new("127.0.0.1:1", 1);
-        assert!(pool.get().is_err());
-        assert_eq!(pool.inner.lock().outstanding, 0);
-        assert!(pool.get().is_err(), "second attempt must not deadlock");
     }
 }

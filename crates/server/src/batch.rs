@@ -61,19 +61,13 @@ use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 /// Commit-batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Master switch (`--no-batch` clears it). Off, every script runs
-    /// as its own transaction.
-    pub enabled: bool,
     /// Most scripts merged into one joint transaction.
     pub max_scripts: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            enabled: true,
-            max_scripts: 64,
-        }
+        BatchConfig { max_scripts: 64 }
     }
 }
 
@@ -169,7 +163,7 @@ impl Batcher {
         };
         for (token, req) in requests {
             match req {
-                Request::Script { req_id, ops } if self.cfg.enabled && batch_eligible(&ops) => {
+                Request::Script { req_id, ops } if batch_eligible(&ops) => {
                     if run.scripts.len() >= self.cfg.max_scripts
                         || run.ops + ops.len() > MAX_OPS_PER_SCRIPT as usize
                     {
@@ -419,32 +413,6 @@ mod tests {
         tick.join().unwrap();
         let durable = wal.metrics().snapshot();
         assert_eq!((durable.records, durable.batches), (3, 1), "one fsync");
-    }
-
-    #[test]
-    fn run_tick_with_batching_disabled_never_merges() {
-        let e = exec();
-        let b = Batcher::new(BatchConfig {
-            enabled: false,
-            ..BatchConfig::default()
-        });
-        let reqs: Vec<(usize, Request)> = (0..4)
-            .map(|i| {
-                (
-                    i,
-                    Request::Script {
-                        req_id: i as u64,
-                        ops: add("c", 1),
-                    },
-                )
-            })
-            .collect();
-        let mut n = 0;
-        b.run_tick(&e, reqs, |_| Response::Pong { req_id: 0 }, |_, _| n += 1);
-        assert_eq!(n, 4);
-        assert!(e
-            .stats_json()
-            .contains("\"batch\":{\"batches\":0,\"scripts\":0"));
     }
 
     #[test]

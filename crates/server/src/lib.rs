@@ -9,7 +9,7 @@
 //! ## The I/O plane
 //!
 //! No async runtime: `std::net` + threads + raw Linux `epoll`
-//! ([`sys`]). One event loop per core, connections pinned to the loop
+//! (`sys.rs`). One event loop per core, connections pinned to the loop
 //! that accepted them, edge-triggered reads into per-connection
 //! resumable frame decoders, batched reply flushes with EAGAIN-aware
 //! write interest. Independent single-object scripts arriving in the
@@ -40,7 +40,7 @@ mod namespace;
 #[cfg(unix)]
 pub mod signal;
 #[cfg(target_os = "linux")]
-pub mod sys;
+mod sys;
 
 pub use batch::{batch_eligible, BatchConfig, Batcher};
 pub use exec::{Executor, ScriptOutcome};

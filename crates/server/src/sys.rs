@@ -6,10 +6,6 @@
 //! already linked: `std` links the platform libc). The raw calls are
 //! wrapped in owning types that close their descriptor on drop, so the
 //! `unsafe` surface stays confined to this file.
-//!
-//! Public (not `pub(crate)`) because the bench harness's connection
-//! storm drives thousands of client sockets through the same
-//! readiness primitives.
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -1,21 +1,25 @@
 //! Command-line contract of the `txboost-server` binary: a usage
 //! error is one line on stderr and exit status 2 — never a panic with
-//! a backtrace — and the `--io epoll` the benchmark harness passes
-//! still starts a server.
+//! a backtrace — the `--io epoll` the benchmark harness passes still
+//! starts a server, and SIGTERM drains it to exit status 0.
 
 #![cfg(target_os = "linux")]
 
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
+mod common;
+
+use common::ServerProc;
+use std::process::Command;
+use txboost_client::{Connection, ScriptBuilder};
 
 const BIN: &str = env!("CARGO_BIN_EXE_txboost-server");
 
 #[test]
 fn usage_errors_print_one_line_and_exit_2() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 5] = [
         &["--window", "x"],   // unparsable value
         &["--io", "threads"], // the removed plane
         &["--workers", "4"],  // a removed flag
+        &["--no-batch"],      // another: batching has no off switch
         &["--addr"],          // trailing flag without its value
     ];
     for args in cases {
@@ -30,19 +34,33 @@ fn usage_errors_print_one_line_and_exit_2() {
 
 #[test]
 fn io_epoll_is_accepted_and_the_server_starts() {
-    let mut child = Command::new(BIN)
-        .args(["--addr", "127.0.0.1:0", "--io", "epoll"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn server");
-    let mut banner = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
-        .read_line(&mut banner)
-        .expect("read banner");
-    let _ = child.kill();
-    let _ = child.wait();
-    assert!(
-        banner.starts_with("txboost-server listening on 127.0.0.1:"),
-        "unexpected banner: {banner:?}"
-    );
+    let mut server = ServerProc::spawn(&["--io", "epoll"]);
+    let _ = server.child.kill();
+    let _ = server.child.wait();
+    // `addr` panics on anything but the listening banner.
+    assert!(server.addr().starts_with("127.0.0.1:"), "{}", server.banner);
+}
+
+#[test]
+fn sigterm_drains_and_exits_0() {
+    const SIGTERM: i32 = 15;
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+
+    let server = ServerProc::spawn(&[]);
+    // The connection stays open across the signal: an idle client
+    // holds the drain for its grace period, never past it.
+    let mut conn = Connection::connect(server.addr()).expect("connect");
+    let out = conn
+        .execute(ScriptBuilder::new().counter_add("c", 1).build())
+        .expect("execute");
+    assert!(out.committed(), "{out:?}");
+
+    // SAFETY: signals one process, the child this test spawned and has
+    // not yet waited for, so the pid cannot have been reused.
+    let rc = unsafe { kill(server.child.id() as i32, SIGTERM) };
+    assert_eq!(rc, 0, "kill failed");
+    // Without the handler SIGTERM kills the process: no exit code.
+    server.wait_drained();
 }

@@ -14,41 +14,17 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::{get_nofile, set_nofile, RLimit};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use txboost_client::{Connection, ScriptBuilder};
 use txboost_server::{Server, ServerConfig};
 use txboost_wire::ScriptStatus;
 
-const RLIMIT_NOFILE: i32 = 7;
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct RLimit {
-    cur: u64,
-    max: u64,
-}
-
 extern "C" {
-    fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
     fn fcntl(fd: i32, cmd: i32, ...) -> i32;
-}
-
-fn get_nofile() -> RLimit {
-    let mut lim = RLimit { cur: 0, max: 0 };
-    // SAFETY: `lim` is a valid, writable rlimit struct matching the
-    // kernel's layout for RLIMIT_NOFILE.
-    let rc = unsafe { getrlimit(RLIMIT_NOFILE, &raw mut lim) };
-    assert_eq!(rc, 0, "getrlimit failed");
-    lim
-}
-
-fn set_nofile(lim: RLimit) {
-    // SAFETY: `lim` is a valid rlimit value; lowering/restoring the
-    // soft bound never exceeds the hard bound below.
-    let rc = unsafe { setrlimit(RLIMIT_NOFILE, &raw const lim) };
-    assert_eq!(rc, 0, "setrlimit failed");
 }
 
 /// Highest file descriptor currently open in this process.

@@ -8,8 +8,9 @@
 
 #![cfg(target_os = "linux")]
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::ServerProc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,42 +24,9 @@ const CLIENTS: u64 = 6;
 /// Commits to wait for before pulling the trigger.
 const KILL_AFTER_COMMITS: u64 = 60;
 
-struct ServerProc {
-    child: Child,
-    addr: String,
-    /// Keeps the stdout pipe open so the server's shutdown banner
-    /// doesn't hit a broken pipe.
-    _stdout: BufReader<std::process::ChildStdout>,
-}
-
 fn spawn_server(wal_dir: &std::path::Path) -> ServerProc {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_txboost-server"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--wal-dir",
-            wal_dir.to_str().expect("utf8 wal dir"),
-            "--wal-batch",
-            "8",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn txboost-server");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read listen line");
-    let addr = line
-        .trim()
-        .strip_prefix("txboost-server listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
-        .to_string();
-    ServerProc {
-        child,
-        addr,
-        _stdout: reader,
-    }
+    let wal_dir = wal_dir.to_str().expect("utf8 wal dir");
+    ServerProc::spawn(&["--wal-dir", wal_dir, "--wal-batch", "8"])
 }
 
 fn connect(addr: &str) -> Connection {
@@ -95,7 +63,7 @@ fn sigkill_mid_load_loses_no_acked_commit() {
 
     // --- First life: seed, hammer, die. ---
     let mut server = spawn_server(&wal_dir);
-    let mut setup = connect(&server.addr);
+    let mut setup = connect(server.addr());
     for k in 0..TOKENS {
         let out = setup
             .execute(
@@ -111,7 +79,7 @@ fn sigkill_mid_load_loses_no_acked_commit() {
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         for t in 0..CLIENTS {
-            let addr = server.addr.clone();
+            let addr = server.addr().to_string();
             let acked = Arc::clone(&acked);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
@@ -162,8 +130,8 @@ fn sigkill_mid_load_loses_no_acked_commit() {
     assert!(acked_before_kill >= KILL_AFTER_COMMITS);
 
     // --- Second life: recover and audit over the wire. ---
-    let mut server = spawn_server(&wal_dir);
-    let mut conn = connect(&server.addr);
+    let server = spawn_server(&wal_dir);
+    let mut conn = connect(server.addr());
     let (occupied, applied) = probe(&mut conn);
     assert_eq!(
         occupied, TOKENS,
@@ -196,10 +164,10 @@ fn sigkill_mid_load_loses_no_acked_commit() {
     let (_, applied_second) = probe(&mut conn);
     assert_eq!(applied_second, applied + extra);
     conn.shutdown_server().expect("graceful shutdown");
-    assert!(server.child.wait().expect("server exit").success());
+    server.wait_drained();
 
-    let mut server = spawn_server(&wal_dir);
-    let mut conn = connect(&server.addr);
+    let server = spawn_server(&wal_dir);
+    let mut conn = connect(server.addr());
     let (occupied, applied_third) = probe(&mut conn);
     assert_eq!(occupied, TOKENS, "tokens lost across clean restart");
     assert_eq!(
@@ -207,6 +175,6 @@ fn sigkill_mid_load_loses_no_acked_commit() {
         "clean shutdown + restart changed history"
     );
     conn.shutdown_server().expect("final shutdown");
-    assert!(server.child.wait().expect("final exit").success());
+    server.wait_drained();
     let _ = std::fs::remove_dir_all(&wal_dir);
 }

@@ -104,10 +104,7 @@ fn tick_requests(tick: usize) -> Vec<(usize, Request)> {
 /// Run one loop's ticks, asserting reply-order invariants locally and
 /// accumulating commits into `committed`.
 fn pump_loop(exec: &Executor, committed: &AtomicU64) {
-    let batcher = Batcher::new(BatchConfig {
-        max_scripts: 4,
-        ..BatchConfig::default()
-    });
+    let batcher = Batcher::new(BatchConfig { max_scripts: 4 });
     for tick in 0..TICKS {
         det::yield_point(det::Point::User);
         let reqs = tick_requests(tick);
@@ -189,10 +186,7 @@ fn drain_tick_with_sealed_batch_executes_everything() {
             if tid == 0 {
                 // The draining loop: its last tick queue (already
                 // decoded when shutdown was observed) still runs.
-                let batcher = Batcher::new(BatchConfig {
-                    max_scripts: 4,
-                    ..BatchConfig::default()
-                });
+                let batcher = Batcher::new(BatchConfig { max_scripts: 4 });
                 det::yield_point(det::Point::User);
                 let reqs = tick_requests(0);
                 let expect = reqs.len();
