@@ -29,7 +29,10 @@
 //!   line), and costs each of two threads sharing one manager about
 //!   what it costs one;
 //! * the `exec_contended` transfer script through the server's executor
-//!   allocates exactly once (its `results` vector);
+//!   allocates exactly once (its `results` vector); the same script on
+//!   two threads over disjoint objects, and `wire_small`'s tick — 16
+//!   one-op scripts over 16 counters as one joint batch — are reported
+//!   beside it, ungated;
 //! * the executor's accounting costs less than the transaction it
 //!   accounts for: a four-lookup snapshot script through
 //!   `Executor::execute_read_only` costs at most twice the same four
@@ -54,7 +57,7 @@ use txboost_collections::{BoostedCounter, BoostedHashMap};
 use txboost_core::locks::{KeyLockMap, TxRwLock};
 use txboost_core::{TxnConfig, TxnManager};
 use txboost_server::Executor;
-use txboost_wire::ScriptStatus;
+use txboost_wire::{ScriptOp, ScriptStatus};
 
 /// Heap allocations observed process-wide (frees are not tracked; the
 /// zero-allocation claim is about *allocating*, and dealloc-only
@@ -218,25 +221,37 @@ fn bench_empty_txn(iters: u64) -> Measurement {
     measure("empty-txn", iters, iters, || time_empty_txns(&tm, iters))
 }
 
-/// Two threads running empty transactions on one shared manager, as the
-/// mean nanoseconds each thread paid per transaction: what `begin` and
-/// `commit` cost when another core is doing the same (id blocks and
-/// counter stripes keep them off each other's cache lines).
-fn bench_empty_txn_x2(iters: u64) -> Measurement {
-    let tm = TxnManager::default();
-    let mut m = measure("empty-txn x2 threads", 2 * iters, 2 * iters, || {
+/// `timed(0)` and `timed(1)` on two threads released together, `iters`
+/// operations each, as the mean nanoseconds each thread paid per
+/// operation.
+fn measure_x2(
+    label: &'static str,
+    iters: u64,
+    timed: impl Fn(usize) -> Duration + Sync,
+) -> Measurement {
+    let mut m = measure(label, 2 * iters, 2 * iters, || {
         let go = Barrier::new(2);
-        let one_thread = || {
+        let one_thread = |i| {
             go.wait();
-            time_empty_txns(&tm, iters)
+            timed(i)
         };
         std::thread::scope(|s| {
-            let other = s.spawn(one_thread);
-            one_thread() + other.join().expect("bench thread panicked")
+            let other = s.spawn(|| one_thread(1));
+            one_thread(0) + other.join().expect("bench thread panicked")
         })
     });
     m.threads = 2;
     m
+}
+
+/// Two threads running empty transactions on one shared manager: what
+/// `begin` and `commit` cost when another core is doing the same (id
+/// blocks and counter stripes keep them off each other's cache lines).
+fn bench_empty_txn_x2(iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    measure_x2("empty-txn x2 threads", iters, |_| {
+        time_empty_txns(&tm, iters)
+    })
 }
 
 /// First acquisition vs reacquisition of key locks, timed inside the
@@ -444,23 +459,76 @@ fn seeded_executor(keys: i64) -> Executor {
     exec
 }
 
-/// The `exec_contended` benchmark's script through `Executor::execute`:
-/// move a binding (`map_remove` + `map_insert` on one map) and count the
-/// move (`counter_add`) — two objects, three ops, one transaction.
-fn bench_exec_transfer3(iters: u64) -> Measurement {
-    let exec = seeded_executor(1);
+/// The `exec_contended` benchmark's script: move a binding (`map_remove`
+/// then `map_insert` on map `accounts`) there and back, counting each
+/// move (`counter_add` on `moves`) — two objects, three ops, one
+/// transaction.
+fn transfer_scripts(accounts: &str, moves: &str) -> [Vec<ScriptOp>; 2] {
     let transfer = |from: i64, to: i64| {
         let moved = ScriptBuilder::new()
-            .map_remove("accounts", from)
-            .map_insert("accounts", to, from);
-        moved.counter_add("moves", 1).build()
+            .map_remove(accounts, from)
+            .map_insert(accounts, to, from);
+        moved.counter_add(moves, 1).build()
     };
-    let there_and_back = [transfer(0, 1), transfer(1, 0)];
+    [transfer(0, 1), transfer(1, 0)]
+}
+
+/// How long `iters` of `there_and_back`, alternating, take through
+/// `Executor::execute`.
+fn time_transfers(exec: &Executor, there_and_back: &[Vec<ScriptOp>; 2], iters: u64) -> Duration {
+    let start = Instant::now();
+    for script in there_and_back.iter().cycle().take(iters as usize) {
+        let out = exec.execute(script);
+        assert_eq!(out.status, ScriptStatus::Committed);
+    }
+    start.elapsed()
+}
+
+/// The transfer script on one thread.
+fn bench_exec_transfer3(iters: u64) -> Measurement {
+    let exec = seeded_executor(1);
+    let there_and_back = transfer_scripts("accounts", "moves");
     measure("executor transfer 3-op script", iters, iters, || {
+        time_transfers(&exec, &there_and_back, iters)
+    })
+}
+
+/// The transfer script on two threads sharing one executor, each over a
+/// map and a counter of its own. No lock, key or object is shared, so
+/// whatever this costs above the one-thread row is what commits share
+/// globally: the commit clock, the reader registry's floor pass, the
+/// metrics lines.
+fn bench_exec_transfer3_x2(iters: u64) -> Measurement {
+    let exec = Executor::new(TxnConfig::default(), 1024);
+    let scripts = [("accounts0", "moves0"), ("accounts1", "moves1")].map(|(accounts, moves)| {
+        let seed = ScriptBuilder::new().map_insert(accounts, 0, 0).build();
+        assert_eq!(exec.execute(&seed).status, ScriptStatus::Committed);
+        transfer_scripts(accounts, moves)
+    });
+    let label = "executor transfer x2 threads, disjoint keys";
+    measure_x2(label, iters, |i| time_transfers(&exec, &scripts[i], iters))
+}
+
+/// `wire_small`'s tick: 16 one-op `counter_add` scripts over 16 distinct
+/// counters through `Executor::execute_batch` — one joint transaction
+/// that names 16 objects of one type — per script.
+fn bench_exec_batch16(iters: u64) -> Measurement {
+    const SCRIPTS: u64 = 16;
+    let exec = Executor::new(TxnConfig::default(), 1024);
+    let tick: Vec<Vec<ScriptOp>> = (0..SCRIPTS)
+        .map(|i| {
+            ScriptBuilder::new()
+                .counter_add(&format!("c{i}"), 1)
+                .build()
+        })
+        .collect();
+    let batches = iters / SCRIPTS;
+    let label = "executor 16-counter joint batch";
+    measure(label, batches, batches * SCRIPTS, || {
         let start = Instant::now();
-        for script in there_and_back.iter().cycle().take(iters as usize) {
-            let out = exec.execute(script);
-            assert_eq!(out.status, ScriptStatus::Committed);
+        for _ in 0..batches {
+            let outs = exec.execute_batch(&tick).expect("joint commit");
+            assert_eq!(outs.len(), tick.len());
         }
         start.elapsed()
     })
@@ -504,6 +572,8 @@ fn main() {
     let snapshot4_small = bench_snapshot4("snapshot scan4 @1024 keys", 1024, args.iters);
     let snapshot4 = bench_snapshot4("snapshot scan4 @262144 keys", 262_144, args.iters);
     let exec_transfer3 = bench_exec_transfer3(args.iters);
+    let exec_transfer3_x2 = bench_exec_transfer3_x2(args.iters);
+    let exec_batch16 = bench_exec_batch16(args.iters);
     let exec_rscan4 = bench_exec_rscan4(args.iters);
 
     let all = [
@@ -520,6 +590,8 @@ fn main() {
         &snapshot4_small,
         &snapshot4,
         &exec_transfer3,
+        &exec_transfer3_x2,
+        &exec_batch16,
         &exec_rscan4,
     ];
     for m in all {
@@ -612,6 +684,14 @@ fn main() {
             .meta(
                 "executor_transfer3_ns",
                 format!("{:.1}", exec_transfer3.ns_per_op),
+            )
+            .meta(
+                "executor_transfer3_2threads_ns",
+                format!("{:.1}", exec_transfer3_x2.ns_per_op),
+            )
+            .meta(
+                "executor_batch16_ns_per_script",
+                format!("{:.1}", exec_batch16.ns_per_op),
             )
             .meta(
                 "executor_rscan4_ns",

@@ -9,6 +9,7 @@
 //! **exclusive**. Under read/write STM every increment pair would
 //! conflict; here increment-only workloads never abort.
 
+use crate::versioned::Versioned;
 use std::sync::Arc;
 use txboost_core::locks::TxRwLock;
 use txboost_core::{DeltaChain, TxResult, Txn};
@@ -17,12 +18,12 @@ use txboost_linearizable::StripedCounter;
 /// A transactional signed counter boosted from the striped counter.
 #[derive(Debug, Clone)]
 pub struct BoostedCounter {
-    base: Arc<StripedCounter>,
+    /// The striped counter and, beside it, the committed-delta chain
+    /// serving read-only snapshot transactions. Deltas, not full
+    /// values: concurrent shared-mode adders commit independently, so
+    /// no single committer knows the whole value.
+    base: Arc<Versioned<StripedCounter, DeltaChain>>,
     lock: Arc<TxRwLock>,
-    /// Committed-delta chain serving read-only snapshot transactions.
-    /// Deltas, not full values: concurrent shared-mode adders commit
-    /// independently, so no single committer knows the whole value.
-    deltas: Arc<DeltaChain>,
 }
 
 impl Default for BoostedCounter {
@@ -34,11 +35,7 @@ impl Default for BoostedCounter {
 impl BoostedCounter {
     /// A counter starting at zero.
     pub fn new() -> Self {
-        BoostedCounter {
-            base: Arc::new(StripedCounter::default()),
-            lock: Arc::new(TxRwLock::new()),
-            deltas: Arc::new(DeltaChain::new_global()),
-        }
+        BoostedCounter::with_lock(TxRwLock::new())
     }
 
     /// A zero counter whose abstract-lock contention is attributed to
@@ -47,10 +44,14 @@ impl BoostedCounter {
         object: &'static str,
         registry: &txboost_core::obs::ContentionRegistry,
     ) -> Self {
+        BoostedCounter::with_lock(TxRwLock::labeled(object, registry))
+    }
+
+    fn with_lock(lock: TxRwLock) -> Self {
+        let deltas = DeltaChain::new_global();
         BoostedCounter {
-            base: Arc::new(StripedCounter::default()),
-            lock: Arc::new(TxRwLock::labeled(object, registry)),
-            deltas: Arc::new(DeltaChain::new_global()),
+            base: Arc::new(Versioned::new(StripedCounter::default(), deltas)),
+            lock: Arc::new(lock),
         }
     }
 
@@ -59,10 +60,11 @@ impl BoostedCounter {
     pub fn add(&self, txn: &Txn, n: i64) -> TxResult<()> {
         self.lock.read_lock(txn)?;
         self.base.add(n);
-        let base = Arc::clone(&self.base);
-        txn.log_undo(move || base.add(-n));
-        let deltas = Arc::clone(&self.deltas);
-        txn.log_version_install(move || deltas.install_current(n));
+        txn.log_effect(
+            (Arc::clone(&self.base), n),
+            |(base, n)| base.add(-n),
+            |(base, n), stamp| base.versions.install(stamp.ts, n, stamp.floor),
+        );
         Ok(())
     }
 
@@ -72,7 +74,7 @@ impl BoostedCounter {
     /// delta chain at their snapshot timestamp — no lock, no abort.
     pub fn get(&self, txn: &Txn) -> TxResult<i64> {
         if let Some(ts) = txn.snapshot_ts() {
-            return Ok(self.deltas.read_at(ts));
+            return Ok(self.base.versions.read_at(ts));
         }
         self.lock.write_lock(txn)?;
         Ok(self.base.sum())

@@ -53,6 +53,7 @@ mod semaphore;
 mod set;
 mod sorted_map;
 mod stack;
+mod versioned;
 
 pub use alloc::TxSlabAlloc;
 pub use counter::BoostedCounter;

@@ -10,6 +10,7 @@
 //! across distinct keys), and each mutation logs an inverse that
 //! restores the key's previous binding.
 
+use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
 use txboost_core::locks::KeyLockMap;
@@ -34,12 +35,12 @@ use txboost_linearizable::StripedHashMap;
 /// ```
 #[derive(Debug)]
 pub struct BoostedHashMap<K: 'static, V: 'static> {
-    base: Arc<StripedHashMap<K, V>>,
+    /// The striped map and, beside it, the per-key committed-version
+    /// slots serving read-only snapshot transactions (see
+    /// `txboost_core::mvcc`), fed by the install arm of the effect
+    /// `put`/`remove` log.
+    base: Arc<Versioned<StripedHashMap<K, V>, VersionStore<K, V>>>,
     locks: KeyLockMap<K>,
-    /// Per-key committed-version slots serving read-only snapshot
-    /// transactions (see `txboost_core::mvcc`). Fed by commit-time
-    /// installs logged in `put`/`remove`.
-    versions: Arc<VersionStore<K, V>>,
 }
 
 impl<K, V> Default for BoostedHashMap<K, V>
@@ -59,11 +60,7 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        BoostedHashMap {
-            base: Arc::new(StripedHashMap::new()),
-            locks: KeyLockMap::new(),
-            versions: Arc::new(VersionStore::new_global()),
-        }
+        BoostedHashMap::with_locks(KeyLockMap::new())
     }
 
     /// An empty map whose abstract-lock contention (timeouts, wait
@@ -72,10 +69,14 @@ where
         object: &'static str,
         registry: &txboost_core::obs::ContentionRegistry,
     ) -> Self {
+        BoostedHashMap::with_locks(KeyLockMap::labeled(object, registry))
+    }
+
+    fn with_locks(locks: KeyLockMap<K>) -> Self {
+        let versions = VersionStore::new_global();
         BoostedHashMap {
-            base: Arc::new(StripedHashMap::new()),
-            locks: KeyLockMap::labeled(object, registry),
-            versions: Arc::new(VersionStore::new_global()),
+            base: Arc::new(Versioned::new(StripedHashMap::new(), versions)),
+            locks,
         }
     }
 
@@ -85,27 +86,16 @@ where
     pub fn put(&self, txn: &Txn, key: K, value: V) -> TxResult<Option<V>> {
         self.locks.lock(txn, &key)?;
         let previous = self.base.insert(key.clone(), value.clone());
-        let base = Arc::clone(&self.base);
-        // Branch *outside* the inverse so each logged closure captures
-        // only what its arm needs — `(Arc, K, V)` or `(Arc, K)` instead
-        // of `(Arc, K, Option<V>)` — keeping word-sized captures within
-        // the undo log's inline-slot budget (no heap allocation).
-        match previous.clone() {
-            Some(old) => {
-                let k = key.clone();
-                txn.log_undo(move || {
-                    base.insert(k, old);
-                });
-            }
-            None => {
-                let k = key.clone();
-                txn.log_undo(move || {
-                    base.remove(&k);
-                });
-            }
-        }
-        let versions = Arc::clone(&self.versions);
-        txn.log_version_install(move || versions.install(key, Some(value)));
+        txn.log_effect(
+            (Arc::clone(&self.base), key, previous.clone(), value),
+            |(base, key, previous, _)| {
+                match previous {
+                    Some(old) => base.insert(key, old),
+                    None => base.remove(&key),
+                };
+            },
+            |(base, key, _, value), stamp| base.versions.install(key, Some(value), stamp),
+        );
         Ok(previous)
     }
 
@@ -114,17 +104,16 @@ where
     pub fn remove(&self, txn: &Txn, key: &K) -> TxResult<Option<V>> {
         self.locks.lock(txn, key)?;
         let removed = self.base.remove(key);
+        // An effect only when something was actually removed: a remove
+        // of an absent key changes neither the base nor committed state.
         if let Some(old) = removed.clone() {
-            let base = Arc::clone(&self.base);
-            let k = key.clone();
-            txn.log_undo(move || {
-                base.insert(k, old);
-            });
-            // A tombstone only when something was actually removed: a
-            // remove of an absent key changes no committed state.
-            let versions = Arc::clone(&self.versions);
-            let key = key.clone();
-            txn.log_version_install(move || versions.install(key, None));
+            txn.log_effect(
+                (Arc::clone(&self.base), key.clone(), old),
+                |(base, key, old)| {
+                    base.insert(key, old);
+                },
+                |(base, key, _), stamp| base.versions.install(key, None, stamp),
+            );
         }
         Ok(removed)
     }
@@ -136,7 +125,7 @@ where
         // Read-only snapshot transactions read the version slot at
         // their snapshot timestamp: no lock, no blocking, no abort.
         if let Some(ts) = txn.snapshot_ts() {
-            return Ok(self.versions.read_at(key, ts));
+            return Ok(self.base.versions.read_at(key, ts));
         }
         self.locks.lock(txn, key)?;
         Ok(self.base.get(key))
@@ -145,7 +134,7 @@ where
     /// Transactionally test for `key`.
     pub fn contains_key(&self, txn: &Txn, key: &K) -> TxResult<bool> {
         if let Some(ts) = txn.snapshot_ts() {
-            return Ok(self.versions.read_at(key, ts).is_some());
+            return Ok(self.base.versions.read_at(key, ts).is_some());
         }
         self.locks.lock(txn, key)?;
         Ok(self.base.contains_key(key))

@@ -1,6 +1,7 @@
 //! Boosted transactional sets — the paper's `SkipListKey` example
 //! (Figure 2) and the lock-coupling list it motivates in Section 1.
 
+use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
 use txboost_core::locks::{KeyLockMap, TxMutex};
@@ -31,11 +32,11 @@ macro_rules! boosted_set {
         $(#[$meta])*
         #[derive(Debug)]
         pub struct $name<K: 'static> {
-            base: Arc<$base<K>>,
+            /// The base set and, beside it, the per-key membership
+            /// version slots (`Some(())` present, `None` absent)
+            /// serving read-only snapshot transactions.
+            base: Arc<Versioned<$base<K>, VersionStore<K, ()>>>,
             locks: SetLocks<K>,
-            /// Per-key membership version slots (`Some(())` present,
-            /// `None` absent) serving read-only snapshot transactions.
-            versions: Arc<VersionStore<K, ()>>,
         }
 
         impl<K: $key_trait + Hash + Eq + Clone + Send + Sync + 'static> Default for $name<K> {
@@ -48,22 +49,14 @@ macro_rules! boosted_set {
             /// An empty set with per-key abstract locking (the paper's
             /// recommended discipline).
             pub fn new() -> Self {
-                Self {
-                    base: Arc::new($base::new()),
-                    locks: SetLocks::PerKey(KeyLockMap::new()),
-                    versions: Arc::new(VersionStore::new_global()),
-                }
+                Self::with_locks(SetLocks::PerKey(KeyLockMap::new()))
             }
 
             /// An empty set with a single coarse transactional lock
             /// (Figure 10's baseline: correct, but serializes all
             /// transactions touching the set).
             pub fn with_coarse_lock() -> Self {
-                Self {
-                    base: Arc::new($base::new()),
-                    locks: SetLocks::Coarse(TxMutex::new()),
-                    versions: Arc::new(VersionStore::new_global()),
-                }
+                Self::with_locks(SetLocks::Coarse(TxMutex::new()))
             }
 
             /// Like [`Self::new`], but lock waits and timeout-aborts
@@ -72,11 +65,7 @@ macro_rules! boosted_set {
                 object: &'static str,
                 registry: &ContentionRegistry,
             ) -> Self {
-                Self {
-                    base: Arc::new($base::new()),
-                    locks: SetLocks::PerKey(KeyLockMap::labeled(object, registry)),
-                    versions: Arc::new(VersionStore::new_global()),
-                }
+                Self::with_locks(SetLocks::PerKey(KeyLockMap::labeled(object, registry)))
             }
 
             /// Like [`Self::with_coarse_lock`], with contention
@@ -85,10 +74,14 @@ macro_rules! boosted_set {
                 object: &'static str,
                 registry: &ContentionRegistry,
             ) -> Self {
+                Self::with_locks(SetLocks::Coarse(TxMutex::labeled(object, registry)))
+            }
+
+            fn with_locks(locks: SetLocks<K>) -> Self {
+                let versions = VersionStore::new_global();
                 Self {
-                    base: Arc::new($base::new()),
-                    locks: SetLocks::Coarse(TxMutex::labeled(object, registry)),
-                    versions: Arc::new(VersionStore::new_global()),
+                    base: Arc::new(Versioned::new($base::new(), versions)),
+                    locks,
                 }
             }
 
@@ -108,13 +101,13 @@ macro_rules! boosted_set {
                 self.locks.lock(txn, &key)?;
                 let result = self.base.add(key.clone());
                 if result {
-                    let base = Arc::clone(&self.base);
-                    let k = key.clone();
-                    txn.log_undo(move || {
-                        base.remove(&k);
-                    });
-                    let versions = Arc::clone(&self.versions);
-                    txn.log_version_install(move || versions.install(key, Some(())));
+                    txn.log_effect(
+                        (Arc::clone(&self.base), key),
+                        |(base, key)| {
+                            base.remove(&key);
+                        },
+                        |(base, key), stamp| base.versions.install(key, Some(()), stamp),
+                    );
                 }
                 Ok(result)
             }
@@ -125,14 +118,13 @@ macro_rules! boosted_set {
                 self.locks.lock(txn, key)?;
                 let result = self.base.remove(key);
                 if result {
-                    let base = Arc::clone(&self.base);
-                    let k = key.clone();
-                    txn.log_undo(move || {
-                        base.add(k);
-                    });
-                    let versions = Arc::clone(&self.versions);
-                    let key = key.clone();
-                    txn.log_version_install(move || versions.install(key, None));
+                    txn.log_effect(
+                        (Arc::clone(&self.base), key.clone()),
+                        |(base, key)| {
+                            base.add(key);
+                        },
+                        |(base, key), stamp| base.versions.install(key, None, stamp),
+                    );
                 }
                 Ok(result)
             }
@@ -146,7 +138,7 @@ macro_rules! boosted_set {
                 // Read-only snapshot transactions consult the version
                 // slot at their snapshot timestamp: no lock, no abort.
                 if let Some(ts) = txn.snapshot_ts() {
-                    return Ok(self.versions.read_at(key, ts).is_some());
+                    return Ok(self.base.versions.read_at(key, ts).is_some());
                 }
                 self.locks.lock(txn, key)?;
                 Ok(self.base.contains(key))

@@ -1,4 +1,4 @@
-//! Inline closure storage for transaction logs.
+//! Inline entry storage for transaction logs.
 //!
 //! The paper's pitch (§6) is that boosting's per-call overhead is "a
 //! lock acquire plus an inverse log". The original implementation spent
@@ -6,176 +6,263 @@
 //! `Box` per inverse, commit action and abort action, plus `Vec` growth.
 //! This module removes all of it for the common case.
 //!
-//! [`ActionLog`] stores each closure *inline* in a fixed-size slot when
-//! it fits ([`INLINE_WORDS`] machine words — every inverse logged by
-//! `crates/boosted` captures at most an `Arc` handle plus a key and an
-//! old value, which is ≤3 words for word-sized keys/values), falling
-//! back to a `Box` only for oversized captures. The first
-//! [`ActionLog::INLINE_SLOTS`]-many slots live inside the log itself
-//! (and therefore inside [`crate::Txn`], on the stack); only deeper
-//! logs spill to a `Vec`. A short transaction — begin, a few boosted
-//! calls, commit — performs **zero** undo-log heap allocations, which
-//! the `ablation_hotpath` bench verifies with a counting allocator.
+//! [`ActionLog`] stores each entry *inline* in a fixed-size slot when
+//! it fits ([`INLINE_WORDS`] machine words — the widest effect logged
+//! by `crates/boosted`, a map `put`, captures one `Arc` handle, a key,
+//! the old binding and the new value, which is 5 words for word-sized
+//! keys and values), falling back to a `Box` only for oversized
+//! captures. The first `N` slots live inside the log itself (and
+//! therefore inside [`crate::Txn`], on the stack); only deeper logs
+//! spill to a `Vec`. A short transaction — begin, a few boosted calls,
+//! commit — performs **zero** log heap allocations, which the `hotpath`
+//! bench verifies with a counting allocator.
 //!
-//! Type-erasure works like a hand-rolled two-entry vtable: each slot
-//! carries a `call` and a `drop_fn` function pointer instantiated for
-//! the concrete closure type at `push` time. `call` moves the closure
-//! out and runs it (abort replay / commit actions); `drop_fn` disposes
-//! of it without running (commit discards the undo log, savepoint
-//! rollback discards deferred actions).
+//! An [`Entry`] is one captured value with **two arms**, because a
+//! logged call has two possible fates: `undo` (the inverse — run
+//! newest-first on abort and on savepoint rollback) and `install` (the
+//! committed-version install — run oldest-first inside the commit
+//! window and handed that commit's [`CommitStamp`]). Exactly one arm
+//! consumes the value, or neither does and it is dropped; so one push
+//! and one captured handle serve both fates, and truncating the log
+//! takes a call's install away together with its inverse. [`Run`] and
+//! [`Install`] are the one-armed forms (a bare inverse or deferred
+//! action; a bare install), [`Effect`] the two-armed one.
+//!
+//! Type-erasure works like a hand-rolled three-entry vtable: each slot
+//! carries `undo`, `install` and `drop_fn` function pointers
+//! instantiated for the concrete entry type at `push` time. Each moves
+//! the entry out of the slot; the first two run an arm, the third
+//! disposes of it without running either (commit discards an inverse
+//! that has no install arm, savepoint rollback discards deferred
+//! actions).
 
+use crate::mvcc::CommitStamp;
 use std::mem::{align_of, size_of, MaybeUninit};
 
-/// Number of machine words a closure may capture and still be stored
-/// inline (no heap allocation). Four words = 32 bytes on 64-bit: enough
-/// for every inverse in `crates/boosted` (`Arc` + key + old value) with
-/// headroom for an `Arc` + `String`-keyed capture.
-pub(crate) const INLINE_WORDS: usize = 4;
+/// Number of machine words an entry may occupy and still be stored
+/// inline (no heap allocation). Six words = 48 bytes on 64-bit: a
+/// boosted map's `put` over word-sized keys and values (`Arc` + key +
+/// `Option` of the old value + new value, 5 words) with one to spare.
+pub(crate) const INLINE_WORDS: usize = 6;
 
-/// The raw storage of one slot: either the closure itself (if it fits)
-/// or a `*mut F` from `Box::into_raw` (if it does not).
+/// The raw storage of one slot: the entry itself, or — boxed by
+/// [`Slot::new`] when it does not fit — a `Box` of it.
 type Payload = MaybeUninit<[usize; INLINE_WORDS]>;
 
-/// Whether `F` can be stored inline in a [`Payload`]. Evaluated at
+/// Whether `E` can be stored inline in a [`Payload`]. Evaluated at
 /// monomorphization time, so `push` compiles to exactly one branch.
-const fn fits_inline<F>() -> bool {
-    size_of::<F>() <= size_of::<[usize; INLINE_WORDS]>()
-        && align_of::<F>() <= align_of::<[usize; INLINE_WORDS]>()
+const fn fits_inline<E>() -> bool {
+    size_of::<E>() <= size_of::<[usize; INLINE_WORDS]>()
+        && align_of::<E>() <= align_of::<[usize; INLINE_WORDS]>()
 }
 
-/// One type-erased closure: payload + a two-entry "vtable".
+/// One logged value and its two arms; see the module docs. Consumed
+/// exactly once: by `undo`, by `install`, or by being dropped.
+pub(crate) trait Entry: Send + 'static {
+    /// Whether [`Entry::install`] does anything. A log counts the
+    /// entries that say so, and a commit opens its install window only
+    /// for a log holding one.
+    const INSTALLS: bool;
+
+    /// The abort arm: run the inverse. For a deferred action, run it.
+    fn undo(self);
+
+    /// The commit arm: install the committed version at `stamp`.
+    fn install(self, stamp: CommitStamp);
+}
+
+/// A closure whose only fate is to be run: an inverse with no version
+/// to install, or a deferred commit/abort action.
+pub(crate) struct Run<F>(pub(crate) F);
+
+impl<F: FnOnce() + Send + 'static> Entry for Run<F> {
+    const INSTALLS: bool = false;
+
+    fn undo(self) {
+        (self.0)();
+    }
+
+    fn install(self, _: CommitStamp) {}
+}
+
+/// A version install with no inverse beside it.
+pub(crate) struct Install<F>(pub(crate) F);
+
+impl<F: FnOnce(CommitStamp) + Send + 'static> Entry for Install<F> {
+    const INSTALLS: bool = true;
+
+    fn undo(self) {}
+
+    fn install(self, stamp: CommitStamp) {
+        (self.0)(stamp);
+    }
+}
+
+/// One captured value `H` (a handle to the object plus the call's
+/// arguments and result) and both arms over it.
+pub(crate) struct Effect<H, U, I>(pub(crate) H, pub(crate) U, pub(crate) I);
+
+impl<H, U, I> Entry for Effect<H, U, I>
+where
+    H: Send + 'static,
+    U: FnOnce(H) + Send + 'static,
+    I: FnOnce(H, CommitStamp) + Send + 'static,
+{
+    const INSTALLS: bool = true;
+
+    fn undo(self) {
+        (self.1)(self.0);
+    }
+
+    fn install(self, stamp: CommitStamp) {
+        (self.2)(self.0, stamp);
+    }
+}
+
+/// How an entry too large for a slot is stored: the box is the entry.
+impl<E: Entry> Entry for Box<E> {
+    const INSTALLS: bool = E::INSTALLS;
+
+    fn undo(self) {
+        (*self).undo();
+    }
+
+    fn install(self, stamp: CommitStamp) {
+        (*self).install(stamp);
+    }
+}
+
+/// One type-erased entry: payload + a three-entry "vtable".
 struct Slot {
     payload: Payload,
-    /// Move the closure out of `payload` and run it. Consumes the slot.
-    call: unsafe fn(*mut u8),
-    /// Dispose of the closure without running it. Consumes the slot.
+    /// Move the entry out of `payload` and run its undo arm.
+    undo: unsafe fn(*mut u8),
+    /// Move the entry out of `payload` and run its install arm; `None`
+    /// for an entry that has none ([`Entry::INSTALLS`]).
+    install: Option<unsafe fn(*mut u8, CommitStamp)>,
+    /// Dispose of the entry without running either arm.
     drop_fn: unsafe fn(*mut u8),
 }
 
 // `Slot` deliberately has no `Drop` impl: slots are consumed manually
-// through `call`/`drop_fn` exactly once, and containers that merely free
-// slot memory (the spill `Vec`) must not double-drop the closure.
+// through `undo`/`install`/`drop_fn` exactly once, and containers that
+// merely free slot memory (the spill `Vec`) must not double-drop the
+// entry.
 
 impl Slot {
-    /// Erase `f` into a slot. Returns the slot and whether it had to be
-    /// boxed (diagnostics: the zero-allocation claim is testable).
-    fn new<F: FnOnce() + Send + 'static>(f: F) -> (Slot, bool) {
-        let mut payload = Payload::uninit();
-        if fits_inline::<F>() {
-            // SAFETY: `fits_inline` proved size and alignment; the write
-            // moves `f` into the payload, which `call`/`drop_fn` will
-            // read out exactly once.
-            unsafe { payload.as_mut_ptr().cast::<F>().write(f) };
-            (
-                Slot {
-                    payload,
-                    call: call_inline::<F>,
-                    drop_fn: drop_inline::<F>,
-                },
-                false,
-            )
+    /// Erase `entry` into a slot, boxing it first if it is too large.
+    /// Returns the slot and whether it had to be boxed (diagnostics:
+    /// the zero-allocation claim is testable).
+    fn new<E: Entry>(entry: E) -> (Slot, bool) {
+        if fits_inline::<E>() {
+            (Slot::inline(entry), false)
         } else {
-            let raw = Box::into_raw(Box::new(f));
-            // SAFETY: a thin pointer always fits in (and is aligned for)
-            // a word-array payload.
-            unsafe { payload.as_mut_ptr().cast::<*mut F>().write(raw) };
-            (
-                Slot {
-                    payload,
-                    call: call_boxed::<F>,
-                    drop_fn: drop_boxed::<F>,
-                },
-                true,
-            )
+            (Slot::inline(Box::new(entry)), true)
+        }
+    }
+
+    /// Erase an entry that fits (a `Box` always does).
+    fn inline<E: Entry>(entry: E) -> Slot {
+        assert!(fits_inline::<E>(), "entry wider than a slot");
+        let mut payload = Payload::uninit();
+        // SAFETY: the assert above proved size and alignment; the write
+        // moves `entry` into the payload, which exactly one of the
+        // three functions below — instantiated for this `E` — will
+        // read out, once.
+        unsafe { payload.as_mut_ptr().cast::<E>().write(entry) };
+        let install: unsafe fn(*mut u8, CommitStamp) = install_arm::<E>;
+        Slot {
+            payload,
+            undo: undo_arm::<E>,
+            install: E::INSTALLS.then_some(install),
+            drop_fn: drop_arm::<E>,
         }
     }
 }
 
 /// # Safety
-/// `p` must point at a payload holding a valid inline `F`, which must
-/// never be read again afterwards.
-unsafe fn call_inline<F: FnOnce()>(p: *mut u8) {
-    // SAFETY: the caller hands over a payload written by `Slot::new`
-    // with this exact `F`; `read` moves the closure out, so the slot is
+/// `p` must point at a payload holding a valid `E`, which must never
+/// be read again afterwards.
+unsafe fn undo_arm<E: Entry>(p: *mut u8) {
+    // SAFETY: the caller hands over a payload written by `Slot::inline`
+    // with this exact `E`; `read` moves the entry out, so the slot is
     // dead afterwards (the container forgets it without dropping).
-    let f = unsafe { p.cast::<F>().read() };
-    f();
+    let entry = unsafe { p.cast::<E>().read() };
+    entry.undo();
 }
 
 /// # Safety
-/// Same contract as [`call_inline`].
-unsafe fn drop_inline<F>(p: *mut u8) {
-    // SAFETY: see `call_inline`; `read` moves the closure out and the
-    // local binding drops it without running it.
-    let f = unsafe { p.cast::<F>().read() };
-    drop(f);
+/// Same contract as [`undo_arm`].
+unsafe fn install_arm<E: Entry>(p: *mut u8, stamp: CommitStamp) {
+    // SAFETY: see `undo_arm`.
+    let entry = unsafe { p.cast::<E>().read() };
+    entry.install(stamp);
 }
 
 /// # Safety
-/// `p` must point at a payload holding a `*mut F` from `Box::into_raw`,
-/// which must never be read again afterwards.
-// The `*mut u8` arrives from a `Payload` ([usize; 4]), so it is always
-// word-aligned — exactly what `*mut F` needs.
-#[allow(clippy::cast_ptr_alignment)]
-unsafe fn call_boxed<F: FnOnce()>(p: *mut u8) {
-    // SAFETY: the payload was written by `Slot::new`'s boxed branch with
-    // this exact `F`; reconstituting the box transfers ownership here.
-    let f = unsafe { Box::from_raw(p.cast::<*mut F>().read()) };
-    f();
+/// Same contract as [`undo_arm`].
+unsafe fn drop_arm<E>(p: *mut u8) {
+    // SAFETY: see `undo_arm`; `read` moves the entry out and the local
+    // binding drops it without running either arm.
+    let entry = unsafe { p.cast::<E>().read() };
+    drop(entry);
 }
 
-/// # Safety
-/// Same contract as [`call_boxed`].
-// Word-aligned for the same reason as `call_boxed`.
-#[allow(clippy::cast_ptr_alignment)]
-unsafe fn drop_boxed<F>(p: *mut u8) {
-    // SAFETY: see `call_boxed`; dropping the box disposes of the
-    // closure without running it.
-    let f = unsafe { Box::from_raw(p.cast::<*mut F>().read()) };
-    drop(f);
-}
-
-/// An action removed from an [`ActionLog`]: run it with
-/// [`LoggedAction::invoke`], or drop it to dispose of the closure
-/// without running it.
+/// An entry removed from an [`ActionLog`]: run one of its arms with
+/// [`LoggedAction::invoke`] or [`LoggedAction::install`], or drop it to
+/// dispose of the entry without running either.
 pub(crate) struct LoggedAction {
     slot: Slot,
     live: bool,
 }
 
 impl LoggedAction {
-    /// Run the closure (consuming it).
+    /// Run the undo arm (consuming the entry): the inverse, or the
+    /// deferred action.
     pub(crate) fn invoke(mut self) {
         self.live = false;
         // SAFETY: `live` is cleared first so `Drop` will not touch the
-        // payload even if the closure panics; the slot was initialized
-        // by `Slot::new` and is consumed exactly once here.
-        unsafe { (self.slot.call)(self.slot.payload.as_mut_ptr().cast::<u8>()) };
+        // payload even if the arm panics; the slot was initialized by
+        // `Slot::inline` and is consumed exactly once here.
+        unsafe { (self.slot.undo)(self.slot.payload.as_mut_ptr().cast::<u8>()) };
+    }
+
+    /// Run the install arm at `stamp` (consuming the entry); an entry
+    /// without one is dropped.
+    pub(crate) fn install(mut self, stamp: CommitStamp) {
+        let Some(install) = self.slot.install else {
+            return;
+        };
+        self.live = false;
+        // SAFETY: as in `invoke`.
+        unsafe { install(self.slot.payload.as_mut_ptr().cast::<u8>(), stamp) };
     }
 }
 
 impl Drop for LoggedAction {
     fn drop(&mut self) {
         if self.live {
-            // SAFETY: the payload is still initialized (`invoke` never
+            // SAFETY: the payload is still initialized (neither arm
             // ran); `drop_fn` consumes it exactly once.
             unsafe { (self.slot.drop_fn)(self.slot.payload.as_mut_ptr().cast::<u8>()) };
         }
     }
 }
 
-/// A LIFO log of type-erased `FnOnce() + Send` closures with `N`
-/// inline slots and a spill `Vec` for deeper logs.
+/// A log of type-erased [`Entry`] values with `N` inline slots and a
+/// spill `Vec` for deeper logs, consumed from either end.
 ///
 /// Live slots occupy indices `head..len`; `head` is nonzero only while
 /// [`ActionLog::pop_front`] is draining the log, and returns to zero
-/// with the last action. Slot `i` lives in the inline array for `i < N`
+/// with the last entry. Slot `i` lives in the inline array for `i < N`
 /// and in `spill[i - N]` otherwise.
 pub(crate) struct ActionLog<const N: usize> {
     inline: [MaybeUninit<Slot>; N],
     spill: Vec<Slot>,
     head: usize,
     len: usize,
+    /// Live entries with an install arm.
+    installs: usize,
     boxed: usize,
 }
 
@@ -186,6 +273,7 @@ impl<const N: usize> Default for ActionLog<N> {
             spill: Vec::new(),
             head: 0,
             len: 0,
+            installs: 0,
             boxed: 0,
         }
     }
@@ -197,31 +285,30 @@ impl<const N: usize> ActionLog<N> {
         ActionLog::default()
     }
 
-    /// Number of live (un-consumed) actions.
+    /// Number of live (un-consumed) entries.
     pub(crate) fn len(&self) -> usize {
         self.len - self.head
     }
 
-    /// Whether the log holds no live actions.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.head == self.len
+    /// Whether any live entry has an install arm.
+    pub(crate) fn has_installs(&self) -> bool {
+        self.installs > 0
     }
 
-    /// How many pushed closures were too large for a slot and had to be
+    /// How many pushed entries were too large for a slot and had to be
     /// boxed (diagnostics; the expected value on every in-tree path is
     /// zero).
     pub(crate) fn boxed_count(&self) -> usize {
         self.boxed
     }
 
-    /// Append `f`. Allocation-free while the log is at most `N` deep
-    /// and `f`'s captures fit in [`INLINE_WORDS`] words.
-    pub(crate) fn push<F: FnOnce() + Send + 'static>(&mut self, f: F) {
+    /// Append `entry`. Allocation-free while the log is at most `N`
+    /// deep and the entry fits in [`INLINE_WORDS`] words.
+    pub(crate) fn push<E: Entry>(&mut self, entry: E) {
         debug_assert_eq!(self.head, 0, "push into a draining log");
-        let (slot, was_boxed) = Slot::new(f);
-        if was_boxed {
-            self.boxed += 1;
-        }
+        let (slot, was_boxed) = Slot::new(entry);
+        self.boxed += usize::from(was_boxed);
+        self.installs += usize::from(E::INSTALLS);
         if self.len < N {
             self.inline[self.len].write(slot);
         } else {
@@ -231,7 +318,7 @@ impl<const N: usize> ActionLog<N> {
         self.len += 1;
     }
 
-    /// Remove and return the most recently pushed action (LIFO — the
+    /// Remove and return the most recently pushed entry (LIFO — the
     /// order inverses must replay in).
     pub(crate) fn pop(&mut self) -> Option<LoggedAction> {
         if self.len == self.head {
@@ -246,11 +333,10 @@ impl<const N: usize> ActionLog<N> {
             // out exactly once and never dropped by the container.
             unsafe { self.inline[self.len].assume_init_read() }
         };
-        self.rewind_if_drained();
-        Some(LoggedAction { slot, live: true })
+        Some(self.removed(slot))
     }
 
-    /// Remove and return the oldest live action (FIFO — the order
+    /// Remove and return the oldest live entry (FIFO — the order
     /// deferred commit/abort actions and version installs run in). The
     /// log is drained where it lies: nothing is moved but the one slot.
     pub(crate) fn pop_front(&mut self) -> Option<LoggedAction> {
@@ -272,24 +358,26 @@ impl<const N: usize> ActionLog<N> {
             // `Drop` impl.
             unsafe { std::ptr::read(self.spill.as_ptr().add(i - N)) }
         };
-        self.rewind_if_drained();
-        Some(LoggedAction { slot, live: true })
+        Some(self.removed(slot))
     }
 
-    /// Once the last live action is gone, make the log pushable again:
-    /// `head` back to zero, and the spill's dead bits (slots
-    /// `pop_front` read out) forgotten — `Slot` has no `Drop`.
-    fn rewind_if_drained(&mut self) {
+    /// Account for `slot` having left the live range. Once the last
+    /// live entry is gone, make the log pushable again: `head` back to
+    /// zero, and the spill's dead bits (slots `pop_front` read out)
+    /// forgotten — `Slot` has no `Drop`.
+    fn removed(&mut self, slot: Slot) -> LoggedAction {
+        self.installs -= usize::from(slot.install.is_some());
         if self.head == self.len {
             self.head = 0;
             self.len = 0;
             self.spill.clear();
         }
+        LoggedAction { slot, live: true }
     }
 
-    /// Discard (without running) every action past `new_len`, newest
-    /// first. This is the savepoint-truncation primitive: it replaces
-    /// the old `Vec::split_off` + drop.
+    /// Discard (without running either arm) every entry past
+    /// `new_len`, newest first. This is the savepoint-truncation
+    /// primitive.
     pub(crate) fn truncate(&mut self, new_len: usize) {
         debug_assert_eq!(self.head, 0, "truncate of a draining log");
         while self.len > new_len {
@@ -297,7 +385,7 @@ impl<const N: usize> ActionLog<N> {
         }
     }
 
-    /// Discard every action without running any.
+    /// Discard every entry without running any.
     pub(crate) fn clear(&mut self) {
         self.truncate(0);
     }
@@ -325,18 +413,42 @@ impl<const N: usize> std::fmt::Debug for ActionLog<N> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+
+    const STAMP: CommitStamp = CommitStamp { ts: 7, floor: 3 };
+
+    type Hits<T> = Arc<Mutex<Vec<T>>>;
+
+    /// A one-armed entry that records `i` when run.
+    fn record(hits: &Hits<i32>, i: i32) -> impl Entry {
+        let h = Arc::clone(hits);
+        Run(move || h.lock().unwrap().push(i))
+    }
+
+    /// A two-armed entry that records which arm consumed it, and with
+    /// what; the probe counts the captured value's drop.
+    fn effect(
+        hits: &Hits<(&'static str, i32, u64)>,
+        i: i32,
+        dropped: &Arc<AtomicUsize>,
+    ) -> impl Entry {
+        Effect(
+            (Arc::clone(hits), i, DropProbe(Arc::clone(dropped))),
+            |(h, i, _probe): (Hits<_>, i32, DropProbe)| h.lock().unwrap().push(("undo", i, 0)),
+            |(h, i, _probe): (Hits<_>, i32, DropProbe), stamp: CommitStamp| {
+                h.lock().unwrap().push(("install", i, stamp.ts));
+            },
+        )
+    }
 
     #[test]
     fn inline_push_pop_runs_in_lifo_order() {
-        let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hits = Hits::default();
         let mut log = ActionLog::<4>::new();
         for i in 0..3 {
-            let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(record(&hits, i));
         }
         assert_eq!(log.len(), 3);
-        assert!(!log.is_empty());
         assert_eq!(log.boxed_count(), 0, "small closures must stay inline");
         while let Some(a) = log.pop() {
             a.invoke();
@@ -346,11 +458,10 @@ mod tests {
 
     #[test]
     fn spill_preserves_order_past_inline_capacity() {
-        let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hits = Hits::default();
         let mut log = ActionLog::<2>::new();
         for i in 0..7 {
-            let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(record(&hits, i));
         }
         while let Some(a) = log.pop() {
             a.invoke();
@@ -360,86 +471,157 @@ mod tests {
 
     #[test]
     fn forward_iteration_runs_oldest_first() {
-        let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hits = Hits::default();
         let mut log = ActionLog::<2>::new();
         for i in 0..5 {
-            let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(record(&hits, i));
         }
         while let Some(a) = log.pop_front() {
             a.invoke();
         }
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 3, 4]);
         // Drained in place, the log takes pushes again.
-        let h = Arc::clone(&hits);
-        log.push(move || h.lock().unwrap().push(5));
+        log.push(record(&hits, 5));
         assert_eq!(log.len(), 1);
         log.pop().unwrap().invoke();
         assert_eq!(hits.lock().unwrap().last(), Some(&5));
     }
 
     #[test]
-    fn oversized_closures_are_boxed_and_still_run() {
-        let big = [7u64; 9]; // 72 bytes: cannot fit 4 words
-        let out = Arc::new(AtomicUsize::new(0));
-        let o = Arc::clone(&out);
+    fn undo_arms_run_newest_first_and_install_arms_oldest_first() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        for (arm, expect) in [("undo", [4, 3, 2, 1, 0]), ("install", [0, 1, 2, 3, 4])] {
+            let hits = Hits::default();
+            let mut log = ActionLog::<2>::new(); // three of five spill
+            for i in 0..5 {
+                log.push(effect(&hits, i, &dropped));
+            }
+            assert!(log.has_installs());
+            assert_eq!(log.boxed_count(), 0);
+            if arm == "undo" {
+                while let Some(a) = log.pop() {
+                    a.invoke();
+                }
+            } else {
+                while let Some(a) = log.pop_front() {
+                    a.install(STAMP);
+                }
+            }
+            assert!(!log.has_installs());
+            let stamp = if arm == "undo" { 0 } else { STAMP.ts };
+            let expect: Vec<_> = expect.iter().map(|&i| (arm, i, stamp)).collect();
+            assert_eq!(*hits.lock().unwrap(), expect, "exactly one arm per entry");
+        }
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            10,
+            "each capture consumed once"
+        );
+    }
+
+    #[test]
+    fn one_armed_entries_are_dropped_by_the_other_fate() {
+        let hits = Hits::default();
+        let installed = Arc::new(AtomicUsize::new(0));
         let mut log = ActionLog::<4>::new();
-        log.push(move || {
-            o.store(big.iter().sum::<u64>() as usize, Ordering::SeqCst);
-        });
-        assert_eq!(log.boxed_count(), 1);
+        log.push(record(&hits, 1));
+        assert!(!log.has_installs(), "a bare inverse opens no window");
+        let seen = Arc::clone(&installed);
+        log.push(Install(move |stamp: CommitStamp| {
+            seen.store(stamp.floor as usize, Ordering::SeqCst);
+        }));
+        assert!(log.has_installs());
+        // Commit: the inverse is dropped unrun, the install runs.
+        log.pop_front().unwrap().install(STAMP);
+        log.pop_front().unwrap().install(STAMP);
+        assert_eq!(installed.load(Ordering::SeqCst), STAMP.floor as usize);
+        assert!(hits.lock().unwrap().is_empty());
+        // Abort: the install is dropped unrun.
+        log.push(Install(|_| panic!("installed on abort")));
         log.pop().unwrap().invoke();
-        assert_eq!(out.load(Ordering::SeqCst), 63);
+        assert!(!log.has_installs());
+    }
+
+    #[test]
+    fn oversized_closures_are_boxed_and_still_run() {
+        let big = [7u64; 9]; // 72 bytes: cannot fit 6 words
+        let out = Arc::new(AtomicUsize::new(0));
+        let mut log = ActionLog::<4>::new();
+        for _ in 0..2 {
+            log.push(Effect(
+                (Arc::clone(&out), big),
+                |(o, big): (Arc<AtomicUsize>, [u64; 9])| {
+                    o.fetch_add(big.iter().sum::<u64>() as usize, Ordering::SeqCst);
+                },
+                |(o, big): (Arc<AtomicUsize>, [u64; 9]), stamp: CommitStamp| {
+                    o.fetch_add(big.len() + stamp.ts as usize, Ordering::SeqCst);
+                },
+            ));
+        }
+        assert_eq!(log.boxed_count(), 2);
+        assert!(log.has_installs());
+        log.pop().unwrap().invoke();
+        assert_eq!(out.swap(0, Ordering::SeqCst), 63);
+        log.pop().unwrap().install(STAMP);
+        assert_eq!(out.load(Ordering::SeqCst), 9 + STAMP.ts as usize);
+    }
+
+    #[test]
+    fn the_boosted_effect_shapes_stay_inline() {
+        // A map `put` over word-sized keys and values is the widest
+        // effect `crates/boosted` logs (set `add`/`remove` and counter
+        // `add` capture a handle and one word); arms that capture
+        // nothing add nothing.
+        type Put = (Arc<()>, i64, Option<i64>, i64);
+        let mut log = ActionLog::<1>::new();
+        log.push(Effect(
+            (Arc::new(()), 1, Some(2), 3),
+            |_: Put| {},
+            |_: Put, _: CommitStamp| {},
+        ));
+        assert_eq!(log.boxed_count(), 0);
+        assert!(!fits_inline::<[usize; INLINE_WORDS + 1]>());
     }
 
     #[test]
     fn truncate_discards_without_running() {
-        let ran = Arc::new(AtomicUsize::new(0));
+        let hits = Hits::default();
         let dropped = Arc::new(AtomicUsize::new(0));
         let mut log = ActionLog::<2>::new();
-        for _ in 0..5 {
-            let r = Arc::clone(&ran);
-            let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
-                let _keep = &d;
-                r.fetch_add(1, Ordering::SeqCst);
-            });
+        for i in 0..5 {
+            log.push(effect(&hits, i, &dropped));
         }
         log.truncate(2);
         assert_eq!(log.len(), 2);
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "truncate must not run");
+        assert!(hits.lock().unwrap().is_empty(), "truncate must not run");
         assert_eq!(dropped.load(Ordering::SeqCst), 3, "captures must drop");
+        assert!(log.has_installs(), "two install arms are still live");
         drop(log);
         assert_eq!(dropped.load(Ordering::SeqCst), 5);
+        assert!(hits.lock().unwrap().is_empty());
     }
 
     #[test]
     fn dropping_a_partially_drained_log_disposes_the_rest() {
-        let ran = Arc::new(AtomicUsize::new(0));
+        let hits = Hits::default();
         let dropped = Arc::new(AtomicUsize::new(0));
         let mut log = ActionLog::<2>::new();
-        for _ in 0..6 {
-            let r = Arc::clone(&ran);
-            let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
-                let _keep = &d;
-                r.fetch_add(1, Ordering::SeqCst);
-            });
+        for i in 0..6 {
+            log.push(effect(&hits, i, &dropped));
         }
-        log.pop_front().unwrap().invoke(); // front (inline)
+        log.pop_front().unwrap().install(STAMP); // front (inline)
         log.pop().unwrap().invoke(); // back (spill)
         drop(log);
-        assert_eq!(ran.load(Ordering::SeqCst), 2);
+        assert_eq!(hits.lock().unwrap().len(), 2);
         assert_eq!(dropped.load(Ordering::SeqCst), 6);
     }
 
     #[test]
     fn mixed_front_and_back_consumption_stays_consistent() {
         let mut log = ActionLog::<2>::new();
-        let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hits = Hits::default();
         for i in 0..6 {
-            let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(record(&hits, i));
         }
         log.pop_front().unwrap().invoke(); // 0
         log.pop_front().unwrap().invoke(); // 1
@@ -448,7 +630,7 @@ mod tests {
         log.pop_front().unwrap().invoke(); // 3
         log.pop().unwrap().invoke(); // 4
         assert!(log.pop_front().is_none());
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 5, 3, 4]);
     }
 
@@ -460,10 +642,10 @@ mod tests {
         let big = [0u8; 64];
         let r = Arc::clone(&ran);
         let d = DropProbe(Arc::clone(&dropped));
-        log.push(move || {
+        log.push(Run(move || {
             let _keep = (&d, &big);
             r.fetch_add(1, Ordering::SeqCst);
-        });
+        }));
         assert_eq!(log.boxed_count(), 1);
         drop(log);
         assert_eq!(ran.load(Ordering::SeqCst), 0);
@@ -472,28 +654,41 @@ mod tests {
 
     #[test]
     fn panicking_action_still_disposes_the_remainder() {
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let mut log = ActionLog::<2>::new();
-        for _ in 0..3 {
-            let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
-                let _keep = &d;
-            });
-        }
-        let d = DropProbe(Arc::clone(&dropped));
-        log.push(move || {
-            let _keep = &d;
-            panic!("inverse failed");
-        });
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            while let Some(a) = log.pop() {
-                a.invoke();
+        for arm in ["undo", "install"] {
+            let hits = Hits::default();
+            let dropped = Arc::new(AtomicUsize::new(0));
+            // The panicking entry is the first out: newest for the undo
+            // arms, oldest for the install arms.
+            let bomb_at = if arm == "undo" { 3 } else { 0 };
+            let mut log = ActionLog::<2>::new();
+            for i in 0..4 {
+                if i == bomb_at {
+                    log.push(Effect(
+                        DropProbe(Arc::clone(&dropped)),
+                        |_probe: DropProbe| panic!("inverse failed"),
+                        |_probe: DropProbe, _: CommitStamp| panic!("install failed"),
+                    ));
+                } else {
+                    log.push(effect(&hits, i, &dropped));
+                }
             }
-        }));
-        assert!(result.is_err());
-        // The panicking closure's capture dropped during unwind; the
-        // three never-run closures dropped with the iterator.
-        assert_eq!(dropped.load(Ordering::SeqCst), 4);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                if arm == "undo" {
+                    while let Some(a) = log.pop() {
+                        a.invoke();
+                    }
+                } else {
+                    while let Some(a) = log.pop_front() {
+                        a.install(STAMP);
+                    }
+                }
+            }));
+            assert!(result.is_err(), "{arm}");
+            // The panicking entry's capture dropped during unwind; the
+            // three never-run entries dropped with the log.
+            assert_eq!(dropped.load(Ordering::SeqCst), 4, "{arm}");
+            assert!(hits.lock().unwrap().is_empty(), "{arm}");
+        }
     }
 
     /// Counts drops of a captured value.

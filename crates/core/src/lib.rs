@@ -23,7 +23,9 @@
 //! * **Undo logs of inverses** — [`Txn::log_undo`] records the inverse
 //!   of each successful method call; on abort the log is replayed in
 //!   reverse order (the paper's Rule 3, *Compensating Actions*). No
-//!   memory accesses are logged and no shadow copies are made.
+//!   memory accesses are logged and no shadow copies are made. A call
+//!   whose object also keeps committed versions logs both fates in one
+//!   entry with [`Txn::log_effect`].
 //! * **Disposable deferred actions** — [`Txn::defer_on_commit`] and
 //!   [`Txn::defer_on_abort`] postpone *disposable* method calls
 //!   (Definition 5.5) until after the transaction commits or finishes
@@ -78,8 +80,8 @@ mod txn;
 pub use backoff::{Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
-    CommitClock, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry, Slot,
-    SnapshotGuard, VersionStore,
+    CommitClock, CommitStamp, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry,
+    Slot, SnapshotGuard, VersionStore,
 };
 pub use obs::{
     ContentionRegistry, ContentionSnapshot, DurabilityMetrics, DurabilitySnapshot,

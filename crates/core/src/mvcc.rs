@@ -76,7 +76,7 @@
 //!
 //! Everything here is shared-state-only (no per-`Txn` storage); the
 //! transaction integration — snapshot guards on [`crate::Txn`], the
-//! version log replayed at commit — lives in `txn.rs`.
+//! effect log whose install arms run at commit — lives in `txn.rs`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
@@ -91,21 +91,15 @@ use crate::obs::{HistogramSnapshot, LatencyHistogram};
 /// Shards in a [`VersionStore`]'s slot table (power of two).
 const STORE_SHARDS: usize = 64;
 
-thread_local! {
-    /// `(timestamp, GC floor)` of the commit currently replaying its
-    /// version log on this thread (timestamp 0 = none). Set by
-    /// [`MvccDomain::commit`] around the version-install closures so
-    /// they stay small `FnOnce`s — neither value exists yet when the
-    /// closure is logged.
-    static CURRENT_COMMIT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-/// `(timestamp, GC floor)` of the version-log replay in progress on
-/// this thread, or `None` outside one.
-fn current_commit() -> Option<(u64, u64)> {
-    let commit = CURRENT_COMMIT.with(std::cell::Cell::get);
-    debug_assert!(commit.0 != 0, "version install outside a commit");
-    (commit.0 != 0).then_some(commit)
+/// What [`MvccDomain::commit`] hands its install window, and the
+/// window hands every version install in it: neither value exists yet
+/// when an install is logged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitStamp {
+    /// The commit's timestamp: what its versions are stamped with.
+    pub ts: u64,
+    /// The GC floor read for this commit: what its installs prune by.
+    pub floor: u64,
 }
 
 /// Commits that can be between [`CommitClock::reserve`] and the stable
@@ -346,7 +340,6 @@ pub struct MvccMetrics {
     /// read-only transaction end — how far behind the frontier
     /// snapshots run.
     pub snapshot_age: LatencyHistogram,
-    installs: AtomicU64,
     snapshot_reads: AtomicU64,
     gc_reclaimed: AtomicU64,
 }
@@ -356,7 +349,6 @@ impl MvccMetrics {
     /// reclaiming `reclaimed`.
     #[inline]
     fn note_install(&self, len: usize, reclaimed: usize) {
-        self.installs.fetch_add(1, Ordering::Relaxed);
         self.chain_len.record(len as u64);
         if reclaimed > 0 {
             self.gc_reclaimed
@@ -371,11 +363,13 @@ impl MvccMetrics {
 
     /// Point-in-time copy of the counters and histograms.
     pub fn snapshot(&self) -> MvccSnapshot {
+        let chain_len = self.chain_len.snapshot();
         MvccSnapshot {
-            installs: self.installs.load(Ordering::Relaxed),
+            // Every install records one chain length and nothing else does.
+            installs: chain_len.count(),
             snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
             gc_reclaimed: self.gc_reclaimed.load(Ordering::Relaxed),
-            chain_len: self.chain_len.snapshot(),
+            chain_len,
             snapshot_age: self.snapshot_age.snapshot(),
         }
     }
@@ -445,11 +439,11 @@ impl MvccDomain {
     }
 
     /// Run `installs` as one commit: read the GC floor, reserve a
-    /// timestamp, make both what [`VersionStore::install`] and
-    /// [`DeltaChain::install_current`] stamp with on this thread, run
-    /// the closure as the install window, and publish — waiting, if
-    /// need be, for every older commit to publish first, so the commit
-    /// is in every snapshot begun after this returns.
+    /// timestamp, hand both to the closure — the install window, which
+    /// passes them on to [`VersionStore::install`] and
+    /// [`DeltaChain::install`] — and publish, waiting, if need be, for
+    /// every older commit to publish first, so the commit is in every
+    /// snapshot begun after this returns.
     ///
     /// The caller holds whatever serializes it against conflicting
     /// writers (a transaction's abstract locks) from before this call
@@ -464,11 +458,10 @@ impl MvccDomain {
     /// timestamp and visible to every snapshot at-or-above it, the rest
     /// are missing, and such a snapshot reads the previous version of
     /// those keys.
-    pub fn commit<R>(&self, installs: impl FnOnce() -> R) -> R {
+    pub fn commit<R>(&self, installs: impl FnOnce(CommitStamp) -> R) -> R {
         struct Window<'d>(&'d CommitClock, u64);
         impl Drop for Window<'_> {
             fn drop(&mut self) {
-                CURRENT_COMMIT.with(|c| c.set((0, 0)));
                 self.0.publish(self.1);
             }
         }
@@ -476,9 +469,8 @@ impl MvccDomain {
         // floor only rises, so a stale one prunes less, never more.
         let floor = self.gc_floor();
         let ts = self.clock.reserve();
-        CURRENT_COMMIT.with(|c| c.set((ts, floor)));
         let _window = Window(&self.clock, ts);
-        installs()
+        installs(CommitStamp { ts, floor })
     }
 
     /// The GC floor: versions strictly older than the newest version
@@ -770,14 +762,6 @@ impl DeltaChain {
         self.domain.metrics.note_install(len, folded);
     }
 
-    /// Install using the in-progress commit's timestamp and floor (the
-    /// shape the version-log closures call; see [`MvccDomain::commit`]).
-    pub fn install_current(&self, delta: i64) {
-        if let Some((ts, floor)) = current_commit() {
-            self.install(ts, delta, floor);
-        }
-    }
-
     /// The counter value at snapshot `ts`: base plus every delta ≤
     /// `ts`. Callers must hold a snapshot at-or-above the GC floor
     /// (any [`SnapshotGuard`] qualifies), so `base_ts ≤ ts` holds.
@@ -840,15 +824,13 @@ where
         &self.shards[h & (STORE_SHARDS - 1)]
     }
 
-    /// Install `value` (`None` = tombstone) for `key` at the
-    /// in-progress commit's timestamp, pruning the key's slot by that
-    /// commit's floor (see [`Slot::install`]); the slot is created on
-    /// first install. This is the version-log closure entry point: it
-    /// must run inside [`MvccDomain::commit`].
-    pub fn install(&self, key: K, value: Option<V>) {
-        let Some((ts, floor)) = current_commit() else {
-            return;
-        };
+    /// Install `value` (`None` = tombstone) for `key` at the commit
+    /// `stamp` came from, pruning the key's slot by that commit's floor
+    /// (see [`Slot::install`]); the slot is created on first install.
+    /// This is what an effect's install arm calls, inside
+    /// [`MvccDomain::commit`]'s window.
+    pub fn install(&self, key: K, value: Option<V>, stamp: CommitStamp) {
+        let CommitStamp { ts, floor } = stamp;
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionInstall);
         let (len, reclaimed) = {
@@ -924,7 +906,7 @@ mod tests {
         let (entered, release) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|s| {
             s.spawn(|| {
-                d.commit(|| {
+                d.commit(|_| {
                     entered.store(true, Ordering::SeqCst);
                     while !release.load(Ordering::SeqCst) {
                         std::thread::yield_now();
@@ -934,7 +916,7 @@ mod tests {
             while !entered.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            let later = s.spawn(|| d.commit(|| current_commit().unwrap().0));
+            let later = s.spawn(|| d.commit(|stamp| stamp.ts));
             until_a_publisher_waits(&d.clock);
             assert!(!later.is_finished(), "T1 returned ahead of T0's installs");
             assert_eq!(d.clock.stable(), 0, "T0 still installing");
@@ -1002,9 +984,9 @@ mod tests {
                 s.spawn(|| {
                     let mine = DeltaChain::new(Arc::clone(&d));
                     for _ in 0..COMMITS {
-                        let ts = d.commit(|| {
-                            mine.install_current(1);
-                            current_commit().unwrap().0
+                        let ts = d.commit(|stamp| {
+                            mine.install(stamp.ts, 1, stamp.floor);
+                            stamp.ts
                         });
                         assert!(d.clock.stable() >= ts, "returned before stable");
                     }
@@ -1020,15 +1002,14 @@ mod tests {
         let d = domain();
         let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.commit(|| {
-                store.install(0, Some(1));
+            d.commit(|stamp| {
+                store.install(0, Some(1), stamp);
                 panic!("install failed");
             });
         }));
         assert!(torn.is_err());
-        assert_eq!(CURRENT_COMMIT.get(), (0, 0), "window left open");
         // Neither a later writer nor a later snapshot is wedged.
-        let t2 = d.commit(|| current_commit().unwrap().0);
+        let t2 = d.commit(|stamp| stamp.ts);
         let snap = d.begin_snapshot();
         assert_eq!((t2, snap.ts(), d.clock.stable()), (2, 2, 2));
         assert_eq!(
@@ -1159,7 +1140,7 @@ mod tests {
         let d = domain();
         let deltas = DeltaChain::new(Arc::clone(&d));
         for _ in 0..6 {
-            d.commit(|| deltas.install_current(1));
+            d.commit(|stamp| deltas.install(stamp.ts, 1, stamp.floor));
         }
         // Each install folds everything its floor (the previous
         // commit) covers: only the last delta is still unfolded.
@@ -1171,9 +1152,9 @@ mod tests {
     fn store_reads_route_through_per_key_slots() {
         let d = domain();
         let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
-        d.commit(|| {
-            store.install(7, Some(70));
-            store.install(8, Some(80));
+        d.commit(|stamp| {
+            store.install(7, Some(70), stamp);
+            store.install(8, Some(80), stamp);
         });
         let s = d.clock.stable();
         assert_eq!(store.read_at(&7, s), Some(70));
@@ -1188,7 +1169,7 @@ mod tests {
         let d = domain();
         let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
         for _ in 0..4 {
-            d.commit(|| store.install(0, Some(1)));
+            d.commit(|stamp| store.install(0, Some(1), stamp));
         }
         let _ = store.read_at(&0, d.clock.stable());
         drop(d.begin_snapshot());
@@ -1208,9 +1189,9 @@ mod tests {
         // read-modify-write.
         let d = domain();
         let store: Arc<VersionStore<u64, i64>> = Arc::new(VersionStore::new(Arc::clone(&d)));
-        d.commit(|| {
-            store.install(0, Some(100));
-            store.install(1, Some(100));
+        d.commit(|stamp| {
+            store.install(0, Some(100), stamp);
+            store.install(1, Some(100), stamp);
         });
         let write_lock = Arc::new(Mutex::new(()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -1229,9 +1210,9 @@ mod tests {
                         let s = d.clock.stable();
                         let a = store.read_at(&0, s).unwrap();
                         let b = store.read_at(&1, s).unwrap();
-                        d.commit(|| {
-                            store.install(0, Some(a - moved));
-                            store.install(1, Some(b + moved));
+                        d.commit(|stamp| {
+                            store.install(0, Some(a - moved), stamp);
+                            store.install(1, Some(b + moved), stamp);
                         });
                         drop(guard);
                         moved = -moved;

@@ -42,18 +42,19 @@ mod imp {
             /// Time spent blocked, in nanoseconds.
             wait_ns: u64,
         },
-        /// An inverse was pushed onto the undo log.
+        /// An entry (an inverse, an install, or both) was pushed onto
+        /// the effect log.
         Undo {
             /// The logging transaction.
             txn: TxnId,
-            /// Undo-log depth after the push.
+            /// Effect-log depth after the push.
             depth: usize,
         },
         /// The transaction committed.
         Commit {
             /// The committing transaction.
             txn: TxnId,
-            /// Undo-log depth discarded at commit.
+            /// Effect-log depth at commit.
             undo_depth: usize,
         },
         /// The transaction aborted.
@@ -62,7 +63,7 @@ mod imp {
             txn: TxnId,
             /// Why it aborted.
             reason: AbortReason,
-            /// Undo-log depth replayed during rollback.
+            /// Effect-log depth replayed during rollback.
             undo_depth: usize,
         },
     }

@@ -1,8 +1,9 @@
 //! Transactions and the transaction manager.
 
 use crate::error::{Abort, AbortReason, TxnError};
-use crate::inline::{ActionLog, LoggedAction};
+use crate::inline::{ActionLog, Effect, Entry, Install, LoggedAction, Run};
 use crate::locks::AbstractLock;
+use crate::mvcc::{CommitStamp, MvccDomain};
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
 use std::cell::{Cell, RefCell};
@@ -84,24 +85,20 @@ impl Default for TxnConfig {
     }
 }
 
-/// Inline capacity of the undo log: deep enough for every in-tree
+/// Inline capacity of the effect log: deep enough for every in-tree
 /// transaction script (the busiest, the server's guarded transfer,
-/// logs 4 inverses). Deeper logs spill to the heap, which only costs
+/// logs 4 effects). Deeper logs spill to the heap, which only costs
 /// the allocation the old `Vec<Box<dyn FnOnce>>` paid on *every* push.
-const UNDO_INLINE: usize = 12;
+const EFFECTS_INLINE: usize = 12;
 
 /// Inline capacity of each deferred-action (on-commit / on-abort) log.
 const DEFER_INLINE: usize = 4;
-
-/// Inline capacity of the version-install log (one entry per mutated
-/// key; the busiest in-tree script installs 4).
-const VERSION_INLINE: usize = 8;
 
 /// Inline capacity of the held-locks list.
 const LOCKS_INLINE: usize = 8;
 
 /// A vector with `N` inline slots; the spill `Vec` is touched only by
-/// transactions holding unusually many locks. (The undo/commit/abort
+/// transactions holding unusually many locks. (The effect and deferred
 /// logs use the type-erasing [`ActionLog`] instead; this plain safe
 /// variant is for the already-`Sized` lock handles.)
 #[derive(Debug)]
@@ -152,11 +149,12 @@ impl<T, const N: usize> InlineVec<T, N> {
     }
 }
 
-/// A high-water mark in a transaction's logs; see [`Txn::savepoint`].
+/// A high-water mark in a transaction's logs, one length per log; see
+/// [`Txn::savepoint`].
 #[derive(Debug, Clone, Copy)]
 pub struct Savepoint {
     txn: TxnId,
-    undo_len: usize,
+    effects_len: usize,
     on_commit_len: usize,
     on_abort_len: usize,
 }
@@ -169,7 +167,8 @@ pub struct Savepoint {
 ///
 /// * acquire **abstract locks** (via [`crate::locks`]), which are held
 ///   until the transaction commits or aborts (strict two-phase locking);
-/// * log **inverses** with [`Txn::log_undo`] — on abort these run in
+/// * log **inverses** with [`Txn::log_undo`] (or, beside the version
+///   the call commits, [`Txn::log_effect`]) — on abort these run in
 ///   reverse (LIFO) order, per the paper's Rule 3;
 /// * defer **disposable** calls with [`Txn::defer_on_commit`] /
 ///   [`Txn::defer_on_abort`] — these run after the transaction's fate is
@@ -182,12 +181,13 @@ pub struct Savepoint {
 pub struct Txn {
     id: TxnId,
     state: Cell<TxnState>,
-    undo_log: RefCell<ActionLog<UNDO_INLINE>>,
+    /// One entry per logged call, holding both its fates: the inverse
+    /// (run newest-first on abort and savepoint rollback) and the
+    /// version install (run oldest-first at commit, stamped with the
+    /// commit timestamp; see [`crate::mvcc`]).
+    effects: RefCell<ActionLog<EFFECTS_INLINE>>,
     on_commit: RefCell<ActionLog<DEFER_INLINE>>,
     on_abort: RefCell<ActionLog<DEFER_INLINE>>,
-    /// Version installs to run at commit, stamped with the commit
-    /// timestamp; see [`crate::mvcc`]. Discarded on abort.
-    version_log: RefCell<ActionLog<VERSION_INLINE>>,
     /// `Some` for read-only snapshot transactions: the registered
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
@@ -202,7 +202,7 @@ impl fmt::Debug for Txn {
         f.debug_struct("Txn")
             .field("id", &self.id)
             .field("state", &self.state.get())
-            .field("undo_entries", &self.undo_log.borrow().len())
+            .field("effects", &self.effects.borrow().len())
             .field("held_locks", &self.held_locks.borrow().len())
             .finish()
     }
@@ -217,10 +217,9 @@ impl Txn {
         Txn {
             id,
             state: Cell::new(TxnState::Active),
-            undo_log: RefCell::new(ActionLog::new()),
+            effects: RefCell::new(ActionLog::new()),
             on_commit: RefCell::new(ActionLog::new()),
             on_abort: RefCell::new(ActionLog::new()),
-            version_log: RefCell::new(ActionLog::new()),
             snapshot,
             held_locks: RefCell::new(InlineVec::default()),
             lock_timeout,
@@ -267,24 +266,70 @@ impl Txn {
     /// guarantees inverses commute with all live operations).
     ///
     /// Heap-allocation-free for closures capturing at most
-    /// `INLINE_WORDS` (4) machine words (every inverse in
-    /// `crates/boosted`) while the log is at most `UNDO_INLINE` deep;
-    /// see `core/src/inline.rs`.
+    /// `INLINE_WORDS` (6) machine words while the log is at most
+    /// `EFFECTS_INLINE` deep; see `core/src/inline.rs`. This is the
+    /// one-armed form of [`Txn::log_effect`], for objects that keep no
+    /// committed versions.
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
     pub fn log_undo(&self, inverse: impl FnOnce() + Send + 'static) {
-        self.assert_active("log_undo");
-        debug_assert!(
-            !self.is_read_only(),
-            "read-only transactions log no inverses (the lock guards reject mutations first)"
-        );
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::UndoPush);
-        self.undo_log.borrow_mut().push(inverse);
+        self.push_effect("log_undo", Run(inverse));
+    }
+
+    /// Log a call that just completed, once, with both its fates:
+    /// `captured` is moved into the transaction's effect log — one
+    /// handle to the object plus whatever of the call's arguments and
+    /// result the arms need — and exactly one arm consumes it. `undo`
+    /// is the inverse, run as [`Txn::log_undo`]'s would be; `install`
+    /// is the version install, run as [`Txn::log_version_install`]'s
+    /// would be. A savepoint rollback that undoes the call discards
+    /// its install with it.
+    ///
+    /// Heap-allocation-free under [`Txn::log_undo`]'s conditions, the
+    /// sizes of `captured` and whatever the arms capture taken together
+    /// (arms written as non-capturing closures add nothing).
+    ///
+    /// # Panics
+    /// Panics if the transaction is no longer active.
+    pub fn log_effect<H: Send + 'static>(
+        &self,
+        captured: H,
+        undo: impl FnOnce(H) + Send + 'static,
+        install: impl FnOnce(H, CommitStamp) + Send + 'static,
+    ) {
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::UndoPush);
+        self.push_effect("log_effect", Effect(captured, undo, install));
+    }
+
+    /// Log a version install to run if this transaction commits — the
+    /// one-armed form of [`Txn::log_effect`], with no inverse beside
+    /// it. The closure typically calls [`crate::VersionStore::install`]
+    /// (or [`crate::DeltaChain::install`]) with the stamp it is handed;
+    /// it runs inside the commit's [`crate::MvccDomain::commit`]
+    /// window, while abstract locks are still held, in the order
+    /// logged. Discarded without running on abort and on a rollback
+    /// past it.
+    ///
+    /// # Panics
+    /// Panics if the transaction is no longer active.
+    pub fn log_version_install(&self, install: impl FnOnce(CommitStamp) + Send + 'static) {
+        self.push_effect("log_version_install", Install(install));
+    }
+
+    fn push_effect(&self, op: &str, entry: impl Entry) {
+        self.assert_active(op);
+        debug_assert!(
+            !self.is_read_only(),
+            "read-only transactions log no effects (the lock guards reject mutations first)"
+        );
+        self.effects.borrow_mut().push(entry);
         crate::trace_event!(Undo {
             txn: self.id,
-            depth: self.undo_log.borrow().len(),
+            depth: self.effects.borrow().len(),
         });
     }
 
@@ -300,7 +345,7 @@ impl Txn {
     /// Panics if the transaction is no longer active.
     pub fn defer_on_commit(&self, action: impl FnOnce() + Send + 'static) {
         self.assert_active("defer_on_commit");
-        self.on_commit.borrow_mut().push(action);
+        self.on_commit.borrow_mut().push(Run(action));
     }
 
     /// Defer a *disposable* method call until after the transaction has
@@ -313,31 +358,13 @@ impl Txn {
     /// Panics if the transaction is no longer active.
     pub fn defer_on_abort(&self, action: impl FnOnce() + Send + 'static) {
         self.assert_active("defer_on_abort");
-        self.on_abort.borrow_mut().push(action);
+        self.on_abort.borrow_mut().push(Run(action));
     }
 
     /// Request an explicit abort. Returns the [`Abort`] token to
     /// propagate with `?` (or `return Err(...)`).
     pub fn abort(&self) -> Abort {
         Abort::explicit()
-    }
-
-    /// Log a version install to run if this transaction commits. The
-    /// closure typically calls [`crate::VersionStore::install`] (or
-    /// [`crate::DeltaChain::install_current`]); it runs inside the
-    /// commit's [`crate::MvccDomain::commit`] window — after the
-    /// undo log is discarded, while abstract locks are still held —
-    /// in the order logged. Discarded without running on abort.
-    ///
-    /// # Panics
-    /// Panics if the transaction is no longer active.
-    pub fn log_version_install(&self, install: impl FnOnce() + Send + 'static) {
-        self.assert_active("log_version_install");
-        debug_assert!(
-            !self.is_read_only(),
-            "read-only transactions install no versions"
-        );
-        self.version_log.borrow_mut().push(install);
     }
 
     /// Mark the current extent of the transaction's logs, for partial
@@ -347,14 +374,15 @@ impl Txn {
     pub fn savepoint(&self) -> Savepoint {
         Savepoint {
             txn: self.id,
-            undo_len: self.undo_log.borrow().len(),
+            effects_len: self.effects.borrow().len(),
             on_commit_len: self.on_commit.borrow().len(),
             on_abort_len: self.on_abort.borrow().len(),
         }
     }
 
-    /// Undo everything logged since `sp`: replay the undo-log suffix in
-    /// reverse and discard deferred actions registered since the
+    /// Undo everything logged since `sp`: run the inverses of the
+    /// effect-log suffix in reverse — each entry's version install goes
+    /// with it — and discard deferred actions registered since the
     /// savepoint. **Abstract locks acquired since the savepoint remain
     /// held** — releasing mid-transaction would violate two-phase
     /// locking; holding them is merely conservative (Rule 2 still
@@ -368,22 +396,13 @@ impl Txn {
         self.assert_active("rollback_to");
         assert_eq!(sp.txn, self.id, "savepoint from a different transaction");
         assert!(
-            sp.undo_len <= self.undo_log.borrow().len(),
-            "stale savepoint: undo log already shorter"
+            sp.effects_len <= self.effects.borrow().len(),
+            "stale savepoint: effect log already shorter"
         );
-        // Pop-and-run one inverse at a time, releasing the borrow
-        // before each call: inverses may log nothing but must not
-        // alias the borrow.
-        loop {
-            let action = {
-                let mut undo = self.undo_log.borrow_mut();
-                if undo.len() <= sp.undo_len {
-                    break;
-                }
-                undo.pop().expect("len checked above")
-            };
-            action.invoke();
-        }
+        let past_sp = |log: &mut ActionLog<EFFECTS_INLINE>| {
+            (log.len() > sp.effects_len).then(|| log.pop()).flatten()
+        };
+        drain(&self.effects, past_sp, LoggedAction::invoke);
         self.on_commit.borrow_mut().truncate(sp.on_commit_len);
         self.on_abort.borrow_mut().truncate(sp.on_abort_len);
     }
@@ -418,20 +437,20 @@ impl Txn {
         }
     }
 
-    /// Number of inverses currently logged (diagnostics/tests).
+    /// Number of entries currently in the effect log: one per logged
+    /// inverse, install or two-armed effect (diagnostics/tests).
     pub fn undo_log_len(&self) -> usize {
-        self.undo_log.borrow().len()
+        self.effects.borrow().len()
     }
 
-    /// Number of logged closures (across all four logs) that were too
+    /// Number of logged entries (across all three logs) that were too
     /// large for inline storage and fell back to a heap allocation.
-    /// Every in-tree inverse stays inline; the `ablation_hotpath` bench
-    /// asserts this is 0 for the boosted-map transaction script.
+    /// Every in-tree effect stays inline; the `hotpath` bench asserts
+    /// this is 0 for its inline undo pushes.
     pub fn boxed_action_count(&self) -> usize {
-        self.undo_log.borrow().boxed_count()
+        self.effects.borrow().boxed_count()
             + self.on_commit.borrow().boxed_count()
             + self.on_abort.borrow().boxed_count()
-            + self.version_log.borrow().boxed_count()
     }
 
     /// Number of abstract locks currently registered (diagnostics/tests).
@@ -468,12 +487,12 @@ impl Txn {
         );
     }
 
-    /// Commit protocol: discard the undo log, release abstract locks,
-    /// then run deferred on-commit disposables.
+    /// Commit protocol: run the effect log's install arms (discarding
+    /// the inverses with them), release abstract locks, then run
+    /// deferred on-commit disposables.
     fn do_commit(&self) {
         debug_assert_eq!(self.state.get(), TxnState::Active);
         self.state.set(TxnState::Committed);
-        self.undo_log.borrow_mut().clear();
         self.on_abort.borrow_mut().clear();
         // Stamp and install versions while abstract locks are still
         // held: the timestamp is reserved inside the locked window, so
@@ -482,12 +501,18 @@ impl Txn {
         // locks stay held until the commit is stable too (`commit`
         // returns), so whoever takes one next — a locked reader
         // included — saw nothing a snapshot begun afterwards could miss.
-        if !self.version_log.borrow().is_empty() {
-            crate::mvcc::MvccDomain::global()
-                .commit(|| drain(&self.version_log, ActionLog::pop_front));
+        // A transaction that logged no install takes no timestamp.
+        if self.effects.borrow().has_installs() {
+            MvccDomain::global().commit(|stamp| {
+                drain(&self.effects, ActionLog::pop_front, |effect| {
+                    effect.install(stamp);
+                });
+            });
+        } else {
+            self.effects.borrow_mut().clear();
         }
         self.release_locks();
-        drain(&self.on_commit, ActionLog::pop_front);
+        drain(&self.on_commit, ActionLog::pop_front, LoggedAction::invoke);
     }
 
     /// Abort protocol: replay inverses LIFO *while still holding locks*
@@ -498,10 +523,9 @@ impl Txn {
         debug_assert_eq!(self.state.get(), TxnState::Active);
         self.state.set(TxnState::Aborted);
         self.on_commit.borrow_mut().clear();
-        self.version_log.borrow_mut().clear();
-        drain(&self.undo_log, ActionLog::pop);
+        drain(&self.effects, ActionLog::pop, LoggedAction::invoke);
         self.release_locks();
-        drain(&self.on_abort, ActionLog::pop_front);
+        drain(&self.on_abort, ActionLog::pop_front, LoggedAction::invoke);
     }
 
     fn release_locks(&self) {
@@ -518,18 +542,19 @@ impl Txn {
     }
 }
 
-/// Run every action of `log` where it lies, in the order `next` takes
-/// them ([`ActionLog::pop_front`] oldest-first, [`ActionLog::pop`]
-/// newest-first). The borrow is released around each call, as in
-/// [`Txn::rollback_to`].
+/// Hand `run` every entry `next` takes from `log`, where it lies
+/// ([`ActionLog::pop_front`] oldest-first, [`ActionLog::pop`]
+/// newest-first). The borrow is released around each call: an arm may
+/// log nothing, but must not alias the borrow.
 fn drain<const N: usize>(
     log: &RefCell<ActionLog<N>>,
     next: impl Fn(&mut ActionLog<N>) -> Option<LoggedAction>,
+    run: impl Fn(LoggedAction),
 ) {
     loop {
         let action = next(&mut log.borrow_mut());
         let Some(action) = action else { break };
-        action.invoke();
+        run(action);
     }
 }
 
@@ -543,7 +568,7 @@ impl Drop for Txn {
             self.do_rollback();
         }
         // A commit or rollback that unwound part-way (a panicking
-        // version install or inverse) never reached its release.
+        // install or inverse) never reached its release.
         self.release_locks();
     }
 }
@@ -669,7 +694,7 @@ impl TxnManager {
     pub fn begin_read_only(&self) -> Txn {
         let id = next_txn_id();
         crate::trace_event!(Begin { txn: id });
-        let snapshot = crate::mvcc::MvccDomain::global().begin_snapshot();
+        let snapshot = MvccDomain::global().begin_snapshot();
         Txn::new(id, self.config.lock_timeout, Some(snapshot))
     }
 
@@ -949,13 +974,13 @@ mod tests {
         let lock = Arc::new(AbstractLock::new());
         let txn = tm.begin();
         lock.acquire(&txn, crate::locks::Mode::Exclusive).unwrap();
-        txn.log_version_install(|| panic!("install failed"));
+        txn.log_version_install(|_| panic!("install failed"));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tm.commit(txn)));
         assert!(unwound.is_err());
         assert_eq!(lock.owner(), None, "lock outlived its transaction");
         // The global commit window closed too: the next commit returns.
         tm.run(|t| {
-            t.log_version_install(|| {});
+            t.log_version_install(|_| {});
             Ok(())
         })
         .unwrap();
@@ -1044,6 +1069,43 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 1, "rolled-back deferral ran");
+    }
+
+    #[test]
+    fn a_rolled_back_suffix_takes_its_installs_with_it() {
+        let tm = TxnManager::default();
+        let fates = Arc::new(Mutex::new(Vec::new()));
+        let f = Arc::clone(&fates);
+        tm.run(move |txn| {
+            let log = |call: &'static str| {
+                txn.log_effect(
+                    (Arc::clone(&f), call),
+                    |(f, call)| f.lock().unwrap().push(("undo", call)),
+                    |(f, call), stamp| {
+                        assert!(stamp.ts > stamp.floor, "stamped below its own floor");
+                        f.lock().unwrap().push(("install", call));
+                    },
+                );
+            };
+            log("before");
+            let sp = txn.savepoint();
+            log("rolled back");
+            txn.log_version_install(|_| panic!("a rolled-back install ran"));
+            txn.rollback_to(sp);
+            assert_eq!(txn.undo_log_len(), 1, "prefix must survive");
+            log("after");
+            Ok(())
+        })
+        .unwrap();
+        // Each call met exactly one fate, in its fate's order.
+        assert_eq!(
+            *fates.lock().unwrap(),
+            vec![
+                ("undo", "rolled back"),
+                ("install", "before"),
+                ("install", "after")
+            ]
+        );
     }
 
     #[test]

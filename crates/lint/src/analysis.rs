@@ -1,6 +1,6 @@
 //! Per-file structural analysis over the token stream: function
 //! extents, `#[cfg(test)]` regions, handler-closure regions
-//! (`log_undo` / `defer_on_commit` / `defer_on_abort` /
+//! (`log_undo` / `log_effect` / `defer_on_commit` / `defer_on_abort` /
 //! `log_version_install`, the server's retry closure, and the WAL's
 //! replay and flusher closures), and
 //! `// txboost-lint: allow(...)` suppressions.
@@ -29,13 +29,16 @@ pub struct Function {
 /// commit/abort time, or the server's transaction retry closure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandlerKind {
-    /// `txn.log_undo(...)` — the inverse, replayed on abort.
+    /// `txn.log_undo(...)`, or the second argument of
+    /// `txn.log_effect(captured, undo, install)` — the inverse, replayed
+    /// on abort.
     Undo,
     /// `txn.defer_on_commit(...)` — disposable commit-time action.
     DeferCommit,
     /// `txn.defer_on_abort(...)` — deferred abort-time action.
     DeferAbort,
-    /// `txn.log_version_install(...)` — the multi-version read path's
+    /// `txn.log_version_install(...)`, or the third argument of
+    /// `txn.log_effect(..)` — the multi-version read path's
     /// commit-time closure: it runs while abstract locks are still
     /// held and triggers chain GC, so a panic there dooms the commit
     /// *after* the point of no return.
@@ -58,13 +61,15 @@ pub enum HandlerKind {
 }
 
 /// A handler region: the token-index range of a registration call's
-/// argument list, `( ... )` inclusive.
+/// argument list, `( ... )` inclusive — or, for `log_effect`, which
+/// registers two handlers at once, of the one argument that is this
+/// handler.
 #[derive(Debug, Clone)]
 pub struct HandlerRegion {
     pub kind: HandlerKind,
     /// Token index of the registration method's name.
     pub name_idx: usize,
-    /// `[open_paren, close_paren]` token-index range.
+    /// Inclusive token-index range.
     pub range: (usize, usize),
 }
 
@@ -393,7 +398,27 @@ impl FileAnalysis {
             if t.kind != TokKind::Ident {
                 continue;
             }
+            // Must be a method call: `.name(` — this skips the
+            // definitions themselves (`fn log_undo(...)`).
+            if i == 0 || !self.is_punct(i - 1, ".") || !self.is_punct(i + 1, "(") {
+                continue;
+            }
+            let mut region = |kind, range| {
+                out.push(HandlerRegion {
+                    kind,
+                    name_idx: i,
+                    range,
+                });
+            };
             let kind = match t.text.as_str() {
+                "log_effect" => {
+                    // One call, both fates: `(captured, undo, install)`.
+                    if let [_, undo, install] = self.call_args(i + 1)[..] {
+                        region(HandlerKind::Undo, undo);
+                        region(HandlerKind::VersionInstall, install);
+                    }
+                    continue;
+                }
                 "log_undo" => HandlerKind::Undo,
                 "defer_on_commit" => HandlerKind::DeferCommit,
                 "defer_on_abort" => HandlerKind::DeferAbort,
@@ -404,19 +429,36 @@ impl FileAnalysis {
                 "run_tick" if in_server => HandlerKind::EventLoop,
                 _ => continue,
             };
-            // Must be a method call: `.name(` — this skips the
-            // definitions themselves (`fn log_undo(...)`).
-            if i == 0 || !self.is_punct(i - 1, ".") || !self.is_punct(i + 1, "(") {
-                continue;
-            }
-            let close = self.matching(i + 1);
-            out.push(HandlerRegion {
-                kind,
-                name_idx: i,
-                range: (i + 1, close),
-            });
+            region(kind, (i + 1, self.matching(i + 1)));
         }
         out
+    }
+
+    /// The inclusive token ranges of the arguments of the call whose
+    /// `(` is at `open`, split at its top-level commas. A closure's
+    /// `|params|` may hold commas of their own and are skipped whole.
+    fn call_args(&self, open: usize) -> Vec<(usize, usize)> {
+        let close = self.matching(open);
+        let mut args = Vec::new();
+        let mut start = open + 1;
+        let mut j = start;
+        while j < close {
+            if self.is_punct(j, "(") || self.is_punct(j, "[") || self.is_punct(j, "{") {
+                j = self.matching(j);
+            } else if self.is_punct(j, "|") && (j == start || self.is_ident(j - 1, "move")) {
+                j = (j + 1..close)
+                    .find(|&k| self.is_punct(k, "|"))
+                    .unwrap_or(close);
+            } else if self.is_punct(j, ",") {
+                args.push((start, j - 1));
+                start = j + 1;
+            }
+            j += 1;
+        }
+        if start < close {
+            args.push((start, close - 1));
+        }
+        args
     }
 
     fn find_suppressions(&self) -> Vec<Suppression> {
@@ -562,6 +604,28 @@ mod tests {
         let add_idx = fa.tokens.iter().position(|t| t.text == "add").unwrap();
         assert!(fa.in_handler(remove_idx));
         assert!(!fa.in_handler(add_idx));
+    }
+
+    #[test]
+    fn an_effect_registers_its_two_arms_as_two_handlers() {
+        let src = "impl S { fn put(&self, txn: &Txn, k: u64, v: u64) {
+            txn.log_effect(
+                (Arc::clone(&self.base), k, v),
+                |(base, k, _)| { base.remove(&k); },
+                move |(base, k, v), stamp| base.versions.install(k, Some(v), stamp),
+            );
+        } }";
+        let fa = FileAnalysis::build("crates/boosted/src/x.rs", src);
+        let kinds: Vec<HandlerKind> = fa.handlers.iter().map(|h| h.kind).collect();
+        assert_eq!(kinds, vec![HandlerKind::Undo, HandlerKind::VersionInstall]);
+        let idx = |text: &str| fa.tokens.iter().position(|t| t.text == text).unwrap();
+        let within = |h: &HandlerRegion, i: usize| i >= h.range.0 && i <= h.range.1;
+        // Each arm is its own region; the captured tuple is in neither.
+        assert!(within(&fa.handlers[0], idx("remove")));
+        assert!(!within(&fa.handlers[1], idx("remove")));
+        assert!(within(&fa.handlers[1], idx("install")));
+        assert!(!within(&fa.handlers[0], idx("install")));
+        assert!(!fa.in_handler(idx("clone")));
     }
 
     #[test]

@@ -113,7 +113,13 @@ pub fn build_cfg(
     let mut lw = Lowerer {
         txn: fa.txn_param(f),
         fn_name: f.name.clone(),
-        handlers: fa.handlers.iter().map(|h| (h.name_idx, h.kind)).collect(),
+        handlers: fa.handlers.iter().fold(BTreeMap::new(), |mut by_call, h| {
+            by_call
+                .entry(h.name_idx)
+                .or_insert_with(Vec::new)
+                .push(h.kind);
+            by_call
+        }),
         local_txn_fns,
         blocks: vec![
             BasicBlock {
@@ -144,7 +150,9 @@ struct Lowerer<'a> {
     /// The function's `&Txn` parameter identifier, if any.
     txn: Option<String>,
     fn_name: String,
-    handlers: BTreeMap<usize, HandlerKind>,
+    /// Registration call (method-name token index) → the handlers it
+    /// registers: one, or `log_effect`'s two.
+    handlers: BTreeMap<usize, Vec<HandlerKind>>,
     local_txn_fns: &'a BTreeSet<String>,
     blocks: Vec<BasicBlock>,
     exit: usize,
@@ -388,16 +396,18 @@ impl Lowerer<'_> {
                 args,
             } => {
                 cur = self.lower_expr(recv, cur)?;
-                if let Some(&kind) = self.handlers.get(name_idx) {
+                if let Some(kinds) = self.handlers.get(name_idx).cloned() {
                     // Handler registration: the closure body is exempt
                     // from the method-body discipline — skip the args.
-                    self.push_event(
-                        cur,
-                        Event::Register {
-                            kind,
-                            idx: *name_idx,
-                        },
-                    );
+                    for kind in kinds {
+                        self.push_event(
+                            cur,
+                            Event::Register {
+                                kind,
+                                idx: *name_idx,
+                            },
+                        );
+                    }
                     return Some(cur);
                 }
                 for a in args {

@@ -74,7 +74,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "inverse-pairing",
-        summary: "no path may reach the exit with a mutating base call's inverse unlogged; forward-order pushes are flagged",
+        summary: "no path may reach the exit with a mutating base call's inverse unlogged; forward-order pushes and inverses that mutate nothing are flagged",
         paper: "§3 Rule 3: log the inverse after the call succeeds, replay in reverse order on abort",
         applies: is_boosted_src,
         kind: RuleKind::Cfg,
@@ -177,6 +177,7 @@ pub(crate) const ACQUIRE_METHODS: &[&str] =
 /// is required where a blocking wait must become a scheduling round.
 const YIELD_SITES: &[(&str, &str, &[&str])] = &[
     ("crates/core/src/txn.rs", "log_undo", &["UndoPush"]),
+    ("crates/core/src/txn.rs", "log_effect", &["UndoPush"]),
     ("crates/core/src/txn.rs", "release_locks", &["LockRelease"]),
     ("crates/core/src/txn.rs", "commit", &["Commit"]),
     ("crates/core/src/txn.rs", "abort", &["Abort"]),
@@ -349,7 +350,35 @@ pub fn cfg_pass(
             }),
         }
     }
+    inert_inverses(fa, out);
     fn_cfgs
+}
+
+/// An inverse has to change the base object back: an undo handler (a
+/// `log_undo` closure, or the inverse arm of a `log_effect`) that makes
+/// no call beyond the read-only ones cannot invert anything, however
+/// dutifully it was registered.
+fn inert_inverses(fa: &FileAnalysis, out: &mut RuleOutput) {
+    for h in &fa.handlers {
+        if h.kind != HandlerKind::Undo || fa.in_test(h.name_idx) {
+            continue;
+        }
+        let mutates = (h.range.0..=h.range.1).any(|i| {
+            let name = fa.tokens[i].text.as_str();
+            method_call(fa, i, &[name]) && !BASE_READ_METHODS.contains(&name)
+        });
+        if !mutates {
+            diag(
+                out,
+                fa,
+                "inverse-pairing",
+                h.name_idx,
+                "this inverse makes no mutating call, so it cannot undo the call it is logged \
+                 for (Rule 3: the inverse restores the abstract state)"
+                    .to_string(),
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------- rules

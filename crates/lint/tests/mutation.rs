@@ -83,6 +83,26 @@ fn deleting_the_undo_push_trips_inverse_pairing() {
 }
 
 #[test]
+fn an_effect_whose_inverse_arm_stops_inverting_trips_inverse_pairing() {
+    let rel = "crates/boosted/src/good_map.rs";
+    let src = clean_fixture(rel);
+    assert_eq!(lint_source(rel, &src).unsuppressed().count(), 0);
+
+    // `remove`'s inverse arm re-inserts the binding; make it look the
+    // key up instead. The effect is still registered right after the
+    // base call, so only a rule that reads the arm can notice.
+    let mutated = src.replace("base.insert(key, old);", "base.contains_key(&key);");
+    assert_ne!(src, mutated, "fixture lost its inverse arm");
+    let report = lint_source(rel, &mutated);
+    let fired: Vec<_> = report.unsuppressed().map(|d| d.rule).collect();
+    assert_eq!(
+        fired,
+        ["inverse-pairing"],
+        "an inverse arm that mutates nothing must trip inverse-pairing"
+    );
+}
+
+#[test]
 fn deleting_the_yield_hook_trips_yield_point_coverage() {
     let rel = "crates/core/src/backoff.rs";
     let src = clean_fixture(rel);

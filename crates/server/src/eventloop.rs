@@ -25,10 +25,11 @@
 //!    for whatever remains.
 //!
 //! A graceful drain stops accepting, stops reading each connection at
-//! its next frame boundary (a mid-frame connection gets
-//! [`crate::ServerConfig::drain_grace`] to finish), executes every
-//! decoded script — including a pending batch — and closes once
-//! replies are flushed.
+//! its next frame boundary — on the first draining tick for one that
+//! is already at one, so an idle connection closes at once; a mid-frame
+//! connection gets [`crate::ServerConfig::drain_grace`] to finish —
+//! executes every decoded script, including a pending batch, and closes
+//! once replies are flushed.
 
 use crate::batch::{script_response, Batcher};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -193,6 +194,9 @@ fn event_loop(
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut tickq: Vec<(usize, Request)> = Vec::new();
+    // One read buffer for every connection of the loop: a stack array
+    // would be zeroed on every `service_read`.
+    let mut read_buf = vec![0u8; 16 * 1024];
     let mut accept_cooldown: Option<Instant> = None;
     let mut accept_backoff = shared.cfg.poll_interval.max(Duration::from_millis(1));
     let mut draining = false;
@@ -205,6 +209,14 @@ fn event_loop(
             if listener_registered {
                 let _ = epoll.delete(listener.as_raw_fd());
                 listener_registered = false;
+            }
+            // Visit every connection this tick, not at its next
+            // readable edge: `service_read` stops one that sits at a
+            // frame boundary, and the sweep closes it once nothing is
+            // in flight or unsent — an idle client does not hold the
+            // drain for the grace period.
+            for conn in conns.iter_mut().flatten() {
+                conn.readable = true;
             }
         }
         if draining {
@@ -281,7 +293,7 @@ fn event_loop(
         for idx in 0..conns.len() {
             if let Some(Some(conn)) = conns.get_mut(idx) {
                 if !conn.stop_reading && !conn.dead && (conn.readable || conn.dec.buffered() > 0) {
-                    service_read(conn, idx, shared, &mut tickq, draining);
+                    service_read(conn, idx, shared, &mut tickq, &mut read_buf, draining);
                 }
             }
         }
@@ -441,10 +453,10 @@ fn service_read(
     idx: usize,
     shared: &Arc<Shared>,
     tickq: &mut Vec<(usize, Request)>,
+    buf: &mut [u8],
     draining: bool,
 ) {
     let window = shared.cfg.window.max(1);
-    let mut buf = [0u8; 16 * 1024];
     loop {
         // Decode complete frames while the window allows.
         while conn.inflight < window && !conn.stop_reading {
@@ -487,7 +499,7 @@ fn service_read(
             conn.stop_reading = true;
             return;
         }
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => conn.peer_eof = true,
             Ok(n) => conn.dec.feed(&buf[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -244,8 +244,7 @@ impl Executor {
     /// lock-manager pass (a repeat acquisition of a lock the
     /// transaction holds is the reentrant arm of
     /// `AbstractLock::acquire`, one failed compare-and-swap on the
-    /// word it already owns, ~17 ns), object lookups remembered across
-    /// the run's ops (`namespace::Resolved`), and one WAL record and
+    /// word it already owns, ~17 ns), and one WAL record and
     /// group-commit ticket for the concatenated ops.
     ///
     /// The caller passes batch-eligible scripts
@@ -313,9 +312,7 @@ impl Executor {
         };
         // The previous op boundary of a timed run.
         let mut last = t0;
-        // Outside the body, so retries reuse what earlier attempts
-        // looked up.
-        let mut memo = self.ns.resolved();
+        let objects = self.ns.resolved();
         let body = |txn: &Txn| -> TxResult<()> {
             attempts = attempts.saturating_add(1);
             if attempts > 1 {
@@ -339,7 +336,7 @@ impl Executor {
                     if debug_abort {
                         return give_up(ScriptStatus::DebugAborted, Abort::explicit());
                     }
-                    let r = Self::run_op(txn, &sop.op, &mut memo)?;
+                    let r = Self::run_op(txn, &sop.op, objects)?;
                     // This closure re-runs on every conflict retry; an
                     // out-of-range opcode must degrade to an uncounted
                     // op, never a panic that kills the connection.
@@ -408,31 +405,35 @@ impl Executor {
         }
     }
 
-    /// Execute one op on the object it names, found through the run's memo.
-    fn run_op<'s>(txn: &Txn, op: &'s Op, memo: &mut Resolved<'s>) -> TxResult<OpResult> {
+    /// Execute one op on the object it names, borrowed from the namespace.
+    fn run_op(txn: &Txn, op: &Op, objects: Resolved<'_>) -> TxResult<OpResult> {
         Ok(match op {
-            Op::MapInsert { obj, key, val } => OpResult::Value(memo.map(obj).put(txn, *key, *val)?),
-            Op::MapRemove { obj, key } => OpResult::Value(memo.map(obj).remove(txn, key)?),
-            Op::MapContains { obj, key } => OpResult::Bool(memo.map(obj).contains_key(txn, key)?),
+            Op::MapInsert { obj, key, val } => {
+                OpResult::Value(objects.map(obj).put(txn, *key, *val)?)
+            }
+            Op::MapRemove { obj, key } => OpResult::Value(objects.map(obj).remove(txn, key)?),
+            Op::MapContains { obj, key } => {
+                OpResult::Bool(objects.map(obj).contains_key(txn, key)?)
+            }
             Op::CounterAdd { obj, delta } => {
-                memo.counter(obj).add(txn, *delta)?;
+                objects.counter(obj).add(txn, *delta)?;
                 OpResult::Unit
             }
-            Op::CounterGet { obj } => OpResult::Value(Some(memo.counter(obj).get(txn)?)),
+            Op::CounterGet { obj } => OpResult::Value(Some(objects.counter(obj).get(txn)?)),
             Op::SemAcquire { obj } => {
-                memo.sem(obj).acquire(txn)?;
+                objects.sem(obj).acquire(txn)?;
                 OpResult::Unit
             }
             Op::SemRelease { obj } => {
-                memo.sem(obj).release(txn);
+                objects.sem(obj).release(txn);
                 OpResult::Unit
             }
-            Op::IdGen { obj } => OpResult::Id(memo.idgen(obj).assign_id(txn)?),
+            Op::IdGen { obj } => OpResult::Id(objects.idgen(obj).assign_id(txn)?),
             Op::PqAdd { obj, key } => {
-                memo.pq(obj).add(txn, *key)?;
+                objects.pq(obj).add(txn, *key)?;
                 OpResult::Unit
             }
-            Op::PqRemoveMin { obj } => OpResult::Value(memo.pq(obj).remove_min(txn)?),
+            Op::PqRemoveMin { obj } => OpResult::Value(objects.pq(obj).remove_min(txn)?),
             // `run` attributes and raises this one before dispatch.
             Op::DebugAbort => return Err(Abort::explicit()),
         })

@@ -10,34 +10,117 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use txboost_collections::{
     BoostedCounter, BoostedHashMap, BoostedPQueue, ReleasePolicy, TSemaphore, UniqueIdGen,
 };
 use txboost_core::ContentionRegistry;
 
-/// One type's name → instance table: look up, else create and insert,
-/// under one lock.
-#[derive(Debug)]
-struct Table<T>(Mutex<HashMap<String, T>>);
+/// Slots in a [`Table`]'s lock-free index (a power of two; 8 KiB of
+/// empty slots per type). The benchmark's busiest type holds 65 names.
+const INDEX_SLOTS: usize = 256;
 
-impl<T: Clone> Table<T> {
+/// Slots a name may occupy: the ones from its hash onward. A name
+/// whose window is full when it is created lives in the spill instead,
+/// so a lookup compares at most this many names whatever the names are
+/// — they arrive over the wire, and the index hash is not keyed.
+const PROBE: usize = 8;
+
+/// FNV-1a: a few cycles for the short names scripts use, where the
+/// spill map's SipHash costs more than the probe it would save.
+fn index_hash(name: &str) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h as usize
+}
+
+/// One index slot: empty, or a name and its object for good.
+type IndexSlot<T> = OnceLock<(Box<str>, T)>;
+
+/// What a [`Table`]'s mutex guards: creation, and the names the index
+/// had no room for.
+#[derive(Debug)]
+struct Slow<T: 'static> {
+    /// Objects ever created (index and spill together).
+    created: usize,
+    /// Leaked, so a lookup can hand out a borrow that outlives the
+    /// guard; like its label ([`intern_label`]) a spilled object lives
+    /// as long as the process. The index's own objects drop with it.
+    spill: HashMap<String, &'static T>,
+}
+
+/// One type's name → instance table. An object cannot go away — the
+/// namespace never removes one — so a lookup borrows it: the index is
+/// append-only (a slot, once set, never changes), read with acquire
+/// loads and no lock, probed linearly from the name's hash. Only a
+/// miss takes the mutex: to create the object, or to find it in the
+/// spill.
+#[derive(Debug)]
+struct Table<T: 'static> {
+    index: Box<[IndexSlot<T>]>,
+    slow: Mutex<Slow<T>>,
+}
+
+impl<T> Table<T> {
     fn new() -> Self {
-        Table(Mutex::new(HashMap::new()))
+        Table {
+            index: (0..INDEX_SLOTS).map(|_| OnceLock::new()).collect(),
+            slow: Mutex::new(Slow {
+                created: 0,
+                spill: HashMap::new(),
+            }),
+        }
     }
 
-    fn get_or_create(&self, name: &str, create: impl FnOnce() -> T) -> T {
-        let mut table = self.0.lock();
-        if let Some(existing) = table.get(name) {
-            return existing.clone();
+    /// `name`'s probe window: found, or the first empty slot in it, or
+    /// neither (the window is full of other names). Creation fills the
+    /// first empty slot, so an empty slot ends the search: had `name`
+    /// been created, it would sit there or earlier.
+    fn probe(&self, name: &str) -> Result<&T, Option<&IndexSlot<T>>> {
+        let start = index_hash(name);
+        for i in 0..PROBE {
+            let slot = &self.index[(start + i) & (INDEX_SLOTS - 1)];
+            match slot.get() {
+                Some((known, object)) if **known == *name => return Ok(object),
+                Some(_) => {}
+                None => return Err(Some(slot)),
+            }
         }
-        let created = create();
-        table.insert(name.to_string(), created.clone());
-        created
+        Err(None)
+    }
+
+    fn get_or_create(&self, name: &str, create: impl FnOnce() -> T) -> &T {
+        if let Ok(found) = self.probe(name) {
+            return found;
+        }
+        let mut slow = self.slow.lock();
+        // Again under the mutex: every slot is set under it, so what
+        // this probe sees is final.
+        let vacant = match self.probe(name) {
+            Ok(found) => return found,
+            Err(vacant) => vacant,
+        };
+        if let Some(spilled) = slow.spill.get(name) {
+            return spilled;
+        }
+        slow.created += 1;
+        match vacant {
+            Some(slot) => {
+                let (_, object) = slot.get_or_init(|| (name.into(), create()));
+                object
+            }
+            None => {
+                let object: &'static T = Box::leak(Box::new(create()));
+                slow.spill.insert(name.to_string(), object);
+                object
+            }
+        }
     }
 
     fn len(&self) -> usize {
-        self.0.lock().len()
+        self.slow.lock().created
     }
 }
 
@@ -84,59 +167,37 @@ impl Namespace {
         &self.registry
     }
 
-    /// The map named `name`, created on first reference.
+    /// An owned handle to the map named `name`, created on first
+    /// reference. (This and the four below are for tests and tools; the
+    /// executor borrows the objects instead, through `Resolved`.)
     pub fn map(&self, name: &str) -> Arc<BoostedHashMap<i64, i64>> {
-        self.maps.get_or_create(name, || {
-            Arc::new(BoostedHashMap::with_registry(
-                intern_label("map", name),
-                &self.registry,
-            ))
-        })
+        Arc::clone(self.resolved().map(name))
     }
 
     /// The counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<BoostedCounter> {
-        self.counters.get_or_create(name, || {
-            Arc::new(BoostedCounter::with_registry(
-                intern_label("counter", name),
-                &self.registry,
-            ))
-        })
+        Arc::clone(self.resolved().counter(name))
     }
 
     /// The semaphore named `name` (created with the configured default
     /// permit count).
     pub fn sem(&self, name: &str) -> TSemaphore {
-        self.sems
-            .get_or_create(name, || TSemaphore::new(self.default_sem_permits))
+        self.resolved().sem(name).clone()
     }
 
     /// The unique-ID generator named `name`.
     pub fn idgen(&self, name: &str) -> UniqueIdGen {
-        self.idgens
-            .get_or_create(name, || UniqueIdGen::new(ReleasePolicy::Leak))
+        self.resolved().idgen(name).clone()
     }
 
     /// The priority queue named `name`.
     pub fn pq(&self, name: &str) -> Arc<BoostedPQueue<i64>> {
-        self.pqs.get_or_create(name, || {
-            Arc::new(BoostedPQueue::with_registry(
-                intern_label("pq", name),
-                &self.registry,
-            ))
-        })
+        Arc::clone(self.resolved().pq(name))
     }
 
-    /// An empty per-run memo over this namespace.
+    /// The borrowing view of this namespace.
     pub(crate) fn resolved(&self) -> Resolved<'_> {
-        Resolved {
-            ns: self,
-            maps: Memo::new(),
-            counters: Memo::new(),
-            sems: Memo::new(),
-            idgens: Memo::new(),
-            pqs: Memo::new(),
-        }
+        Resolved(self)
     }
 
     /// Number of live object instances per type:
@@ -152,83 +213,61 @@ impl Namespace {
     }
 }
 
-/// Names per type a [`Resolved`] memo holds at once. Every script shape
-/// in the tree names at most two objects of one type; a run naming more
-/// (a joint batch of one-op scripts over dozens of counters) recycles
-/// the slots round-robin, which costs it the lookups it always paid.
-/// Remembering them all instead was measured and lost: a scan over that
-/// many names is no cheaper than the hash lookup it replaces.
-const MEMO_NAMES: usize = 2;
-
-/// One type's most recently looked-up objects, by name.
-#[derive(Debug)]
-struct Memo<'s, T> {
-    slots: [Option<(&'s str, T)>; MEMO_NAMES],
-    /// The slot the next unremembered name takes.
-    next: usize,
-}
-
-impl<'s, T> Memo<'s, T> {
-    fn new() -> Self {
-        Memo {
-            slots: [const { None }; MEMO_NAMES],
-            next: 0,
-        }
-    }
-
-    /// The object remembered under `name`, else `lookup`'s, remembered.
-    fn get(&mut self, name: &'s str, lookup: impl FnOnce() -> T) -> &T {
-        let known = |slot: &Option<(&str, T)>| slot.as_ref().is_some_and(|(n, _)| *n == name);
-        let at = self.slots.iter().position(known).unwrap_or_else(|| {
-            let at = self.next;
-            self.next = (at + 1) % MEMO_NAMES;
-            self.slots[at] = Some((name, lookup()));
-            at
-        });
-        &self.slots[at].as_ref().expect("matched or just filled").1
-    }
-}
-
-/// What one executor run has named lately: a (type, name) costs one
-/// [`Namespace`] lookup — mutex, hash, handle clone — on first use and a
-/// two-slot scan after, across the run's ops, scripts and retry
-/// attempts, for as long as the run names at most [`MEMO_NAMES`]
-/// objects of that type. Objects are still created lazily, in op order.
-#[derive(Debug)]
-pub(crate) struct Resolved<'s> {
-    ns: &'s Namespace,
-    maps: Memo<'s, Arc<BoostedHashMap<i64, i64>>>,
-    counters: Memo<'s, Arc<BoostedCounter>>,
-    sems: Memo<'s, TSemaphore>,
-    idgens: Memo<'s, UniqueIdGen>,
-    pqs: Memo<'s, Arc<BoostedPQueue<i64>>>,
-}
+/// Lookups that borrow: an op gets a `&'s` object for the price of a
+/// hash and a probe — no lock, no reference count — because the
+/// namespace outlives the run and never removes an object. Objects are
+/// still created lazily, in op order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resolved<'s>(&'s Namespace);
 
 impl<'s> Resolved<'s> {
-    pub(crate) fn map(&mut self, name: &'s str) -> &BoostedHashMap<i64, i64> {
-        self.maps.get(name, || self.ns.map(name))
+    pub(crate) fn map(self, name: &str) -> &'s Arc<BoostedHashMap<i64, i64>> {
+        let ns = self.0;
+        ns.maps.get_or_create(name, || {
+            Arc::new(BoostedHashMap::with_registry(
+                intern_label("map", name),
+                &ns.registry,
+            ))
+        })
     }
 
-    pub(crate) fn counter(&mut self, name: &'s str) -> &BoostedCounter {
-        self.counters.get(name, || self.ns.counter(name))
+    pub(crate) fn counter(self, name: &str) -> &'s Arc<BoostedCounter> {
+        let ns = self.0;
+        ns.counters.get_or_create(name, || {
+            Arc::new(BoostedCounter::with_registry(
+                intern_label("counter", name),
+                &ns.registry,
+            ))
+        })
     }
 
-    pub(crate) fn sem(&mut self, name: &'s str) -> &TSemaphore {
-        self.sems.get(name, || self.ns.sem(name))
+    pub(crate) fn sem(self, name: &str) -> &'s TSemaphore {
+        let ns = self.0;
+        ns.sems
+            .get_or_create(name, || TSemaphore::new(ns.default_sem_permits))
     }
 
-    pub(crate) fn idgen(&mut self, name: &'s str) -> &UniqueIdGen {
-        self.idgens.get(name, || self.ns.idgen(name))
+    pub(crate) fn idgen(self, name: &str) -> &'s UniqueIdGen {
+        let ns = self.0;
+        ns.idgens
+            .get_or_create(name, || UniqueIdGen::new(ReleasePolicy::Leak))
     }
 
-    pub(crate) fn pq(&mut self, name: &'s str) -> &BoostedPQueue<i64> {
-        self.pqs.get(name, || self.ns.pq(name))
+    pub(crate) fn pq(self, name: &str) -> &'s Arc<BoostedPQueue<i64>> {
+        let ns = self.0;
+        ns.pqs.get_or_create(name, || {
+            Arc::new(BoostedPQueue::with_registry(
+                intern_label("pq", name),
+                &ns.registry,
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use txboost_core::TxnManager;
 
     #[test]
@@ -253,28 +292,49 @@ mod tests {
     }
 
     #[test]
-    fn a_memo_looks_up_once_per_name_within_its_slots() {
-        let lookups = std::cell::Cell::new(0);
-        let mut memo = Memo::new();
-        let mut get = |name: &'static str, object: usize| {
-            let got = *memo.get(name, || {
-                lookups.set(lookups.get() + 1);
-                object
-            });
-            assert_eq!(got, object, "{name}");
-        };
-        for _ in 0..3 {
-            get("a", 0);
-            get("b", 1);
-            get("a", 0);
+    fn racing_threads_create_each_object_once_past_the_index_capacity() {
+        const THREADS: usize = 8;
+        const NAMES: usize = INDEX_SLOTS + INDEX_SLOTS / 2;
+        let ns = Namespace::new(Arc::new(ContentionRegistry::new()), 3);
+        let names: Vec<String> = (0..NAMES).map(|i| format!("c{i}")).collect();
+        let created = AtomicUsize::new(0);
+        let go = std::sync::Barrier::new(THREADS);
+        // Each thread's view: the address of the object behind every name.
+        let views: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (ns, names, created, go) = (&ns, &names, &created, &go);
+                    s.spawn(move || {
+                        go.wait();
+                        // Everyone walks the names from a different
+                        // start, so every name is contended.
+                        let mut view = vec![0; NAMES];
+                        for i in (0..NAMES).map(|i| (i + t * NAMES / THREADS) % NAMES) {
+                            let object = ns.counters.get_or_create(&names[i], || {
+                                created.fetch_add(1, Ordering::Relaxed);
+                                Arc::new(BoostedCounter::new())
+                            });
+                            view[i] = Arc::as_ptr(object) as usize;
+                        }
+                        view
+                    })
+                })
+                .collect();
+            let join = |r: std::thread::ScopedJoinHandle<'_, _>| r.join().expect("racer panicked");
+            racers.into_iter().map(join).collect()
+        });
+        assert_eq!(created.into_inner(), NAMES, "an object was created twice");
+        assert_eq!(ns.object_counts(), (0, NAMES, 0, 0, 0));
+        for view in &views[1..] {
+            assert!(view == &views[0], "two threads saw different objects");
         }
-        assert_eq!(lookups.get(), MEMO_NAMES);
-        // A third name recycles a slot: still the right objects, at the
-        // price of a lookup for whichever name was displaced.
-        for (object, name) in ["c", "a", "b", "c"].into_iter().enumerate() {
-            get(name, 10 + object);
-        }
-        assert_eq!(lookups.get(), MEMO_NAMES + 4);
+        let distinct: std::collections::HashSet<_> = views[0].iter().collect();
+        assert_eq!(distinct.len(), NAMES, "two names share an object");
+        // More names than slots: the spill holds the rest, and a
+        // spilled name resolves to its one object like any other.
+        let spilled = ns.counters.slow.lock().spill.len();
+        assert!(spilled >= NAMES - INDEX_SLOTS, "spilled {spilled}");
+        assert!(Arc::ptr_eq(&ns.counter("c0"), &ns.counter("c0")));
     }
 
     #[test]

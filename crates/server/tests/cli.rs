@@ -9,6 +9,7 @@ mod common;
 
 use common::ServerProc;
 use std::process::Command;
+use std::time::{Duration, Instant};
 use txboost_client::{Connection, ScriptBuilder};
 
 const BIN: &str = env!("CARGO_BIN_EXE_txboost-server");
@@ -49,18 +50,25 @@ fn sigterm_drains_and_exits_0() {
     }
 
     let server = ServerProc::spawn(&[]);
-    // The connection stays open across the signal: an idle client
-    // holds the drain for its grace period, never past it.
+    // The connection stays open across the signal: an idle client sits
+    // at a frame boundary with nothing in flight, so the drain closes
+    // it on its first tick and does not wait out the 2 s grace.
     let mut conn = Connection::connect(server.addr()).expect("connect");
     let out = conn
         .execute(ScriptBuilder::new().counter_add("c", 1).build())
         .expect("execute");
     assert!(out.committed(), "{out:?}");
 
+    let signalled = Instant::now();
     // SAFETY: signals one process, the child this test spawned and has
     // not yet waited for, so the pid cannot have been reused.
     let rc = unsafe { kill(server.child.id() as i32, SIGTERM) };
     assert_eq!(rc, 0, "kill failed");
     // Without the handler SIGTERM kills the process: no exit code.
     server.wait_drained();
+    let took = signalled.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "an idle client held the drain for {took:?}"
+    );
 }

@@ -111,10 +111,20 @@ fn ten_thousand_connections_are_each_served_then_drained() {
         started.elapsed().as_secs_f64()
     );
 
+    // Every stream but `last` is idle across the drain: each sits at a
+    // frame boundary with nothing in flight, so none of them holds the
+    // server for the 2 s grace.
+    let asked = Instant::now();
     wire::send_request(&mut last, &Request::Shutdown { req_id: 1 }).expect("send");
     match wire::recv_response(&mut last, MAX_FRAME_LEN) {
         Ok(Some(Response::ShutdownAck { req_id: 1 })) => {}
         other => panic!("expected the shutdown ack, got {other:?}"),
     }
     server.wait_drained();
+    let took = asked.elapsed();
+    println!("many_conns: drained in {:.2} s", took.as_secs_f64());
+    assert!(
+        took < Duration::from_secs(1),
+        "{conns} idle connections held the drain for {took:?}"
+    );
 }

@@ -306,3 +306,80 @@ fn boosted_and_rwstm_objects_coexist_in_one_program() {
     assert_eq!(set.len(), 100);
     assert_eq!(var.load(), 100);
 }
+
+#[test]
+fn a_failed_nested_transaction_leaves_snapshot_and_locked_reads_in_agreement() {
+    // Every call below is rolled back by `nested` while the transaction
+    // around it commits: neither the base objects (locked reads) nor
+    // the committed versions (snapshot reads) may keep any of it.
+    let tm = TxnManager::default();
+    let map = BoostedHashMap::new();
+    let skip = BoostedSkipListSet::new();
+    let list = BoostedListSet::new();
+    let counter = BoostedCounter::new();
+    tm.run(|t| {
+        map.put(t, 1, 10)?;
+        map.put(t, 2, 20)?;
+        skip.add(t, 1)?;
+        list.add(t, 1)?;
+        counter.add(t, 5)
+    })
+    .unwrap();
+
+    tm.run(|t| {
+        map.put(t, 3, 30)?; // before the savepoint: kept
+        let undone: TxResult<()> = t.nested(|t| {
+            map.put(t, 1, 99)?;
+            map.remove(t, &2)?;
+            map.put(t, 4, 40)?;
+            skip.add(t, 7)?;
+            skip.remove(t, &1)?;
+            list.add(t, 7)?;
+            list.remove(t, &1)?;
+            counter.add(t, 1000)?;
+            Err(Abort::explicit())
+        });
+        assert!(undone.is_err());
+        counter.add(t, 1) // after the rollback: kept
+    })
+    .unwrap();
+
+    type Seen = (Vec<Option<i32>>, [bool; 4], i64);
+    let read = |t: &Txn| -> TxResult<Seen> {
+        let bindings = (1..=4).map(|k| map.get(t, &k)).collect::<TxResult<_>>()?;
+        let members = [
+            skip.contains(t, &1)?,
+            skip.contains(t, &7)?,
+            list.contains(t, &1)?,
+            list.contains(t, &7)?,
+        ];
+        Ok((bindings, members, counter.get(t)?))
+    };
+    let expect: Seen = (
+        vec![Some(10), Some(20), Some(30), None],
+        [true, false, true, false],
+        6,
+    );
+    assert_eq!(tm.run(read).unwrap(), expect, "locked reads");
+    assert_eq!(tm.run_read_only(read).unwrap(), expect, "snapshot reads");
+}
+
+#[test]
+fn map_set_and_counter_effects_stay_inline() {
+    let tm = TxnManager::default();
+    let map = BoostedHashMap::<i64, i64>::new();
+    let set = BoostedSkipListSet::<i64>::new();
+    let counter = BoostedCounter::new();
+    tm.run(|t| {
+        map.put(t, 1, 10)?; // absent before
+        map.put(t, 1, 11)?; // bound before
+        map.remove(t, &1)?;
+        set.add(t, 1)?;
+        set.remove(t, &1)?;
+        counter.add(t, 1)?;
+        assert_eq!(t.undo_log_len(), 6, "one entry per mutating call");
+        assert_eq!(t.boxed_action_count(), 0, "an effect was boxed");
+        Ok(())
+    })
+    .unwrap();
+}

@@ -330,7 +330,7 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>) -> Overlaps {
                         // younger one signals after both of its own.
                         if staged && tid == 0 {
                             let st = Arc::clone(stage);
-                            t.log_version_install(move || {
+                            t.log_version_install(move |_| {
                                 st.older_parked.store(true, Ordering::SeqCst);
                                 spin_until(&st.older_released);
                             });
@@ -338,7 +338,7 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>) -> Overlaps {
                         b.add(t, 1)?;
                         if staged && tid == 1 {
                             let st = Arc::clone(stage);
-                            t.log_version_install(move || {
+                            t.log_version_install(move |_| {
                                 st.younger_installed.store(true, Ordering::SeqCst);
                             });
                         }
@@ -460,7 +460,7 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
                     // Stay mid-install until the younger writer has
                     // finished its own installs, and a while longer.
                     let st = Arc::clone(&w.stage);
-                    t.log_version_install(move || {
+                    t.log_version_install(move |_| {
                         st.older_parked.store(true, Ordering::SeqCst);
                         spin_until(&st.younger_installed);
                         for _ in 0..HOLD {
@@ -476,7 +476,7 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
                 w.tm.run(|t| {
                     w.map.put(t, 0, 1)?;
                     let st = Arc::clone(&w.stage);
-                    t.log_version_install(move || {
+                    t.log_version_install(move |_| {
                         st.younger_installed.store(true, Ordering::SeqCst);
                     });
                     Ok(())

@@ -90,9 +90,9 @@ impl Heap {
 
 /// One commit on a private domain: every write at one timestamp.
 fn commit(domain: &MvccDomain, store: &VersionStore<i64, i64>, writes: &[(i64, Option<i64>)]) {
-    domain.commit(|| {
+    domain.commit(|stamp| {
         for &(key, value) in writes {
-            store.install(key, value);
+            store.install(key, value, stamp);
         }
     });
 }
