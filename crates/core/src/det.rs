@@ -55,9 +55,9 @@ pub enum Point {
     StmValidate,
     /// A WAL commit record is about to be appended to a segment.
     WalAppend,
-    /// The WAL flusher sealed a batch of pending commit records.
+    /// A WAL leader sealed a batch of pending commit records.
     WalBatchSeal,
-    /// The WAL flusher is about to fsync the active segment.
+    /// A WAL leader is about to fsync the active segment.
     WalFsync,
     /// The active WAL segment reached its size cap and is rolling.
     WalSegmentRoll,

@@ -412,13 +412,13 @@ impl ContentionSnapshot {
 }
 
 /// Durability (write-ahead-log) observability: append/fsync latency
-/// histograms plus throughput counters, shared between the server's
-/// worker threads (append side) and the group-commit flusher (fsync
-/// side). Like every other surface in this module, all updates are
+/// histograms plus throughput counters, fed by whichever thread leads
+/// a group-commit flush. Like every other surface in this module, all updates are
 /// relaxed atomics — cheap enough to live on the commit path.
 #[derive(Debug, Default)]
 pub struct DurabilityMetrics {
-    /// Latency of appending one commit record to the active segment.
+    /// Latency of one append to the active segment (a leader's whole
+    /// run of commit records).
     pub append_hist: LatencyHistogram,
     /// Latency of one batched fsync (the group-commit stall).
     pub fsync_hist: LatencyHistogram,
@@ -435,10 +435,12 @@ impl DurabilityMetrics {
         DurabilityMetrics::default()
     }
 
-    /// Record one appended commit record of `bytes` encoded bytes.
+    /// Record one append of `records` commit records, `bytes` encoded
+    /// bytes in all: one latency sample per write, while `records`
+    /// stays a count of records.
     #[inline]
-    pub fn record_append(&self, bytes: u64, latency: Duration) {
-        self.records.fetch_add(1, Ordering::Relaxed);
+    pub fn record_append(&self, records: u64, bytes: u64, latency: Duration) {
+        self.records.fetch_add(records, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.append_hist.record_duration(latency);
     }

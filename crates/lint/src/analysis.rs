@@ -2,7 +2,7 @@
 //! extents, `#[cfg(test)]` regions, handler-closure regions
 //! (`log_undo` / `log_effect` / `defer_on_commit` / `defer_on_abort` /
 //! `log_version_install`, the server's retry closure, and the WAL's
-//! replay and flusher closures), and
+//! replay closure), and
 //! `// txboost-lint: allow(...)` suppressions.
 
 use crate::source::{lex, Comment, TokKind, Token};
@@ -50,10 +50,6 @@ pub enum HandlerKind {
     /// crash, so a panic there turns a survivable crash into a
     /// permanent one.
     WalReplay,
-    /// `.spawn(...)` in crates/wal — the group-commit flusher thread's
-    /// body: it is the only thread that can complete durability
-    /// tickets, so a panic strands every in-flight commit.
-    WalFlusher,
     /// `.run_tick(...)` in crates/server — the event loop's dispatch
     /// closures: one loop multiplexes every connection pinned to it,
     /// so a panic there kills them all at once, mid-tick.
@@ -425,7 +421,6 @@ impl FileAnalysis {
                 "log_version_install" => HandlerKind::VersionInstall,
                 "run" if in_server => HandlerKind::RetryClosure,
                 "replay" if in_server || in_wal => HandlerKind::WalReplay,
-                "spawn" if in_wal => HandlerKind::WalFlusher,
                 "run_tick" if in_server => HandlerKind::EventLoop,
                 _ => continue,
             };
@@ -639,16 +634,13 @@ mod tests {
     }
 
     #[test]
-    fn wal_replay_and_flusher_closures_only_count_in_wal_paths() {
-        let src = "fn f(&self) { log.replay(|r| apply(r)); b.spawn(|| loop {}); }";
-        let wal = FileAnalysis::build("crates/wal/src/group.rs", src);
-        let kinds: Vec<HandlerKind> = wal.handlers.iter().map(|h| h.kind).collect();
-        assert_eq!(kinds, vec![HandlerKind::WalReplay, HandlerKind::WalFlusher]);
-        // The server replays on boot too, but never spawns a flusher
-        // of its own.
-        let server = FileAnalysis::build("crates/server/src/lib.rs", src);
-        let kinds: Vec<HandlerKind> = server.handlers.iter().map(|h| h.kind).collect();
-        assert_eq!(kinds, vec![HandlerKind::WalReplay]);
+    fn wal_replay_closures_only_count_in_wal_and_server_paths() {
+        let src = "fn f(&self) { log.replay(|r| apply(r)); }";
+        for path in ["crates/wal/src/group.rs", "crates/server/src/lib.rs"] {
+            let fa = FileAnalysis::build(path, src);
+            let kinds: Vec<HandlerKind> = fa.handlers.iter().map(|h| h.kind).collect();
+            assert_eq!(kinds, vec![HandlerKind::WalReplay], "{path}");
+        }
         let other = FileAnalysis::build("crates/boosted/src/x.rs", src);
         assert!(other.handlers.is_empty());
     }

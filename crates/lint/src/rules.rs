@@ -203,7 +203,7 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
     ),
     (
         "crates/wal/src/writer.rs",
-        "append_record_det",
+        "append_frames_det",
         &["WalAppend"],
     ),
     ("crates/wal/src/writer.rs", "sync_det", &["WalFsync"]),
@@ -212,11 +212,7 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         "roll_segment_det",
         &["WalSegmentRoll"],
     ),
-    (
-        "crates/wal/src/group.rs",
-        "seal_batch_det",
-        &["WalBatchSeal"],
-    ),
+    ("crates/wal/src/group.rs", "lead_det", &["WalBatchSeal"]),
     (
         "crates/wal/src/recover.rs",
         "recovery_step_det",
@@ -409,7 +405,6 @@ fn handler_panic_audit(fa: &FileAnalysis, out: &mut RuleOutput) {
             }
             HandlerKind::RetryClosure => "transaction retry closure",
             HandlerKind::WalReplay => "WAL replay closure (the crash-recovery path)",
-            HandlerKind::WalFlusher => "WAL flusher loop (the only thread acking durability)",
             HandlerKind::EventLoop => {
                 "event-loop dispatch closure (a panic kills every connection on the loop)"
             }

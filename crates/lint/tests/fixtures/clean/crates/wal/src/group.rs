@@ -1,21 +1,11 @@
-//! Fixture: panic-free WAL flusher and replay closures, with the
-//! batch-seal yield hook in place.
+//! Fixture: a panic-free WAL replay closure, with the batch-seal yield
+//! hook in place on the leader's path.
 
 pub struct GroupWal;
 
 impl GroupWal {
-    fn seal_batch_det(&self) {
+    fn lead_det(&self) {
         det::yield_point(det::Point::WalBatchSeal);
-    }
-
-    pub fn spawn_flusher(&self) {
-        std::thread::Builder::new()
-            .name("flusher".into())
-            .spawn(move || loop {
-                if !self.flush_once() {
-                    break;
-                }
-            });
     }
 
     pub fn boot(&self, log: &RecoveredLog) {

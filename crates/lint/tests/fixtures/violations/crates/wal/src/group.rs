@@ -1,20 +1,11 @@
-//! Fixture: WAL closures that can panic where panics are fatal —
-//! inside the flusher thread and on the recovery replay path.
+//! Fixture: a WAL closure that can panic where a panic is fatal — on
+//! the recovery replay path.
 
 pub struct GroupWal;
 
 impl GroupWal {
-    fn seal_batch_det(&self) {
+    fn lead_det(&self) {
         det::yield_point(det::Point::WalBatchSeal);
-    }
-
-    pub fn spawn_flusher(&self) {
-        std::thread::Builder::new()
-            .name("flusher".into())
-            .spawn(move || loop {
-                let batch = self.seal().unwrap();
-                assert!(!batch.is_empty());
-            });
     }
 
     pub fn boot(&self, log: &RecoveredLog) {

@@ -1,7 +1,7 @@
 //! Same-tick commit batching.
 //!
 //! The paper's constant factor lives in abstract-lock traffic: every
-//! script pays a lock-manager entry and a WAL group-commit ticket,
+//! script pays a lock-manager entry and a WAL commit record,
 //! even when consecutive scripts touch the *same* object with
 //! commuting operations. Readiness-driven I/O hands us a natural
 //! amortization unit — the poll tick: every script that arrived in one
@@ -11,7 +11,7 @@
 //! over the lock manager (re-acquiring a lock the transaction already
 //! holds is `AbstractLock::acquire`'s reentrant arm: one failed
 //! compare-and-swap on the owned word, ~17 ns), namespace lookups
-//! remembered from op to op, one WAL record and durability ticket.
+//! remembered from op to op, one WAL record.
 //!
 //! ## Why batching cannot merge conflicting scripts
 //!
@@ -43,19 +43,22 @@
 //!
 //! The tick is also the unit of acknowledgement: no reply leaves before
 //! the tick has been executed in full. So under a WAL no transaction of
-//! the tick blocks on its own commit record; each leaves its
-//! group-commit ticket behind, and [`Batcher::run_tick`] waits for all
-//! of them once, after the last request. The records of a tick thereby
-//! share fsyncs (the flusher seals whatever queued up while the
-//! previous fsync ran) instead of the loop thread sleeping through one
-//! fsync per record, and *ack-after-durable* is unchanged: `run_tick`
-//! returns — and only then are replies flushed — once every record of
-//! the tick is durable.
+//! the tick blocks on its own commit record; each seals its record into
+//! the log's pending buffer, and [`Batcher::run_tick`] waits once,
+//! after the last request, on the highest LSN the tick was given. With
+//! nobody else flushing, that wait *leads*: the loop thread itself
+//! writes the tick's records in one `write` and makes them durable with
+//! one `fsync` — no hand-off to another thread — and another loop's
+//! tick that queued behind it is covered by the same fsync.
+//! *Ack-after-durable* is unchanged: `run_tick` returns `true` — and
+//! only then are replies flushed — once every record of the tick is
+//! durable. It returns `false` when the log refused a record or storage
+//! failed: the tick's commits stand in memory but must not be
+//! acknowledged, and the server stops (see DESIGN §13).
 
-use crate::exec::{deal_out, Executor, ScriptOutcome};
+use crate::exec::{deal_out, Executor, ScriptOutcome, TickRecords};
 #[cfg(feature = "deterministic")]
 use txboost_core::det;
-use txboost_wal::Ticket;
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 
 /// Commit-batching knobs.
@@ -147,19 +150,21 @@ impl Batcher {
     /// under a WAL is before the commit record is durable; the records
     /// of the whole tick are awaited once, before this returns. The
     /// caller must not let an emitted reply out before then (the event
-    /// loop flushes after the tick).
+    /// loop flushes after the tick) — and not at all when this returns
+    /// `false`: some commit of the tick is not durable and never will
+    /// be (the log failed, or was shut down under the tick).
     pub fn run_tick<T: Copy>(
         &self,
         exec: &Executor,
         requests: Vec<(T, Request)>,
         mut other: impl FnMut(Request) -> Response,
         mut emit: impl FnMut(T, Response),
-    ) {
+    ) -> bool {
         let mut run = Run {
             replies: Vec::new(),
             scripts: Vec::new(),
             ops: 0,
-            tickets: Vec::new(),
+            records: TickRecords::default(),
         };
         for (token, req) in requests {
             match req {
@@ -180,7 +185,7 @@ impl Batcher {
                     run.seal(exec, &mut emit);
                     let resp = match req {
                         Request::Script { req_id, ops } => {
-                            let out = exec.run_deferred(&[ops], &mut run.tickets);
+                            let out = exec.run_deferred(&[ops], &mut run.records);
                             script_response(req_id, out)
                         }
                         req => other(req),
@@ -190,39 +195,35 @@ impl Batcher {
             }
         }
         run.seal(exec, &mut emit);
-        // Tickets complete in log order, so after the first sleep the
-        // rest are mostly done already.
-        for ticket in run.tickets {
-            ticket.wait();
-        }
+        run.records.wait()
     }
 }
 
 /// The pending run of eligible scripts. Reply addresses and scripts
 /// sit in parallel vectors so the scripts are lent to the executor as
 /// one slice, uncopied.
-struct Run<T> {
+struct Run<'e, T> {
     /// `(token, req_id)` of each script, in arrival order.
     replies: Vec<(T, u64)>,
     scripts: Vec<Vec<ScriptOp>>,
     /// Ops across `scripts` (one WAL record holds at most
     /// [`MAX_OPS_PER_SCRIPT`]).
     ops: usize,
-    /// Group-commit tickets of the tick's commits so far, batched or
-    /// not; awaited together at the end of the tick.
-    tickets: Vec<Ticket>,
+    /// Commit records of the tick so far, batched or not; awaited once
+    /// at the end of the tick.
+    records: TickRecords<'e>,
 }
 
-impl<T: Copy> Run<T> {
+impl<'e, T: Copy> Run<'e, T> {
     /// Execute and drain the pending run (no-op when empty).
-    fn seal(&mut self, exec: &Executor, emit: &mut impl FnMut(T, Response)) {
+    fn seal(&mut self, exec: &'e Executor, emit: &mut impl FnMut(T, Response)) {
         self.ops = 0;
         if self.scripts.is_empty() {
             return;
         }
         seal_det();
         let replies = self.replies.drain(..);
-        let joint = exec.run_deferred(&self.scripts, &mut self.tickets);
+        let joint = exec.run_deferred(&self.scripts, &mut self.records);
         match deal_out(joint, &self.scripts) {
             Some(outcomes) => {
                 for ((token, req_id), out) in replies.zip(outcomes) {
@@ -234,7 +235,7 @@ impl<T: Copy> Run<T> {
                 // cross-loop lock-order collision). Each script now
                 // retries on its own, so no client observes the merge.
                 for ((token, req_id), ops) in replies.zip(&self.scripts) {
-                    let out = exec.run_deferred(&[ops], &mut self.tickets);
+                    let out = exec.run_deferred(&[ops], &mut self.records);
                     emit(token, script_response(req_id, out));
                 }
             }
@@ -255,9 +256,11 @@ fn seal_det() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
     use txboost_client::ScriptBuilder;
     use txboost_core::TxnConfig;
+    use txboost_wal::{GroupCommitWal, SimStorage, Storage, WalConfig};
     use txboost_wire::{OpResult, ScriptStatus};
 
     fn exec() -> Executor {
@@ -354,23 +357,40 @@ mod tests {
             .contains("\"batch\":{\"batches\":1,\"scripts\":2"));
     }
 
-    #[test]
-    fn a_tick_waits_once_for_all_its_commit_records() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        use txboost_wal::{GroupCommitWal, SimStorage, Storage, WalConfig};
-
-        // A WAL nobody flushes yet: no record becomes durable until the
-        // test pumps it by hand.
-        let e = Arc::new(exec());
+    /// An executor logging to a fresh WAL over simulated storage.
+    fn exec_with_wal() -> (Executor, Arc<GroupCommitWal>, Arc<SimStorage>) {
+        let storage = Arc::new(SimStorage::new(0));
         let wal = GroupCommitWal::new(
-            Arc::new(SimStorage::new(0)) as Arc<dyn Storage>,
+            Arc::clone(&storage) as Arc<dyn Storage>,
             &WalConfig::default(),
             1,
             Arc::new(txboost_core::DurabilityMetrics::new()),
         );
-        let wal = Arc::new(wal.unwrap());
+        let (e, wal) = (exec(), Arc::new(wal.unwrap()));
         e.attach_wal(Arc::clone(&wal));
+        (e, wal, storage)
+    }
+
+    /// Run `scripts` as one tick; `(replies emitted, tick durable)`.
+    fn tick(e: &Executor, scripts: Vec<Vec<ScriptOp>>) -> (usize, bool) {
+        let reqs = scripts.into_iter().enumerate().map(|(i, ops)| {
+            let req_id = i as u64;
+            (i, Request::Script { req_id, ops })
+        });
+        let mut emitted = 0;
+        let durable = Batcher::new(BatchConfig::default()).run_tick(
+            e,
+            reqs.collect(),
+            |_| Response::Pong { req_id: 0 },
+            |_, _| emitted += 1,
+        );
+        (emitted, durable)
+    }
+
+    #[test]
+    fn a_tick_waits_once_for_all_its_commit_records() {
+        // Nobody pumps the log: the tick leads its own flush.
+        let (e, wal, _storage) = exec_with_wal();
         // Three commit records: a joint run of two, then two scripts
         // the batcher runs on their own (guarded; two objects).
         let scripts = vec![
@@ -381,38 +401,31 @@ mod tests {
                 .build(),
             script().counter_add("a", 1).counter_add("b", 1).build(),
         ];
-        let emitted = Arc::new(AtomicUsize::new(0));
-        let tick = std::thread::spawn({
-            let (e, emitted) = (Arc::clone(&e), Arc::clone(&emitted));
-            move || {
-                let reqs = scripts.into_iter().enumerate();
-                let reqs = reqs.map(|(i, ops)| {
-                    let req_id = i as u64;
-                    (i, Request::Script { req_id, ops })
-                });
-                Batcher::new(BatchConfig::default()).run_tick(
-                    &e,
-                    reqs.collect(),
-                    |_| Response::Pong { req_id: 0 },
-                    |_, _| {
-                        emitted.fetch_add(1, Ordering::SeqCst);
-                    },
-                );
-            }
-        });
-        // A transaction that slept on its own record would stall the
-        // tick at the first one; all four scripts execute instead.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while emitted.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(emitted.load(Ordering::SeqCst), 4, "the tick stalled");
+        assert_eq!(tick(&e, scripts), (4, true));
         assert_eq!(wal.next_lsn(), 4);
-        assert!(!tick.is_finished(), "run_tick returned before durability");
-        while wal.flush_once() {}
-        tick.join().unwrap();
-        let durable = wal.metrics().snapshot();
-        assert_eq!((durable.records, durable.batches), (3, 1), "one fsync");
+        // A transaction that waited on its own record would have paid a
+        // write and an fsync each; the tick paid one of either.
+        let m = wal.metrics().snapshot();
+        assert_eq!((m.records, m.batches, m.append.count()), (3, 1, 1));
+    }
+
+    #[test]
+    fn a_tick_that_is_not_durable_says_so_and_so_does_the_next() {
+        let (e, wal, storage) = exec_with_wal();
+        assert_eq!(tick(&e, vec![add("c", 1)]), (1, true));
+        // The tick's one write fails. Its scripts ran and its replies
+        // were emitted, but the caller is told not to send them.
+        storage.arm_kill(storage.op_count() + 1);
+        let guarded = script().map_insert_guarded("m", 1, 1, Guard::ExpectNone);
+        assert_eq!(tick(&e, vec![add("c", 2), guarded.build()]), (2, false));
+        // The log stays failed once storage is back: the next tick's
+        // record is refused, and nothing is written past the gap.
+        storage.reboot();
+        assert_eq!(tick(&e, vec![add("c", 4)]), (1, false));
+        assert_eq!(storage.op_count(), 0);
+        assert_eq!(wal.metrics().snapshot().wal_errors, 1);
+        // A tick that logs nothing has nothing to lose.
+        assert_eq!(tick(&e, vec![script().counter_get("c").build()]), (1, true));
     }
 
     #[test]

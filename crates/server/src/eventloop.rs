@@ -20,7 +20,10 @@
 //!    transaction), appending replies to per-connection write buffers
 //!    in arrival order — per-connection FIFO falls out; under a WAL
 //!    the batcher returns once every commit record of the tick is
-//!    durable (one wait per tick, not one per record);
+//!    durable (one wait per tick, which writes and fsyncs the tick's
+//!    records itself), and a tick that cannot be made durable sends no
+//!    reply at all: its connections close unflushed and the server
+//!    stops;
 //! 5. flush write buffers until `EAGAIN`, arming `EPOLLOUT` interest
 //!    for whatever remains.
 //!
@@ -305,7 +308,7 @@ fn event_loop(
         // not.
         if !tickq.is_empty() {
             let requests = std::mem::take(&mut tickq);
-            batcher.run_tick(
+            let durable = batcher.run_tick(
                 &shared.exec,
                 requests,
                 |req| match req {
@@ -338,6 +341,16 @@ fn event_loop(
                     }
                 },
             );
+            if !durable {
+                // Fail-stop: the log lost a record of this tick, so no
+                // reply of this loop may leave. Every connection closes
+                // unflushed and the whole server drains; `Server::join`
+                // reports the failure.
+                shared.shutdown.store(true, Ordering::SeqCst);
+                for conn in conns.iter_mut().flatten() {
+                    conn.dead = true;
+                }
+            }
         }
 
         // Flush and sweep.

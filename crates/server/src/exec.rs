@@ -44,9 +44,9 @@ pub struct ScriptOutcome {
     /// Per-op results; empty unless committed.
     pub results: Vec<OpResult>,
     /// Whether the commit record reached durable storage before the
-    /// reply: `Some(true)` for a WAL-logged commit whose fsync batch
-    /// completed, `Some(false)` if the WAL hit an I/O error (the
-    /// in-memory commit stands), `None` when no record was logged
+    /// reply: `Some(true)` for a WAL-logged commit an fsync covers,
+    /// `Some(false)` if the WAL hit an I/O error or refused the record
+    /// (the in-memory commit stands), `None` when no record was logged
     /// (WAL off, read-only script, or not committed) or the wait was
     /// deferred to the end of the poll tick.
     pub wal_durable: Option<bool>,
@@ -70,6 +70,34 @@ pub(crate) fn deal_out(
         wal_durable: joint.wal_durable,
     });
     Some(outcomes.collect())
+}
+
+/// The commit records a poll tick has logged and not yet waited for.
+/// One thread enqueues a tick's records one after the other, so the
+/// last ticket the log accepted carries the tick's highest LSN.
+#[derive(Debug, Default)]
+pub(crate) struct TickRecords<'w> {
+    last: Option<Ticket<'w>>,
+    /// The log refused one of the tick's records (it was shut down, or
+    /// has failed): waiting on `last` alone would report a tick durable
+    /// whose later commits were never logged.
+    refused: bool,
+}
+
+impl<'w> TickRecords<'w> {
+    fn push(&mut self, ticket: Ticket<'w>) {
+        if ticket.lsn().is_some() {
+            self.last = Some(ticket);
+        } else {
+            self.refused = true;
+        }
+    }
+
+    /// Wait — leading the flush — until every record of the tick is
+    /// durable; `false` if one was refused or storage failed.
+    pub(crate) fn wait(self) -> bool {
+        !self.refused && self.last.is_none_or(Ticket::wait)
+    }
 }
 
 /// Connection-level counters, shared between the event loops and the
@@ -181,13 +209,12 @@ impl Executor {
         let _ = self.wal.set(wal);
     }
 
-    /// Stop and join the WAL flusher (no-op when WAL is off). Call
-    /// after the event loops have drained: everything they enqueued
-    /// gets flushed before this returns.
-    pub fn shutdown_wal(&self) {
-        if let Some(wal) = self.wal.get() {
-            wal.shutdown();
-        }
+    /// Close the WAL and flush what is pending (`true`, and a no-op,
+    /// when WAL is off). Call after the event loops have drained.
+    /// `false` if the log hit a storage error at any point: some
+    /// committed script was never made durable.
+    pub fn shutdown_wal(&self) -> bool {
+        self.wal.get().is_none_or(|wal| wal.shutdown())
     }
 
     /// Re-execute one recovered WAL record; `true` if it committed
@@ -216,18 +243,19 @@ impl Executor {
     /// [`execute`](Self::execute) / [`execute_batch`](Self::execute_batch)
     /// for a caller that acknowledges a whole poll tick at once: run
     /// `scripts` as one transaction, but instead of blocking until the
-    /// commit record is durable, push its [`Ticket`] onto `tickets`
-    /// (`wal_durable` stays `None`). The caller must wait for every
-    /// ticket before a reply of the tick leaves the process; in
-    /// exchange the tick's records share fsyncs instead of paying one
-    /// each (see [`crate::Batcher::run_tick`]). Returns the joint
-    /// outcome; [`deal_out`] splits it per script.
-    pub(crate) fn run_deferred<S: AsRef<[ScriptOp]>>(
-        &self,
+    /// commit record is durable, leave its [`Ticket`] in `tick`
+    /// (`wal_durable` stays `None`). The caller must
+    /// [`wait`](TickRecords::wait) before a reply of the tick leaves the
+    /// process; in exchange the tick's records share one write and one
+    /// fsync, issued after its last script (see
+    /// [`crate::Batcher::run_tick`]). Returns the joint outcome;
+    /// [`deal_out`] splits it per script.
+    pub(crate) fn run_deferred<'w, S: AsRef<[ScriptOp]>>(
+        &'w self,
         scripts: &[S],
-        tickets: &mut Vec<Ticket>,
+        tick: &mut TickRecords<'w>,
     ) -> ScriptOutcome {
-        self.run(Mode::Locked, scripts, Some(tickets))
+        self.run(Mode::Locked, scripts, Some(tick))
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
@@ -244,8 +272,8 @@ impl Executor {
     /// lock-manager pass (a repeat acquisition of a lock the
     /// transaction holds is the reentrant arm of
     /// `AbstractLock::acquire`, one failed compare-and-swap on the
-    /// word it already owns, ~17 ns), and one WAL record and
-    /// group-commit ticket for the concatenated ops.
+    /// word it already owns, ~17 ns), and one WAL record for the
+    /// concatenated ops.
     ///
     /// The caller passes batch-eligible scripts
     /// ([`crate::batch_eligible`]): guard-free and free of ops that can
@@ -272,11 +300,11 @@ impl Executor {
     /// the run gets an equal share of the whole run as its service time:
     /// commit included, and the WAL wait too unless it is `deferred` to
     /// the caller.
-    fn run<S: AsRef<[ScriptOp]>>(
-        &self,
+    fn run<'w, S: AsRef<[ScriptOp]>>(
+        &'w self,
         mode: Mode,
         scripts: &[S],
-        deferred: Option<&mut Vec<Ticket>>,
+        deferred: Option<&mut TickRecords<'w>>,
     ) -> ScriptOutcome {
         let t0 = begin_run_timed().then(Instant::now);
         let n = scripts.len();
@@ -288,7 +316,7 @@ impl Executor {
         let failed: Cell<Option<(u16, ScriptStatus)>> = Cell::new(None);
         // WAL ticket for the commit record. The enqueue is the last
         // statement of the transaction body: the abstract locks are
-        // still held there, so the LSN order assigned by the queue
+        // still held there, so the LSN order assigned by the log
         // equals the serialization order, and since a boosted commit
         // cannot fail after the body returns `Ok`, every enqueued
         // record corresponds to a real commit. The ticket is awaited
@@ -297,19 +325,6 @@ impl Executor {
         let all_ops = || scripts.iter().flat_map(S::as_ref);
         let wal = self.wal.get();
         let wal = wal.filter(|_| all_ops().any(|sop| op_mutates(&sop.op)));
-        // One record for the whole run: recovery replays the
-        // concatenation as one transaction, which rebuilds the state
-        // the joint commit produced. Built once — the scripts do not
-        // change across retries.
-        let joined: Vec<ScriptOp>;
-        let record: &[ScriptOp] = match scripts {
-            [one] => one.as_ref(),
-            _ if wal.is_some() => {
-                joined = all_ops().cloned().collect();
-                &joined
-            }
-            _ => &[],
-        };
         // The previous op boundary of a timed run.
         let mut last = t0;
         let objects = self.ns.resolved();
@@ -356,7 +371,11 @@ impl Executor {
                 }
             }
             if let Some(wal) = wal {
-                ticket.set(Some(wal.enqueue(record)));
+                // One record for the whole run, encoded straight from
+                // the scripts: recovery replays the concatenation as
+                // one transaction, which rebuilds the state the joint
+                // commit produced.
+                ticket.set(Some(wal.enqueue(all_ops())));
             }
             Ok(())
         };
@@ -369,15 +388,16 @@ impl Executor {
             results.clear();
         }
         // Group commit: the client's acknowledgement must imply
-        // durability. Block until the record's fsync batch is durable —
-        // or hand the ticket to a caller that holds every reply of its
-        // tick back until all of the tick's tickets are.
+        // durability. Wait until an fsync covers the record, leading
+        // the flush if nobody else does — or hand the ticket to a
+        // caller that holds every reply of its tick back until all of
+        // the tick's records are durable.
         let wal_durable = match (ticket.take(), deferred) {
-            (Some(ticket), Some(tickets)) => {
-                tickets.push(ticket);
+            (Some(ticket), Some(tick)) => {
+                tick.push(ticket);
                 None
             }
-            (ticket, _) => ticket.map(|ticket| ticket.wait()),
+            (ticket, _) => ticket.map(Ticket::wait),
         };
         if n > 1 && status != ScriptStatus::Committed {
             // The caller re-runs each script on its own; those runs do
@@ -657,8 +677,8 @@ mod tests {
         std::thread::scope(|s| s.spawn(f).join().expect("test thread panicked"))
     }
 
-    /// Attach a group-commit WAL over simulated storage (flusher
-    /// running); the storage is returned for recovery.
+    /// Attach a group-commit WAL over simulated storage; the storage
+    /// is returned for recovery.
     fn attach_sim_wal(e: &Executor) -> Arc<SimStorage> {
         let storage = Arc::new(SimStorage::new(0));
         let wal = GroupCommitWal::new(
@@ -667,9 +687,7 @@ mod tests {
             1,
             Arc::new(txboost_core::DurabilityMetrics::new()),
         );
-        let wal = Arc::new(wal.unwrap());
-        wal.spawn_flusher().unwrap();
-        e.attach_wal(wal);
+        e.attach_wal(Arc::new(wal.unwrap()));
         storage
     }
 
@@ -924,12 +942,19 @@ mod tests {
     fn execute_batch_logs_one_wal_record_for_the_run() {
         let e = exec();
         let storage = attach_sim_wal(&e);
-        let scripts = vec![script().counter_add("c", 1).build(); 4];
+        let scripts = vec![
+            script().counter_add("c", 1).build(),
+            script().counter_add("c", 2).counter_get("c").build(),
+            script().counter_add("c", 1).build(),
+        ];
         let outs = e.execute_batch(&scripts).expect("joint commit");
         assert!(outs.iter().all(|o| o.wal_durable == Some(true)));
-        e.shutdown_wal();
+        assert!(e.shutdown_wal());
         let log = recover(storage.as_ref()).unwrap();
         assert_eq!(log.records.len(), 1, "one record for the whole batch");
+        // Encoded op by op from the scripts, it decodes to their
+        // concatenation — what `encode_ops` makes of the joined list.
+        assert_eq!(log.records[0].ops, scripts.concat());
         let e2 = exec();
         assert_eq!(log.replay(|record| e2.replay_record(record)), 0);
         let probe = e2.execute(&script().counter_get("c").build());

@@ -14,7 +14,9 @@
 //! resumable frame decoders, batched reply flushes with EAGAIN-aware
 //! write interest. Independent single-object scripts arriving in the
 //! same poll tick are coalesced into one joint transaction (see
-//! [`batch`]): one lock-manager pass, one WAL group-commit ticket.
+//! [`batch`]): one lock-manager pass, one WAL record; a tick's records
+//! are made durable by one write and one fsync issued by the loop
+//! thread itself.
 //!
 //! The *server* is Linux-only: on any other target [`Server::bind`]
 //! returns [`io::ErrorKind::Unsupported`]. [`Executor`], [`Batcher`]
@@ -193,14 +195,10 @@ impl Server {
                 recovered.report.next_lsn,
                 Arc::new(txboost_core::DurabilityMetrics::new()),
             )?);
-            wal.spawn_flusher()?;
             shared.exec.attach_wal(wal);
         }
 
-        let loops = eventloop::spawn_loops(&shared, &listener).inspect_err(|_| {
-            // Nothing can enqueue: stop the flusher `bind` started.
-            shared.exec.shutdown_wal();
-        })?;
+        let loops = eventloop::spawn_loops(&shared, &listener)?;
         Ok(Server {
             shared,
             addr,
@@ -239,20 +237,23 @@ impl Server {
 
     /// Drain and join every thread. Requests shutdown if nobody has
     /// yet. In-flight requests get their replies before this returns.
-    pub fn join(self) {
+    /// `false` if the write-ahead log hit a storage error: the server
+    /// stopped itself, and the scripts of the failing tick (and any
+    /// after it) were committed in memory but never acknowledged.
+    pub fn join(self) -> bool {
         self.shutdown();
         #[cfg(target_os = "linux")]
         self.loops.join();
-        // The loops are gone, so nothing enqueues anymore; flush what
-        // remains and join the flusher. (Every acknowledged request was
-        // already durable before its reply was written.)
-        self.shared.exec.shutdown_wal();
+        // The loops are gone, so nothing enqueues anymore; close the
+        // log. (Every acknowledged request was already durable before
+        // its reply was written.)
+        self.shared.exec.shutdown_wal()
     }
 
     /// Block until a shutdown is requested (by a wire `Shutdown`
     /// frame, [`Server::shutdown`] from another thread, or — when
-    /// `sigterm` is true — SIGTERM), then drain and join.
-    pub fn wait(self, sigterm: bool) {
+    /// `sigterm` is true — SIGTERM), then drain and [`join`](Self::join).
+    pub fn wait(self, sigterm: bool) -> bool {
         let poll = self.shared.cfg.poll_interval;
         loop {
             if self.shutdown_requested() {
@@ -267,7 +268,7 @@ impl Server {
             let _ = sigterm;
             std::thread::sleep(poll);
         }
-        self.join();
+        self.join()
     }
 }
 

@@ -10,12 +10,14 @@
 //! With `--wal-dir` the server recovers and replays the write-ahead
 //! log in PATH before accepting connections, then logs every
 //! committed mutating script durably (group commit; replies are sent
-//! only after the record's fsync batch completes). Without it the
-//! server is the classic in-memory one.
+//! only after an fsync covers the record). Without it the server is the
+//! classic in-memory one.
 //!
 //! Runs until a wire `Shutdown` frame, SIGTERM, or SIGINT, then drains
 //! gracefully: in-flight transactions finish and get replies before
-//! the process exits 0. A usage error prints one line and exits 2.
+//! the process exits 0. A write-ahead-log storage error stops the
+//! server at once, unacknowledged replies unsent, with exit status 1.
+//! A usage error prints one line and exits 2.
 
 use std::str::FromStr;
 use std::time::Duration;
@@ -92,6 +94,9 @@ fn main() {
     };
     println!("txboost-server listening on {}", server.local_addr());
 
-    server.wait(true);
+    if !server.wait(true) {
+        eprintln!("txboost-server: write-ahead log storage failed; stopped without acknowledging what was not durable");
+        std::process::exit(1);
+    }
     println!("txboost-server: drained cleanly");
 }

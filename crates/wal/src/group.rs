@@ -1,21 +1,38 @@
-//! Group commit: workers enqueue commit records and block on a
-//! [`Ticket`]; a dedicated flusher drains the queue in batches, writes
-//! and fsyncs once per batch, and completes the tickets only after the
-//! batch is durable. LSNs are assigned at enqueue time — the caller
-//! enqueues *inside* the transaction, while its abstract locks are
-//! still held, so log order equals serialization order.
+//! Group commit, leader-based: one shared buffer of sealed frames, one
+//! durable watermark, and no thread of its own.
+//!
+//! [`GroupCommitWal::enqueue`] assigns the LSN and encodes the record in
+//! place at the tail of the pending buffer, under the log mutex, and
+//! wakes nobody. The caller enqueues *inside* the transaction, while its
+//! abstract locks are still held, so log order equals serialization
+//! order. [`Ticket::wait`] returns at once when the watermark already
+//! covers its LSN; otherwise it takes the writer mutex — which *is* the
+//! wait queue — and, if still not covered, **leads**: it swaps the
+//! pending buffer for the writer's spare, appends the whole run of
+//! frames in one write, fsyncs once, and only then moves the watermark.
+//! Everyone who queued behind it finds their record covered.
+//!
+//! No record is stranded: every enqueuer waits (the event loop once per
+//! tick, on its highest LSN), a waiter that finds its record pending
+//! writes it, and [`GroupCommitWal::shutdown`] flushes what is left.
+//!
+//! A storage error is **sticky**: after the first failed append or
+//! fsync nothing more is appended — a later record past the gap would
+//! be acknowledged and then cut off by recovery's LSN-continuity check
+//! — and every later `enqueue` / `wait` answers `false`.
 
-use std::collections::VecDeque;
 use std::io;
+#[cfg(feature = "deterministic")]
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use txboost_core::DurabilityMetrics;
 use txboost_wire::ScriptOp;
 
-use crate::record::{seal_record, RECORD_PREFIX_LEN};
+use crate::record::{frame_len, seal_record, RECORD_PREFIX_LEN};
 use crate::storage::Storage;
 use crate::writer::Wal;
 
@@ -25,7 +42,7 @@ use txboost_core::det;
 /// Group-commit tuning knobs.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Most records sealed into one fsync batch.
+    /// Most records made durable by one fsync.
     pub batch_max: usize,
     /// Segment size cap; the writer rolls past it.
     pub segment_bytes: u64,
@@ -40,99 +57,74 @@ impl Default for WalConfig {
     }
 }
 
-/// A worker's handle to one enqueued commit record; resolves to
-/// `true` once the record is durable, `false` if the flusher hit an
-/// I/O error (or the log was already shut down).
-#[derive(Clone)]
-pub struct Ticket {
-    inner: Arc<TicketInner>,
+/// One enqueued commit record's claim on durability: the log and the
+/// LSN it was given, nothing to allocate or complete.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket<'w> {
+    wal: &'w GroupCommitWal,
+    lsn: Option<u64>,
 }
 
-struct TicketInner {
-    state: Mutex<Option<bool>>,
-    cv: Condvar,
-}
-
-impl std::fmt::Debug for Ticket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Ticket").field(&self.try_done()).finish()
-    }
-}
-
-impl Ticket {
-    fn new() -> Ticket {
-        Ticket {
-            inner: Arc::new(TicketInner {
-                state: Mutex::new(None),
-                cv: Condvar::new(),
-            }),
-        }
+impl Ticket<'_> {
+    /// The record's LSN; `None` if the log refused it (shut down, or
+    /// failed).
+    pub fn lsn(self) -> Option<u64> {
+        self.lsn
     }
 
-    fn complete(&self, ok: bool) {
-        *self.inner.state.lock() = Some(ok);
-        self.inner.cv.notify_all();
-    }
-
-    /// Outcome if already decided, without blocking.
-    pub fn try_done(&self) -> Option<bool> {
-        *self.inner.state.lock()
-    }
-
-    /// Block until the record's batch has been fsynced (or failed).
-    /// Under a deterministic scheduler this spins on `block_tick`, so
-    /// the wait is itself schedulable and advances virtual time.
-    pub fn wait(&self) -> bool {
-        #[cfg(feature = "deterministic")]
-        if det::active() {
-            loop {
-                if let Some(ok) = *self.inner.state.lock() {
-                    return ok;
-                }
-                det::block_tick();
-            }
-        }
-        let mut state = self.inner.state.lock();
-        loop {
-            if let Some(ok) = *state {
-                return ok;
-            }
-            self.inner.cv.wait(&mut state);
-        }
+    /// Block until the record is durable, leading the flush if nobody
+    /// else has: `true` once an fsync covers it, `false` if the log
+    /// refused it or hit a storage error. Under a deterministic
+    /// scheduler the wait spins on `block_tick`, so it is itself
+    /// schedulable and advances virtual time.
+    pub fn wait(self) -> bool {
+        self.lsn.is_some_and(|lsn| self.wal.wait_durable(lsn))
     }
 }
 
+/// Sealed frames nobody has written yet, and the LSN counter.
 struct Pending {
-    lsn: u64,
-    frame: Vec<u8>,
-    ticket: Ticket,
-}
-
-struct Queue {
-    pending: VecDeque<Pending>,
+    /// `frames` sealed frames back to back, carrying LSNs
+    /// `next_lsn - frames .. next_lsn`.
+    buf: Vec<u8>,
+    frames: usize,
     next_lsn: u64,
-    stopped: bool,
+    /// No further records: shut down, or storage failed.
+    closed: bool,
 }
 
-/// The group-commit front end: a pending queue shared by workers, a
-/// single-writer [`Wal`] owned by the flusher, and the ticket
-/// plumbing between them.
+/// What the current leader owns.
+struct Writer {
+    wal: Wal,
+    /// Swapped for `Pending::buf` by each leader; empty between flushes.
+    spare: Vec<u8>,
+    /// An append or fsync failed (sticky).
+    failed: bool,
+}
+
+/// The group-commit front end. Lock order: `pending` is only ever taken
+/// alone or inside `writer`, never the reverse.
 pub struct GroupCommitWal {
-    queue: Mutex<Queue>,
-    work: Condvar,
-    writer: Mutex<Wal>,
+    pending: Mutex<Pending>,
+    writer: Mutex<Writer>,
+    /// Every LSN below this is durable. Moves only forward, only under
+    /// `writer`, only after the `sync` that covers it returned.
+    durable: AtomicU64,
     metrics: Arc<DurabilityMetrics>,
     batch_max: usize,
-    flusher: Mutex<Option<JoinHandle<()>>>,
+    /// Staged mutation for `tests/det_wal_crash.rs`.
+    #[cfg(feature = "deterministic")]
+    ack_before_sync: AtomicBool,
 }
 
 impl std::fmt::Debug for GroupCommitWal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let q = self.queue.lock();
+        let p = self.pending.lock();
         f.debug_struct("GroupCommitWal")
-            .field("pending", &q.pending.len())
-            .field("next_lsn", &q.next_lsn)
-            .field("stopped", &q.stopped)
+            .field("pending", &p.frames)
+            .field("next_lsn", &p.next_lsn)
+            .field("closed", &p.closed)
+            .field("durable", &self.durable.load(Ordering::Relaxed))
             .field("batch_max", &self.batch_max)
             .finish_non_exhaustive()
     }
@@ -148,18 +140,24 @@ impl GroupCommitWal {
         next_lsn: u64,
         metrics: Arc<DurabilityMetrics>,
     ) -> io::Result<GroupCommitWal> {
-        let writer = Wal::create(storage, cfg.segment_bytes, next_lsn, Arc::clone(&metrics))?;
+        let wal = Wal::create(storage, cfg.segment_bytes, next_lsn, Arc::clone(&metrics))?;
         Ok(GroupCommitWal {
-            queue: Mutex::new(Queue {
-                pending: VecDeque::new(),
+            pending: Mutex::new(Pending {
+                buf: Vec::new(),
+                frames: 0,
                 next_lsn,
-                stopped: false,
+                closed: false,
             }),
-            work: Condvar::new(),
-            writer: Mutex::new(writer),
+            writer: Mutex::new(Writer {
+                wal,
+                spare: Vec::new(),
+                failed: false,
+            }),
+            durable: AtomicU64::new(next_lsn),
             metrics,
             batch_max: cfg.batch_max.max(1),
-            flusher: Mutex::new(None),
+            #[cfg(feature = "deterministic")]
+            ack_before_sync: AtomicBool::new(false),
         })
     }
 
@@ -171,149 +169,143 @@ impl GroupCommitWal {
 
     /// LSN the next enqueued record will receive.
     pub fn next_lsn(&self) -> u64 {
-        self.queue.lock().next_lsn
+        self.pending.lock().next_lsn
     }
 
-    /// Hand a committed script's forward calls to the flusher. Must be
-    /// called while the transaction's abstract locks are still held
+    /// Log a committed script's forward calls: assign the next LSN and
+    /// seal the record's frame at the tail of the pending buffer. Must
+    /// be called while the transaction's abstract locks are still held
     /// (i.e. inside the transaction body, immediately before it
     /// returns `Ok`): the LSN assigned here fixes the replay order, and
     /// the locks guarantee it matches the serialization order. Await
     /// the ticket *after* commit, with the locks released.
-    pub fn enqueue(&self, ops: &[ScriptOp]) -> Ticket {
-        // One buffer per record: the ops are encoded straight into the
-        // frame, behind the bytes the LSN assigned below seals. Sized
-        // so a script of a few ops never regrows it.
-        let mut frame = Vec::with_capacity(128);
-        frame.resize(RECORD_PREFIX_LEN, 0);
-        txboost_wire::encode_ops(&mut frame, ops);
-        let ticket = Ticket::new();
-        let mut q = self.queue.lock();
-        if q.stopped {
-            drop(q);
-            ticket.complete(false);
-            return ticket;
+    pub fn enqueue<'a>(&self, ops: impl IntoIterator<Item = &'a ScriptOp>) -> Ticket<'_> {
+        let mut p = self.pending.lock();
+        if p.closed {
+            return Ticket {
+                wal: self,
+                lsn: None,
+            };
         }
-        let lsn = q.next_lsn;
-        q.next_lsn += 1;
-        seal_record(&mut frame, lsn);
-        q.pending.push_back(Pending {
-            lsn,
-            frame,
-            ticket: ticket.clone(),
-        });
-        drop(q);
-        self.work.notify_one();
-        ticket
+        let lsn = p.next_lsn;
+        let start = p.buf.len();
+        p.buf.resize(start + RECORD_PREFIX_LEN, 0);
+        txboost_wire::encode_ops_iter(&mut p.buf, ops);
+        seal_record(&mut p.buf[start..], lsn);
+        p.next_lsn += 1;
+        p.frames += 1;
+        Ticket {
+            wal: self,
+            lsn: Some(lsn),
+        }
     }
 
-    /// Seal up to `batch_max` pending records into a batch. The yield
-    /// point fires after the queue lock is released — a deterministic
-    /// scheduler must never context-switch a lock-holder.
-    fn seal_batch_det(&self) -> Vec<Pending> {
-        let batch: Vec<Pending> = {
-            let mut q = self.queue.lock();
-            let n = q.pending.len().min(self.batch_max);
-            q.pending.drain(..n).collect()
-        };
-        if !batch.is_empty() {
-            #[cfg(feature = "deterministic")]
-            det::yield_point(det::Point::WalBatchSeal);
-        }
-        batch
+    fn covers(&self, lsn: u64) -> bool {
+        lsn < self.durable.load(Ordering::Acquire)
     }
 
-    /// Drain and durably write one batch; returns whether any work was
-    /// done. On an I/O error the whole batch's tickets resolve `false`
-    /// — the in-memory commit stands, but the caller knows the record
-    /// is not durable.
-    pub fn flush_once(&self) -> bool {
-        let batch = self.seal_batch_det();
-        if batch.is_empty() {
-            return false;
-        }
-        let ok = {
-            let mut writer = self.writer.lock();
-            let mut ok = true;
-            for p in &batch {
-                if writer.append_record_det(p.lsn, &p.frame).is_err() {
-                    ok = false;
-                    break;
-                }
+    /// Take the writer mutex. Under a deterministic scheduler a logical
+    /// thread never blocks on the real mutex (its holder may be parked
+    /// at a yield point): it polls, one scheduling round per miss.
+    fn lock_writer(&self) -> MutexGuard<'_, Writer> {
+        #[cfg(feature = "deterministic")]
+        while det::active() {
+            if let Some(writer) = self.writer.try_lock() {
+                return writer;
             }
-            ok && writer.sync_det().is_ok()
-        };
-        if !ok {
-            self.metrics.record_error();
+            det::block_tick();
         }
-        for p in batch {
-            p.ticket.complete(ok);
+        self.writer.lock()
+    }
+
+    fn wait_durable(&self, lsn: u64) -> bool {
+        if self.covers(lsn) {
+            return true;
+        }
+        // Queue behind the current leader; whoever gets the mutex with
+        // its record still pending leads the next flush itself.
+        let mut writer = self.lock_writer();
+        while !self.covers(lsn) {
+            if !self.lead_det(&mut writer) {
+                return false;
+            }
         }
         true
     }
 
-    /// Start the dedicated flusher thread. Call once, after recovery.
+    /// Make the oldest pending records — at most `batch_max` — durable:
+    /// one append for the whole run of frames, one fsync, then the
+    /// watermark. `false` when nothing was pending or the log has
+    /// failed, now or earlier.
+    fn lead_det(&self, writer: &mut Writer) -> bool {
+        if writer.failed {
+            return false;
+        }
+        let (first_lsn, records) = {
+            let mut p = self.pending.lock();
+            let records = p.frames.min(self.batch_max);
+            if records == 0 {
+                return false;
+            }
+            let first_lsn = p.next_lsn - p.frames as u64;
+            if records == p.frames {
+                std::mem::swap(&mut p.buf, &mut writer.spare);
+            } else {
+                let cut = (0..records).fold(0, |at, _| at + frame_len(&p.buf[at..]));
+                writer.spare.extend_from_slice(&p.buf[..cut]);
+                p.buf.drain(..cut);
+            }
+            p.frames -= records;
+            (first_lsn, records as u64)
+        };
+        // The yield point fires after the pending lock is released —
+        // `enqueue` blocks on it for real, and a deterministic
+        // scheduler must never switch away from the holder of such a
+        // lock.
+        #[cfg(feature = "deterministic")]
+        {
+            det::yield_point(det::Point::WalBatchSeal);
+            if self.ack_before_sync.load(Ordering::Relaxed) {
+                self.durable.store(first_lsn + records, Ordering::Release);
+            }
+        }
+        let written = writer.wal.append_frames_det(first_lsn, &writer.spare);
+        let synced = written.and_then(|()| writer.wal.sync_det());
+        writer.spare.clear();
+        if synced.is_ok() {
+            self.durable.store(first_lsn + records, Ordering::Release);
+            return true;
+        }
+        writer.failed = true;
+        self.pending.lock().closed = true;
+        self.metrics.record_error();
+        false
+    }
+
+    /// Refuse further records, then flush what is pending. `false` if
+    /// the log hit a storage error, now or earlier: not every accepted
+    /// record is durable.
+    pub fn shutdown(&self) -> bool {
+        self.pending.lock().closed = true;
+        let mut writer = self.lock_writer();
+        while self.lead_det(&mut writer) {}
+        !writer.failed
+    }
+
+    /// Nothing to spawn: a waiter leads its own flush. Kept only for
+    /// the frozen `benchmark/`, which still calls it; goes with
+    /// `--io epoll` (ROADMAP item 9).
     pub fn spawn_flusher(self: &Arc<Self>) -> io::Result<()> {
-        let me = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("txboost-wal-flusher".into())
-            .spawn(move || loop {
-                if me.flush_once() {
-                    continue;
-                }
-                let mut q = me.queue.lock();
-                if q.pending.is_empty() {
-                    if q.stopped {
-                        break;
-                    }
-                    me.work.wait(&mut q);
-                }
-            })?;
-        *self.flusher.lock() = Some(handle);
         Ok(())
     }
 
-    /// Ask the flusher to drain the queue and exit. Does not join;
-    /// see [`shutdown`](GroupCommitWal::shutdown).
-    pub fn request_stop(&self) {
-        self.queue.lock().stopped = true;
-        self.work.notify_all();
-    }
-
-    /// Stop and join the flusher thread (if one was spawned), flushing
-    /// everything still pending first.
-    pub fn shutdown(&self) {
-        self.request_stop();
-        let handle = self.flusher.lock().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-
-    /// Flusher loop for deterministic tests: run it on a *logical*
-    /// thread instead of spawning a real one. Exits once
-    /// [`request_stop`](GroupCommitWal::request_stop) was called and
-    /// the queue is drained. Exactly one thread may pump at a time
-    /// (the writer lock is held across yield points on purpose — the
-    /// flusher is single by design).
-    pub fn pump_until_stopped(&self) {
-        loop {
-            if self.flush_once() {
-                continue;
-            }
-            {
-                let q = self.queue.lock();
-                if q.stopped && q.pending.is_empty() {
-                    return;
-                }
-            }
-            #[cfg(feature = "deterministic")]
-            if det::active() {
-                det::block_tick();
-                continue;
-            }
-            std::thread::yield_now();
-        }
+    /// Move the watermark *before* the fsync that covers it, so the
+    /// crash sweep can prove it notices an acknowledgement that was not
+    /// durable (the mutation check in `tests/det_wal_crash.rs`).
+    #[cfg(feature = "deterministic")]
+    #[doc(hidden)]
+    pub fn ack_before_sync_for_test(&self, on: bool) {
+        self.ack_before_sync.store(on, Ordering::Relaxed);
     }
 }
 
@@ -348,54 +340,161 @@ mod tests {
         .unwrap()
     }
 
+    fn recovered_lsns(storage: &SimStorage) -> Vec<u64> {
+        let log = recover(storage).unwrap();
+        log.records.iter().map(|r| r.lsn).collect()
+    }
+
     #[test]
-    fn manual_pump_acks_after_durability() {
+    fn a_waiter_leads_and_acks_only_what_its_fsync_covered() {
         let storage = Arc::new(SimStorage::new(3));
         let wal = new_wal(&storage, 4);
         let tickets: Vec<Ticket> = (0..10).map(|k| wal.enqueue(&script(k))).collect();
-        assert!(tickets.iter().all(|t| t.try_done().is_none()));
-        while wal.flush_once() {}
-        assert!(tickets.iter().all(super::Ticket::wait));
-        let metrics = wal.metrics().snapshot();
-        assert_eq!(metrics.records, 10);
-        assert!(metrics.batches >= 3, "batch_max 4 over 10 records");
-        let log = recover(storage.as_ref()).unwrap();
-        assert_eq!(log.records.len(), 10);
-        assert_eq!(
-            log.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
-            (1..=10).collect::<Vec<_>>()
-        );
-        assert_eq!(log.report.next_lsn, 11);
+        assert_eq!(wal.next_lsn(), 11);
+        // Nobody has waited, so nothing was written.
+        assert!(!wal.covers(1));
+        assert_eq!(wal.metrics().snapshot().records, 0);
+        // The first waiter writes its batch — and only that.
+        assert!(tickets[0].wait());
+        assert!(wal.covers(4) && !wal.covers(5));
+        let m = wal.metrics().snapshot();
+        assert_eq!((m.records, m.batches, m.append.count()), (4, 1, 1));
+        // Its followers are covered without another write.
+        assert!(tickets[1..4].iter().all(|t| t.wait()));
+        assert_eq!(wal.metrics().snapshot().batches, 1);
+        assert_eq!(recovered_lsns(&storage), (1..=4).collect::<Vec<_>>());
     }
 
     #[test]
-    fn spawned_flusher_round_trip() {
-        let storage = Arc::new(SimStorage::new(5));
-        let wal = Arc::new(new_wal(&storage, 8));
-        wal.spawn_flusher().unwrap();
-        let mut tickets = Vec::new();
-        for k in 0..50 {
-            tickets.push(wal.enqueue(&script(k)));
-        }
-        assert!(tickets.into_iter().all(|t| t.wait()));
-        wal.shutdown();
-        let log = recover(storage.as_ref()).unwrap();
-        assert_eq!(log.records.len(), 50);
-        // Enqueue after shutdown fails fast instead of hanging.
-        assert!(!wal.enqueue(&script(99)).wait());
-    }
-
-    #[test]
-    fn io_errors_fail_the_batch_tickets() {
-        let storage = Arc::new(SimStorage::new(1));
+    fn batch_max_bounds_the_records_of_one_fsync() {
+        let storage = Arc::new(SimStorage::new(3));
         let wal = new_wal(&storage, 4);
-        let t1 = wal.enqueue(&script(1));
-        while wal.flush_once() {}
-        assert!(t1.wait());
+        let tickets: Vec<Ticket> = (0..10).map(|k| wal.enqueue(&script(k))).collect();
+        // Waiting for the last leads 4 + 4 + 2.
+        assert!(tickets[9].wait());
+        let m = wal.metrics().snapshot();
+        assert_eq!((m.records, m.batches), (10, 3));
+        assert!(tickets.iter().all(|t| t.wait()));
+        assert_eq!(recovered_lsns(&storage), (1..=10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_waiters_leave_one_gapless_log() {
+        const THREADS: i64 = 8;
+        const EACH: i64 = 500;
+        let storage = Arc::new(SimStorage::new(5));
+        let wal = new_wal(&storage, 8);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let wal = &wal;
+                s.spawn(move || {
+                    for k in 0..EACH {
+                        assert!(wal.enqueue(&script(t * EACH + k)).wait());
+                    }
+                });
+            }
+        });
+        let m = wal.metrics().snapshot();
+        assert_eq!(m.records, (THREADS * EACH) as u64);
+        assert!(m.batches <= m.records);
+        assert_eq!(
+            recovered_lsns(&storage),
+            (1..=(THREADS * EACH) as u64).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn shutdown_flushes_what_nobody_waited_for_and_refuses_the_rest() {
+        let storage = Arc::new(SimStorage::new(5));
+        let wal = new_wal(&storage, 2);
+        let tickets: Vec<Ticket> = (0..5).map(|k| wal.enqueue(&script(k))).collect();
+        assert!(wal.shutdown());
+        assert!(tickets.iter().all(|t| t.wait()));
+        assert_eq!(recovered_lsns(&storage), (1..=5).collect::<Vec<_>>());
+        // Enqueue after shutdown fails fast instead of hanging.
+        let late = wal.enqueue(&script(99));
+        assert_eq!(late.lsn(), None);
+        assert!(!late.wait());
+    }
+
+    #[test]
+    fn a_storage_error_is_sticky() {
+        let storage = Arc::new(SimStorage::new(1));
+        let wal = new_wal(&storage, 1);
+        assert!(wal.enqueue(&script(1)).wait());
+        // The next storage op fails: the append of record 2. Record 3
+        // is pending behind it.
         storage.arm_kill(storage.op_count() + 1);
         let t2 = wal.enqueue(&script(2));
-        while wal.flush_once() {}
+        let t3 = wal.enqueue(&script(3));
         assert!(!t2.wait());
+        assert!(!t3.wait());
         assert_eq!(wal.metrics().snapshot().wal_errors, 1);
+        // Storage works again, but the log stays failed: it refuses new
+        // records and appends nothing past the gap, whoever asks.
+        storage.reboot();
+        let t4 = wal.enqueue(&script(4));
+        assert_eq!(t4.lsn(), None);
+        assert!(!t4.wait() && !t3.wait());
+        assert!(!wal.shutdown());
+        assert_eq!(storage.op_count(), 0);
+        assert_eq!(wal.metrics().snapshot().wal_errors, 1);
+        // Exactly the records acknowledged before the error survive.
+        assert_eq!(recovered_lsns(&storage), vec![1]);
+    }
+
+    /// Segment 7 as the per-record-`Vec`, flusher-thread log wrote it
+    /// (the commit before the leader protocol) for the two records
+    /// below: header, then one frame each.
+    const SEGMENT_BEFORE: &str = "\
+        54584257414c310a0700000000000000\
+        21000000cddbd6830700000000000000010001020462616e6bfdffffffffffffff0700000000000000\
+        2b00000060d7c55c0800000000000000020002010462616e6b05000000000000000400076170706c6965640100000000000000";
+
+    #[test]
+    fn the_on_disk_format_did_not_change() {
+        let insert = ScriptOp::guarded(
+            Op::MapInsert {
+                obj: "bank".into(),
+                key: -3,
+                val: 7,
+            },
+            Guard::ExpectNone,
+        );
+        let remove = ScriptOp::guarded(
+            Op::MapRemove {
+                obj: "bank".into(),
+                key: 5,
+            },
+            Guard::ExpectSome,
+        );
+        let add = ScriptOp::new(Op::CounterAdd {
+            obj: "applied".into(),
+            delta: 1,
+        });
+        let records = [vec![insert], vec![remove, add]];
+        let before: Vec<u8> = (0..SEGMENT_BEFORE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&SEGMENT_BEFORE[i..i + 2], 16).unwrap())
+            .collect();
+        // This log writes the same bytes, so the old code reads it...
+        let storage = Arc::new(SimStorage::new(0));
+        let wal = GroupCommitWal::new(
+            Arc::clone(&storage) as Arc<dyn Storage>,
+            &WalConfig::default(),
+            7,
+            Arc::new(DurabilityMetrics::new()),
+        )
+        .unwrap();
+        let tickets = records.each_ref().map(|ops| wal.enqueue(ops));
+        assert!(tickets.iter().all(|t| t.wait()));
+        assert_eq!(storage.dump_segment(7).unwrap(), before);
+        // ...and recovery reads the old code's bytes.
+        let old = SimStorage::new(0);
+        old.create_segment(7).unwrap();
+        old.append(7, &before).unwrap();
+        let log = recover(&old).unwrap();
+        let got: Vec<_> = log.records.iter().map(|r| (r.lsn, r.ops.clone())).collect();
+        assert_eq!(got, [7, 8].into_iter().zip(records).collect::<Vec<_>>());
     }
 }

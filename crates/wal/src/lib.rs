@@ -12,11 +12,14 @@
 //!   length, a CRC32, a log sequence number, and the script's op list
 //!   in the `txboost-wire` encoding. Segments are append-only files
 //!   named by the first LSN they contain.
-//! * **Group commit** ([`GroupCommitWal`]) — worker threads enqueue
-//!   commit records and receive a [`Ticket`]; a dedicated flusher
-//!   drains the queue in batches, appends, fsyncs once per batch, and
-//!   only then completes the tickets. Clients are acknowledged after
-//!   their record is durable.
+//! * **Group commit** ([`GroupCommitWal`]) — a committing thread seals
+//!   its record into one shared pending buffer and receives a `Copy`
+//!   [`Ticket`] (the log and an LSN). Whoever waits first on a record
+//!   still pending *leads*: one write for every pending frame, one
+//!   fsync, then the durable watermark moves and everyone queued
+//!   behind the leader is covered. There is no flusher thread; clients
+//!   are acknowledged after their record is durable, and a storage
+//!   error stops the log for good.
 //! * **Recovery** ([`recover`]) — scans the segment directory in LSN
 //!   order, truncates at the first torn or corrupt record, deletes
 //!   everything after the truncation point, and hands back the

@@ -65,6 +65,14 @@ pub fn seal_record(frame: &mut [u8], lsn: u64) {
     frame[4..RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Bytes of the sealed frame that starts `frames`, a buffer of frames
+/// laid back to back by [`seal_record`] (this process wrote them: the
+/// length fields are trusted, unlike recovery's).
+pub fn frame_len(frames: &[u8]) -> usize {
+    let len = u32::from_le_bytes([frames[0], frames[1], frames[2], frames[3]]);
+    RECORD_HEADER_LEN + len as usize
+}
+
 /// A sealed frame around raw `ops_bytes` (tests frame payloads that
 /// are not op lists).
 #[cfg(test)]

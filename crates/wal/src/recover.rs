@@ -243,8 +243,7 @@ mod tests {
         )
         .unwrap();
         let tickets: Vec<_> = (0..n).map(|k| wal.enqueue(&script(k))).collect();
-        while wal.flush_once() {}
-        assert!(tickets.into_iter().all(|t| t.wait()));
+        assert!(tickets.into_iter().all(crate::Ticket::wait));
         storage
     }
 

@@ -40,7 +40,7 @@ pub trait Storage: Send + Sync {
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
-    /// Cached append handle for the hot segment, so the flusher does
+    /// Cached append handle for the hot segment, so a leader does
     /// not reopen the file once per batch.
     active: Mutex<Option<(u64, File)>>,
 }

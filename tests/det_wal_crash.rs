@@ -2,8 +2,9 @@
 //!
 //! The deterministic scheduler makes "does recovery work after a crash
 //! at *any* point?" an enumerable question. One run = guarded token
-//! transfers through a WAL-attached server executor, with the group
-//! commit flusher pumped on its own logical thread over [`SimStorage`].
+//! transfers through a WAL-attached server executor over
+//! [`SimStorage`]; whichever logical thread waits on a pending record
+//! leads the group-commit flush, and the others queue behind it.
 //! Every storage operation (create/append/sync/truncate/delete) is one
 //! *tick*; a baseline run counts the ticks, then the same seeded
 //! schedule is re-run once per tick with the kill switch armed there.
@@ -23,7 +24,7 @@
 //! `DET_SEEDS` / `DET_SWEEP_SEED` scale the sweep in CI exactly like
 //! the other deterministic suites.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,12 +104,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 struct Shared {
     exec: Executor,
-    wal: Arc<GroupCommitWal>,
     /// Scripts whose reply carried `wal_durable == Some(true)`.
     acked: AtomicU64,
     /// Mutating scripts that committed (durably or not).
     committed: AtomicU64,
-    done: AtomicUsize,
 }
 
 /// Everything one (seed, kill tick) run leaves behind for checking.
@@ -120,10 +119,11 @@ struct RunResult {
 }
 
 /// One deterministic run: seed the bank (setup, un-scheduled), then
-/// WORKERS transfer threads + one flusher-pump thread under the
-/// seeded scheduler. `kill_at` arms the storage kill switch at that
-/// 1-based tick; `None` runs to completion.
-fn run_once(seed: u64, kill_at: Option<u64>) -> RunResult {
+/// WORKERS transfer threads under the seeded scheduler. `kill_at` arms
+/// the storage kill switch at that 1-based tick; `None` runs to
+/// completion. `ack_before_sync` stages the mutation the sweep must
+/// catch: the log moves its durable watermark before the fsync.
+fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult {
     let storage = Arc::new(SimStorage::new(seed));
     if let Some(tick) = kill_at {
         storage.arm_kill(tick);
@@ -146,6 +146,7 @@ fn run_once(seed: u64, kill_at: Option<u64>) -> RunResult {
     );
     if let Ok(wal) = wal {
         let wal = Arc::new(wal);
+        wal.ack_before_sync_for_test(ack_before_sync);
         // Seed deterministically, single-threaded, before the
         // scheduler: in-memory commit via the executor (WAL not yet
         // attached), matching log record enqueued by hand.
@@ -157,26 +158,15 @@ fn run_once(seed: u64, kill_at: Option<u64>) -> RunResult {
                 tickets.push(wal.enqueue(&ops));
             }
         }
-        while wal.flush_once() {}
-        acked += tickets
-            .iter()
-            .filter(|t| t.try_done() == Some(true))
-            .count() as u64;
+        acked += tickets.iter().filter(|t| t.wait()).count() as u64;
         exec.attach_wal(Arc::clone(&wal));
 
         let shared = Shared {
             exec,
-            wal,
             acked: AtomicU64::new(0),
             committed: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
         };
-        let report = txboost_sched::run_with_seed(seed, WORKERS + 1, |tid| {
-            if tid == WORKERS {
-                // The single flusher, pumped as a logical thread.
-                shared.wal.pump_until_stopped();
-                return;
-            }
+        let report = txboost_sched::run_with_seed(seed, WORKERS, |tid| {
             let mut rng = seed ^ (tid as u64).wrapping_mul(0x9E37_79B9);
             for _ in 0..TRANSFERS {
                 det::yield_point(det::Point::User);
@@ -193,9 +183,6 @@ fn run_once(seed: u64, kill_at: Option<u64>) -> RunResult {
                     }
                 }
             }
-            if shared.done.fetch_add(1, Ordering::Relaxed) + 1 == WORKERS {
-                shared.wal.request_stop();
-            }
         });
         assert!(
             !report.failed(),
@@ -204,6 +191,8 @@ fn run_once(seed: u64, kill_at: Option<u64>) -> RunResult {
         );
         acked += shared.acked.load(Ordering::Relaxed);
         committed += shared.committed.load(Ordering::Relaxed);
+        // Every worker waited for its own records: nothing is pending.
+        wal.shutdown();
     }
 
     RunResult {
@@ -289,10 +278,12 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
     let mut saw_partial_seed = false;
 
     for seed in txboost_sched::seeds_from_env(4) {
-        let baseline = run_once(seed, None);
+        let baseline = run_once(seed, None, false);
         let ticks = baseline.ticks;
+        // Opening the log is three ops; seeding leads three batches of
+        // an append and an fsync each. The workers' commits add theirs.
         assert!(
-            ticks > 10,
+            ticks >= 9,
             "seed {seed}: workload too small ({ticks} ticks)"
         );
         let recovered = check_recovery(&baseline, &format!("seed {seed} (no crash)"));
@@ -302,7 +293,7 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
         );
 
         for kill in 1..=ticks {
-            let run = run_once(seed, Some(kill));
+            let run = run_once(seed, Some(kill), false);
             let ctx = format!("seed {seed} kill tick {kill}/{ticks}");
             let records = check_recovery(&run, &ctx);
             saw_ack |= run.acked > 0;
@@ -328,7 +319,7 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
 /// committed-prefix checks reject the result.
 #[test]
 fn mutation_losing_the_log_head_is_caught() {
-    let run = run_once(1, None);
+    let run = run_once(1, None, false);
     run.storage.reboot();
     let ids = run.storage.list_segments().expect("list");
     assert!(!ids.is_empty());
@@ -346,4 +337,24 @@ fn mutation_losing_the_log_head_is_caught() {
         caught || lost_everything,
         "destroying the log head must be detected"
     );
+}
+
+/// Teeth check for ack-after-durable: with the log's watermark staged
+/// to move *before* the fsync that covers it, a thread queued behind
+/// the leader is acknowledged while its record sits in the page cache,
+/// and some kill tick must lose it — the sweep's first invariant
+/// (`acked <= recovered`) has to notice.
+#[test]
+fn mutation_acking_before_the_fsync_is_caught() {
+    // About three seeds in five stage the race; `any` stops at the first.
+    let caught = txboost_sched::seeds_from_env(16).any(|seed| {
+        let ticks = run_once(seed, None, true).ticks;
+        (1..=ticks).any(|kill| {
+            let run = run_once(seed, Some(kill), true);
+            run.storage.reboot();
+            let log = recover(run.storage.as_ref()).expect("recover");
+            (log.records.len() as u64) < run.acked
+        })
+    });
+    assert!(caught, "an ack before the fsync must lose an acked commit");
 }

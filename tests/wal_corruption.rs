@@ -72,9 +72,8 @@ fn build_pristine(dir: &Path) -> Pristine {
     )
     .expect("create wal");
     let tickets: Vec<_> = (0..RECORDS).map(|k| wal.enqueue(&script(k))).collect();
-    while wal.flush_once() {}
     assert!(
-        tickets.into_iter().all(|t| t.wait()),
+        tickets.into_iter().all(txboost_wal::Ticket::wait),
         "pristine build acked"
     );
 

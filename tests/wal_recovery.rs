@@ -52,19 +52,21 @@ fn crashed_storage(seed: u64) -> Arc<SimStorage> {
     let tickets: Vec<_> = (0..DURABLE_RECORDS)
         .map(|k| wal.enqueue(&script(k)))
         .collect();
-    while wal.flush_once() {}
     assert!(
-        tickets.into_iter().all(|t| t.wait()),
+        tickets.into_iter().all(txboost_wal::Ticket::wait),
         "durable prefix acked"
     );
 
-    for k in 0..TORN_RECORDS {
-        let _ = wal.enqueue(&script(DURABLE_RECORDS + k));
-    }
-    // Die two ops into the flush: the batch's appends hit the page
+    let torn: Vec<_> = (0..TORN_RECORDS)
+        .map(|k| wal.enqueue(&script(DURABLE_RECORDS + k)))
+        .collect();
+    // Die two ops into the flush: the batch's append hits the page
     // cache but the fsync never completes.
     storage.arm_kill(storage.op_count() + 2);
-    while wal.flush_once() {}
+    assert!(
+        !torn.into_iter().any(txboost_wal::Ticket::wait),
+        "nothing torn is acked"
+    );
     assert!(storage.crashed(), "the kill switch must have fired");
     storage.reboot();
     storage
