@@ -35,23 +35,10 @@ impl Default for BoostedCounter {
 impl BoostedCounter {
     /// A counter starting at zero.
     pub fn new() -> Self {
-        BoostedCounter::with_lock(TxRwLock::new())
-    }
-
-    /// A zero counter whose abstract-lock contention is attributed to
-    /// `object` in `registry`.
-    pub fn with_registry(
-        object: &'static str,
-        registry: &txboost_core::obs::ContentionRegistry,
-    ) -> Self {
-        BoostedCounter::with_lock(TxRwLock::labeled(object, registry))
-    }
-
-    fn with_lock(lock: TxRwLock) -> Self {
         let deltas = DeltaChain::new_global();
         BoostedCounter {
             base: Arc::new(Versioned::new(StripedCounter::default(), deltas)),
-            lock: Arc::new(lock),
+            lock: Arc::new(TxRwLock::new()),
         }
     }
 

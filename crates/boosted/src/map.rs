@@ -60,23 +60,10 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        BoostedHashMap::with_locks(KeyLockMap::new())
-    }
-
-    /// An empty map whose abstract-lock contention (timeouts, wait
-    /// times) is attributed to `object` in `registry`.
-    pub fn with_registry(
-        object: &'static str,
-        registry: &txboost_core::obs::ContentionRegistry,
-    ) -> Self {
-        BoostedHashMap::with_locks(KeyLockMap::labeled(object, registry))
-    }
-
-    fn with_locks(locks: KeyLockMap<K>) -> Self {
         let versions = VersionStore::new_global();
         BoostedHashMap {
             base: Arc::new(Versioned::new(StripedHashMap::new(), versions)),
-            locks,
+            locks: KeyLockMap::new(),
         }
     }
 

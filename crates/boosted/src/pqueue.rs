@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use txboost_core::locks::TxRwLock;
-use txboost_core::{ContentionRegistry, TxResult, Txn};
+use txboost_core::{TxResult, Txn};
 use txboost_linearizable::ConcurrentHeap;
 
 /// The paper's `Holder`: a key plus a logical-deletion flag, ordered by
@@ -79,16 +79,6 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
         BoostedPQueue {
             base: Arc::new(ConcurrentHeap::new()),
             lock: Arc::new(TxRwLock::new()),
-        }
-    }
-
-    /// Like [`BoostedPQueue::new`], but waits and timeout-aborts on
-    /// the queue's readers-writer abstract lock are charged to
-    /// `object` in `registry`.
-    pub fn with_registry(object: &'static str, registry: &ContentionRegistry) -> Self {
-        BoostedPQueue {
-            base: Arc::new(ConcurrentHeap::new()),
-            lock: Arc::new(TxRwLock::labeled(object, registry)),
         }
     }
 

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use txboost_core::locks::TxMutex;
-use txboost_core::{ContentionRegistry, TxResult, Txn};
+use txboost_core::{TxResult, Txn};
 use txboost_linearizable::SyncRbTreeSet;
 
 /// A transactional sorted set: synchronized sequential red-black tree
@@ -36,15 +36,6 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedRbTreeSet<K> {
         BoostedRbTreeSet {
             base: Arc::new(SyncRbTreeSet::new()),
             lock: TxMutex::new(),
-        }
-    }
-
-    /// Like [`BoostedRbTreeSet::new`], but lock waits and
-    /// timeout-aborts are charged to `object` in `registry`.
-    pub fn with_registry(object: &'static str, registry: &ContentionRegistry) -> Self {
-        BoostedRbTreeSet {
-            base: Arc::new(SyncRbTreeSet::new()),
-            lock: TxMutex::labeled(object, registry),
         }
     }
 

@@ -5,7 +5,7 @@ use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
 use txboost_core::locks::{KeyLockMap, TxMutex};
-use txboost_core::{ContentionRegistry, TxResult, Txn, VersionStore};
+use txboost_core::{TxResult, Txn, VersionStore};
 use txboost_linearizable::{LazySkipListSet, LockCouplingList};
 
 /// The abstract-lock discipline for a boosted set.
@@ -59,39 +59,11 @@ macro_rules! boosted_set {
                 Self::with_locks(SetLocks::Coarse(TxMutex::new()))
             }
 
-            /// Like [`Self::new`], but lock waits and timeout-aborts
-            /// are charged to `object` (per key stripe) in `registry`.
-            pub fn with_registry(
-                object: &'static str,
-                registry: &ContentionRegistry,
-            ) -> Self {
-                Self::with_locks(SetLocks::PerKey(KeyLockMap::labeled(object, registry)))
-            }
-
-            /// Like [`Self::with_coarse_lock`], with contention
-            /// attribution; see [`Self::with_registry`].
-            pub fn with_coarse_lock_registered(
-                object: &'static str,
-                registry: &ContentionRegistry,
-            ) -> Self {
-                Self::with_locks(SetLocks::Coarse(TxMutex::labeled(object, registry)))
-            }
-
             fn with_locks(locks: SetLocks<K>) -> Self {
                 let versions = VersionStore::new_global();
                 Self {
                     base: Arc::new(Versioned::new($base::new(), versions)),
                     locks,
-                }
-            }
-
-            /// The key stripe `key`'s contention is attributed to, or
-            /// `None` under the coarse discipline (whose single site
-            /// has no stripe).
-            pub fn key_stripe(&self, key: &K) -> Option<usize> {
-                match &self.locks {
-                    SetLocks::PerKey(map) => Some(map.stripe_of(key)),
-                    SetLocks::Coarse(_) => None,
                 }
             }
 

@@ -83,10 +83,7 @@ pub use mvcc::{
     CommitClock, CommitStamp, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry,
     Slot, SnapshotGuard, VersionStore,
 };
-pub use obs::{
-    ContentionRegistry, ContentionSnapshot, DurabilityMetrics, DurabilitySnapshot,
-    HistogramSnapshot, LatencyHistogram, LockLabel, LockSiteSnapshot, LockSiteStats,
-};
+pub use obs::{DurabilityMetrics, DurabilitySnapshot, HistogramSnapshot, LatencyHistogram};
 pub use stats::{TxnStats, TxnStatsSnapshot};
 pub use txn::{Savepoint, Txn, TxnConfig, TxnId, TxnManager, TxnState};
 

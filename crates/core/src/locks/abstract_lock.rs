@@ -40,10 +40,15 @@
 //! waiter re-reads instead of parking. Every release with the bit set
 //! notifies, a reader leaving included: the departure that leaves one
 //! reader wakes a parked upgrader, the last one wakes parked writers.
+//!
+//! The lock itself counts nothing. An acquire that had to wait, granted
+//! or timed out, charges the time to the waiting [`Txn`] — thread-
+//! confined, so a plain cell — off the [`Deadline`] the timeout reads
+//! anyway; the manager folds it into [`crate::TxnStats`] when the
+//! attempt ends. An acquire that never blocks reads no clock.
 
 use super::deadline::Deadline;
 use crate::backoff::SpinWait;
-use crate::obs::LockSiteStats;
 use crate::{Abort, TxResult, Txn, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,25 +123,12 @@ pub struct AbstractLock {
     /// whether to keep [`WAITERS`] set.
     park: Mutex<usize>,
     cv: Condvar,
-    /// Contention-attribution site; `None` (the default) skips every
-    /// recording branch so un-instrumented locks measure nothing.
-    site: Option<Arc<LockSiteStats>>,
 }
 
 impl AbstractLock {
     /// A fresh, unheld lock.
     pub fn new() -> Self {
         AbstractLock::default()
-    }
-
-    /// A fresh lock whose waits and timeouts are charged to `site`.
-    /// Many locks may share one site (e.g. every lock in one stripe of
-    /// a [`super::KeyLockMap`]).
-    pub fn with_site(site: Arc<LockSiteStats>) -> Self {
-        AbstractLock {
-            site: Some(site),
-            ..AbstractLock::default()
-        }
     }
 
     /// Acquire in `mode` for `txn`, registering with the transaction so
@@ -174,9 +166,9 @@ impl AbstractLock {
         if matches!(claim, Claim::Reentrant) {
             return Ok(());
         }
-        if let Some(site) = &self.site {
-            // No clock was read unless the acquire actually waited.
-            site.record_acquired(waited.unwrap_or_default(), waited.is_some());
+        // No clock was read unless the acquire actually waited.
+        if let Some(waited) = waited {
+            txn.charge_lock_wait(waited);
         }
         crate::trace_event!(LockAcquired {
             txn: txn.id(),
@@ -234,9 +226,7 @@ impl AbstractLock {
             };
             if timed_out {
                 drop(parked);
-                if let Some(site) = &self.site {
-                    site.record_timeout(deadline.elapsed());
-                }
+                txn.charge_lock_wait(deadline.elapsed());
                 return Err(Abort::lock_timeout());
             }
             // Make sure the release we are waiting for will notify.
@@ -504,7 +494,7 @@ mod tests {
     fn the_lock_stays_one_word_a_park_mutex_a_condvar_and_a_site() {
         // 4,096 of these per `KeyLockMap`: the shared mode must not
         // have grown the slot.
-        assert!(std::mem::size_of::<AbstractLock>() <= 40);
+        assert!(std::mem::size_of::<AbstractLock>() <= 32);
     }
 
     #[test]
@@ -541,6 +531,56 @@ mod tests {
         while lock.state.load(Ordering::Relaxed) & WAITERS == 0 {
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn a_timeout_is_one_wait_and_an_acquire_that_never_blocked_is_none() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let holder = tm.begin();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        lock.acquire(&holder, Mode::Shared).unwrap();
+        tm.commit(holder);
+        // Nothing charged means no clock read: the one `Instant::now`
+        // on this path is the `Deadline` a charge is taken from.
+        let idle = tm.stats().snapshot();
+        assert_eq!((idle.lock_waits, idle.lock_wait.count()), (0, 0));
+
+        let holder = tm.begin();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        let waiter = tm.begin();
+        assert!(lock.acquire(&waiter, Mode::Exclusive).is_err());
+        // The waiter keeps the time until its attempt ends.
+        assert_eq!(tm.stats().snapshot().lock_waits, 0);
+        tm.abort(waiter, crate::AbortReason::LockTimeout);
+        tm.commit(holder);
+        let snap = tm.stats().snapshot();
+        assert_eq!((snap.lock_timeouts, snap.lock_waits), (1, 1));
+        assert_eq!(snap.lock_wait.count(), 1);
+        assert!(snap.lock_wait.sum >= 5_000_000, "waited out the 5 ms");
+    }
+
+    #[test]
+    fn a_blocked_then_granted_acquire_is_one_wait_of_the_time_it_blocked() {
+        let tm = Arc::new(manager(20_000));
+        let lock = Arc::new(AbstractLock::new());
+        let holder = tm.begin();
+        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
+        let waiter = std::thread::spawn(move || {
+            let txn = tm2.begin();
+            lock2.acquire(&txn, Mode::Exclusive).unwrap();
+            lock2.acquire(&txn, Mode::Exclusive).unwrap(); // reentrant: no wait
+            tm2.commit(txn);
+        });
+        until_parked(&lock);
+        std::thread::sleep(Duration::from_millis(3));
+        tm.commit(holder);
+        waiter.join().unwrap();
+        let snap = tm.stats().snapshot();
+        assert_eq!((snap.lock_timeouts, snap.lock_waits), (0, 1));
+        assert_eq!(snap.lock_wait.count(), 1);
+        assert!(snap.lock_wait.sum >= 3_000_000, "parked across the sleep");
     }
 
     // In the two tests below the timeout is far beyond the test: a lost

@@ -2,7 +2,6 @@
 //! lock words: a key's abstract lock is the slot its hash selects.
 
 use super::abstract_lock::{AbstractLock, Mode};
-use crate::obs::{ContentionRegistry, LockLabel, LockSiteStats};
 use crate::{TxResult, Txn};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
@@ -13,10 +12,6 @@ use std::sync::{Arc, OnceLock};
 /// transaction falsely conflicts on an acquire with probability ≈
 /// (locks held by other live transactions) ÷ `SLOTS`.
 const SLOTS: usize = 4096;
-
-/// Contention-attribution sites per labeled table (a power of two
-/// dividing `SLOTS`): slot `i` is charged to site `i % SITES`.
-const SITES: usize = 64;
 
 /// A fixed table of [`AbstractLock`]s indexed by key hash.
 ///
@@ -44,8 +39,6 @@ pub struct KeyLockMap<K> {
     /// Locks are created on a slot's first use, so an idle table costs
     /// its slot array and nothing else.
     slots: Box<[OnceLock<Arc<AbstractLock>>]>,
-    /// Present only for tables built with [`KeyLockMap::labeled`].
-    sites: Option<Box<[Arc<LockSiteStats>]>>,
     _key: PhantomData<fn(&K)>,
 }
 
@@ -66,20 +59,7 @@ impl<K: Hash> KeyLockMap<K> {
     pub fn new() -> Self {
         KeyLockMap {
             slots: (0..SLOTS).map(|_| OnceLock::new()).collect(),
-            sites: None,
             _key: PhantomData,
-        }
-    }
-
-    /// Like [`KeyLockMap::new`], but every lock wait and timeout is
-    /// charged to `object` (per key stripe) in `registry`.
-    pub fn labeled(object: &'static str, registry: &ContentionRegistry) -> Self {
-        let sites = (0..SITES)
-            .map(|i| registry.register(LockLabel::stripe(object, i)))
-            .collect();
-        KeyLockMap {
-            sites: Some(sites),
-            ..KeyLockMap::new()
         }
     }
 
@@ -90,24 +70,13 @@ impl<K: Hash> KeyLockMap<K> {
         hash as usize & (SLOTS - 1)
     }
 
-    /// The stripe a labeled table charges `key`'s contention to.
-    pub fn stripe_of(&self, key: &K) -> usize {
-        self.slot_of(key) & (SITES - 1)
-    }
-
     /// Acquire the abstract lock for `key` on behalf of `txn`, blocking
     /// (up to the transaction's lock timeout) while another transaction
     /// holds it or a key in the same slot. The lock is held until `txn`
     /// commits or aborts; a timed-out acquisition leaves nothing behind.
     pub fn lock(&self, txn: &Txn, key: &K) -> TxResult<()> {
-        let slot = self.slot_of(key);
-        self.slots[slot]
-            .get_or_init(|| {
-                Arc::new(match &self.sites {
-                    Some(sites) => AbstractLock::with_site(Arc::clone(&sites[slot & (SITES - 1)])),
-                    None => AbstractLock::new(),
-                })
-            })
+        self.slots[self.slot_of(key)]
+            .get_or_init(Arc::default)
             .acquire(txn, Mode::Exclusive)
     }
 
@@ -204,7 +173,6 @@ mod tests {
         let (a, b) = (KeyLockMap::<i64>::new(), KeyLockMap::<i64>::new());
         for key in 0..1000 {
             assert_eq!(a.slot_of(&key), b.slot_of(&key));
-            assert_eq!(a.stripe_of(&key), a.slot_of(&key) % SITES);
         }
         let hot: std::collections::HashSet<_> = (0..16).map(|k| a.slot_of(&k)).collect();
         assert_eq!(hot.len(), 16, "the benchmark's hot keys share no slot");
@@ -219,37 +187,6 @@ mod tests {
         map.lock(&t, &"beta".to_string()).unwrap();
         assert_eq!(t.held_lock_count(), 2);
         tm.commit(t);
-    }
-
-    #[test]
-    fn labeled_table_charges_waits_and_timeouts_to_the_key_stripe() {
-        let tm = manager(5);
-        let reg = ContentionRegistry::new();
-        let map = KeyLockMap::<i64>::labeled("set", &reg);
-        let a = tm.begin();
-        map.lock(&a, &7).unwrap();
-        let b = tm.begin();
-        assert_eq!(map.lock(&b, &7).unwrap_err(), Abort::lock_timeout());
-        tm.commit(a);
-        tm.commit(b);
-        let snap = reg.snapshot();
-        assert_eq!(snap.sites.len(), SITES);
-        let stripe = map.stripe_of(&7);
-        assert_eq!(snap.sites[stripe].acquisitions, 1);
-        assert_eq!(snap.sites[stripe].timeouts, 1);
-        assert_eq!(snap.total_timeouts(), 1);
-        assert_eq!(snap.timeouts_by_object(), vec![("set", 1)]);
-        // The timed-out waiter blocked for the full 5ms window; its
-        // wait is recorded in the stripe's histogram.
-        assert!(snap.sites[stripe].wait.p99() >= 5_000_000 / 2);
-        // No other stripe saw anything.
-        let others = snap.sites.iter().enumerate().filter(|(i, _)| *i != stripe);
-        assert_eq!(
-            others
-                .map(|(_, s)| s.acquisitions + s.timeouts)
-                .sum::<u64>(),
-            0
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `TxMutex` — a single transactional two-phase lock.
 
 use super::abstract_lock::{AbstractLock, Mode};
-use crate::obs::{ContentionRegistry, LockLabel};
 use crate::{TxResult, Txn, TxnId};
 use std::sync::Arc;
 
@@ -25,16 +24,6 @@ impl TxMutex {
     /// A fresh, unowned transactional mutex.
     pub fn new() -> Self {
         TxMutex::default()
-    }
-
-    /// Like [`TxMutex::new`], but waits and timeouts are charged to
-    /// `object` in `registry`.
-    pub fn labeled(object: &'static str, registry: &ContentionRegistry) -> Self {
-        TxMutex {
-            inner: Arc::new(AbstractLock::with_site(
-                registry.register(LockLabel::object(object)),
-            )),
-        }
     }
 
     /// Acquire for `txn` (reentrant; held until commit/abort). Aborts

@@ -1,7 +1,6 @@
 //! `TxRwLock` — a two-phase transactional readers-writer lock.
 
 use super::abstract_lock::{AbstractLock, Mode};
-use crate::obs::{ContentionRegistry, LockLabel};
 use crate::{TxResult, Txn, TxnId};
 use std::sync::Arc;
 
@@ -34,16 +33,6 @@ impl TxRwLock {
     /// A fresh lock with no holders.
     pub fn new() -> Self {
         TxRwLock::default()
-    }
-
-    /// Like [`TxRwLock::new`], but waits and timeouts are charged to
-    /// `object` in `registry`.
-    pub fn labeled(object: &'static str, registry: &ContentionRegistry) -> Self {
-        TxRwLock {
-            inner: Arc::new(AbstractLock::with_site(
-                registry.register(LockLabel::object(object)),
-            )),
-        }
     }
 
     /// Acquire in shared (read) mode for `txn`.

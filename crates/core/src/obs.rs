@@ -1,30 +1,15 @@
-//! Low-overhead observability: latency histograms and per-lock
-//! contention attribution.
-//!
-//! The paper's evaluation explains boosting's advantage in terms of
-//! *where* transactions spend their time (blocked on abstract locks)
-//! and *why* they abort (lock timeouts on particular objects). This
-//! module provides the measurement substrate for that analysis:
+//! Low-overhead observability: latency histograms and the
+//! write-ahead log's counters.
 //!
 //! * [`LatencyHistogram`] — a fixed-size, lock-free power-of-two-bucket
-//!   histogram. All updates are single relaxed `fetch_add`s, so it can
-//!   sit on the hot path of lock acquisition without perturbing the
-//!   measured code.
-//! * [`LockSiteStats`] — per-lock-site counters plus a wait-time
-//!   histogram, shared by every [`crate::locks::AbstractLock`] (or lock
-//!   stripe) attributed to one site.
-//! * [`ContentionRegistry`] — the per-run collection of lock sites,
-//!   snapshotted before/after a benchmark run to attribute waits and
-//!   timeouts to the boosted object (and key stripe) that caused them.
-//!
-//! Instrumentation is strictly opt-in: locks constructed without a site
-//! (`AbstractLock::new`, `KeyLockMap::new`, ...) skip every recording
-//! branch, so un-instrumented runs measure the bare algorithm.
+//!   histogram. All updates are single relaxed `fetch_add`s. The time
+//!   transactions spend blocked on abstract locks is one of these, in
+//!   [`crate::TxnStats`]: the waiting transaction keeps the time and
+//!   its manager records it when the attempt ends.
+//! * [`DurabilityMetrics`] — append and fsync latency plus throughput
+//!   counters for the write-ahead log.
 
-use parking_lot::Mutex;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Number of power-of-two buckets; covers the full `u64` range.
@@ -179,8 +164,7 @@ impl HistogramSnapshot {
         out
     }
 
-    /// Combine two snapshots (per-bucket sum), e.g. to aggregate the
-    /// wait histograms of every stripe of one object.
+    /// Combine two snapshots (per-bucket sum).
     pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
         let mut out = *self;
         for (b, o) in out.buckets.iter_mut().zip(&other.buckets) {
@@ -188,226 +172,6 @@ impl HistogramSnapshot {
         }
         out.sum += other.sum;
         out
-    }
-}
-
-/// Identifies the lock site contention is attributed to: a boosted
-/// object, optionally narrowed to one key stripe of its lock table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LockLabel {
-    /// The boosted object (e.g. `"skiplist"`, `"heap"`).
-    pub object: &'static str,
-    /// Key stripe within the object's [`crate::locks::KeyLockMap`], if
-    /// the object uses per-key locking.
-    pub stripe: Option<usize>,
-}
-
-impl LockLabel {
-    /// A label for a whole object (coarse or RW lock disciplines).
-    pub fn object(object: &'static str) -> Self {
-        LockLabel {
-            object,
-            stripe: None,
-        }
-    }
-
-    /// A label for one key stripe of an object's lock table.
-    pub fn stripe(object: &'static str, stripe: usize) -> Self {
-        LockLabel {
-            object,
-            stripe: Some(stripe),
-        }
-    }
-}
-
-impl fmt::Display for LockLabel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.stripe {
-            Some(s) => write!(f, "{}/s{}", self.object, s),
-            None => write!(f, "{}", self.object),
-        }
-    }
-}
-
-/// Shared contention counters for one lock site (one abstract lock, or
-/// one stripe of a key-lock table). All updates are relaxed atomics.
-#[derive(Debug)]
-pub struct LockSiteStats {
-    label: LockLabel,
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    timeouts: AtomicU64,
-    wait_hist: LatencyHistogram,
-}
-
-impl LockSiteStats {
-    /// Fresh counters for `label`.
-    pub fn new(label: LockLabel) -> Self {
-        LockSiteStats {
-            label,
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            wait_hist: LatencyHistogram::new(),
-        }
-    }
-
-    /// The site's label.
-    pub fn label(&self) -> LockLabel {
-        self.label
-    }
-
-    /// Record a successful acquisition that waited `wait`;
-    /// `contended` is true when another transaction held the lock at
-    /// any point during the attempt. Only contended waits enter the
-    /// histogram — uncontended acquisitions wait ~0 by definition, and
-    /// keeping them out leaves the hot path at a single relaxed
-    /// `fetch_add` (the <5% overhead budget) while making the
-    /// percentiles mean "given that you waited, for how long".
-    #[inline]
-    pub fn record_acquired(&self, wait: Duration, contended: bool) {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if contended {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            self.wait_hist.record_duration(wait);
-        }
-    }
-
-    /// Record an acquisition that timed out after waiting `wait` (the
-    /// full timeout window) — the deadlock-recovery abort path.
-    #[inline]
-    pub fn record_timeout(&self, wait: Duration) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.wait_hist.record_duration(wait);
-    }
-
-    /// Point-in-time copy of the counters.
-    pub fn snapshot(&self) -> LockSiteSnapshot {
-        LockSiteSnapshot {
-            label: self.label,
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            wait: self.wait_hist.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of one [`LockSiteStats`].
-#[derive(Debug, Clone)]
-pub struct LockSiteSnapshot {
-    /// Which site these counters describe.
-    pub label: LockLabel,
-    /// Successful acquisitions (contended or not).
-    pub acquisitions: u64,
-    /// Acquisitions that found the lock held and had to wait.
-    pub contended: u64,
-    /// Acquisitions that timed out (each one aborts a transaction).
-    pub timeouts: u64,
-    /// Wait-time histogram (nanoseconds) of contended acquisitions and
-    /// timed-out waits; uncontended acquisitions (wait ~0) are counted
-    /// in `acquisitions` but not recorded here.
-    pub wait: HistogramSnapshot,
-}
-
-impl LockSiteSnapshot {
-    /// Counters accumulated since `earlier` (same site).
-    pub fn since(&self, earlier: &LockSiteSnapshot) -> LockSiteSnapshot {
-        debug_assert_eq!(self.label, earlier.label, "diffing unrelated sites");
-        LockSiteSnapshot {
-            label: self.label,
-            acquisitions: self.acquisitions.saturating_sub(earlier.acquisitions),
-            contended: self.contended.saturating_sub(earlier.contended),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            wait: self.wait.since(&earlier.wait),
-        }
-    }
-}
-
-/// The set of lock sites participating in one measured run.
-///
-/// Boosted objects built with a `labeled`/`with_registry` constructor
-/// register their lock sites here; the benchmark harness snapshots the
-/// registry around a run and attributes waits and timeouts per object.
-#[derive(Debug, Default)]
-pub struct ContentionRegistry {
-    sites: Mutex<Vec<Arc<LockSiteStats>>>,
-}
-
-impl ContentionRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        ContentionRegistry::default()
-    }
-
-    /// Create and track a new lock site. Called at object construction
-    /// time, never on the transactional hot path.
-    pub fn register(&self, label: LockLabel) -> Arc<LockSiteStats> {
-        let site = Arc::new(LockSiteStats::new(label));
-        self.sites.lock().push(Arc::clone(&site));
-        site
-    }
-
-    /// Snapshot every registered site.
-    pub fn snapshot(&self) -> ContentionSnapshot {
-        ContentionSnapshot {
-            sites: self.sites.lock().iter().map(|s| s.snapshot()).collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of every site in a [`ContentionRegistry`].
-#[derive(Debug, Clone, Default)]
-pub struct ContentionSnapshot {
-    /// Per-site snapshots, in registration order.
-    pub sites: Vec<LockSiteSnapshot>,
-}
-
-impl ContentionSnapshot {
-    /// Counters accumulated since `earlier`. Sites registered after
-    /// `earlier` was taken are kept whole (their counters started at
-    /// zero); registration order makes positional matching exact.
-    pub fn since(&self, earlier: &ContentionSnapshot) -> ContentionSnapshot {
-        let sites = self
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match earlier.sites.get(i) {
-                Some(e) => s.since(e),
-                None => s.clone(),
-            })
-            .collect();
-        ContentionSnapshot { sites }
-    }
-
-    /// All sites' wait histograms merged into one.
-    pub fn wait_hist(&self) -> HistogramSnapshot {
-        self.sites
-            .iter()
-            .fold(HistogramSnapshot::default(), |acc, s| acc.merge(&s.wait))
-    }
-
-    /// Timeout-aborts charged to each object (stripes of one object
-    /// summed), sorted most-blamed first. Objects with zero timeouts
-    /// are omitted.
-    pub fn timeouts_by_object(&self) -> Vec<(&'static str, u64)> {
-        let mut by_object: Vec<(&'static str, u64)> = Vec::new();
-        for s in &self.sites {
-            if s.timeouts == 0 {
-                continue;
-            }
-            match by_object.iter_mut().find(|(o, _)| *o == s.label.object) {
-                Some((_, n)) => *n += s.timeouts,
-                None => by_object.push((s.label.object, s.timeouts)),
-            }
-        }
-        by_object.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        by_object
-    }
-
-    /// Total timeout-aborts across all sites.
-    pub fn total_timeouts(&self) -> u64 {
-        self.sites.iter().map(|s| s.timeouts).sum()
     }
 }
 
@@ -501,6 +265,7 @@ pub struct DurabilitySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -586,48 +351,5 @@ mod tests {
             }
         });
         assert_eq!(h.snapshot().count(), threads as u64 * per_thread);
-    }
-
-    #[test]
-    fn registry_attributes_timeouts_per_object() {
-        let reg = ContentionRegistry::new();
-        let a0 = reg.register(LockLabel::stripe("set", 0));
-        let a1 = reg.register(LockLabel::stripe("set", 1));
-        let b = reg.register(LockLabel::object("heap"));
-
-        let before = reg.snapshot();
-        a0.record_acquired(Duration::from_nanos(50), false);
-        a0.record_timeout(Duration::from_micros(100));
-        a1.record_timeout(Duration::from_micros(100));
-        a1.record_timeout(Duration::from_micros(100));
-        b.record_acquired(Duration::from_micros(3), true);
-        let delta = reg.snapshot().since(&before);
-
-        assert_eq!(delta.total_timeouts(), 3);
-        assert_eq!(delta.timeouts_by_object(), vec![("set", 3)]);
-        // 3 timeouts + 1 contended acquisition; a0's uncontended
-        // acquisition stays out of the wait histogram.
-        assert_eq!(delta.wait_hist().count(), 4);
-        assert_eq!(delta.sites[0].label, LockLabel::stripe("set", 0));
-        assert_eq!(delta.sites[0].acquisitions, 1);
-        assert_eq!(delta.sites[0].contended, 0);
-        assert_eq!(delta.sites[2].contended, 1);
-    }
-
-    #[test]
-    fn since_keeps_sites_registered_later() {
-        let reg = ContentionRegistry::new();
-        reg.register(LockLabel::object("early"));
-        let before = reg.snapshot();
-        let late = reg.register(LockLabel::object("late"));
-        late.record_timeout(Duration::from_micros(1));
-        let delta = reg.snapshot().since(&before);
-        assert_eq!(delta.timeouts_by_object(), vec![("late", 1)]);
-    }
-
-    #[test]
-    fn labels_display_compactly() {
-        assert_eq!(LockLabel::object("heap").to_string(), "heap");
-        assert_eq!(LockLabel::stripe("set", 17).to_string(), "set/s17");
     }
 }

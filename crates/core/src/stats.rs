@@ -1,11 +1,13 @@
-//! Runtime counters: commits, aborts, lock timeouts.
+//! Runtime counters: commits, aborts, lock timeouts and lock waits.
 //!
 //! The paper's evaluation attributes much of boosting's advantage to a
 //! far lower abort rate than read/write-conflict STMs; these counters
 //! are what the benchmark harness reads to reproduce that comparison.
 
+use crate::obs::{HistogramSnapshot, LatencyHistogram};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Counter stripes per [`TxnStats`]; threads beyond this many share.
 const STRIPES: usize = 32;
@@ -22,6 +24,7 @@ struct Stripe {
     explicit_aborts: AtomicU64,
     conflict_aborts: AtomicU64,
     would_block_aborts: AtomicU64,
+    lock_waits: AtomicU64,
 }
 
 /// Stripe indices are dealt round-robin, one per thread, on a thread's
@@ -36,11 +39,15 @@ thread_local! {
 ///
 /// All counters use relaxed atomics: they are statistics, not
 /// synchronization, and must never perturb the measured code paths.
-/// Each thread adds to its own [`Stripe`]; [`TxnStats::snapshot`] sums
+/// Each thread adds to its own `Stripe`; [`TxnStats::snapshot`] sums
 /// them, so every total is exact.
 #[derive(Debug, Default)]
 pub struct TxnStats {
     stripes: [Stripe; STRIPES],
+    /// Time blocked on abstract locks, one sample per attempt that
+    /// blocked at all. Shared by every thread: an attempt that gets
+    /// here has already waited out a spin or a park.
+    lock_wait: LatencyHistogram,
 }
 
 impl TxnStats {
@@ -77,6 +84,18 @@ impl TxnStats {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one finished attempt's `blocked` lock acquires — each
+    /// found the lock held and waited, until granted or timed out —
+    /// and the time `waited` on them in all. Every abstract lock in the
+    /// process reports here through the waiting [`crate::Txn`]; an
+    /// attempt that never blocked is not recorded, so the histogram
+    /// reads "given that you waited, for how long".
+    pub fn record_lock_waits(&self, blocked: u32, waited: Duration) {
+        let blocked_acquires = &self.stripe().lock_waits;
+        blocked_acquires.fetch_add(u64::from(blocked), Ordering::Relaxed);
+        self.lock_wait.record_duration(waited);
+    }
+
     /// Take a consistent-enough snapshot of all counters. `started` is
     /// derived: an attempt ends in exactly one commit or abort, so
     /// nothing is counted when it begins. (One still running, or
@@ -98,6 +117,8 @@ impl TxnStats {
             explicit_aborts: sum(|s| &s.explicit_aborts),
             conflict_aborts: sum(|s| &s.conflict_aborts),
             would_block_aborts: sum(|s| &s.would_block_aborts),
+            lock_waits: sum(|s| &s.lock_waits),
+            lock_wait: self.lock_wait.snapshot(),
         }
     }
 }
@@ -120,6 +141,12 @@ pub struct TxnStatsSnapshot {
     pub conflict_aborts: u64,
     /// Aborts caused by conditional-synchronization timeouts.
     pub would_block_aborts: u64,
+    /// Abstract-lock acquires that found the lock held and waited,
+    /// whether granted in the end or timed out.
+    pub lock_waits: u64,
+    /// Nanoseconds blocked on abstract locks per attempt, over the
+    /// attempts that blocked at all (a timed-out one included).
+    pub lock_wait: HistogramSnapshot,
 }
 
 impl TxnStatsSnapshot {

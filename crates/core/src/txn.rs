@@ -193,6 +193,10 @@ pub struct Txn {
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
     held_locks: RefCell<InlineVec<Arc<AbstractLock>, LOCKS_INLINE>>,
     lock_timeout: Duration,
+    /// This attempt's blocked lock acquires and the time they took in
+    /// all. Written only by an acquire that had to wait; the manager
+    /// folds it into [`TxnStats`] when the attempt ends.
+    lock_waits: Cell<(u32, Duration)>,
     /// Opt out of Send/Sync: a transaction is thread-confined.
     _not_send: PhantomData<*const ()>,
 }
@@ -223,6 +227,7 @@ impl Txn {
             snapshot,
             held_locks: RefCell::new(InlineVec::default()),
             lock_timeout,
+            lock_waits: Cell::new((0, Duration::ZERO)),
             _not_send: PhantomData,
         }
     }
@@ -467,6 +472,13 @@ impl Txn {
     pub(crate) fn register_held_lock(&self, lock: Arc<AbstractLock>) {
         self.assert_active("register_held_lock");
         self.held_locks.borrow_mut().push(lock);
+    }
+
+    /// Charge one blocked lock acquire to this attempt: `waited` until
+    /// it was granted, or until it timed out.
+    pub(crate) fn charge_lock_wait(&self, waited: Duration) {
+        let (blocked, total) = self.lock_waits.get();
+        self.lock_waits.set((blocked + 1, total + waited));
     }
 
     /// Whether `lock` is on this transaction's held list. A lock word in
@@ -735,6 +747,7 @@ impl TxnManager {
         });
         txn.do_commit();
         self.stats.record_commit();
+        self.fold_lock_waits(&txn);
     }
 
     /// Abort a transaction begun with [`TxnManager::begin`]: replay its
@@ -749,6 +762,16 @@ impl TxnManager {
         });
         txn.do_rollback();
         self.stats.record_abort(reason);
+        self.fold_lock_waits(&txn);
+    }
+
+    /// Count what the finished attempt's blocked acquires cost it.
+    /// One that never blocked — nearly all of them — adds nothing.
+    fn fold_lock_waits(&self, txn: &Txn) {
+        let (blocked, waited) = txn.lock_waits.get();
+        if blocked > 0 {
+            self.stats.record_lock_waits(blocked, waited);
+        }
     }
 }
 

@@ -56,7 +56,7 @@
 //! failed: the tick's commits stand in memory but must not be
 //! acknowledged, and the server stops (see DESIGN §13).
 
-use crate::exec::{deal_out, Executor, ScriptOutcome, TickRecords};
+use crate::exec::{deal_out, op_target, Executor, ScriptOutcome, TickRecords};
 #[cfg(feature = "deterministic")]
 use txboost_core::det;
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
@@ -71,21 +71,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig { max_scripts: 64 }
-    }
-}
-
-/// Which object instance an op addresses: `(type tag, name)`. `None`
-/// for `DebugAbort`, which addresses no object.
-fn op_target(op: &Op) -> Option<(u8, &str)> {
-    match op {
-        Op::MapInsert { obj, .. } | Op::MapRemove { obj, .. } | Op::MapContains { obj, .. } => {
-            Some((0, obj))
-        }
-        Op::CounterAdd { obj, .. } | Op::CounterGet { obj } => Some((1, obj)),
-        Op::SemAcquire { obj } | Op::SemRelease { obj } => Some((2, obj)),
-        Op::IdGen { obj } => Some((3, obj)),
-        Op::PqAdd { obj, .. } | Op::PqRemoveMin { obj } => Some((4, obj)),
-        Op::DebugAbort => None,
     }
 }
 

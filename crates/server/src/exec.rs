@@ -5,8 +5,8 @@
 //! retry loop) and the observability surface the `STATS` request
 //! exports: a per-op-type call counter and service-time histogram, a
 //! whole-script service-time histogram, per-status script counters,
-//! and the contention registry that attributes lock-timeout aborts to
-//! the object (and key stripe) that caused them.
+//! and a count of lock-timeout aborts per object: the op loop holds the
+//! op whose acquire timed out, so it is what names the object.
 //!
 //! **Exact counts, sampled clocks.** Every executed op and every
 //! finished script is counted, so what `STATS` reports as `count` is
@@ -20,14 +20,16 @@
 //! public entry points wrap one private core, [`Executor::run`].
 
 use crate::namespace::{Namespace, Resolved};
+use parking_lot::Mutex;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use txboost_core::{
-    Abort, AbortReason, ContentionRegistry, HistogramSnapshot, LatencyHistogram, TxResult, Txn,
-    TxnConfig, TxnError, TxnManager,
+    Abort, AbortReason, HistogramSnapshot, LatencyHistogram, TxResult, Txn, TxnConfig, TxnError,
+    TxnManager,
 };
 use txboost_wal::{GroupCommitWal, RecoveredRecord, Ticket};
 use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
@@ -159,6 +161,10 @@ pub struct Executor {
     script_hist: LatencyHistogram,
     /// Scripts finished per status, indexed by [`ScriptStatus::index`].
     status_counts: [AtomicU64; ScriptStatus::ALL.len()],
+    /// Attempts aborted by a lock timeout, per `type:name` of the
+    /// object the timed-out op addressed. Touched only by an attempt
+    /// that has just waited out the whole lock timeout.
+    lock_timeouts: Mutex<BTreeMap<String, u64>>,
     /// Shared connection counters.
     pub conns: Arc<ConnMetrics>,
     started: Instant,
@@ -184,14 +190,14 @@ pub struct Executor {
 impl Executor {
     /// An executor over a fresh namespace.
     pub fn new(txn_config: TxnConfig, default_sem_permits: u64) -> Self {
-        let registry = Arc::new(ContentionRegistry::new());
         Executor {
-            ns: Namespace::new(Arc::clone(&registry), default_sem_permits),
+            ns: Namespace::new(default_sem_permits),
             tm: TxnManager::new(txn_config),
             op_calls: std::array::from_fn(|_| AtomicU64::new(0)),
             op_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             script_hist: LatencyHistogram::new(),
             status_counts: Default::default(),
+            lock_timeouts: Mutex::default(),
             conns: Arc::new(ConnMetrics::default()),
             started: Instant::now(),
             wal: OnceLock::new(),
@@ -351,7 +357,8 @@ impl Executor {
                     if debug_abort {
                         return give_up(ScriptStatus::DebugAborted, Abort::explicit());
                     }
-                    let r = Self::run_op(txn, &sop.op, objects)?;
+                    let r = Self::run_op(txn, &sop.op, objects)
+                        .inspect_err(|abort| self.blame(&sop.op, *abort))?;
                     // This closure re-runs on every conflict retry; an
                     // out-of-range opcode must degrade to an uncounted
                     // op, never a panic that kills the connection.
@@ -459,6 +466,20 @@ impl Executor {
         })
     }
 
+    /// Count a lock timeout against the object `op` addressed.
+    fn blame(&self, op: &Op, abort: Abort) {
+        if abort.reason() != AbortReason::LockTimeout {
+            return;
+        }
+        if let Some((kind, name)) = op_target(op) {
+            *self
+                .lock_timeouts
+                .lock()
+                .entry(format!("{kind}:{name}"))
+                .or_default() += 1;
+        }
+    }
+
     /// Render the `STATS` document: transaction counters, per-op-type
     /// call counts and service times (count/mean/p50/p99), script
     /// service time, abort attribution by object, connection counters,
@@ -478,7 +499,9 @@ impl Executor {
                     .num("aborted", txn.aborted)
                     .num("lock_timeouts", txn.lock_timeouts)
                     .num("would_block", txn.would_block_aborts)
-                    .num("explicit", txn.explicit_aborts);
+                    .num("explicit", txn.explicit_aborts)
+                    .num("lock_waits", txn.lock_waits)
+                    .hist("lock_wait", &txn.lock_wait);
             });
             doc.obj("scripts", |o| {
                 for (status, count) in ScriptStatus::ALL.iter().zip(&self.status_counts) {
@@ -500,8 +523,12 @@ impl Executor {
                     .num("fallbacks", load(&self.batch_fallbacks));
             });
             doc.obj("abort_attribution", |o| {
-                for (object, timeouts) in self.ns.registry().snapshot().timeouts_by_object() {
-                    o.num(object, timeouts);
+                let blamed = self.lock_timeouts.lock();
+                let mut blamed: Vec<_> = blamed.iter().collect();
+                // Most-blamed first; the map's name order breaks ties.
+                blamed.sort_by_key(|(_, timeouts)| std::cmp::Reverse(**timeouts));
+                for (object, timeouts) in blamed {
+                    o.num(object, *timeouts);
                 }
             });
             doc.obj("connections", |o| {
@@ -545,6 +572,22 @@ impl Executor {
             });
         });
         out
+    }
+}
+
+/// Which object instance an op addresses: `(type, name)`, the type
+/// spelled as `STATS` prefixes it. `None` for `DebugAbort`, which
+/// addresses no object.
+pub(crate) fn op_target(op: &Op) -> Option<(&'static str, &str)> {
+    match op {
+        Op::MapInsert { obj, .. } | Op::MapRemove { obj, .. } | Op::MapContains { obj, .. } => {
+            Some(("map", obj))
+        }
+        Op::CounterAdd { obj, .. } | Op::CounterGet { obj } => Some(("counter", obj)),
+        Op::SemAcquire { obj } | Op::SemRelease { obj } => Some(("sem", obj)),
+        Op::IdGen { obj } => Some(("idgen", obj)),
+        Op::PqAdd { obj, .. } | Op::PqRemoveMin { obj } => Some(("pq", obj)),
+        Op::DebugAbort => None,
     }
 }
 
@@ -1076,8 +1119,8 @@ mod tests {
     /// with a WAL attached. `benchmark/` and operators scrape these.
     const STATS_KEYS: &str = "\
         uptime_ms txn.started txn.committed txn.aborted txn.lock_timeouts txn.would_block \
-        txn.explicit scripts.committed scripts.lock_timeout scripts.would_block \
-        scripts.guard_failed scripts.debug_aborted scripts.retries_exhausted \
+        txn.explicit txn.lock_waits txn.lock_wait.# scripts.committed scripts.lock_timeout \
+        scripts.would_block scripts.guard_failed scripts.debug_aborted scripts.retries_exhausted \
         scripts.read_only_violation ops.map_insert.# ops.map_remove.# ops.map_contains.# \
         ops.counter_add.# ops.counter_get.# ops.sem_acquire.# ops.sem_release.# ops.id_gen.# \
         ops.pq_add.# ops.pq_remove_min.# ops.debug_abort.# script_service.# batch.batches \
@@ -1112,6 +1155,53 @@ mod tests {
         attach_sim_wal(&e);
         assert_eq!(paths(&e), golden(true));
         e.shutdown_wal();
+    }
+
+    #[test]
+    fn a_lock_timeout_is_blamed_on_the_object_whose_op_met_it() {
+        /// (`abort_attribution` as written, `txn.lock_timeouts`).
+        fn blamed(e: &Executor) -> (Vec<(String, u64)>, u64) {
+            let stats = leaves(&e.stats_json());
+            let total = stats.iter().find(|(path, _)| path == "txn.lock_timeouts");
+            let by_object = stats.iter().filter_map(|(path, n)| {
+                let object = path.strip_prefix("abort_attribution.")?;
+                Some((object.to_string(), *n))
+            });
+            (by_object.collect(), total.expect("txn.lock_timeouts").1)
+        }
+        let insert = script().map_insert("m", 1, 1).counter_add("c", 1).build();
+
+        // One attempt, against a key held from outside any script.
+        let config = TxnConfig {
+            lock_timeout: Duration::from_millis(5),
+            max_retries: Some(0),
+            ..TxnConfig::default()
+        };
+        let e = Executor::new(config, 4);
+        let holder = e.tm.begin();
+        e.namespace().map("m").put(&holder, 1, 0).unwrap();
+        assert_eq!(e.execute(&insert).status, ScriptStatus::LockTimeout);
+        e.tm.commit(holder);
+        assert_eq!(blamed(&e), (vec![("map:m".to_string(), 1)], 1));
+
+        // A script that retries is blamed once per timed-out attempt,
+        // whatever becomes of it: here the holder lets go after the
+        // first, and of the two objects only the contended one is named.
+        let e = exec();
+        let holder = e.tm.begin();
+        e.namespace().map("m").put(&holder, 1, 0).unwrap();
+        let out = std::thread::scope(|s| {
+            let retried = s.spawn(|| e.execute(&insert));
+            while e.tm.stats().snapshot().lock_timeouts == 0 {
+                std::thread::yield_now();
+            }
+            e.tm.commit(holder);
+            retried.join().expect("script thread panicked")
+        });
+        assert_eq!(out.status, ScriptStatus::Committed);
+        let (by_object, timeouts) = blamed(&e);
+        assert_eq!(by_object, vec![("map:m".to_string(), timeouts)]);
+        assert_eq!(u64::from(out.attempts), timeouts + 1);
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //!
 //! Namespaces are per-type — the map named `"x"` and the counter named
 //! `"x"` are distinct objects — mirroring how the wire protocol's
-//! opcodes already select the type. Every lock-bearing object is
-//! registered with the server's [`ContentionRegistry`] so `STATS` can
-//! attribute abort-causing lock timeouts to the object (and key
-//! stripe) that caused them.
+//! opcodes already select the type.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -14,7 +11,6 @@ use std::sync::{Arc, OnceLock};
 use txboost_collections::{
     BoostedCounter, BoostedHashMap, BoostedPQueue, ReleasePolicy, TSemaphore, UniqueIdGen,
 };
-use txboost_core::ContentionRegistry;
 
 /// Slots in a [`Table`]'s lock-free index (a power of two; 8 KiB of
 /// empty slots per type). The benchmark's busiest type holds 65 names.
@@ -46,8 +42,8 @@ struct Slow<T: 'static> {
     /// Objects ever created (index and spill together).
     created: usize,
     /// Leaked, so a lookup can hand out a borrow that outlives the
-    /// guard; like its label ([`intern_label`]) a spilled object lives
-    /// as long as the process. The index's own objects drop with it.
+    /// guard: a spilled object lives as long as the process. The
+    /// index's own objects drop with it.
     spill: HashMap<String, &'static T>,
 }
 
@@ -132,39 +128,21 @@ pub struct Namespace {
     sems: Table<TSemaphore>,
     idgens: Table<UniqueIdGen>,
     pqs: Table<Arc<BoostedPQueue<i64>>>,
-    registry: Arc<ContentionRegistry>,
     default_sem_permits: u64,
 }
 
-/// Intern an object label for the contention registry.
-///
-/// [`txboost_core::obs::LockLabel`] carries `&'static str` so that the
-/// hot path never touches owned strings; server object names arrive
-/// over the wire, so the first (and only the first) reference to each
-/// name leaks one small allocation. Bounded by the number of distinct
-/// object names a deployment uses — effectively a string intern table.
-fn intern_label(kind: &str, name: &str) -> &'static str {
-    Box::leak(format!("{kind}:{name}").into_boxed_str())
-}
-
 impl Namespace {
-    /// An empty namespace reporting contention to `registry`.
-    /// Semaphores are created with `default_sem_permits` permits.
-    pub fn new(registry: Arc<ContentionRegistry>, default_sem_permits: u64) -> Self {
+    /// An empty namespace. Semaphores are created with
+    /// `default_sem_permits` permits.
+    pub fn new(default_sem_permits: u64) -> Self {
         Namespace {
             maps: Table::new(),
             counters: Table::new(),
             sems: Table::new(),
             idgens: Table::new(),
             pqs: Table::new(),
-            registry,
             default_sem_permits,
         }
-    }
-
-    /// The registry objects report contention to.
-    pub fn registry(&self) -> &ContentionRegistry {
-        &self.registry
     }
 
     /// An owned handle to the map named `name`, created on first
@@ -222,23 +200,11 @@ pub(crate) struct Resolved<'s>(&'s Namespace);
 
 impl<'s> Resolved<'s> {
     pub(crate) fn map(self, name: &str) -> &'s Arc<BoostedHashMap<i64, i64>> {
-        let ns = self.0;
-        ns.maps.get_or_create(name, || {
-            Arc::new(BoostedHashMap::with_registry(
-                intern_label("map", name),
-                &ns.registry,
-            ))
-        })
+        self.0.maps.get_or_create(name, Arc::default)
     }
 
     pub(crate) fn counter(self, name: &str) -> &'s Arc<BoostedCounter> {
-        let ns = self.0;
-        ns.counters.get_or_create(name, || {
-            Arc::new(BoostedCounter::with_registry(
-                intern_label("counter", name),
-                &ns.registry,
-            ))
-        })
+        self.0.counters.get_or_create(name, Arc::default)
     }
 
     pub(crate) fn sem(self, name: &str) -> &'s TSemaphore {
@@ -254,13 +220,7 @@ impl<'s> Resolved<'s> {
     }
 
     pub(crate) fn pq(self, name: &str) -> &'s Arc<BoostedPQueue<i64>> {
-        let ns = self.0;
-        ns.pqs.get_or_create(name, || {
-            Arc::new(BoostedPQueue::with_registry(
-                intern_label("pq", name),
-                &ns.registry,
-            ))
-        })
+        self.0.pqs.get_or_create(name, Arc::default)
     }
 }
 
@@ -272,7 +232,7 @@ mod tests {
 
     #[test]
     fn objects_are_created_once_and_shared() {
-        let ns = Namespace::new(Arc::new(ContentionRegistry::new()), 3);
+        let ns = Namespace::new(3);
         let m1 = ns.map("a");
         let m2 = ns.map("a");
         assert!(Arc::ptr_eq(&m1, &m2));
@@ -284,7 +244,7 @@ mod tests {
 
     #[test]
     fn type_namespaces_are_disjoint() {
-        let ns = Namespace::new(Arc::new(ContentionRegistry::new()), 3);
+        let ns = Namespace::new(3);
         let _ = ns.map("x");
         let _ = ns.counter("x");
         let _ = ns.pq("x");
@@ -295,7 +255,7 @@ mod tests {
     fn racing_threads_create_each_object_once_past_the_index_capacity() {
         const THREADS: usize = 8;
         const NAMES: usize = INDEX_SLOTS + INDEX_SLOTS / 2;
-        let ns = Namespace::new(Arc::new(ContentionRegistry::new()), 3);
+        let ns = Namespace::new(3);
         let names: Vec<String> = (0..NAMES).map(|i| format!("c{i}")).collect();
         let created = AtomicUsize::new(0);
         let go = std::sync::Barrier::new(THREADS);
@@ -339,7 +299,7 @@ mod tests {
 
     #[test]
     fn semaphores_start_with_configured_permits() {
-        let ns = Namespace::new(Arc::new(ContentionRegistry::new()), 7);
+        let ns = Namespace::new(7);
         assert_eq!(ns.sem("gate").available(), 7);
     }
 }

@@ -60,7 +60,5 @@ pub mod prelude {
         BoostedBlockingQueue, BoostedCounter, BoostedHashMap, BoostedListSet, BoostedPQueue,
         BoostedRbTreeSet, BoostedSkipListSet, BoostedStack, TSemaphore, UniqueIdGen,
     };
-    pub use txboost_core::{
-        Abort, AbortReason, ContentionRegistry, TxResult, Txn, TxnConfig, TxnError, TxnManager,
-    };
+    pub use txboost_core::{Abort, AbortReason, TxResult, Txn, TxnConfig, TxnError, TxnManager};
 }

@@ -52,86 +52,17 @@ fn opposite_order_key_acquisition_deadlock_is_broken_by_timeouts() {
         "the deadlock never happened — victims: {}",
         snap.lock_timeouts
     );
-}
-
-#[test]
-fn deadlock_timeouts_are_attributed_to_the_contended_key_stripes() {
-    // The same engineered two-key deadlock as above, but on a set built
-    // with a contention registry: every timeout-abort must be charged
-    // to the stripe of one of the two keys the transactions crossed on,
-    // and to no other stripe.
-    let tm = Arc::new(TxnManager::new(TxnConfig {
-        lock_timeout: Duration::from_millis(5),
-        ..TxnConfig::default()
-    }));
-    let registry = Arc::new(ContentionRegistry::new());
-    let set = Arc::new(BoostedSkipListSet::with_registry("skiplist", &registry));
-    let barrier = Arc::new(Barrier::new(2));
-
-    std::thread::scope(|s| {
-        for (first, second) in [(1i64, 2i64), (2, 1)] {
-            let tm = Arc::clone(&tm);
-            let set = Arc::clone(&set);
-            let barrier = Arc::clone(&barrier);
-            s.spawn(move || {
-                let mut synced = false;
-                tm.run(|t| {
-                    set.add(t, first)?;
-                    if !synced {
-                        barrier.wait();
-                        synced = true;
-                    }
-                    set.add(t, second)?;
-                    Ok(())
-                })
-                .unwrap();
-            });
-        }
-    });
-
-    assert_eq!(set.snapshot(), vec![1, 2]);
-    let snap = tm.stats().snapshot();
-    assert_eq!(snap.committed, 2);
-    assert!(snap.lock_timeouts >= 1, "the deadlock never happened");
-
-    let contention = registry.snapshot();
-    // Every timeout the manager counted is accounted for in the
-    // registry — nothing is lost or double-charged.
-    assert_eq!(contention.total_timeouts(), snap.lock_timeouts);
-    assert_eq!(
-        contention
-            .timeouts_by_object()
-            .into_iter()
-            .map(|(object, n)| {
-                assert_eq!(object, "skiplist");
-                n
-            })
-            .sum::<u64>(),
+    // Every timeout the manager counted is accounted for, with its
+    // wait: a victim blocked, and its attempt waited out the whole 5 ms
+    // window — 2^22 ns and up, in the histogram's buckets.
+    assert!(snap.lock_waits >= snap.lock_timeouts);
+    let waited_out: u64 = snap.lock_wait.buckets[22..].iter().sum();
+    assert!(
+        waited_out >= snap.lock_timeouts,
+        "{} timeouts, {waited_out} waits of 4.2 ms or more",
         snap.lock_timeouts
     );
-    // ... and is charged to the stripe of one of the crossed keys.
-    let crossed: Vec<usize> = [1i64, 2]
-        .iter()
-        .map(|k| set.key_stripe(k).expect("per-key set has stripes"))
-        .collect();
-    for (i, site) in contention.sites.iter().enumerate() {
-        if crossed.contains(&i) {
-            // A victim waited out its full timeout window on this key.
-            if site.timeouts > 0 {
-                assert!(
-                    site.wait.p99() >= 2_500_000,
-                    "timeout charged to stripe {i} without its wait: {:?}",
-                    site.wait.p99()
-                );
-            }
-        } else {
-            assert_eq!(
-                site.timeouts, 0,
-                "timeout charged to unrelated stripe {i} ({})",
-                site.label
-            );
-        }
-    }
+    assert!(snap.lock_wait.sum >= snap.lock_timeouts * 5_000_000);
 }
 
 #[test]
