@@ -491,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn the_lock_stays_one_word_a_park_mutex_a_condvar_and_a_site() {
+    fn the_lock_stays_one_word_a_park_mutex_and_a_condvar() {
         // 4,096 of these per `KeyLockMap`: the shared mode must not
         // have grown the slot.
         assert!(std::mem::size_of::<AbstractLock>() <= 32);

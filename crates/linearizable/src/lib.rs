@@ -8,13 +8,13 @@
 //!
 //! | Module | Object | Paper analogue |
 //! |---|---|---|
-//! | [`skiplist`] | lazy skip-list set: per-node locks, lock-free reads | `ConcurrentSkipListSet` (Fig. 2) |
+//! | [`skiplist`] | lazy skip-list set: the skip-list map with unit values | `ConcurrentSkipListSet` (Fig. 2) |
 //! | [`striped_map`] | lock-striped hash map | `ConcurrentHashMap` (backs `LockKey`, Fig. 3) |
 //! | [`heap`] | Hunt-style fine-grained concurrent binary heap | the "concurrent heap implementation due to Hunt" (Fig. 5) |
 //! | [`deque`] | bounded blocking double-ended queue | `LinkedBlockingDeque` (Fig. 7) |
-//! | [`rbtree`] | sequential red-black tree + coarse-locked wrapper | the sequential red-black tree of Section 4.1 |
+//! | [`rbtree`] | red-black tree algorithm over a node store, its sequential set + coarse-locked wrapper | the sequential red-black tree of Section 4.1 |
 //! | [`list`] | lock-coupling sorted linked list | the lock-coupling list of Section 1 |
-//! | [`skipmap`] | lazy skip-list **map** (same algorithm, key→value) | `ConcurrentSkipListMap` |
+//! | [`skipmap`] | lazy skip-list **map**: per-node locks, lock-free reads | `ConcurrentSkipListMap` |
 //! | [`slab`] | concurrent slab allocator | free-storage substrate for transactional malloc/free (Sec. 2) |
 //! | [`stack`] | concurrent LIFO stack | collection-class substrate |
 //! | [`counter`] | striped counter and fetch-and-add counter | `getAndAdd()` unique-ID counter (Section 3.4) |

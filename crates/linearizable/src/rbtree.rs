@@ -1,5 +1,5 @@
-//! A sequential red-black tree set and its coarse-locked linearizable
-//! wrapper.
+//! The red-black tree of Section 4.1: one algorithm, its sequential
+//! set, and that set's coarse-locked linearizable wrapper.
 //!
 //! Section 4.1 of the paper starts from "a sequential red-black tree
 //! implementation" and derives two competitors:
@@ -9,14 +9,25 @@
 //!   a linearizable base type with no thread-level concurrency, then
 //!   protects the transactional wrapper with a single two-phase lock;
 //! * the **shadow-copy** class feeds the same sequential code to the
-//!   read/write STM (`txboost-rwstm` in this repo).
+//!   read/write STM: `txboost-rwstm`'s `StmRbTreeSet` is a
+//!   [`NodeStore`] with one `StmVar` per node, so the code below runs
+//!   there unchanged, every node it reads joining the read set and
+//!   every node it updates copied into the write set.
 //!
-//! [`RbTreeSet`] is a classic CLRS red-black tree over an index arena
-//! (no per-node allocation churn, no parent-pointer `Rc` cycles), with
-//! an internal invariant checker used heavily by the tests.
+//! The algorithm is CLRS's — find, insert with its fixup, delete with
+//! transplant and its fixup, both rotations, an in-order walk and an
+//! invariant checker — written once, as [`NodeStore`]'s provided
+//! methods, against six storage operations. It reads a node whole, by
+//! value, wherever it needs any field of it: that is the STM's unit of
+//! conflict, and in [`RbTreeSet`]'s `Vec` arena (no per-node allocation
+//! churn, no parent-pointer `Rc` cycles) it is a copy of the node, key
+//! included.
 
 use parking_lot::Mutex;
+use std::cmp::Ordering;
+use std::convert::Infallible;
 
+/// The index that names no node (see [`NodeStore`]).
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +36,441 @@ enum Color {
     Black,
 }
 
+/// Child sides, indexing [`RbNode`]'s `child`. CLRS writes each
+/// rotation and fixup case once and gets its mirror by exchanging left
+/// and right; so does this code, with `1 - side` the other side.
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
+/// A tree node as a [`NodeStore`] keeps it: a key, a colour and its
+/// parent and child indices. Opaque: a store only holds, copies and
+/// hands back what the algorithm gives it.
 #[derive(Debug, Clone)]
-struct Node<K> {
+pub struct RbNode<K> {
     key: K,
     color: Color,
-    left: usize,
-    right: usize,
+    child: [usize; 2],
     parent: usize,
+}
+
+/// Where a red-black tree keeps its nodes; the provided methods are
+/// the tree.
+///
+/// Nodes are addressed by `usize`, and `usize::MAX` names no node (the
+/// empty tree's root, a leaf's missing child). A store operation that
+/// fails stops the algorithm midway and its error comes back out
+/// unchanged: a sequential store never fails (`Infallible`), a
+/// transactional one aborts and relies on its transaction to discard
+/// the half-done update.
+pub trait NodeStore {
+    /// The set's element type.
+    type Key: Ord + Clone;
+    /// Why a store operation failed.
+    type Error;
+
+    /// The root's index.
+    fn root(&self) -> Result<usize, Self::Error>;
+    /// Make `x` the root.
+    fn set_root(&mut self, x: usize);
+    /// A copy of node `x`.
+    fn node(&self, x: usize) -> Result<RbNode<Self::Key>, Self::Error>;
+    /// Apply `f` to node `x`.
+    fn update(
+        &mut self,
+        x: usize,
+        f: impl FnOnce(&mut RbNode<Self::Key>),
+    ) -> Result<(), Self::Error>;
+    /// Keep `node` in a free slot and return the slot's index.
+    fn alloc(&mut self, node: RbNode<Self::Key>) -> Result<usize, Self::Error>;
+    /// Give back slot `x`, already unlinked from the tree.
+    fn free(&mut self, x: usize) -> Result<(), Self::Error>;
+
+    /// Whether `key` is in the set.
+    fn contains(&self, key: &Self::Key) -> Result<bool, Self::Error> {
+        Ok(find(self, key)? != NIL)
+    }
+
+    /// Insert `key`; returns `true` iff the set changed.
+    fn add(&mut self, key: Self::Key) -> Result<bool, Self::Error> {
+        let mut parent = NIL;
+        let mut x = self.root()?;
+        while x != NIL {
+            parent = x;
+            let n = self.node(x)?;
+            match key.cmp(&n.key) {
+                Ordering::Less => x = n.child[LEFT],
+                Ordering::Greater => x = n.child[RIGHT],
+                Ordering::Equal => return Ok(false),
+            }
+        }
+        // Parent set by a second update: the STM store counts it (Fig. 9).
+        let z = self.alloc(RbNode {
+            key: key.clone(),
+            color: Color::Red,
+            child: [NIL; 2],
+            parent: NIL,
+        })?;
+        self.update(z, |n| n.parent = parent)?;
+        if parent == NIL {
+            self.set_root(z);
+        } else {
+            let side = if key < self.node(parent)?.key {
+                LEFT
+            } else {
+                RIGHT
+            };
+            self.update(parent, |n| n.child[side] = z)?;
+        }
+        insert_fixup(self, z)?;
+        Ok(true)
+    }
+
+    /// Remove `key`; returns `true` iff the set changed.
+    fn remove(&mut self, key: &Self::Key) -> Result<bool, Self::Error> {
+        let z = find(self, key)?;
+        if z == NIL {
+            return Ok(false);
+        }
+        // CLRS delete. `x` is the node that moves into `y`'s old
+        // position; `x_parent` tracks its parent because `x` may be NIL
+        // (there is no sentinel node).
+        let zn = self.node(z)?;
+        let mut y_color = zn.color;
+        let x;
+        let x_parent;
+        if zn.child[LEFT] == NIL || zn.child[RIGHT] == NIL {
+            // At most one child: it takes `z`'s place.
+            x = if zn.child[LEFT] == NIL {
+                zn.child[RIGHT]
+            } else {
+                zn.child[LEFT]
+            };
+            x_parent = zn.parent;
+            transplant(self, z, x)?;
+        } else {
+            let y = minimum(self, zn.child[RIGHT])?;
+            let yn = self.node(y)?;
+            y_color = yn.color;
+            x = yn.child[RIGHT];
+            if yn.parent == z {
+                x_parent = y;
+            } else {
+                x_parent = yn.parent;
+                transplant(self, y, x)?;
+                let zr = self.node(z)?.child[RIGHT];
+                self.update(y, |n| n.child[RIGHT] = zr)?;
+                self.update(zr, |n| n.parent = y)?;
+            }
+            transplant(self, z, y)?;
+            let zl = self.node(z)?.child[LEFT];
+            self.update(y, |n| n.child[LEFT] = zl)?;
+            self.update(zl, |n| n.parent = y)?;
+            let zc = self.node(z)?.color;
+            set_color(self, y, zc)?;
+        }
+        self.free(z)?;
+        if y_color == Color::Black {
+            delete_fixup(self, x, x_parent)?;
+        }
+        Ok(true)
+    }
+
+    /// Keys in ascending order.
+    fn to_sorted_vec(&self) -> Result<Vec<Self::Key>, Self::Error> {
+        let mut out = Vec::new();
+        let mut stack = Vec::new();
+        let mut x = self.root()?;
+        while x != NIL || !stack.is_empty() {
+            while x != NIL {
+                stack.push(x);
+                x = self.node(x)?.child[LEFT];
+            }
+            let n = self.node(stack.pop().unwrap())?;
+            out.push(n.key);
+            x = n.child[RIGHT];
+        }
+        Ok(out)
+    }
+
+    /// Validate every red-black invariant, parent pointers included;
+    /// the inner result is the tree's black height or what is broken.
+    fn check_invariants(&self) -> Result<Result<usize, String>, Self::Error> {
+        let root = self.root()?;
+        if root != NIL && self.node(root)?.color == Color::Red {
+            return Ok(Err("root is red".into()));
+        }
+        check_subtree(self, root, NIL, None, None)
+    }
+}
+
+fn find<S: NodeStore + ?Sized>(s: &S, key: &S::Key) -> Result<usize, S::Error> {
+    let mut x = s.root()?;
+    while x != NIL {
+        let n = s.node(x)?;
+        match key.cmp(&n.key) {
+            Ordering::Less => x = n.child[LEFT],
+            Ordering::Greater => x = n.child[RIGHT],
+            Ordering::Equal => return Ok(x),
+        }
+    }
+    Ok(NIL)
+}
+
+fn color<S: NodeStore + ?Sized>(s: &S, x: usize) -> Result<Color, S::Error> {
+    if x == NIL {
+        Ok(Color::Black)
+    } else {
+        Ok(s.node(x)?.color)
+    }
+}
+
+fn set_color<S: NodeStore + ?Sized>(s: &mut S, x: usize, c: Color) -> Result<(), S::Error> {
+    if x != NIL {
+        s.update(x, |n| n.color = c)?;
+    }
+    Ok(())
+}
+
+fn parent<S: NodeStore + ?Sized>(s: &S, x: usize) -> Result<usize, S::Error> {
+    if x == NIL {
+        Ok(NIL)
+    } else {
+        Ok(s.node(x)?.parent)
+    }
+}
+
+/// `parent` (NIL: the root slot) adopts `y` where it had `x`.
+fn replace_child<S: NodeStore + ?Sized>(
+    s: &mut S,
+    parent: usize,
+    x: usize,
+    y: usize,
+) -> Result<(), S::Error> {
+    if parent == NIL {
+        s.set_root(y);
+        Ok(())
+    } else {
+        s.update(parent, |n| {
+            let side = if n.child[LEFT] == x { LEFT } else { RIGHT };
+            n.child[side] = y;
+        })
+    }
+}
+
+/// Rotate `x` down to `side` (CLRS LEFT-ROTATE for `LEFT`): its child
+/// on the other side takes its place.
+fn rotate<S: NodeStore + ?Sized>(s: &mut S, x: usize, side: usize) -> Result<(), S::Error> {
+    let other = 1 - side;
+    let xn = s.node(x)?;
+    let y = xn.child[other];
+    let inner = s.node(y)?.child[side];
+    s.update(x, |n| n.child[other] = inner)?;
+    if inner != NIL {
+        s.update(inner, |n| n.parent = x)?;
+    }
+    s.update(y, |n| n.parent = xn.parent)?;
+    replace_child(s, xn.parent, x, y)?;
+    s.update(y, |n| n.child[side] = x)?;
+    s.update(x, |n| n.parent = y)
+}
+
+fn insert_fixup<S: NodeStore + ?Sized>(s: &mut S, mut z: usize) -> Result<(), S::Error> {
+    loop {
+        let p = parent(s, z)?;
+        if color(s, p)? != Color::Red {
+            break;
+        }
+        let g = parent(s, p)?;
+        let gn = s.node(g)?;
+        // `p` hangs off `g` at `side`; the uncle is on the other.
+        let side = if p == gn.child[LEFT] { LEFT } else { RIGHT };
+        let uncle = gn.child[1 - side];
+        if color(s, uncle)? == Color::Red {
+            set_color(s, p, Color::Black)?;
+            set_color(s, uncle, Color::Black)?;
+            set_color(s, g, Color::Red)?;
+            z = g;
+        } else {
+            if z == s.node(p)?.child[1 - side] {
+                z = p;
+                rotate(s, z, side)?;
+            }
+            let p = parent(s, z)?;
+            let g = parent(s, p)?;
+            set_color(s, p, Color::Black)?;
+            set_color(s, g, Color::Red)?;
+            rotate(s, g, 1 - side)?;
+        }
+    }
+    let r = s.root()?;
+    set_color(s, r, Color::Black)
+}
+
+fn minimum<S: NodeStore + ?Sized>(s: &S, mut x: usize) -> Result<usize, S::Error> {
+    loop {
+        let l = s.node(x)?.child[LEFT];
+        if l == NIL {
+            return Ok(x);
+        }
+        x = l;
+    }
+}
+
+/// `u`'s parent adopts `v` in `u`'s place (`v` may be NIL).
+fn transplant<S: NodeStore + ?Sized>(s: &mut S, u: usize, v: usize) -> Result<(), S::Error> {
+    let up = s.node(u)?.parent;
+    replace_child(s, up, u, v)?;
+    if v != NIL {
+        s.update(v, |n| n.parent = up)?;
+    }
+    Ok(())
+}
+
+fn delete_fixup<S: NodeStore + ?Sized>(
+    s: &mut S,
+    mut x: usize,
+    mut x_parent: usize,
+) -> Result<(), S::Error> {
+    loop {
+        let root = s.root()?;
+        if x == root || color(s, x)? != Color::Black || x_parent == NIL {
+            break;
+        }
+        // `x` hangs off `x_parent` at `side`; its sibling `w` is on the
+        // other.
+        let pn = s.node(x_parent)?;
+        let side = if x == pn.child[LEFT] { LEFT } else { RIGHT };
+        let other = 1 - side;
+        let mut w = pn.child[other];
+        if color(s, w)? == Color::Red {
+            set_color(s, w, Color::Black)?;
+            set_color(s, x_parent, Color::Red)?;
+            rotate(s, x_parent, side)?;
+            w = s.node(x_parent)?.child[other];
+        }
+        let wn = s.node(w)?;
+        if color(s, wn.child[side])? == Color::Black && color(s, wn.child[other])? == Color::Black {
+            set_color(s, w, Color::Red)?;
+            x = x_parent;
+            x_parent = parent(s, x)?;
+        } else {
+            if color(s, wn.child[other])? == Color::Black {
+                let near = s.node(w)?.child[side];
+                set_color(s, near, Color::Black)?;
+                set_color(s, w, Color::Red)?;
+                rotate(s, w, other)?;
+                w = s.node(x_parent)?.child[other];
+            }
+            let pc = color(s, x_parent)?;
+            set_color(s, w, pc)?;
+            set_color(s, x_parent, Color::Black)?;
+            let far = s.node(w)?.child[other];
+            set_color(s, far, Color::Black)?;
+            rotate(s, x_parent, side)?;
+            x = s.root()?;
+            x_parent = NIL;
+        }
+    }
+    set_color(s, x, Color::Black)
+}
+
+/// Check the subtree at `x`, whose parent must be `parent` and whose
+/// keys must lie strictly between `min` and `max`; the inner result is
+/// its black height.
+fn check_subtree<S: NodeStore + ?Sized>(
+    s: &S,
+    x: usize,
+    parent: usize,
+    min: Option<&S::Key>,
+    max: Option<&S::Key>,
+) -> Result<Result<usize, String>, S::Error> {
+    if x == NIL {
+        return Ok(Ok(1)); // NIL counts as black
+    }
+    let n = s.node(x)?;
+    if n.parent != parent {
+        return Ok(Err("wrong parent pointer".into()));
+    }
+    if min.is_some_and(|lo| n.key <= *lo) {
+        return Ok(Err("BST order violated (left bound)".into()));
+    }
+    if max.is_some_and(|hi| n.key >= *hi) {
+        return Ok(Err("BST order violated (right bound)".into()));
+    }
+    let [left, right] = n.child;
+    if n.color == Color::Red && (color(s, left)? == Color::Red || color(s, right)? == Color::Red) {
+        return Ok(Err("red node has a red child".into()));
+    }
+    let lh = match check_subtree(s, left, x, min, Some(&n.key))? {
+        Ok(h) => h,
+        e @ Err(_) => return Ok(e),
+    };
+    let rh = match check_subtree(s, right, x, Some(&n.key), max)? {
+        Ok(h) => h,
+        e @ Err(_) => return Ok(e),
+    };
+    if lh != rh {
+        return Ok(Err(format!("black-height mismatch: {lh} vs {rh}")));
+    }
+    Ok(Ok(lh + usize::from(n.color == Color::Black)))
+}
+
+/// [`RbTreeSet`]'s store: a `Vec` arena whose freed slots are reused.
+#[derive(Debug)]
+struct Arena<K> {
+    nodes: Vec<RbNode<K>>,
+    free: Vec<usize>,
+    root: usize,
+}
+
+impl<K> Default for Arena<K> {
+    fn default() -> Self {
+        Arena {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
+        }
+    }
+}
+
+impl<K: Ord + Clone> NodeStore for Arena<K> {
+    type Key = K;
+    type Error = Infallible;
+
+    fn root(&self) -> Result<usize, Infallible> {
+        Ok(self.root)
+    }
+
+    fn set_root(&mut self, x: usize) {
+        self.root = x;
+    }
+
+    fn node(&self, x: usize) -> Result<RbNode<K>, Infallible> {
+        Ok(self.nodes[x].clone())
+    }
+
+    fn update(&mut self, x: usize, f: impl FnOnce(&mut RbNode<K>)) -> Result<(), Infallible> {
+        f(&mut self.nodes[x]);
+        Ok(())
+    }
+
+    fn alloc(&mut self, node: RbNode<K>) -> Result<usize, Infallible> {
+        Ok(match self.free.pop() {
+            Some(i) => {
+                self.nodes[i] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        })
+    }
+
+    fn free(&mut self, x: usize) -> Result<(), Infallible> {
+        self.free.push(x);
+        Ok(())
+    }
 }
 
 /// A sequential red-black tree implementing a sorted set.
@@ -41,9 +480,7 @@ struct Node<K> {
 /// [`check_invariants`](RbTreeSet::check_invariants)).
 #[derive(Debug, Default)]
 pub struct RbTreeSet<K> {
-    nodes: Vec<Node<K>>,
-    free: Vec<usize>,
-    root: usize,
+    arena: Arena<K>,
     len: usize,
 }
 
@@ -51,9 +488,7 @@ impl<K: Ord + Clone> RbTreeSet<K> {
     /// An empty set.
     pub fn new() -> Self {
         RbTreeSet {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
+            arena: Arena::default(),
             len: 0,
         }
     }
@@ -68,391 +503,38 @@ impl<K: Ord + Clone> RbTreeSet<K> {
         self.len == 0
     }
 
-    fn alloc(&mut self, key: K) -> usize {
-        let node = Node {
-            key,
-            color: Color::Red,
-            left: NIL,
-            right: NIL,
-            parent: NIL,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    fn color(&self, x: usize) -> Color {
-        if x == NIL {
-            Color::Black
-        } else {
-            self.nodes[x].color
-        }
-    }
-
-    fn set_color(&mut self, x: usize, c: Color) {
-        if x != NIL {
-            self.nodes[x].color = c;
-        }
-    }
-
-    fn left(&self, x: usize) -> usize {
-        self.nodes[x].left
-    }
-
-    fn right(&self, x: usize) -> usize {
-        self.nodes[x].right
-    }
-
-    fn parent(&self, x: usize) -> usize {
-        if x == NIL {
-            NIL
-        } else {
-            self.nodes[x].parent
-        }
-    }
-
-    fn rotate_left(&mut self, x: usize) {
-        let y = self.right(x);
-        debug_assert_ne!(y, NIL);
-        let yl = self.left(y);
-        self.nodes[x].right = yl;
-        if yl != NIL {
-            self.nodes[yl].parent = x;
-        }
-        let xp = self.parent(x);
-        self.nodes[y].parent = xp;
-        if xp == NIL {
-            self.root = y;
-        } else if self.left(xp) == x {
-            self.nodes[xp].left = y;
-        } else {
-            self.nodes[xp].right = y;
-        }
-        self.nodes[y].left = x;
-        self.nodes[x].parent = y;
-    }
-
-    fn rotate_right(&mut self, x: usize) {
-        let y = self.left(x);
-        debug_assert_ne!(y, NIL);
-        let yr = self.right(y);
-        self.nodes[x].left = yr;
-        if yr != NIL {
-            self.nodes[yr].parent = x;
-        }
-        let xp = self.parent(x);
-        self.nodes[y].parent = xp;
-        if xp == NIL {
-            self.root = y;
-        } else if self.left(xp) == x {
-            self.nodes[xp].left = y;
-        } else {
-            self.nodes[xp].right = y;
-        }
-        self.nodes[y].right = x;
-        self.nodes[x].parent = y;
-    }
-
-    fn find_node(&self, key: &K) -> usize {
-        let mut x = self.root;
-        while x != NIL {
-            match key.cmp(&self.nodes[x].key) {
-                std::cmp::Ordering::Less => x = self.left(x),
-                std::cmp::Ordering::Greater => x = self.right(x),
-                std::cmp::Ordering::Equal => return x,
-            }
-        }
-        NIL
-    }
-
     /// Whether `key` is in the set.
     pub fn contains(&self, key: &K) -> bool {
-        self.find_node(key) != NIL
+        let Ok(found) = self.arena.contains(key);
+        found
     }
 
     /// Insert `key`; returns `true` iff the set changed.
     pub fn add(&mut self, key: K) -> bool {
-        let mut parent = NIL;
-        let mut x = self.root;
-        while x != NIL {
-            parent = x;
-            match key.cmp(&self.nodes[x].key) {
-                std::cmp::Ordering::Less => x = self.left(x),
-                std::cmp::Ordering::Greater => x = self.right(x),
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        let z = self.alloc(key);
-        self.nodes[z].parent = parent;
-        if parent == NIL {
-            self.root = z;
-        } else if self.nodes[z].key < self.nodes[parent].key {
-            self.nodes[parent].left = z;
-        } else {
-            self.nodes[parent].right = z;
-        }
-        self.insert_fixup(z);
-        self.len += 1;
-        true
-    }
-
-    fn insert_fixup(&mut self, mut z: usize) {
-        while self.color(self.parent(z)) == Color::Red {
-            let p = self.parent(z);
-            let g = self.parent(p);
-            if p == self.left(g) {
-                let u = self.right(g);
-                if self.color(u) == Color::Red {
-                    self.set_color(p, Color::Black);
-                    self.set_color(u, Color::Black);
-                    self.set_color(g, Color::Red);
-                    z = g;
-                } else {
-                    if z == self.right(p) {
-                        z = p;
-                        self.rotate_left(z);
-                    }
-                    let p = self.parent(z);
-                    let g = self.parent(p);
-                    self.set_color(p, Color::Black);
-                    self.set_color(g, Color::Red);
-                    self.rotate_right(g);
-                }
-            } else {
-                let u = self.left(g);
-                if self.color(u) == Color::Red {
-                    self.set_color(p, Color::Black);
-                    self.set_color(u, Color::Black);
-                    self.set_color(g, Color::Red);
-                    z = g;
-                } else {
-                    if z == self.left(p) {
-                        z = p;
-                        self.rotate_right(z);
-                    }
-                    let p = self.parent(z);
-                    let g = self.parent(p);
-                    self.set_color(p, Color::Black);
-                    self.set_color(g, Color::Red);
-                    self.rotate_left(g);
-                }
-            }
-        }
-        let r = self.root;
-        self.set_color(r, Color::Black);
-    }
-
-    fn minimum(&self, mut x: usize) -> usize {
-        while self.left(x) != NIL {
-            x = self.left(x);
-        }
-        x
-    }
-
-    /// `u`'s parent adopts `v` in `u`'s place (`v` may be NIL).
-    fn transplant(&mut self, u: usize, v: usize) {
-        let up = self.parent(u);
-        if up == NIL {
-            self.root = v;
-        } else if u == self.left(up) {
-            self.nodes[up].left = v;
-        } else {
-            self.nodes[up].right = v;
-        }
-        if v != NIL {
-            self.nodes[v].parent = up;
-        }
+        let Ok(added) = self.arena.add(key);
+        self.len += usize::from(added);
+        added
     }
 
     /// Remove `key`; returns `true` iff the set changed.
     pub fn remove(&mut self, key: &K) -> bool {
-        let z = self.find_node(key);
-        if z == NIL {
-            return false;
-        }
-        // CLRS delete. `x` is the node that moves into `y`'s old
-        // position; `x_parent` tracks its parent because `x` may be NIL
-        // (the arena has no sentinel node).
-        let mut y = z;
-        let mut y_color = self.color(y);
-        let x;
-        let x_parent;
-        if self.left(z) == NIL {
-            x = self.right(z);
-            x_parent = self.parent(z);
-            self.transplant(z, x);
-        } else if self.right(z) == NIL {
-            x = self.left(z);
-            x_parent = self.parent(z);
-            self.transplant(z, x);
-        } else {
-            y = self.minimum(self.right(z));
-            y_color = self.color(y);
-            x = self.right(y);
-            if self.parent(y) == z {
-                x_parent = y;
-            } else {
-                x_parent = self.parent(y);
-                self.transplant(y, x);
-                let zr = self.right(z);
-                self.nodes[y].right = zr;
-                self.nodes[zr].parent = y;
-            }
-            self.transplant(z, y);
-            let zl = self.left(z);
-            self.nodes[y].left = zl;
-            self.nodes[zl].parent = y;
-            let zc = self.color(z);
-            self.nodes[y].color = zc;
-        }
-        self.free.push(z);
-        self.len -= 1;
-        if y_color == Color::Black {
-            self.delete_fixup(x, x_parent);
-        }
-        true
-    }
-
-    fn delete_fixup(&mut self, mut x: usize, mut x_parent: usize) {
-        while x != self.root && self.color(x) == Color::Black {
-            if x_parent == NIL {
-                break;
-            }
-            if x == self.left(x_parent) {
-                let mut w = self.right(x_parent);
-                if self.color(w) == Color::Red {
-                    self.set_color(w, Color::Black);
-                    self.set_color(x_parent, Color::Red);
-                    self.rotate_left(x_parent);
-                    w = self.right(x_parent);
-                }
-                if self.color(self.left(w)) == Color::Black
-                    && self.color(self.right(w)) == Color::Black
-                {
-                    self.set_color(w, Color::Red);
-                    x = x_parent;
-                    x_parent = self.parent(x);
-                } else {
-                    if self.color(self.right(w)) == Color::Black {
-                        let wl = self.left(w);
-                        self.set_color(wl, Color::Black);
-                        self.set_color(w, Color::Red);
-                        self.rotate_right(w);
-                        w = self.right(x_parent);
-                    }
-                    let pc = self.color(x_parent);
-                    self.set_color(w, pc);
-                    self.set_color(x_parent, Color::Black);
-                    let wr = self.right(w);
-                    self.set_color(wr, Color::Black);
-                    self.rotate_left(x_parent);
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            } else {
-                let mut w = self.left(x_parent);
-                if self.color(w) == Color::Red {
-                    self.set_color(w, Color::Black);
-                    self.set_color(x_parent, Color::Red);
-                    self.rotate_right(x_parent);
-                    w = self.left(x_parent);
-                }
-                if self.color(self.right(w)) == Color::Black
-                    && self.color(self.left(w)) == Color::Black
-                {
-                    self.set_color(w, Color::Red);
-                    x = x_parent;
-                    x_parent = self.parent(x);
-                } else {
-                    if self.color(self.left(w)) == Color::Black {
-                        let wr = self.right(w);
-                        self.set_color(wr, Color::Black);
-                        self.set_color(w, Color::Red);
-                        self.rotate_left(w);
-                        w = self.left(x_parent);
-                    }
-                    let pc = self.color(x_parent);
-                    self.set_color(w, pc);
-                    self.set_color(x_parent, Color::Black);
-                    let wl = self.left(w);
-                    self.set_color(wl, Color::Black);
-                    self.rotate_right(x_parent);
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            }
-        }
-        self.set_color(x, Color::Black);
+        let Ok(removed) = self.arena.remove(key);
+        self.len -= usize::from(removed);
+        removed
     }
 
     /// Keys in ascending order.
     pub fn to_sorted_vec(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = Vec::new();
-        let mut x = self.root;
-        while x != NIL || !stack.is_empty() {
-            while x != NIL {
-                stack.push(x);
-                x = self.left(x);
-            }
-            let n = stack.pop().unwrap();
-            out.push(self.nodes[n].key.clone());
-            x = self.right(n);
-        }
-        out
+        let Ok(keys) = self.arena.to_sorted_vec();
+        keys
     }
 
     /// Validate every red-black invariant; returns the tree's black
     /// height or an error description. Test-support API, also useful as
     /// a corruption canary in long-running processes.
     pub fn check_invariants(&self) -> Result<usize, String> {
-        if self.root != NIL && self.color(self.root) == Color::Red {
-            return Err("root is red".into());
-        }
-        self.check_subtree(self.root, None, None)
-    }
-
-    fn check_subtree(&self, x: usize, min: Option<&K>, max: Option<&K>) -> Result<usize, String> {
-        if x == NIL {
-            return Ok(1); // NIL counts as black
-        }
-        let key = &self.nodes[x].key;
-        if let Some(lo) = min {
-            if key <= lo {
-                return Err("BST order violated (left bound)".into());
-            }
-        }
-        if let Some(hi) = max {
-            if key >= hi {
-                return Err("BST order violated (right bound)".into());
-            }
-        }
-        let l = self.left(x);
-        let r = self.right(x);
-        if self.color(x) == Color::Red
-            && (self.color(l) == Color::Red || self.color(r) == Color::Red)
-        {
-            return Err("red node has a red child".into());
-        }
-        if l != NIL && self.parent(l) != x {
-            return Err("left child has wrong parent pointer".into());
-        }
-        if r != NIL && self.parent(r) != x {
-            return Err("right child has wrong parent pointer".into());
-        }
-        let lh = self.check_subtree(l, min, Some(key))?;
-        let rh = self.check_subtree(r, Some(key), max)?;
-        if lh != rh {
-            return Err(format!("black-height mismatch: {lh} vs {rh}"));
-        }
-        Ok(lh + usize::from(self.color(x) == Color::Black))
+        let Ok(checked) = self.arena.check_invariants();
+        checked
     }
 }
 
@@ -598,6 +680,15 @@ mod tests {
     }
 
     #[test]
+    fn default_is_an_empty_tree() {
+        let mut t = RbTreeSet::default();
+        assert!(!t.contains(&1));
+        assert!(t.add(1));
+        assert_eq!(t.check_invariants(), Ok(2)); // black root over NIL
+        assert!(SyncRbTreeSet::<i64>::default().is_empty());
+    }
+
+    #[test]
     fn arena_slots_are_recycled() {
         let mut t = RbTreeSet::new();
         for i in 0..100 {
@@ -606,11 +697,11 @@ mod tests {
         for i in 0..100 {
             t.remove(&i);
         }
-        let allocated = t.nodes.len();
+        let allocated = t.arena.nodes.len();
         for i in 100..200 {
             t.add(i);
         }
-        assert_eq!(t.nodes.len(), allocated, "free list not reused");
+        assert_eq!(t.arena.nodes.len(), allocated, "free list not reused");
         t.check_invariants().unwrap();
     }
 

@@ -1,12 +1,29 @@
-//! A lazy concurrent skip-list **map**.
+//! A lazy concurrent skip-list map — the crate's one skip list.
 //!
-//! The key→value sibling of [`crate::skiplist`] (the analogue of
-//! `java.util.concurrent.ConcurrentSkipListMap`): the same lazy
-//! skip-list algorithm — lock-free reads, per-node locks for updates,
-//! logical deletion then physical unlinking, epoch reclamation — with a
-//! value stored next to each key. Values are replaced in place under
-//! the node lock, so `insert` over an existing key is an O(1) update
+//! The Rust stand-in for `java.util.concurrent.ConcurrentSkipListMap`.
+//! The algorithm is the *lazy skip list* of Herlihy & Shavit (the same
+//! lineage as the JDK class): lookups traverse without taking any
+//! locks; `insert` and `remove` lock only the handful of predecessor
+//! nodes they relink, so operations on disjoint keys proceed fully in
+//! parallel. Logical deletion (a `marked` flag) precedes physical
+//! unlinking, and unlinked nodes are reclaimed with epoch-based memory
+//! management (`crossbeam::epoch`), playing the role of the JVM's
+//! garbage collector. Values are replaced in place under the node's
+//! value lock, so `insert` over an existing key is an O(1) update
 //! rather than a remove+add.
+//!
+//! [`crate::skiplist`]'s set is this map with unit values, as the JDK's
+//! `ConcurrentSkipListSet` is a `ConcurrentSkipListMap` whose values
+//! are all `TRUE`; its `add` is the crate-private `put_if_absent`.
+//!
+//! Linearization points:
+//! * `insert` or `put_if_absent` of an absent key — setting
+//!   `fully_linked` after the node is spliced into every level;
+//! * `insert` over a present key — the swap under the value lock;
+//! * successful `remove` — setting `marked` on the victim;
+//! * lookups, `put_if_absent` of a present key and a failed `remove` —
+//!   the instant the traversal observed the relevant node (or its
+//!   absence).
 //!
 //! The boosted sorted map wraps this type exactly the way
 //! `BoostedSkipListSet` wraps the set: per-key abstract locks, inverses
@@ -18,8 +35,11 @@ use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Tallest tower; supports ~2^32 elements with good expected search
+/// cost, which is far beyond anything the benchmarks construct.
 const MAX_LEVEL: usize = 32;
 
+/// Key with ±∞ sentinels so traversal needs no null checks.
 #[derive(Debug)]
 enum Key<K> {
     NegInf,
@@ -39,12 +59,19 @@ impl<K: Ord> Key<K> {
 
 struct Node<K, V> {
     key: Key<K>,
-    /// The mapped value; `None` only for sentinels. Mutated in place
-    /// (value replacement) under the node lock.
+    /// The mapped value; `None` only for sentinels and for a victim
+    /// its remover has emptied. Mutated in place (value replacement)
+    /// under this lock.
     value: Mutex<Option<V>>,
+    /// Highest level this node occupies; `next.len() == top_level + 1`.
     top_level: usize,
     lock: Mutex<()>,
+    /// Logical-deletion flag: set ⇒ the key is no longer in the
+    /// abstract map, even while the node is physically linked.
     marked: AtomicBool,
+    /// Set once the node is spliced in at every level; an insert of a
+    /// present key spins on this so it never reports a half-linked
+    /// node as present.
     fully_linked: AtomicBool,
     next: Vec<Atomic<Node<K, V>>>,
 }
@@ -63,6 +90,9 @@ impl<K, V> Node<K, V> {
     }
 }
 
+/// Geometric(1/2) tower height from a per-thread xorshift64* generator
+/// (no external RNG dependency; determinism is irrelevant here, only
+/// independence across threads).
 fn random_level() -> usize {
     thread_local! {
         static RNG: Cell<u64> = const { Cell::new(0) };
@@ -70,6 +100,7 @@ fn random_level() -> usize {
     RNG.with(|c| {
         let mut x = c.get();
         if x == 0 {
+            // Seed from the TLS slot's address, unique per thread.
             x = (std::ptr::from_ref(c) as u64) | 0x9E37_79B9_7F4A_7C15;
         }
         x ^= x << 13;
@@ -114,6 +145,8 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
         }
     }
 
+    /// Walk the towers, filling `preds`/`succs` per level; returns the
+    /// topmost level at which a node with `key` was found.
     fn find<'g>(
         &self,
         key: &K,
@@ -153,6 +186,9 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
         found
     }
 
+    /// Lock `preds[0..=top]` (deduplicating repeats) and validate that
+    /// every `pred` is unmarked and still points to `expected(lvl)` at
+    /// its level. Returns the held guards on success.
     #[allow(clippy::needless_range_loop)] // symmetric indexing of preds/succs is clearer
     fn lock_and_validate<'g>(
         preds: &[Shared<'g, Node<K, V>>; MAX_LEVEL],
@@ -184,8 +220,24 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
 
     /// Bind `key` to `value`, returning the previous value if the key
     /// was already present.
-    #[allow(clippy::needless_range_loop)] // symmetric indexing of preds/succs is clearer
     pub fn insert(&self, key: K, value: V) -> Option<V> {
+        self.link(key, value, true)
+    }
+
+    /// Bind `key` to `value` only if `key` is absent; returns `true`
+    /// iff it was. Java's `putIfAbsent(k, v) == null`, the call
+    /// `ConcurrentSkipListSet::add` makes on its map: a present key's
+    /// value is neither replaced nor locked.
+    pub(crate) fn put_if_absent(&self, key: K, value: V) -> bool {
+        self.link(key, value, false).is_none()
+    }
+
+    /// The insert loop of [`insert`](Self::insert) and `put_if_absent`.
+    /// `None` ⇔ `key` was absent and is now bound. On a present key,
+    /// `replace` swaps `value` in and returns the old value; otherwise
+    /// `value` comes back unused.
+    #[allow(clippy::needless_range_loop)] // symmetric indexing of preds/succs is clearer
+    fn link(&self, key: K, value: V, replace: bool) -> Option<V> {
         let top_level = random_level();
         let guard = epoch::pin();
         let mut preds = [Shared::null(); MAX_LEVEL];
@@ -196,8 +248,13 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
                 // pinned for the whole loop; the node cannot be freed.
                 let node = unsafe { succs[l_found].deref() };
                 if !node.marked.load(Ordering::Acquire) {
+                    // Present (or about to be): wait out a concurrent
+                    // inserter.
                     while !node.fully_linked.load(Ordering::Acquire) {
                         std::hint::spin_loop();
+                    }
+                    if !replace {
+                        return Some(value);
                     }
                     // Replace the value in place. Re-check `marked`
                     // under the value lock: a remover marks before it
@@ -209,8 +266,11 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
                     }
                     return v.replace(value);
                 }
+                // Marked ⇒ being removed; retry until it is unlinked.
                 continue;
             }
+            // Validate each succ is unmarked too (an adjacent victim in
+            // mid-removal invalidates the splice).
             let locks = Self::lock_and_validate(&preds, |lvl| succs[lvl], top_level, &guard);
             let Some(locks) = locks else { continue };
             let any_succ_marked = (0..=top_level).any(|lvl| {
@@ -264,6 +324,7 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
         loop {
             let l_found = self.find(key, &mut preds, &mut succs, &guard);
             if victim_lock.is_none() {
+                // Not yet marked: decide whether the key is removable.
                 let lf = l_found?;
                 let v = succs[lf];
                 // SAFETY: `find` produced `v` under `guard`, pinned for
@@ -277,7 +338,7 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
                 }
                 let lock = v_ref.lock.lock();
                 if v_ref.marked.load(Ordering::Acquire) {
-                    return None;
+                    return None; // lost the race to another remover
                 }
                 v_ref.marked.store(true, Ordering::Release); // linearization point
                 taken = v_ref.value.lock().take();
@@ -328,7 +389,7 @@ impl<K: Ord, V: Clone> LazySkipListMap<K, V> {
         v.clone()
     }
 
-    /// Whether `key` is bound.
+    /// Whether `key` is bound. Takes no locks.
     pub fn contains_key(&self, key: &K) -> bool {
         let guard = epoch::pin();
         let mut preds = [Shared::null(); MAX_LEVEL];
