@@ -30,9 +30,7 @@
 //!   what it costs one;
 //! * the `exec_contended` transfer script through the server's executor
 //!   allocates exactly once (its `results` vector); the same script on
-//!   two threads over disjoint objects, and `wire_small`'s tick — 16
-//!   one-op scripts over 16 counters as one joint batch — are reported
-//!   beside it, ungated;
+//!   two threads over disjoint objects is reported beside it, ungated;
 //! * the executor's accounting costs less than the transaction it
 //!   accounts for: a four-lookup snapshot script through
 //!   `Executor::execute_read_only` costs at most twice the same four
@@ -509,31 +507,6 @@ fn bench_exec_transfer3_x2(iters: u64) -> Measurement {
     measure_x2(label, iters, |i| time_transfers(&exec, &scripts[i], iters))
 }
 
-/// `wire_small`'s tick: 16 one-op `counter_add` scripts over 16 distinct
-/// counters through `Executor::execute_batch` — one joint transaction
-/// that names 16 objects of one type — per script.
-fn bench_exec_batch16(iters: u64) -> Measurement {
-    const SCRIPTS: u64 = 16;
-    let exec = Executor::new(TxnConfig::default(), 1024);
-    let tick: Vec<Vec<ScriptOp>> = (0..SCRIPTS)
-        .map(|i| {
-            ScriptBuilder::new()
-                .counter_add(&format!("c{i}"), 1)
-                .build()
-        })
-        .collect();
-    let batches = iters / SCRIPTS;
-    let label = "executor 16-counter joint batch";
-    measure(label, batches, batches * SCRIPTS, || {
-        let start = Instant::now();
-        for _ in 0..batches {
-            let outs = exec.execute_batch(&tick).expect("joint commit");
-            assert_eq!(outs.len(), tick.len());
-        }
-        start.elapsed()
-    })
-}
-
 /// `wire_readmostly`'s read: four `map_contains` on one map through
 /// `Executor::execute_read_only` (one snapshot, no locks).
 fn bench_exec_rscan4(iters: u64) -> Measurement {
@@ -573,7 +546,6 @@ fn main() {
     let snapshot4 = bench_snapshot4("snapshot scan4 @262144 keys", 262_144, args.iters);
     let exec_transfer3 = bench_exec_transfer3(args.iters);
     let exec_transfer3_x2 = bench_exec_transfer3_x2(args.iters);
-    let exec_batch16 = bench_exec_batch16(args.iters);
     let exec_rscan4 = bench_exec_rscan4(args.iters);
 
     let all = [
@@ -591,7 +563,6 @@ fn main() {
         &snapshot4,
         &exec_transfer3,
         &exec_transfer3_x2,
-        &exec_batch16,
         &exec_rscan4,
     ];
     for m in all {
@@ -688,10 +659,6 @@ fn main() {
             .meta(
                 "executor_transfer3_2threads_ns",
                 format!("{:.1}", exec_transfer3_x2.ns_per_op),
-            )
-            .meta(
-                "executor_batch16_ns_per_script",
-                format!("{:.1}", exec_batch16.ns_per_op),
             )
             .meta(
                 "executor_rscan4_ns",

@@ -55,8 +55,9 @@ pub enum Point {
     StmValidate,
     /// A WAL commit record is about to be appended to a segment.
     WalAppend,
-    /// A WAL leader sealed a batch of pending commit records.
-    WalBatchSeal,
+    /// A WAL leader took the run of pending commit records it will
+    /// write and fsync.
+    WalLead,
     /// A WAL leader is about to fsync the active segment.
     WalFsync,
     /// The active WAL segment reached its size cap and is rolling.
@@ -75,9 +76,6 @@ pub enum Point {
     /// A server event loop is about to block in `epoll_wait` for the
     /// next readiness tick.
     EpollWait,
-    /// The commit batcher sealed a run of same-tick single-object
-    /// scripts into one joint transaction.
-    BatchSeal,
     /// A connection's buffered replies are about to be flushed to the
     /// socket.
     ConnFlush,

@@ -163,16 +163,6 @@ impl HistogramSnapshot {
         out.sum = self.sum.saturating_sub(earlier.sum);
         out
     }
-
-    /// Combine two snapshots (per-bucket sum).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = *self;
-        for (b, o) in out.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        out.sum += other.sum;
-        out
-    }
 }
 
 /// Durability (write-ahead-log) observability: append/fsync latency
@@ -319,19 +309,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_since_and_merge() {
+    fn snapshot_since() {
         let h = LatencyHistogram::new();
         h.record(5);
         let before = h.snapshot();
         h.record(5);
         h.record(700);
-        let after = h.snapshot();
-        let delta = after.since(&before);
+        let delta = h.snapshot().since(&before);
         assert_eq!(delta.count(), 2);
         assert_eq!(delta.sum, 705);
-
-        let merged = delta.merge(&before);
-        assert_eq!(merged, after);
+        assert_eq!(delta.p99(), bucket_ceiling(bucket_of(700)));
     }
 
     #[test]

@@ -212,7 +212,7 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         "roll_segment_det",
         &["WalSegmentRoll"],
     ),
-    ("crates/wal/src/group.rs", "lead_det", &["WalBatchSeal"]),
+    ("crates/wal/src/group.rs", "lead_det", &["WalLead"]),
     (
         "crates/wal/src/recover.rs",
         "recovery_step_det",
@@ -228,9 +228,9 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         &["VersionInstall", "VersionGc"],
     ),
     ("crates/core/src/mvcc.rs", "read_at", &["SnapshotRead"]),
-    // The event-driven I/O plane: the readiness tick, the commit
-    // batcher's seal, and the reply flush are the three points a det
-    // schedule needs to interleave server loops.
+    // The event-driven I/O plane: the readiness tick and the reply
+    // flush are the two points a det schedule needs to interleave
+    // server loops.
     (
         "crates/server/src/eventloop.rs",
         "epoll_wait_det",
@@ -241,7 +241,6 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         "flush_conn_det",
         &["ConnFlush"],
     ),
-    ("crates/server/src/batch.rs", "seal_det", &["BatchSeal"]),
 ];
 
 /// Functions subject to the boosted-method rules: real (non-test)

@@ -1,11 +1,11 @@
-//! Fixture: a panic-free WAL replay closure, with the batch-seal yield
-//! hook in place on the leader's path.
+//! Fixture: a panic-free WAL replay closure, with the leader's yield
+//! hook in place.
 
 pub struct GroupWal;
 
 impl GroupWal {
     fn lead_det(&self) {
-        det::yield_point(det::Point::WalBatchSeal);
+        det::yield_point(det::Point::WalLead);
     }
 
     pub fn boot(&self, log: &RecoveredLog) {

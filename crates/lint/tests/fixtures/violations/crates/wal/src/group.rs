@@ -5,7 +5,7 @@ pub struct GroupWal;
 
 impl GroupWal {
     fn lead_det(&self) {
-        det::yield_point(det::Point::WalBatchSeal);
+        det::yield_point(det::Point::WalLead);
     }
 
     pub fn boot(&self, log: &RecoveredLog) {

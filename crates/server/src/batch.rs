@@ -1,43 +1,11 @@
-//! Same-tick commit batching.
+//! The poll tick: one readiness round's requests, run in arrival order,
+//! acknowledged after one durability wait.
 //!
-//! The paper's constant factor lives in abstract-lock traffic: every
-//! script pays a lock-manager entry and a WAL commit record,
-//! even when consecutive scripts touch the *same* object with
-//! commuting operations. Readiness-driven I/O hands us a natural
-//! amortization unit — the poll tick: every script that arrived in one
-//! `epoll_wait` round is known before any of them executes. The
-//! batcher coalesces eligible runs of those scripts into one joint
-//! boosted transaction ([`crate::Executor::execute_batch`]): one pass
-//! over the lock manager (re-acquiring a lock the transaction already
-//! holds is `AbstractLock::acquire`'s reentrant arm: one failed
-//! compare-and-swap on the owned word, ~17 ns), namespace lookups
-//! remembered from op to op, one WAL record.
-//!
-//! ## Why batching cannot merge conflicting scripts
-//!
-//! A joint transaction commits or aborts as a unit, so a script may
-//! only join a batch if it **cannot abort on its own**:
-//!
-//! * **no guards** — a guard mismatch aborts the whole transaction,
-//!   which would wrongly abort the innocent scripts merged with it;
-//! * **no `DebugAbort`** — same reason, deliberately;
-//! * **no `SemAcquire`** — an exhausted semaphore aborts with
-//!   `WouldBlock`;
-//! * **single-object** — every op targets one `(type, name)` instance,
-//!   so merged scripts are pairwise independent: any serial order of
-//!   them produces the same per-script results, and the joint
-//!   transaction realizes arrival order.
-//!
-//! Everything else (guarded transfers, multi-object scripts, reads
-//! with expectations) runs one script per transaction.
-//!
-//! ## Ordering
-//!
-//! Batches are **maximal runs in arrival order**: walking the tick's
-//! requests, eligible scripts accumulate; the pending batch is sealed
-//! and executed *before* any non-batchable request runs. A
-//! connection's pipelined requests therefore execute — and reply — in
-//! program order, batched or not.
+//! Every request that arrived in one `epoll_wait` round is known before
+//! any of them executes. [`Batcher::run_tick`] runs them in arrival
+//! order: each `Script` as its own boosted transaction, anything else
+//! through the caller. A connection's pipelined requests therefore
+//! execute — and reply — in program order.
 //!
 //! ## One durability wait per tick
 //!
@@ -56,27 +24,17 @@
 //! failed: the tick's commits stand in memory but must not be
 //! acknowledged, and the server stops (see DESIGN §13).
 
-use crate::exec::{deal_out, op_target, Executor, ScriptOutcome, TickRecords};
-#[cfg(feature = "deterministic")]
-use txboost_core::det;
+use crate::exec::{op_target, Executor, ScriptOutcome, TickRecords};
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 
-/// Commit-batching knobs.
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// Most scripts merged into one joint transaction.
-    pub max_scripts: usize,
-}
+/// The tick driver's knobs: there are none. Kept because the
+/// `benchmark/` harness still builds a [`Batcher`] from one.
+#[derive(Debug, Clone, Default)]
+pub struct BatchConfig;
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { max_scripts: 64 }
-    }
-}
-
-/// Whether a script may join a joint transaction: non-empty,
-/// single-object, guard-free, and free of ops that can abort on their
-/// own (see the module docs for why each condition is load-bearing).
+/// Whether a script is non-empty, single-object, guard-free and free of
+/// ops that can abort on their own. Nothing on the server asks any
+/// more; kept because the `benchmark/` harness still prices it.
 #[must_use]
 pub fn batch_eligible(ops: &[ScriptOp]) -> bool {
     let Some(first) = ops.first() else {
@@ -104,32 +62,27 @@ pub(crate) fn script_response(req_id: u64, out: ScriptOutcome) -> Response {
     }
 }
 
-/// One tick's worth of request coalescing. Stateless between ticks by
-/// construction: [`Batcher::run_tick`] consumes the whole tick queue
-/// and seals any pending batch before returning, so a graceful drain
-/// never strands a sealed-but-unexecuted batch.
+/// Runs poll ticks. Stateless: [`Batcher::run_tick`] consumes the whole
+/// tick queue before returning, so a graceful drain never strands a
+/// decoded request.
 #[derive(Debug)]
-pub struct Batcher {
-    cfg: BatchConfig,
-}
+pub struct Batcher;
 
 impl Batcher {
-    /// A batcher with the given knobs.
+    /// The tick driver. Kept, with its argument, because the
+    /// `benchmark/` harness still calls it; the server uses [`Batcher`].
     #[must_use]
-    pub fn new(cfg: BatchConfig) -> Batcher {
-        Batcher { cfg }
+    pub fn new(_cfg: BatchConfig) -> Batcher {
+        Batcher
     }
 
     /// Execute one poll tick's requests in arrival order.
     ///
-    /// Eligible `Script` requests are coalesced (up to
-    /// [`BatchConfig::max_scripts`] scripts / [`MAX_OPS_PER_SCRIPT`]
-    /// total ops) and executed jointly, every other `Script` runs as
-    /// its own transaction, and any other request is handed to
-    /// `other`, which computes its reply. All replies flow through
-    /// `emit(token, response)` in arrival order — per-connection FIFO
-    /// is the caller's invariant to keep, and it follows directly from
-    /// emission order here.
+    /// Every `Script` runs as its own transaction and any other request
+    /// is handed to `other`, which computes its reply. All replies flow
+    /// through `emit(token, response)` in arrival order — per-connection
+    /// FIFO is the caller's invariant to keep, and it follows directly
+    /// from emission order here.
     ///
     /// A reply is emitted when its transaction has committed, which
     /// under a WAL is before the commit record is durable; the records
@@ -138,104 +91,28 @@ impl Batcher {
     /// loop flushes after the tick) — and not at all when this returns
     /// `false`: some commit of the tick is not durable and never will
     /// be (the log failed, or was shut down under the tick).
-    pub fn run_tick<T: Copy>(
+    pub fn run_tick<T>(
         &self,
         exec: &Executor,
         requests: Vec<(T, Request)>,
         mut other: impl FnMut(Request) -> Response,
         mut emit: impl FnMut(T, Response),
     ) -> bool {
-        let mut run = Run {
-            replies: Vec::new(),
-            scripts: Vec::new(),
-            ops: 0,
-            records: TickRecords::default(),
-        };
+        let mut records = TickRecords::default();
+        let mut scripts = 0;
         for (token, req) in requests {
-            match req {
-                Request::Script { req_id, ops } if batch_eligible(&ops) => {
-                    if run.scripts.len() >= self.cfg.max_scripts
-                        || run.ops + ops.len() > MAX_OPS_PER_SCRIPT as usize
-                    {
-                        run.seal(exec, &mut emit);
-                    }
-                    run.ops += ops.len();
-                    run.replies.push((token, req_id));
-                    run.scripts.push(ops);
+            let resp = match req {
+                Request::Script { req_id, ops } => {
+                    scripts += 1;
+                    script_response(req_id, exec.run_deferred(&ops, &mut records))
                 }
-                req => {
-                    // Program order: a connection's earlier batched
-                    // scripts must commit before a later non-batchable
-                    // request of the same connection executes.
-                    run.seal(exec, &mut emit);
-                    let resp = match req {
-                        Request::Script { req_id, ops } => {
-                            let out = exec.run_deferred(&[ops], &mut run.records);
-                            script_response(req_id, out)
-                        }
-                        req => other(req),
-                    };
-                    emit(token, resp);
-                }
-            }
+                req => other(req),
+            };
+            emit(token, resp);
         }
-        run.seal(exec, &mut emit);
-        run.records.wait()
+        exec.count_tick(scripts);
+        records.wait()
     }
-}
-
-/// The pending run of eligible scripts. Reply addresses and scripts
-/// sit in parallel vectors so the scripts are lent to the executor as
-/// one slice, uncopied.
-struct Run<'e, T> {
-    /// `(token, req_id)` of each script, in arrival order.
-    replies: Vec<(T, u64)>,
-    scripts: Vec<Vec<ScriptOp>>,
-    /// Ops across `scripts` (one WAL record holds at most
-    /// [`MAX_OPS_PER_SCRIPT`]).
-    ops: usize,
-    /// Commit records of the tick so far, batched or not; awaited once
-    /// at the end of the tick.
-    records: TickRecords<'e>,
-}
-
-impl<'e, T: Copy> Run<'e, T> {
-    /// Execute and drain the pending run (no-op when empty).
-    fn seal(&mut self, exec: &'e Executor, emit: &mut impl FnMut(T, Response)) {
-        self.ops = 0;
-        if self.scripts.is_empty() {
-            return;
-        }
-        seal_det();
-        let replies = self.replies.drain(..);
-        let joint = exec.run_deferred(&self.scripts, &mut self.records);
-        match deal_out(joint, &self.scripts) {
-            Some(outcomes) => {
-                for ((token, req_id), out) in replies.zip(outcomes) {
-                    emit(token, script_response(req_id, out));
-                }
-            }
-            None => {
-                // The joint transaction lost a conflict race (e.g. a
-                // cross-loop lock-order collision). Each script now
-                // retries on its own, so no client observes the merge.
-                for ((token, req_id), ops) in replies.zip(&self.scripts) {
-                    let out = exec.run_deferred(&[ops], &mut self.records);
-                    emit(token, script_response(req_id, out));
-                }
-            }
-        }
-        self.scripts.clear();
-    }
-}
-
-/// Deterministic-harness hook: the batcher sealed a run of
-/// same-tick scripts into one joint transaction. Fires before the
-/// joint execution, so schedule exploration can interleave other
-/// loops between seal and commit.
-fn seal_det() {
-    #[cfg(feature = "deterministic")]
-    det::yield_point(det::Point::BatchSeal);
 }
 
 #[cfg(test)]
@@ -285,42 +162,35 @@ mod tests {
         assert!(!batch_eligible(&two_types.build()));
     }
 
+    fn locked(req_id: u64, ops: Vec<ScriptOp>) -> Request {
+        Request::Script { req_id, ops }
+    }
+
+    /// Serve a tick's non-script requests: pings, and snapshot reads.
+    fn other(e: &Executor, req: Request) -> Response {
+        match req {
+            Request::Ping { req_id } => Response::Pong { req_id },
+            Request::ReadOnlyScript { req_id, ops } => {
+                script_response(req_id, e.execute_read_only(&ops))
+            }
+            _ => Response::Pong { req_id: 0 },
+        }
+    }
+
     #[test]
     fn run_tick_batches_and_preserves_arrival_order() {
         let e = exec();
-        let b = Batcher::new(BatchConfig::default());
-        let reqs: Vec<(usize, Request)> = vec![
-            (
-                0,
-                Request::Script {
-                    req_id: 10,
-                    ops: add("c", 1),
-                },
-            ),
-            (
-                1,
-                Request::Script {
-                    req_id: 11,
-                    ops: add("c", 2),
-                },
-            ),
+        let reqs = vec![
+            (0, locked(10, add("c", 1))),
+            (1, locked(11, add("c", 2))),
             (0, Request::Ping { req_id: 12 }),
-            (
-                1,
-                Request::Script {
-                    req_id: 13,
-                    ops: add("c", 4),
-                },
-            ),
+            (1, locked(13, add("c", 4))),
         ];
         let mut replies: Vec<(usize, u64)> = Vec::new();
-        b.run_tick(
+        Batcher.run_tick(
             &e,
             reqs,
-            |req| match req {
-                Request::Ping { req_id } => Response::Pong { req_id },
-                _ => Response::Pong { req_id: 0 },
-            },
+            |req| other(&e, req),
             |token, resp| {
                 let id = match resp {
                     Response::Script { req_id, status, .. } => {
@@ -336,10 +206,48 @@ mod tests {
         assert_eq!(replies, vec![(0, 10), (1, 11), (0, 12), (1, 13)]);
         let probe = e.execute(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(7))]);
-        // The first two scripts merged; the post-ping one ran alone.
-        assert!(e
-            .stats_json()
-            .contains("\"batch\":{\"batches\":1,\"scripts\":2"));
+    }
+
+    /// The `batch` object of the `STATS` document, as written.
+    fn batch_stats(e: &Executor) -> String {
+        let json = e.stats_json();
+        let (_, tail) = json.split_once("\"batch\":").expect("batch section");
+        tail[..=tail.find('}').expect("closing brace")].to_string()
+    }
+
+    #[test]
+    fn batch_stats_count_ticks_and_their_locked_scripts() {
+        let e = exec();
+        let snapshot = |req_id| Request::ReadOnlyScript {
+            req_id,
+            ops: script().counter_get("c").build(),
+        };
+        let tick = |reqs: Vec<Request>| {
+            let reqs = reqs.into_iter().map(|req| ((), req)).collect();
+            assert!(Batcher.run_tick(&e, reqs, |req| other(&e, req), |(), _| {}));
+        };
+        let counted = |batches: u64, scripts: u64| {
+            format!(r#"{{"batches":{batches},"scripts":{scripts},"fallbacks":0}}"#)
+        };
+        // Two locked scripts, one of which fails its guard; a ping and
+        // a snapshot read are not locked scripts.
+        let guarded = script().map_remove_guarded("m", 1, Guard::ExpectSome);
+        let ping = Request::Ping { req_id: 1 };
+        tick(vec![
+            locked(0, add("c", 1)),
+            ping,
+            snapshot(2),
+            locked(3, guarded.build()),
+        ]);
+        assert_eq!(batch_stats(&e), counted(1, 2));
+        // A tick without a locked script is not counted at all.
+        tick(vec![Request::Ping { req_id: 4 }, snapshot(5)]);
+        assert_eq!(batch_stats(&e), counted(1, 2));
+        tick(vec![locked(6, add("c", 2))]);
+        assert_eq!(batch_stats(&e), counted(2, 3));
+        // Scripts run outside a tick are not either.
+        e.execute(&add("c", 4));
+        assert_eq!(batch_stats(&e), counted(2, 3));
     }
 
     /// An executor logging to a fresh WAL over simulated storage.
@@ -358,12 +266,10 @@ mod tests {
 
     /// Run `scripts` as one tick; `(replies emitted, tick durable)`.
     fn tick(e: &Executor, scripts: Vec<Vec<ScriptOp>>) -> (usize, bool) {
-        let reqs = scripts.into_iter().enumerate().map(|(i, ops)| {
-            let req_id = i as u64;
-            (i, Request::Script { req_id, ops })
-        });
+        let reqs = scripts.into_iter().enumerate();
+        let reqs = reqs.map(|(i, ops)| (i, locked(i as u64, ops)));
         let mut emitted = 0;
-        let durable = Batcher::new(BatchConfig::default()).run_tick(
+        let durable = Batcher.run_tick(
             e,
             reqs.collect(),
             |_| Response::Pong { req_id: 0 },
@@ -376,8 +282,6 @@ mod tests {
     fn a_tick_waits_once_for_all_its_commit_records() {
         // Nobody pumps the log: the tick leads its own flush.
         let (e, wal, _storage) = exec_with_wal();
-        // Three commit records: a joint run of two, then two scripts
-        // the batcher runs on their own (guarded; two objects).
         let scripts = vec![
             add("c", 1),
             add("c", 2),
@@ -387,11 +291,12 @@ mod tests {
             script().counter_add("a", 1).counter_add("b", 1).build(),
         ];
         assert_eq!(tick(&e, scripts), (4, true));
-        assert_eq!(wal.next_lsn(), 4);
-        // A transaction that waited on its own record would have paid a
-        // write and an fsync each; the tick paid one of either.
+        assert_eq!(wal.next_lsn(), 5);
+        // One record per script. A transaction that waited on its own
+        // record would have paid a write and an fsync each; the tick
+        // paid one of either.
         let m = wal.metrics().snapshot();
-        assert_eq!((m.records, m.batches, m.append.count()), (3, 1, 1));
+        assert_eq!((m.records, m.batches, m.append.count()), (4, 1, 1));
     }
 
     #[test]
@@ -411,31 +316,5 @@ mod tests {
         assert_eq!(wal.metrics().snapshot().wal_errors, 1);
         // A tick that logs nothing has nothing to lose.
         assert_eq!(tick(&e, vec![script().counter_get("c").build()]), (1, true));
-    }
-
-    #[test]
-    fn ops_cap_splits_oversized_runs() {
-        let e = exec();
-        let b = Batcher::new(BatchConfig::default());
-        // Scripts of 400 ops each: three of them exceed the 1024-op
-        // record cap, so the run must split 2 + 1.
-        let big = vec![
-            ScriptOp::new(Op::CounterAdd {
-                obj: "c".into(),
-                delta: 1
-            });
-            400
-        ];
-        let reqs: Vec<(usize, Request)> = (0..3)
-            .map(|i| {
-                let (req_id, ops) = (i as u64, big.clone());
-                (i, Request::Script { req_id, ops })
-            })
-            .collect();
-        let mut n = 0;
-        b.run_tick(&e, reqs, |_| Response::Pong { req_id: 0 }, |_, _| n += 1);
-        assert_eq!(n, 3);
-        let probe = e.execute(&script().counter_get("c").build());
-        assert_eq!(probe.results, vec![OpResult::Value(Some(1200))]);
     }
 }

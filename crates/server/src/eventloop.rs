@@ -15,11 +15,10 @@
 //!    tick's request queue — stopping per connection once its
 //!    in-flight window fills (backpressure: an unread socket
 //!    eventually stalls the peer through TCP);
-//! 4. execute the tick's requests through the commit [`Batcher`]
-//!    (same-tick single-object scripts coalesce into one joint
-//!    transaction), appending replies to per-connection write buffers
-//!    in arrival order — per-connection FIFO falls out; under a WAL
-//!    the batcher returns once every commit record of the tick is
+//! 4. execute the tick's requests through the [`Batcher`], one
+//!    transaction per script, appending replies to per-connection write
+//!    buffers in arrival order — per-connection FIFO falls out; under a
+//!    WAL the batcher returns once every commit record of the tick is
 //!    durable (one wait per tick, which writes and fsyncs the tick's
 //!    records itself), and a tick that cannot be made durable sends no
 //!    reply at all: its connections close unflushed and the server
@@ -31,8 +30,7 @@
 //! its next frame boundary — on the first draining tick for one that
 //! is already at one, so an idle connection closes at once; a mid-frame
 //! connection gets [`crate::ServerConfig::drain_grace`] to finish —
-//! executes every decoded script, including a pending batch, and closes
-//! once replies are flushed.
+//! executes every decoded script, and closes once replies are flushed.
 
 use crate::batch::{script_response, Batcher};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -182,7 +180,7 @@ impl EConn {
     }
 }
 
-/// One event loop: accept, read, execute (batched), flush, repeat.
+/// One event loop: accept, read, execute the tick, flush, repeat.
 /// `epoll` arrives with the listener and `wake` already registered.
 fn event_loop(
     shared: &Arc<Shared>,
@@ -192,7 +190,6 @@ fn event_loop(
 ) {
     let mut listener_registered = true;
 
-    let batcher = Batcher::new(shared.cfg.batch.clone());
     let mut conns: Vec<Option<EConn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent::zeroed(); 1024];
@@ -301,25 +298,23 @@ fn event_loop(
             }
         }
 
-        // Execute the tick's requests in arrival order, coalescing
-        // eligible runs into joint transactions. Replies land in each
-        // connection's write buffer in emission order, so
-        // per-connection FIFO holds whether a script was batched or
-        // not.
+        // Execute the tick's requests in arrival order. Replies land in
+        // each connection's write buffer in emission order, so
+        // per-connection FIFO holds.
         if !tickq.is_empty() {
             let requests = std::mem::take(&mut tickq);
-            let durable = batcher.run_tick(
+            let durable = Batcher.run_tick(
                 &shared.exec,
                 requests,
                 |req| match req {
-                    // `run_tick` runs every mutating script itself,
-                    // batched or not; this arm keeps the match total.
+                    // `run_tick` runs every mutating script itself;
+                    // this arm keeps the match total.
                     Request::Script { req_id, ops } => {
                         script_response(req_id, shared.exec.execute(&ops))
                     }
                     Request::ReadOnlyScript { req_id, ops } => {
                         // Snapshot reads skip the lock manager, the
-                        // retry loop, the WAL — and the batcher.
+                        // retry loop and the WAL.
                         script_response(req_id, shared.exec.execute_read_only(&ops))
                     }
                     Request::Stats { req_id } => Response::Stats {

@@ -15,9 +15,9 @@
 //! costs about as much as a lock acquisition, and a script should pay
 //! for its ops, not for being watched.
 //!
-//! A script, a same-tick batch and a snapshot read are one transaction
-//! with a different body length or [`TxnManager`] entry, so the three
-//! public entry points wrap one private core, [`Executor::run`].
+//! A script, a script of a poll tick and a snapshot read are one
+//! transaction with a different durability wait or [`TxnManager`]
+//! entry, so the entry points wrap one private core, [`Executor::run`].
 
 use crate::namespace::{Namespace, Resolved};
 use parking_lot::Mutex;
@@ -52,26 +52,6 @@ pub struct ScriptOutcome {
     /// (WAL off, read-only script, or not committed) or the wait was
     /// deferred to the end of the poll tick.
     pub wal_durable: Option<bool>,
-}
-
-/// Deal a joint run's concatenated results back out, script by script
-/// (`None`: a joint transaction of two or more scripts failed).
-pub(crate) fn deal_out(
-    joint: ScriptOutcome,
-    scripts: &[Vec<ScriptOp>],
-) -> Option<Vec<ScriptOutcome>> {
-    if scripts.len() > 1 && joint.status != ScriptStatus::Committed {
-        return None;
-    }
-    let mut results = joint.results.into_iter();
-    let outcomes = scripts.iter().map(|ops| ScriptOutcome {
-        status: joint.status,
-        attempts: joint.attempts,
-        failed_op: joint.failed_op,
-        results: results.by_ref().take(ops.len()).collect(),
-        wal_durable: joint.wal_durable,
-    });
-    Some(outcomes.collect())
 }
 
 /// The commit records a poll tick has logged and not yet waited for.
@@ -177,14 +157,10 @@ pub struct Executor {
     /// Replayed records the executor rejected (a recovery bug or a
     /// log/state divergence; counted, surfaced in stats, never fatal).
     wal_replay_failures: AtomicU64,
-    /// Joint transactions (two or more scripts) that committed.
-    batches: AtomicU64,
-    /// Scripts that committed inside those joint transactions.
-    batch_scripts: AtomicU64,
-    /// Joint transactions that failed and fell back to per-script
-    /// execution (cross-loop conflict races; each is `scripts.len()`
-    /// scripts re-run individually).
-    batch_fallbacks: AtomicU64,
+    /// Poll ticks that ran at least one locked script.
+    ticks: AtomicU64,
+    /// Locked scripts those ticks ran.
+    tick_scripts: AtomicU64,
 }
 
 impl Executor {
@@ -203,9 +179,8 @@ impl Executor {
             wal: OnceLock::new(),
             wal_replayed: AtomicU64::new(0),
             wal_replay_failures: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_scripts: AtomicU64::new(0),
-            batch_fallbacks: AtomicU64::new(0),
+            ticks: AtomicU64::new(0),
+            tick_scripts: AtomicU64::new(0),
         }
     }
 
@@ -243,25 +218,31 @@ impl Executor {
     /// Run `ops` as one boosted transaction. Never panics on behalf of
     /// the script: every abort path is mapped to a [`ScriptStatus`].
     pub fn execute(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Locked, &[ops], None)
+        self.run(Mode::Locked, ops, None)
     }
 
-    /// [`execute`](Self::execute) / [`execute_batch`](Self::execute_batch)
-    /// for a caller that acknowledges a whole poll tick at once: run
-    /// `scripts` as one transaction, but instead of blocking until the
-    /// commit record is durable, leave its [`Ticket`] in `tick`
-    /// (`wal_durable` stays `None`). The caller must
-    /// [`wait`](TickRecords::wait) before a reply of the tick leaves the
-    /// process; in exchange the tick's records share one write and one
-    /// fsync, issued after its last script (see
-    /// [`crate::Batcher::run_tick`]). Returns the joint outcome;
-    /// [`deal_out`] splits it per script.
-    pub(crate) fn run_deferred<'w, S: AsRef<[ScriptOp]>>(
+    /// [`execute`](Self::execute) for a caller that acknowledges a whole
+    /// poll tick at once: instead of blocking until the commit record is
+    /// durable, leave its [`Ticket`] in `tick` (`wal_durable` stays
+    /// `None`). The caller must [`wait`](TickRecords::wait) before a
+    /// reply of the tick leaves the process; in exchange the tick's
+    /// records share one write and one fsync, issued after its last
+    /// script (see [`crate::Batcher::run_tick`]).
+    pub(crate) fn run_deferred<'w>(
         &'w self,
-        scripts: &[S],
+        ops: &[ScriptOp],
         tick: &mut TickRecords<'w>,
     ) -> ScriptOutcome {
-        self.run(Mode::Locked, scripts, Some(tick))
+        self.run(Mode::Locked, ops, Some(tick))
+    }
+
+    /// Count a poll tick that ran `scripts` locked scripts (none: not a
+    /// tick `STATS` counts).
+    pub(crate) fn count_tick(&self, scripts: u64) {
+        if scripts > 0 {
+            self.ticks.fetch_add(1, Ordering::Relaxed);
+            self.tick_scripts.fetch_add(scripts, Ordering::Relaxed);
+        }
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
@@ -270,53 +251,34 @@ impl Executor {
     /// back off from. Mutating ops (and `DebugAbort`) are rejected with
     /// [`ScriptStatus::ReadOnlyViolation`] before touching any object.
     pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Snapshot, &[ops], None)
+        self.run(Mode::Snapshot, ops, None)
     }
 
-    /// Run several scripts as **one** joint boosted transaction — the
-    /// commit-batching fast path (see [`crate::batch`]): one
-    /// lock-manager pass (a repeat acquisition of a lock the
-    /// transaction holds is the reentrant arm of
-    /// `AbstractLock::acquire`, one failed compare-and-swap on the
-    /// word it already owns, ~17 ns), and one WAL record for the
-    /// concatenated ops.
-    ///
-    /// The caller passes batch-eligible scripts
-    /// ([`crate::batch_eligible`]): guard-free and free of ops that can
-    /// abort on their own, so nothing in the joint body aborts by
-    /// choice. Returns `None` when a joint transaction of two or more
-    /// scripts still failed (conflict races with other event loops
-    /// exhausting retries) — the caller then re-runs each script
-    /// individually, so clients never observe the merge. A run of one
-    /// is that script's own transaction: its outcome is returned
-    /// whatever the status, and must not be re-run.
+    /// [`execute`](Self::execute) each script, in order; always `Some`.
+    /// Kept, with its signature, because the `benchmark/` harness still
+    /// calls it.
     pub fn execute_batch(&self, scripts: &[Vec<ScriptOp>]) -> Option<Vec<ScriptOutcome>> {
-        deal_out(self.run(Mode::Locked, scripts, None), scripts)
+        Some(scripts.iter().map(|ops| self.execute(ops)).collect())
     }
 
-    /// The one op loop: run `scripts` back to back as a single
-    /// transaction through `mode`'s [`TxnManager`] entry and account
-    /// for it. The outcome is the transaction's: `results` concatenates
-    /// every script's, `failed_op` indexes into the script that gave up.
+    /// The one op loop: run `ops` as a transaction through `mode`'s
+    /// [`TxnManager`] entry and account for it.
     ///
     /// Ops and scripts are counted on every run; the clock is read only
     /// on a timed one ([`TIMED_EVERY`]). There, per-op service times use
     /// **chained stamps**: one clock read per op boundary, each op's
-    /// sample being the gap to the previous stamp, and every script of
-    /// the run gets an equal share of the whole run as its service time:
-    /// commit included, and the WAL wait too unless it is `deferred` to
-    /// the caller.
-    fn run<'w, S: AsRef<[ScriptOp]>>(
+    /// sample being the gap to the previous stamp, and the script's
+    /// service time is the whole run: commit included, and the WAL wait
+    /// too unless it is `deferred` to the caller.
+    fn run<'w>(
         &'w self,
         mode: Mode,
-        scripts: &[S],
+        ops: &[ScriptOp],
         deferred: Option<&mut TickRecords<'w>>,
     ) -> ScriptOutcome {
         let t0 = begin_run_timed().then(Instant::now);
-        let n = scripts.len();
         let mut attempts: u32 = 0;
-        let mut results: Vec<OpResult> =
-            Vec::with_capacity(scripts.iter().map(|s| s.as_ref().len()).sum());
+        let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
         // (op index, the status it earns); set immediately before
         // raising an abort the retry loop treats as terminal.
         let failed: Cell<Option<(u16, ScriptStatus)>> = Cell::new(None);
@@ -328,9 +290,8 @@ impl Executor {
         // record corresponds to a real commit. The ticket is awaited
         // *after* the transaction, with all locks released.
         let ticket: Cell<Option<Ticket>> = Cell::new(None);
-        let all_ops = || scripts.iter().flat_map(S::as_ref);
         let wal = self.wal.get();
-        let wal = wal.filter(|_| all_ops().any(|sop| op_mutates(&sop.op)));
+        let wal = wal.filter(|_| ops.iter().any(|sop| op_mutates(&sop.op)));
         // The previous op boundary of a timed run.
         let mut last = t0;
         let objects = self.ns.resolved();
@@ -341,48 +302,42 @@ impl Executor {
                 failed.set(None);
                 last = t0.map(|_| Instant::now());
             }
-            for script in scripts {
-                for (i, sop) in script.as_ref().iter().enumerate() {
-                    let give_up = |status, abort| {
-                        failed.set(Some((i as u16, status)));
-                        Err(abort)
-                    };
-                    let debug_abort = matches!(sop.op, Op::DebugAbort);
-                    if mode == Mode::Snapshot && (debug_abort || op_mutates(&sop.op)) {
-                        return give_up(
-                            ScriptStatus::ReadOnlyViolation,
-                            Abort::read_only_violation(),
-                        );
-                    }
-                    if debug_abort {
-                        return give_up(ScriptStatus::DebugAborted, Abort::explicit());
-                    }
-                    let r = Self::run_op(txn, &sop.op, objects)
-                        .inspect_err(|abort| self.blame(&sop.op, *abort))?;
-                    // This closure re-runs on every conflict retry; an
-                    // out-of-range opcode must degrade to an uncounted
-                    // op, never a panic that kills the connection.
-                    let opcode = (sop.op.opcode() - 1) as usize;
-                    if let Some(calls) = self.op_calls.get(opcode) {
-                        calls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let (Some(prev), Some(hist)) = (last, self.op_hist.get(opcode)) {
-                        let now = Instant::now();
-                        hist.record_duration(now.duration_since(prev));
-                        last = Some(now);
-                    }
-                    if !sop.guard.admits(&r) {
-                        return give_up(ScriptStatus::GuardFailed, Abort::explicit());
-                    }
-                    results.push(r);
+            for (i, sop) in ops.iter().enumerate() {
+                let give_up = |status, abort| {
+                    failed.set(Some((i as u16, status)));
+                    Err(abort)
+                };
+                let debug_abort = matches!(sop.op, Op::DebugAbort);
+                if mode == Mode::Snapshot && (debug_abort || op_mutates(&sop.op)) {
+                    return give_up(
+                        ScriptStatus::ReadOnlyViolation,
+                        Abort::read_only_violation(),
+                    );
                 }
+                if debug_abort {
+                    return give_up(ScriptStatus::DebugAborted, Abort::explicit());
+                }
+                let r = Self::run_op(txn, &sop.op, objects)
+                    .inspect_err(|abort| self.blame(&sop.op, *abort))?;
+                // This closure re-runs on every conflict retry; an
+                // out-of-range opcode must degrade to an uncounted op,
+                // never a panic that kills the connection.
+                let opcode = (sop.op.opcode() - 1) as usize;
+                if let Some(calls) = self.op_calls.get(opcode) {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                }
+                if let (Some(prev), Some(hist)) = (last, self.op_hist.get(opcode)) {
+                    let now = Instant::now();
+                    hist.record_duration(now.duration_since(prev));
+                    last = Some(now);
+                }
+                if !sop.guard.admits(&r) {
+                    return give_up(ScriptStatus::GuardFailed, Abort::explicit());
+                }
+                results.push(r);
             }
             if let Some(wal) = wal {
-                // One record for the whole run, encoded straight from
-                // the scripts: recovery replays the concatenation as
-                // one transaction, which rebuilds the state the joint
-                // commit produced.
-                ticket.set(Some(wal.enqueue(all_ops())));
+                ticket.set(Some(wal.enqueue(ops)));
             }
             Ok(())
         };
@@ -406,23 +361,10 @@ impl Executor {
             }
             (ticket, _) => ticket.map(Ticket::wait),
         };
-        if n > 1 && status != ScriptStatus::Committed {
-            // The caller re-runs each script on its own; those runs do
-            // the per-script accounting.
-            self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if let Some(t0) = t0 {
-                let per_script = t0.elapsed() / (n.max(1) as u32);
-                for _ in 0..n {
-                    self.script_hist.record_duration(per_script);
-                }
-            }
-            self.status_counts[status.index()].fetch_add(n as u64, Ordering::Relaxed);
-            if n > 1 {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                self.batch_scripts.fetch_add(n as u64, Ordering::Relaxed);
-            }
+        if let Some(t0) = t0 {
+            self.script_hist.record_duration(t0.elapsed());
         }
+        self.status_counts[status.index()].fetch_add(1, Ordering::Relaxed);
         ScriptOutcome {
             status,
             attempts,
@@ -517,10 +459,12 @@ impl Executor {
             // A finished script is counted under exactly one status.
             let scripts = self.status_counts.iter().map(load).sum();
             doc.sampled_hist("script_service", scripts, &self.script_hist.snapshot());
+            // Poll ticks, under the keys scrapers read: a tick is a
+            // "batch", and no tick has a fallback.
             doc.obj("batch", |o| {
-                o.num("batches", load(&self.batches))
-                    .num("scripts", load(&self.batch_scripts))
-                    .num("fallbacks", load(&self.batch_fallbacks));
+                o.num("batches", load(&self.ticks))
+                    .num("scripts", load(&self.tick_scripts))
+                    .num("fallbacks", 0);
             });
             doc.obj("abort_attribution", |o| {
                 let blamed = self.lock_timeouts.lock();
@@ -953,58 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_commits_jointly_with_per_script_results() {
-        let e = exec();
-        let scripts = vec![
-            script().counter_add("c", 3).build(),
-            script().counter_add("c", 4).counter_get("c").build(),
-        ];
-        let outs = e.execute_batch(&scripts).expect("joint commit");
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0].status, ScriptStatus::Committed);
-        assert_eq!(outs[0].results, vec![OpResult::Unit]);
-        // Scripts execute in arrival order inside the joint txn, so
-        // the second script's read sees the first's delta.
-        assert_eq!(
-            outs[1].results,
-            vec![OpResult::Unit, OpResult::Value(Some(7))]
-        );
-        let json = e.stats_json();
-        assert!(
-            json.contains("\"batch\":{\"batches\":1,\"scripts\":2,\"fallbacks\":0"),
-            "{json}"
-        );
-        // Per-script accounting stays exact: 2 committed scripts, 3
-        // op samples, 2 script-service samples.
-        assert!(json.contains("\"committed\":2"), "{json}");
-        assert!(json.contains("\"counter_add\":{\"count\":2"), "{json}");
-        assert!(json.contains("\"script_service\":{\"count\":2"), "{json}");
-    }
-
-    #[test]
-    fn execute_batch_logs_one_wal_record_for_the_run() {
-        let e = exec();
-        let storage = attach_sim_wal(&e);
-        let scripts = vec![
-            script().counter_add("c", 1).build(),
-            script().counter_add("c", 2).counter_get("c").build(),
-            script().counter_add("c", 1).build(),
-        ];
-        let outs = e.execute_batch(&scripts).expect("joint commit");
-        assert!(outs.iter().all(|o| o.wal_durable == Some(true)));
-        assert!(e.shutdown_wal());
-        let log = recover(storage.as_ref()).unwrap();
-        assert_eq!(log.records.len(), 1, "one record for the whole batch");
-        // Encoded op by op from the scripts, it decodes to their
-        // concatenation — what `encode_ops` makes of the joined list.
-        assert_eq!(log.records[0].ops, scripts.concat());
-        let e2 = exec();
-        assert_eq!(log.replay(|record| e2.replay_record(record)), 0);
-        let probe = e2.execute(&script().counter_get("c").build());
-        assert_eq!(probe.results, vec![OpResult::Value(Some(4))]);
-    }
-
-    #[test]
     fn one_name_under_three_types_is_three_objects() {
         let e = exec();
         let same_name = script()
@@ -1030,21 +922,6 @@ mod tests {
             ]
         );
         assert_eq!(e.namespace().object_counts(), (1, 1, 0, 0, 1));
-    }
-
-    #[test]
-    fn a_joint_batch_keeps_its_scripts_counters_apart() {
-        let e = exec();
-        let scripts = vec![
-            script().counter_add("a", 1).counter_get("a").build(),
-            script().counter_add("b", 10).counter_get("b").build(),
-            script().counter_add("a", 100).counter_get("a").build(),
-        ];
-        let outs = e.execute_batch(&scripts).expect("joint commit");
-        let gets: Vec<_> = outs.iter().map(|o| o.results[1]).collect();
-        let expect = [1, 10, 101].map(|v| OpResult::Value(Some(v)));
-        assert_eq!(gets, expect);
-        assert_eq!(e.namespace().object_counts(), (0, 2, 0, 0, 0));
     }
 
     #[test]
@@ -1205,63 +1082,51 @@ mod tests {
     }
 
     #[test]
-    fn a_joint_transaction_stamps_each_op_with_a_measured_gap() {
-        const N: u64 = 32;
-        let e = exec();
-        let scripts = vec![script().counter_add("c", 1).build(); N as usize];
-        let elapsed = on_fresh_thread(|| {
-            let t0 = Instant::now();
-            e.execute_batch(&scripts).expect("joint commit");
-            t0.elapsed()
-        });
-        let adds = e.op_hist[3].snapshot();
-        assert_eq!(adds.count(), N, "one sample per op, not per batch");
-        // Chained stamps partition the body's wall time, so the gaps
-        // cannot add up to more than the call took.
-        assert!(u128::from(adds.sum) <= elapsed.as_nanos());
-        assert_eq!(e.script_hist.snapshot().count(), N);
-    }
-
-    #[test]
     fn counts_are_exact_and_one_run_in_64_is_timed() {
         const RUNS: u32 = 200;
         let e = exec();
         let locked = script().map_insert("m", 1, 1).counter_add("c", 1).build();
         let snapshot = script().map_contains("m", 1).build();
-        let batch = vec![script().counter_add("c", 1).build(); 3];
+        let adds = script()
+            .counter_add("c", 1)
+            .counter_add("c", 1)
+            .counter_add("c", 1)
+            .build();
         let doomed = script().counter_get("c").debug_abort().build();
         // Ops executed by opcode index and scripts finished, over
         // [every run, the timed runs]; the timed ones — 0, 64, 128, 192
-        // — are a locked, a snapshot, a batch and a locked run.
+        // — are a locked, a snapshot, a poll tick's and a locked run.
         let mut ops = [[0u64; NUM_OPCODES]; 2];
         let mut scripts = [0u64; 2];
         let mut aborted = 0;
         on_fresh_thread(|| {
             for run in 0..RUNS {
-                let (ran, finished): (&[usize], u64) = if run % 10 == 9 {
+                let ran: &[usize] = if run % 10 == 9 {
                     assert_eq!(e.execute(&doomed).status, ScriptStatus::DebugAborted);
                     aborted += 1;
-                    (&[4], 1)
+                    &[4]
                 } else if run % 3 == 0 {
                     assert_eq!(e.execute(&locked).status, ScriptStatus::Committed);
-                    (&[0, 3], 1)
+                    &[0, 3]
                 } else if run % 3 == 1 {
                     let out = e.execute_read_only(&snapshot);
                     assert_eq!(out.status, ScriptStatus::Committed);
-                    (&[2], 1)
+                    &[2]
                 } else {
-                    e.execute_batch(&batch).expect("joint commit");
-                    (&[3, 3, 3], 3)
+                    let mut tick = TickRecords::default();
+                    let out = e.run_deferred(&adds, &mut tick);
+                    assert!(out.status == ScriptStatus::Committed && tick.wait());
+                    &[3, 3, 3]
                 };
                 for which in 0..=usize::from(run.is_multiple_of(TIMED_EVERY)) {
                     for &opcode in ran {
                         ops[which][opcode] += 1;
                     }
-                    scripts[which] += finished;
+                    scripts[which] += 1;
                 }
             }
         });
-        assert_eq!(scripts[1], 1 + 1 + 3 + 1);
+        assert_eq!(scripts[1], 4);
         let json = e.stats_json();
         let stat = |path: &str| -> u64 {
             let found = leaves(&json).into_iter().find(|(p, _)| p == path);

@@ -12,11 +12,10 @@
 //! (`sys.rs`). One event loop per core, connections pinned to the loop
 //! that accepted them, edge-triggered reads into per-connection
 //! resumable frame decoders, batched reply flushes with EAGAIN-aware
-//! write interest. Independent single-object scripts arriving in the
-//! same poll tick are coalesced into one joint transaction (see
-//! [`batch`]): one lock-manager pass, one WAL record; a tick's records
-//! are made durable by one write and one fsync issued by the loop
-//! thread itself.
+//! write interest. The scripts that arrive in one poll tick run one
+//! transaction each, in arrival order (see [`batch`]), and the tick's
+//! WAL records are made durable by one write and one fsync issued by
+//! the loop thread itself.
 //!
 //! The *server* is Linux-only: on any other target [`Server::bind`]
 //! returns [`io::ErrorKind::Unsupported`]. [`Executor`], [`Batcher`]
@@ -28,8 +27,8 @@
 //!   stops reading that connection and TCP backpressure reaches the
 //!   client. Other connections are unaffected.
 //! * **Graceful drain** — a wire `Shutdown` frame or SIGTERM stops
-//!   accepting and reading; decoded scripts (including a pending
-//!   batch) still execute and get replies before sockets close.
+//!   accepting and reading; decoded scripts still execute and get
+//!   replies before sockets close.
 //!   [`Server::join`] returns once the drain is complete.
 
 #![warn(missing_docs)]
@@ -65,8 +64,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Event loops (default: one per core; at least one runs).
     pub event_loops: usize,
-    /// Same-tick commit batching.
-    pub batch: BatchConfig,
     /// Per-connection in-flight request window (backpressure bound).
     pub window: usize,
     /// Maximum accepted frame payload size.
@@ -119,7 +116,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7411".to_string(),
             event_loops: cores,
-            batch: BatchConfig::default(),
             window: 32,
             max_frame: wire::MAX_FRAME_LEN,
             default_sem_permits: 1024,

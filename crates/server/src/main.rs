@@ -1,11 +1,12 @@
 //! The `txboost-server` binary (Linux: the I/O plane is `epoll`).
 //!
 //! `--help` lists the flags. All connections are multiplexed over
-//! `--event-loops` readiness loops, and same-tick single-object scripts
-//! are coalesced into joint commits (`--batch-max` caps scripts per
-//! batch). `--io epoll` is accepted and ignored — epoll is the only
-//! plane, and the repo's benchmark harness still passes the flag; any
-//! other `--io` value is a usage error.
+//! `--event-loops` readiness loops; each script runs as its own
+//! transaction, and a poll tick's replies leave after one durability
+//! wait.
+//! `--io epoll` is accepted and ignored — epoll is the only plane, and
+//! the repo's benchmark harness still passes the flag; any other `--io`
+//! value is a usage error.
 //!
 //! With `--wal-dir` the server recovers and replays the write-ahead
 //! log in PATH before accepting connections, then logs every
@@ -24,7 +25,7 @@ use std::time::Duration;
 use txboost_server::{Server, ServerConfig, WalServerConfig};
 
 const USAGE: &str = "usage: txboost-server [--addr HOST:PORT] [--event-loops N] \
-                     [--batch-max N] [--window N] [--max-frame BYTES] [--lock-timeout-us N] \
+                     [--window N] [--max-frame BYTES] [--lock-timeout-us N] \
                      [--max-retries N] [--default-sem-permits N] [--wal-dir PATH] \
                      [--wal-batch N] [--wal-segment-bytes N] \
                      [--io epoll (accepted and ignored: epoll is the only I/O plane)]";
@@ -63,7 +64,6 @@ fn main() {
                 }
             }
             "--event-loops" => cfg.event_loops = parsed(&flag, val()),
-            "--batch-max" => cfg.batch.max_scripts = parsed(&flag, val()),
             "--window" => cfg.window = parsed(&flag, val()),
             "--max-frame" => cfg.max_frame = parsed(&flag, val()),
             "--lock-timeout-us" => {

@@ -1,7 +1,7 @@
-//! The executor's three entry points are one transaction: whichever
-//! door a script comes in by — `execute`, `execute_batch` as a run of
-//! one, or `execute_read_only` — the reply, the effects and the
-//! accounting are the same.
+//! The executor's entry points are one transaction: whichever door a
+//! script comes in by — `execute`, a one-request poll tick through
+//! `Batcher::run_tick` (the server's own path), or `execute_read_only`
+//! — the reply, the effects and the accounting are the same.
 //!
 //! A seeded stream of random scripts (every opcode, guards,
 //! `DebugAbort`, empty semaphores, mutations inside read-only
@@ -12,8 +12,10 @@
 use std::time::Duration;
 use txboost_client::ScriptBuilder;
 use txboost_core::TxnConfig;
-use txboost_server::{batch_eligible, Executor, ScriptOutcome};
-use txboost_wire::{op_name, Guard, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
+use txboost_server::{Batcher, Executor, ScriptOutcome};
+use txboost_wire::{
+    op_name, Guard, Op, OpResult, Request, Response, ScriptOp, ScriptStatus, NUM_OPCODES,
+};
 
 /// xorshift64*, so the stream needs no rand dependency.
 struct Rng(u64);
@@ -97,6 +99,34 @@ fn counters(e: &Executor) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
+/// What a client is sent for a script's outcome.
+fn reply(o: ScriptOutcome) -> Response {
+    Response::Script {
+        req_id: 0,
+        status: o.status,
+        attempts: o.attempts,
+        failed_op: o.failed_op,
+        results: o.results,
+    }
+}
+
+/// Run `ops` as a poll tick of one request, the way an event loop does.
+fn ticked(e: &Executor, ops: &[ScriptOp]) -> Response {
+    let req = Request::Script {
+        req_id: 0,
+        ops: ops.to_vec(),
+    };
+    let mut replies = Vec::new();
+    assert!(Batcher.run_tick(
+        e,
+        vec![((), req)],
+        |other| panic!("a script reached `other`: {other:?}"),
+        |(), resp| replies.push(resp),
+    ));
+    assert_eq!(replies.len(), 1, "one request, one reply");
+    replies.remove(0)
+}
+
 #[test]
 fn entry_points_agree_on_replies_state_and_counters() {
     let fresh = || {
@@ -111,9 +141,8 @@ fn entry_points_agree_on_replies_state_and_counters() {
         Executor::new(txn, 0)
     };
     let (a, b) = (fresh(), fresh());
-    let reply = |o: ScriptOutcome| (o.status, o.attempts, o.failed_op, o.results);
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-    let (mut batched, mut snapshots) = (0, 0);
+    let (mut ticks, mut snapshots) = (0, 0);
     for i in 0..4000 {
         let ops = gen_script(&mut rng);
         let reads =
@@ -122,25 +151,26 @@ fn entry_points_agree_on_replies_state_and_counters() {
             // Declared read-only whatever it holds: a mutation is a
             // violation by this door and a commit by any other, so
             // both executors take it.
-            (a.execute_read_only(&ops), b.execute_read_only(&ops))
-        } else if batch_eligible(&ops) {
-            batched += 1;
-            let joint = b.execute_batch(std::slice::from_ref(&ops));
-            let only = joint.expect("a run of one reports its own outcome").pop();
-            (a.execute(&ops), only.expect("one script, one outcome"))
+            (
+                reply(a.execute_read_only(&ops)),
+                reply(b.execute_read_only(&ops)),
+            )
         } else if ops.iter().all(reads) {
             snapshots += 1;
-            (a.execute(&ops), b.execute_read_only(&ops))
+            (reply(a.execute(&ops)), reply(b.execute_read_only(&ops)))
+        } else if i % 2 == 1 {
+            ticks += 1;
+            (reply(a.execute(&ops)), ticked(&b, &ops))
         } else {
-            (a.execute(&ops), b.execute(&ops))
+            (reply(a.execute(&ops)), reply(b.execute(&ops)))
         };
-        assert_eq!(reply(ra), reply(rb), "script {i}: {ops:?}");
+        assert_eq!(ra, rb, "script {i}: {ops:?}");
     }
-    assert!(batched > 200 && snapshots > 50, "{batched} / {snapshots}");
+    assert!(ticks > 1000 && snapshots > 50, "{ticks} / {snapshots}");
 
     // Same accounting. Every status a lone executor can reach and
     // every opcode occurred (`DebugAbort` aborts before it is
-    // sampled), and runs of one were not counted as batches.
+    // sampled), and only the ticks were counted as ticks.
     assert_eq!(counters(&a), counters(&b));
     for (name, count) in counters(&a) {
         let unreachable = ["lock_timeout", "retries_exhausted", "debug_abort"];
@@ -149,7 +179,8 @@ fn entry_points_agree_on_replies_state_and_counters() {
             "{name} never occurred"
         );
     }
-    assert_eq!(number_after(&b.stats_json(), "\"batch\":{\"batches\":"), 0);
+    let batches = |e: &Executor| number_after(&e.stats_json(), "\"batch\":{\"batches\":");
+    assert_eq!((batches(&a), batches(&b)), (0, ticks));
 
     // Same final state, read back destructively through one door:
     // maps and counters, the next id, the queues drained.

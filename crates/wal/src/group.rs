@@ -179,7 +179,7 @@ impl GroupCommitWal {
     /// returns `Ok`): the LSN assigned here fixes the replay order, and
     /// the locks guarantee it matches the serialization order. Await
     /// the ticket *after* commit, with the locks released.
-    pub fn enqueue<'a>(&self, ops: impl IntoIterator<Item = &'a ScriptOp>) -> Ticket<'_> {
+    pub fn enqueue(&self, ops: &[ScriptOp]) -> Ticket<'_> {
         let mut p = self.pending.lock();
         if p.closed {
             return Ticket {
@@ -190,7 +190,7 @@ impl GroupCommitWal {
         let lsn = p.next_lsn;
         let start = p.buf.len();
         p.buf.resize(start + RECORD_PREFIX_LEN, 0);
-        txboost_wire::encode_ops_iter(&mut p.buf, ops);
+        txboost_wire::encode_ops(&mut p.buf, ops);
         seal_record(&mut p.buf[start..], lsn);
         p.next_lsn += 1;
         p.frames += 1;
@@ -264,7 +264,7 @@ impl GroupCommitWal {
         // lock.
         #[cfg(feature = "deterministic")]
         {
-            det::yield_point(det::Point::WalBatchSeal);
+            det::yield_point(det::Point::WalLead);
             if self.ack_before_sync.load(Ordering::Relaxed) {
                 self.durable.store(first_lsn + records, Ordering::Release);
             }

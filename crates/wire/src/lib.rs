@@ -722,23 +722,11 @@ fn put_op(out: &mut Vec<u8>, sop: &ScriptOp) {
 /// can persist scripts in the wire format instead of inventing a
 /// second serialization.
 pub fn encode_ops(out: &mut Vec<u8>, ops: &[ScriptOp]) {
-    encode_ops_iter(out, ops);
-}
-
-/// [`encode_ops`] for ops that do not sit in one slice (the write-ahead
-/// log's record for a joint batch is the concatenation of its
-/// scripts): each op is encoded as the iterator yields it, and the
-/// count is written once it is known.
-pub fn encode_ops_iter<'a>(out: &mut Vec<u8>, ops: impl IntoIterator<Item = &'a ScriptOp>) {
-    let count_at = out.len();
-    out.extend_from_slice(&[0; 2]);
-    let mut n = 0usize;
+    debug_assert!(ops.len() <= MAX_OPS_PER_SCRIPT as usize);
+    out.extend_from_slice(&(ops.len() as u16).to_le_bytes());
     for sop in ops {
         put_op(out, sop);
-        n += 1;
     }
-    debug_assert!(n <= MAX_OPS_PER_SCRIPT as usize);
-    out[count_at..count_at + 2].copy_from_slice(&(n as u16).to_le_bytes());
 }
 
 /// Decode a standalone op list produced by [`encode_ops`]. Enforces
@@ -1323,12 +1311,6 @@ mod tests {
         let mut enc = Vec::new();
         encode_ops(&mut enc, &ops);
         assert_eq!(decode_ops(&enc).unwrap(), ops);
-        // The op-at-a-time encoder writes the same bytes, behind
-        // whatever the buffer already holds.
-        let (head, tail) = ops.split_at(1);
-        let mut chained = vec![0xAA];
-        encode_ops_iter(&mut chained, head.iter().chain(tail));
-        assert_eq!(chained[1..], enc[..]);
         // Every strict prefix fails cleanly, trailing bytes are
         // rejected, and the op budget holds — the same hardening the
         // request decoder has, since WAL records reuse this path.

@@ -58,7 +58,6 @@ BASELINES = {
             "snapshot scan4 @262144 keys",
             "executor transfer 3-op script",
             "executor transfer x2 threads, disjoint keys",
-            "executor 16-counter joint batch",
             "executor rscan4 script",
         ],
         "meta": {"allocs_per_script_transfer3": "1"},

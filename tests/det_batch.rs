@@ -1,25 +1,23 @@
-//! Deterministic sweep over same-tick commit batching.
+//! Deterministic sweep over poll ticks.
 //!
 //! Two logical event loops share one executor. Each loop pumps poll
-//! ticks through its own [`Batcher`] over an interleaved
-//! multi-connection request stream — eligible scripts coalesce into
-//! joint transactions, a ping per tick forces a mid-tick seal, and the
-//! `BatchSeal` yield point lets the scheduler interleave one loop's
-//! seal with the other loop's commits. Per (seed, schedule) the sweep
-//! asserts:
+//! ticks through [`Batcher::run_tick`] over an interleaved
+//! multi-connection request stream — scripts run one transaction each,
+//! with a ping between them — and the scheduler interleaves one loop's
+//! transactions with the other's at every lock, undo and commit yield
+//! point. Per (seed, schedule) the sweep asserts:
 //!
 //! * **per-connection FIFO** — every connection's replies carry its
-//!   request ids in send order, whether its scripts were merged into a
-//!   batch, split across batches, or executed solo;
-//! * **exactly one reply per request** — merging never drops or
+//!   request ids in send order;
+//! * **exactly one reply per request** — a tick never drops or
 //!   duplicates an acknowledgement;
 //! * **conservation** — the shared counter equals the number of
-//!   committed adds, so a joint commit is all-or-nothing per script
-//!   count;
+//!   committed adds, and `STATS` counts every tick and every script it
+//!   ran;
 //! * **drain completeness** — a tick queue handed to `run_tick` at
-//!   drain time is executed and replied in full: by construction the
-//!   batcher seals before returning, so a graceful drain cannot strand
-//!   a sealed-but-unexecuted batch.
+//!   drain time is executed and replied in full: `run_tick` consumes
+//!   the whole queue before returning, so a graceful drain cannot
+//!   strand a decoded request.
 //!
 //! `DET_SEEDS` / `DET_SWEEP_SEED` scale the sweep in CI exactly like
 //! the other deterministic suites.
@@ -28,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use txboost_core::TxnConfig;
 use txboost_sched::core_det as det;
-use txboost_server::{BatchConfig, Batcher, Executor};
+use txboost_server::{Batcher, Executor};
 use txboost_wire::{Op, OpResult, Request, Response, ScriptOp, ScriptStatus};
 
 /// Logical event loops sharing the executor.
@@ -39,6 +37,8 @@ const CONNS: usize = 2;
 const TICKS: usize = 2;
 /// Requests per connection per tick (one of them a ping).
 const PER_CONN: usize = 3;
+/// Scripts per tick: every request but the one ping.
+const SCRIPTS_PER_TICK: u64 = (CONNS * PER_CONN - 1) as u64;
 
 fn exec() -> Executor {
     Executor::new(
@@ -78,7 +78,7 @@ fn serve_other(exec: &Executor, req: Request) -> Response {
 
 /// One loop-tick's interleaved request stream: connections round-robin
 /// their pipelines, so consecutive requests usually belong to
-/// different connections — the batcher must still reply per-connection
+/// different connections — the tick must still reply per-connection
 /// FIFO. Request ids encode the per-connection sequence number.
 fn tick_requests(tick: usize) -> Vec<(usize, Request)> {
     let mut reqs = Vec::new();
@@ -86,8 +86,7 @@ fn tick_requests(tick: usize) -> Vec<(usize, Request)> {
         for conn in 0..CONNS {
             let req_id = (tick * PER_CONN + seq) as u64;
             let req = if seq == 1 && conn == 0 {
-                // Non-batchable: forces the pending batch to seal
-                // mid-tick, splitting conn 1's run in two.
+                // Served by the caller, between two scripts.
                 Request::Ping { req_id }
             } else {
                 Request::Script {
@@ -104,13 +103,12 @@ fn tick_requests(tick: usize) -> Vec<(usize, Request)> {
 /// Run one loop's ticks, asserting reply-order invariants locally and
 /// accumulating commits into `committed`.
 fn pump_loop(exec: &Executor, committed: &AtomicU64) {
-    let batcher = Batcher::new(BatchConfig { max_scripts: 4 });
     for tick in 0..TICKS {
         det::yield_point(det::Point::User);
         let reqs = tick_requests(tick);
         let expect = reqs.len();
         let mut replies: Vec<(usize, u64)> = Vec::new();
-        batcher.run_tick(
+        Batcher.run_tick(
             exec,
             reqs,
             |req| serve_other(exec, req),
@@ -162,20 +160,21 @@ fn batched_ticks_preserve_fifo_and_conservation() {
             vec![OpResult::Value(Some(total))],
             "seed {seed}: counter must equal committed adds"
         );
-        // Both loops saw merge-worthy runs: with a ping splitting each
-        // tick, at least one multi-script batch forms per loop tick.
-        assert!(
-            e.stats_json().contains("\"batch\":{\"batches\":"),
-            "stats must report the batch section"
+        // Every tick of both loops ran its scripts.
+        let ticks = (LOOPS * TICKS) as u64;
+        let batch = format!(
+            "\"batch\":{{\"batches\":{ticks},\"scripts\":{},\"fallbacks\":0}}",
+            ticks * SCRIPTS_PER_TICK
         );
+        let json = e.stats_json();
+        assert!(json.contains(&batch), "seed {seed}: {json}");
     }
 }
 
 /// Drain: the event loop hands its final decoded tick queue to
 /// `run_tick` after the shutdown flag is observed. Everything decoded
-/// — including a batch sealed mid-queue — must execute and reply
-/// before the connection closes; the scheduler interleaves the other
-/// loop's traffic to stress the seal/commit window.
+/// must execute and reply before the connection closes; the scheduler
+/// interleaves the other loop's traffic with the tick's transactions.
 #[test]
 fn drain_tick_with_sealed_batch_executes_everything() {
     for seed in txboost_sched::seeds_from_env(8) {
@@ -186,12 +185,11 @@ fn drain_tick_with_sealed_batch_executes_everything() {
             if tid == 0 {
                 // The draining loop: its last tick queue (already
                 // decoded when shutdown was observed) still runs.
-                let batcher = Batcher::new(BatchConfig { max_scripts: 4 });
                 det::yield_point(det::Point::User);
                 let reqs = tick_requests(0);
                 let expect = reqs.len();
                 let mut got = 0u64;
-                batcher.run_tick(
+                Batcher.run_tick(
                     &e,
                     reqs,
                     |req| serve_other(&e, req),
@@ -224,5 +222,9 @@ fn drain_tick_with_sealed_batch_executes_everything() {
         })]);
         let total = i64::try_from(committed.load(Ordering::Relaxed)).expect("fits");
         assert_eq!(probe.results, vec![OpResult::Value(Some(total))]);
+        // The drain tick is the one tick; the background load ran
+        // outside any.
+        let batch = format!("\"batch\":{{\"batches\":1,\"scripts\":{SCRIPTS_PER_TICK},");
+        assert!(e.stats_json().contains(&batch), "seed {seed}");
     }
 }
