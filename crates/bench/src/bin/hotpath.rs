@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_client::ScriptBuilder;
 use txboost_collections::{BoostedCounter, BoostedHashMap};
-use txboost_core::locks::{KeyLockMap, TxRwLock};
+use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
 use txboost_core::{TxnConfig, TxnManager};
 use txboost_server::Executor;
 use txboost_wire::{ScriptOp, ScriptStatus};
@@ -311,12 +311,12 @@ fn bench_acquire(
 /// empty transactions timed in the same window, per lock.
 fn bench_shared_acquire(iters: u64) -> Measurement {
     let tm = TxnManager::default();
-    let locks: [TxRwLock; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| TxRwLock::new());
+    let locks: [Arc<AbstractLock>; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| Arc::default());
     measure("shared-acquire", iters, iters * ACQUIRE_KEYS as u64, || {
         let empty = time_empty_txns(&tm, iters);
         let start = Instant::now();
         for _ in 0..iters {
-            tm.run(|t| locks.iter().try_for_each(|l| l.read_lock(t)))
+            tm.run(|t| locks.iter().try_for_each(|l| l.acquire(t, Mode::Shared)))
                 .unwrap();
         }
         start.elapsed().saturating_sub(empty)

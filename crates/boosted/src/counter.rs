@@ -4,16 +4,25 @@
 //! `add(n) ⇔ add(m)` for all `n, m` (addition commutes), but `get()/v`
 //! does not commute with any `add(n)` for `n ≠ 0`. The induced
 //! discipline mirrors the boosted heap's: increments acquire the
-//! abstract readers-writer lock **shared** (the striped base counter
+//! counter's abstract lock **shared** (the striped base counter
 //! handles their thread-level interleaving), reads acquire it
 //! **exclusive**. Under read/write STM every increment pair would
 //! conflict; here increment-only workloads never abort.
 
 use crate::versioned::Versioned;
 use std::sync::Arc;
-use txboost_core::locks::TxRwLock;
+use txboost_core::locks::{AbstractLock, Mode};
 use txboost_core::{DeltaChain, TxResult, Txn};
 use txboost_linearizable::StripedCounter;
+
+/// A call on a [`BoostedCounter`], as its conflict table reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterCall {
+    /// `add(n)`, for any `n`
+    Add,
+    /// `get()`
+    Get,
+}
 
 /// A transactional signed counter boosted from the striped counter.
 #[derive(Debug, Clone)]
@@ -23,7 +32,7 @@ pub struct BoostedCounter {
     /// values: concurrent shared-mode adders commit independently, so
     /// no single committer knows the whole value.
     base: Arc<Versioned<StripedCounter, DeltaChain>>,
-    lock: Arc<TxRwLock>,
+    lock: Arc<AbstractLock>,
 }
 
 impl Default for BoostedCounter {
@@ -38,14 +47,26 @@ impl BoostedCounter {
         let deltas = DeltaChain::new_global();
         BoostedCounter {
             base: Arc::new(Versioned::new(StripedCounter::default(), deltas)),
-            lock: Arc::new(TxRwLock::new()),
+            lock: Arc::default(),
+        }
+    }
+
+    /// The counter's conflict abstraction: the lock word `call` takes,
+    /// and its mode. Adds commute with each other and share the
+    /// counter's one word; a read commutes with no add and takes it
+    /// exclusively.
+    pub fn conflict(&self, call: CounterCall) -> (&Arc<AbstractLock>, Mode) {
+        match call {
+            CounterCall::Add => (&self.lock, Mode::Shared),
+            CounterCall::Get => (&self.lock, Mode::Exclusive),
         }
     }
 
     /// Transactionally add `n` (may be negative). Shared-mode lock;
     /// inverse is `add(-n)`.
     pub fn add(&self, txn: &Txn, n: i64) -> TxResult<()> {
-        self.lock.read_lock(txn)?;
+        let (lock, mode) = self.conflict(CounterCall::Add);
+        lock.acquire(txn, mode)?;
         self.base.add(n);
         txn.log_effect(
             (Arc::clone(&self.base), n),
@@ -63,7 +84,8 @@ impl BoostedCounter {
         if let Some(ts) = txn.snapshot_ts() {
             return Ok(self.base.versions.read_at(ts));
         }
-        self.lock.write_lock(txn)?;
+        let (lock, mode) = self.conflict(CounterCall::Get);
+        lock.acquire(txn, mode)?;
         Ok(self.base.sum())
     }
 

@@ -15,11 +15,15 @@
 //! | [`TSemaphore`] | transactional semaphore (Sec. 3.3.1) | counter + condvar | — | `acquire ↩ release`; `release` is **disposable**, deferred to commit |
 //! | [`UniqueIdGen`] | unique-ID generator (Fig. 8) | fetch-and-add counter | none needed — `assignID()/x ⇔ assignID()/y` | `assignID ↩ noop`; post-abort **disposable** `releaseID(x)` |
 //! | [`BoostedHashMap`] | collection-class methodology | striped hash map | lock per key | `put ↩` restore previous binding, etc. |
-//! | [`BoostedStack`] | collection-class methodology | Treiber stack | single lock (no two mutations commute) | `push ↩ pop`, `pop/x ↩ push(x)` |
 //! | [`BoostedCounter`] | commutativity showcase | striped counter | readers-writer: `add` shared, `get` exclusive | `add(n) ↩ add(-n)` |
-//! | [`BoostedSkipListMap`] | black-box reuse showcase | lazy skip-list map | lock per key | `put ↩` restore previous binding |
 //! | [`BoostedRefCount`] | Section 2 reference counts | atomic counter | none — see module docs | `incr ↩ decr`; `decr` **disposable**, batched optionally |
 //! | [`TxSlabAlloc`] | Section 2 transactional malloc/free | concurrent slab | none — distinct allocations commute | `alloc ↩ free`; `free` **disposable** |
+//!
+//! Each type that takes abstract locks states its discipline once, as a
+//! public `conflict` function from a call ([`SetCall`], [`MapCall`],
+//! [`CounterCall`], [`PQueueCall`]) to the lock word it takes and the
+//! [`txboost_core::locks::Mode`] it takes it in; every transactional
+//! method acquires through that function, so the table is the code.
 //!
 //! Every method takes a [`txboost_core::Txn`] and returns
 //! [`txboost_core::TxResult`]; run them under
@@ -51,19 +55,15 @@ mod rbtree_set;
 mod refcount;
 mod semaphore;
 mod set;
-mod sorted_map;
-mod stack;
 mod versioned;
 
 pub use alloc::TxSlabAlloc;
-pub use counter::BoostedCounter;
+pub use counter::{BoostedCounter, CounterCall};
 pub use idgen::{ReleasePolicy, UniqueIdGen};
-pub use map::BoostedHashMap;
-pub use pqueue::BoostedPQueue;
+pub use map::{BoostedHashMap, MapCall};
+pub use pqueue::{BoostedPQueue, PQueueCall};
 pub use queue::BoostedBlockingQueue;
 pub use rbtree_set::BoostedRbTreeSet;
 pub use refcount::{BoostedRefCount, DecrPolicy};
 pub use semaphore::TSemaphore;
-pub use set::{BoostedListSet, BoostedSkipListSet};
-pub use sorted_map::BoostedSkipListMap;
-pub use stack::BoostedStack;
+pub use set::{BoostedListSet, BoostedSkipListSet, SetCall};

@@ -13,9 +13,23 @@
 use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
-use txboost_core::locks::KeyLockMap;
+use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
 use txboost_core::{TxResult, Txn, VersionStore};
 use txboost_linearizable::StripedHashMap;
+
+/// A call on a [`BoostedHashMap`], as its conflict table reads it: the
+/// method and the key it names.
+#[derive(Debug)]
+pub enum MapCall<'a, K> {
+    /// `put(k, v)`
+    Put(&'a K),
+    /// `remove(k)`
+    Remove(&'a K),
+    /// `get(k)`
+    Get(&'a K),
+    /// `contains_key(k)`
+    ContainsKey(&'a K),
+}
 
 /// A transactional key-value map boosted from the striped hash map.
 ///
@@ -67,11 +81,22 @@ where
         }
     }
 
+    /// The map's conflict abstraction: the lock word `call` takes, and
+    /// its mode. Every call on `k` takes `k`'s slot exclusively.
+    pub fn conflict(&self, call: MapCall<'_, K>) -> (&Arc<AbstractLock>, Mode) {
+        let (MapCall::Put(key)
+        | MapCall::Remove(key)
+        | MapCall::Get(key)
+        | MapCall::ContainsKey(key)) = call;
+        (self.locks.slot(key), Mode::Exclusive)
+    }
+
     /// Transactionally bind `key` to `value`, returning the previous
     /// value. Inverse: restore the previous binding (re-insert the old
     /// value, or remove the key if it was absent).
     pub fn put(&self, txn: &Txn, key: K, value: V) -> TxResult<Option<V>> {
-        self.locks.lock(txn, &key)?;
+        let (lock, mode) = self.conflict(MapCall::Put(&key));
+        lock.acquire(txn, mode)?;
         let previous = self.base.insert(key.clone(), value.clone());
         txn.log_effect(
             (Arc::clone(&self.base), key, previous.clone(), value),
@@ -89,7 +114,8 @@ where
     /// Transactionally remove `key`, returning its value. Inverse:
     /// re-insert the removed binding.
     pub fn remove(&self, txn: &Txn, key: &K) -> TxResult<Option<V>> {
-        self.locks.lock(txn, key)?;
+        let (lock, mode) = self.conflict(MapCall::Remove(key));
+        lock.acquire(txn, mode)?;
         let removed = self.base.remove(key);
         // An effect only when something was actually removed: a remove
         // of an absent key changes neither the base nor committed state.
@@ -114,7 +140,8 @@ where
         if let Some(ts) = txn.snapshot_ts() {
             return Ok(self.base.versions.read_at(key, ts));
         }
-        self.locks.lock(txn, key)?;
+        let (lock, mode) = self.conflict(MapCall::Get(key));
+        lock.acquire(txn, mode)?;
         Ok(self.base.get(key))
     }
 
@@ -123,7 +150,8 @@ where
         if let Some(ts) = txn.snapshot_ts() {
             return Ok(self.base.versions.read_at(key, ts).is_some());
         }
-        self.locks.lock(txn, key)?;
+        let (lock, mode) = self.conflict(MapCall::ContainsKey(key));
+        lock.acquire(txn, mode)?;
         Ok(self.base.contains_key(key))
     }
 

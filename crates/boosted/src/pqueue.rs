@@ -1,7 +1,7 @@
 //! The boosted priority queue — Figure 5 of the paper.
 //!
 //! Base object: the Hunt-style fine-grained concurrent heap. Abstract
-//! locks: a two-phase readers-writer lock ([`txboost_core::locks::TxRwLock`]);
+//! locks: one two-phase lock word used as a readers-writer lock;
 //! `add` calls commute with each other and acquire it **shared**
 //! (relying on the heap's own thread-level synchronization for their
 //! interleaving), while `remove_min` acquires it **exclusive**.
@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use txboost_core::locks::TxRwLock;
+use txboost_core::locks::{AbstractLock, Mode};
 use txboost_core::{TxResult, Txn};
 use txboost_linearizable::ConcurrentHeap;
 
@@ -45,6 +45,17 @@ impl<K: Ord> Ord for Holder<K> {
     }
 }
 
+/// A call on a [`BoostedPQueue`], as its conflict table reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PQueueCall {
+    /// `add(x)`, for any `x`
+    Add,
+    /// `removeMin()`
+    RemoveMin,
+    /// `min()`
+    Min,
+}
+
 /// A transactional min-priority-queue boosted from the concurrent heap.
 ///
 /// Duplicate keys are allowed (it is a multiset of keys, per the
@@ -64,7 +75,7 @@ impl<K: Ord> Ord for Holder<K> {
 #[derive(Debug)]
 pub struct BoostedPQueue<K: 'static> {
     base: Arc<ConcurrentHeap<Arc<Holder<K>>>>,
-    lock: Arc<TxRwLock>,
+    lock: Arc<AbstractLock>,
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static> Default for BoostedPQueue<K> {
@@ -78,7 +89,19 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     pub fn new() -> Self {
         BoostedPQueue {
             base: Arc::new(ConcurrentHeap::new()),
-            lock: Arc::new(TxRwLock::new()),
+            lock: Arc::default(),
+        }
+    }
+
+    /// The queue's conflict abstraction: the lock word `call` takes, and
+    /// its mode (Figure 5). Adds commute with each other and share the
+    /// queue's one word. `removeMin` commutes with nothing, and `min()/x`
+    /// not with `add(y)` for `y < x`, which one word cannot express, so
+    /// both take it exclusively.
+    pub fn conflict(&self, call: PQueueCall) -> (&Arc<AbstractLock>, Mode) {
+        match call {
+            PQueueCall::Add => (&self.lock, Mode::Shared),
+            PQueueCall::RemoveMin | PQueueCall::Min => (&self.lock, Mode::Exclusive),
         }
     }
 
@@ -89,7 +112,8 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     /// the underlying heap (Figure 5, line 46). The inverse marks the
     /// key's holder deleted (Figure 5, lines 48–52).
     pub fn add(&self, txn: &Txn, key: K) -> TxResult<()> {
-        self.lock.read_lock(txn)?;
+        let (lock, mode) = self.conflict(PQueueCall::Add);
+        lock.acquire(txn, mode)?;
         let holder = Arc::new(Holder {
             key,
             deleted: AtomicBool::new(false),
@@ -109,7 +133,8 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     /// `add`s are discarded on the way. The inverse re-inserts the
     /// holder.
     pub fn remove_min(&self, txn: &Txn) -> TxResult<Option<K>> {
-        self.lock.write_lock(txn)?;
+        let (lock, mode) = self.conflict(PQueueCall::RemoveMin);
+        lock.acquire(txn, mode)?;
         loop {
             let Some(holder) = self.base.remove_min() else {
                 return Ok(None);
@@ -129,11 +154,10 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     /// Transactionally peek at the least key without removing it.
     ///
     /// Needs no inverse (the abstract state is unchanged) but still
-    /// acquires the exclusive lock: `min()/x` does not commute with
-    /// `add(y)` for `y < x` or with `remove_min`, and the readers-
-    /// writer lock cannot express "commutes with *some* adds".
+    /// acquires the exclusive lock; see [`Self::conflict`].
     pub fn min(&self, txn: &Txn) -> TxResult<Option<K>> {
-        self.lock.write_lock(txn)?;
+        let (lock, mode) = self.conflict(PQueueCall::Min);
+        lock.acquire(txn, mode)?;
         loop {
             match self.base.min() {
                 None => return Ok(None),
@@ -154,13 +178,14 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
         self.base.len()
     }
 
-    /// Acquire the queue's abstract lock exclusively without calling a
-    /// method. Exists for the Figure 11 baseline ("a single mutex"):
-    /// taking the exclusive lock before `add` turns the readers-writer
-    /// discipline into a mutex discipline while keeping everything
-    /// else identical.
+    /// Acquire what `remove_min` acquires — the queue's word,
+    /// exclusively — without calling a method. Exists for the Figure 11
+    /// baseline ("a single mutex"): taking it before `add` turns the
+    /// readers-writer discipline into a mutex discipline while keeping
+    /// everything else identical.
     pub fn exclusive_lock(&self, txn: &Txn) -> TxResult<()> {
-        self.lock.write_lock(txn)
+        let (lock, mode) = self.conflict(PQueueCall::RemoveMin);
+        lock.acquire(txn, mode)
     }
 }
 

@@ -11,8 +11,9 @@
 //! transaction instead of tracking every field access, copies nothing,
 //! and almost never aborts.
 
+use crate::SetCall;
 use std::sync::Arc;
-use txboost_core::locks::TxMutex;
+use txboost_core::locks::{AbstractLock, Mode};
 use txboost_core::{TxResult, Txn};
 use txboost_linearizable::SyncRbTreeSet;
 
@@ -21,7 +22,7 @@ use txboost_linearizable::SyncRbTreeSet;
 #[derive(Debug)]
 pub struct BoostedRbTreeSet<K: 'static> {
     base: Arc<SyncRbTreeSet<K>>,
-    lock: TxMutex,
+    lock: Arc<AbstractLock>,
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static> Default for BoostedRbTreeSet<K> {
@@ -35,13 +36,24 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedRbTreeSet<K> {
     pub fn new() -> Self {
         BoostedRbTreeSet {
             base: Arc::new(SyncRbTreeSet::new()),
-            lock: TxMutex::new(),
+            lock: Arc::default(),
+        }
+    }
+
+    /// The tree's conflict abstraction: every call takes the set's one
+    /// word exclusively (the paper's single two-phase lock).
+    pub fn conflict(&self, call: SetCall<'_, K>) -> (&Arc<AbstractLock>, Mode) {
+        match call {
+            SetCall::Add(_) | SetCall::Remove(_) | SetCall::Contains(_) => {
+                (&self.lock, Mode::Exclusive)
+            }
         }
     }
 
     /// Transactionally add `key`; logs `remove(key)` as the inverse.
     pub fn add(&self, txn: &Txn, key: K) -> TxResult<bool> {
-        self.lock.lock(txn)?;
+        let (lock, mode) = self.conflict(SetCall::Add(&key));
+        lock.acquire(txn, mode)?;
         let result = self.base.add(key.clone());
         if result {
             let base = Arc::clone(&self.base);
@@ -54,7 +66,8 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedRbTreeSet<K> {
 
     /// Transactionally remove `key`; logs `add(key)` as the inverse.
     pub fn remove(&self, txn: &Txn, key: &K) -> TxResult<bool> {
-        self.lock.lock(txn)?;
+        let (lock, mode) = self.conflict(SetCall::Remove(key));
+        lock.acquire(txn, mode)?;
         let result = self.base.remove(key);
         if result {
             let base = Arc::clone(&self.base);
@@ -68,7 +81,8 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedRbTreeSet<K> {
 
     /// Transactionally test membership (no inverse needed).
     pub fn contains(&self, txn: &Txn, key: &K) -> TxResult<bool> {
-        self.lock.lock(txn)?;
+        let (lock, mode) = self.conflict(SetCall::Contains(key));
+        lock.acquire(txn, mode)?;
         Ok(self.base.contains(key))
     }
 

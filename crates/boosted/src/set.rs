@@ -4,9 +4,21 @@
 use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
-use txboost_core::locks::{KeyLockMap, TxMutex};
+use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
 use txboost_core::{TxResult, Txn, VersionStore};
 use txboost_linearizable::{LazySkipListSet, LockCouplingList};
+
+/// A call on a boosted set, as its conflict table reads it: the method
+/// and the key it names.
+#[derive(Debug)]
+pub enum SetCall<'a, K> {
+    /// `add(x)`
+    Add(&'a K),
+    /// `remove(x)`
+    Remove(&'a K),
+    /// `contains(x)`
+    Contains(&'a K),
+}
 
 /// The abstract-lock discipline for a boosted set.
 #[derive(Debug)]
@@ -15,16 +27,7 @@ enum SetLocks<K> {
     /// operations on distinct keys commute and run in parallel.
     PerKey(KeyLockMap<K>),
     /// One lock for the whole set — Figure 10's coarse baseline.
-    Coarse(TxMutex),
-}
-
-impl<K: Hash + Eq + Clone> SetLocks<K> {
-    fn lock(&self, txn: &Txn, key: &K) -> TxResult<()> {
-        match self {
-            SetLocks::PerKey(map) => map.lock(txn, key),
-            SetLocks::Coarse(m) => m.lock(txn),
-        }
-    }
+    Coarse(Arc<AbstractLock>),
 }
 
 macro_rules! boosted_set {
@@ -56,7 +59,7 @@ macro_rules! boosted_set {
             /// (Figure 10's baseline: correct, but serializes all
             /// transactions touching the set).
             pub fn with_coarse_lock() -> Self {
-                Self::with_locks(SetLocks::Coarse(TxMutex::new()))
+                Self::with_locks(SetLocks::Coarse(Arc::default()))
             }
 
             fn with_locks(locks: SetLocks<K>) -> Self {
@@ -67,10 +70,22 @@ macro_rules! boosted_set {
                 }
             }
 
+            /// The set's conflict abstraction: the lock word `call`
+            /// takes, and its mode. Every call on `x` takes `x`'s slot
+            /// exclusively, or under the coarse lock the set's one word.
+            pub fn conflict(&self, call: SetCall<'_, K>) -> (&Arc<AbstractLock>, Mode) {
+                let (SetCall::Add(key) | SetCall::Remove(key) | SetCall::Contains(key)) = call;
+                match &self.locks {
+                    SetLocks::PerKey(map) => (map.slot(key), Mode::Exclusive),
+                    SetLocks::Coarse(lock) => (lock, Mode::Exclusive),
+                }
+            }
+
             /// Transactionally add `key`; returns `true` iff the set
             /// changed. Logs the inverse (`remove(key)`) for rollback.
             pub fn add(&self, txn: &Txn, key: K) -> TxResult<bool> {
-                self.locks.lock(txn, &key)?;
+                let (lock, mode) = self.conflict(SetCall::Add(&key));
+                lock.acquire(txn, mode)?;
                 let result = self.base.add(key.clone());
                 if result {
                     txn.log_effect(
@@ -87,7 +102,8 @@ macro_rules! boosted_set {
             /// Transactionally remove `key`; returns `true` iff the set
             /// changed. Logs the inverse (`add(key)`) for rollback.
             pub fn remove(&self, txn: &Txn, key: &K) -> TxResult<bool> {
-                self.locks.lock(txn, key)?;
+                let (lock, mode) = self.conflict(SetCall::Remove(key));
+                lock.acquire(txn, mode)?;
                 let result = self.base.remove(key);
                 if result {
                     txn.log_effect(
@@ -112,7 +128,8 @@ macro_rules! boosted_set {
                 if let Some(ts) = txn.snapshot_ts() {
                     return Ok(self.base.versions.read_at(key, ts).is_some());
                 }
-                self.locks.lock(txn, key)?;
+                let (lock, mode) = self.conflict(SetCall::Contains(key));
+                lock.acquire(txn, mode)?;
                 Ok(self.base.contains(key))
             }
 

@@ -56,45 +56,6 @@ proptest! {
         }
     }
 
-    /// Sorted-map variant of the same property, plus key order.
-    #[test]
-    fn sorted_map_with_aborts_matches_committed_oracle(
-        txns in proptest::collection::vec(
-            (proptest::collection::vec((0..16i32, 0..100i32, proptest::bool::ANY), 1..4),
-             proptest::bool::weighted(0.3)),
-            0..40
-        )
-    ) {
-        let tm = TxnManager::default();
-        let m: BoostedSkipListMap<i32, i32> = BoostedSkipListMap::new();
-        let mut oracle: BTreeMap<i32, i32> = BTreeMap::new();
-        for (ops, doomed) in txns {
-            let r = tm.run(|t| {
-                for &(k, v, is_put) in &ops {
-                    if is_put {
-                        m.put(t, k, v)?;
-                    } else {
-                        m.remove(t, &k)?;
-                    }
-                }
-                if doomed {
-                    return Err(Abort::explicit());
-                }
-                Ok(())
-            });
-            if r.is_ok() {
-                for &(k, v, is_put) in &ops {
-                    if is_put {
-                        oracle.insert(k, v);
-                    } else {
-                        oracle.remove(&k);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(m.snapshot(), oracle.into_iter().collect::<Vec<_>>());
-    }
-
     /// Semaphore permits are conserved under arbitrary commit/abort
     /// scripts of acquire/release transactions.
     #[test]

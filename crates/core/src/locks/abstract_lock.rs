@@ -1,6 +1,6 @@
 //! The abstract lock: one owner-tracked, transaction-reentrant,
-//! two-mode, timeout lock. Every discipline in [`super`] is a handle
-//! onto this one state machine.
+//! two-mode, timeout lock. Every discipline in [`super`] is a choice of
+//! these words and modes.
 //!
 //! # Lock-word state encoding
 //!
@@ -102,9 +102,9 @@ enum Claim {
 /// A two-phase abstract lock held by one transaction exclusively or by
 /// several in shared mode.
 ///
-/// [`super::KeyLockMap`] (the paper's `LockKey`), [`super::TxRwLock`]
-/// and [`super::TxMutex`] are handles onto this type. Unlike an OS
-/// lock it is:
+/// A boosted object owns one of these, or a [`super::KeyLockMap`] (the
+/// paper's `LockKey`) of them, and its conflict table says which word a
+/// call takes in which [`Mode`]. Unlike an OS lock it is:
 ///
 /// * **transaction-owned** — the holder is a [`TxnId`], not a thread, so
 ///   a transaction may re-acquire a lock it already holds no matter how
@@ -488,6 +488,128 @@ mod tests {
         assert!(w1.join().unwrap());
         assert!(w2.join().unwrap());
         assert_eq!(lock.owner(), None);
+    }
+
+    #[test]
+    fn an_exclusive_holder_excludes_both_modes_until_it_commits() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let w = tm.begin();
+        lock.acquire(&w, Mode::Exclusive).unwrap();
+        let r = tm.begin();
+        assert_eq!(
+            lock.acquire(&r, Mode::Shared).unwrap_err(),
+            Abort::lock_timeout()
+        );
+        let w2 = tm.begin();
+        assert_eq!(
+            lock.acquire(&w2, Mode::Exclusive).unwrap_err(),
+            Abort::lock_timeout()
+        );
+        tm.commit(w);
+        lock.acquire(&r, Mode::Shared).unwrap();
+        tm.commit(r);
+        tm.abort(w2, crate::AbortReason::LockTimeout);
+    }
+
+    #[test]
+    fn exclusive_implies_shared() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let t = tm.begin();
+        lock.acquire(&t, Mode::Exclusive).unwrap();
+        lock.acquire(&t, Mode::Shared).unwrap(); // free, no extra registration
+        assert_eq!(lock.holders(), (Some(t.id()), 0));
+        assert_eq!(t.held_lock_count(), 1);
+        tm.commit(t);
+    }
+
+    #[test]
+    fn a_shared_waiter_wakes_when_the_exclusive_holder_commits() {
+        // The timeout is far beyond the test: a lost wakeup is a stall.
+        let tm = Arc::new(manager(20_000));
+        let lock = Arc::new(AbstractLock::new());
+        let w = tm.begin();
+        lock.acquire(&w, Mode::Exclusive).unwrap();
+        let start = std::time::Instant::now();
+        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
+        let reader = std::thread::spawn(move || {
+            let t = tm2.begin();
+            let r = lock2.acquire(&t, Mode::Shared);
+            tm2.commit(t);
+            r
+        });
+        until_parked(&lock);
+        tm.commit(w);
+        assert!(reader.join().unwrap().is_ok());
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn a_sole_reader_upgrades_at_once_and_holds_once() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let t = tm.begin();
+        lock.acquire(&t, Mode::Shared).unwrap();
+        lock.acquire(&t, Mode::Exclusive).unwrap();
+        // An upgrade is not a second hold.
+        assert_eq!(lock.holders(), (Some(t.id()), 0));
+        assert_eq!(t.held_lock_count(), 1);
+        tm.commit(t);
+        assert_eq!(lock.holders(), (None, 0));
+    }
+
+    #[test]
+    fn an_upgrade_blocked_by_a_second_reader_times_out() {
+        let tm = manager(5);
+        let lock = Arc::new(AbstractLock::new());
+        let (a, b) = (tm.begin(), tm.begin());
+        lock.acquire(&a, Mode::Shared).unwrap();
+        lock.acquire(&b, Mode::Shared).unwrap();
+        // a cannot upgrade while b reads: the upgrade deadlock, broken
+        // by the timeout.
+        assert_eq!(
+            lock.acquire(&a, Mode::Exclusive).unwrap_err(),
+            Abort::lock_timeout()
+        );
+        tm.abort(a, crate::AbortReason::LockTimeout);
+        // a's abort released its shared hold; now b can upgrade.
+        lock.acquire(&b, Mode::Exclusive).unwrap();
+        assert_eq!(lock.holders(), (Some(b.id()), 0));
+        tm.commit(b);
+        assert_eq!(lock.holders(), (None, 0));
+    }
+
+    #[test]
+    fn stress_shared_holders_never_overlap_an_exclusive_holder() {
+        // The Fig. 11 heap's shape: shared adds never co-exist with an
+        // exclusive remove, and two exclusive holders never co-exist.
+        use std::sync::atomic::AtomicU64;
+        let tm = TxnManager::default();
+        let lock = Arc::new(AbstractLock::new());
+        let writers_inside = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for i in 0..8 {
+                let (tm, lock, wi) = (&tm, &lock, &writers_inside);
+                s.spawn(move || {
+                    for _ in 0..100 {
+                        tm.run(|txn| {
+                            if i % 2 == 0 {
+                                lock.acquire(txn, Mode::Shared)?;
+                                assert_eq!(wi.load(Ordering::SeqCst), 0, "reader saw a writer");
+                            } else {
+                                lock.acquire(txn, Mode::Exclusive)?;
+                                assert_eq!(wi.fetch_add(1, Ordering::SeqCst), 0, "two writers");
+                                wi.fetch_sub(1, Ordering::SeqCst);
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(tm.stats().snapshot().committed, 800);
     }
 
     #[test]

@@ -70,14 +70,18 @@ impl<K: Hash> KeyLockMap<K> {
         hash as usize & (SLOTS - 1)
     }
 
+    /// The lock word of `key`'s slot — what a conflict table names for
+    /// a call on `key`.
+    pub fn slot(&self, key: &K) -> &Arc<AbstractLock> {
+        self.slots[self.slot_of(key)].get_or_init(Arc::default)
+    }
+
     /// Acquire the abstract lock for `key` on behalf of `txn`, blocking
     /// (up to the transaction's lock timeout) while another transaction
     /// holds it or a key in the same slot. The lock is held until `txn`
     /// commits or aborts; a timed-out acquisition leaves nothing behind.
     pub fn lock(&self, txn: &Txn, key: &K) -> TxResult<()> {
-        self.slots[self.slot_of(key)]
-            .get_or_init(Arc::default)
-            .acquire(txn, Mode::Exclusive)
+        self.slot(key).acquire(txn, Mode::Exclusive)
     }
 
     /// Whether any transaction currently holds `key`'s slot

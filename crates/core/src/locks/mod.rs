@@ -15,30 +15,30 @@
 //! the transaction retries after backoff).
 //!
 //! There is one lock — [`AbstractLock`], a lock word held in
-//! [`Mode::Shared`] or [`Mode::Exclusive`] — and three handles onto it,
-//! matching the paper's experiments:
+//! [`Mode::Shared`] or [`Mode::Exclusive`] — and one table of them,
+//! [`KeyLockMap`], whose slot for key `x` is the paper's `LockKey(x)`
+//! (Fig. 3). Each boosted type states its *conflict abstraction* once,
+//! as one function from a call to the lock word it takes and the mode
+//! it takes it in (Proust, arXiv 1702.04866), and every transactional
+//! method acquires through that function. The paper's disciplines are
+//! rows of those tables:
 //!
-//! | Handle | Paper analogue | Granularity |
+//! | Discipline | Paper analogue | Table |
 //! |---|---|---|
-//! | [`KeyLockMap`] | `LockKey` (Fig. 3) | one lock per key-hash slot of a fixed table — `add(x)`/`remove(x)`/`contains(x)` conflict on equal `x` (and, safely by Rule 2, on the rare `y` sharing `x`'s slot) |
-//! | [`TxRwLock`] | heap's two-phase readers-writer lock (Fig. 5) | `add` = shared, `removeMin` = exclusive |
-//! | [`TxMutex`] | "single transactional lock" baselines (Figs. 9, 10, 11) | everything conflicts |
+//! | lock per key | `LockKey` (Fig. 3) | every call on `x` → `KeyLockMap` slot of `x`, exclusive (keys sharing a slot conflict too, safely by Rule 2) |
+//! | readers-writer | the heap (Fig. 5) | `add` → the object's word, shared; `removeMin` → the same word, exclusive |
+//! | single lock | the coarse baselines (Figs. 9, 10, 11) | every call → the object's word, exclusive |
 //!
 //! The choice of discipline is an engineering trade-off the paper
 //! discusses under Rule 2: a maximally precise discipline may cost more
-//! to evaluate than it saves; an overly conservative one (e.g.
-//! [`TxMutex`]) serializes commuting calls. Figure 10's experiment
-//! quantifies exactly this trade-off and is reproduced in
-//! `txboost-bench`.
+//! to evaluate than it saves; an overly conservative one (a single
+//! lock) serializes commuting calls. Figure 10's experiment quantifies
+//! exactly this trade-off and is reproduced in `txboost-bench`.
 
 mod abstract_lock;
 mod deadline;
 mod keymap;
-mod mutex;
-mod rwlock;
 
 pub use abstract_lock::{AbstractLock, Mode};
 pub use deadline::Deadline;
 pub use keymap::KeyLockMap;
-pub use mutex::TxMutex;
-pub use rwlock::TxRwLock;

@@ -1193,18 +1193,18 @@ mod tests {
             store.install(0, Some(100), stamp);
             store.install(1, Some(100), stamp);
         });
-        let write_lock = Arc::new(Mutex::new(()));
+        let serial = Arc::new(Mutex::new(()));
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let d = Arc::clone(&d);
                 let store = Arc::clone(&store);
                 let stop = Arc::clone(&stop);
-                let write_lock = Arc::clone(&write_lock);
+                let serial = Arc::clone(&serial);
                 std::thread::spawn(move || {
                     let mut moved = 1i64;
                     while !stop.load(Ordering::Relaxed) {
-                        let guard = write_lock.lock().unwrap();
+                        let guard = serial.lock().unwrap();
                         // A "transfer": both installs carry one ts, so
                         // they are atomic to any snapshot.
                         let s = d.clock.stable();

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use txboost_core::locks::TxMutex;
+use txboost_core::locks::{AbstractLock, Mode};
 use txboost_core::trace::{take_events, TraceEvent, TRACE_CAPACITY};
 use txboost_core::{AbortReason, TxnConfig, TxnManager};
 
@@ -46,13 +46,13 @@ fn committed_txn_leaves_begin_undo_commit() {
 fn contended_lock_traces_wait_and_timeout_abort() {
     let _ = take_events();
     let tm = manager(5);
-    let lock = TxMutex::new();
+    let lock = Arc::new(AbstractLock::new());
 
     let holder = tm.begin();
-    lock.lock(&holder).unwrap();
+    lock.acquire(&holder, Mode::Exclusive).unwrap();
     let waiter = tm.begin();
     let waiter_id = waiter.id();
-    let err = lock.lock(&waiter).unwrap_err();
+    let err = lock.acquire(&waiter, Mode::Exclusive).unwrap_err();
     tm.abort(waiter, err.reason());
     tm.commit(holder);
 
@@ -79,15 +79,15 @@ fn contended_lock_traces_wait_and_timeout_abort() {
 fn contended_acquire_records_nonzero_wait() {
     let _ = take_events();
     let tm = Arc::new(manager(1_000));
-    let lock = TxMutex::new();
+    let lock = Arc::new(AbstractLock::new());
 
     let holder = tm.begin();
-    lock.lock(&holder).unwrap();
-    let (tm2, lock2) = (Arc::clone(&tm), lock.clone());
+    lock.acquire(&holder, Mode::Exclusive).unwrap();
+    let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
     let handle = std::thread::spawn(move || {
         let txn = tm2.begin();
         let id = txn.id();
-        lock2.lock(&txn).unwrap();
+        lock2.acquire(&txn, Mode::Exclusive).unwrap();
         tm2.commit(txn);
         // Events live on the waiter's own thread.
         (id, take_events())

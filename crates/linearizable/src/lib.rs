@@ -16,7 +16,6 @@
 //! | [`list`] | lock-coupling sorted linked list | the lock-coupling list of Section 1 |
 //! | [`skipmap`] | lazy skip-list **map**: per-node locks, lock-free reads | `ConcurrentSkipListMap` |
 //! | [`slab`] | concurrent slab allocator | free-storage substrate for transactional malloc/free (Sec. 2) |
-//! | [`stack`] | concurrent LIFO stack | collection-class substrate |
 //! | [`counter`] | striped counter and fetch-and-add counter | `getAndAdd()` unique-ID counter (Section 3.4) |
 //!
 //! Everything here is **non-transactional**: these types know nothing
@@ -36,7 +35,6 @@ pub mod rbtree;
 pub mod skiplist;
 pub mod skipmap;
 pub mod slab;
-pub mod stack;
 pub mod striped_map;
 
 pub use counter::{FetchAddCounter, StripedCounter};
@@ -47,5 +45,4 @@ pub use rbtree::{RbTreeSet, SyncRbTreeSet};
 pub use skiplist::LazySkipListSet;
 pub use skipmap::LazySkipListMap;
 pub use slab::{ConcurrentSlab, SlabKey};
-pub use stack::ConcurrentStack;
 pub use striped_map::StripedHashMap;

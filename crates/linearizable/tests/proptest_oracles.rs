@@ -167,21 +167,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn stack_matches_vec(
-        ops in proptest::collection::vec(proptest::option::of(0..100i32), 0..200)
-    ) {
-        let s = ConcurrentStack::new();
-        let mut oracle = Vec::new();
-        for op in ops {
-            match op {
-                Some(x) => {
-                    s.push(x);
-                    oracle.push(x);
-                }
-                None => prop_assert_eq!(s.pop(), oracle.pop()),
-            }
-            prop_assert_eq!(s.is_empty(), oracle.is_empty());
-        }
-    }
 }

@@ -166,10 +166,10 @@ pub(crate) const BASE_READ_METHODS: &[&str] = &[
     "clone",
 ];
 
-/// Method names that acquire an abstract lock (AbstractLock,
-/// KeyLockMap, TxMutex, TxRwLock, TSemaphore disciplines).
-pub(crate) const ACQUIRE_METHODS: &[&str] =
-    &["lock", "read_lock", "write_lock", "acquire", "try_acquire"];
+/// Method names that acquire an abstract lock (`AbstractLock::acquire`,
+/// `KeyLockMap::lock`, the `TSemaphore` acquires) — and, in the lint's
+/// fixtures, a single lock's `lock`.
+pub(crate) const ACQUIRE_METHODS: &[&str] = &["lock", "acquire", "try_acquire"];
 
 /// Sites the deterministic harness must be able to preempt:
 /// (path suffix, function name, required identifiers in the body).

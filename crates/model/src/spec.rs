@@ -102,22 +102,6 @@ impl SetSpec {
             (SetOp::Add(_) | SetOp::Remove(_), false) | (SetOp::Contains(_), _) => None,
         }
     }
-
-    /// Figure 1's commutativity table, as the *lock discipline*
-    /// decides it: two Set calls conflict iff they touch the same key
-    /// and at least one is a successful mutation. (Slightly finer than
-    /// key-based locking, which also serializes read-read on one key.)
-    pub fn calls_conflict(a: &Call<SetOp, bool>, b: &Call<SetOp, bool>) -> bool {
-        fn key(op: SetOp) -> i64 {
-            match op {
-                SetOp::Add(x) | SetOp::Remove(x) | SetOp::Contains(x) => x,
-            }
-        }
-        fn mutates(c: &Call<SetOp, bool>) -> bool {
-            matches!(c.op, SetOp::Add(_) | SetOp::Remove(_)) && c.resp
-        }
-        key(a.op) == key(b.op) && (mutates(a) || mutates(b))
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,30 +1,75 @@
-//! Rule 2 (Commutativity Isolation) coverage audit.
+//! Rule 2 (Commutativity Isolation), checked against the code's own
+//! conflict tables.
 //!
-//! The lock disciplines used by the boosted collections are *conflict
-//! predicates*: two calls conflict iff their abstract locks collide.
-//! Rule 2 demands the predicate **over-approximate** non-commutativity
-//! — every non-commuting pair must conflict; conflicting commuting
-//! pairs merely cost throughput. This test enumerates the full call
-//! universe over a small key space and machine-checks both directions
-//! (soundness exhaustively, precision statistically).
+//! Each boosted type states once, in its `conflict` function, which
+//! lock word a call takes and in which mode. Two requests conflict when
+//! they name the same word and are not both `Shared`. Rule 2 demands
+//! that every pair of calls that do not commute conflict; conflicting
+//! commuting pairs merely cost concurrency. This test enumerates calls
+//! over a small state space, decides commutativity from the type's
+//! sequential spec, and checks the first direction exhaustively. The
+//! count of the second is printed per table as its precision figure.
 
 use std::collections::BTreeSet;
-use txboost_model::spec::SetOp;
-use txboost_model::{calls_commute, Call, SetSpec};
+use std::sync::Arc;
+use txboost_collections::{
+    BoostedCounter, BoostedListSet, BoostedPQueue, BoostedRbTreeSet, BoostedSkipListSet,
+    CounterCall, PQueueCall, SetCall,
+};
+use txboost_core::locks::{AbstractLock, Mode};
+use txboost_model::spec::{CounterOp, PQueueOp, PQueueResp, SetOp};
+use txboost_model::{calls_commute, Call, CounterSpec, PQueueSpec, SequentialSpec, SetSpec};
 
-fn all_states(n: u8) -> Vec<BTreeSet<i64>> {
-    (0u32..(1 << n))
-        .map(|mask| {
-            (0..n as i64)
-                .filter(|k| mask & (1 << k) != 0)
-                .collect::<BTreeSet<_>>()
-        })
+/// One row of a conflict table: a lock word and the mode it is taken in.
+type Request<'o> = (&'o Arc<AbstractLock>, Mode);
+
+fn conflicting(a: Request<'_>, b: Request<'_>) -> bool {
+    Arc::ptr_eq(a.0, b.0) && !(a.1 == Mode::Shared && b.1 == Mode::Shared)
+}
+
+/// Every ordered pair of `calls`: if it does not commute over `states`,
+/// `table` must give it conflicting requests. Returns the number of
+/// pairs and of commuting pairs that conflict anyway, and prints both.
+fn audit<'o, S: SequentialSpec>(
+    what: &str,
+    spec: &S,
+    states: &[S::State],
+    calls: &[Call<S::Op, S::Resp>],
+    table: impl Fn(&S::Op) -> Request<'o>,
+) -> (usize, usize) {
+    let (mut pairs, mut non_commuting, mut needless) = (0, 0, 0);
+    for a in calls {
+        for b in calls {
+            pairs += 1;
+            let conflict = conflicting(table(&a.op), table(&b.op));
+            if calls_commute(spec, states.iter().cloned(), a, b) {
+                needless += usize::from(conflict);
+            } else {
+                non_commuting += 1;
+                assert!(
+                    conflict,
+                    "{what}: Rule 2 violated: {a:?} and {b:?} do not commute but do not conflict"
+                );
+            }
+        }
+    }
+    assert!(non_commuting > 0, "{what}: vacuous audit");
+    println!(
+        "{what}: {pairs} pairs, {non_commuting} non-commuting (all conflict), \
+         {needless} commuting but conflicting"
+    );
+    (pairs, needless)
+}
+
+fn set_states() -> Vec<BTreeSet<i64>> {
+    (0u32..8)
+        .map(|mask| (0..3).filter(|k| mask & (1 << k) != 0).collect())
         .collect()
 }
 
-fn call_universe(keys: i64) -> Vec<Call<SetOp, bool>> {
+fn set_calls() -> Vec<Call<SetOp, bool>> {
     let mut out = Vec::new();
-    for k in 0..keys {
+    for k in 0..3 {
         for resp in [false, true] {
             out.push(Call::new(SetOp::Add(k), resp));
             out.push(Call::new(SetOp::Remove(k), resp));
@@ -34,78 +79,92 @@ fn call_universe(keys: i64) -> Vec<Call<SetOp, bool>> {
     out
 }
 
-/// The paper's key-locking discipline (`LockKey`): conflict iff same
-/// key — strictly coarser than `SetSpec::calls_conflict`.
-fn key_lock_conflict(a: &Call<SetOp, bool>, b: &Call<SetOp, bool>) -> bool {
-    fn key(c: &Call<SetOp, bool>) -> i64 {
-        match c.op {
-            SetOp::Add(k) | SetOp::Remove(k) | SetOp::Contains(k) => k,
-        }
-    }
-    key(a) == key(b)
-}
-
-#[test]
-fn fine_grained_conflict_predicate_covers_all_non_commuting_pairs() {
-    let states = all_states(3);
-    let calls = call_universe(3);
-    let mut non_commuting = 0;
-    for a in &calls {
-        for b in &calls {
-            if !calls_commute(&SetSpec, states.clone(), a, b) {
-                non_commuting += 1;
-                assert!(
-                    SetSpec::calls_conflict(a, b),
-                    "Rule 2 violated: {a:?} and {b:?} do not commute but do not conflict"
-                );
-            }
-        }
-    }
-    assert!(non_commuting > 0, "vacuous audit: no non-commuting pairs");
-}
-
-#[test]
-fn key_locking_covers_the_fine_grained_predicate() {
-    // LockKey is coarser than the semantic predicate: everything the
-    // fine predicate flags, same-key locking also flags.
-    let calls = call_universe(3);
-    for a in &calls {
-        for b in &calls {
-            if SetSpec::calls_conflict(a, b) {
-                assert!(
-                    key_lock_conflict(a, b),
-                    "key locking misses a semantic conflict: {a:?} vs {b:?}"
-                );
-            }
-        }
+/// The model's set call as the boosted sets' table reads it.
+fn set_call(op: &SetOp) -> SetCall<'_, i64> {
+    match op {
+        SetOp::Add(k) => SetCall::Add(k),
+        SetOp::Remove(k) => SetCall::Remove(k),
+        SetOp::Contains(k) => SetCall::Contains(k),
     }
 }
 
 #[test]
-fn disciplines_are_conservative_not_exact() {
-    // Quantify the trade-off the paper discusses under Rule 2: how many
-    // commuting pairs each discipline needlessly serializes.
-    let states = all_states(3);
-    let calls = call_universe(3);
-    let (mut pairs, mut fine_false, mut key_false) = (0u32, 0u32, 0u32);
-    for a in &calls {
-        for b in &calls {
-            pairs += 1;
-            let commute = calls_commute(&SetSpec, states.clone(), a, b);
-            if commute && SetSpec::calls_conflict(a, b) {
-                fine_false += 1;
-            }
-            if commute && key_lock_conflict(a, b) {
-                key_false += 1;
-            }
+fn every_set_table_conflicts_on_every_non_commuting_pair() {
+    let (states, calls) = (set_states(), set_calls());
+    let (skiplist, list) = (BoostedSkipListSet::new(), BoostedListSet::new());
+    let per_key = [
+        audit(
+            "skip-list set, lock per key",
+            &SetSpec,
+            &states,
+            &calls,
+            |op| skiplist.conflict(set_call(op)),
+        ),
+        audit("list set, lock per key", &SetSpec, &states, &calls, |op| {
+            list.conflict(set_call(op))
+        }),
+    ];
+    for (pairs, needless) in per_key {
+        // Per key, most of the universe stays concurrent.
+        assert!(
+            needless < pairs / 2,
+            "lock per key serializes most of the universe: {needless}/{pairs}"
+        );
+    }
+    let skiplist = BoostedSkipListSet::with_coarse_lock();
+    let list = BoostedListSet::with_coarse_lock();
+    let tree = BoostedRbTreeSet::new();
+    audit("skip-list set, one lock", &SetSpec, &states, &calls, |op| {
+        skiplist.conflict(set_call(op))
+    });
+    audit("list set, one lock", &SetSpec, &states, &calls, |op| {
+        list.conflict(set_call(op))
+    });
+    audit("red-black tree set", &SetSpec, &states, &calls, |op| {
+        tree.conflict(set_call(op))
+    });
+}
+
+#[test]
+fn the_pqueue_table_conflicts_on_every_non_commuting_pair() {
+    // Multisets over {0, 1, 2} of at most two keys, as sorted vectors.
+    let mut states = vec![vec![]];
+    for a in 0..3 {
+        states.push(vec![a]);
+        for b in a..3 {
+            states.push(vec![a, b]);
         }
     }
-    // Key locking is coarser, so it must serialize at least as many
-    // commuting pairs as the fine predicate…
-    assert!(key_false >= fine_false);
-    // …and both leave most of the universe concurrent.
-    assert!(
-        key_false < pairs / 2,
-        "key locking serializes most of the universe: {key_false}/{pairs}"
-    );
+    let mut calls = Vec::new();
+    for resp in [None, Some(0), Some(1), Some(2)] {
+        calls.push(Call::new(PQueueOp::RemoveMin, PQueueResp::Key(resp)));
+        calls.push(Call::new(PQueueOp::Min, PQueueResp::Key(resp)));
+    }
+    for k in 0..3 {
+        calls.push(Call::new(PQueueOp::Add(k), PQueueResp::Unit));
+    }
+    let q = BoostedPQueue::<i64>::new();
+    audit("pqueue", &PQueueSpec, &states, &calls, |op| {
+        q.conflict(match op {
+            PQueueOp::Add(_) => PQueueCall::Add,
+            PQueueOp::RemoveMin => PQueueCall::RemoveMin,
+            PQueueOp::Min => PQueueCall::Min,
+        })
+    });
+}
+
+#[test]
+fn the_counter_table_conflicts_on_every_non_commuting_pair() {
+    let states: Vec<i64> = (-2..=2).collect();
+    let mut calls: Vec<_> = (-1..=1)
+        .map(|n| Call::new(CounterOp::Add(n), None))
+        .collect();
+    calls.extend((-2..=2).map(|v| Call::new(CounterOp::Get, Some(v))));
+    let c = BoostedCounter::new();
+    audit("counter", &CounterSpec, &states, &calls, |op| {
+        c.conflict(match op {
+            CounterOp::Add(_) => CounterCall::Add,
+            CounterOp::Get => CounterCall::Get,
+        })
+    });
 }

@@ -14,10 +14,10 @@
 //!   [`core::Txn`], abstract locks, undo log, disposable deferred actions.
 //! * [`linearizable`] (`txboost-linearizable`) — the base objects: lazy
 //!   skip list, concurrent heap, blocking deque, striped hash map,
-//!   red-black tree, lock-coupling list, Treiber stack, counters.
+//!   red-black tree, lock-coupling list, counters.
 //! * [`collections`] (`txboost-collections`) — the boosted objects:
 //!   sets, priority queue, blocking queue, semaphore, unique-ID
-//!   generator, hash map, stack, counter.
+//!   generator, hash map, counter.
 //! * [`rwstm`] (`txboost-rwstm`) — the read/write-conflict STM baseline
 //!   (TL2-style) with its transactional red-black tree and list.
 //! * [`model`] (`txboost-model`) — Section 5's formal model as
@@ -58,7 +58,7 @@ pub use txboost_rwstm as rwstm;
 pub mod prelude {
     pub use txboost_collections::{
         BoostedBlockingQueue, BoostedCounter, BoostedHashMap, BoostedListSet, BoostedPQueue,
-        BoostedRbTreeSet, BoostedSkipListSet, BoostedStack, TSemaphore, UniqueIdGen,
+        BoostedRbTreeSet, BoostedSkipListSet, TSemaphore, UniqueIdGen,
     };
     pub use txboost_core::{Abort, AbortReason, TxResult, Txn, TxnConfig, TxnError, TxnManager};
 }

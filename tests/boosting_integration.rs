@@ -13,14 +13,14 @@ fn one_transaction_spanning_five_object_kinds_commits_atomically() {
     let set = BoostedSkipListSet::new();
     let map = BoostedHashMap::new();
     let pq = BoostedPQueue::new();
-    let stack = BoostedStack::new();
+    let tree = BoostedRbTreeSet::new();
     let counter = BoostedCounter::new();
 
     tm.run(|t| {
         set.add(t, 1)?;
         map.put(t, "one", 1)?;
         pq.add(t, 1)?;
-        stack.push(t, 1)?;
+        tree.add(t, 1)?;
         counter.add(t, 1)?;
         Ok(())
     })
@@ -29,6 +29,7 @@ fn one_transaction_spanning_five_object_kinds_commits_atomically() {
     assert_eq!(set.snapshot(), vec![1]);
     assert_eq!(tm.run(|t| map.get(t, &"one")).unwrap(), Some(1));
     assert_eq!(tm.run(|t| pq.min(t)).unwrap(), Some(1));
+    assert_eq!(tree.snapshot(), vec![1]);
     assert_eq!(counter.peek(), 1);
 }
 
@@ -38,14 +39,14 @@ fn one_transaction_spanning_five_object_kinds_aborts_atomically() {
     let set = BoostedSkipListSet::new();
     let map = BoostedHashMap::new();
     let pq = BoostedPQueue::new();
-    let stack = BoostedStack::new();
+    let tree = BoostedRbTreeSet::new();
     let counter = BoostedCounter::new();
 
     let r: Result<(), _> = tm.run(|t| {
         set.add(t, 1)?;
         map.put(t, "one", 1)?;
         pq.add(t, 1)?;
-        stack.push(t, 1)?;
+        tree.add(t, 1)?;
         counter.add(t, 1)?;
         Err(Abort::explicit())
     });
@@ -54,7 +55,7 @@ fn one_transaction_spanning_five_object_kinds_aborts_atomically() {
     assert!(set.snapshot().is_empty());
     assert_eq!(tm.run(|t| map.get(t, &"one")).unwrap(), None);
     assert_eq!(tm.run(|t| pq.remove_min(t)).unwrap(), None);
-    assert_eq!(tm.run(|t| stack.pop(t)).unwrap(), None);
+    assert!(tree.is_empty());
     assert_eq!(counter.peek(), 0);
 }
 

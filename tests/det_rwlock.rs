@@ -1,5 +1,5 @@
 //! Deterministic-harness coverage for the abstract lock's two modes,
-//! through the `TxRwLock` handle. Under the harness the lock runs the
+//! `AbstractLock::acquire` with `Mode::Shared` and `Mode::Exclusive`. Under the harness the lock runs the
 //! loop it ships with — spin, set `WAITERS`, wait through the
 //! `Deadline` seam, re-check, last-chance claim — on virtual time, so
 //! every blocked round below is a scheduling decision and every
@@ -17,9 +17,10 @@
 //! any reader's departure, "writer saw readers" does.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use transactional_boosting::prelude::*;
-use txboost_core::locks::TxRwLock;
+use txboost_core::locks::{AbstractLock, Mode};
 use txboost_sched::core_det as det;
 
 /// Yield (without advancing virtual time) until `cond` holds — the
@@ -78,7 +79,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
     // and then all three in mixed rounds, check exclusion from inside.
     struct W {
         tm: TxnManager,
-        lock: TxRwLock,
+        lock: Arc<AbstractLock>,
         inside: Inside,
         met: AtomicBool,
         reader_timeouts: AtomicU64,
@@ -88,7 +89,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
         3,
         || W {
             tm: TxnManager::default(),
-            lock: TxRwLock::new(),
+            lock: Arc::default(),
             inside: Inside::default(),
             met: AtomicBool::new(false),
             reader_timeouts: AtomicU64::new(0),
@@ -96,7 +97,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
         |w, tid| {
             if tid < 2 {
                 w.tm.run(|t| {
-                    if let Err(abort) = w.lock.read_lock(t) {
+                    if let Err(abort) = w.lock.acquire(t, Mode::Shared) {
                         // Only thread 2 holding exclusive can cause this.
                         w.reader_timeouts.fetch_add(1, Ordering::Relaxed);
                         return Err(abort);
@@ -115,18 +116,18 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
             for round in 0..4 {
                 w.tm.run(|t| {
                     if (tid + round) % 3 == 2 {
-                        w.lock.write_lock(t)?;
+                        w.lock.acquire(t, Mode::Exclusive)?;
                         w.inside.as_writer(|| yields(2));
                     } else {
-                        w.lock.read_lock(t)?;
+                        w.lock.acquire(t, Mode::Shared)?;
                         w.inside.as_reader(|| yields(2));
                         if round == 3 {
                             // Write implies read, and the other way round
                             // is an upgrade: same lock, still held once.
-                            w.lock.write_lock(t)?;
+                            w.lock.acquire(t, Mode::Exclusive)?;
                             assert_eq!(t.held_lock_count(), 1);
                             w.inside.as_writer(|| yields(1));
-                            w.lock.read_lock(t)?;
+                            w.lock.acquire(t, Mode::Shared)?;
                         }
                     }
                     Ok(())
@@ -155,7 +156,7 @@ fn two_upgraders_resolve_by_exactly_one_timeout_and_the_survivor_upgrades() {
     // its shared hold, and thread 1 must then upgrade without aborting.
     struct W {
         tm: [TxnManager; 2],
-        lock: TxRwLock,
+        lock: Arc<AbstractLock>,
         shared: AtomicU64,
         upgrades: AtomicU64,
     }
@@ -173,16 +174,16 @@ fn two_upgraders_resolve_by_exactly_one_timeout_and_the_survivor_upgrades() {
                     ..TxnConfig::default()
                 }),
             ],
-            lock: TxRwLock::new(),
+            lock: Arc::default(),
             shared: AtomicU64::new(0),
             upgrades: AtomicU64::new(0),
         },
         |w, tid| {
             let upgrade = |t: &Txn| {
-                w.lock.read_lock(t)?;
+                w.lock.acquire(t, Mode::Shared)?;
                 w.shared.fetch_add(1, Ordering::SeqCst);
                 spin_until(|| w.shared.load(Ordering::SeqCst) >= 2);
-                w.lock.write_lock(t)?;
+                w.lock.acquire(t, Mode::Exclusive)?;
                 assert_eq!(w.lock.holders(), (Some(t.id()), 0));
                 assert_eq!(t.held_lock_count(), 1, "an upgrade is not a second hold");
                 w.upgrades.fetch_add(1, Ordering::SeqCst);
@@ -222,7 +223,7 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
     struct W {
         tm: TxnManager,
         writer_tm: TxnManager,
-        lock: TxRwLock,
+        lock: Arc<AbstractLock>,
         inside: Inside,
         asking: AtomicBool,
     }
@@ -235,14 +236,14 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
                 max_retries: Some(0),
                 ..TxnConfig::default()
             }),
-            lock: TxRwLock::new(),
+            lock: Arc::default(),
             inside: Inside::default(),
             asking: AtomicBool::new(false),
         },
         |w, tid| {
             if tid < 2 {
                 w.tm.run(|t| {
-                    w.lock.read_lock(t)?;
+                    w.lock.acquire(t, Mode::Shared)?;
                     w.inside.as_reader(|| {
                         spin_until(|| w.asking.load(Ordering::SeqCst));
                         yields(3 + 7 * tid);
@@ -255,7 +256,7 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
                 w.asking.store(true, Ordering::SeqCst);
                 w.writer_tm
                     .run(|t| {
-                        w.lock.write_lock(t)?;
+                        w.lock.acquire(t, Mode::Exclusive)?;
                         w.inside.as_writer(|| yields(1));
                         Ok(())
                     })
