@@ -112,7 +112,9 @@ impl TSemaphore {
     }
 
     /// Non-blocking variant of [`TSemaphore::acquire`]: aborts the
-    /// transaction immediately if no permit is available.
+    /// transaction immediately if no permit is available. The server's
+    /// `SemAcquire` is this: a script that may hold locks must not wait
+    /// for a releaser, who might be waiting for one of them.
     pub fn try_acquire(&self, txn: &Txn) -> TxResult<()> {
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());

@@ -84,7 +84,8 @@ impl From<io::Error> for ClientError {
 pub struct Outcome {
     /// Commit/abort status.
     pub status: ScriptStatus,
-    /// Transaction attempts the server made (1 = first try).
+    /// Transaction attempts the server made: 1, since `txboost-server`
+    /// runs every script once.
     pub attempts: u32,
     /// Index of the op that failed its guard / raised the debug abort.
     pub failed_op: Option<u16>,

@@ -165,9 +165,9 @@ pub fn virtual_now() -> u64 {
     with_sched(|s, _| s.virtual_now()).unwrap_or(0)
 }
 
-/// Convert a wall-clock timeout to virtual ticks (at least 1).
+/// Convert a wall-clock timeout to virtual ticks (1 to `u64::MAX`).
 pub fn ticks_for(timeout: Duration) -> u64 {
-    ((timeout.as_nanos() / TICK.as_nanos()) as u64).max(1)
+    (timeout.as_nanos() / TICK.as_nanos()).clamp(1, u64::MAX.into()) as u64
 }
 
 #[cfg(test)]
@@ -222,5 +222,10 @@ mod tests {
     fn tick_conversion_rounds_up_to_one() {
         assert_eq!(ticks_for(Duration::from_nanos(1)), 1);
         assert_eq!(ticks_for(Duration::from_millis(10)), 100);
+    }
+
+    #[test]
+    fn tick_conversion_saturates_instead_of_wrapping() {
+        assert_eq!(ticks_for(Duration::MAX), u64::MAX);
     }
 }

@@ -113,7 +113,8 @@ enum Claim {
 ///   release happens only at commit/abort;
 /// * **timeout-based** — a blocked acquisition gives up after
 ///   [`Txn::lock_timeout`] and aborts the transaction, breaking any
-///   deadlock cycle (two concurrent upgraders are one).
+///   deadlock cycle (two concurrent upgraders are one). `Duration::MAX`
+///   never passes: the acquisition waits until granted.
 #[derive(Debug, Default)]
 pub struct AbstractLock {
     /// The lock word; see the module docs.

@@ -8,7 +8,8 @@
 //! virtual time: a wait is one [`crate::det::block_tick`] — a
 //! scheduling round that advances the virtual clock — and the loop's
 //! own re-check after it stands in for the notification. So the
-//! harness executes the loops that ship, not a twin of them.
+//! harness executes the loops that ship, not a twin of them. A timeout
+//! too large to reach, such as `Duration::MAX`, never passes.
 
 use parking_lot::{Condvar, MutexGuard};
 use std::time::{Duration, Instant};
@@ -17,7 +18,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct Deadline {
     start: Instant,
-    timeout: Duration,
+    /// `None`: past what an `Instant` can hold, so never.
+    end: Option<Instant>,
     /// The virtual tick at which the wait times out; `Some` iff a
     /// deterministic scheduler was installed when the wait began.
     #[cfg(feature = "deterministic")]
@@ -27,12 +29,13 @@ pub struct Deadline {
 impl Deadline {
     /// A deadline `timeout` from now.
     pub fn after(timeout: Duration) -> Deadline {
+        let start = Instant::now();
         Deadline {
-            start: Instant::now(),
-            timeout,
+            start,
+            end: start.checked_add(timeout),
             #[cfg(feature = "deterministic")]
             virtual_end: crate::det::active()
-                .then(|| crate::det::virtual_now() + crate::det::ticks_for(timeout)),
+                .then(|| crate::det::virtual_now().saturating_add(crate::det::ticks_for(timeout))),
         }
     }
 
@@ -49,12 +52,42 @@ impl Deadline {
             MutexGuard::unlocked(guard, crate::det::block_tick);
             return crate::det::virtual_now() >= end;
         }
-        cv.wait_until(guard, self.start + self.timeout).timed_out()
+        let Some(end) = self.end else {
+            cv.wait(guard);
+            return false;
+        };
+        cv.wait_until(guard, end).timed_out()
     }
 
     /// Wall-clock time since the wait began (what the contention
     /// histograms record, under either clock).
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_wait_with_no_deadline_parks_until_notified() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let deadline = Deadline::after(Duration::MAX);
+                let mut woken = pair.0.lock();
+                while !*woken {
+                    assert!(!deadline.wait(&pair.1, &mut woken), "Duration::MAX passed");
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        *pair.0.lock() = true;
+        pair.1.notify_all();
+        waiter.join().expect("waiter panicked");
     }
 }

@@ -10,9 +10,11 @@
 //! the runtime releases them.
 //!
 //! Acquisition blocks with a timeout ([`crate::Txn::lock_timeout`]);
-//! timing out aborts the requesting transaction, which is how deadlocks
-//! among abstract locks are broken (aborting releases everything, then
-//! the transaction retries after backoff).
+//! timing out aborts the requesting transaction, which is how a library
+//! transaction escapes a deadlock (aborting releases everything, then
+//! it retries after backoff). The server cannot deadlock — a script
+//! takes all its locks up front, in address order — so it never times
+//! out: its timeout is `Duration::MAX`.
 //!
 //! There is one lock — [`AbstractLock`], a lock word held in
 //! [`Mode::Shared`] or [`Mode::Exclusive`] — and one table of them,

@@ -8,7 +8,9 @@
 //! commuting pairs merely cost concurrency. This test enumerates calls
 //! over a small state space, decides commutativity from the type's
 //! sequential spec, and checks the first direction exhaustively. The
-//! count of the second is printed per table as its precision figure.
+//! count of the second is each table's precision figure: printed, and
+//! pinned as a ceiling, so a table that grows coarser fails here. A
+//! change that makes a table finer lowers its ceiling with it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,12 +31,14 @@ fn conflicting(a: Request<'_>, b: Request<'_>) -> bool {
 
 /// Every ordered pair of `calls`: if it does not commute over `states`,
 /// `table` must give it conflicting requests. Returns the number of
-/// pairs and of commuting pairs that conflict anyway, and prints both.
+/// pairs and of commuting pairs that conflict anyway, prints both, and
+/// requires the second to be at most `ceiling`.
 fn audit<'o, S: SequentialSpec>(
     what: &str,
     spec: &S,
     states: &[S::State],
     calls: &[Call<S::Op, S::Resp>],
+    ceiling: usize,
     table: impl Fn(&S::Op) -> Request<'o>,
 ) -> (usize, usize) {
     let (mut pairs, mut non_commuting, mut needless) = (0, 0, 0);
@@ -57,6 +61,10 @@ fn audit<'o, S: SequentialSpec>(
     println!(
         "{what}: {pairs} pairs, {non_commuting} non-commuting (all conflict), \
          {needless} commuting but conflicting"
+    );
+    assert!(
+        needless <= ceiling,
+        "{what}: {needless} commuting pairs conflict, above the pinned {ceiling}"
     );
     (pairs, needless)
 }
@@ -98,11 +106,17 @@ fn every_set_table_conflicts_on_every_non_commuting_pair() {
             &SetSpec,
             &states,
             &calls,
+            78,
             |op| skiplist.conflict(set_call(op)),
         ),
-        audit("list set, lock per key", &SetSpec, &states, &calls, |op| {
-            list.conflict(set_call(op))
-        }),
+        audit(
+            "list set, lock per key",
+            &SetSpec,
+            &states,
+            &calls,
+            78,
+            |op| list.conflict(set_call(op)),
+        ),
     ];
     for (pairs, needless) in per_key {
         // Per key, most of the universe stays concurrent.
@@ -114,13 +128,18 @@ fn every_set_table_conflicts_on_every_non_commuting_pair() {
     let skiplist = BoostedSkipListSet::with_coarse_lock();
     let list = BoostedListSet::with_coarse_lock();
     let tree = BoostedRbTreeSet::new();
-    audit("skip-list set, one lock", &SetSpec, &states, &calls, |op| {
-        skiplist.conflict(set_call(op))
-    });
-    audit("list set, one lock", &SetSpec, &states, &calls, |op| {
+    audit(
+        "skip-list set, one lock",
+        &SetSpec,
+        &states,
+        &calls,
+        294,
+        |op| skiplist.conflict(set_call(op)),
+    );
+    audit("list set, one lock", &SetSpec, &states, &calls, 294, |op| {
         list.conflict(set_call(op))
     });
-    audit("red-black tree set", &SetSpec, &states, &calls, |op| {
+    audit("red-black tree set", &SetSpec, &states, &calls, 294, |op| {
         tree.conflict(set_call(op))
     });
 }
@@ -144,7 +163,7 @@ fn the_pqueue_table_conflicts_on_every_non_commuting_pair() {
         calls.push(Call::new(PQueueOp::Add(k), PQueueResp::Unit));
     }
     let q = BoostedPQueue::<i64>::new();
-    audit("pqueue", &PQueueSpec, &states, &calls, |op| {
+    audit("pqueue", &PQueueSpec, &states, &calls, 79, |op| {
         q.conflict(match op {
             PQueueOp::Add(_) => PQueueCall::Add,
             PQueueOp::RemoveMin => PQueueCall::RemoveMin,
@@ -161,7 +180,7 @@ fn the_counter_table_conflicts_on_every_non_commuting_pair() {
         .collect();
     calls.extend((-2..=2).map(|v| Call::new(CounterOp::Get, Some(v))));
     let c = BoostedCounter::new();
-    audit("counter", &CounterSpec, &states, &calls, |op| {
+    audit("counter", &CounterSpec, &states, &calls, 35, |op| {
         c.conflict(match op {
             CounterOp::Add(_) => CounterCall::Add,
             CounterOp::Get => CounterCall::Get,

@@ -24,7 +24,7 @@
 //! failed: the tick's commits stand in memory but must not be
 //! acknowledged, and the server stops (see DESIGN §13).
 
-use crate::exec::{op_target, Executor, ScriptOutcome, TickRecords};
+use crate::exec::{Executor, ScriptOutcome, TickRecords};
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 
 /// The tick driver's knobs: there are none. Kept because the
@@ -37,18 +37,29 @@ pub struct BatchConfig;
 /// more; kept because the `benchmark/` harness still prices it.
 #[must_use]
 pub fn batch_eligible(ops: &[ScriptOp]) -> bool {
-    let Some(first) = ops.first() else {
-        return false;
-    };
-    let Some(target) = op_target(&first.op) else {
-        return false;
-    };
-    ops.len() <= MAX_OPS_PER_SCRIPT as usize
-        && ops.iter().all(|sop| {
-            matches!(sop.guard, Guard::None)
-                && !matches!(sop.op, Op::SemAcquire { .. })
-                && op_target(&sop.op) == Some(target)
-        })
+    ops.first().and_then(op_target).is_some_and(|first| {
+        ops.len() <= MAX_OPS_PER_SCRIPT as usize
+            && ops.iter().all(|sop| {
+                matches!(sop.guard, Guard::None)
+                    && !matches!(sop.op, Op::SemAcquire { .. })
+                    && op_target(sop) == Some(first)
+            })
+    })
+}
+
+/// Which object instance an op addresses: `(type, name)`; `None` for
+/// `DebugAbort`.
+fn op_target(sop: &ScriptOp) -> Option<(&'static str, &str)> {
+    match &sop.op {
+        Op::MapInsert { obj, .. } | Op::MapRemove { obj, .. } | Op::MapContains { obj, .. } => {
+            Some(("map", obj))
+        }
+        Op::CounterAdd { obj, .. } | Op::CounterGet { obj } => Some(("counter", obj)),
+        Op::SemAcquire { obj } | Op::SemRelease { obj } => Some(("sem", obj)),
+        Op::IdGen { obj } => Some(("idgen", obj)),
+        Op::PqAdd { obj, .. } | Op::PqRemoveMin { obj } => Some(("pq", obj)),
+        Op::DebugAbort => None,
+    }
 }
 
 /// Shape a [`ScriptOutcome`] into its wire reply.
@@ -119,21 +130,13 @@ impl Batcher {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
     use txboost_client::ScriptBuilder;
     use txboost_core::TxnConfig;
     use txboost_wal::{GroupCommitWal, SimStorage, Storage, WalConfig};
     use txboost_wire::{OpResult, ScriptStatus};
 
     fn exec() -> Executor {
-        Executor::new(
-            TxnConfig {
-                lock_timeout: Duration::from_millis(5),
-                max_retries: Some(16),
-                ..TxnConfig::default()
-            },
-            4,
-        )
+        Executor::new(TxnConfig::default(), 4)
     }
 
     fn script() -> ScriptBuilder {

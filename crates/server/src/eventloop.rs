@@ -313,8 +313,8 @@ fn event_loop(
                         script_response(req_id, shared.exec.execute(&ops))
                     }
                     Request::ReadOnlyScript { req_id, ops } => {
-                        // Snapshot reads skip the lock manager, the
-                        // retry loop and the WAL.
+                        // Snapshot reads skip the lock manager and
+                        // the WAL.
                         script_response(req_id, shared.exec.execute_read_only(&ops))
                     }
                     Request::Stats { req_id } => Response::Stats {

@@ -1,12 +1,13 @@
-//! Script execution: one wire script → one boosted transaction.
+//! Script execution: one wire script → one boosted transaction, run
+//! once, and the counters and histograms the `STATS` request exports.
 //!
-//! The executor owns the shared [`TxnManager`] (lock-timeout deadlock
-//! recovery, capped exponential backoff between retries — the paper's
-//! retry loop) and the observability surface the `STATS` request
-//! exports: a per-op-type call counter and service-time histogram, a
-//! whole-script service-time histogram, per-status script counters,
-//! and a count of lock-timeout aborts per object: the op loop holds the
-//! op whose acquire timed out, so it is what names the object.
+//! **Deadlock-free by construction.** Before its first op, a locked
+//! script with more than one op takes every lock its ops will ask for,
+//! in address order ([`acquire_footprint`]); scripts that take their
+//! locks in one global order never wait for each other in a cycle. So a
+//! lock wait has no deadline and nothing is retried. A one-op script
+//! waits holding nothing, and an empty semaphore answers `WouldBlock`
+//! at once. DESIGN §16 has the argument.
 //!
 //! **Exact counts, sampled clocks.** Every executed op and every
 //! finished script is counted, so what `STATS` reports as `count` is
@@ -20,16 +21,15 @@
 //! entry, so the entry points wrap one private core, [`Executor::run`].
 
 use crate::namespace::{Namespace, Resolved};
-use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use txboost_collections::{CounterCall, MapCall, PQueueCall};
+use txboost_core::locks::{AbstractLock, Mode as LockMode};
 use txboost_core::{
-    Abort, AbortReason, HistogramSnapshot, LatencyHistogram, TxResult, Txn, TxnConfig, TxnError,
-    TxnManager,
+    Abort, HistogramSnapshot, LatencyHistogram, TxResult, Txn, TxnConfig, TxnManager,
 };
 use txboost_wal::{GroupCommitWal, RecoveredRecord, Ticket};
 use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
@@ -39,9 +39,10 @@ use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
 pub struct ScriptOutcome {
     /// Commit/abort classification for the reply status byte.
     pub status: ScriptStatus,
-    /// How many transaction attempts were made (1 = first try).
+    /// Transaction attempts made: always 1, a script runs once.
     pub attempts: u32,
-    /// Which op failed its guard / raised the debug abort.
+    /// Which op failed its guard, raised the debug abort, found its
+    /// semaphore empty or mutated inside a read-only script.
     pub failed_op: Option<u16>,
     /// Per-op results; empty unless committed.
     pub results: Vec<OpResult>,
@@ -118,10 +119,9 @@ fn begin_run_timed() -> bool {
 /// Which [`TxnManager`] entry a run goes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Abstract locks, undo log, retry loop: [`TxnManager::run`].
+    /// Abstract locks, footprint first, undo log: [`TxnManager::begin`].
     Locked,
-    /// Lock-free snapshot, one attempt, reads only:
-    /// [`TxnManager::run_read_only`].
+    /// Lock-free snapshot, reads only: [`TxnManager::begin_read_only`].
     Snapshot,
 }
 
@@ -131,8 +131,7 @@ enum Mode {
 pub struct Executor {
     ns: Namespace,
     tm: TxnManager,
-    /// Ops executed per op type, indexed by `opcode - 1`: every one,
-    /// retried attempts included.
+    /// Ops executed per op type, indexed by `opcode - 1`.
     op_calls: [AtomicU64; NUM_OPCODES],
     /// Service time per op type in the timed runs, indexed likewise.
     op_hist: [LatencyHistogram; NUM_OPCODES],
@@ -141,10 +140,6 @@ pub struct Executor {
     script_hist: LatencyHistogram,
     /// Scripts finished per status, indexed by [`ScriptStatus::index`].
     status_counts: [AtomicU64; ScriptStatus::ALL.len()],
-    /// Attempts aborted by a lock timeout, per `type:name` of the
-    /// object the timed-out op addressed. Touched only by an attempt
-    /// that has just waited out the whole lock timeout.
-    lock_timeouts: Mutex<BTreeMap<String, u64>>,
     /// Shared connection counters.
     pub conns: Arc<ConnMetrics>,
     started: Instant,
@@ -164,16 +159,20 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor over a fresh namespace.
-    pub fn new(txn_config: TxnConfig, default_sem_permits: u64) -> Self {
+    /// An executor over a fresh namespace. It ignores the [`TxnConfig`]:
+    /// a script waits for its locks and runs once. Kept because the
+    /// `benchmark/` harness still passes one.
+    pub fn new(_: TxnConfig, default_sem_permits: u64) -> Self {
         Executor {
             ns: Namespace::new(default_sem_permits),
-            tm: TxnManager::new(txn_config),
+            tm: TxnManager::new(TxnConfig {
+                lock_timeout: Duration::MAX,
+                ..TxnConfig::default()
+            }),
             op_calls: std::array::from_fn(|_| AtomicU64::new(0)),
             op_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             script_hist: LatencyHistogram::new(),
             status_counts: Default::default(),
-            lock_timeouts: Mutex::default(),
             conns: Arc::new(ConnMetrics::default()),
             started: Instant::now(),
             wal: OnceLock::new(),
@@ -246,10 +245,9 @@ impl Executor {
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
-    /// locks, no undo log, no WAL record, and exactly one attempt —
-    /// snapshot reads cannot conflict, so there is nothing to retry or
-    /// back off from. Mutating ops (and `DebugAbort`) are rejected with
-    /// [`ScriptStatus::ReadOnlyViolation`] before touching any object.
+    /// locks, no undo log, no WAL record. Mutating ops (and
+    /// `DebugAbort`) are rejected with [`ScriptStatus::ReadOnlyViolation`]
+    /// before touching any object.
     pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
         self.run(Mode::Snapshot, ops, None)
     }
@@ -261,8 +259,8 @@ impl Executor {
         Some(scripts.iter().map(|ops| self.execute(ops)).collect())
     }
 
-    /// The one op loop: run `ops` as a transaction through `mode`'s
-    /// [`TxnManager`] entry and account for it.
+    /// The one run: begin `mode`'s transaction, run the body, then
+    /// commit or abort — one attempt — and account for it.
     ///
     /// Ops and scripts are counted on every run; the clock is read only
     /// on a timed one ([`TIMED_EVERY`]). There, per-op service times use
@@ -277,36 +275,24 @@ impl Executor {
         deferred: Option<&mut TickRecords<'w>>,
     ) -> ScriptOutcome {
         let t0 = begin_run_timed().then(Instant::now);
-        let mut attempts: u32 = 0;
         let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
-        // (op index, the status it earns); set immediately before
-        // raising an abort the retry loop treats as terminal.
-        let failed: Cell<Option<(u16, ScriptStatus)>> = Cell::new(None);
-        // WAL ticket for the commit record. The enqueue is the last
-        // statement of the transaction body: the abstract locks are
-        // still held there, so the LSN order assigned by the log
-        // equals the serialization order, and since a boosted commit
-        // cannot fail after the body returns `Ok`, every enqueued
-        // record corresponds to a real commit. The ticket is awaited
-        // *after* the transaction, with all locks released.
-        let ticket: Cell<Option<Ticket>> = Cell::new(None);
-        let wal = self.wal.get();
-        let wal = wal.filter(|_| ops.iter().any(|sop| op_mutates(&sop.op)));
-        // The previous op boundary of a timed run.
-        let mut last = t0;
-        let objects = self.ns.resolved();
-        let body = |txn: &Txn| -> TxResult<()> {
-            attempts = attempts.saturating_add(1);
-            if attempts > 1 {
-                results.clear();
-                failed.set(None);
-                last = t0.map(|_| Instant::now());
+        let txn = match mode {
+            Mode::Locked => self.tm.begin(),
+            Mode::Snapshot => self.tm.begin_read_only(),
+        };
+        // `Ok`: the commit record's ticket, if it earns one. `Err`: the
+        // abort to roll back with, the status it earns, the op to name.
+        let mut body = || -> Result<Option<Ticket>, (Abort, ScriptStatus, Option<u16>)> {
+            let objects = self.ns.resolved();
+            if mode == Mode::Locked && ops.len() > 1 {
+                // Cannot fail: the wait has no deadline.
+                acquire_footprint(&txn, ops, objects)
+                    .map_err(|abort| (abort, ScriptStatus::WouldBlock, None))?;
             }
+            // The previous op boundary of a timed run.
+            let mut last = t0;
             for (i, sop) in ops.iter().enumerate() {
-                let give_up = |status, abort| {
-                    failed.set(Some((i as u16, status)));
-                    Err(abort)
-                };
+                let give_up = |status, abort| Err((abort, status, Some(i as u16)));
                 let debug_abort = matches!(sop.op, Op::DebugAbort);
                 if mode == Mode::Snapshot && (debug_abort || op_mutates(&sop.op)) {
                     return give_up(
@@ -317,10 +303,13 @@ impl Executor {
                 if debug_abort {
                     return give_up(ScriptStatus::DebugAborted, Abort::explicit());
                 }
-                let r = Self::run_op(txn, &sop.op, objects)
-                    .inspect_err(|abort| self.blame(&sop.op, *abort))?;
-                // This closure re-runs on every conflict retry; an
-                // out-of-range opcode must degrade to an uncounted op,
+                // Lock waits have no deadline: the one abort an op raises
+                // is an empty semaphore's.
+                let r = match Self::run_op(&txn, &sop.op, objects) {
+                    Ok(r) => r,
+                    Err(abort) => return give_up(ScriptStatus::WouldBlock, abort),
+                };
+                // An out-of-range opcode must degrade to an uncounted op,
                 // never a panic that kills the connection.
                 let opcode = (sop.op.opcode() - 1) as usize;
                 if let Some(calls) = self.op_calls.get(opcode) {
@@ -336,25 +325,31 @@ impl Executor {
                 }
                 results.push(r);
             }
-            if let Some(wal) = wal {
-                ticket.set(Some(wal.enqueue(ops)));
+            // Enqueued while the locks are held, so LSN order is the
+            // serialization order; a boosted commit cannot fail after its
+            // body, so every record is a real commit. Awaited after the
+            // commit, with every lock released.
+            let wal = self.wal.get();
+            let wal = wal.filter(|_| ops.iter().any(|sop| op_mutates(&sop.op)));
+            Ok(wal.map(|wal| wal.enqueue(ops)))
+        };
+        let (status, failed_op, ticket) = match body() {
+            Ok(ticket) => {
+                self.tm.commit(txn);
+                (ScriptStatus::Committed, None, ticket)
             }
-            Ok(())
+            Err((abort, status, failed_op)) => {
+                self.tm.abort(txn, abort.reason());
+                results.clear();
+                (status, failed_op, None)
+            }
         };
-        let ran = match mode {
-            Mode::Locked => self.tm.run(body),
-            Mode::Snapshot => self.tm.run_read_only(body),
-        };
-        let (status, failed_op) = script_status(ran, failed.get());
-        if status != ScriptStatus::Committed {
-            results.clear();
-        }
         // Group commit: the client's acknowledgement must imply
         // durability. Wait until an fsync covers the record, leading
         // the flush if nobody else does — or hand the ticket to a
         // caller that holds every reply of its tick back until all of
         // the tick's records are durable.
-        let wal_durable = match (ticket.take(), deferred) {
+        let wal_durable = match (ticket, deferred) {
             (Some(ticket), Some(tick)) => {
                 tick.push(ticket);
                 None
@@ -367,7 +362,7 @@ impl Executor {
         self.status_counts[status.index()].fetch_add(1, Ordering::Relaxed);
         ScriptOutcome {
             status,
-            attempts,
+            attempts: 1,
             failed_op,
             results,
             wal_durable,
@@ -390,7 +385,7 @@ impl Executor {
             }
             Op::CounterGet { obj } => OpResult::Value(Some(objects.counter(obj).get(txn)?)),
             Op::SemAcquire { obj } => {
-                objects.sem(obj).acquire(txn)?;
+                objects.sem(obj).try_acquire(txn)?;
                 OpResult::Unit
             }
             Op::SemRelease { obj } => {
@@ -403,31 +398,16 @@ impl Executor {
                 OpResult::Unit
             }
             Op::PqRemoveMin { obj } => OpResult::Value(objects.pq(obj).remove_min(txn)?),
-            // `run` attributes and raises this one before dispatch.
+            // `body` raises this one before dispatch.
             Op::DebugAbort => return Err(Abort::explicit()),
         })
     }
 
-    /// Count a lock timeout against the object `op` addressed.
-    fn blame(&self, op: &Op, abort: Abort) {
-        if abort.reason() != AbortReason::LockTimeout {
-            return;
-        }
-        if let Some((kind, name)) = op_target(op) {
-            *self
-                .lock_timeouts
-                .lock()
-                .entry(format!("{kind}:{name}"))
-                .or_default() += 1;
-        }
-    }
-
     /// Render the `STATS` document: transaction counters, per-op-type
     /// call counts and service times (count/mean/p50/p99), script
-    /// service time, abort attribution by object, connection counters,
-    /// and object census. Under `ops` and `script_service`, `count` is
-    /// exact and the latency fields come from the timed runs, one in 64
-    /// per thread.
+    /// service time, connection counters, and object census. Under
+    /// `ops` and `script_service`, `count` is exact and the latency
+    /// fields come from the timed runs, one in 64 per thread.
     pub fn stats_json(&self) -> String {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let mut out = String::with_capacity(2048);
@@ -465,15 +445,6 @@ impl Executor {
                 o.num("batches", load(&self.ticks))
                     .num("scripts", load(&self.tick_scripts))
                     .num("fallbacks", 0);
-            });
-            doc.obj("abort_attribution", |o| {
-                let blamed = self.lock_timeouts.lock();
-                let mut blamed: Vec<_> = blamed.iter().collect();
-                // Most-blamed first; the map's name order breaks ties.
-                blamed.sort_by_key(|(_, timeouts)| std::cmp::Reverse(**timeouts));
-                for (object, timeouts) in blamed {
-                    o.num(object, *timeouts);
-                }
             });
             doc.obj("connections", |o| {
                 o.num("accepted", load(&self.conns.accepted))
@@ -519,20 +490,58 @@ impl Executor {
     }
 }
 
-/// Which object instance an op addresses: `(type, name)`, the type
-/// spelled as `STATS` prefixes it. `None` for `DebugAbort`, which
-/// addresses no object.
-pub(crate) fn op_target(op: &Op) -> Option<(&'static str, &str)> {
-    match op {
-        Op::MapInsert { obj, .. } | Op::MapRemove { obj, .. } | Op::MapContains { obj, .. } => {
-            Some(("map", obj))
+/// Footprint entries kept on the stack; a longer script allocates.
+const FOOTPRINT_INLINE: usize = 16;
+
+/// Take every lock `ops` will ask for before the first of them runs:
+/// each distinct lock word once, in the strongest mode any op asks of
+/// it, in address order — the one order every multi-op script takes
+/// its locks in. Resolves, and so creates, every object whose op takes
+/// a lock.
+fn acquire_footprint(txn: &Txn, ops: &[ScriptOp], objects: Resolved<'_>) -> TxResult<()> {
+    let mut inline = [None; FOOTPRINT_INLINE];
+    let mut spill = Vec::new();
+    let entries = match inline.get_mut(..ops.len()) {
+        Some(entries) => entries,
+        None => {
+            spill.resize(ops.len(), None);
+            &mut spill[..]
         }
-        Op::CounterAdd { obj, .. } | Op::CounterGet { obj } => Some(("counter", obj)),
-        Op::SemAcquire { obj } | Op::SemRelease { obj } => Some(("sem", obj)),
-        Op::IdGen { obj } => Some(("idgen", obj)),
-        Op::PqAdd { obj, .. } | Op::PqRemoveMin { obj } => Some(("pq", obj)),
-        Op::DebugAbort => None,
+    };
+    for (entry, sop) in entries.iter_mut().zip(ops) {
+        *entry = conflict(&sop.op, objects);
     }
+    // By address, and at one address `Exclusive` first: the first entry
+    // of each word carries its strongest mode.
+    entries.sort_unstable_by_key(|entry| {
+        entry.map(|(lock, mode)| (Arc::as_ptr(lock), mode == LockMode::Shared))
+    });
+    let mut taken = None;
+    for &(lock, mode) in entries.iter().flatten() {
+        if taken != Some(Arc::as_ptr(lock)) {
+            lock.acquire(txn, mode)?;
+            taken = Some(Arc::as_ptr(lock));
+        }
+    }
+    Ok(())
+}
+
+/// The lock word `op` takes and its mode, from its object's conflict
+/// table; `None` for the ops that take no abstract lock (the
+/// semaphore's, the id generator's, `DebugAbort`).
+fn conflict<'s>(op: &Op, objects: Resolved<'s>) -> Option<(&'s Arc<AbstractLock>, LockMode)> {
+    Some(match op {
+        Op::MapInsert { obj, key, .. } => objects.map(obj).conflict(MapCall::Put(key)),
+        Op::MapRemove { obj, key } => objects.map(obj).conflict(MapCall::Remove(key)),
+        Op::MapContains { obj, key } => objects.map(obj).conflict(MapCall::ContainsKey(key)),
+        Op::CounterAdd { obj, .. } => objects.counter(obj).conflict(CounterCall::Add),
+        Op::CounterGet { obj } => objects.counter(obj).conflict(CounterCall::Get),
+        Op::PqAdd { obj, .. } => objects.pq(obj).conflict(PQueueCall::Add),
+        Op::PqRemoveMin { obj } => objects.pq(obj).conflict(PQueueCall::RemoveMin),
+        Op::SemAcquire { .. } | Op::SemRelease { .. } | Op::IdGen { .. } | Op::DebugAbort => {
+            return None
+        }
+    })
 }
 
 /// Whether an op changes object state — only scripts containing at
@@ -543,30 +552,6 @@ fn op_mutates(op: &Op) -> bool {
         op,
         Op::MapContains { .. } | Op::CounterGet { .. } | Op::DebugAbort
     )
-}
-
-/// The reply status (and the op to blame) for how a transaction ended.
-/// `failed` is what the body recorded when it gave up on purpose.
-fn script_status(
-    ran: Result<(), TxnError>,
-    failed: Option<(u16, ScriptStatus)>,
-) -> (ScriptStatus, Option<u16>) {
-    match (ran, failed) {
-        (Ok(()), _) => (ScriptStatus::Committed, None),
-        (Err(TxnError::ExplicitlyAborted | TxnError::ReadOnlyViolation), Some((op, status))) => {
-            (status, Some(op))
-        }
-        (Err(TxnError::RetriesExhausted(AbortReason::LockTimeout)), _) => {
-            (ScriptStatus::LockTimeout, None)
-        }
-        (Err(TxnError::RetriesExhausted(AbortReason::WouldBlock)), _) => {
-            (ScriptStatus::WouldBlock, None)
-        }
-        // TxnError is non-exhaustive, and an abort nobody in `run`
-        // raised has no op to blame; answer with a generic retry
-        // exhaustion rather than crashing the server.
-        (Err(_), _) => (ScriptStatus::RetriesExhausted, None),
-    }
 }
 
 /// A JSON object being written: escaping keys, placing commas and
@@ -637,20 +622,12 @@ impl JsonObj<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use txboost_client::ScriptBuilder;
     use txboost_wal::{recover, SimStorage, Storage, WalConfig};
     use txboost_wire::Guard;
 
     fn exec() -> Executor {
-        Executor::new(
-            TxnConfig {
-                lock_timeout: Duration::from_millis(5),
-                max_retries: Some(16),
-                ..TxnConfig::default()
-            },
-            4,
-        )
+        Executor::new(TxnConfig::default(), 4)
     }
 
     /// Scripts are spelled the way clients spell them.
@@ -770,18 +747,19 @@ mod tests {
 
     #[test]
     fn exhausted_semaphore_reports_would_block() {
-        let e = Executor::new(
-            TxnConfig {
-                lock_timeout: Duration::from_millis(1),
-                max_retries: Some(1),
-                backoff_min: Duration::from_micros(10),
-                backoff_max: Duration::from_micros(100),
-            },
-            0, // semaphores start empty
-        );
+        // Semaphores start empty: the acquire cannot wait for a release
+        // while its script may hold locks, so it answers at once.
+        let e = Executor::new(TxnConfig::default(), 0);
         let out = e.execute(&script().sem_acquire("s").build());
         assert_eq!(out.status, ScriptStatus::WouldBlock);
-        assert!(out.attempts >= 2, "retry loop must have retried");
+        assert_eq!((out.attempts, out.failed_op), (1, Some(0)));
+        let insert_then_acquire = script().map_insert("m", 1, 1).sem_acquire("s");
+        let out = e.execute(&insert_then_acquire.build());
+        assert_eq!(out.status, ScriptStatus::WouldBlock);
+        assert_eq!((out.attempts, out.failed_op), (1, Some(1)));
+        // The insert before it was rolled back.
+        let check = e.execute(&script().map_contains("m", 1).build());
+        assert_eq!(check.results, vec![OpResult::Bool(false)]);
     }
 
     #[test]
@@ -925,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn a_retried_script_answers_from_its_last_attempt() {
+    fn a_script_waits_out_a_held_lock_and_runs_once() {
         let e = exec();
         let map = e.namespace().map("m");
         let holder = TxnManager::default();
@@ -938,16 +916,13 @@ mod tests {
             let txn = holder.begin();
             map.put(&txn, 1, 7).unwrap();
             let script = s.spawn(|| e.execute(&transfer.build()));
-            // Keep key 1 locked until the script has timed out on it at
-            // least once.
-            while e.tm.stats().snapshot().lock_timeouts == 0 {
-                std::thread::yield_now();
-            }
+            // Hold key 1 for ten times the library's default lock
+            // timeout: the script's wait has no deadline.
+            std::thread::sleep(Duration::from_millis(100));
             holder.commit(txn);
             script.join().unwrap()
         });
-        assert_eq!(out.status, ScriptStatus::Committed);
-        assert!(out.attempts > 1, "attempts = {}", out.attempts);
+        assert_eq!((out.status, out.attempts), (ScriptStatus::Committed, 1));
         assert_eq!(
             out.results,
             vec![
@@ -957,15 +932,91 @@ mod tests {
                 OpResult::Value(Some(1)),
             ]
         );
-        // The first attempt never reached op 1, the last one ran it —
-        // and, the run being its thread's first, stamped it: one sample
-        // per op, each from the attempt that committed.
+        let txn = e.tm.stats().snapshot();
+        assert_eq!((txn.lock_timeouts, txn.lock_waits, txn.aborted), (0, 1, 0));
+        // The run being its thread's first, it stamped every op once.
         assert_eq!(e.namespace().object_counts(), (1, 1, 0, 0, 0));
         for opcode in [0, 2, 3, 4] {
             assert_eq!(e.op_calls[opcode].load(Ordering::Relaxed), 1);
             assert_eq!(e.op_hist[opcode].snapshot().count(), 1);
         }
         assert_eq!(e.script_hist.snapshot().count(), 1);
+    }
+
+    /// xorshift64*, so the test needs no rand dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    /// An op with the given opcode (1–11) over two names and four keys.
+    fn random_op(rng: &mut Rng, opcode: u8) -> Op {
+        let obj = format!("o{}", rng.below(2));
+        let key = rng.below(4) as i64;
+        match opcode {
+            1 => Op::MapInsert { obj, key, val: 1 },
+            2 => Op::MapRemove { obj, key },
+            3 => Op::MapContains { obj, key },
+            4 => Op::CounterAdd { obj, delta: 1 },
+            5 => Op::CounterGet { obj },
+            6 => Op::SemAcquire { obj },
+            7 => Op::SemRelease { obj },
+            8 => Op::IdGen { obj },
+            9 => Op::PqAdd { obj, key },
+            10 => Op::PqRemoveMin { obj },
+            _ => Op::DebugAbort,
+        }
+    }
+
+    #[test]
+    fn a_footprint_covers_every_lock_its_ops_take() {
+        let e = exec();
+        let objects = e.ns.resolved();
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        // Every opcode twice beside an insert, then 1,000 random scripts.
+        let per_opcode = (1..=NUM_OPCODES as u8).map(|opcode| {
+            let mut ops = vec![random_op(&mut rng, 1)];
+            ops.extend([0, 1].map(|_| random_op(&mut rng, opcode)));
+            ops
+        });
+        let per_opcode: Vec<Vec<Op>> = per_opcode.collect();
+        let random = (0..1000).map(|_| {
+            let len = 2 + rng.below(5);
+            let ops = (0..len).map(|_| {
+                let opcode = 1 + rng.below(11) as u8;
+                random_op(&mut rng, opcode)
+            });
+            ops.collect::<Vec<_>>()
+        });
+        let random: Vec<Vec<Op>> = random.collect();
+        for ops in per_opcode.iter().chain(&random) {
+            let script: Vec<ScriptOp> = ops.iter().cloned().map(ScriptOp::new).collect();
+            let txn = e.tm.begin();
+            acquire_footprint(&txn, &script, objects).unwrap();
+            let held = txn.held_lock_count();
+            // Held in a mode at least as strong as each op's own.
+            for op in ops {
+                if let Some((lock, mode)) = conflict(op, objects) {
+                    let (owner, readers) = lock.holders();
+                    let covered = owner == Some(txn.id())
+                        || (mode == LockMode::Shared && owner.is_none() && readers > 0);
+                    assert!(covered, "{op:?} not covered by the footprint of {ops:?}");
+                }
+            }
+            for op in ops {
+                let _ = Executor::run_op(&txn, op, objects);
+                assert_eq!(txn.held_lock_count(), held, "{op:?} took a lock: {ops:?}");
+            }
+            e.tm.commit(txn);
+        }
+        let txn = e.tm.stats().snapshot();
+        assert_eq!((txn.lock_waits, txn.lock_wait.count()), (0, 0));
     }
 
     #[test]
@@ -1023,8 +1074,6 @@ mod tests {
         };
         let paths = |e: &Executor| -> Vec<String> {
             let json = e.stats_json();
-            // No lock has timed out, so the one keyless object is empty.
-            assert!(json.contains(",\"abort_attribution\":{},"), "{json}");
             leaves(&json).into_iter().map(|(path, _)| path).collect()
         };
         let e = exec();
@@ -1032,53 +1081,6 @@ mod tests {
         attach_sim_wal(&e);
         assert_eq!(paths(&e), golden(true));
         e.shutdown_wal();
-    }
-
-    #[test]
-    fn a_lock_timeout_is_blamed_on_the_object_whose_op_met_it() {
-        /// (`abort_attribution` as written, `txn.lock_timeouts`).
-        fn blamed(e: &Executor) -> (Vec<(String, u64)>, u64) {
-            let stats = leaves(&e.stats_json());
-            let total = stats.iter().find(|(path, _)| path == "txn.lock_timeouts");
-            let by_object = stats.iter().filter_map(|(path, n)| {
-                let object = path.strip_prefix("abort_attribution.")?;
-                Some((object.to_string(), *n))
-            });
-            (by_object.collect(), total.expect("txn.lock_timeouts").1)
-        }
-        let insert = script().map_insert("m", 1, 1).counter_add("c", 1).build();
-
-        // One attempt, against a key held from outside any script.
-        let config = TxnConfig {
-            lock_timeout: Duration::from_millis(5),
-            max_retries: Some(0),
-            ..TxnConfig::default()
-        };
-        let e = Executor::new(config, 4);
-        let holder = e.tm.begin();
-        e.namespace().map("m").put(&holder, 1, 0).unwrap();
-        assert_eq!(e.execute(&insert).status, ScriptStatus::LockTimeout);
-        e.tm.commit(holder);
-        assert_eq!(blamed(&e), (vec![("map:m".to_string(), 1)], 1));
-
-        // A script that retries is blamed once per timed-out attempt,
-        // whatever becomes of it: here the holder lets go after the
-        // first, and of the two objects only the contended one is named.
-        let e = exec();
-        let holder = e.tm.begin();
-        e.namespace().map("m").put(&holder, 1, 0).unwrap();
-        let out = std::thread::scope(|s| {
-            let retried = s.spawn(|| e.execute(&insert));
-            while e.tm.stats().snapshot().lock_timeouts == 0 {
-                std::thread::yield_now();
-            }
-            e.tm.commit(holder);
-            retried.join().expect("script thread panicked")
-        });
-        assert_eq!(out.status, ScriptStatus::Committed);
-        let (by_object, timeouts) = blamed(&e);
-        assert_eq!(by_object, vec![("map:m".to_string(), timeouts)]);
-        assert_eq!(u64::from(out.attempts), timeouts + 1);
     }
 
     #[test]

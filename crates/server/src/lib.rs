@@ -1,10 +1,10 @@
 //! # txboost-server — a networked transactional-object service
 //!
 //! Serves the `txboost-wire` protocol over TCP: each request frame is
-//! a **transaction script** that the server executes atomically as one
-//! boosted transaction (abstract locks, undo logs, lock-timeout
-//! deadlock recovery with capped exponential backoff between retries),
-//! replying with per-op results or an abort code.
+//! a **transaction script** that the server executes atomically, once,
+//! as one boosted transaction (abstract locks taken up front in one
+//! global order, so no deadlock and no timeout; undo logs), replying
+//! with per-op results or an abort code.
 //!
 //! ## The I/O plane
 //!
@@ -70,10 +70,10 @@ pub struct ServerConfig {
     pub max_frame: u32,
     /// Permits a semaphore is created with on first reference.
     pub default_sem_permits: u64,
-    /// Transaction runtime configuration: lock timeout (deadlock
-    /// recovery), retry cap, and backoff bounds. `max_retries` should
-    /// be `Some(_)` in a server — an unbounded retry loop would let one
-    /// pathological script occupy an event loop forever.
+    /// Ignored: a script's lock waits have no deadline and it runs
+    /// once, so the server has no lock timeout, retry budget or backoff
+    /// to configure. Kept because the `benchmark/` harness still passes
+    /// it to [`Executor::new`].
     pub txn: TxnConfig,
     /// How long a poll tick may block before re-checking for shutdown.
     pub poll_interval: Duration,
@@ -119,12 +119,7 @@ impl Default for ServerConfig {
             window: 32,
             max_frame: wire::MAX_FRAME_LEN,
             default_sem_permits: 1024,
-            txn: TxnConfig {
-                lock_timeout: Duration::from_millis(10),
-                max_retries: Some(64),
-                backoff_min: Duration::from_micros(5),
-                backoff_max: Duration::from_millis(2),
-            },
+            txn: TxnConfig::default(),
             poll_interval: Duration::from_millis(25),
             drain_grace: Duration::from_secs(2),
             wal: None,
@@ -169,7 +164,7 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
-            exec: Executor::new(cfg.txn.clone(), cfg.default_sem_permits),
+            exec: Executor::new(TxnConfig::default(), cfg.default_sem_permits),
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
         });

@@ -1,9 +1,11 @@
 //! The `txboost-server` binary (Linux: the I/O plane is `epoll`).
 //!
 //! `--help` lists the flags. All connections are multiplexed over
-//! `--event-loops` readiness loops; each script runs as its own
+//! `--event-loops` readiness loops; each script runs once, as its own
 //! transaction, and a poll tick's replies leave after one durability
-//! wait.
+//! wait. There is no lock timeout or retry budget to set: a script
+//! takes its locks in one global order, so it waits for them and
+//! never deadlocks.
 //! `--io epoll` is accepted and ignored — epoll is the only plane, and
 //! the repo's benchmark harness still passes the flag; any other `--io`
 //! value is a usage error.
@@ -21,13 +23,11 @@
 //! A usage error prints one line and exits 2.
 
 use std::str::FromStr;
-use std::time::Duration;
 use txboost_server::{Server, ServerConfig, WalServerConfig};
 
 const USAGE: &str = "usage: txboost-server [--addr HOST:PORT] [--event-loops N] \
-                     [--window N] [--max-frame BYTES] [--lock-timeout-us N] \
-                     [--max-retries N] [--default-sem-permits N] [--wal-dir PATH] \
-                     [--wal-batch N] [--wal-segment-bytes N] \
+                     [--window N] [--max-frame BYTES] [--default-sem-permits N] \
+                     [--wal-dir PATH] [--wal-batch N] [--wal-segment-bytes N] \
                      [--io epoll (accepted and ignored: epoll is the only I/O plane)]";
 
 /// Every command-line mistake ends here: one line, exit status 2.
@@ -66,10 +66,6 @@ fn main() {
             "--event-loops" => cfg.event_loops = parsed(&flag, val()),
             "--window" => cfg.window = parsed(&flag, val()),
             "--max-frame" => cfg.max_frame = parsed(&flag, val()),
-            "--lock-timeout-us" => {
-                cfg.txn.lock_timeout = Duration::from_micros(parsed(&flag, val()));
-            }
-            "--max-retries" => cfg.txn.max_retries = Some(parsed(&flag, val())),
             "--default-sem-permits" => cfg.default_sem_permits = parsed(&flag, val()),
             "--wal-dir" => wal(&mut cfg).dir = val().into(),
             "--wal-batch" => wal(&mut cfg).batch_max = parsed(&flag, val()),

@@ -194,7 +194,7 @@ impl Namespace {
 /// Lookups that borrow: an op gets a `&'s` object for the price of a
 /// hash and a probe — no lock, no reference count — because the
 /// namespace outlives the run and never removes an object. Objects are
-/// still created lazily, in op order.
+/// created on first reference, by a locked script's footprint if any.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Resolved<'s>(&'s Namespace);
 

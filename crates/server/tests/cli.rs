@@ -16,12 +16,15 @@ const BIN: &str = env!("CARGO_BIN_EXE_txboost-server");
 
 #[test]
 fn usage_errors_print_one_line_and_exit_2() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &["--window", "x"],   // unparsable value
         &["--io", "threads"], // the removed plane
         &["--workers", "4"],  // a removed flag
         &["--no-batch"],      // another: batching has no off switch
-        &["--addr"],          // trailing flag without its value
+        // Scripts cannot deadlock, so there is no timeout or retry cap.
+        &["--lock-timeout-us", "10000"],
+        &["--max-retries", "64"],
+        &["--addr"], // trailing flag without its value
     ];
     for args in cases {
         let out = Command::new(BIN).args(args).output().expect("run server");

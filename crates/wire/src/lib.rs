@@ -372,18 +372,20 @@ pub enum Request {
 pub enum ScriptStatus {
     /// The transaction committed; per-op results follow.
     Committed = 0,
-    /// Abstract-lock acquisition kept timing out; the retry budget
-    /// (with capped exponential backoff) ran out.
+    /// Abstract-lock acquisition kept timing out. `txboost-server` no
+    /// longer answers it: its scripts cannot deadlock, so their lock
+    /// waits have no timeout. The byte stays reserved.
     LockTimeout = 1,
-    /// Conditional synchronization (semaphore acquire) kept timing
-    /// out; the retry budget ran out.
+    /// An op could not proceed now: `SemAcquire` found its semaphore
+    /// empty. Answered at once; `failed_op` names the op.
     WouldBlock = 2,
     /// A [`Guard`] rejected an op's result; the whole transaction was
     /// rolled back. `failed_op` in the reply names the op.
     GuardFailed = 3,
     /// The script contained [`Op::DebugAbort`].
     DebugAborted = 4,
-    /// Retries exhausted for some other reason.
+    /// Retries exhausted for some other reason. `txboost-server` no
+    /// longer answers it: a script runs once. The byte stays reserved.
     RetriesExhausted = 5,
     /// A [`Request::ReadOnlyScript`] contained a mutating op. Read-only
     /// transactions cannot abort, so this is a rejection, not a

@@ -23,7 +23,6 @@
 //! the other deterministic suites.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use txboost_core::TxnConfig;
 use txboost_sched::core_det as det;
 use txboost_server::{Batcher, Executor};
@@ -41,14 +40,7 @@ const PER_CONN: usize = 3;
 const SCRIPTS_PER_TICK: u64 = (CONNS * PER_CONN - 1) as u64;
 
 fn exec() -> Executor {
-    Executor::new(
-        TxnConfig {
-            lock_timeout: Duration::from_millis(50),
-            max_retries: Some(64),
-            ..TxnConfig::default()
-        },
-        4,
-    )
+    Executor::new(TxnConfig::default(), 4)
 }
 
 fn add_one() -> Vec<ScriptOp> {

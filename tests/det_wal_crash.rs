@@ -26,7 +26,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use txboost_core::{DurabilityMetrics, TxnConfig};
 use txboost_sched::core_det as det;
@@ -45,14 +44,7 @@ const WORKERS: usize = 2;
 const TRANSFERS: usize = 3;
 
 fn exec() -> Executor {
-    Executor::new(
-        TxnConfig {
-            lock_timeout: Duration::from_millis(10),
-            max_retries: Some(16),
-            ..TxnConfig::default()
-        },
-        4,
-    )
+    Executor::new(TxnConfig::default(), 4)
 }
 
 fn op(op: Op) -> ScriptOp {
