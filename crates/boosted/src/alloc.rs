@@ -61,7 +61,9 @@ impl<T: Send + Sync + 'static> TxSlabAlloc<T> {
     /// Transactionally allocate a slot holding `value`; returns its
     /// key. If the transaction aborts, the inverse frees the slot.
     pub fn alloc(&self, txn: &Txn, value: T) -> TxResult<SlabKey> {
-        // txboost-lint: allow(lock-before-mutate): alloc needs no abstract lock — allocations returning distinct keys always commute, and nobody else can name the fresh key until this transaction publishes it (module docs; paper Section 2 on malloc/free disposability)
+        // No abstract lock: allocations returning distinct keys always
+        // commute, and nobody else can name the fresh key until this
+        // transaction publishes it (module docs; paper Section 2).
         let key = self.base.insert(value);
         let base = Arc::clone(&self.base);
         txn.log_undo(move || {

@@ -163,7 +163,9 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
                 None => return Ok(None),
                 Some(h) if h.deleted.load(Ordering::Acquire) => {
                     // Purge the deleted holder so min() can terminate.
-                    // txboost-lint: allow(inverse-pairing): popping logically-deleted residue leaves the abstract state unchanged (the holder was already removed abstractly), so no inverse is required
+                    // No inverse: the holder was already removed
+                    // abstractly, so popping it leaves the abstract
+                    // state unchanged.
                     let popped = self.base.remove_min().expect("heap emptied under lock");
                     debug_assert!(popped.deleted.load(Ordering::Acquire));
                 }

@@ -8,9 +8,8 @@ use std::ops::Deref;
 /// effect capturing one `Arc` of this, whose inverse arm calls the base
 /// and whose install arm feeds `versions`.
 ///
-/// Dereferences to the base, so a boosted object keeps its base-object
-/// calls spelled `self.base.<method>(..)` — the convention
-/// `txboost-lint` reads Rules 2 and 3 off.
+/// Dereferences to the base, so a boosted object spells its base-object
+/// calls `self.base.<method>(..)` whether or not the base is versioned.
 #[derive(Debug)]
 pub(crate) struct Versioned<B, S> {
     base: B,

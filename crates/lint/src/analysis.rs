@@ -1,21 +1,16 @@
 //! Per-file structural analysis over the token stream: function
-//! extents, `#[cfg(test)]` regions, handler-closure regions
+//! extents, `#[cfg(test)]` regions, and handler-closure regions
 //! (`log_undo` / `log_effect` / `defer_on_commit` / `defer_on_abort` /
-//! `log_version_install`, the server's retry closure, and the WAL's
-//! replay closure), and
-//! `// txboost-lint: allow(...)` suppressions.
+//! `log_version_install`, the WAL's replay closure, and the server's
+//! event-loop dispatch closures).
 
 use crate::source::{lex, Comment, TokKind, Token};
-use std::collections::BTreeSet;
 
 /// A function item found in the token stream.
 #[derive(Debug, Clone)]
 pub struct Function {
     /// The function's name.
     pub name: String,
-    /// Token-index range `[sig_start, body_open)` — `fn` through the
-    /// token before the body's `{`. Empty body (trait decl) ends at `;`.
-    pub sig: (usize, usize),
     /// Token-index range `[body_open, body_close]` of the `{ ... }`
     /// body, or `None` for a bodyless declaration.
     pub body: Option<(usize, usize)>,
@@ -25,8 +20,8 @@ pub struct Function {
     pub in_test: bool,
 }
 
-/// Why a closure region is considered a *handler* (code that may run at
-/// commit/abort time, or the server's transaction retry closure).
+/// Why a closure region is considered a *handler*: code that runs at
+/// commit or abort time, or where a panic takes more down with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandlerKind {
     /// `txn.log_undo(...)`, or the second argument of
@@ -43,8 +38,6 @@ pub enum HandlerKind {
     /// held and triggers chain GC, so a panic there dooms the commit
     /// *after* the point of no return.
     VersionInstall,
-    /// `tm.run(...)` — the server's retry closure (crates/server only).
-    RetryClosure,
     /// `log.replay(...)` — the WAL recovery replay closure
     /// (crates/server and crates/wal): it rebuilds state after a
     /// crash, so a panic there turns a survivable crash into a
@@ -69,18 +62,6 @@ pub struct HandlerRegion {
     pub range: (usize, usize),
 }
 
-/// One `// txboost-lint: allow(<rule>)[: reason]` suppression.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    pub rule: String,
-    pub reason: Option<String>,
-    /// Line the comment is on.
-    pub line: u32,
-    /// Line the suppression applies to (the comment's own line if it
-    /// trails code, else the next line holding code).
-    pub target_line: u32,
-}
-
 /// Everything the rules need to know about one file.
 #[derive(Debug)]
 pub struct FileAnalysis {
@@ -90,15 +71,8 @@ pub struct FileAnalysis {
     pub comments: Vec<Comment>,
     pub functions: Vec<Function>,
     pub handlers: Vec<HandlerRegion>,
-    pub suppressions: Vec<Suppression>,
     /// Token-index ranges covered by `#[cfg(test)]` items.
     test_ranges: Vec<(usize, usize)>,
-    /// `(type name, body_open, body_close)` for each `impl` block —
-    /// the self type (`impl Trait for Ty` resolves to `Ty`; a macro
-    /// metavariable type resolves to its `$name`).
-    impl_ranges: Vec<(String, usize, usize)>,
-    /// Lines that carry at least one code token.
-    code_lines: BTreeSet<u32>,
 }
 
 impl FileAnalysis {
@@ -108,19 +82,14 @@ impl FileAnalysis {
         let test_ranges = find_test_ranges(&tokens);
         let mut fa = FileAnalysis {
             path: path.replace('\\', "/"),
-            code_lines: tokens.iter().map(|t| t.line).collect(),
             functions: Vec::new(),
             handlers: Vec::new(),
-            suppressions: Vec::new(),
             test_ranges,
-            impl_ranges: Vec::new(),
             tokens,
             comments,
         };
         fa.functions = fa.find_functions();
         fa.handlers = fa.find_handlers();
-        fa.suppressions = fa.find_suppressions();
-        fa.impl_ranges = fa.find_impl_ranges();
         fa
     }
 
@@ -184,149 +153,6 @@ impl FileAnalysis {
         self.tokens.len().saturating_sub(1)
     }
 
-    /// The self-type name of the innermost `impl` block containing
-    /// token index `i`, if any.
-    pub fn impl_type_of(&self, i: usize) -> Option<&str> {
-        self.impl_ranges
-            .iter()
-            .filter(|&&(_, a, b)| i >= a && i <= b)
-            .min_by_key(|&&(_, a, b)| b - a)
-            .map(|(name, _, _)| name.as_str())
-    }
-
-    /// The identifier of `f`'s `&Txn` parameter (`txn` in
-    /// `fn add(&self, txn: &Txn, ..)`), if it has one.
-    pub fn txn_param(&self, f: &Function) -> Option<String> {
-        for i in f.sig.0..f.sig.1 {
-            if !self.is_ident(i, "Txn") {
-                continue;
-            }
-            // Walk back over `&` / `mut` / lifetimes to the `:` that
-            // ends the parameter name.
-            let mut j = i;
-            while j > f.sig.0 {
-                j -= 1;
-                match self.tokens.get(j) {
-                    Some(t) if t.kind == TokKind::Punct && t.text == "&" => {}
-                    Some(t) if t.kind == TokKind::Ident && t.text == "mut" => {}
-                    Some(t) if t.kind == TokKind::Lifetime => {}
-                    Some(t) if t.kind == TokKind::Punct && t.text == ":" => {
-                        if let Some(name) = self.tokens.get(j.wrapping_sub(1)) {
-                            if name.kind == TokKind::Ident && !self.is_punct(j + 1, ":") {
-                                return Some(name.text.clone());
-                            }
-                        }
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        None
-    }
-
-    /// Skip a `<...>` generic-parameter group starting at `open`
-    /// (single-character `<`/`>` tokens; `->` arrows inside are paired
-    /// so they never close the group). Returns the index *after* the
-    /// matching `>`.
-    fn skip_angle(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < self.tokens.len() {
-            if self.is_punct(j, "-") && self.is_punct(j + 1, ">") {
-                j += 2;
-                continue;
-            }
-            if self.is_punct(j, "<") {
-                depth += 1;
-            } else if self.is_punct(j, ">") {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            j += 1;
-        }
-        j
-    }
-
-    /// Read a type path at `j` (`a::b::Name`, `$name`), returning the
-    /// last segment and the index after the path.
-    fn type_path_at(&self, mut j: usize) -> (Option<String>, usize) {
-        let mut last = None;
-        loop {
-            if self.is_punct(j, "$") {
-                if let Some(t) = self.tok(j + 1) {
-                    if t.kind == TokKind::Ident {
-                        last = Some(format!("${}", t.text));
-                        j += 2;
-                    } else {
-                        break;
-                    }
-                } else {
-                    break;
-                }
-            } else if matches!(self.tok(j), Some(t) if t.kind == TokKind::Ident) {
-                let text = self.tokens[j].text.clone();
-                if matches!(text.as_str(), "for" | "where") {
-                    break;
-                }
-                last = Some(text);
-                j += 1;
-            } else {
-                break;
-            }
-            if self.is_punct(j, "<") {
-                j = self.skip_angle(j);
-            }
-            if self.is_punct(j, ":") && self.is_punct(j + 1, ":") {
-                j += 2;
-            } else {
-                break;
-            }
-        }
-        (last, j)
-    }
-
-    fn find_impl_ranges(&self) -> Vec<(String, usize, usize)> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.tokens.len() {
-            if !self.is_ident(i, "impl") {
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            if self.is_punct(j, "<") {
-                j = self.skip_angle(j);
-            }
-            let (first, after) = self.type_path_at(j);
-            j = after;
-            let mut name = first;
-            if self.is_ident(j, "for") {
-                let (second, after) = self.type_path_at(j + 1);
-                j = after;
-                if second.is_some() {
-                    name = second;
-                }
-            }
-            // Skip the rest of the header (where clauses) to the body.
-            while j < self.tokens.len() && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
-                if self.is_punct(j, "(") || self.is_punct(j, "[") {
-                    j = self.matching(j);
-                }
-                j += 1;
-            }
-            if self.is_punct(j, "{") {
-                if let Some(name) = name {
-                    out.push((name, j, self.matching(j)));
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
     fn find_functions(&self) -> Vec<Function> {
         let mut out = Vec::new();
         let n = self.tokens.len();
@@ -346,7 +172,6 @@ impl FileAnalysis {
                 // balanced groups on the way.
                 let mut j = i + 2;
                 let mut body = None;
-                let mut sig_end = n.saturating_sub(1);
                 while j < n {
                     let t = &self.tokens[j];
                     if t.kind == TokKind::Punct {
@@ -355,14 +180,10 @@ impl FileAnalysis {
                                 j = self.matching(j);
                             }
                             "{" => {
-                                sig_end = j;
                                 body = Some((j, self.matching(j)));
                                 break;
                             }
-                            ";" => {
-                                sig_end = j;
-                                break;
-                            }
+                            ";" => break,
                             _ => {}
                         }
                     }
@@ -370,7 +191,6 @@ impl FileAnalysis {
                 }
                 out.push(Function {
                     name,
-                    sig: (i, sig_end),
                     body,
                     line: self.tokens[i].line,
                     in_test: self.in_test(i),
@@ -419,7 +239,6 @@ impl FileAnalysis {
                 "defer_on_commit" => HandlerKind::DeferCommit,
                 "defer_on_abort" => HandlerKind::DeferAbort,
                 "log_version_install" => HandlerKind::VersionInstall,
-                "run" if in_server => HandlerKind::RetryClosure,
                 "replay" if in_server || in_wal => HandlerKind::WalReplay,
                 "run_tick" if in_server => HandlerKind::EventLoop,
                 _ => continue,
@@ -454,45 +273,6 @@ impl FileAnalysis {
             args.push((start, close - 1));
         }
         args
-    }
-
-    fn find_suppressions(&self) -> Vec<Suppression> {
-        let mut out = Vec::new();
-        for c in &self.comments {
-            let text = c.text.trim_start_matches(['/', '!']).trim();
-            let Some(rest) = text.strip_prefix("txboost-lint:") else {
-                continue;
-            };
-            let rest = rest.trim();
-            let Some(rest) = rest.strip_prefix("allow(") else {
-                continue;
-            };
-            let Some(close) = rest.find(')') else {
-                continue;
-            };
-            let rule = rest[..close].trim().to_string();
-            let tail = rest[close + 1..].trim();
-            let reason = tail
-                .strip_prefix(':')
-                .map(|r| r.trim().to_string())
-                .filter(|r| !r.is_empty());
-            let target_line = if self.code_lines.contains(&c.line) {
-                c.line
-            } else {
-                self.code_lines
-                    .range((c.line + 1)..)
-                    .next()
-                    .copied()
-                    .unwrap_or(c.line)
-            };
-            out.push(Suppression {
-                rule,
-                reason,
-                line: c.line,
-                target_line,
-            });
-        }
-        out
     }
 }
 
@@ -624,16 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn run_closures_only_count_in_server_paths() {
-        let src = "fn f(&self) { self.tm.run(|t| { x.unwrap(); }); }";
-        let server = FileAnalysis::build("crates/server/src/exec.rs", src);
-        assert_eq!(server.handlers.len(), 1);
-        assert_eq!(server.handlers[0].kind, HandlerKind::RetryClosure);
-        let other = FileAnalysis::build("crates/boosted/src/x.rs", src);
-        assert!(other.handlers.is_empty());
-    }
-
-    #[test]
     fn wal_replay_closures_only_count_in_wal_and_server_paths() {
         let src = "fn f(&self) { log.replay(|r| apply(r)); }";
         for path in ["crates/wal/src/group.rs", "crates/server/src/lib.rs"] {
@@ -643,24 +413,5 @@ mod tests {
         }
         let other = FileAnalysis::build("crates/boosted/src/x.rs", src);
         assert!(other.handlers.is_empty());
-    }
-
-    #[test]
-    fn suppressions_with_and_without_reasons() {
-        let src = "\
-fn f() {
-    // txboost-lint: allow(unsafe-inventory): FFI contract documented at the extern block
-    unsafe { g() };
-    // txboost-lint: allow(inverse-pairing)
-    h();
-}";
-        let fa = FileAnalysis::build("crates/x/src/a.rs", src);
-        assert_eq!(fa.suppressions.len(), 2);
-        assert_eq!(fa.suppressions[0].rule, "unsafe-inventory");
-        assert!(fa.suppressions[0].reason.is_some());
-        assert_eq!(fa.suppressions[0].target_line, 3);
-        assert_eq!(fa.suppressions[1].rule, "inverse-pairing");
-        assert!(fa.suppressions[1].reason.is_none());
-        assert_eq!(fa.suppressions[1].target_line, 5);
     }
 }

@@ -1,49 +1,31 @@
-//! `txboost-lint` — a static analyzer for the transactional-boosting
-//! discipline (Herlihy & Koskinen, PPoPP 2008, §3–5).
+//! `txboost-lint` — checks the parts of the transactional-boosting
+//! discipline (Herlihy & Koskinen, PPoPP 2008) that no run can observe.
 //!
-//! Boosting is correct only if every boosted method follows rules the
-//! compiler cannot check: acquire the abstract lock *before* the base
-//! call, log the inverse *after* it succeeds, hold every lock two-phase
-//! until commit/abort, and never panic inside an abort/commit handler.
-//! This crate turns those conventions into machine-checked rules with
-//! rustc-style diagnostics, an `// txboost-lint: allow(<rule>): reason`
-//! suppression mechanism, and machine-readable artifacts
-//! (`unsafe_inventory.json`, `lock_order_graph.json`, SARIF).
+//! Rules 2 and 3 — acquire the call's abstract lock before the base
+//! call, log its inverse after it — are checked at runtime, per
+//! conflict-table entry, by `crates/boosted/tests/conflict_tables.rs`.
+//! What is left here is what a correct run never exercises:
 //!
-//! The analyzer runs in three stages (DESIGN.md §15):
+//! - `handler-panic-audit`: no panic source inside an undo, deferred,
+//!   version-install, WAL-replay or event-loop closure;
+//! - `unsafe-inventory`: every `unsafe` site carries a `// SAFETY:`
+//!   argument, and all of them are exported to `unsafe_inventory.json`;
+//! - `yield-point-coverage`: the deterministic scheduler's hooks sit in
+//!   every site it must be able to preempt.
 //!
-//! 1. [`parser`] — a zero-dependency recursive-descent parser over the
-//!    [`source`] token stream, producing statement/expression ASTs for
-//!    function bodies;
-//! 2. [`mod@cfg`] + [`dataflow`] — per-function control-flow graphs and an
-//!    intraprocedural lockset/inverse dataflow, giving path-sensitive
-//!    versions of the discipline rules;
-//! 3. [`lockgraph`] — a workspace lock-acquisition-order graph with
-//!    static deadlock (cycle) detection.
-//!
-//! Run it over the workspace:
+//! A hand-rolled lexer ([`source`]) feeds token-level file analyses
+//! ([`analysis`]); the rules ([`rules::RULES`]) are functions from a
+//! file's analysis to diagnostics, and [`engine`] walks the tree.
+//! DESIGN.md §10 has the rules and the tests that replaced the rest.
 //!
 //! ```text
 //! cargo run -p txboost-lint -- --workspace --deny-all
 //! ```
-//!
-//! The rule table lives in [`rules::RULES`]; DESIGN.md §10 documents
-//! each rule's paper justification and the suppression policy.
 
 pub mod analysis;
-pub mod cfg;
-pub mod dataflow;
 pub mod engine;
-pub mod lockgraph;
-pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 
-pub use dataflow::TransferMutation;
-pub use engine::{
-    declares_workspace, lint_source, lint_source_mutated, lint_tree, Diagnostic, Report, UnsafeSite,
-};
-pub use lockgraph::LockOrderGraph;
-pub use rules::{RuleKind, RULES, SUPPRESSION_MISSING_REASON};
-pub use sarif::to_sarif;
+pub use engine::{declares_workspace, lint_source, lint_tree, Diagnostic, Report, UnsafeSite};
+pub use rules::RULES;

@@ -1,21 +1,19 @@
 //! CLI for the boosting-discipline analyzer.
 //!
 //! ```text
-//! txboost-lint --workspace [--deny-all] [--inventory PATH] [--sarif PATH] [--quiet]
+//! txboost-lint --workspace [--deny-all] [--quiet]
 //! txboost-lint --path DIR
 //! txboost-lint --list-rules
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
-use txboost_lint::{declares_workspace, lint_tree, to_sarif, Report, RULES};
+use txboost_lint::{declares_workspace, lint_tree, Report, RULES};
 
 struct Args {
     workspace: bool,
     path: Option<PathBuf>,
     deny_all: bool,
-    inventory: Option<PathBuf>,
-    sarif: Option<PathBuf>,
     list_rules: bool,
     quiet: bool,
 }
@@ -25,8 +23,6 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         path: None,
         deny_all: false,
-        inventory: None,
-        sarif: None,
         list_rules: false,
         quiet: false,
     };
@@ -39,26 +35,17 @@ fn parse_args() -> Result<Args, String> {
                 args.path = Some(PathBuf::from(p));
             }
             "--deny-all" => args.deny_all = true,
-            "--inventory" => {
-                let p = it.next().ok_or("--inventory requires a file argument")?;
-                args.inventory = Some(PathBuf::from(p));
-            }
-            "--sarif" => {
-                let p = it.next().ok_or("--sarif requires a file argument")?;
-                args.sarif = Some(PathBuf::from(p));
-            }
             "--list-rules" => args.list_rules = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
                     "txboost-lint: boosting-discipline static analyzer\n\n\
-                     USAGE:\n  txboost-lint --workspace [--deny-all] [--inventory PATH] [--sarif PATH] [--quiet]\n  \
+                     USAGE:\n  txboost-lint --workspace [--deny-all] [--quiet]\n  \
                      txboost-lint --path DIR [--deny-all]\n  txboost-lint --list-rules\n\n\
-                     FLAGS:\n  --workspace       lint the enclosing cargo workspace\n  \
+                     FLAGS:\n  --workspace       lint the enclosing cargo workspace \
+                     (writes unsafe_inventory.json at its root)\n  \
                      --path DIR        lint a directory tree instead\n  \
-                     --deny-all        exit non-zero on any unsuppressed finding\n  \
-                     --inventory PATH  where to write unsafe_inventory.json\n  \
-                     --sarif PATH      where to write a SARIF 2.1.0 log of all findings\n  \
+                     --deny-all        exit non-zero on any finding\n  \
                      --list-rules      print the rule table and exit\n  \
                      --quiet           only print the summary line"
                 );
@@ -93,10 +80,6 @@ fn list_rules() {
         println!("  {:<24} {}", r.name, r.summary);
         println!("  {:<24} paper: {}\n", "", r.paper);
     }
-    println!(
-        "  {:<24} every `// txboost-lint: allow(<rule>)` must carry `: <reason>`",
-        txboost_lint::SUPPRESSION_MISSING_REASON
-    );
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -114,58 +97,29 @@ fn run() -> Result<ExitCode, String> {
         lint_tree(&root).map_err(|e| format!("failed to lint {}: {e}", root.display()))?;
 
     if !args.quiet {
-        for d in report.unsuppressed() {
+        for d in &report.diagnostics {
             println!("{}\n", d.render());
         }
     }
-    // The inventory and lock-order graph are written for workspace runs
-    // (CI uploads them) or wherever the flags point.
-    let inv_path = args
-        .inventory
-        .clone()
-        .or_else(|| args.workspace.then(|| root.join("unsafe_inventory.json")));
-    if let Some(p) = &inv_path {
-        std::fs::write(p, report.inventory_json())
+    // Workspace runs write the inventory (CI uploads it).
+    let mut inventory_note = String::new();
+    if args.workspace {
+        let p = root.join("unsafe_inventory.json");
+        std::fs::write(&p, report.inventory_json())
             .map_err(|e| format!("failed to write {}: {e}", p.display()))?;
-    }
-    let mut graph_note = String::new();
-    if let (true, Some(g)) = (args.workspace, report.lock_graph.as_ref()) {
-        for (name, text) in [
-            ("lock_order_graph.json", g.to_json()),
-            ("lock_order_graph.dot", g.to_dot()),
-        ] {
-            let p = root.join(name);
-            std::fs::write(&p, text)
-                .map_err(|e| format!("failed to write {}: {e}", p.display()))?;
-        }
-        graph_note = format!(
-            ", lock graph: {} lock(s) / {} order edge(s) / {} cycle(s)",
-            g.nodes.len(),
-            g.edges.len(),
-            g.cycles.len()
-        );
-    }
-    if let Some(p) = &args.sarif {
-        std::fs::write(p, to_sarif(&report))
-            .map_err(|e| format!("failed to write {}: {e}", p.display()))?;
+        inventory_note = format!(" -> {}", p.display());
     }
 
-    let unsuppressed = report.unsuppressed().count();
-    let suppressed = report.suppressed().count();
+    let findings = report.diagnostics.len();
     println!(
-        "txboost-lint: {} file(s), {} rule(s): {} finding(s), {} suppressed, {} unsafe site(s) inventoried{}{}",
+        "txboost-lint: {} file(s), {} rule(s): {} finding(s), {} unsafe site(s) inventoried{}",
         report.files,
         RULES.len(),
-        unsuppressed,
-        suppressed,
+        findings,
         report.inventory.len(),
-        inv_path
-            .as_deref()
-            .map(|p: &Path| format!(" -> {}", p.display()))
-            .unwrap_or_default(),
-        graph_note
+        inventory_note
     );
-    if args.deny_all && unsuppressed > 0 {
+    if args.deny_all && findings > 0 {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)

@@ -1,48 +1,22 @@
-//! The declarative rule table and the boosting-discipline checks.
+//! The rule table and the checks behind it.
 //!
-//! Each rule is a row in [`RULES`]: a name (used in diagnostics and in
-//! `// txboost-lint: allow(<name>)` suppressions), a one-line summary,
-//! the paper section that justifies it, a path filter, and an engine
-//! [`RuleKind`]. [`RuleKind::Line`] rules are token-level check
-//! functions over one file's [`FileAnalysis`]; [`RuleKind::Cfg`] rules
-//! are implemented by the lockset dataflow pass ([`cfg_pass`]) over the
-//! parsed per-function CFGs; [`RuleKind::Workspace`] rules run once
-//! over the whole file set (the lock-order graph). The engine owns
-//! traversal, suppression matching and rendering — adding a rule means
-//! adding a row here plus its check.
+//! Each rule is a row in [`RULES`]: a name (used in diagnostics), a
+//! one-line summary, the paper section or policy that justifies it, a
+//! path filter, and a check function over one file's [`FileAnalysis`].
+//! The engine owns traversal and rendering — adding a rule means adding
+//! a row here plus its check.
 //!
-//! Conventions the rules lean on (documented in DESIGN.md §10):
-//! boosted objects keep their `txboost-linearizable` base object in a
-//! field named `base`, and transactional methods take a `&Txn`
-//! parameter. Code under `#[cfg(test)]` and integration-test files are
-//! exempt from the discipline rules (tests may panic); the unsafe
-//! inventory covers them regardless.
+//! Code under `#[cfg(test)]` and integration-test files are exempt
+//! from `handler-panic-audit` (tests may panic); the unsafe inventory
+//! covers them regardless.
 
 use crate::analysis::{FileAnalysis, Function, HandlerKind};
-use crate::cfg;
-use crate::dataflow::{self, TransferMutation};
 use crate::engine::{Diagnostic, RuleOutput, UnsafeSite};
-use crate::lockgraph;
-use crate::parser;
 use crate::source::TokKind;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Which engine stage implements a rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleKind {
-    /// Token-level check run per file via [`Rule::run`].
-    Line,
-    /// Path-sensitive check run by the per-function lockset dataflow
-    /// ([`cfg_pass`]); [`Rule::run`] is a no-op for these rows.
-    Cfg,
-    /// Whole-file-set check (the lock-order graph); run by the engine
-    /// after every file is analyzed.
-    Workspace,
-}
 
 /// One row of the rule table.
 pub struct Rule {
-    /// Stable rule name (kebab-case), used in diagnostics/suppressions.
+    /// Stable rule name (kebab-case), used in diagnostics.
     pub name: &'static str,
     /// One-line human summary for `--list-rules`.
     pub summary: &'static str,
@@ -51,73 +25,17 @@ pub struct Rule {
     pub paper: &'static str,
     /// Whether the rule examines the file at `path` at all.
     pub applies: fn(path: &str) -> bool,
-    /// Which stage implements the rule.
-    pub kind: RuleKind,
-    /// The check itself (Line rules only; no-op for Cfg/Workspace).
+    /// The check itself.
     pub run: fn(&FileAnalysis, &mut RuleOutput),
 }
-
-/// Engine-level check name for suppressions lacking a written reason.
-/// Not a table row — it guards the suppression mechanism itself, so it
-/// cannot be suppressed away.
-pub const SUPPRESSION_MISSING_REASON: &str = "suppression-missing-reason";
 
 /// The rule table.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "lock-before-mutate",
-        summary: "base-object calls in boosted methods must be lock-covered on every path",
-        paper: "§3 Rule 2: acquire the locks associated with a method's invocation before calling it",
-        applies: is_boosted_src,
-        kind: RuleKind::Cfg,
-        run: cfg_rule_stub,
-    },
-    Rule {
-        name: "inverse-pairing",
-        summary: "no path may reach the exit with a mutating base call's inverse unlogged; forward-order pushes and inverses that mutate nothing are flagged",
-        paper: "§3 Rule 3: log the inverse after the call succeeds, replay in reverse order on abort",
-        applies: is_boosted_src,
-        kind: RuleKind::Cfg,
-        run: cfg_rule_stub,
-    },
-    Rule {
-        name: "two-phase-discipline",
-        summary: "no reachable lock release or guard drop before commit/abort",
-        paper: "§3 Rule 2 (strict two-phase locking): locks are released only at commit or abort",
-        applies: is_boosted_src,
-        kind: RuleKind::Cfg,
-        run: cfg_rule_stub,
-    },
-    Rule {
-        name: "branch-inverse-divergence",
-        summary: "an inverse logged on one branch but not every path must be conditioned on the mutation's result",
-        paper: "§3 Rule 3: abort replays the log — a path that mutated without logging cannot be undone",
-        applies: is_boosted_src,
-        kind: RuleKind::Cfg,
-        run: cfg_rule_stub,
-    },
-    Rule {
-        name: "parse-failure",
-        summary: "every boosted method body must parse: the path-sensitive rules cannot check what the parser rejects",
-        paper: "analyzer policy: a method outside the parser's grammar is unchecked against §3 Rules 2-3, not clean",
-        applies: is_boosted_src,
-        kind: RuleKind::Cfg,
-        run: cfg_rule_stub,
-    },
-    Rule {
-        name: "potential-deadlock",
-        summary: "the workspace lock-order graph must be acyclic; cycles are reported with witness acquisition paths",
-        paper: "§6: boosted transactions deadlock when abstract locks are acquired in conflicting orders; timeouts only recover",
-        applies: is_boosted_src,
-        kind: RuleKind::Workspace,
-        run: cfg_rule_stub,
-    },
-    Rule {
         name: "handler-panic-audit",
-        summary: "no unwrap/expect/panic!/indexing inside undo, deferred-action, or server retry closures",
+        summary: "no unwrap/expect/panic!/indexing inside undo, deferred-action, version-install, WAL-replay or event-loop closures",
         paper: "§4: commit/abort handlers run inside the transaction runtime; a panic there poisons recovery",
         applies: |_| true,
-        kind: RuleKind::Line,
         run: handler_panic_audit,
     },
     Rule {
@@ -125,51 +43,16 @@ pub const RULES: &[Rule] = &[
         summary: "every unsafe block/fn/impl must carry a // SAFETY: comment (or a # Safety doc section)",
         paper: "workspace policy: boosting's correctness argument assumes the base objects' memory safety",
         applies: |_| true,
-        kind: RuleKind::Line,
         run: unsafe_inventory,
     },
     Rule {
         name: "yield-point-coverage",
         summary: "interleaving-relevant sites must carry det::yield_point hooks for the deterministic harness",
-        paper: "§5 verification: the PR-2 schedule explorer only covers sites that yield to it",
+        paper: "§5 verification: the schedule explorer only covers sites that yield to it",
         applies: |p| YIELD_SITES.iter().any(|(suffix, _, _)| p.ends_with(suffix)),
-        kind: RuleKind::Line,
         run: yield_point_coverage,
     },
 ];
-
-/// Placeholder `run` for rows implemented by [`cfg_pass`] or the
-/// workspace lock-graph pass — the engine dispatches those by kind.
-fn cfg_rule_stub(_: &FileAnalysis, _: &mut RuleOutput) {}
-
-fn is_boosted_src(path: &str) -> bool {
-    path.contains("crates/boosted/src/")
-}
-
-/// Base-object methods that read without mutating the abstract state —
-/// these need no inverse.
-pub(crate) const BASE_READ_METHODS: &[&str] = &[
-    "contains",
-    "contains_key",
-    "get",
-    "sum",
-    "len",
-    "is_empty",
-    "snapshot",
-    "min",
-    "peek",
-    "capacity",
-    "to_sorted_vec",
-    "check_invariants",
-    "available",
-    "iter",
-    "clone",
-];
-
-/// Method names that acquire an abstract lock (`AbstractLock::acquire`,
-/// `KeyLockMap::lock`, the `TSemaphore` acquires) — and, in the lint's
-/// fixtures, a single lock's `lock`.
-pub(crate) const ACQUIRE_METHODS: &[&str] = &["lock", "acquire", "try_acquire"];
 
 /// Sites the deterministic harness must be able to preempt:
 /// (path suffix, function name, required identifiers in the body).
@@ -243,19 +126,6 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
     ),
 ];
 
-/// Functions subject to the boosted-method rules: real (non-test)
-/// bodies whose signature mentions `Txn`.
-fn txn_methods(fa: &FileAnalysis) -> impl Iterator<Item = (&Function, (usize, usize))> {
-    fa.functions.iter().filter_map(move |f| {
-        let body = f.body?;
-        if f.in_test || fa.is_test_file() {
-            return None;
-        }
-        let mentions_txn = (f.sig.0..f.sig.1).any(|i| fa.is_ident(i, "Txn"));
-        mentions_txn.then_some((f, body))
-    })
-}
-
 /// Whether token `i` is a method call `.name(` with `name` in `names`.
 fn method_call(fa: &FileAnalysis, i: usize, names: &[&str]) -> bool {
     i > 0
@@ -272,108 +142,7 @@ fn diag(out: &mut RuleOutput, fa: &FileAnalysis, rule: &'static str, i: usize, m
         line: t.line,
         col: t.col,
         message,
-        suppressed: None,
     });
-}
-
-// ------------------------------------------------------------ CFG pass
-
-/// Stem of `crates/x/src/foo.rs` → `foo`, the impl-type fallback for
-/// free functions.
-fn file_stem(path: &str) -> String {
-    path.rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .trim_end_matches(".rs")
-        .to_string()
-}
-
-/// Run the path-sensitive checks over every transactional method of
-/// `fa`: parse the body, lower to a CFG, and run the lockset dataflow
-/// ([`crate::dataflow`]). Returns the per-function CFGs (input to the
-/// workspace lock-order graph). A body the parser cannot handle is a
-/// `parse-failure` finding at the offending token's line: unknown
-/// syntax fails loudly rather than going unanalysed.
-pub fn cfg_pass(
-    fa: &FileAnalysis,
-    mutation: TransferMutation,
-    out: &mut RuleOutput,
-) -> Vec<lockgraph::FnCfg> {
-    if !is_boosted_src(&fa.path) || fa.is_test_file() {
-        return Vec::new();
-    }
-    let local_txn_fns: BTreeSet<String> = txn_methods(fa).map(|(f, _)| f.name.clone()).collect();
-    let mut local_acquires: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
-    for (f, _) in txn_methods(fa) {
-        local_acquires
-            .entry(f.name.clone())
-            .or_default()
-            .extend(cfg::syntactic_acquires(fa, f));
-    }
-    let ctx = dataflow::FnContext {
-        fa,
-        local_acquires: &local_acquires,
-        mutation,
-    };
-    let mut fn_cfgs = Vec::new();
-    for (f, body) in txn_methods(fa) {
-        match parser::parse_body(fa, body) {
-            Ok(block) => {
-                let g = cfg::build_cfg(fa, f, &block, &local_txn_fns);
-                dataflow::check_function(&ctx, &g, out);
-                let impl_type = fa
-                    .impl_type_of(f.sig.0)
-                    .map_or_else(|| file_stem(&fa.path), str::to_string);
-                fn_cfgs.push(lockgraph::FnCfg {
-                    fn_name: f.name.clone(),
-                    qualified: format!("{impl_type}::{}", f.name),
-                    impl_type,
-                    cfg: g,
-                });
-            }
-            Err(e) => out.diags.push(Diagnostic {
-                rule: "parse-failure",
-                path: fa.path.clone(),
-                // An error at end-of-body has no token to point at.
-                line: if e.line == 0 { f.line } else { e.line },
-                col: 1,
-                message: format!(
-                    "`{}` was not analysed: the parser rejected its body ({})",
-                    f.name, e.what
-                ),
-                suppressed: None,
-            }),
-        }
-    }
-    inert_inverses(fa, out);
-    fn_cfgs
-}
-
-/// An inverse has to change the base object back: an undo handler (a
-/// `log_undo` closure, or the inverse arm of a `log_effect`) that makes
-/// no call beyond the read-only ones cannot invert anything, however
-/// dutifully it was registered.
-fn inert_inverses(fa: &FileAnalysis, out: &mut RuleOutput) {
-    for h in &fa.handlers {
-        if h.kind != HandlerKind::Undo || fa.in_test(h.name_idx) {
-            continue;
-        }
-        let mutates = (h.range.0..=h.range.1).any(|i| {
-            let name = fa.tokens[i].text.as_str();
-            method_call(fa, i, &[name]) && !BASE_READ_METHODS.contains(&name)
-        });
-        if !mutates {
-            diag(
-                out,
-                fa,
-                "inverse-pairing",
-                h.name_idx,
-                "this inverse makes no mutating call, so it cannot undo the call it is logged \
-                 for (Rule 3: the inverse restores the abstract state)"
-                    .to_string(),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------- rules
@@ -402,7 +171,6 @@ fn handler_panic_audit(fa: &FileAnalysis, out: &mut RuleOutput) {
             HandlerKind::VersionInstall => {
                 "version-install closure (runs at commit, after the point of no return)"
             }
-            HandlerKind::RetryClosure => "transaction retry closure",
             HandlerKind::WalReplay => "WAL replay closure (the crash-recovery path)",
             HandlerKind::EventLoop => {
                 "event-loop dispatch closure (a panic kills every connection on the loop)"
@@ -570,7 +338,6 @@ fn yield_point_coverage(fa: &FileAnalysis, out: &mut RuleOutput) {
                 message: format!(
                     "expected function `{fn_name}` (a registered yield-point site) was not found"
                 ),
-                suppressed: None,
             });
             continue;
         }
@@ -602,7 +369,6 @@ fn yield_point_coverage(fa: &FileAnalysis, out: &mut RuleOutput) {
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
-                suppressed: None,
             });
         }
     }

@@ -35,7 +35,7 @@ pub struct Token {
     pub col: u32,
 }
 
-/// One comment (line or block) with its position. Doc comments are
+/// One comment (line or block) with its line. Doc comments are
 /// comments too; rules distinguish them by prefix.
 #[derive(Debug, Clone)]
 pub struct Comment {
@@ -44,10 +44,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// 1-based column of the opener.
-    pub col: u32,
-    /// `true` for `/* ... */` comments.
-    pub block: bool,
 }
 
 struct Lexer<'a> {
@@ -123,12 +119,7 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                 }
                 text.push(lx.bump().unwrap_or('\0'));
             }
-            comments.push(Comment {
-                text,
-                line,
-                col,
-                block: false,
-            });
+            comments.push(Comment { text, line });
             continue;
         }
         if c == '/' && lx.peek(1) == Some('*') {
@@ -156,12 +147,7 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                     (None, _) => break, // unterminated; tolerate
                 }
             }
-            comments.push(Comment {
-                text,
-                line,
-                col,
-                block: true,
-            });
+            comments.push(Comment { text, line });
             continue;
         }
         // Raw strings: r"..." / r#"..."# / br"..." etc.
@@ -363,7 +349,7 @@ mod tests {
         );
         assert_eq!(comments.len(), 2);
         assert_eq!(comments[0].text.trim(), "SAFETY: fine");
-        assert!(comments[1].block);
+        assert_eq!(comments[1].text.trim(), "unsafe");
     }
 
     #[test]

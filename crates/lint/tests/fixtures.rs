@@ -1,7 +1,6 @@
 //! Golden-diagnostic tests over the fixture trees: the clean tree must
-//! stay quiet (with its one justified suppression recorded), and the
-//! violations tree must reproduce the expected diagnostics exactly —
-//! proving every rule both fires and stays quiet.
+//! stay quiet, and the violations tree must reproduce the expected
+//! diagnostics exactly — proving every rule both fires and stays quiet.
 
 use std::path::{Path, PathBuf};
 use txboost_lint::{lint_tree, Report, RULES};
@@ -14,7 +13,8 @@ fn fixture_root(name: &str) -> PathBuf {
 
 fn compact(report: &Report) -> Vec<String> {
     report
-        .unsuppressed()
+        .diagnostics
+        .iter()
         .map(|d| format!("{} {}:{}", d.rule, d.path, d.line))
         .collect()
 }
@@ -24,15 +24,6 @@ fn clean_fixture_tree_is_quiet() {
     let report = lint_tree(&fixture_root("clean")).expect("lint clean tree");
     let noisy = compact(&report);
     assert!(noisy.is_empty(), "clean fixtures produced: {noisy:#?}");
-    // The deliberate justified exception is recorded, not lost.
-    let suppressed: Vec<_> = report.suppressed().collect();
-    assert_eq!(suppressed.len(), 1);
-    assert_eq!(suppressed[0].rule, "inverse-pairing");
-    assert!(suppressed[0]
-        .suppressed
-        .as_deref()
-        .unwrap_or("")
-        .contains("residue"));
     // Unsafe sites are inventoried with their justifications.
     assert!(report.inventory.len() >= 3);
     assert!(
@@ -64,7 +55,8 @@ fn violations_fixture_tree_matches_golden_diagnostics() {
 #[test]
 fn every_rule_in_the_table_fires_on_the_violations_tree() {
     let report = lint_tree(&fixture_root("violations")).expect("lint violations tree");
-    let fired: std::collections::BTreeSet<&str> = report.unsuppressed().map(|d| d.rule).collect();
+    let fired: std::collections::BTreeSet<&str> =
+        report.diagnostics.iter().map(|d| d.rule).collect();
     for rule in RULES {
         assert!(
             fired.contains(rule.name),
@@ -72,17 +64,6 @@ fn every_rule_in_the_table_fires_on_the_violations_tree() {
             rule.name
         );
     }
-    // The suppression policy check fires too (an allow without reason).
-    assert!(fired.contains(txboost_lint::SUPPRESSION_MISSING_REASON));
-}
-
-#[test]
-fn suppressed_finding_in_violations_tree_is_counted_but_silent() {
-    // bad ffi.rs suppresses one unsafe-inventory finding (without a
-    // reason — which is its own diagnostic, but the original finding
-    // must still be silenced rather than double-reported).
-    let report = lint_tree(&fixture_root("violations")).expect("lint violations tree");
-    assert_eq!(report.suppressed().count(), 1);
 }
 
 // ------------------------------------------------- temp-tree tests
@@ -129,14 +110,10 @@ fn the_walker_stops_at_a_nested_workspace_but_walks_member_crates() {
 }
 
 #[test]
-fn deny_all_exits_nonzero_on_a_parse_failure() {
-    let src =
-        std::fs::read_to_string(fixture_root("violations").join("crates/boosted/src/bad_parse.rs"))
-            .expect("read bad_parse.rs");
-    let root = temp_tree(
-        "parse-failure",
-        &[("crates/boosted/src/bad_parse.rs", &src)],
-    );
+fn deny_all_exits_nonzero_on_a_finding() {
+    let src = std::fs::read_to_string(fixture_root("violations").join("crates/util/src/ffi.rs"))
+        .expect("read ffi.rs");
+    let root = temp_tree("deny-all", &[("crates/util/src/ffi.rs", &src)]);
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_txboost-lint"))
         .args([
             "--path",
@@ -149,7 +126,7 @@ fn deny_all_exits_nonzero_on_a_parse_failure() {
     assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
     assert_eq!(stdout.matches("warning[").count(), 1, "stdout:\n{stdout}");
     assert!(
-        stdout.contains("warning[parse-failure]"),
+        stdout.contains("warning[unsafe-inventory]"),
         "stdout:\n{stdout}"
     );
     std::fs::remove_dir_all(&root).expect("clean up temp tree");

@@ -1,7 +1,7 @@
-//! Violates inverse-pairing with an effect that is registered where an
-//! inverse belongs but whose inverse arm does not invert: it only looks
-//! the key up, so an abort leaves the insert in place. Its install arm
-//! then violates handler-panic-audit at commit time.
+//! Violates handler-panic-audit in the install arm of a two-armed
+//! effect: `log_effect` registers two handlers at once, and the audit
+//! reads each arm on its own. The inverse arm is fine; the install arm
+//! unwraps at commit time, after the point of no return.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ impl BadEffectMap {
         txn.log_effect(
             (Arc::clone(&self.base), key, value),
             |(base, key, _)| {
-                let _ = base.contains_key(&key);
+                base.remove(&key);
             },
             |(base, key, value), stamp| {
                 base.versions.install(key, Some(value), stamp).unwrap();

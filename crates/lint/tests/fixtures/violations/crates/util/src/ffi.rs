@@ -1,11 +1,5 @@
-//! Violates unsafe-inventory (no SAFETY comment) and the suppression
-//! policy (an allow with no written reason).
+//! Violates unsafe-inventory: an unsafe block with no SAFETY comment.
 
 pub fn peek(p: *const u8) -> u8 {
-    unsafe { *p }
-}
-
-pub fn peek_suppressed_badly(p: *const u8) -> u8 {
-    // txboost-lint: allow(unsafe-inventory)
     unsafe { *p }
 }
