@@ -1,13 +1,12 @@
-//! # Competitive bench arena — boosted vs the TL2 read/write STM
+//! # The arena figure — boosted objects vs the TL2 read/write STM
 //!
 //! The paper's central empirical claim (Figures 9–11) is that boosted
 //! objects beat read/write-conflict STM under contention. This module
-//! turns that claim into a *continuously enforced* harness: one
-//! [`Backend`] trait, two implementations (boosted objects and the
-//! TL2-style [`txboost_rwstm::Stm`] baseline), four workloads, and a
-//! thread × contention ladder driver that emits one JSON cell per
-//! (backend, workload, threads, key-range) coordinate — the shape CI's
-//! `arena-smoke` gate asserts on.
+//! runs that comparison as one more figure of the `figures` binary
+//! (`--fig arena`): one [`Backend`] trait, two implementations (boosted
+//! objects and the TL2-style [`txboost_rwstm::Stm`] baseline), and four
+//! workloads, each driven by the crate's one closed loop
+//! ([`crate::drive`]) across a thread and key-range sweep.
 //!
 //! Both backends execute the *same* [`ArenaOp`] scripts, so a
 //! throughput difference is attributable entirely to the
@@ -20,15 +19,15 @@
 //! script through every backend single-threaded and requires identical
 //! final [`ArenaState`]s.
 
-use crate::report::{ArenaCellPoint, ArenaReport};
-use crate::think_wait;
+use crate::report::SeriesPoint;
+use crate::{bench_txn_config, drive, think_wait, Blame, RunConfig, RunResult, Workload};
 use rand::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 use txboost_collections::{BoostedCounter, BoostedHashMap, BoostedPQueue};
-use txboost_core::{LatencyHistogram, TxnConfig, TxnManager, TxnStatsSnapshot};
+use txboost_core::{TxnConfig, TxnManager, TxnStats};
 use txboost_rwstm::{Stm, StmVar};
 
 /// Buckets backing the STM backend's hash map. One transactional
@@ -118,15 +117,13 @@ pub struct ArenaState {
 /// One competitor: executes [`ArenaOp`] scripts atomically and exposes
 /// commit/abort counters plus a final-state digest.
 pub trait Backend: Send + Sync {
-    /// Which competitor this is.
-    fn kind(&self) -> BackendKind;
     /// Execute `ops` as one atomic transaction, retrying internally
     /// until it commits. `think` is slept **inside** the transaction
     /// (the paper's regime: synchronization is held across simulated
     /// work on other objects).
     fn exec(&self, ops: &[ArenaOp], think: Duration);
-    /// Runtime counters so far (attempts, commits, aborts).
-    fn stats(&self) -> TxnStatsSnapshot;
+    /// The runtime counters that observe this backend.
+    fn stats(&self) -> Arc<TxnStats>;
     /// Final-state digest. Drains the priority queue; call only at
     /// quiescence, after the measurement.
     fn state(&self) -> ArenaState;
@@ -145,17 +142,12 @@ impl BackendKind {
     /// Every competitor, boosted first.
     pub const ALL: [BackendKind; 2] = [BackendKind::Boosted, BackendKind::RwStm];
 
-    /// Stable JSON/CLI name.
+    /// Stable series-label name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Boosted => "boosted",
             BackendKind::RwStm => "rwstm",
         }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -182,7 +174,7 @@ impl ArenaWorkload {
         ArenaWorkload::PqPipeline,
     ];
 
-    /// Stable JSON/CLI name.
+    /// Stable series-label name.
     pub fn name(self) -> &'static str {
         match self {
             ArenaWorkload::Counter => "counter",
@@ -192,23 +184,17 @@ impl ArenaWorkload {
         }
     }
 
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<ArenaWorkload> {
-        ArenaWorkload::ALL.into_iter().find(|w| w.name() == s)
-    }
-
-    /// Generate the next transaction's script into `out`.
-    pub fn fill_ops(self, rng: &mut StdRng, params: &ArenaParams, out: &mut Vec<ArenaOp>) {
-        out.clear();
+    /// Draw the next transaction's one operation.
+    pub fn next_op(self, rng: &mut StdRng, params: &ArenaParams) -> ArenaOp {
         match self {
-            ArenaWorkload::Counter => out.push(ArenaOp::CounterAdd(1)),
+            ArenaWorkload::Counter => ArenaOp::CounterAdd(1),
             ArenaWorkload::MapSweep => {
                 let k = rng.random_range(0..params.key_range);
-                out.push(match rng.random_range(0..3) {
+                match rng.random_range(0..3) {
                     0 => ArenaOp::MapInsert(k, rng.random_range(0..1_000)),
                     1 => ArenaOp::MapDelete(k),
                     _ => ArenaOp::MapLookup(k),
-                });
+                }
             }
             ArenaWorkload::Transfer => {
                 let from = rng.random_range(0..params.accounts);
@@ -217,13 +203,13 @@ impl ArenaWorkload {
                     to = (to + 1) % params.accounts;
                 }
                 let amount = rng.random_range(1..8);
-                out.push(ArenaOp::Transfer { from, to, amount });
+                ArenaOp::Transfer { from, to, amount }
             }
             ArenaWorkload::PqPipeline => {
                 if rng.random_bool(0.5) {
-                    out.push(ArenaOp::PqPush(rng.random_range(0..params.key_range)));
+                    ArenaOp::PqPush(rng.random_range(0..params.key_range))
                 } else {
-                    out.push(ArenaOp::PqPopMin);
+                    ArenaOp::PqPopMin
                 }
             }
         }
@@ -251,28 +237,52 @@ pub fn prefill_scripts(params: &ArenaParams) -> Vec<Vec<ArenaOp>> {
     ops.chunks(PREFILL_CHUNK).map(<[ArenaOp]>::to_vec).collect()
 }
 
-/// Build a fresh, prefilled backend. `think_hint` sizes the boosted
-/// lock timeout (it must comfortably exceed the in-transaction think
-/// time, or coarse competitors livelock on timeouts instead of waiting
-/// their turn — same rule as the figure runners).
-pub fn build_backend(
+/// Build a fresh, prefilled backend whose lock timeout is sized for
+/// `think` by the rule every figure's workloads use.
+pub fn build_backend(kind: BackendKind, params: &ArenaParams, think: Duration) -> Box<dyn Backend> {
+    build(kind, params, think).0
+}
+
+/// [`build_backend`], plus the STM whose conflicts its aborts are
+/// blamed on (none for boosted).
+fn build(
     kind: BackendKind,
     params: &ArenaParams,
-    think_hint: Duration,
-) -> Box<dyn Backend> {
-    let config = TxnConfig {
-        lock_timeout: think_hint.max(Duration::from_millis(1)) * 20,
-        max_retries: None,
-        ..TxnConfig::default()
-    };
-    let backend: Box<dyn Backend> = match kind {
-        BackendKind::Boosted => Box::new(BoostedBackend::new(params, config)),
-        BackendKind::RwStm => Box::new(RwStmBackend::new(params, config)),
+    think: Duration,
+) -> (Box<dyn Backend>, Option<Arc<Stm>>) {
+    let config = bench_txn_config(think);
+    let (backend, stm): (Box<dyn Backend>, _) = match kind {
+        BackendKind::Boosted => (Box::new(BoostedBackend::new(params, config)), None),
+        BackendKind::RwStm => {
+            let backend = RwStmBackend::new(params, config);
+            let stm = Arc::clone(&backend.stm);
+            (Box::new(backend), Some(stm))
+        }
     };
     for script in prefill_scripts(params) {
         backend.exec(&script, Duration::ZERO);
     }
-    backend
+    (backend, stm)
+}
+
+/// Run one arena series point: a fresh backend prefilled for
+/// `cfg.key_range`, driven by [`drive`] with `workload`'s one-op
+/// transactions and `cfg.think` slept inside each.
+pub fn arena_run(kind: BackendKind, workload: ArenaWorkload, cfg: &RunConfig) -> RunResult {
+    let params = ArenaParams::for_key_range(cfg.key_range);
+    let (backend, stm) = build(kind, &params, cfg.think);
+    let think = cfg.think;
+    let w = Workload {
+        stats: backend.stats(),
+        run_one: Box::new(move |rng| backend.exec(&[workload.next_op(rng, &params)], think)),
+        blame: stm.map_or(Blame::Object(workload.name()), Blame::Stm),
+    };
+    drive(cfg, &w)
+}
+
+/// The arena figure's series label: `boosted/counter/keys=16`.
+pub fn arena_label(kind: BackendKind, workload: ArenaWorkload, key_range: i64) -> String {
+    format!("{}/{}/keys={key_range}", kind.name(), workload.name())
 }
 
 // ---------------------------------------------------------------------
@@ -302,10 +312,6 @@ impl BoostedBackend {
 }
 
 impl Backend for BoostedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Boosted
-    }
-
     fn exec(&self, ops: &[ArenaOp], think: Duration) {
         self.tm
             .run(|t| {
@@ -343,8 +349,8 @@ impl Backend for BoostedBackend {
             .unwrap();
     }
 
-    fn stats(&self) -> TxnStatsSnapshot {
-        self.tm.stats().snapshot()
+    fn stats(&self) -> Arc<TxnStats> {
+        self.tm.stats()
     }
 
     fn state(&self) -> ArenaState {
@@ -400,7 +406,7 @@ fn heap_to_sorted(mut heap: MinHeap) -> Vec<i64> {
 }
 
 struct RwStmBackend {
-    stm: Stm,
+    stm: Arc<Stm>,
     map: Vec<StmVar<Vec<(i64, i64)>>>,
     counter: StmVar<i64>,
     accounts: Vec<StmVar<i64>>,
@@ -410,7 +416,7 @@ struct RwStmBackend {
 impl RwStmBackend {
     fn new(params: &ArenaParams, config: TxnConfig) -> RwStmBackend {
         RwStmBackend {
-            stm: Stm::new(config),
+            stm: Arc::new(Stm::new(config)),
             map: (0..MAP_BUCKETS).map(|_| StmVar::new(Vec::new())).collect(),
             counter: StmVar::new(0),
             accounts: (0..params.accounts).map(|_| StmVar::new(0)).collect(),
@@ -420,10 +426,6 @@ impl RwStmBackend {
 }
 
 impl Backend for RwStmBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::RwStm
-    }
-
     fn exec(&self, ops: &[ArenaOp], think: Duration) {
         self.stm
             .run(|t| {
@@ -475,8 +477,8 @@ impl Backend for RwStmBackend {
             .unwrap();
     }
 
-    fn stats(&self) -> TxnStatsSnapshot {
-        self.stm.stats().snapshot()
+    fn stats(&self) -> Arc<TxnStats> {
+        self.stm.stats()
     }
 
     fn state(&self) -> ArenaState {
@@ -489,155 +491,6 @@ impl Backend for RwStmBackend {
             pq: heap_to_sorted(self.pq.load()),
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------
-
-/// One cell's run parameters.
-#[derive(Debug, Clone)]
-pub struct CellConfig {
-    /// Concurrent worker threads.
-    pub threads: usize,
-    /// Contention knob (keys drawn from `0..key_range`).
-    pub key_range: i64,
-    /// Measurement window.
-    pub duration: Duration,
-    /// In-transaction think time (slept while synchronization is
-    /// held — the paper's regime).
-    pub think: Duration,
-    /// Base RNG seed (each thread derives its own stream).
-    pub seed: u64,
-}
-
-/// One cell's measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct CellResult {
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted attempts.
-    pub aborted: u64,
-    /// Committed transactions per second.
-    pub throughput: f64,
-    /// `aborted / (committed + aborted)` — wasted-attempt fraction in
-    /// `[0, 1]`.
-    pub abort_rate: f64,
-    /// Median end-to-end transaction latency (µs), retries included.
-    pub p50_us: f64,
-    /// 99th-percentile latency (µs).
-    pub p99_us: f64,
-}
-
-/// One (backend, workload, threads, key-range) coordinate plus its
-/// measurements — a row of `BENCH_arena.json`.
-#[derive(Debug, Clone)]
-pub struct ArenaCell {
-    /// Which competitor ran.
-    pub backend: BackendKind,
-    /// Which workload it ran.
-    pub workload: ArenaWorkload,
-    /// Worker threads.
-    pub threads: usize,
-    /// Contention knob.
-    pub key_range: i64,
-    /// The measurements.
-    pub result: CellResult,
-}
-
-/// Run one arena cell: build a fresh prefilled backend, drive it from
-/// `cfg.threads` closed-loop workers for `cfg.duration`, and report
-/// throughput, abort rate and end-to-end latency percentiles.
-pub fn run_cell(kind: BackendKind, workload: ArenaWorkload, cfg: &CellConfig) -> ArenaCell {
-    let params = ArenaParams::for_key_range(cfg.key_range);
-    let backend = build_backend(kind, &params, cfg.think);
-    let hist = LatencyHistogram::new();
-    let before = backend.stats();
-    let stop = AtomicBool::new(false);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let backend = &*backend;
-            let hist = &hist;
-            let stop = &stop;
-            let params = &params;
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            s.spawn(move || {
-                let mut ops = Vec::with_capacity(4);
-                while !stop.load(Ordering::Relaxed) {
-                    workload.fill_ops(&mut rng, params, &mut ops);
-                    let t0 = Instant::now();
-                    backend.exec(&ops, cfg.think);
-                    hist.record_duration(t0.elapsed());
-                }
-            });
-        }
-        std::thread::sleep(cfg.duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = started.elapsed();
-    let after = backend.stats();
-    let committed = after.committed - before.committed;
-    let aborted = after.aborted - before.aborted;
-    let attempts = committed + aborted;
-    let latency = hist.snapshot();
-    ArenaCell {
-        backend: kind,
-        workload,
-        threads: cfg.threads,
-        key_range: cfg.key_range,
-        result: CellResult {
-            committed,
-            aborted,
-            throughput: committed as f64 / elapsed.as_secs_f64(),
-            abort_rate: if attempts == 0 {
-                0.0
-            } else {
-                aborted as f64 / attempts as f64
-            },
-            p50_us: latency.p50() as f64 / 1_000.0,
-            p99_us: latency.p99() as f64 / 1_000.0,
-        },
-    }
-}
-
-/// The default thread ladder: powers of two from 1 up to and including
-/// 2×available cores.
-pub fn default_thread_ladder() -> Vec<usize> {
-    let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-    let top = 2 * cores;
-    let mut ladder = Vec::new();
-    let mut t = 1;
-    while t < top {
-        ladder.push(t);
-        t *= 2;
-    }
-    ladder.push(top);
-    ladder.dedup();
-    ladder
-}
-
-/// Assemble cells into the `BENCH_arena.json` report.
-pub fn report_from_cells(cells: &[ArenaCell], meta: &[(String, String)]) -> ArenaReport {
-    let mut report = ArenaReport::new();
-    for (k, v) in meta {
-        report.meta(k.clone(), v.clone());
-    }
-    for cell in cells {
-        report.push(ArenaCellPoint {
-            backend: cell.backend.name().to_string(),
-            workload: cell.workload.name().to_string(),
-            threads: cell.threads,
-            key_range: cell.key_range,
-            throughput: cell.result.throughput,
-            abort_rate: cell.result.abort_rate,
-            committed: cell.result.committed,
-            aborted: cell.result.aborted,
-            p50_us: cell.result.p50_us,
-            p99_us: cell.result.p99_us,
-        });
-    }
-    report
 }
 
 // ---------------------------------------------------------------------
@@ -659,27 +512,37 @@ pub struct GateOutcome {
     pub rwstm: f64,
 }
 
-/// Check the gate on a finished grid: at the **highest-contention
-/// cell** (maximum threads, minimum key range), boosted throughput
-/// summed across workloads must exceed the read/write-conflict
-/// baseline's. Errors describe what is missing or by how much the
-/// claim failed.
-pub fn check_gate(cells: &[ArenaCell]) -> Result<GateOutcome, String> {
+/// Check the gate on the arena figure's points: at the
+/// **highest-contention cell** (maximum threads, minimum key range),
+/// boosted throughput summed across workloads must exceed the
+/// read/write-conflict baseline's. Points whose label is not an
+/// [`arena_label`] are ignored. Errors describe what is missing or by
+/// how much the claim failed.
+pub fn check_gate(points: &[SeriesPoint]) -> Result<GateOutcome, String> {
+    // (backend, key range, threads, throughput) of every arena point.
+    let cells: Vec<(&str, i64, usize, f64)> = points
+        .iter()
+        .filter_map(|p| {
+            let (backend, rest) = p.label.split_once('/')?;
+            let keys = rest.rsplit_once("/keys=")?.1.parse().ok()?;
+            Some((backend, keys, p.threads, p.throughput))
+        })
+        .collect();
     let threads = cells
         .iter()
-        .map(|c| c.threads)
+        .map(|c| c.2)
         .max()
-        .ok_or("no cells to gate on")?;
+        .ok_or("no arena points to gate on")?;
     let key_range = cells
         .iter()
-        .map(|c| c.key_range)
+        .map(|c| c.1)
         .min()
-        .ok_or("no cells to gate on")?;
+        .ok_or("no arena points to gate on")?;
     let total = |kind: BackendKind| -> Option<f64> {
         let at: Vec<f64> = cells
             .iter()
-            .filter(|c| c.backend == kind && c.threads == threads && c.key_range == key_range)
-            .map(|c| c.result.throughput)
+            .filter(|c| c.0 == kind.name() && c.2 == threads && c.1 == key_range)
+            .map(|c| c.3)
             .collect();
         if at.is_empty() {
             None
@@ -688,9 +551,9 @@ pub fn check_gate(cells: &[ArenaCell]) -> Result<GateOutcome, String> {
         }
     };
     let boosted = total(BackendKind::Boosted)
-        .ok_or_else(|| format!("no boosted cells at threads={threads} key_range={key_range}"))?;
+        .ok_or_else(|| format!("no boosted points at threads={threads} key_range={key_range}"))?;
     let rwstm = total(BackendKind::RwStm)
-        .ok_or_else(|| format!("no rwstm cells at threads={threads} key_range={key_range}"))?;
+        .ok_or_else(|| format!("no rwstm points at threads={threads} key_range={key_range}"))?;
     let outcome = GateOutcome {
         threads,
         key_range,
@@ -711,30 +574,22 @@ pub fn check_gate(cells: &[ArenaCell]) -> Result<GateOutcome, String> {
 mod tests {
     use super::*;
 
-    fn tiny() -> CellConfig {
-        CellConfig {
-            threads: 2,
-            key_range: 32,
-            duration: Duration::from_millis(60),
-            think: Duration::from_micros(200),
-            seed: 7,
-        }
-    }
-
     #[test]
     fn every_backend_runs_every_workload() {
+        let cfg = RunConfig {
+            threads: 2,
+            duration: Duration::from_millis(60),
+            think: Duration::from_micros(200),
+            key_range: 32,
+            seed: 7,
+        };
         for kind in BackendKind::ALL {
             for workload in ArenaWorkload::ALL {
-                let cell = run_cell(kind, workload, &tiny());
-                assert!(
-                    cell.result.committed > 0,
-                    "{}/{} committed nothing",
-                    kind.name(),
-                    workload.name()
-                );
-                assert!(cell.result.throughput > 0.0);
-                assert!((0.0..=1.0).contains(&cell.result.abort_rate));
-                assert!(cell.result.p99_us >= cell.result.p50_us);
+                let r = arena_run(kind, workload, &cfg);
+                let label = arena_label(kind, workload, cfg.key_range);
+                assert!(r.committed > 0, "{label} committed nothing");
+                assert!(r.throughput > 0.0);
+                assert!(r.lock_wait_p99_ns >= r.lock_wait_p50_ns);
             }
         }
     }
@@ -758,51 +613,37 @@ mod tests {
 
     #[test]
     fn gate_prefers_highest_contention_cell() {
-        let cell = |backend, threads, key_range, throughput| ArenaCell {
-            backend,
-            workload: ArenaWorkload::Counter,
+        let point = |kind, threads, key_range, throughput| SeriesPoint {
+            label: arena_label(kind, ArenaWorkload::Counter, key_range),
             threads,
-            key_range,
-            result: CellResult {
-                committed: 1,
-                aborted: 0,
-                throughput,
-                abort_rate: 0.0,
-                p50_us: 1.0,
-                p99_us: 2.0,
-            },
+            throughput,
+            committed: 1,
+            aborted: 0,
+            p50_us: 1.0,
+            p99_us: 2.0,
         };
         // Boosted wins at high contention, loses at low — the gate
         // must look only at (max threads, min key range).
-        let cells = vec![
-            cell(BackendKind::Boosted, 4, 16, 900.0),
-            cell(BackendKind::RwStm, 4, 16, 300.0),
-            cell(BackendKind::Boosted, 4, 4096, 100.0),
-            cell(BackendKind::RwStm, 4, 4096, 500.0),
+        let points = vec![
+            point(BackendKind::Boosted, 4, 16, 900.0),
+            point(BackendKind::RwStm, 4, 16, 300.0),
+            point(BackendKind::Boosted, 4, 4096, 100.0),
+            point(BackendKind::RwStm, 4, 4096, 500.0),
         ];
-        // min key_range among cells is 16.
-        let out = check_gate(&cells).unwrap();
+        // min key_range among points is 16.
+        let out = check_gate(&points).unwrap();
         assert_eq!((out.threads, out.key_range), (4, 16));
         assert!(out.boosted > out.rwstm);
 
         // Flip the high-contention cell: the gate must fail.
-        let cells = vec![
-            cell(BackendKind::Boosted, 4, 16, 200.0),
-            cell(BackendKind::RwStm, 4, 16, 300.0),
+        let points = vec![
+            point(BackendKind::Boosted, 4, 16, 200.0),
+            point(BackendKind::RwStm, 4, 16, 300.0),
         ];
-        assert!(check_gate(&cells).is_err());
+        assert!(check_gate(&points).is_err());
 
         // Missing baseline: a descriptive error, not a panic.
-        let cells = vec![cell(BackendKind::Boosted, 4, 16, 200.0)];
-        assert!(check_gate(&cells).unwrap_err().contains("rwstm"));
-    }
-
-    #[test]
-    fn thread_ladder_is_sane() {
-        let ladder = default_thread_ladder();
-        assert_eq!(ladder[0], 1);
-        assert!(ladder.windows(2).all(|w| w[0] < w[1]), "{ladder:?}");
-        let cores = std::thread::available_parallelism().unwrap().get();
-        assert_eq!(*ladder.last().unwrap(), 2 * cores);
+        let points = vec![point(BackendKind::Boosted, 4, 16, 200.0)];
+        assert!(check_gate(&points).unwrap_err().contains("rwstm"));
     }
 }

@@ -24,7 +24,8 @@
 //! sorted-list example: boosted lock-coupling list vs STM list),
 //! [`pipeline_run`] (Section 3.3's pipeline vs buffer capacity), and
 //! [`idgen_run`] (Section 3.4's unique-ID generator vs a read/write STM
-//! counter).
+//! counter). Beyond the paper: [`arena::arena_run`] (four workloads on
+//! boosted objects vs the read/write STM, across key ranges).
 //!
 //! The `figures` binary sweeps thread counts and prints the series
 //! (`--fig N` regenerates one figure). The paper's 100 ms think time

@@ -156,139 +156,6 @@ impl BenchReport {
     }
 }
 
-/// One (backend, workload, threads, key-range) measurement in the
-/// arena report.
-#[derive(Debug, Clone)]
-pub struct ArenaCellPoint {
-    /// Competitor name (`boosted` / `rwstm`).
-    pub backend: String,
-    /// Workload name (`counter` / `map` / `transfer` / `pqueue`).
-    pub workload: String,
-    /// Worker threads driving the cell.
-    pub threads: usize,
-    /// Contention knob (keys drawn from `0..key_range`).
-    pub key_range: i64,
-    /// Committed transactions per second.
-    pub throughput: f64,
-    /// Aborted attempts over total attempts, in `[0, 1]`.
-    pub abort_rate: f64,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted attempts.
-    pub aborted: u64,
-    /// Median end-to-end transaction latency in microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: f64,
-}
-
-/// The `BENCH_arena.json` document: free-form metadata plus one flat
-/// cell per (backend, workload, threads, key-range) coordinate —
-/// the schema CI's `arena-smoke` gate and the figures-smoke validator
-/// assert on.
-///
-/// ```json
-/// {
-///   "name": "arena",
-///   "meta": { "duration_ms": "500" },
-///   "cells": [
-///     { "backend": "boosted", "workload": "counter", "threads": 4,
-///       "key_range": 16, "throughput": 1234.5, "abort_rate": 0.125,
-///       "committed": 617, "aborted": 88, "p50_us": 12.0, "p99_us": 873.1 }
-///   ]
-/// }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ArenaReport {
-    meta: Vec<(String, String)>,
-    cells: Vec<ArenaCellPoint>,
-}
-
-impl ArenaReport {
-    /// An empty report.
-    pub fn new() -> ArenaReport {
-        ArenaReport::default()
-    }
-
-    /// Attach a metadata key (ladder parameters, host facts, …).
-    pub fn meta(&mut self, key: impl Into<String>, value: impl Into<String>) -> &mut Self {
-        self.meta.push((key.into(), value.into()));
-        self
-    }
-
-    /// Append a cell.
-    pub fn push(&mut self, cell: ArenaCellPoint) -> &mut Self {
-        self.cells.push(cell);
-        self
-    }
-
-    /// Number of cells recorded so far.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether no cells have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Render the report as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"name\": \"arena\",\n  \"meta\": {");
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_string(&mut out, k);
-            out.push_str(": ");
-            json_string(&mut out, v);
-        }
-        if !self.meta.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    { \"backend\": ");
-            json_string(&mut out, &c.backend);
-            out.push_str(", \"workload\": ");
-            json_string(&mut out, &c.workload);
-            let _ = write!(
-                out,
-                ", \"threads\": {}, \"key_range\": {}, \"throughput\": {}, \
-                 \"abort_rate\": {}, \"committed\": {}, \"aborted\": {}, \
-                 \"p50_us\": {}, \"p99_us\": {} }}",
-                c.threads,
-                c.key_range,
-                json_f64(c.throughput),
-                json_f64(c.abort_rate),
-                c.committed,
-                c.aborted,
-                json_f64(c.p50_us),
-                json_f64(c.p99_us),
-            );
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Write `BENCH_arena.json` under `dir` (created if missing) and
-    /// return the path.
-    pub fn write(&self, dir: &str) -> io::Result<String> {
-        std::fs::create_dir_all(dir)?;
-        let path = format!("{dir}/BENCH_arena.json");
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
 /// Render a float as a JSON number: always finite, always with a
 /// fractional part so consumers can rely on the type.
 fn json_f64(v: f64) -> String {
@@ -372,43 +239,6 @@ mod tests {
         assert!(json.contains("\"throughput\": 0.0"));
         assert!(json.contains("\"p99_us\": 0.0"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
-    }
-
-    #[test]
-    fn arena_json_has_every_schema_key() {
-        let mut r = ArenaReport::new();
-        r.meta("duration_ms", "500");
-        r.push(ArenaCellPoint {
-            backend: "boosted".to_string(),
-            workload: "counter".to_string(),
-            threads: 4,
-            key_range: 16,
-            throughput: 1234.5678,
-            abort_rate: f64::NAN, // must be sanitized, not emitted raw
-            committed: 617,
-            aborted: 88,
-            p50_us: 12.0,
-            p99_us: 873.125,
-        });
-        let json = r.to_json();
-        for needle in [
-            "\"name\": \"arena\"",
-            "\"backend\": \"boosted\"",
-            "\"workload\": \"counter\"",
-            "\"threads\": 4",
-            "\"key_range\": 16",
-            "\"throughput\": 1234.568",
-            "\"abort_rate\": 0.0",
-            "\"committed\": 617",
-            "\"aborted\": 88",
-            "\"p50_us\": 12.000",
-            "\"p99_us\": 873.125",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert!(!json.contains("NaN"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

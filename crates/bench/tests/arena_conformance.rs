@@ -16,14 +16,9 @@ use txboost_bench::arena::{
 /// one seed — the common input each backend replays.
 fn seeded_scripts(seed: u64, txns: usize, params: &ArenaParams) -> Vec<Vec<ArenaOp>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut scripts = Vec::with_capacity(txns);
-    let mut ops = Vec::new();
-    for i in 0..txns {
-        let workload = ArenaWorkload::ALL[i % ArenaWorkload::ALL.len()];
-        workload.fill_ops(&mut rng, params, &mut ops);
-        scripts.push(ops.clone());
-    }
-    scripts
+    (0..txns)
+        .map(|i| vec![ArenaWorkload::ALL[i % ArenaWorkload::ALL.len()].next_op(&mut rng, params)])
+        .collect()
 }
 
 fn replay(kind: BackendKind, scripts: &[Vec<ArenaOp>], params: &ArenaParams) -> Box<dyn Backend> {
@@ -90,7 +85,7 @@ fn stats_count_single_threaded_commits_exactly() {
     let scripts = seeded_scripts(5, 200, &params);
     for kind in BackendKind::ALL {
         let backend = replay(kind, &scripts, &params);
-        let snap = backend.stats();
+        let snap = backend.stats().snapshot();
         assert_eq!(snap.aborted, 0, "{}: single-threaded abort", kind.name());
         assert!(
             snap.committed >= 200,
