@@ -14,7 +14,7 @@ use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
 use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
-use txboost_core::{TxResult, Txn, VersionStore};
+use txboost_core::{KeyHash, TxResult, Txn, VersionStore};
 use txboost_linearizable::StripedHashMap;
 
 /// A call on a [`BoostedHashMap`], as its conflict table reads it: the
@@ -153,6 +153,27 @@ where
         let (lock, mode) = self.conflict(MapCall::ContainsKey(key));
         lock.acquire(txn, mode)?;
         Ok(self.base.contains_key(key))
+    }
+
+    /// Start loading the version slot a snapshot read of `key` will
+    /// probe into the cache, and return the key's hash for that read,
+    /// [`contains_key_prefetched`](Self::contains_key_prefetched). A
+    /// hint: it takes no lock and changes no state. A read-only script
+    /// calls it for each of its keys before reading any, so their cache
+    /// misses overlap ([`VersionStore::prefetch`]).
+    pub fn prefetch_snapshot(&self, key: &K) -> KeyHash {
+        self.base.versions.prefetch(key)
+    }
+
+    /// [`contains_key`](Self::contains_key) for a key
+    /// [`prefetch_snapshot`](Self::prefetch_snapshot) returned `hash`
+    /// for: a snapshot read that skips hashing the key again. A locked
+    /// transaction takes the lock as `contains_key` does.
+    pub fn contains_key_prefetched(&self, txn: &Txn, key: &K, hash: KeyHash) -> TxResult<bool> {
+        match txn.snapshot_ts() {
+            Some(ts) => Ok(self.base.versions.read_prefetched(key, hash, ts).is_some()),
+            None => self.contains_key(txn, key),
+        }
     }
 
     /// Committed-state entry count (diagnostic; exact at quiescence).

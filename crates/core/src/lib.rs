@@ -77,8 +77,8 @@ mod txn;
 pub use backoff::{Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
-    CommitClock, CommitStamp, DeltaChain, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry,
-    Slot, SnapshotGuard, VersionStore,
+    CommitClock, CommitStamp, DeltaChain, KeyHash, MvccDomain, MvccMetrics, MvccSnapshot,
+    ReaderRegistry, Slot, SnapshotGuard, VersionStore,
 };
 pub use obs::{DurabilityMetrics, DurabilitySnapshot, HistogramSnapshot, LatencyHistogram};
 pub use stats::{TxnStats, TxnStatsSnapshot};

@@ -57,11 +57,16 @@
 //!
 //! ## Version slots and the GC floor
 //!
-//! A [`VersionStore`] shard is one hash table whose entries *are* the
-//! versions: a [`Slot`] holds the key's two newest versions inline and
-//! spills to the heap only while a registered reader pins more. A
-//! snapshot read is one shard lock and one probe; an install into an
-//! existing slot allocates nothing.
+//! A [`VersionStore`] shard is one open-addressed, linearly probed
+//! array whose entries *are* the versions: a [`Slot`] holds the key's
+//! two newest versions inline and spills to the heap only while a
+//! registered reader pins more. A snapshot read is one keyed hash —
+//! which picks both the shard and the home entry — one shard lock, and
+//! one entry read (more only past a collision); an install into an
+//! existing slot allocates nothing. [`VersionStore::prefetch`] starts a
+//! key's home entry on its way into the cache without the lock, so a
+//! script that announces its reads first (the server's snapshot
+//! lookahead) overlaps their misses instead of taking them one by one.
 //!
 //! Every install prunes: a version is dropped as soon as a newer
 //! version at-or-below the **GC floor** exists, where the floor is
@@ -78,18 +83,14 @@
 //! transaction integration — snapshot guards on [`crate::Txn`], the
 //! effect log whose install arms run at commit — lives in `txn.rs`.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::backoff::SpinWait;
 use crate::locks::Deadline;
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
-
-/// Shards in a [`VersionStore`]'s slot table (power of two).
-const STORE_SHARDS: usize = 64;
 
 /// What [`MvccDomain::commit`] hands its install window, and the
 /// window hands every version install in it: neither value exists yet
@@ -781,15 +782,173 @@ impl DeltaChain {
     }
 }
 
-/// One lock-striped bucket of a [`VersionStore`].
-type Shard<K, V> = Mutex<HashMap<K, Slot<V>>>;
+/// Shards in a [`VersionStore`] (power of two); a key's shard is the
+/// top bits of its hash, its home entry the low bits.
+const STORE_SHARD_BITS: u32 = 6;
+const STORE_SHARDS: usize = 1 << STORE_SHARD_BITS;
+
+/// Entries a shard's slot array starts with on its first install.
+const MIN_ENTRIES: usize = 8;
+
+/// One entry of a shard's slot array: empty, or a key and every
+/// retained version of it (56 B for `K = V = i64`: the `Option` packs
+/// into a niche of the slot's version tags).
+type Entry<K, V> = Option<(K, Slot<V>)>;
+
+/// A [`VersionStore`] shard's slots: one open-addressed array, probed
+/// linearly from the home entry `hash & mask`. Its length is a power of
+/// two (or zero before the first install), it grows once past ¾ full,
+/// and an entry, once filled, is never emptied, so a probe ends at the
+/// first empty entry: had the key been installed, it would sit there or
+/// earlier. Hashes are not stored; a growth recomputes them.
+#[derive(Debug)]
+struct SlotTable<K, V> {
+    entries: Box<[Entry<K, V>]>,
+    len: usize,
+}
+
+impl<K: Eq, V> SlotTable<K, V> {
+    fn new() -> Self {
+        SlotTable {
+            entries: Box::new([]),
+            len: 0,
+        }
+    }
+
+    /// The index of `key`'s entry, or of the empty entry that ends its
+    /// probe. The array must be non-empty; the load bound keeps an
+    /// empty entry in it.
+    fn probe(&self, hash: u64, key: &K) -> usize {
+        let mask = self.entries.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match &self.entries[i] {
+                Some((known, _)) if known != key => i = (i + 1) & mask,
+                _ => return i,
+            }
+        }
+    }
+
+    /// `key`'s slot, if it was ever installed.
+    fn get(&self, hash: u64, key: &K) -> Option<&Slot<V>> {
+        if self.len == 0 {
+            return None;
+        }
+        self.entries[self.probe(hash, key)]
+            .as_ref()
+            .map(|(_, slot)| slot)
+    }
+
+    /// Install the version `(ts, value)` of `key`, pruning by `floor`
+    /// ([`Slot::install`]), or give `key` a slot holding only it —
+    /// growing the array first if that would fill it past ¾, with
+    /// `hash_of` recomputing the hashes of the keys it moves. Returns
+    /// the key's retained versions and the versions reclaimed.
+    fn install(
+        &mut self,
+        hash: u64,
+        key: K,
+        version: Version<V>,
+        floor: u64,
+        hash_of: impl Fn(&K) -> u64,
+    ) -> (usize, usize) {
+        let (ts, value) = version;
+        if self.len > 0 {
+            let i = self.probe(hash, &key);
+            if let Some((_, slot)) = &mut self.entries[i] {
+                let reclaimed = slot.install(ts, value, floor);
+                return (slot.versions(), reclaimed);
+            }
+        }
+        if 4 * (self.len + 1) > 3 * self.entries.len() {
+            self.grow(hash_of);
+        }
+        let i = self.probe(hash, &key);
+        self.entries[i] = Some((key, Slot::new(ts, value)));
+        self.len += 1;
+        (1, 0)
+    }
+
+    /// Double the array (or allocate the first one) and move every
+    /// entry to its place in it.
+    fn grow(&mut self, hash_of: impl Fn(&K) -> u64) {
+        let len = (2 * self.entries.len()).max(MIN_ENTRIES);
+        let old = std::mem::replace(&mut self.entries, (0..len).map(|_| None).collect());
+        for (key, slot) in old.into_vec().into_iter().flatten() {
+            let i = self.probe(hash_of(&key), &key);
+            self.entries[i] = Some((key, slot));
+        }
+    }
+
+    /// The array's first entry and its index mask, for
+    /// [`VersionStore::prefetch`].
+    fn view(&mut self) -> (*mut Entry<K, V>, usize) {
+        (
+            self.entries.as_mut_ptr(),
+            self.entries.len().wrapping_sub(1),
+        )
+    }
+}
+
+/// One lock-striped part of a [`VersionStore`]: its slot array under a
+/// mutex, and beside it a lock-free copy of the array's address and
+/// mask. The copy is rewritten, under the mutex, whenever the array
+/// grows; [`VersionStore::prefetch`] reads it with relaxed loads and
+/// uses it only to compute a cache hint, so a stale one only wastes
+/// the hint.
+#[derive(Debug)]
+struct Shard<K, V> {
+    table: Mutex<SlotTable<K, V>>,
+    base: AtomicPtr<Entry<K, V>>,
+    mask: AtomicUsize,
+}
+
+impl<K: Eq, V: Clone> Shard<K, V> {
+    /// The newest value of `key` at-or-below snapshot `ts`, under the
+    /// shard mutex. Yields exactly once, before the lock.
+    fn read_at(&self, hash: KeyHash, key: &K, ts: u64) -> Option<V> {
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        let table = self.table.lock().expect("version shard poisoned");
+        table
+            .get(hash.0, key)
+            .and_then(|slot| slot.read_at(ts))
+            .cloned()
+    }
+}
+
+/// Ask the CPU to start loading the cache line at `p`. A hint reads
+/// nothing the program observes and never faults, so `p` may be stale,
+/// dangling or null. Compiled out off x86-64 and under Miri.
+#[inline]
+fn prefetch_hint<T>(p: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: PREFETCHT0 (SSE, baseline on x86-64) is a hint: it
+        // does not dereference `p` in the language's sense, cannot fault
+        // on any address and changes no memory the program can read.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) };
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = p;
+}
+
+/// A key's hash under one [`VersionStore`]'s keyed hasher: what picks
+/// its shard and its home entry. [`VersionStore::prefetch`] computes it
+/// and hands it on to the read it announces, so the key is hashed once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHash(u64);
 
 /// A sharded map from key to [`Slot`] — the per-collection version
 /// side-table behind the boosted map and sets.
 ///
 /// Slots are created on first install. A key with no slot was never
 /// written, hence absent at every snapshot; once created, a slot is
-/// never removed (it always keeps its newest version).
+/// never removed (it always keeps its newest version). One keyed hash
+/// per call picks both the shard and the home entry; the hash is keyed
+/// because keys arrive over the wire, and linear probing clusters
+/// under chosen collisions.
 #[derive(Debug)]
 pub struct VersionStore<K, V> {
     shards: Box<[Shard<K, V>]>,
@@ -805,7 +964,11 @@ where
     /// An empty store stamping and counting against `domain`.
     pub fn new(domain: Arc<MvccDomain>) -> Self {
         let shards = (0..STORE_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Shard {
+                table: Mutex::new(SlotTable::new()),
+                base: AtomicPtr::new(std::ptr::null_mut()),
+                mask: AtomicUsize::new(0),
+            })
             .collect();
         VersionStore {
             shards,
@@ -819,9 +982,14 @@ where
         VersionStore::new(Arc::clone(MvccDomain::global_arc()))
     }
 
-    fn shard(&self, key: &K) -> &Shard<K, V> {
-        let h = self.hasher.hash_one(key) as usize;
-        &self.shards[h & (STORE_SHARDS - 1)]
+    /// `key`'s hash under this store's keyed hasher.
+    fn hash(&self, key: &K) -> KeyHash {
+        KeyHash(self.hasher.hash_one(key))
+    }
+
+    /// The shard a hash picks: its top bits.
+    fn shard(&self, hash: KeyHash) -> &Shard<K, V> {
+        &self.shards[(hash.0 >> (64 - STORE_SHARD_BITS)) as usize]
     }
 
     /// Install `value` (`None` = tombstone) for `key` at the commit
@@ -834,45 +1002,71 @@ where
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionInstall);
         let (len, reclaimed) = {
-            let mut shard = self.shard(&key).lock().expect("version shard poisoned");
-            match shard.get_mut(&key) {
-                Some(slot) => {
-                    let reclaimed = slot.install(ts, value, floor);
-                    (slot.versions(), reclaimed)
-                }
-                None => {
-                    shard.insert(key, Slot::new(ts, value));
-                    (1, 0)
-                }
+            let hash = self.hash(&key);
+            let shard = self.shard(hash);
+            let mut table = shard.table.lock().expect("version shard poisoned");
+            let entries = table.entries.len();
+            let hash_of = |key: &K| self.hasher.hash_one(key);
+            let installed = table.install(hash.0, key, (ts, value), floor, hash_of);
+            if table.entries.len() != entries {
+                let (base, mask) = table.view();
+                shard.base.store(base, Ordering::Relaxed);
+                shard.mask.store(mask, Ordering::Relaxed);
             }
+            installed
         };
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionGc);
         self.domain.metrics.note_install(len, reclaimed);
     }
 
-    /// The newest value for `key` at-or-below snapshot `ts`. Yields
-    /// (and counts) exactly one snapshot read whether or not the key
-    /// has a slot, so schedules stay replayable.
+    /// Start loading `key`'s home entry into the cache, and return the
+    /// key's hash for the [`read_prefetched`](Self::read_prefetched)
+    /// that finds it there. Takes no lock and yields nowhere: it reads
+    /// the shard's lock-free view of its array, which may predate a
+    /// growth — then the hint lands somewhere useless, and nothing else
+    /// happens.
+    pub fn prefetch(&self, key: &K) -> KeyHash {
+        let hash = self.hash(key);
+        let shard = self.shard(hash);
+        let base = shard.base.load(Ordering::Relaxed);
+        let mask = shard.mask.load(Ordering::Relaxed);
+        prefetch_hint(base.wrapping_add(hash.0 as usize & mask));
+        hash
+    }
+
+    /// The newest value for `key` at-or-below snapshot `ts`.
     pub fn read_at(&self, key: &K, ts: u64) -> Option<V> {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        self.read_prefetched(key, self.hash(key), ts)
+    }
+
+    /// [`read_at`](Self::read_at) for a key [`prefetch`](Self::prefetch)
+    /// has hashed: the same read, one keyed hash cheaper. Yields (and
+    /// counts) exactly one snapshot read whether or not the key has a
+    /// slot, so schedules stay replayable.
+    pub fn read_prefetched(&self, key: &K, hash: KeyHash, ts: u64) -> Option<V> {
+        debug_assert_eq!(hash, self.hash(key), "a hash from another store");
         self.domain.metrics.note_snapshot_read();
-        let shard = self.shard(key).lock().expect("version shard poisoned");
-        shard.get(key).and_then(|slot| slot.read_at(ts)).cloned()
+        self.shard(hash).read_at(hash, key, ts)
     }
 
     /// Retained versions of `key`, 0 if it was never written (test
     /// introspection).
     pub fn versions(&self, key: &K) -> usize {
-        let shard = self.shard(key).lock().expect("version shard poisoned");
-        shard.get(key).map_or(0, Slot::versions)
+        let hash = self.hash(key);
+        let table = self
+            .shard(hash)
+            .table
+            .lock()
+            .expect("version shard poisoned");
+        table.get(hash.0, key).map_or(0, Slot::versions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn domain() -> Arc<MvccDomain> {
         Arc::new(MvccDomain::new())
@@ -1121,6 +1315,162 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Slot<i64>>(), 2 * size_of::<Version<i64>>());
         assert_eq!(size_of::<Slot<()>>(), 2 * size_of::<Version<()>>());
+        // And an entry is its key and its slot: no tag, no stored hash.
+        assert_eq!(size_of::<Entry<i64, i64>>(), 56);
+    }
+
+    /// The key in each entry of a table's array, in array order.
+    fn entries(table: &SlotTable<u64, u64>) -> Vec<Option<u64>> {
+        table
+            .entries
+            .iter()
+            .map(|e| e.as_ref().map(|(k, _)| *k))
+            .collect()
+    }
+
+    #[test]
+    fn a_probe_from_the_last_entry_wraps_to_the_first() {
+        // Every key's home is entry 7, the last of the first array.
+        let hash_of = |_: &u64| 7;
+        let mut table = SlotTable::new();
+        for key in 0..3u64 {
+            table.install(7, key, (1, Some(key * 10)), 0, hash_of);
+        }
+        assert_eq!(table.entries.len(), 8);
+        let mut expect = vec![None; 8];
+        (expect[7], expect[0], expect[1]) = (Some(0), Some(1), Some(2));
+        assert_eq!(entries(&table), expect);
+        for key in 0..3u64 {
+            let slot = table.get(7, &key).expect("installed key");
+            assert_eq!(slot.read_at(1), Some(&(key * 10)));
+        }
+        // The probe for an absent key wraps too, and stops at entry 2.
+        assert!(table.get(7, &3).is_none());
+        // A rewrite finds the wrapped entry instead of adding one.
+        assert_eq!(table.install(7, 2, (2, None), 0, hash_of), (2, 0));
+        assert_eq!((table.len, table.get(7, &2).unwrap().read_at(2)), (3, None));
+    }
+
+    #[test]
+    fn the_array_grows_past_three_quarters_full_and_only_then() {
+        let mut table = SlotTable::new();
+        assert_eq!(
+            table.entries.len(),
+            0,
+            "nothing allocated before an install"
+        );
+        for key in 0..1000u64 {
+            table.install(key, key, (1, Some(key)), 0, |k| *k);
+            let n = table.len as u64;
+            let len = table.entries.len() as u64;
+            // The smallest power of two (at least the first array) that
+            // holds `n` keys at most ¾ full.
+            let mut least = MIN_ENTRIES as u64;
+            while 4 * n > 3 * least {
+                least *= 2;
+            }
+            assert_eq!(len, least, "{n} keys in {len} entries");
+        }
+    }
+
+    #[test]
+    fn growth_keeps_every_version_readable_at_every_snapshot() {
+        // Four keys share each home entry, so every growth moves
+        // clusters that wrap; floor 0 keeps every version.
+        const KEYS: u64 = 40;
+        let hash_of = |k: &u64| k / 4;
+        let mut table = SlotTable::new();
+        let mut model: HashMap<u64, Vec<Version<u64>>> = HashMap::new();
+        let check = |table: &SlotTable<u64, u64>, model: &HashMap<u64, Vec<Version<u64>>>, last| {
+            for key in 0..KEYS {
+                for ts in 0..=last {
+                    let want = model
+                        .get(&key)
+                        .and_then(|vs| vs.iter().rev().find(|(t, _)| *t <= ts))
+                        .and_then(|(_, v)| v.as_ref());
+                    let got = table.get(hash_of(&key), &key).and_then(|s| s.read_at(ts));
+                    assert_eq!(got, want, "key {key} at snapshot {ts}");
+                }
+            }
+        };
+        let mut ts = 0;
+        for round in 0..3 {
+            for key in 0..KEYS {
+                ts += 1;
+                // Every third version a tombstone.
+                let value = (ts % 3 != 0).then_some(ts);
+                let grew_from = table.entries.len();
+                table.install(hash_of(&key), key, (ts, value), 0, hash_of);
+                model.entry(key).or_default().push((ts, value));
+                if table.entries.len() != grew_from || (round, key) == (2, KEYS - 1) {
+                    check(&table, &model, ts);
+                }
+            }
+        }
+        assert_eq!(table.len, KEYS as usize);
+        assert!((0..KEYS).all(|k| table.get(hash_of(&k), &k).unwrap().versions() == 3));
+    }
+
+    /// Each shard's array length.
+    fn array_lens<V: Clone>(store: &VersionStore<u64, V>) -> Vec<usize> {
+        let len = |s: &Shard<u64, V>| s.table.lock().unwrap().entries.len();
+        store.shards.iter().map(len).collect()
+    }
+
+    #[test]
+    fn concurrent_growth_leaves_stale_prefetch_views_harmless() {
+        // One writer inserts fresh keys until every shard's array has
+        // grown twice, while readers prefetch and read — through views
+        // the growth may have left stale — under snapshots. Key `k <
+        // OLD` holds `k` from the first commit on; fresh key `OLD + i`
+        // is installed by the writer's commit `i`, at timestamp `i + 2`.
+        const OLD: u64 = 384;
+        let d = domain();
+        let store: VersionStore<u64, u64> = VersionStore::new(Arc::clone(&d));
+        d.commit(|stamp| (0..OLD).for_each(|k| store.install(k, Some(k), stamp)));
+        let first = array_lens(&store);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for reader in 0..2u64 {
+                let (d, store, done) = (&d, &store, &done);
+                s.spawn(move || {
+                    let mut rounds = 0u64;
+                    while !done.load(Ordering::Relaxed) || rounds < 100 {
+                        let snap = d.begin_snapshot();
+                        let fresh = snap.ts().saturating_sub(2);
+                        let keys = [0, 1, 2, 3].map(|j| (rounds * 4 + j + reader * 7) * 13 % OLD);
+                        let probes = [fresh.saturating_sub(1), fresh, fresh + 1].map(|i| OLD + i);
+                        let hashes = keys.map(|k| store.prefetch(&k));
+                        let fresh_hashes = probes.map(|k| store.prefetch(&k));
+                        for (k, hash) in keys.into_iter().zip(hashes) {
+                            let got = store.read_prefetched(&k, hash, snap.ts());
+                            assert_eq!(got, Some(k), "old key {k}");
+                        }
+                        for (k, hash) in probes.into_iter().zip(fresh_hashes) {
+                            let i = k - OLD;
+                            let want = (snap.ts() >= i + 2).then_some(i);
+                            let got = store.read_prefetched(&k, hash, snap.ts());
+                            assert_eq!(got, want, "fresh key {k}");
+                        }
+                        rounds += 1;
+                    }
+                });
+            }
+            let mut i = 0;
+            while array_lens(&store)
+                .iter()
+                .zip(&first)
+                .any(|(now, was)| *now < 4 * was)
+            {
+                let ts = d.commit(|stamp| {
+                    store.install(OLD + i, Some(i), stamp);
+                    stamp.ts
+                });
+                assert_eq!(ts, i + 2);
+                i += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]
@@ -1162,6 +1512,24 @@ mod tests {
         assert_eq!(store.read_at(&9, s), None, "never-written key");
         assert_eq!(store.read_at(&7, s - 1), None, "before the commit");
         assert_eq!((store.versions(&7), store.versions(&9)), (1, 0));
+    }
+
+    #[test]
+    fn each_shards_prefetch_view_follows_its_array() {
+        let d = domain();
+        let store: VersionStore<u64, i64> = VersionStore::new(Arc::clone(&d));
+        d.commit(|stamp| (0..2000).for_each(|k| store.install(k, Some(1), stamp)));
+        for shard in &*store.shards {
+            let table = shard.table.lock().unwrap();
+            let view = (
+                shard.base.load(Ordering::Relaxed),
+                shard.mask.load(Ordering::Relaxed),
+            );
+            assert_eq!(
+                view,
+                (table.entries.as_ptr().cast_mut(), table.entries.len() - 1)
+            );
+        }
     }
 
     #[test]

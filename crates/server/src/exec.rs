@@ -26,10 +26,10 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use txboost_collections::{CounterCall, MapCall, PQueueCall};
+use txboost_collections::{BoostedHashMap, CounterCall, MapCall, PQueueCall};
 use txboost_core::locks::{AbstractLock, Mode as LockMode};
 use txboost_core::{
-    Abort, HistogramSnapshot, LatencyHistogram, TxResult, Txn, TxnConfig, TxnManager,
+    Abort, HistogramSnapshot, KeyHash, LatencyHistogram, TxResult, Txn, TxnConfig, TxnManager,
 };
 use txboost_wal::{GroupCommitWal, RecoveredRecord, Ticket};
 use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
@@ -289,6 +289,10 @@ impl Executor {
                 acquire_footprint(&txn, ops, objects)
                     .map_err(|abort| (abort, ScriptStatus::WouldBlock, None))?;
             }
+            let ahead = match mode {
+                Mode::Snapshot => prefetch_reads(ops, objects),
+                Mode::Locked => [None; LOOKAHEAD],
+            };
             // The previous op boundary of a timed run.
             let mut last = t0;
             for (i, sop) in ops.iter().enumerate() {
@@ -305,7 +309,13 @@ impl Executor {
                 }
                 // Lock waits have no deadline: the one abort an op raises
                 // is an empty semaphore's.
-                let r = match Self::run_op(&txn, &sop.op, objects) {
+                let r = match (&sop.op, ahead.get(i).copied().flatten()) {
+                    (Op::MapContains { key, .. }, Some((map, hash))) => map
+                        .contains_key_prefetched(&txn, key, hash)
+                        .map(OpResult::Bool),
+                    (op, _) => Self::run_op(&txn, op, objects),
+                };
+                let r = match r {
                     Ok(r) => r,
                     Err(abort) => return give_up(ScriptStatus::WouldBlock, abort),
                 };
@@ -488,6 +498,38 @@ impl Executor {
         });
         out
     }
+}
+
+/// Ops a snapshot script's lookahead covers: about as many cache misses
+/// as a core keeps in flight.
+const LOOKAHEAD: usize = 16;
+
+/// What the lookahead found for one op: the map a `map_contains` reads
+/// and its key's hash there.
+type Prefetched<'s> = Option<(&'s Arc<BoostedHashMap<i64, i64>>, KeyHash)>;
+
+/// A snapshot script's lookahead: start the cache miss of every
+/// `map_contains` among its first [`LOOKAHEAD`] ops before the first
+/// read needs its own, so the misses overlap instead of queueing, and
+/// hand each op its map and hash so the read repeats neither lookup.
+/// Only maps that exist are prefetched ([`Resolved::existing_map`]):
+/// creating an object stays the op's job, and a script rejected before
+/// it reaches an op must not create that op's map.
+fn prefetch_reads<'s>(ops: &[ScriptOp], objects: Resolved<'s>) -> [Prefetched<'s>; LOOKAHEAD] {
+    let mut ahead = [None; LOOKAHEAD];
+    // Scripts read one map several times: look each name up once.
+    let mut last = None;
+    for (sop, found) in ops.iter().zip(&mut ahead) {
+        if let Op::MapContains { obj, key } = &sop.op {
+            let map = match last {
+                Some((name, map)) if name == obj => map,
+                _ => objects.existing_map(obj),
+            };
+            last = Some((obj, map));
+            *found = map.map(|map| (map, map.prefetch_snapshot(key)));
+        }
+    }
+    ahead
 }
 
 /// Footprint entries kept on the stack; a longer script allocates.
@@ -1031,6 +1073,40 @@ mod tests {
         assert_eq!(out.status, ScriptStatus::ReadOnlyViolation);
         assert_eq!(out.failed_op, Some(2));
         assert_eq!(e.namespace().object_counts(), (1, 1, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_snapshot_lookahead_creates_no_map_a_rejected_script_never_reached() {
+        // The lookahead sees `map_contains("d", ..)` before op 0 runs;
+        // the script is rejected at op 0, so nothing may be created.
+        let e = exec();
+        let write_then_read = script().counter_add("c", 1).map_contains("d", 1);
+        let out = e.execute_read_only(&write_then_read.build());
+        assert_eq!(out.status, ScriptStatus::ReadOnlyViolation);
+        assert_eq!(out.failed_op, Some(0));
+        assert_eq!(e.namespace().object_counts(), (0, 0, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_snapshot_read_of_an_unknown_map_creates_it_and_reads_it_empty() {
+        let e = exec();
+        let reads = script()
+            .map_contains("fresh", 1)
+            .map_contains("fresh", 2)
+            .build();
+        let out = e.execute_read_only(&reads);
+        assert_eq!(out.status, ScriptStatus::Committed);
+        assert_eq!(out.results, vec![OpResult::Bool(false); 2]);
+        assert_eq!(e.namespace().object_counts(), (1, 0, 0, 0, 0));
+        // Created once: a later locked write and snapshot read share it.
+        let seeded = e.execute(&script().map_insert("fresh", 2, 20).build());
+        assert_eq!(seeded.status, ScriptStatus::Committed);
+        let out = e.execute_read_only(&reads);
+        assert_eq!(
+            out.results,
+            vec![OpResult::Bool(false), OpResult::Bool(true)]
+        );
+        assert_eq!(e.namespace().object_counts(), (1, 0, 0, 0, 0));
     }
 
     #[test]

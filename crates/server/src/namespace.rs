@@ -203,6 +203,13 @@ impl<'s> Resolved<'s> {
         self.0.maps.get_or_create(name, Arc::default)
     }
 
+    /// The map named `name` if the lock-free index holds it; `None` for
+    /// a name nobody created, or one that lives in the spill. Never
+    /// creates, never takes the mutex.
+    pub(crate) fn existing_map(self, name: &str) -> Option<&'s Arc<BoostedHashMap<i64, i64>>> {
+        self.0.maps.probe(name).ok()
+    }
+
     pub(crate) fn counter(self, name: &str) -> &'s Arc<BoostedCounter> {
         self.0.counters.get_or_create(name, Arc::default)
     }

@@ -55,6 +55,7 @@ BASELINES = {
             "executor transfer 3-op script",
             "executor transfer x2 threads, disjoint keys",
             "executor rscan4 script",
+            "executor rscan4 script @262144 keys",
         ],
         "meta": {"allocs_per_script_transfer3": "1"},
         # meta[first] <= RATIO * meta[second]: the executor's accounting

@@ -15,12 +15,15 @@
 //! * version slots (and the counter's delta chains) never GC a version
 //!   a registered snapshot reader can still read, whatever the
 //!   install/register/deregister interleaving, and never keep more
-//!   than one version at-or-below the GC floor.
+//!   than one version at-or-below the GC floor;
+//! * a whole version store, its slot arrays growing under runs of fresh
+//!   keys, answers every read a live snapshot may make as a map of
+//!   every committed version does.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use transactional_boosting::core::{DeltaChain, MvccDomain, Slot, SnapshotGuard};
+use transactional_boosting::core::{DeltaChain, MvccDomain, Slot, SnapshotGuard, VersionStore};
 use transactional_boosting::model::spec::SetOp;
 use transactional_boosting::model::{check_commit_order_serializable, SetSpec, TxnLabel};
 use transactional_boosting::prelude::*;
@@ -349,5 +352,63 @@ proptest! {
         }
         let total: i64 = log.iter().map(|e| e.1).sum();
         prop_assert_eq!(chain.read_at(domain.clock.stable()), total, "folding lost a delta");
+    }
+
+    /// A whole `VersionStore` — keys spread over its shards' slot
+    /// arrays, which grow as fresh keys arrive — answers every read a
+    /// live snapshot may make exactly as a map of every committed
+    /// version does: values, tombstones and same-timestamp rewrites,
+    /// across runs of fresh keys that push each shard through several
+    /// growths, with readers pinning history meanwhile.
+    #[test]
+    fn a_version_store_matches_a_map_of_versions_across_growths(
+        script in proptest::collection::vec((0..6u8, 0..4096i64, 0..100i32), 1..300),
+    ) {
+        let domain = Arc::new(MvccDomain::new());
+        let store = VersionStore::new(Arc::clone(&domain));
+        // Every committed version of every key, never pruned.
+        let mut oracle: BTreeMap<i64, BTreeMap<u64, Option<i32>>> = BTreeMap::new();
+        let mut readers: Vec<SnapshotGuard> = Vec::new();
+        let read = |oracle: &BTreeMap<i64, BTreeMap<u64, Option<i32>>>, key: &i64, ts: u64| {
+            oracle.get(key).and_then(|vs| vs.range(..=ts).next_back()).and_then(|(_, v)| *v)
+        };
+        for (op, key, v) in script {
+            let writes: Vec<(i64, Option<i32>)> = match op {
+                0 => vec![(key, Some(v))],
+                1 => vec![(key, None)],
+                2 => vec![(key, Some(v)), (key, Some(v + 1))], // one commit, two writes
+                3 => (key..key + 32).map(|k| (k, Some(v))).collect(), // a run of fresh keys
+                4 => {
+                    readers.push(domain.begin_snapshot());
+                    vec![]
+                }
+                _ => {
+                    if !readers.is_empty() {
+                        readers.remove(0);
+                    }
+                    vec![]
+                }
+            };
+            domain.commit(|stamp| {
+                for &(k, value) in &writes {
+                    store.install(k, value, stamp);
+                    oracle.entry(k).or_default().insert(stamp.ts, value);
+                }
+            });
+            // Every snapshot a reader may still take: the live ones and
+            // the frontier.
+            let stable = domain.clock.stable();
+            for (k, _) in &writes {
+                for ts in readers.iter().map(SnapshotGuard::ts).chain([stable]) {
+                    prop_assert_eq!(store.read_at(k, ts), read(&oracle, k, ts), "key {} at {}", k, ts);
+                }
+            }
+        }
+        let stable = domain.clock.stable();
+        for k in oracle.keys().chain(&[-1, 4096 + 32]) {
+            for ts in readers.iter().map(SnapshotGuard::ts).chain([stable]) {
+                prop_assert_eq!(store.read_at(k, ts), read(&oracle, k, ts), "key {} at {}", k, ts);
+            }
+        }
     }
 }
