@@ -54,7 +54,7 @@ use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_client::ScriptBuilder;
 use txboost_collections::{BoostedCounter, BoostedHashMap};
 use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
-use txboost_core::{TxnConfig, TxnManager};
+use txboost_core::{Txn, TxnConfig, TxnManager};
 use txboost_server::Executor;
 use txboost_wire::{ScriptOp, ScriptStatus};
 
@@ -338,6 +338,30 @@ fn bench_counter_add(iters: u64) -> Measurement {
     })
 }
 
+/// Log `LOG_PUSHES` undo closures, each capturing an `Arc` and `N`
+/// words: `N = 1` (16 bytes) fits the inline slots, `N = 8` (72 bytes)
+/// is boxed. The closures are abort handlers, so this function keeps
+/// the handler lints.
+#[warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+fn log_undos<const N: usize>(t: &Txn, sink: &Arc<AtomicU64>) {
+    for i in 0..LOG_PUSHES {
+        let s = Arc::clone(sink);
+        let words = [i; N];
+        t.log_undo(move || {
+            s.fetch_add(words.iter().sum::<u64>(), Ordering::Relaxed);
+        });
+    }
+}
+
 /// Undo-log pushes whose closures fit the inline slots: no allocation.
 fn bench_log_inline(iters: u64) -> Measurement {
     let tm = TxnManager::default();
@@ -346,13 +370,7 @@ fn bench_log_inline(iters: u64) -> Measurement {
         let start = Instant::now();
         for _ in 0..iters {
             tm.run(|t| {
-                for i in 0..LOG_PUSHES {
-                    let s = Arc::clone(&sink);
-                    // Capture: (Arc, u64) = 16 bytes — inline.
-                    t.log_undo(move || {
-                        s.fetch_add(i, Ordering::Relaxed);
-                    });
-                }
+                log_undos::<1>(t, &sink);
                 assert_eq!(t.boxed_action_count(), 0, "inline capture was boxed");
                 Ok(())
             })
@@ -372,13 +390,7 @@ fn bench_log_boxed(iters: u64) -> Measurement {
         let start = Instant::now();
         for _ in 0..iters {
             tm.run(|t| {
-                for i in 0..LOG_PUSHES {
-                    let s = Arc::clone(&sink);
-                    let big = [i; 8]; // 64-byte capture — must be boxed
-                    t.log_undo(move || {
-                        s.fetch_add(big.iter().sum::<u64>(), Ordering::Relaxed);
-                    });
-                }
+                log_undos::<8>(t, &sink);
                 assert_eq!(
                     t.boxed_action_count(),
                     LOG_PUSHES as usize,

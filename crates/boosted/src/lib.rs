@@ -44,6 +44,22 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every boosted method registers commit/abort handlers, and a handler
+// must not fail (paper §3): lib code here may not panic, index or
+// assert without a function-level `#[expect]` naming its invariant.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 
 mod alloc;
 mod counter;

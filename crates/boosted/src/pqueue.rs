@@ -155,6 +155,16 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     ///
     /// Needs no inverse (the abstract state is unchanged) but still
     /// acquires the exclusive lock; see [`Self::conflict`].
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::expect_used,
+            clippy::disallowed_macros,
+            reason = "under the exclusive lock the heap cannot empty \
+                      between `min` and `remove_min`, and the popped \
+                      holder is the deleted one `min` saw (debug_assert!)"
+        )
+    )]
     pub fn min(&self, txn: &Txn) -> TxResult<Option<K>> {
         let (lock, mode) = self.conflict(PQueueCall::Min);
         lock.acquire(txn, mode)?;

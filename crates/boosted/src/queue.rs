@@ -62,6 +62,17 @@ impl<T: Send + 'static> BoostedBlockingQueue<T> {
     /// Blocks (up to the transaction's timeout, then aborts) while the
     /// committed queue is full. The item becomes visible to consumers
     /// when the transaction commits.
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::panic,
+            clippy::disallowed_macros,
+            reason = "a `full` permit is a free slot in the base deque, and \
+                      the inverse's item is still there: only a broken \
+                      semaphore invariant fails, and the inverse checks it \
+                      with debug_assert! alone"
+        )
+    )]
     pub fn offer(&self, txn: &Txn, value: T) -> TxResult<()> {
         // Gate on committed free slots; undo re-increments.
         self.full.acquire(txn)?;
@@ -88,6 +99,17 @@ impl<T: Send + 'static> BoostedBlockingQueue<T> {
     /// Blocks (up to the transaction's timeout, then aborts) while the
     /// committed queue is empty. The freed slot becomes available to
     /// producers when the transaction commits.
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::expect_used,
+            clippy::disallowed_macros,
+            reason = "an `empty` permit is a committed item in the base \
+                      deque, and the inverse's slot is still free: only a \
+                      broken semaphore invariant fails, and the inverse \
+                      checks it with debug_assert! alone"
+        )
+    )]
     pub fn take(&self, txn: &Txn) -> TxResult<T>
     where
         T: Clone,
@@ -133,6 +155,14 @@ impl<T: Send + 'static> BoostedBlockingQueue<T> {
 
     /// Offer that never blocks the calling thread: aborts the
     /// transaction right away if the committed queue is full.
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::panic,
+            clippy::disallowed_macros,
+            reason = "the same semaphore invariant as `offer`"
+        )
+    )]
     pub fn try_offer(&self, txn: &Txn, value: T) -> TxResult<()> {
         self.full.try_acquire(txn)?;
         self.base

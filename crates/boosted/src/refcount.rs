@@ -62,6 +62,14 @@ impl std::fmt::Debug for Inner {
 }
 
 impl Inner {
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert! only: a commit never decrements below \
+                      the references its `incr`s took"
+        )
+    )]
     fn apply_decrs(&self, n: i64) {
         let now = self.count.fetch_sub(n, Ordering::SeqCst) - n;
         debug_assert!(now >= 0, "reference count went negative: {now}");
@@ -113,6 +121,14 @@ impl BoostedRefCount {
     }
 
     /// A counter with the given decrement policy.
+    #[cfg_attr(
+        not(test),
+        expect(
+            clippy::disallowed_macros,
+            reason = "checks the caller's argument before any transaction \
+                      or handler exists"
+        )
+    )]
     pub fn with_policy(initial: i64, policy: DecrPolicy) -> Self {
         assert!(initial >= 0, "initial reference count must be non-negative");
         BoostedRefCount {

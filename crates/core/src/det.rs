@@ -62,8 +62,6 @@ pub enum Point {
     WalFsync,
     /// The active WAL segment reached its size cap and is rolling.
     WalSegmentRoll,
-    /// WAL recovery is about to scan/replay one record.
-    WalRecoveryStep,
     /// A committed write is about to install a new version into an
     /// object's version chain.
     VersionInstall,
@@ -73,12 +71,6 @@ pub enum Point {
     /// A version chain is about to garbage-collect versions below the
     /// oldest-live-reader floor.
     VersionGc,
-    /// A server event loop is about to block in `epoll_wait` for the
-    /// next readiness tick.
-    EpollWait,
-    /// A connection's buffered replies are about to be flushed to the
-    /// socket.
-    ConnFlush,
     /// A thread's body returned (recorded by the harness itself).
     Finish,
     /// A test-inserted yield (via [`yield_point`] from test code).

@@ -300,6 +300,12 @@ impl RunReport {
         !self.panics.is_empty() || self.overran
     }
 
+    /// Whether some thread reached `point` during the run: the hook is
+    /// compiled in and the scheduler really preempted there.
+    pub fn reached(&self, point: Point) -> bool {
+        self.schedule.iter().any(|s| s.point == point)
+    }
+
     /// Render the schedule, one line per step (the tail only, for very
     /// long runs), for inclusion in a failure message.
     pub fn render_schedule(&self) -> String {
@@ -708,10 +714,8 @@ mod tests {
             det::block_tick();
         });
         assert_eq!(report.final_clock, 4);
-        assert!(report
-            .schedule
-            .iter()
-            .any(|s| s.point == Point::LockBlocked));
+        assert!(report.reached(Point::LockBlocked));
+        assert!(!report.reached(Point::User));
     }
 
     #[test]

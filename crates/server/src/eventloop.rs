@@ -43,8 +43,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-#[cfg(feature = "deterministic")]
-use txboost_core::det;
 use txboost_wire as wire;
 use txboost_wire::{FrameDecoder, Request, Response, WireError};
 
@@ -182,6 +180,18 @@ impl EConn {
 
 /// One event loop: accept, read, execute the tick, flush, repeat.
 /// `epoll` arrives with the listener and `wake` already registered.
+/// Its `run_tick` dispatch closure is handler code: a panic here kills
+/// every connection on the loop.
+#[warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn event_loop(
     shared: &Arc<Shared>,
     epoll: &sys::Epoll,
@@ -247,7 +257,6 @@ fn event_loop(
             }
         }
 
-        epoll_wait_det();
         let n = epoll
             .wait(&mut events, Some(shared.cfg.poll_interval))
             .unwrap_or_default();
@@ -544,7 +553,6 @@ fn proto_error(conn: &mut EConn, shared: &Arc<Shared>, err: &WireError) {
 /// whether the buffer fully drained. Partial flushes keep the window
 /// accounting exact via the per-reply end offsets.
 fn flush_conn(conn: &mut EConn) -> bool {
-    flush_conn_det();
     loop {
         if conn.out_pos >= conn.out.len() {
             conn.out.clear();
@@ -578,18 +586,4 @@ fn flush_conn(conn: &mut EConn) -> bool {
             }
         }
     }
-}
-
-/// Deterministic-harness hook: the loop is about to block for the next
-/// readiness tick.
-fn epoll_wait_det() {
-    #[cfg(feature = "deterministic")]
-    det::yield_point(det::Point::EpollWait);
-}
-
-/// Deterministic-harness hook: a connection's buffered replies are
-/// about to be flushed to the socket.
-fn flush_conn_det() {
-    #[cfg(feature = "deterministic")]
-    det::yield_point(det::Point::ConnFlush);
 }

@@ -157,7 +157,19 @@ pub struct Server {
 impl Server {
     /// Bind and start serving. `Ok` means every event loop holds the
     /// listener in its epoll instance; exhaustion here is an `Err`.
+    /// The WAL `replay` closure is handler code: it rebuilds the
+    /// committed prefix and must not panic.
     #[cfg(target_os = "linux")]
+    #[warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         let listener = std::net::TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;

@@ -418,7 +418,7 @@ mod tests {
         let cur = a.load(SeqCst, &guard);
         let stale = Shared::null();
         let attempt = a.compare_exchange(stale, Owned::new(2), SeqCst, SeqCst, &guard);
-        let err = attempt.err().expect("CAS against stale must fail");
+        let err = attempt.expect_err("CAS against stale must fail");
         assert_eq!(err.current, cur);
         assert_eq!(*err.new, 2); // ownership came back; freed on drop
                                  // SAFETY: the atomic is local to this test; `cur` is its only

@@ -31,9 +31,11 @@
 //!   so the `txboost-sched` harness can crash the process image at
 //!   every tick and re-run recovery.
 //!
-//! Every decision point on the durability path (`append`, batch seal,
-//! `fsync`, segment roll, recovery step) is instrumented with
-//! `det::yield_point` behind the `deterministic` feature.
+//! Every decision point on the durability path (append, a leader
+//! taking its run of records, `fsync`, segment roll) is instrumented
+//! with `det::yield_point` behind the `deterministic` feature.
+//! Recovery runs single-threaded, outside any scheduled run, and has
+//! none.
 
 #![warn(missing_docs)]
 

@@ -62,26 +62,17 @@ pub struct RecoveredLog {
 impl RecoveredLog {
     /// Replay the recovered records in LSN order through `apply`
     /// (single-threaded — the records are already serialized). Returns
-    /// how many records `apply` rejected. The closure runs under the
-    /// handler-panic lint rule: replay is the recovery path and must
-    /// not panic.
+    /// how many records `apply` rejected. `apply` is handler code:
+    /// replay is the recovery path and must not panic.
     pub fn replay(&self, mut apply: impl FnMut(&RecoveredRecord) -> bool) -> u64 {
         let mut failures = 0;
         for record in &self.records {
-            recovery_step_det();
             if !apply(record) {
                 failures += 1;
             }
         }
         failures
     }
-}
-
-/// Yield to the deterministic scheduler between recovery steps, so a
-/// crash can land between any two of them.
-fn recovery_step_det() {
-    #[cfg(feature = "deterministic")]
-    txboost_core::det::yield_point(txboost_core::det::Point::WalRecoveryStep);
 }
 
 /// How scanning one segment ended.
@@ -109,11 +100,9 @@ pub fn recover(storage: &dyn Storage) -> io::Result<RecoveredLog> {
     let mut expected: Option<u64> = None;
 
     for (index, &id) in ids.iter().enumerate() {
-        recovery_step_det();
         let end = scan_segment(storage, id, &mut expected, &mut log)?;
         if matches!(end, SegmentEnd::Cut) {
             for &later in &ids[index + 1..] {
-                recovery_step_det();
                 storage.delete_segment(later)?;
                 log.report.dropped_segments += 1;
             }
@@ -169,7 +158,6 @@ fn scan_segment(
 
     let mut offset = SEGMENT_HEADER_LEN;
     while offset < data.len() {
-        recovery_step_det();
         let verdict = match parse_record(&data[offset..]) {
             Parsed::Record { lsn, ops, consumed } => {
                 if Some(lsn) == *expected {

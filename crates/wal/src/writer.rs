@@ -1,7 +1,8 @@
 //! The single-writer append path: one active segment, size-based
 //! rolling, fsync on demand. Owned by whichever waiter currently leads
-//! the group commit (it holds the writer mutex); the `_det` suffix marks the functions instrumented with deterministic
-//! yield points (see the `yield-point-coverage` lint rule).
+//! the group commit (it holds the writer mutex). The `_det` suffix
+//! marks the functions instrumented with deterministic yield points;
+//! `tests/det_wal_crash.rs` asserts that its runs reach each of them.
 
 use std::io;
 use std::sync::Arc;

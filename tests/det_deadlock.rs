@@ -10,6 +10,8 @@
 //! Under the harness, lock timeouts fire on the scheduler's virtual
 //! clock (`txboost_core::det::ticks_for`), so deadlock recovery is
 //! exercised identically on every machine and every seed replays.
+//! Every seed of the engineered deadlock reaches each lock-path yield
+//! point in [`LOCK_PATH`], so a hook removed from the runtime fails it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use transactional_boosting::model::spec::SetOp;
@@ -28,6 +30,18 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The lock-path yield points: acquire, block, release, undo push,
+/// commit, abort, and the retry loop's backoff.
+const LOCK_PATH: [det::Point; 7] = [
+    det::Point::LockAcquire,
+    det::Point::LockBlocked,
+    det::Point::LockRelease,
+    det::Point::UndoPush,
+    det::Point::Commit,
+    det::Point::Abort,
+    det::Point::Backoff,
+];
 
 /// Spin at a named yield point until `flag` is set. The deterministic
 /// analogue of `std::sync::Barrier`, which must never be used under
@@ -74,7 +88,7 @@ fn opposite_order_deadlock_recovers_on_every_seed() {
             })
             .unwrap();
         },
-        |w, _report| {
+        |w, report| {
             assert_eq!(w.set.snapshot(), vec![1, 2]);
             let snap = w.tm.stats().snapshot();
             assert_eq!(snap.committed, 2);
@@ -82,6 +96,10 @@ fn opposite_order_deadlock_recovers_on_every_seed() {
                 snap.lock_timeouts >= 1,
                 "the engineered deadlock never happened"
             );
+            // A deadlock, its timeout and the retry cross every hook.
+            for point in LOCK_PATH {
+                assert!(report.reached(point), "the run never reached {point}");
+            }
         },
     );
 }

@@ -202,7 +202,9 @@ fn dfs_exhausts_a_two_thread_set_workload() {
 fn stm_conflicts_are_schedule_controlled() {
     // Two STM transactions increment one variable; the deterministic
     // yield before commit-time write-locking lets schedules interleave
-    // the committers. Whatever the interleaving, no update is lost.
+    // the committers. Whatever the interleaving, no update is lost, and
+    // every run preempts at the STM's read, write-lock and validate
+    // hooks.
     use transactional_boosting::rwstm::{Stm, StmVar};
     for seed in 0..50 {
         let stm = Stm::default();
@@ -217,9 +219,12 @@ fn stm_conflicts_are_schedule_controlled() {
         });
         assert!(!report.failed(), "{}", report.render_failure());
         assert_eq!(v.load(), 2, "lost update under seed {seed}");
-        assert!(report
-            .schedule
-            .iter()
-            .any(|s| matches!(s.point, det::Point::StmRead)));
+        for point in [
+            det::Point::StmRead,
+            det::Point::StmWrite,
+            det::Point::StmValidate,
+        ] {
+            assert!(report.reached(point), "seed {seed} never reached {point}");
+        }
     }
 }

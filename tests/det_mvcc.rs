@@ -10,6 +10,10 @@
 //! visible ahead of an older one still installing, and the sweep must
 //! observe a snapshot with a hole in it.
 //!
+//! Every seed of the transfer sweep reaches the version store's three
+//! yield points (install, GC, snapshot read), so a hook removed from
+//! the read path fails it.
+//!
 //! Every boosted collection shares the process-global `MvccDomain`, so
 //! the tests in this binary serialize on a file-level mutex: the
 //! mutation check flips a global flag the honest tests must never see.
@@ -119,8 +123,15 @@ fn read_only_snapshots_hold_the_transfer_invariant_on_every_seed() {
                 }
             }
         },
-        |w, _report| {
+        |w, report| {
             assert_eq!(w.ro_ok.load(Ordering::SeqCst), 6);
+            for point in [
+                det::Point::VersionInstall,
+                det::Point::VersionGc,
+                det::Point::SnapshotRead,
+            ] {
+                assert!(report.reached(point), "the run never reached {point}");
+            }
             // 3 transfers each of 1 and 2 units: the final split is
             // deterministic even though the interleaving is not.
             let (a, b) =

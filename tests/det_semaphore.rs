@@ -6,10 +6,9 @@
 //!
 //! `acquire` is one loop under either clock: it blocks through the
 //! `txboost_core::locks::Deadline` seam, which turns each wait into a
-//! `block_tick` when a scheduler is installed. The
-//! `yield-point-coverage` lint rule demands `Point::LockAcquire` in
-//! `crates/boosted/src/semaphore.rs::acquire` and `block_tick` in the
-//! seam; this suite proves the hooks actually schedule.
+//! `block_tick` when a scheduler is installed. This suite proves the
+//! hooks actually schedule: an exhausted acquire's runs reach
+//! `Point::LockAcquire` and `Point::LockBlocked`.
 
 use std::time::Duration;
 use transactional_boosting::prelude::*;
@@ -41,8 +40,10 @@ fn exhausted_semaphore_times_out_on_virtual_time() {
                 "expected WouldBlock, got {err:?}"
             );
         },
-        |w, _report| {
+        |w, report| {
             assert_eq!(w.sem.available(), 0, "failed acquire must not leak");
+            assert!(report.reached(txboost_sched::core_det::Point::LockAcquire));
+            assert!(report.reached(txboost_sched::core_det::Point::LockBlocked));
         },
     );
 }

@@ -21,6 +21,10 @@
 //!   `tokens = min(records, SEEDED)`, `transfers = records - SEEDED`;
 //! * **idempotence** — recovering again changes nothing.
 //!
+//! Segments are 256 bytes, so a run that commits a transfer rolls one
+//! under the scheduler, and the sweep asserts that its scheduled runs
+//! reach every WAL yield point in [`WAL_POINTS`].
+//!
 //! `DET_SEEDS` / `DET_SWEEP_SEED` scale the sweep in CI exactly like
 //! the other deterministic suites.
 
@@ -42,6 +46,14 @@ const KEYS: i64 = 8;
 const WORKERS: usize = 2;
 /// Transfers each worker attempts per run.
 const TRANSFERS: usize = 3;
+/// The WAL's yield points. The concurrent sweep must reach each one,
+/// the segment roll included, so a hook removed from the log fails it.
+const WAL_POINTS: [det::Point; 4] = [
+    det::Point::WalAppend,
+    det::Point::WalLead,
+    det::Point::WalFsync,
+    det::Point::WalSegmentRoll,
+];
 
 fn exec() -> Executor {
     Executor::new(TxnConfig::default(), 4)
@@ -108,6 +120,8 @@ struct RunResult {
     acked: u64,
     committed: u64,
     ticks: u64,
+    /// The scheduled run's report; `None` if the log never opened.
+    report: Option<txboost_sched::RunReport>,
 }
 
 /// One deterministic run: seed the bank (setup, un-scheduled), then
@@ -123,6 +137,7 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
     let exec = exec();
     let mut acked = 0u64;
     let mut committed = 0u64;
+    let mut scheduled = None;
 
     // The WAL itself may fail to open if the kill tick lands inside
     // segment creation — that run is "crashed before the server came
@@ -131,7 +146,9 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
         Arc::clone(&storage) as Arc<dyn Storage>,
         &WalConfig {
             batch_max: 2,
-            segment_bytes: 512,
+            // The writer's floor: the seeding fits one segment, and a
+            // run that commits a transfer rolls it under the scheduler.
+            segment_bytes: 256,
         },
         1,
         Arc::new(DurabilityMetrics::new()),
@@ -185,6 +202,7 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
         committed += shared.committed.load(Ordering::Relaxed);
         // Every worker waited for its own records: nothing is pending.
         wal.shutdown();
+        scheduled = Some(report);
     }
 
     RunResult {
@@ -192,6 +210,7 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
         storage,
         acked,
         committed,
+        report: scheduled,
     }
 }
 
@@ -268,10 +287,14 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
     let mut saw_ack = false;
     let mut saw_volatile_loss = false;
     let mut saw_partial_seed = false;
+    let mut unreached = WAL_POINTS.to_vec();
 
     for seed in txboost_sched::seeds_from_env(4) {
         let baseline = run_once(seed, None, false);
         let ticks = baseline.ticks;
+        if let Some(report) = &baseline.report {
+            unreached.retain(|&point| !report.reached(point));
+        }
         // Opening the log is three ops; seeding leads three batches of
         // an append and an fsync each. The workers' commits add theirs.
         assert!(
@@ -302,6 +325,10 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
     assert!(
         saw_partial_seed,
         "no crash landed inside seeding — tick space not covered"
+    );
+    assert!(
+        unreached.is_empty(),
+        "no scheduled run reached {unreached:?}"
     );
 }
 

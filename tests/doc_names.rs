@@ -13,10 +13,6 @@ use std::path::Path;
 /// Where a cited name may live (`target` directories excluded).
 const SEARCHED: [&str; 6] = ["crates", "src", "tests", "benchmark", "scripts", ".github"];
 
-/// Under [`SEARCHED`] but not code: the lint's fixtures are its inputs,
-/// and may keep names the code no longer has.
-const NOT_CODE: &str = "crates/lint/tests/fixtures";
-
 /// Names cited from outside this codebase: Java's locks, which DESIGN
 /// maps onto the Rust primitives.
 const FOREIGN: [&str; 2] = ["ReentrantLock", "ReentrantReadWriteLock"];
@@ -38,7 +34,7 @@ fn identifiers(text: &str) -> impl Iterator<Item = String> + '_ {
 fn collect(dir: &Path, words: &mut HashSet<String>) {
     for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
         let path = entry.path();
-        if path.is_dir() && !path.ends_with("target") && !path.ends_with(NOT_CODE) {
+        if path.is_dir() && !path.ends_with("target") {
             collect(&path, words);
         }
         if path.is_dir() || path.ends_with(file!()) {
