@@ -84,7 +84,6 @@ impl TSemaphore {
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());
         }
-        #[cfg(feature = "deterministic")]
         txboost_core::det::yield_point(txboost_core::det::Point::LockAcquire);
         let deadline = Deadline::after(txn.lock_timeout());
         let mut count = self.inner.count.lock();

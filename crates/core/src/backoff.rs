@@ -79,7 +79,6 @@ impl Backoff {
     /// influence which interleavings the harness explores, they would
     /// only stall the serialized run.
     pub fn backoff(&mut self) {
-        #[cfg(feature = "deterministic")]
         if crate::det::active() {
             crate::det::yield_point(crate::det::Point::Backoff);
             self.ceiling = (self.ceiling * 2).min(self.max);

@@ -1,4 +1,4 @@
-//! Deterministic-scheduling hooks (the `deterministic` cargo feature).
+//! Deterministic-scheduling hooks, compiled into every build.
 //!
 //! Shuttle-style schedule exploration needs every interleaving-relevant
 //! decision in the runtime to flow through a single choice point. This
@@ -7,16 +7,20 @@
 //! `txboost-sched` crate) installs a [`DetScheduler`] per logical
 //! thread that serializes execution and picks who runs next.
 //!
-//! Everything here is **runtime-gated**: with no scheduler installed on
-//! the current thread, every function is a cheap no-op and the runtime
-//! behaves exactly as it does without the feature. Compiling the
-//! feature in therefore never changes behaviour on its own — only
-//! installing a scheduler does. Timeouts under a scheduler use
-//! **virtual time**: a tick clock advanced by blocked threads (see
-//! [`block_tick`]) replaces `Instant::now()`, so deadlock recovery is
-//! reproducible instead of wall-clock dependent.
+//! Everything here is **runtime-gated**: each hook first reads one
+//! process-wide count of installed schedulers, relaxed, and returns at
+//! once when it is 0; with schedulers installed elsewhere in the
+//! process, a thread without one finds none in its thread-local and
+//! behaves as if the count were 0. So the tests run the program that
+//! ships. Timeouts under a scheduler use **virtual time**: a tick clock
+//! advanced by blocked threads (see [`block_tick`]) replaces
+//! `Instant::now()`, so deadlock recovery is reproducible instead of
+//! wall-clock dependent. A run may also stage a [`Mutation`] — a
+//! deliberate defect its sweep must catch — which [`mutated`] reports
+//! on that run's threads only.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,6 +103,23 @@ pub trait DetScheduler: Send + Sync {
 
     /// Current virtual time, in ticks.
     fn virtual_now(&self) -> u64;
+
+    /// Whether the run this scheduler drives was started with `m`.
+    fn mutated(&self, m: Mutation) -> bool;
+}
+
+/// A defect a det suite stages for one scheduled run, to prove that its
+/// sweep notices it. Read through [`mutated`]; there is no other switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// `MvccDomain::gc_floor` ignores the registered snapshot readers.
+    IgnoreReaderFloor,
+    /// `CommitClock::publish` makes its timestamp stable without waiting
+    /// for older ones still installing.
+    PublishOutOfOrder,
+    /// The WAL's group-commit leader moves the durable watermark before
+    /// the fsync that covers it.
+    AckBeforeSync,
 }
 
 thread_local! {
@@ -106,26 +127,57 @@ thread_local! {
         const { RefCell::new(None) };
 }
 
+/// Threads of this process with a scheduler installed. Every hook reads
+/// it first, relaxed, and returns at once when it is 0 — the whole cost
+/// of the hooks in a process that never runs the harness. A thread with
+/// a scheduler always reads at least its own count (it wrote it, and
+/// only its own [`uninstall`] takes it back); a thread without one may
+/// read anything and then finds nothing in its thread-local.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
+
 /// Install `sched` as this thread's scheduler, with logical thread id
 /// `tid`. Until [`uninstall`] the thread's instrumented runtime calls
 /// route through the scheduler. Harness-internal; tests use the
 /// `txboost-sched` entry points instead of calling this directly.
 pub fn install(sched: Arc<dyn DetScheduler>, tid: usize) {
-    CURRENT.with(|c| *c.borrow_mut() = Some((sched, tid)));
+    if CURRENT
+        .with(|c| c.borrow_mut().replace((sched, tid)))
+        .is_none()
+    {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Remove this thread's scheduler; instrumented paths revert to their
 /// wall-clock behaviour.
 pub fn uninstall() {
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    if CURRENT.with(|c| c.borrow_mut().take()).is_some() {
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// How many threads of the process have a scheduler installed.
+#[inline]
+pub fn installed() -> usize {
+    INSTALLED.load(Ordering::Relaxed)
 }
 
 /// Whether a deterministic scheduler is installed on this thread.
+#[inline]
 pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    installed() != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
+#[inline]
 fn with_sched<R>(f: impl FnOnce(&Arc<dyn DetScheduler>, usize) -> R) -> Option<R> {
+    if installed() == 0 {
+        return None;
+    }
+    with_installed(f)
+}
+
+#[cold]
+fn with_installed<R>(f: impl FnOnce(&Arc<dyn DetScheduler>, usize) -> R) -> Option<R> {
     // Clone the handle out of the thread-local before calling into the
     // scheduler: yields block for a long time and must not hold the
     // RefCell borrow.
@@ -136,25 +188,49 @@ fn with_sched<R>(f: impl FnOnce(&Arc<dyn DetScheduler>, usize) -> R) -> Option<R
 /// Offer the scheduler a chance to switch threads at `point`. No-op
 /// without an installed scheduler, and while a panic is unwinding (so
 /// rollback-during-unwind never context-switches).
+#[inline]
 pub fn yield_point(point: Point) {
-    if std::thread::panicking() {
-        return;
+    if installed() != 0 {
+        yield_installed(point);
     }
-    with_sched(|s, tid| s.yield_point(tid, point));
+}
+
+/// [`yield_point`]'s slow path, kept out of line and monomorphic so the
+/// inlined gate at each hook is a load, a test and a call.
+#[cold]
+#[inline(never)]
+fn yield_installed(point: Point) {
+    with_installed(|s, tid| {
+        if !std::thread::panicking() {
+            s.yield_point(tid, point);
+        }
+    });
 }
 
 /// Report that this thread is blocked: advance virtual time one tick
-/// and yield. No-op without an installed scheduler.
+/// and yield. No-op without an installed scheduler, and while a panic
+/// is unwinding.
+#[inline]
 pub fn block_tick() {
-    if std::thread::panicking() {
-        return;
-    }
-    with_sched(|s, tid| s.block_tick(tid));
+    with_sched(|s, tid| {
+        if !std::thread::panicking() {
+            s.block_tick(tid);
+        }
+    });
 }
 
 /// Current virtual time in ticks (0 without an installed scheduler).
+#[inline]
 pub fn virtual_now() -> u64 {
     with_sched(|s, _| s.virtual_now()).unwrap_or(0)
+}
+
+/// Whether `m` is staged for this thread: its installed scheduler drives
+/// a run started with `m`. Always `false` on a thread with no
+/// scheduler, so a mutation is inert outside the run that staged it.
+#[inline]
+pub fn mutated(m: Mutation) -> bool {
+    with_sched(|s, _| s.mutated(m)).unwrap_or(false)
 }
 
 /// Convert a wall-clock timeout to virtual ticks (1 to `u64::MAX`).
@@ -165,7 +241,7 @@ pub fn ticks_for(timeout: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     struct CountingSched {
         yields: AtomicU64,
@@ -182,6 +258,9 @@ mod tests {
         fn virtual_now(&self) -> u64 {
             self.ticks.load(Ordering::SeqCst)
         }
+        fn mutated(&self, m: Mutation) -> bool {
+            m == Mutation::AckBeforeSync
+        }
     }
 
     #[test]
@@ -190,6 +269,7 @@ mod tests {
         yield_point(Point::User);
         block_tick();
         assert_eq!(virtual_now(), 0);
+        assert!(!mutated(Mutation::AckBeforeSync));
     }
 
     #[test]
@@ -204,8 +284,11 @@ mod tests {
         yield_point(Point::Commit);
         block_tick();
         assert_eq!(virtual_now(), 1);
+        assert!(mutated(Mutation::AckBeforeSync));
+        assert!(!mutated(Mutation::PublishOutOfOrder));
         uninstall();
         assert!(!active());
+        assert!(!mutated(Mutation::AckBeforeSync));
         yield_point(Point::User); // must not reach the scheduler
         assert_eq!(sched.yields.load(Ordering::SeqCst), 2);
     }

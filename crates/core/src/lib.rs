@@ -63,7 +63,6 @@
 
 mod backoff;
 pub mod cookbook;
-#[cfg(feature = "deterministic")]
 pub mod det;
 mod error;
 mod inline;
@@ -71,7 +70,6 @@ pub mod locks;
 pub mod mvcc;
 pub mod obs;
 mod stats;
-pub mod trace;
 mod txn;
 
 pub use backoff::{Backoff, SpinWait};

@@ -147,7 +147,6 @@ impl AbstractLock {
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());
         }
-        #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::LockAcquire);
         let me = txn.id().raw();
         debug_assert_eq!(me & !OWNER_MASK, 0, "transaction id reaches the flag bits");
@@ -171,10 +170,6 @@ impl AbstractLock {
         if let Some(waited) = waited {
             txn.charge_lock_wait(waited);
         }
-        crate::trace_event!(LockAcquired {
-            txn: txn.id(),
-            wait_ns: waited.map_or(0, |w| w.as_nanos().min(u64::MAX as u128) as u64),
-        });
         if matches!(claim, Claim::New) {
             txn.register_held_lock(Arc::clone(self));
         }
@@ -203,7 +198,6 @@ impl AbstractLock {
             return Ok((claim, None));
         }
         let deadline = Deadline::after(txn.lock_timeout());
-        crate::trace_event!(LockWait { txn: txn.id() });
 
         // Phase 1: bounded spin — abstract locks are often released
         // within the holder's commit, a few hundred cycles away.

@@ -3,13 +3,13 @@
 //!
 //! A wait loop builds one [`Deadline`] and calls [`Deadline::wait`]
 //! each time it has to block. Normally that is the wall clock and a
-//! timed condvar wait. With a deterministic scheduler installed on
-//! the thread (the `deterministic` feature) the same calls run on
-//! virtual time: a wait is one [`crate::det::block_tick`] — a
-//! scheduling round that advances the virtual clock — and the loop's
-//! own re-check after it stands in for the notification. So the
-//! harness executes the loops that ship, not a twin of them. A timeout
-//! too large to reach, such as `Duration::MAX`, never passes.
+//! timed condvar wait. With a deterministic scheduler installed on the
+//! thread the same calls run on virtual time: a wait is one
+//! [`crate::det::block_tick`] — a scheduling round that advances the
+//! virtual clock — and the loop's own re-check after it stands in for
+//! the notification. So the harness executes the loops that ship, not
+//! a twin of them. A timeout too large to reach, such as
+//! `Duration::MAX`, never passes.
 
 use parking_lot::{Condvar, MutexGuard};
 use std::time::{Duration, Instant};
@@ -22,7 +22,6 @@ pub struct Deadline {
     end: Option<Instant>,
     /// The virtual tick at which the wait times out; `Some` iff a
     /// deterministic scheduler was installed when the wait began.
-    #[cfg(feature = "deterministic")]
     virtual_end: Option<u64>,
 }
 
@@ -33,7 +32,6 @@ impl Deadline {
         Deadline {
             start,
             end: start.checked_add(timeout),
-            #[cfg(feature = "deterministic")]
             virtual_end: crate::det::active()
                 .then(|| crate::det::virtual_now().saturating_add(crate::det::ticks_for(timeout))),
         }
@@ -44,7 +42,6 @@ impl Deadline {
     /// Wake-ups may be spurious — the caller re-checks its condition
     /// either way, and once more after a timeout.
     pub fn wait<T>(&self, cv: &Condvar, guard: &mut MutexGuard<'_, T>) -> bool {
-        #[cfg(feature = "deterministic")]
         if let Some(end) = self.virtual_end {
             // The guard must be released across the tick: a logical
             // thread that yields while holding the mutex wedges the

@@ -84,11 +84,12 @@
 //! effect log whose install arms run at commit — lives in `txn.rs`.
 
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::backoff::SpinWait;
+use crate::det::{self, Mutation};
 use crate::locks::Deadline;
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
 
@@ -140,10 +141,6 @@ pub struct CommitClock {
     waiters: AtomicU64,
     park: parking_lot::Mutex<()>,
     stable_advanced: parking_lot::Condvar,
-    /// Test hook: when set, `publish` makes its timestamp stable without
-    /// regard to older ones.
-    #[cfg(feature = "deterministic")]
-    publish_out_of_order: AtomicBool,
 }
 
 impl Default for CommitClock {
@@ -155,8 +152,6 @@ impl Default for CommitClock {
             waiters: AtomicU64::new(0),
             park: parking_lot::Mutex::new(()),
             stable_advanced: parking_lot::Condvar::new(),
-            #[cfg(feature = "deterministic")]
-            publish_out_of_order: AtomicBool::new(false),
         }
     }
 }
@@ -188,7 +183,7 @@ impl CommitClock {
     /// the count of a commit that is about to park, or that commit's
     /// re-check the advance.
     pub fn publish(&self, ts: u64) {
-        if self.cannot_wait() {
+        if Self::cannot_wait() {
             self.stable.fetch_max(ts, Ordering::SeqCst);
             return;
         }
@@ -257,22 +252,13 @@ impl CommitClock {
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Whether this publish must go ahead of older ones: the mutation
-    /// check asked for it, or the thread is unwinding under a det
-    /// scheduler, where a wait cannot yield to the commit it waits for
-    /// ([`crate::det::block_tick`] is a no-op while panicking) and would
-    /// hang the run whose failure is being reported. Constant `false`
-    /// without the `deterministic` feature.
-    #[cfg(feature = "deterministic")]
-    fn cannot_wait(&self) -> bool {
-        (std::thread::panicking() && crate::det::active())
-            || self.publish_out_of_order.load(Ordering::Relaxed)
-    }
-
-    #[cfg(not(feature = "deterministic"))]
-    #[allow(clippy::unused_self)]
-    fn cannot_wait(&self) -> bool {
-        false
+    /// Whether this publish must go ahead of older ones: the run staged
+    /// [`Mutation::PublishOutOfOrder`], or the thread is unwinding under
+    /// a det scheduler, where a wait cannot yield to the commit it waits
+    /// for ([`det::block_tick`] is a no-op while panicking) and would
+    /// hang the run whose failure is being reported.
+    fn cannot_wait() -> bool {
+        det::active() && (std::thread::panicking() || det::mutated(Mutation::PublishOutOfOrder))
     }
 
     /// The stable frontier: every commit with timestamp ≤ this value
@@ -406,8 +392,6 @@ pub struct MvccDomain {
     pub readers: ReaderRegistry,
     /// The domain's MVCC observability surface.
     pub metrics: MvccMetrics,
-    /// Test hook: when set, `gc_floor` ignores registered readers.
-    ignore_readers: AtomicBool,
 }
 
 impl MvccDomain {
@@ -482,30 +466,10 @@ impl MvccDomain {
     pub fn gc_floor(&self) -> u64 {
         let readers = self.readers.readers.lock().unwrap();
         let stable = self.clock.stable();
-        if self.ignore_readers.load(Ordering::Relaxed) {
+        if det::mutated(Mutation::IgnoreReaderFloor) {
             return stable;
         }
         readers.iter().map(|&(ts, _)| ts).fold(stable, u64::min)
-    }
-
-    /// Make `gc_floor` ignore the reader registry, so the det sweep
-    /// can prove it notices snapshot readers losing pinned versions
-    /// (the mutation check in `tests/det_mvcc.rs`).
-    #[cfg(feature = "deterministic")]
-    #[doc(hidden)]
-    pub fn ignore_reader_floor_for_test(&self, ignore: bool) {
-        self.ignore_readers.store(ignore, Ordering::Relaxed);
-    }
-
-    /// Make `publish` stop waiting for its predecessor, so the det
-    /// sweep can prove it notices a snapshot containing timestamp
-    /// `t + 1` without `t` (the mutation check in `tests/det_mvcc.rs`).
-    #[cfg(feature = "deterministic")]
-    #[doc(hidden)]
-    pub fn publish_out_of_order_for_test(&self, skip: bool) {
-        self.clock
-            .publish_out_of_order
-            .store(skip, Ordering::Relaxed);
     }
 }
 
@@ -744,8 +708,7 @@ impl DeltaChain {
     /// slots': no registered snapshot sinks below `base_ts`. (The
     /// `Vec` keeps its capacity: steady-state installs do not allocate.)
     pub fn install(&self, ts: u64, delta: i64, floor: u64) {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionInstall);
+        det::yield_point(det::Point::VersionInstall);
         let (len, folded) = {
             let mut inner = self.inner.lock().expect("delta chain poisoned");
             debug_assert!(ts > inner.base_ts, "install below the folded base");
@@ -758,8 +721,7 @@ impl DeltaChain {
             }
             (inner.deltas.len() + 1, cut)
         };
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionGc);
+        det::yield_point(det::Point::VersionGc);
         self.domain.metrics.note_install(len, folded);
     }
 
@@ -767,8 +729,7 @@ impl DeltaChain {
     /// `ts`. Callers must hold a snapshot at-or-above the GC floor
     /// (any [`SnapshotGuard`] qualifies), so `base_ts ≤ ts` holds.
     pub fn read_at(&self, ts: u64) -> i64 {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        det::yield_point(det::Point::SnapshotRead);
         self.domain.metrics.note_snapshot_read();
         let inner = self.inner.lock().expect("delta chain poisoned");
         debug_assert!(inner.base_ts <= ts, "snapshot read below the folded base");
@@ -907,8 +868,7 @@ impl<K: Eq, V: Clone> Shard<K, V> {
     /// The newest value of `key` at-or-below snapshot `ts`, under the
     /// shard mutex. Yields exactly once, before the lock.
     fn read_at(&self, hash: KeyHash, key: &K, ts: u64) -> Option<V> {
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        det::yield_point(det::Point::SnapshotRead);
         let table = self.table.lock().expect("version shard poisoned");
         table
             .get(hash.0, key)
@@ -999,8 +959,7 @@ where
     /// [`MvccDomain::commit`]'s window.
     pub fn install(&self, key: K, value: Option<V>, stamp: CommitStamp) {
         let CommitStamp { ts, floor } = stamp;
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionInstall);
+        det::yield_point(det::Point::VersionInstall);
         let (len, reclaimed) = {
             let hash = self.hash(&key);
             let shard = self.shard(hash);
@@ -1015,8 +974,7 @@ where
             }
             installed
         };
-        #[cfg(feature = "deterministic")]
-        crate::det::yield_point(crate::det::Point::VersionGc);
+        det::yield_point(det::Point::VersionGc);
         self.domain.metrics.note_install(len, reclaimed);
     }
 
@@ -1067,6 +1025,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
 
     fn domain() -> Arc<MvccDomain> {
         Arc::new(MvccDomain::new())
@@ -1232,6 +1191,54 @@ mod tests {
         drop(young);
         assert_eq!(d.gc_floor(), d.clock.stable(), "no readers: floor = stable");
         assert_eq!(d.readers.live_readers(), 0);
+    }
+
+    /// Stages one mutation for the thread that installs it, and
+    /// schedules nothing.
+    struct Staging(Mutation);
+
+    impl det::DetScheduler for Staging {
+        fn yield_point(&self, _tid: usize, _point: det::Point) {}
+        fn block_tick(&self, _tid: usize) {}
+        fn virtual_now(&self) -> u64 {
+            0
+        }
+        fn mutated(&self, m: Mutation) -> bool {
+            m == self.0
+        }
+    }
+
+    #[test]
+    fn a_staged_mutation_is_inert_on_a_thread_without_a_scheduler() {
+        let d = domain();
+        let pinned = d.clock.reserve();
+        d.clock.publish(pinned);
+        let reader = d.begin_snapshot();
+        let stable = d.clock.reserve();
+        d.clock.publish(stable);
+        let (staged_tx, staged) = std::sync::mpsc::channel();
+        let (done, done_rx) = std::sync::mpsc::channel::<()>();
+        let staging = Arc::clone(&d);
+        let (staged_floor, installed, plain_floor) = std::thread::scope(|s| {
+            s.spawn(move || {
+                det::install(Arc::new(Staging(Mutation::IgnoreReaderFloor)), 0);
+                let _ = staged_tx.send(staging.gc_floor());
+                let _ = done_rx.recv();
+                det::uninstall();
+            });
+            let staged_floor = staged.recv();
+            let seen = (staged_floor, det::installed(), d.gc_floor());
+            let _ = done.send(());
+            seen
+        });
+        assert_eq!(
+            staged_floor,
+            Ok(stable),
+            "the staging thread skips the reader"
+        );
+        assert!(installed > 0);
+        assert_eq!(plain_floor, pinned, "a thread with no scheduler honours it");
+        drop(reader);
     }
 
     #[test]

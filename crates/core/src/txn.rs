@@ -278,8 +278,11 @@ impl Txn {
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
+    // `inline`: with its yield point this is past the inliner's default
+    // threshold, and a call copies the capture instead of building it in
+    // place (`hotpath` `log-undo inline`).
+    #[inline]
     pub fn log_undo(&self, inverse: impl FnOnce() + Send + 'static) {
-        #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::UndoPush);
         self.push_effect("log_undo", Run(inverse));
     }
@@ -299,13 +302,13 @@ impl Txn {
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
+    #[inline]
     pub fn log_effect<H: Send + 'static>(
         &self,
         captured: H,
         undo: impl FnOnce(H) + Send + 'static,
         install: impl FnOnce(H, CommitStamp) + Send + 'static,
     ) {
-        #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::UndoPush);
         self.push_effect("log_effect", Effect(captured, undo, install));
     }
@@ -332,10 +335,6 @@ impl Txn {
             "read-only transactions log no effects (the lock guards reject mutations first)"
         );
         self.effects.borrow_mut().push(entry);
-        crate::trace_event!(Undo {
-            txn: self.id,
-            depth: self.effects.borrow().len(),
-        });
     }
 
     /// Defer a *disposable* method call until after commit.
@@ -547,7 +546,6 @@ impl Txn {
         loop {
             let lock = self.held_locks.borrow_mut().pop();
             let Some(lock) = lock else { break };
-            #[cfg(feature = "deterministic")]
             crate::det::yield_point(crate::det::Point::LockRelease);
             lock.release(self.id);
         }
@@ -691,9 +689,7 @@ impl TxnManager {
     /// history recording, and integrating with external control flow;
     /// most code should prefer [`TxnManager::run`].
     pub fn begin(&self) -> Txn {
-        let id = next_txn_id();
-        crate::trace_event!(Begin { txn: id });
-        Txn::new(id, self.config.lock_timeout, None)
+        Txn::new(next_txn_id(), self.config.lock_timeout, None)
     }
 
     /// Begin a **read-only snapshot transaction**: it registers as a
@@ -705,7 +701,6 @@ impl TxnManager {
     /// prefer [`TxnManager::run_read_only`].
     pub fn begin_read_only(&self) -> Txn {
         let id = next_txn_id();
-        crate::trace_event!(Begin { txn: id });
         let snapshot = MvccDomain::global().begin_snapshot();
         Txn::new(id, self.config.lock_timeout, Some(snapshot))
     }
@@ -739,12 +734,7 @@ impl TxnManager {
 
     /// Commit a transaction begun with [`TxnManager::begin`].
     pub fn commit(&self, txn: Txn) {
-        #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::Commit);
-        crate::trace_event!(Commit {
-            txn: txn.id,
-            undo_depth: txn.undo_log_len(),
-        });
         txn.do_commit();
         self.stats.record_commit();
         self.fold_lock_waits(&txn);
@@ -753,13 +743,7 @@ impl TxnManager {
     /// Abort a transaction begun with [`TxnManager::begin`]: replay its
     /// undo log, release its locks, run its on-abort disposables.
     pub fn abort(&self, txn: Txn, reason: AbortReason) {
-        #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::Abort);
-        crate::trace_event!(Abort {
-            txn: txn.id,
-            reason,
-            undo_depth: txn.undo_log_len(),
-        });
         txn.do_rollback();
         self.stats.record_abort(reason);
         self.fold_lock_waits(&txn);

@@ -74,7 +74,6 @@ impl<T: Clone + Send + Sync + 'static> StmVar<T> {
     /// which preserves opacity (no zombie ever observes an inconsistent
     /// state).
     pub fn read(&self, txn: &mut StmTxn<'_>) -> TxResult<T> {
-        #[cfg(feature = "deterministic")]
         txboost_core::det::yield_point(txboost_core::det::Point::StmRead);
         if let Some(w) = txn.writes.get(&self.addr()) {
             let entry = w
@@ -91,10 +90,7 @@ impl<T: Clone + Send + Sync + 'static> StmVar<T> {
         // publishing writer cannot run while we spin (threads are
         // scheduled cooperatively), so abort immediately there and let
         // the harness explore the conflict.
-        #[cfg(feature = "deterministic")]
         let patient = !txboost_core::det::active();
-        #[cfg(not(feature = "deterministic"))]
-        let patient = true;
         let mut spin = txboost_core::SpinWait::new();
         while !inner.lock.try_lock_shared() {
             if !patient || !spin.spin() {
@@ -370,7 +366,6 @@ impl Stm {
         // validation: enough for a deterministic schedule to slot a
         // competing committer between a transaction's read phase and
         // its commit point, which is where TL2 conflicts live.
-        #[cfg(feature = "deterministic")]
         txboost_core::det::yield_point(txboost_core::det::Point::StmWrite);
         // Phase 1: lock the write set in address order (BTreeMap
         // iteration order), aborting rather than waiting.
@@ -386,7 +381,6 @@ impl Stm {
             locked.push(w.as_ref());
         }
         // Phase 2: validate the read set.
-        #[cfg(feature = "deterministic")]
         txboost_core::det::yield_point(txboost_core::det::Point::StmValidate);
         let wv = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
         if wv != txn.rv + 1 {

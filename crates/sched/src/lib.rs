@@ -26,6 +26,12 @@
 //! deadlock recovery (the paper's timeout-abort discipline) resolves
 //! the same way on every replay.
 //!
+//! The hooks are compiled into every build and cost one relaxed load
+//! while no run is going, so a run tests the program that ships. A
+//! run started with [`run_staged`] or [`sweep_staged`] also stages
+//! [`Mutation`]s — deliberate defects its sweep must catch — that only
+//! its own threads see.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use txboost_core::{locks::KeyLockMap, TxnManager};
@@ -45,11 +51,10 @@
 //!
 //! ## What not to run under the harness
 //!
-//! Only code whose blocking flows through the instrumented points may
-//! run on harness threads. Objects that park on *real* condvars with
-//! wall-clock deadlines (`TSemaphore::acquire`, the blocking deque)
-//! would sleep while holding the scheduler token and stall the whole
-//! run; test those with ordinary threads.
+//! Only code whose blocking flows through the instrumented points
+//! (`txboost_core::locks::Deadline::wait`, a yield point) may run on
+//! harness threads. A wait on a real condvar, mutex or channel would
+//! sleep while holding the scheduler token and stall the whole run.
 
 #![warn(missing_docs)]
 
@@ -57,7 +62,7 @@ use parking_lot::{Condvar, Mutex};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use txboost_core::det::{self, DetScheduler, Point};
+use txboost_core::det::{self, DetScheduler, Mutation, Point};
 
 pub use txboost_core::det as core_det;
 
@@ -174,11 +179,14 @@ impl Inner {
 struct Scheduler {
     inner: Mutex<Inner>,
     cv: Condvar,
+    /// The mutations this run was started with.
+    staged: Vec<Mutation>,
 }
 
 impl Scheduler {
-    fn new(threads: usize, mode: Mode) -> Self {
+    fn new(threads: usize, mode: Mode, staged: &[Mutation]) -> Self {
         Scheduler {
+            staged: staged.to_vec(),
             inner: Mutex::new(Inner {
                 current: usize::MAX, // nobody until kickoff
                 alive: vec![true; threads],
@@ -274,6 +282,10 @@ impl DetScheduler for Scheduler {
     fn virtual_now(&self) -> u64 {
         self.inner.lock().clock
     }
+
+    fn mutated(&self, m: Mutation) -> bool {
+        self.staged.contains(&m)
+    }
 }
 
 /// Everything observed during one serialized run.
@@ -287,8 +299,7 @@ pub struct RunReport {
     pub schedule: Vec<Step>,
     /// Virtual clock at the end of the run.
     pub final_clock: u64,
-    /// Panics caught on harness threads: `(tid, message)`, and — with
-    /// the `trace` feature — the panicking thread's transaction trace.
+    /// Panics caught on harness threads: `(tid, message)`.
     pub panics: Vec<(usize, String)>,
     /// The run hit [`MAX_STEPS`] and was cut short.
     pub overran: bool,
@@ -369,10 +380,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// function of its seed.
 static ONE_RUN: Mutex<()> = Mutex::new(());
 
-fn run_mode(seed: u64, threads: usize, mode: Mode, body: &(impl Fn(usize) + Sync)) -> RunReport {
+fn run_mode(
+    seed: u64,
+    threads: usize,
+    mode: Mode,
+    staged: &[Mutation],
+    body: &(impl Fn(usize) + Sync),
+) -> RunReport {
     assert!(threads > 0, "need at least one logical thread");
     let _one_run = ONE_RUN.lock();
-    let sched = Arc::new(Scheduler::new(threads, mode));
+    let sched = Arc::new(Scheduler::new(threads, mode, staged));
     std::thread::scope(|scope| {
         for tid in 0..threads {
             let sched = Arc::clone(&sched);
@@ -382,14 +399,7 @@ fn run_mode(seed: u64, threads: usize, mode: Mode, body: &(impl Fn(usize) + Sync
                 let result = catch_unwind(AssertUnwindSafe(|| body(tid)));
                 det::uninstall();
                 if let Err(payload) = result {
-                    #[allow(unused_mut)]
-                    let mut msg = panic_message(payload);
-                    #[cfg(feature = "trace")]
-                    {
-                        msg.push_str("\ntxn trace of the panicking thread:\n");
-                        msg.push_str(&txboost_core::trace::dump());
-                    }
-                    sched.record_panic(tid, msg);
+                    sched.record_panic(tid, panic_message(payload));
                 }
                 sched.finish(tid);
             });
@@ -412,7 +422,18 @@ fn run_mode(seed: u64, threads: usize, mode: Mode, body: &(impl Fn(usize) + Sync
 /// is deterministic: same seed, same bodies ⇒ same interleaving, same
 /// [`RunReport`].
 pub fn run_with_seed(seed: u64, threads: usize, body: impl Fn(usize) + Sync) -> RunReport {
-    run_mode(seed, threads, Mode::Random(SplitMix64(seed)), &body)
+    run_staged(seed, threads, &[], body)
+}
+
+/// [`run_with_seed`] with `staged` mutations: for this run's threads,
+/// and no other, `det::mutated(m)` is `true` for each `m` in `staged`.
+pub fn run_staged(
+    seed: u64,
+    threads: usize,
+    staged: &[Mutation],
+    body: impl Fn(usize) + Sync,
+) -> RunReport {
+    run_mode(seed, threads, Mode::Random(SplitMix64(seed)), staged, &body)
 }
 
 /// Reproduce the exact interleaving of a previous [`run_with_seed`]
@@ -457,12 +478,25 @@ pub fn sweep_setup<S: Sync>(
     body: impl Fn(&S, usize) + Sync,
     check: impl Fn(S, &RunReport),
 ) {
+    sweep_staged(seeds, threads, &[], setup, body, check);
+}
+
+/// [`sweep_setup`] with every run started with `staged` mutations (see
+/// [`run_staged`]).
+pub fn sweep_staged<S: Sync>(
+    seeds: impl IntoIterator<Item = u64>,
+    threads: usize,
+    staged: &[Mutation],
+    setup: impl Fn() -> S,
+    body: impl Fn(&S, usize) + Sync,
+    check: impl Fn(S, &RunReport),
+) {
     for seed in seeds {
         let state = setup();
-        let report = run_with_seed(seed, threads, |tid| body(&state, tid));
+        let report = run_staged(seed, threads, staged, |tid| body(&state, tid));
         if report.failed() {
             let state2 = setup();
-            let again = replay(seed, threads, |tid| body(&state2, tid));
+            let again = run_staged(seed, threads, staged, |tid| body(&state2, tid));
             assert_eq!(
                 report.schedule, again.schedule,
                 "replay of seed {seed} diverged from the failing run — \
@@ -547,6 +581,7 @@ pub fn explore_dfs(threads: usize, max_runs: usize, body: impl Fn(usize) + Sync)
                 choices: std::mem::take(&mut prefix),
                 pos: 0,
             },
+            &[],
             &body,
         );
         runs += 1;

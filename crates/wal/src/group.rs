@@ -22,22 +22,17 @@
 //! — and every later `enqueue` / `wait` answers `false`.
 
 use std::io;
-#[cfg(feature = "deterministic")]
-use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use txboost_core::DurabilityMetrics;
+use txboost_core::{det, DurabilityMetrics};
 use txboost_wire::ScriptOp;
 
 use crate::record::{frame_len, seal_record, RECORD_PREFIX_LEN};
 use crate::storage::Storage;
 use crate::writer::Wal;
-
-#[cfg(feature = "deterministic")]
-use txboost_core::det;
 
 /// Group-commit tuning knobs.
 #[derive(Debug, Clone)]
@@ -112,9 +107,6 @@ pub struct GroupCommitWal {
     durable: AtomicU64,
     metrics: Arc<DurabilityMetrics>,
     batch_max: usize,
-    /// Staged mutation for `tests/det_wal_crash.rs`.
-    #[cfg(feature = "deterministic")]
-    ack_before_sync: AtomicBool,
 }
 
 impl std::fmt::Debug for GroupCommitWal {
@@ -156,8 +148,6 @@ impl GroupCommitWal {
             durable: AtomicU64::new(next_lsn),
             metrics,
             batch_max: cfg.batch_max.max(1),
-            #[cfg(feature = "deterministic")]
-            ack_before_sync: AtomicBool::new(false),
         })
     }
 
@@ -208,7 +198,6 @@ impl GroupCommitWal {
     /// thread never blocks on the real mutex (its holder may be parked
     /// at a yield point): it polls, one scheduling round per miss.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
-        #[cfg(feature = "deterministic")]
         while det::active() {
             if let Some(writer) = self.writer.try_lock() {
                 return writer;
@@ -262,12 +251,9 @@ impl GroupCommitWal {
         // `enqueue` blocks on it for real, and a deterministic
         // scheduler must never switch away from the holder of such a
         // lock.
-        #[cfg(feature = "deterministic")]
-        {
-            det::yield_point(det::Point::WalLead);
-            if self.ack_before_sync.load(Ordering::Relaxed) {
-                self.durable.store(first_lsn + records, Ordering::Release);
-            }
+        det::yield_point(det::Point::WalLead);
+        if det::mutated(det::Mutation::AckBeforeSync) {
+            self.durable.store(first_lsn + records, Ordering::Release);
         }
         let written = writer.wal.append_frames_det(first_lsn, &writer.spare);
         let synced = written.and_then(|()| writer.wal.sync_det());
@@ -297,15 +283,6 @@ impl GroupCommitWal {
     /// `--io epoll` (ROADMAP item 9).
     pub fn spawn_flusher(self: &Arc<Self>) -> io::Result<()> {
         Ok(())
-    }
-
-    /// Move the watermark *before* the fsync that covers it, so the
-    /// crash sweep can prove it notices an acknowledgement that was not
-    /// durable (the mutation check in `tests/det_wal_crash.rs`).
-    #[cfg(feature = "deterministic")]
-    #[doc(hidden)]
-    pub fn ack_before_sync_for_test(&self, on: bool) {
-        self.ack_before_sync.store(on, Ordering::Relaxed);
     }
 }
 

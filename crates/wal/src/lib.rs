@@ -32,10 +32,9 @@
 //!   every tick and re-run recovery.
 //!
 //! Every decision point on the durability path (append, a leader
-//! taking its run of records, `fsync`, segment roll) is instrumented
-//! with `det::yield_point` behind the `deterministic` feature.
-//! Recovery runs single-threaded, outside any scheduled run, and has
-//! none.
+//! taking its run of records, `fsync`, segment roll) is a
+//! `det::yield_point`. Recovery runs single-threaded, outside any
+//! scheduled run, and has none.
 
 #![warn(missing_docs)]
 

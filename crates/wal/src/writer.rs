@@ -8,13 +8,10 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use txboost_core::DurabilityMetrics;
+use txboost_core::{det, DurabilityMetrics};
 
 use crate::record::{frame_len, segment_header, SEGMENT_HEADER_LEN};
 use crate::storage::Storage;
-
-#[cfg(feature = "deterministic")]
-use txboost_core::det;
 
 /// Floor on the segment size cap. A record larger than the cap still
 /// fits — rolling only happens when the active segment already holds
@@ -83,7 +80,6 @@ impl Wal {
     /// segment past the cap (and is not the segment's first record)
     /// opens a fresh segment named by its LSN. Does **not** sync.
     pub fn append_frames_det(&mut self, first_lsn: u64, frames: &[u8]) -> io::Result<()> {
-        #[cfg(feature = "deterministic")]
         det::yield_point(det::Point::WalAppend);
         // `frames[start..at]` holds the `records` frames that go to the
         // active segment next; `lsn` is the frame at `at`.
@@ -119,7 +115,6 @@ impl Wal {
     /// Seal the active segment (final sync) and open a fresh one whose
     /// first record will carry `first_lsn`.
     pub fn roll_segment_det(&mut self, first_lsn: u64) -> io::Result<()> {
-        #[cfg(feature = "deterministic")]
         det::yield_point(det::Point::WalSegmentRoll);
         self.storage.sync(self.active)?;
         self.open_segment(first_lsn)?;
@@ -130,7 +125,6 @@ impl Wal {
     /// Fsync the active segment: everything appended so far is durable
     /// when this returns.
     pub fn sync_det(&mut self) -> io::Result<()> {
-        #[cfg(feature = "deterministic")]
         det::yield_point(det::Point::WalFsync);
         let start = Instant::now();
         self.storage.sync(self.active)?;

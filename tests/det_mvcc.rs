@@ -3,20 +3,21 @@
 //!
 //! Five behaviours are swept across seeds, plus two *mutation checks*,
 //! evidence these tests have teeth. With the reader-registry GC floor
-//! deliberately disabled (via a test-only hook on `MvccDomain`),
-//! install-time GC must prune a version a registered snapshot reader is
-//! still pinning, and the sweep must observe the resulting torn read.
-//! With in-order publish disabled (a second hook), a commit must become
-//! visible ahead of an older one still installing, and the sweep must
-//! observe a snapshot with a hole in it.
+//! staged away (`Mutation::IgnoreReaderFloor`), install-time GC must
+//! prune a version a registered snapshot reader is still pinning, and
+//! the sweep must observe the resulting torn read. With in-order
+//! publish staged away (`Mutation::PublishOutOfOrder`), a commit must
+//! become visible ahead of an older one still installing, and the
+//! sweep must observe a snapshot with a hole in it. A mutation lives
+//! only inside the runs that stage it.
 //!
 //! Every seed of the transfer sweep reaches the version store's three
 //! yield points (install, GC, snapshot read), so a hook removed from
 //! the read path fails it.
 //!
 //! Every boosted collection shares the process-global `MvccDomain`, so
-//! the tests in this binary serialize on a file-level mutex: the
-//! mutation check flips a global flag the honest tests must never see.
+//! the tests in this binary serialize on a file-level mutex: a setup
+//! that reads the global clock must not see another test's commits.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,26 +34,15 @@ fn spin_until(flag: &AtomicBool) {
 }
 
 /// Serializes the tests in this binary: they all read the process-wide
-/// `MvccDomain`, and the mutation check temporarily breaks its GC
-/// floor. `unwrap_or_else` keeps a panicking test from cascading
-/// poison into the others.
+/// `MvccDomain`, and a setup reads its clock between runs.
+/// `unwrap_or_else` keeps a panicking test from cascading poison into
+/// the others.
 static DOMAIN_LOCK: Mutex<()> = Mutex::new(());
 
 fn domain_guard() -> std::sync::MutexGuard<'static, ()> {
     DOMAIN_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Switches both mutation hooks back off even if the sweep panics, so
-/// a failing mutation check cannot corrupt the honest tests.
-struct MutationsOff;
-
-impl Drop for MutationsOff {
-    fn drop(&mut self) {
-        MvccDomain::global().ignore_reader_floor_for_test(false);
-        MvccDomain::global().publish_out_of_order_for_test(false);
-    }
 }
 
 #[test]
@@ -189,7 +179,7 @@ fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
 /// One writer commits `PUTS` versions of a single key while a reader
 /// pins a snapshot from before the churn. Returns how many runs saw
 /// the reader's second read disagree with its first.
-fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>) -> u64 {
+fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>, staged: &[det::Mutation]) -> u64 {
     const PUTS: i64 = 14;
     struct W {
         tm: TxnManager,
@@ -199,9 +189,10 @@ fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>) -> u64 {
         churned: AtomicBool,
     }
     let torn = AtomicU64::new(0);
-    txboost_sched::sweep_setup(
+    txboost_sched::sweep_staged(
         seeds,
         2,
+        staged,
         || W {
             tm: TxnManager::default(),
             map: BoostedHashMap::new(),
@@ -252,21 +243,20 @@ fn pinned_snapshots_survive_chain_gc_on_every_seed() {
     // reads agree on every seed even though the slot was pruned
     // around its pin.
     let _g = domain_guard();
-    let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60));
+    let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60), &[]);
     assert_eq!(torn, 0, "GC reclaimed a version a live reader was pinning");
 }
 
 #[test]
 fn skipping_the_reader_registry_floor_is_caught_by_the_sweep() {
-    // Mutation check: disable the reader-registry contribution to the
-    // GC floor and the *same* workload must tear — GC prunes up to the
-    // stable frontier, dropping the pinned version, and the reader's
-    // second read comes back different (absent). If this stopped
-    // firing, the honest test above would be vacuous.
+    // Mutation check: stage away the reader-registry contribution to
+    // the GC floor and the *same* workload must tear — GC prunes up to
+    // the stable frontier, dropping the pinned version, and the
+    // reader's second read comes back different (absent). If this
+    // stopped firing, the honest test above would be vacuous.
     let _g = domain_guard();
-    let _restore = MutationsOff;
-    MvccDomain::global().ignore_reader_floor_for_test(true);
-    let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60));
+    let seeds = txboost_sched::seeds_from_env(60);
+    let torn = pinned_reader_vs_chain_gc(seeds, &[det::Mutation::IgnoreReaderFloor]);
     assert!(
         torn > 0,
         "sweep failed to notice GC ignoring registered readers — the \
@@ -298,7 +288,7 @@ struct Overlaps {
 /// both counters of one pair, so a snapshot at timestamp `S` holds
 /// every commit up to `S`, whole, iff each pair agrees and the pairs
 /// sum to `S` minus the clock's reading when the run began.
-fn overlapping_install_windows(seeds: std::ops::Range<u64>) -> Overlaps {
+fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutation]) -> Overlaps {
     const COMMITS: i64 = 3;
     const SNAPSHOTS: usize = 8;
     #[derive(Default)]
@@ -316,9 +306,10 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>) -> Overlaps {
         stage: Arc<Stage>,
     }
     let (broken, waited) = (AtomicU64::new(0), AtomicU64::new(0));
-    txboost_sched::sweep_setup(
+    txboost_sched::sweep_staged(
         seeds,
         3,
+        staged,
         || W {
             tm: TxnManager::default(),
             pairs: std::array::from_fn(|_| std::array::from_fn(|_| BoostedCounter::new())),
@@ -419,7 +410,7 @@ fn commits_publish_in_timestamp_order_on_every_seed() {
     let _g = domain_guard();
     let seeds = txboost_sched::seeds_from_env(60);
     let runs = seeds.end - seeds.start;
-    let seen = overlapping_install_windows(seeds);
+    let seen = overlapping_install_windows(seeds, &[]);
     assert_eq!(
         seen.broken, 0,
         "t + 1 became visible, or returned, ahead of t"
@@ -522,9 +513,8 @@ fn publishing_out_of_order_is_caught_by_the_sweep() {
     // of the older commit in it (or the younger one returning early).
     // If this stopped firing, the honest test above would be vacuous.
     let _g = domain_guard();
-    let _restore = MutationsOff;
-    MvccDomain::global().publish_out_of_order_for_test(true);
-    let seen = overlapping_install_windows(txboost_sched::seeds_from_env(60));
+    let seeds = txboost_sched::seeds_from_env(60);
+    let seen = overlapping_install_windows(seeds, &[det::Mutation::PublishOutOfOrder]);
     assert!(
         seen.broken > 0,
         "sweep failed to notice commits publishing out of timestamp order — \

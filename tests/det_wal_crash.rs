@@ -127,9 +127,9 @@ struct RunResult {
 /// One deterministic run: seed the bank (setup, un-scheduled), then
 /// WORKERS transfer threads under the seeded scheduler. `kill_at` arms
 /// the storage kill switch at that 1-based tick; `None` runs to
-/// completion. `ack_before_sync` stages the mutation the sweep must
-/// catch: the log moves its durable watermark before the fsync.
-fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult {
+/// completion. `staged` holds the mutations the scheduled run starts
+/// with (the seeding runs before it, so it is always honest).
+fn run_once(seed: u64, kill_at: Option<u64>, staged: &[det::Mutation]) -> RunResult {
     let storage = Arc::new(SimStorage::new(seed));
     if let Some(tick) = kill_at {
         storage.arm_kill(tick);
@@ -155,7 +155,6 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
     );
     if let Ok(wal) = wal {
         let wal = Arc::new(wal);
-        wal.ack_before_sync_for_test(ack_before_sync);
         // Seed deterministically, single-threaded, before the
         // scheduler: in-memory commit via the executor (WAL not yet
         // attached), matching log record enqueued by hand.
@@ -175,7 +174,7 @@ fn run_once(seed: u64, kill_at: Option<u64>, ack_before_sync: bool) -> RunResult
             acked: AtomicU64::new(0),
             committed: AtomicU64::new(0),
         };
-        let report = txboost_sched::run_with_seed(seed, WORKERS, |tid| {
+        let report = txboost_sched::run_staged(seed, WORKERS, staged, |tid| {
             let mut rng = seed ^ (tid as u64).wrapping_mul(0x9E37_79B9);
             for _ in 0..TRANSFERS {
                 det::yield_point(det::Point::User);
@@ -290,7 +289,7 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
     let mut unreached = WAL_POINTS.to_vec();
 
     for seed in txboost_sched::seeds_from_env(4) {
-        let baseline = run_once(seed, None, false);
+        let baseline = run_once(seed, None, &[]);
         let ticks = baseline.ticks;
         if let Some(report) = &baseline.report {
             unreached.retain(|&point| !report.reached(point));
@@ -308,7 +307,7 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
         );
 
         for kill in 1..=ticks {
-            let run = run_once(seed, Some(kill), false);
+            let run = run_once(seed, Some(kill), &[]);
             let ctx = format!("seed {seed} kill tick {kill}/{ticks}");
             let records = check_recovery(&run, &ctx);
             saw_ack |= run.acked > 0;
@@ -338,7 +337,7 @@ fn crash_at_every_tick_recovers_a_committed_prefix() {
 /// committed-prefix checks reject the result.
 #[test]
 fn mutation_losing_the_log_head_is_caught() {
-    let run = run_once(1, None, false);
+    let run = run_once(1, None, &[]);
     run.storage.reboot();
     let ids = run.storage.list_segments().expect("list");
     assert!(!ids.is_empty());
@@ -367,9 +366,9 @@ fn mutation_losing_the_log_head_is_caught() {
 fn mutation_acking_before_the_fsync_is_caught() {
     // About three seeds in five stage the race; `any` stops at the first.
     let caught = txboost_sched::seeds_from_env(16).any(|seed| {
-        let ticks = run_once(seed, None, true).ticks;
+        let ticks = run_once(seed, None, &[det::Mutation::AckBeforeSync]).ticks;
         (1..=ticks).any(|kill| {
-            let run = run_once(seed, Some(kill), true);
+            let run = run_once(seed, Some(kill), &[det::Mutation::AckBeforeSync]);
             run.storage.reboot();
             let log = recover(run.storage.as_ref()).expect("recover");
             (log.records.len() as u64) < run.acked
