@@ -258,7 +258,6 @@ fn bench_txn_config(think: Duration) -> TxnConfig {
         // timeouts instead of waiting their turn.
         lock_timeout: think.max(Duration::from_millis(1)) * 20,
         max_retries: None,
-        ..TxnConfig::default()
     }
 }
 
@@ -560,7 +559,6 @@ pub fn pipeline_run(capacity: usize, cfg: &RunConfig) -> RunResult {
     let tm = Arc::new(TxnManager::new(TxnConfig {
         lock_timeout: Duration::from_millis(20),
         max_retries: Some(0),
-        ..TxnConfig::default()
     }));
     let queues: Vec<BoostedBlockingQueue<i64>> = (0..stages - 1)
         .map(|_| BoostedBlockingQueue::new(capacity))

@@ -194,11 +194,11 @@ mod tests {
     fn concurrent_alloc_free_conserves_slots() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let arena: TxSlabAlloc<usize> = TxSlabAlloc::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for th in 0..8usize {
                 let tm = std::sync::Arc::clone(&tm);
                 let arena = arena.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     use rand::prelude::*;
                     let mut rng = StdRng::seed_from_u64(th as u64);
                     let mut mine = Vec::new();
@@ -237,8 +237,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(arena.is_empty(), "slots leaked: {}", arena.len());
     }
 }

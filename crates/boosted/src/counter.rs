@@ -133,18 +133,17 @@ mod tests {
     fn increment_only_workload_never_aborts() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let c = BoostedCounter::new();
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for _ in 0..8 {
                 let tm = std::sync::Arc::clone(&tm);
                 let c = c.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for _ in 0..500 {
                         tm.run(|t| c.add(t, 1)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(c.peek(), 4000);
         assert_eq!(tm.stats().snapshot().aborted, 0);
     }
@@ -154,7 +153,6 @@ mod tests {
         let tm = TxnManager::new(TxnConfig {
             lock_timeout: std::time::Duration::from_millis(5),
             max_retries: Some(0),
-            ..TxnConfig::default()
         });
         let c = BoostedCounter::new();
         tm.run(|t| c.add(t, 5)).unwrap();
@@ -179,7 +177,6 @@ mod tests {
         let tm = TxnManager::new(TxnConfig {
             lock_timeout: std::time::Duration::from_millis(5),
             max_retries: Some(0),
-            ..TxnConfig::default()
         });
         let c = BoostedCounter::new();
         let adder = tm.begin();

@@ -205,12 +205,12 @@ mod tests {
         let tm = std::sync::Arc::new(TxnManager::default());
         let gen = UniqueIdGen::new(ReleasePolicy::Recycle);
         let all = std::sync::Mutex::new(Vec::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..8u64 {
                 let tm = std::sync::Arc::clone(&tm);
                 let gen = gen.clone();
                 let all = &all;
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     use rand::prelude::*;
                     let mut rng = StdRng::seed_from_u64(th);
                     let mut mine = Vec::new();
@@ -232,8 +232,7 @@ mod tests {
                     all.lock().unwrap().extend(mine);
                 });
             }
-        })
-        .unwrap();
+        });
         let mut ids = all.into_inner().unwrap();
         let n = ids.len();
         ids.sort_unstable();
@@ -245,18 +244,17 @@ mod tests {
     fn transactions_assigning_ids_never_conflict() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let gen = UniqueIdGen::default();
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for _ in 0..8 {
                 let tm = std::sync::Arc::clone(&tm);
                 let gen = gen.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for _ in 0..500 {
                         tm.run(|t| gen.assign_id(t)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = tm.stats().snapshot();
         assert_eq!(snap.committed, 4000);
         assert_eq!(snap.aborted, 0, "id assignment must be conflict-free");

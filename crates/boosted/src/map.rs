@@ -245,17 +245,16 @@ mod tests {
     fn distinct_keys_never_conflict() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let m = std::sync::Arc::new(BoostedHashMap::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..8usize {
                 let (tm, m) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&m));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for i in 0..200 {
                         tm.run(|t| m.put(t, th * 1000 + i, i)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = tm.stats().snapshot();
         assert_eq!(snap.aborted, 0);
         assert_eq!(m.len(), 1600);
@@ -309,10 +308,10 @@ mod tests {
             m.put(t, "bob", 100i64)
         })
         .unwrap();
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..4u64 {
                 let (tm, m) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&m));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     use rand::prelude::*;
                     let mut rng = StdRng::seed_from_u64(th);
                     for _ in 0..200 {
@@ -333,8 +332,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let total = tm
             .run(|t| Ok(m.get(t, &"alice")?.unwrap() + m.get(t, &"bob")?.unwrap()))
             .unwrap();

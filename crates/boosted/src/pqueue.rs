@@ -299,11 +299,11 @@ mod tests {
         let threads = 6;
         let per = 300i64;
         let removed: std::sync::Mutex<Vec<i64>> = std::sync::Mutex::new(Vec::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..threads {
                 let (tm, q) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&q));
                 let removed = &removed;
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for i in 0..per {
                         if th % 2 == 0 {
                             tm.run(|t| q.add(t, th * per + i)).unwrap();
@@ -313,8 +313,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut drained = Vec::new();
         while let Some(k) = tm.run(|t| q.remove_min(t)).unwrap() {
             drained.push(k);
@@ -336,10 +335,10 @@ mod tests {
         // remove_mins (exclusive).
         let tm = std::sync::Arc::new(tm());
         let q = std::sync::Arc::new(BoostedPQueue::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..8u64 {
                 let (tm, q) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&q));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     use rand::prelude::*;
                     let mut rng = StdRng::seed_from_u64(th);
                     for _ in 0..200 {
@@ -351,8 +350,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(tm.stats().snapshot().committed, 8 * 200);
     }
 }

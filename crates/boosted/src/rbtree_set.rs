@@ -167,17 +167,16 @@ mod tests {
     fn concurrent_transactions_serialize_but_all_commit() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let s = std::sync::Arc::new(BoostedRbTreeSet::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..4i64 {
                 let (tm, s) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&s));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for i in 0..200 {
                         tm.run(|t| s.add(t, th * 1000 + i)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(s.len(), 800);
         s.check_invariants().unwrap();
     }

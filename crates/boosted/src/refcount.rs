@@ -331,11 +331,11 @@ mod tests {
     fn concurrent_incr_decr_pairs_balance() {
         let tm = Arc::new(TxnManager::default());
         let rc = BoostedRefCount::new(1);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let tm = Arc::clone(&tm);
                 let rc = rc.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..500 {
                         let rc2 = rc.clone();
                         tm.run(move |t| {
@@ -347,8 +347,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(rc.effective_count(), 1);
         assert_eq!(rc.reclaim_count(), 0, "count transiently hit zero");
     }

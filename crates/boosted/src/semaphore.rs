@@ -145,7 +145,6 @@ mod tests {
         TxnManager::new(TxnConfig {
             lock_timeout: Duration::from_millis(10),
             max_retries: Some(0),
-            ..TxnConfig::default()
         })
     }
 
@@ -238,11 +237,11 @@ mod tests {
     fn permits_conserved_under_concurrent_acquire_release() {
         let tm = std::sync::Arc::new(TxnManager::default());
         let sem = TSemaphore::new(4);
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for _ in 0..8 {
                 let tm = std::sync::Arc::clone(&tm);
                 let sem = sem.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for _ in 0..200 {
                         tm.run(|txn| {
                             sem.acquire(txn)?;
@@ -253,8 +252,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(sem.available(), 4, "permits leaked or lost");
     }
 }

@@ -188,7 +188,6 @@ mod tests {
         TxnManager::new(TxnConfig {
             lock_timeout: Duration::from_millis(5),
             max_retries: Some(0),
-            ..TxnConfig::default()
         })
     }
 
@@ -252,17 +251,16 @@ mod tests {
     fn disjoint_keys_never_conflict() {
         let tm = std::sync::Arc::new(tm());
         let s = std::sync::Arc::new(BoostedSkipListSet::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..8i64 {
                 let (tm, s) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&s));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for i in 0..200 {
                         tm.run(|t| s.add(t, th * 1000 + i)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = tm.stats().snapshot();
         assert_eq!(snap.committed, 1600);
         assert_eq!(snap.aborted, 0, "disjoint-key transactions aborted");
@@ -339,10 +337,10 @@ mod tests {
     fn concurrent_mixed_transactions_preserve_set_semantics() {
         let tm = std::sync::Arc::new(tm());
         let s = std::sync::Arc::new(BoostedSkipListSet::new());
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for th in 0..6u64 {
                 let (tm, s) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&s));
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     use rand::prelude::*;
                     let mut rng = StdRng::seed_from_u64(th);
                     for _ in 0..300 {
@@ -355,8 +353,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = s.snapshot();
         assert!(snap.windows(2).all(|w| w[0] < w[1]), "set invariant broken");
     }
@@ -369,14 +366,14 @@ mod tests {
         let s = std::sync::Arc::new(BoostedSkipListSet::new());
         tm.run(|t| s.add(t, 0)).unwrap();
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             {
                 let (tm, s, stop) = (
                     std::sync::Arc::clone(&tm),
                     std::sync::Arc::clone(&s),
                     std::sync::Arc::clone(&stop),
                 );
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     for _ in 0..300 {
                         tm.run(|t| {
                             if s.contains(t, &0)? {
@@ -394,7 +391,7 @@ mod tests {
                 });
             }
             let (tm, s) = (std::sync::Arc::clone(&tm), std::sync::Arc::clone(&s));
-            sc.spawn(move |_| {
+            sc.spawn(move || {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let (a, b) = tm
                         .run(|t| Ok((s.contains(t, &0)?, s.contains(t, &1)?)))
@@ -402,7 +399,6 @@ mod tests {
                     assert!(a ^ b, "token observed in both/neither place: {a} {b}");
                 }
             });
-        })
-        .unwrap();
+        });
     }
 }

@@ -56,7 +56,6 @@ fn run_check<S: PartialEq + Debug, R>(
     let tm = TxnManager::new(TxnConfig {
         lock_timeout: Duration::from_millis(1),
         max_retries: Some(0),
-        ..TxnConfig::default()
     });
     let (lock, mode) = request;
     let before = state();

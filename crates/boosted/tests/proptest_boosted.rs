@@ -65,7 +65,6 @@ proptest! {
         let tm = TxnManager::new(txboost_core::TxnConfig {
             lock_timeout: std::time::Duration::from_millis(1),
             max_retries: Some(0),
-            ..txboost_core::TxnConfig::default()
         });
         let initial = 3u64;
         let sem = TSemaphore::new(initial);

@@ -346,7 +346,6 @@ mod tests {
         TxnManager::new(TxnConfig {
             lock_timeout: Duration::from_millis(timeout_ms),
             max_retries: Some(0),
-            ..TxnConfig::default()
         })
     }
 

@@ -65,13 +65,9 @@ pub struct TxnConfig {
     /// abstract locking.
     pub lock_timeout: Duration,
     /// Retry budget for [`TxnManager::run`]. `None` retries forever,
-    /// which matches the paper's experimental setup.
+    /// which matches the paper's experimental setup. Retries back off
+    /// by [`Backoff::default`].
     pub max_retries: Option<u64>,
-    /// Initial ceiling for randomized exponential backoff between
-    /// retries.
-    pub backoff_min: Duration,
-    /// Maximum backoff ceiling.
-    pub backoff_max: Duration,
 }
 
 impl Default for TxnConfig {
@@ -79,8 +75,6 @@ impl Default for TxnConfig {
         TxnConfig {
             lock_timeout: Duration::from_millis(10),
             max_retries: None,
-            backoff_min: Duration::from_micros(5),
-            backoff_max: Duration::from_millis(1),
         }
     }
 }
@@ -657,7 +651,7 @@ impl TxnManager {
     /// or `Err(TxnError::RetriesExhausted)` if
     /// [`TxnConfig::max_retries`] is set and exceeded.
     pub fn run<R>(&self, mut body: impl FnMut(&Txn) -> TxResult<R>) -> Result<R, TxnError> {
-        let mut backoff = Backoff::new(self.config.backoff_min, self.config.backoff_max);
+        let mut backoff = Backoff::default();
         let mut attempts: u64 = 0;
         loop {
             let txn = self.begin();

@@ -182,10 +182,10 @@ mod tests {
         for k in [1, 3, 5] {
             stm.run(|t| l.add(t, k)).unwrap();
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for th in 0..2 {
                 let (stm, l) = (std::sync::Arc::clone(&stm), std::sync::Arc::clone(&l));
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let k = if th == 0 { 2 } else { 4 };
                     for _ in 0..500 {
                         stm.run(|t| l.add(t, k)).unwrap();
@@ -193,8 +193,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = stm.run(|t| l.to_sorted_vec(t)).unwrap();
         assert_eq!(snap, vec![1, 3, 5]);
         // Conflict-abort *counts* are scheduling dependent; the figures
@@ -206,17 +205,16 @@ mod tests {
     fn concurrent_disjoint_keys_all_commit() {
         let stm = std::sync::Arc::new(Stm::default());
         let l = std::sync::Arc::new(StmListSet::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for th in 0..4i32 {
                 let (stm, l) = (std::sync::Arc::clone(&stm), std::sync::Arc::clone(&l));
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..100 {
                         assert!(stm.run(|t| l.add(t, th * 100 + i)).unwrap());
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = stm.run(|t| l.to_sorted_vec(t)).unwrap();
         assert_eq!(snap.len(), 400);
         assert!(snap.windows(2).all(|w| w[0] < w[1]));

@@ -250,18 +250,17 @@ mod tests {
         let t = std::sync::Arc::new(StmRbTreeSet::new());
         let threads = 4;
         let per = 200i64;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for th in 0..threads {
                 let (stm, t) = (std::sync::Arc::clone(&stm), std::sync::Arc::clone(&t));
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
                         let k = th * per + i;
                         assert!(stm.run(|txn| t.add(txn, k)).unwrap());
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = stm.run(|txn| t.to_sorted_vec(txn)).unwrap();
         assert_eq!(snap.len(), (threads * per) as usize);
         stm.run(|txn| t.check_invariants(txn)).unwrap().unwrap();
@@ -274,10 +273,10 @@ mod tests {
     fn concurrent_mixed_workload_stays_a_set() {
         let stm = std::sync::Arc::new(Stm::default());
         let t = std::sync::Arc::new(StmRbTreeSet::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for th in 0..4 {
                 let (stm, t) = (std::sync::Arc::clone(&stm), std::sync::Arc::clone(&t));
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(th);
                     for _ in 0..300 {
                         let k: i64 = rng.random_range(0..40);
@@ -289,8 +288,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = stm.run(|txn| t.to_sorted_vec(txn)).unwrap();
         assert!(snap.windows(2).all(|w| w[0] < w[1]), "duplicates in set");
         stm.run(|txn| t.check_invariants(txn)).unwrap().unwrap();

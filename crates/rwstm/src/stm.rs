@@ -322,7 +322,7 @@ impl Stm {
         &self,
         mut body: impl FnMut(&mut StmTxn<'_>) -> TxResult<R>,
     ) -> Result<R, TxnError> {
-        let mut backoff = Backoff::new(self.config.backoff_min, self.config.backoff_max);
+        let mut backoff = Backoff::default();
         let mut attempts: u64 = 0;
         loop {
             let mut txn = StmTxn {
@@ -458,11 +458,11 @@ mod tests {
         let v = StmVar::new(0i64);
         let threads = 8;
         let per = 500;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..threads {
                 let stm = std::sync::Arc::clone(&stm);
                 let v = v.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..per {
                         stm.run(|txn| {
                             let x = v.read(txn)?;
@@ -473,8 +473,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(v.load(), threads * per);
         // (Abort counts are workload/scheduling dependent — the
         // deterministic conflict test below pins down abort behaviour.)
@@ -488,11 +487,11 @@ mod tests {
         let stm = std::sync::Arc::new(Stm::default());
         let a = StmVar::new(500i64);
         let b = StmVar::new(500i64);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let stm = std::sync::Arc::clone(&stm);
                 let (a, b) = (a.clone(), b.clone());
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..500 {
                         if t % 2 == 0 {
                             stm.run(|txn| {
@@ -518,8 +517,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(a.load() + b.load(), 1000);
     }
 

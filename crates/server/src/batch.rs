@@ -9,18 +9,19 @@
 //!
 //! ## One durability wait per tick
 //!
-//! The tick is also the unit of acknowledgement: no reply leaves before
-//! the tick has been executed in full. So under a WAL no transaction of
-//! the tick blocks on its own commit record; each seals its record into
-//! the log's pending buffer, and [`Batcher::run_tick`] waits once,
-//! after the last request, on the highest LSN the tick was given. With
-//! nobody else flushing, that wait *leads*: the loop thread itself
-//! writes the tick's records in one `write` and makes them durable with
-//! one `fsync` — no hand-off to another thread — and another loop's
-//! tick that queued behind it is covered by the same fsync.
-//! *Ack-after-durable* is unchanged: `run_tick` returns `true` — and
-//! only then are replies flushed — once every record of the tick is
-//! durable. It returns `false` when the log refused a record or storage
+//! The tick is also the unit of acknowledgement, and the only thing
+//! that waits for the log. No transaction of the tick blocks on its
+//! commit record; each seals it into the log's pending buffer, and
+//! [`Batcher::run_tick`] waits once, after the last request, until the
+//! log covers the newest record enqueued before the wait — the tick's
+//! own and any other loop's. A reply can show another loop's commit (a
+//! locked read after that loop released its locks, or a snapshot read),
+//! so waiting only for the tick's own records could acknowledge a read
+//! of a commit a crash then loses. With nobody else flushing, the wait
+//! *leads*: the loop thread itself writes the pending records in one
+//! `write` and makes them durable with one `fsync`. `run_tick` returns
+//! `true` — and only then are replies flushed — once that holds. It
+//! returns `false` when the log refused a record of the tick or storage
 //! failed: the tick's commits stand in memory but must not be
 //! acknowledged, and the server stops (see DESIGN §13).
 
@@ -96,12 +97,13 @@ impl Batcher {
     /// from emission order here.
     ///
     /// A reply is emitted when its transaction has committed, which
-    /// under a WAL is before the commit record is durable; the records
-    /// of the whole tick are awaited once, before this returns. The
-    /// caller must not let an emitted reply out before then (the event
-    /// loop flushes after the tick) — and not at all when this returns
-    /// `false`: some commit of the tick is not durable and never will
-    /// be (the log failed, or was shut down under the tick).
+    /// under a WAL is before the commit record is durable; every record
+    /// enqueued before the tick's end is awaited once, before this
+    /// returns. The caller must not let an emitted reply out before
+    /// then (the event loop flushes after the tick) — and not at all
+    /// when this returns `false`: some commit the tick's replies may
+    /// show is not durable and never will be (the log failed, or was
+    /// shut down under the tick).
     pub fn run_tick<T>(
         &self,
         exec: &Executor,
@@ -115,14 +117,14 @@ impl Batcher {
             let resp = match req {
                 Request::Script { req_id, ops } => {
                     scripts += 1;
-                    script_response(req_id, exec.run_deferred(&ops, &mut records))
+                    script_response(req_id, exec.run_in_tick(&ops, &mut records))
                 }
                 req => other(req),
             };
             emit(token, resp);
         }
         exec.count_tick(scripts);
-        records.wait()
+        records.wait(exec)
     }
 }
 
@@ -317,7 +319,42 @@ mod tests {
         assert_eq!(tick(&e, vec![add("c", 4)]), (1, false));
         assert_eq!(storage.op_count(), 0);
         assert_eq!(wal.metrics().snapshot().wal_errors, 1);
-        // A tick that logs nothing has nothing to lose.
-        assert_eq!(tick(&e, vec![script().counter_get("c").build()]), (1, true));
+        // A tick that logs nothing still reads commits the log lost, so
+        // it is not durable either.
+        assert_eq!(
+            tick(&e, vec![script().counter_get("c").build()]),
+            (1, false)
+        );
+    }
+
+    #[test]
+    fn a_tick_that_logs_nothing_waits_for_what_it_may_have_read() {
+        // Another loop's commit sits in the log's pending buffer.
+        let (e, wal, _storage) = exec_with_wal();
+        e.execute(&add("c", 5));
+        assert_eq!(wal.metrics().snapshot().records, 0);
+        // A tick that only reads it (locked, or from a snapshot) writes
+        // it before replying.
+        let read = script().counter_get("c").build();
+        let reqs = vec![
+            (0, locked(0, read.clone())),
+            (
+                1,
+                Request::ReadOnlyScript {
+                    req_id: 1,
+                    ops: read,
+                },
+            ),
+        ];
+        let mut seen = Vec::new();
+        let durable = Batcher.run_tick(&e, reqs, |req| other(&e, req), |_, resp| seen.push(resp));
+        assert!(durable);
+        assert_eq!(wal.metrics().snapshot().records, 1);
+        for resp in seen {
+            let Response::Script { results, .. } = resp else {
+                panic!("{resp:?}")
+            };
+            assert_eq!(results, vec![OpResult::Value(Some(5))]);
+        }
     }
 }

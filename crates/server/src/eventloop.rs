@@ -29,12 +29,12 @@
 //! A graceful drain stops accepting, stops reading each connection at
 //! its next frame boundary — on the first draining tick for one that
 //! is already at one, so an idle connection closes at once; a mid-frame
-//! connection gets [`crate::ServerConfig::drain_grace`] to finish —
+//! connection gets [`DRAIN_GRACE`] to finish —
 //! executes every decoded script, and closes once replies are flushed.
 
 use crate::batch::{script_response, Batcher};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::{proto_error_code, Shared};
+use crate::{proto_error_code, Shared, POLL_INTERVAL};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -45,6 +45,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use txboost_wire as wire;
 use txboost_wire::{FrameDecoder, Request, Response, WireError};
+
+/// How long a drain waits for a half-received frame before giving up
+/// on that connection.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// Epoll token of the listening socket.
 const TOK_LISTENER: u64 = 0;
@@ -148,10 +152,10 @@ struct EConn {
 }
 
 impl EConn {
-    fn new(stream: TcpStream, max_frame: u32) -> EConn {
+    fn new(stream: TcpStream) -> EConn {
         EConn {
             stream,
-            dec: FrameDecoder::new(max_frame),
+            dec: FrameDecoder::new(wire::MAX_FRAME_LEN),
             out: Vec::new(),
             out_pos: 0,
             reply_ends: VecDeque::new(),
@@ -208,14 +212,14 @@ fn event_loop(
     // would be zeroed on every `service_read`.
     let mut read_buf = vec![0u8; 16 * 1024];
     let mut accept_cooldown: Option<Instant> = None;
-    let mut accept_backoff = shared.cfg.poll_interval.max(Duration::from_millis(1));
+    let mut accept_backoff = POLL_INTERVAL;
     let mut draining = false;
     let mut drain_deadline = Instant::now();
 
     loop {
         if !draining && shared.shutdown.load(Ordering::SeqCst) {
             draining = true;
-            drain_deadline = Instant::now() + shared.cfg.drain_grace;
+            drain_deadline = Instant::now() + DRAIN_GRACE;
             if listener_registered {
                 let _ = epoll.delete(listener.as_raw_fd());
                 listener_registered = false;
@@ -258,7 +262,7 @@ fn event_loop(
         }
 
         let n = epoll
-            .wait(&mut events, Some(shared.cfg.poll_interval))
+            .wait(&mut events, Some(POLL_INTERVAL))
             .unwrap_or_default();
 
         let mut accept_ready = false;
@@ -408,14 +412,14 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                *accept_backoff = shared.cfg.poll_interval.max(Duration::from_millis(1));
+                *accept_backoff = POLL_INTERVAL;
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
                 let metrics = &shared.exec.conns;
                 metrics.accepted.fetch_add(1, Ordering::Relaxed);
                 metrics.open.fetch_add(1, Ordering::Relaxed);
-                let conn = EConn::new(stream, shared.cfg.max_frame);
+                let conn = EConn::new(stream);
                 let idx = match free.pop() {
                     Some(idx) => idx,
                     None => {

@@ -17,8 +17,10 @@
 //! for its ops, not for being watched.
 //!
 //! A script, a script of a poll tick and a snapshot read are one
-//! transaction with a different durability wait or [`TxnManager`]
-//! entry, so the entry points wrap one private core, [`Executor::run`].
+//! transaction with a different [`TxnManager`] entry, so the entry
+//! points wrap one private core, [`Executor::run`]. None of them waits
+//! for the log: a poll tick does, once, before its replies leave
+//! ([`crate::Batcher::run_tick`]).
 
 use crate::namespace::{Namespace, Resolved};
 use std::cell::Cell;
@@ -31,7 +33,7 @@ use txboost_core::locks::{AbstractLock, Mode as LockMode};
 use txboost_core::{
     Abort, HistogramSnapshot, KeyHash, LatencyHistogram, TxResult, Txn, TxnConfig, TxnManager,
 };
-use txboost_wal::{GroupCommitWal, RecoveredRecord, Ticket};
+use txboost_wal::{GroupCommitWal, RecoveredRecord};
 use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
 
 /// Outcome of executing one script server-side.
@@ -46,40 +48,27 @@ pub struct ScriptOutcome {
     pub failed_op: Option<u16>,
     /// Per-op results; empty unless committed.
     pub results: Vec<OpResult>,
-    /// Whether the commit record reached durable storage before the
-    /// reply: `Some(true)` for a WAL-logged commit an fsync covers,
-    /// `Some(false)` if the WAL hit an I/O error or refused the record
-    /// (the in-memory commit stands), `None` when no record was logged
-    /// (WAL off, read-only script, or not committed) or the wait was
-    /// deferred to the end of the poll tick.
-    pub wal_durable: Option<bool>,
 }
 
-/// The commit records a poll tick has logged and not yet waited for.
-/// One thread enqueues a tick's records one after the other, so the
-/// last ticket the log accepted carries the tick's highest LSN.
+/// What a poll tick must remember of its commit records before it
+/// acknowledges: whether the log refused one of them.
 #[derive(Debug, Default)]
-pub(crate) struct TickRecords<'w> {
-    last: Option<Ticket<'w>>,
+pub(crate) struct TickRecords {
     /// The log refused one of the tick's records (it was shut down, or
-    /// has failed): waiting on `last` alone would report a tick durable
-    /// whose later commits were never logged.
+    /// has failed): that commit is not logged, whatever the log covers.
     refused: bool,
 }
 
-impl<'w> TickRecords<'w> {
-    fn push(&mut self, ticket: Ticket<'w>) {
-        if ticket.lsn().is_some() {
-            self.last = Some(ticket);
-        } else {
-            self.refused = true;
-        }
-    }
-
-    /// Wait — leading the flush — until every record of the tick is
-    /// durable; `false` if one was refused or storage failed.
-    pub(crate) fn wait(self) -> bool {
-        !self.refused && self.last.is_none_or(Ticket::wait)
+impl TickRecords {
+    /// The tick's one durability wait: wait — leading the flush — until
+    /// the log covers the newest record enqueued before this call, the
+    /// tick's own or another loop's. Every reply of the tick, a read's
+    /// included, observed only records enqueued before this point, so
+    /// none of them shows a commit a crash can still lose. `false` if
+    /// one of the tick's records was refused or storage failed; `true`
+    /// at once with no log attached.
+    pub(crate) fn wait(self, exec: &Executor) -> bool {
+        !self.refused && exec.wal.get().is_none_or(|wal| wal.newest().wait())
     }
 }
 
@@ -216,23 +205,19 @@ impl Executor {
 
     /// Run `ops` as one boosted transaction. Never panics on behalf of
     /// the script: every abort path is mapped to a [`ScriptStatus`].
+    /// Under a WAL the commit record is enqueued, not awaited: the next
+    /// poll tick's wait or [`shutdown_wal`](Self::shutdown_wal) makes it
+    /// durable, so the outcome is not an acknowledgement.
     pub fn execute(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Locked, ops, None)
+        self.run(Mode::Locked, ops).0
     }
 
-    /// [`execute`](Self::execute) for a caller that acknowledges a whole
-    /// poll tick at once: instead of blocking until the commit record is
-    /// durable, leave its [`Ticket`] in `tick` (`wal_durable` stays
-    /// `None`). The caller must [`wait`](TickRecords::wait) before a
-    /// reply of the tick leaves the process; in exchange the tick's
-    /// records share one write and one fsync, issued after its last
-    /// script (see [`crate::Batcher::run_tick`]).
-    pub(crate) fn run_deferred<'w>(
-        &'w self,
-        ops: &[ScriptOp],
-        tick: &mut TickRecords<'w>,
-    ) -> ScriptOutcome {
-        self.run(Mode::Locked, ops, Some(tick))
+    /// [`execute`](Self::execute) for a script of a poll tick, which
+    /// must learn if the log refused the script's record.
+    pub(crate) fn run_in_tick(&self, ops: &[ScriptOp], tick: &mut TickRecords) -> ScriptOutcome {
+        let (outcome, refused) = self.run(Mode::Locked, ops);
+        tick.refused |= refused;
+        outcome
     }
 
     /// Count a poll tick that ran `scripts` locked scripts (none: not a
@@ -249,7 +234,7 @@ impl Executor {
     /// `DebugAbort`) are rejected with [`ScriptStatus::ReadOnlyViolation`]
     /// before touching any object.
     pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
-        self.run(Mode::Snapshot, ops, None)
+        self.run(Mode::Snapshot, ops).0
     }
 
     /// [`execute`](Self::execute) each script, in order; always `Some`.
@@ -260,29 +245,24 @@ impl Executor {
     }
 
     /// The one run: begin `mode`'s transaction, run the body, then
-    /// commit or abort — one attempt — and account for it.
+    /// commit or abort — one attempt — and account for it. The flag is
+    /// whether the log refused the commit record.
     ///
     /// Ops and scripts are counted on every run; the clock is read only
     /// on a timed one ([`TIMED_EVERY`]). There, per-op service times use
     /// **chained stamps**: one clock read per op boundary, each op's
     /// sample being the gap to the previous stamp, and the script's
-    /// service time is the whole run: commit included, and the WAL wait
-    /// too unless it is `deferred` to the caller.
-    fn run<'w>(
-        &'w self,
-        mode: Mode,
-        ops: &[ScriptOp],
-        deferred: Option<&mut TickRecords<'w>>,
-    ) -> ScriptOutcome {
+    /// service time is the whole run, commit included.
+    fn run(&self, mode: Mode, ops: &[ScriptOp]) -> (ScriptOutcome, bool) {
         let t0 = begin_run_timed().then(Instant::now);
         let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
         let txn = match mode {
             Mode::Locked => self.tm.begin(),
             Mode::Snapshot => self.tm.begin_read_only(),
         };
-        // `Ok`: the commit record's ticket, if it earns one. `Err`: the
+        // `Ok`: whether the log refused the commit record. `Err`: the
         // abort to roll back with, the status it earns, the op to name.
-        let mut body = || -> Result<Option<Ticket>, (Abort, ScriptStatus, Option<u16>)> {
+        let mut body = || -> Result<bool, (Abort, ScriptStatus, Option<u16>)> {
             let objects = self.ns.resolved();
             if mode == Mode::Locked && ops.len() > 1 {
                 // Cannot fail: the wait has no deadline.
@@ -337,46 +317,34 @@ impl Executor {
             }
             // Enqueued while the locks are held, so LSN order is the
             // serialization order; a boosted commit cannot fail after its
-            // body, so every record is a real commit. Awaited after the
-            // commit, with every lock released.
+            // body, so every record is a real commit. Nobody here waits
+            // for it: the poll tick does, before any reply leaves.
             let wal = self.wal.get();
             let wal = wal.filter(|_| ops.iter().any(|sop| op_mutates(&sop.op)));
-            Ok(wal.map(|wal| wal.enqueue(ops)))
+            Ok(wal.is_some_and(|wal| wal.enqueue(ops).lsn().is_none()))
         };
-        let (status, failed_op, ticket) = match body() {
-            Ok(ticket) => {
+        let (status, failed_op, refused) = match body() {
+            Ok(refused) => {
                 self.tm.commit(txn);
-                (ScriptStatus::Committed, None, ticket)
+                (ScriptStatus::Committed, None, refused)
             }
             Err((abort, status, failed_op)) => {
                 self.tm.abort(txn, abort.reason());
                 results.clear();
-                (status, failed_op, None)
+                (status, failed_op, false)
             }
-        };
-        // Group commit: the client's acknowledgement must imply
-        // durability. Wait until an fsync covers the record, leading
-        // the flush if nobody else does — or hand the ticket to a
-        // caller that holds every reply of its tick back until all of
-        // the tick's records are durable.
-        let wal_durable = match (ticket, deferred) {
-            (Some(ticket), Some(tick)) => {
-                tick.push(ticket);
-                None
-            }
-            (ticket, _) => ticket.map(Ticket::wait),
         };
         if let Some(t0) = t0 {
             self.script_hist.record_duration(t0.elapsed());
         }
         self.status_counts[status.index()].fetch_add(1, Ordering::Relaxed);
-        ScriptOutcome {
+        let outcome = ScriptOutcome {
             status,
             attempts: 1,
             failed_op,
             results,
-            wal_durable,
-        }
+        };
+        (outcome, refused)
     }
 
     /// Execute one op on the object it names, borrowed from the namespace.
@@ -823,7 +791,6 @@ mod tests {
         let out = e.execute_read_only(&reads.build());
         assert_eq!(out.status, ScriptStatus::Committed);
         assert_eq!(out.attempts, 1, "snapshot reads never retry");
-        assert_eq!(out.wal_durable, None, "read-only scripts earn no record");
         assert_eq!(
             out.results,
             vec![
@@ -896,17 +863,16 @@ mod tests {
 
         let committed = e.execute(&script().map_insert("m", 1, 10).build());
         assert_eq!(committed.status, ScriptStatus::Committed);
-        assert_eq!(committed.wal_durable, Some(true), "ack implies durable");
-
         // Read-only scripts and failed scripts earn no record.
-        let read_only = e.execute(&script().map_contains("m", 1).build());
-        assert_eq!(read_only.wal_durable, None);
+        e.execute(&script().map_contains("m", 1).build());
         let aborted = e.execute(&script().map_insert("m", 2, 2).debug_abort().build());
         assert_eq!(aborted.status, ScriptStatus::DebugAborted);
-        assert_eq!(aborted.wal_durable, None);
 
+        // `execute` waits for nothing: the record is written by the
+        // next tick's wait or, here, by closing the log.
+        assert!(e.stats_json().contains("\"wal\":{\"records\":0"));
+        assert!(e.shutdown_wal());
         assert!(e.stats_json().contains("\"wal\":{\"records\":1"));
-        e.shutdown_wal();
 
         let log = recover(storage.as_ref()).unwrap();
         assert_eq!(log.records.len(), 1, "exactly the committed script");
@@ -1192,8 +1158,8 @@ mod tests {
                     &[2]
                 } else {
                     let mut tick = TickRecords::default();
-                    let out = e.run_deferred(&adds, &mut tick);
-                    assert!(out.status == ScriptStatus::Committed && tick.wait());
+                    let out = e.run_in_tick(&adds, &mut tick);
+                    assert!(out.status == ScriptStatus::Committed && tick.wait(&e));
                     &[3, 3, 3]
                 };
                 for which in 0..=usize::from(run.is_multiple_of(TIMED_EVERY)) {

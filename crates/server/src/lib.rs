@@ -53,7 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txboost_core::TxnConfig;
-use txboost_wire as wire;
 use txboost_wire::{ProtoErrorCode, WireError};
 
 /// Server tuning knobs.
@@ -66,8 +65,6 @@ pub struct ServerConfig {
     pub event_loops: usize,
     /// Per-connection in-flight request window (backpressure bound).
     pub window: usize,
-    /// Maximum accepted frame payload size.
-    pub max_frame: u32,
     /// Permits a semaphore is created with on first reference.
     pub default_sem_permits: u64,
     /// Ignored: a script's lock waits have no deadline and it runs
@@ -75,11 +72,6 @@ pub struct ServerConfig {
     /// to configure. Kept because the `benchmark/` harness still passes
     /// it to [`Executor::new`].
     pub txn: TxnConfig,
-    /// How long a poll tick may block before re-checking for shutdown.
-    pub poll_interval: Duration,
-    /// How long a drain waits for a half-received frame before giving
-    /// up on that connection.
-    pub drain_grace: Duration,
     /// Durable write-ahead logging; `None` (the default) runs the
     /// classic in-memory server, byte-for-byte unchanged behaviour.
     pub wal: Option<WalServerConfig>,
@@ -90,23 +82,23 @@ pub struct ServerConfig {
 pub struct WalServerConfig {
     /// Segment directory. Recovered on bind; created if missing.
     pub dir: std::path::PathBuf,
-    /// Group-commit batch cap (records per fsync).
+    /// Group-commit batch cap (records per fsync). Segments roll at
+    /// the log's default size.
     pub batch_max: usize,
-    /// Segment size cap before rolling to a new file.
-    pub segment_bytes: u64,
 }
 
 impl WalServerConfig {
-    /// Defaults (batch 64, 16 MiB segments) for `dir`.
+    /// The default batch (64) for `dir`.
     pub fn new(dir: impl Into<std::path::PathBuf>) -> WalServerConfig {
-        let defaults = txboost_wal::WalConfig::default();
         WalServerConfig {
             dir: dir.into(),
-            batch_max: defaults.batch_max,
-            segment_bytes: defaults.segment_bytes,
+            batch_max: txboost_wal::WalConfig::default().batch_max,
         }
     }
 }
+
+/// How long a poll tick may block before re-checking for shutdown.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -117,11 +109,8 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7411".to_string(),
             event_loops: cores,
             window: 32,
-            max_frame: wire::MAX_FRAME_LEN,
             default_sem_permits: 1024,
             txn: TxnConfig::default(),
-            poll_interval: Duration::from_millis(25),
-            drain_grace: Duration::from_secs(2),
             wal: None,
         }
     }
@@ -193,7 +182,7 @@ impl Server {
                 storage,
                 &txboost_wal::WalConfig {
                     batch_max: wal_cfg.batch_max,
-                    segment_bytes: wal_cfg.segment_bytes,
+                    ..txboost_wal::WalConfig::default()
                 },
                 recovered.report.next_lsn,
                 Arc::new(txboost_core::DurabilityMetrics::new()),
@@ -257,7 +246,6 @@ impl Server {
     /// frame, [`Server::shutdown`] from another thread, or — when
     /// `sigterm` is true — SIGTERM), then drain and [`join`](Self::join).
     pub fn wait(self, sigterm: bool) -> bool {
-        let poll = self.shared.cfg.poll_interval;
         loop {
             if self.shutdown_requested() {
                 break;
@@ -269,7 +257,7 @@ impl Server {
             }
             #[cfg(not(unix))]
             let _ = sigterm;
-            std::thread::sleep(poll);
+            std::thread::sleep(POLL_INTERVAL);
         }
         self.join()
     }

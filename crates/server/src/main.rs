@@ -12,9 +12,11 @@
 //!
 //! With `--wal-dir` the server recovers and replays the write-ahead
 //! log in PATH before accepting connections, then logs every
-//! committed mutating script durably (group commit; replies are sent
-//! only after an fsync covers the record). Without it the server is the
-//! classic in-memory one.
+//! committed mutating script (group commit, 16 MiB segments). A poll
+//! tick's replies are sent only after an fsync covers every record
+//! enqueued before the tick's end, so no reply shows a commit a crash
+//! can lose. Without it the server is the classic in-memory one.
+//! Frames are capped at 1 MiB.
 //!
 //! Runs until a wire `Shutdown` frame, SIGTERM, or SIGINT, then drains
 //! gracefully: in-flight transactions finish and get replies before
@@ -26,8 +28,8 @@ use std::str::FromStr;
 use txboost_server::{Server, ServerConfig, WalServerConfig};
 
 const USAGE: &str = "usage: txboost-server [--addr HOST:PORT] [--event-loops N] \
-                     [--window N] [--max-frame BYTES] [--default-sem-permits N] \
-                     [--wal-dir PATH] [--wal-batch N] [--wal-segment-bytes N] \
+                     [--window N] [--default-sem-permits N] \
+                     [--wal-dir PATH] [--wal-batch N] \
                      [--io epoll (accepted and ignored: epoll is the only I/O plane)]";
 
 /// Every command-line mistake ends here: one line, exit status 2.
@@ -65,11 +67,9 @@ fn main() {
             }
             "--event-loops" => cfg.event_loops = parsed(&flag, val()),
             "--window" => cfg.window = parsed(&flag, val()),
-            "--max-frame" => cfg.max_frame = parsed(&flag, val()),
             "--default-sem-permits" => cfg.default_sem_permits = parsed(&flag, val()),
             "--wal-dir" => wal(&mut cfg).dir = val().into(),
             "--wal-batch" => wal(&mut cfg).batch_max = parsed(&flag, val()),
-            "--wal-segment-bytes" => wal(&mut cfg).segment_bytes = parsed(&flag, val()),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;

@@ -16,7 +16,7 @@ const BIN: &str = env!("CARGO_BIN_EXE_txboost-server");
 
 #[test]
 fn usage_errors_print_one_line_and_exit_2() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 9] = [
         &["--window", "x"],   // unparsable value
         &["--io", "threads"], // the removed plane
         &["--workers", "4"],  // a removed flag
@@ -24,6 +24,9 @@ fn usage_errors_print_one_line_and_exit_2() {
         // Scripts cannot deadlock, so there is no timeout or retry cap.
         &["--lock-timeout-us", "10000"],
         &["--max-retries", "64"],
+        // Settings nobody changed are constants now.
+        &["--max-frame", "1048576"],
+        &["--wal-segment-bytes", "8192"],
         &["--addr"], // trailing flag without its value
     ];
     for args in cases {

@@ -1,79 +1,15 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no crates.io access, so this shim provides
-//! the two crossbeam facilities the workspace uses:
-//!
-//! * [`scope`] — scoped threads, implemented over [`std::thread::scope`]
-//!   (child panics propagate as panics rather than `Err`, which is
-//!   equivalent for the test code that `.unwrap()`s the result);
-//! * [`epoch`] — an `Atomic`/`Owned`/`Shared`/`Guard` API with
-//!   *quiescence-based* reclamation: deferred destructions are queued
-//!   globally and freed whenever the number of live guards reaches zero.
-//!   That is a coarser grace period than crossbeam's epochs (garbage can
-//!   accumulate while pins overlap continuously), but it is memory-safe
-//!   under the same contract and reclaims promptly in test/bench
-//!   workloads, which always quiesce.
+//! the one crossbeam facility the workspace uses: [`epoch`] — an
+//! `Atomic`/`Owned`/`Shared`/`Guard` API with *quiescence-based*
+//! reclamation: deferred destructions are queued globally and freed
+//! whenever the number of live guards reaches zero. That is a coarser
+//! grace period than crossbeam's epochs (garbage can accumulate while
+//! pins overlap continuously), but it is memory-safe under the same
+//! contract and reclaims promptly in test/bench workloads, which always
+//! quiesce. Scoped threads come from [`std::thread::scope`].
 
 #![warn(missing_docs)]
 
 pub mod epoch;
-
-mod scope_impl {
-    use std::any::Any;
-
-    /// A handle to a scope's spawned threads; mirrors
-    /// `crossbeam::thread::Scope`.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    /// A handle to a scoped thread; join is optional (the scope joins
-    /// all children on exit).
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Wait for the thread to finish, returning its result.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.0.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a scoped thread. The closure receives the scope so it
-        /// can spawn further threads (crossbeam's signature).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = *self;
-            ScopedJoinHandle(self.inner.spawn(move || f(&scope)))
-        }
-    }
-
-    /// Create a scope for spawning threads that may borrow from the
-    /// enclosing stack frame. All spawned threads are joined before this
-    /// returns. Unlike crossbeam, a panicking child re-raises the panic
-    /// here instead of surfacing it in the `Err` variant; callers that
-    /// `.unwrap()` the result observe identical behaviour.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-pub use scope_impl::{scope, Scope, ScopedJoinHandle};
-
-/// Scoped threads, re-exported under crossbeam's module path.
-pub mod thread {
-    pub use super::scope_impl::{scope, Scope, ScopedJoinHandle};
-}

@@ -12,8 +12,8 @@
 //! frames in one write, fsyncs once, and only then moves the watermark.
 //! Everyone who queued behind it finds their record covered.
 //!
-//! No record is stranded: every enqueuer waits (the event loop once per
-//! tick, on its highest LSN), a waiter that finds its record pending
+//! No record is stranded: the event loop waits once per tick on
+//! [`GroupCommitWal::newest`], a waiter that finds its record pending
 //! writes it, and [`GroupCommitWal::shutdown`] flushes what is left.
 //!
 //! A storage error is **sticky**: after the first failed append or
@@ -187,6 +187,18 @@ impl GroupCommitWal {
         Ticket {
             wal: self,
             lsn: Some(lsn),
+        }
+    }
+
+    /// A ticket for the newest record enqueued so far, whoever enqueued
+    /// it: waiting on it waits for every record enqueued before this
+    /// call. A poll tick waits on it, because any reply of the tick may
+    /// have observed any of those records.
+    pub fn newest(&self) -> Ticket<'_> {
+        let next_lsn = self.pending.lock().next_lsn;
+        Ticket {
+            wal: self,
+            lsn: Some(next_lsn.saturating_sub(1)),
         }
     }
 
@@ -378,6 +390,26 @@ mod tests {
             recovered_lsns(&storage),
             (1..=(THREADS * EACH) as u64).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn the_newest_ticket_covers_every_record_enqueued_before_it() {
+        let storage = Arc::new(SimStorage::new(3));
+        let wal = new_wal(&storage, 1);
+        // Nothing enqueued: nothing to wait for, and nothing written.
+        assert!(wal.newest().wait());
+        assert_eq!(storage.op_count(), 3);
+        // Records enqueued by anyone are covered, one batch each here;
+        // a record enqueued after the call is not.
+        let _ = [1, 2, 3].map(|k| wal.enqueue(&script(k)));
+        let newest = wal.newest();
+        let later = wal.enqueue(&script(4));
+        assert!(newest.wait());
+        assert!(wal.covers(3) && !wal.covers(later.lsn().unwrap()));
+        // Once storage fails, nothing is covered that was not already.
+        storage.arm_kill(storage.op_count() + 1);
+        assert!(!wal.newest().wait());
+        assert!(!wal.newest().wait());
     }
 
     #[test]

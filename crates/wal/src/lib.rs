@@ -17,9 +17,9 @@
 //!   [`Ticket`] (the log and an LSN). Whoever waits first on a record
 //!   still pending *leads*: one write for every pending frame, one
 //!   fsync, then the durable watermark moves and everyone queued
-//!   behind the leader is covered. There is no flusher thread; clients
-//!   are acknowledged after their record is durable, and a storage
-//!   error stops the log for good.
+//!   behind the leader is covered. There is no flusher thread; a
+//!   server poll tick waits on [`GroupCommitWal::newest`] before it
+//!   replies, and a storage error stops the log for good.
 //! * **Recovery** ([`recover`]) — scans the segment directory in LSN
 //!   order, truncates at the first torn or corrupt record, deletes
 //!   everything after the truncation point, and hands back the

@@ -2,7 +2,7 @@
 //! rolling, fsync on demand. Owned by whichever waiter currently leads
 //! the group commit (it holds the writer mutex). The `_det` suffix
 //! marks the functions instrumented with deterministic yield points;
-//! `tests/det_wal_crash.rs` asserts that its runs reach each of them.
+//! `tests/det_tick_crash.rs` asserts that its runs reach each of them.
 
 use std::io;
 use std::sync::Arc;

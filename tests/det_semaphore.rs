@@ -29,7 +29,6 @@ fn exhausted_semaphore_times_out_on_virtual_time() {
             tm: TxnManager::new(TxnConfig {
                 lock_timeout: Duration::from_millis(50),
                 max_retries: Some(0),
-                ..TxnConfig::default()
             }),
             sem: TSemaphore::new(0),
         },

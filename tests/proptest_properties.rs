@@ -157,7 +157,6 @@ proptest! {
         let tm = TxnManager::new(TxnConfig {
             lock_timeout: std::time::Duration::from_millis(1),
             max_retries: Some(0),
-            ..TxnConfig::default()
         });
         let q: BoostedBlockingQueue<i64> = BoostedBlockingQueue::new(16);
         let mut model = std::collections::VecDeque::new();
