@@ -40,13 +40,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txboost_collections::{
-    BoostedBlockingQueue, BoostedListSet, BoostedPQueue, BoostedRbTreeSet, BoostedSkipListSet,
-    UniqueIdGen,
+    BoostedBlockingQueue, BoostedListSet, BoostedPQueue, BoostedRbTreeSet, BoostedSet,
+    BoostedSkipListSet, UniqueIdGen,
 };
-use txboost_core::{TxnConfig, TxnManager, TxnStats, TxnStatsSnapshot};
+use txboost_core::{TxResult, TxnConfig, TxnManager, TxnStats, TxnStatsSnapshot};
+use txboost_linearizable::{LazySkipListSet, LinearizableSet};
 use txboost_rwstm::listset::StmListSet;
 use txboost_rwstm::rbtree::StmRbTreeSet;
-use txboost_rwstm::{Stm, StmVar};
+use txboost_rwstm::{Stm, StmTxn, StmVar};
 
 /// Parameters shared by all experiment runners.
 #[derive(Debug, Clone)]
@@ -282,6 +283,81 @@ fn random_set_op(rng: &mut StdRng, key_range: i64) -> SetOpKind {
     }
 }
 
+/// A boosted set under the Figures 9/10 mix, one method call and the
+/// think time per transaction, prefilled to 50% occupancy. Its aborts
+/// are blamed on `name`.
+fn boosted_set_workload<B>(
+    set: BoostedSet<i64, B>,
+    name: &'static str,
+    key_range: i64,
+    think: Duration,
+) -> Workload
+where
+    B: LinearizableSet<i64> + Default + Send + Sync + 'static,
+{
+    let tm = TxnManager::new(bench_txn_config(think));
+    for k in (0..key_range).step_by(2) {
+        tm.run(|t| set.add(t, k)).unwrap();
+    }
+    let stats = tm.stats();
+    Workload {
+        run_one: Box::new(move |rng| {
+            let op = random_set_op(rng, key_range);
+            tm.run(|t| {
+                match op {
+                    SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
+                    SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
+                    SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
+                }
+                think_wait(think); // paper: sleep inside the txn
+                Ok(())
+            })
+            .unwrap();
+        }),
+        stats,
+        blame: Blame::Object(name),
+    }
+}
+
+/// A read/write STM set's `add`, `remove` and `contains`.
+type StmSetMethods<S> = (
+    fn(&S, &mut StmTxn<'_>, i64) -> TxResult<bool>,
+    fn(&S, &mut StmTxn<'_>, &i64) -> TxResult<bool>,
+    fn(&S, &mut StmTxn<'_>, &i64) -> TxResult<bool>,
+);
+
+/// A read/write STM set under the same mix as [`boosted_set_workload`].
+fn stm_set_workload<S: Send + Sync + 'static>(
+    set: S,
+    (add, remove, contains): StmSetMethods<S>,
+    key_range: i64,
+    think: Duration,
+) -> Workload {
+    let stm = Arc::new(Stm::new(bench_txn_config(think)));
+    for k in (0..key_range).step_by(2) {
+        stm.run(|t| add(&set, t, k)).unwrap();
+    }
+    let stats = stm.stats();
+    let blame = Blame::Stm(Arc::clone(&stm));
+    Workload {
+        run_one: Box::new(move |rng| {
+            let op = random_set_op(rng, key_range);
+            stm.run(|t| {
+                match op {
+                    SetOpKind::Add(k) => add(&set, t, k)?,
+                    SetOpKind::Remove(k) => remove(&set, t, &k)?,
+                    SetOpKind::Contains(k) => contains(&set, t, &k)?,
+                };
+                think_wait(think);
+                Ok(())
+            })
+            .unwrap();
+        }),
+        stats,
+        blame,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Figure 9 — red-black tree: boosting vs read/write STM
 // ---------------------------------------------------------------------
@@ -300,57 +376,22 @@ pub enum Fig9Impl {
 /// Build a Figure 9 workload (competitor pre-filled to 50% occupancy).
 pub fn fig9_workload(which: Fig9Impl, key_range: i64, think: Duration) -> Workload {
     match which {
-        Fig9Impl::Boosted => {
-            let tm = TxnManager::new(bench_txn_config(think));
-            let set = BoostedRbTreeSet::new();
-            for k in (0..key_range).step_by(2) {
-                tm.run(|t| set.add(t, k)).unwrap();
-            }
-            let stats = tm.stats();
-            Workload {
-                run_one: Box::new(move |rng| {
-                    let op = random_set_op(rng, key_range);
-                    tm.run(|t| {
-                        match op {
-                            SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
-                            SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
-                            SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
-                        }
-                        think_wait(think); // paper: sleep inside the txn
-                        Ok(())
-                    })
-                    .unwrap();
-                }),
-                stats,
-                blame: Blame::Object("rbtree"),
-            }
-        }
-        Fig9Impl::RwStm => {
-            let stm = Arc::new(Stm::new(bench_txn_config(think)));
-            let set = StmRbTreeSet::new();
-            for k in (0..key_range).step_by(2) {
-                stm.run(|t| set.add(t, k)).unwrap();
-            }
-            let stats = stm.stats();
-            let blame = Blame::Stm(Arc::clone(&stm));
-            Workload {
-                run_one: Box::new(move |rng| {
-                    let op = random_set_op(rng, key_range);
-                    stm.run(|t| {
-                        match op {
-                            SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
-                            SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
-                            SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
-                        }
-                        think_wait(think);
-                        Ok(())
-                    })
-                    .unwrap();
-                }),
-                stats,
-                blame,
-            }
-        }
+        Fig9Impl::Boosted => boosted_set_workload(
+            BoostedRbTreeSet::with_coarse_lock(),
+            "rbtree",
+            key_range,
+            think,
+        ),
+        Fig9Impl::RwStm => stm_set_workload(
+            StmRbTreeSet::new(),
+            (
+                StmRbTreeSet::add,
+                StmRbTreeSet::remove,
+                StmRbTreeSet::contains,
+            ),
+            key_range,
+            think,
+        ),
     }
 }
 
@@ -377,32 +418,11 @@ pub enum Fig10Lock {
 /// object type, so any throughput difference "can be attributed
 /// entirely to differences in parallelism".
 pub fn fig10_workload(which: Fig10Lock, key_range: i64, think: Duration) -> Workload {
-    let tm = TxnManager::new(bench_txn_config(think));
     let set = match which {
         Fig10Lock::Single => BoostedSkipListSet::with_coarse_lock(),
         Fig10Lock::PerKey => BoostedSkipListSet::new(),
     };
-    for k in (0..key_range).step_by(2) {
-        tm.run(|t| set.add(t, k)).unwrap();
-    }
-    let stats = tm.stats();
-    Workload {
-        run_one: Box::new(move |rng| {
-            let op = random_set_op(rng, key_range);
-            tm.run(|t| {
-                match op {
-                    SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
-                    SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
-                    SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
-                }
-                think_wait(think);
-                Ok(())
-            })
-            .unwrap();
-        }),
-        stats,
-        blame: Blame::Object("skiplist"),
-    }
+    boosted_set_workload(set, "skiplist", key_range, think)
 }
 
 /// Run one Figure 10 configuration.
@@ -488,61 +508,16 @@ pub enum IntroListImpl {
 /// concurrency) against the read/write STM list (false conflicts on
 /// every traversal prefix).
 pub fn intro_list_run(which: IntroListImpl, cfg: &RunConfig) -> RunResult {
-    let think = cfg.think;
     let w = match which {
         IntroListImpl::Boosted => {
-            let tm = TxnManager::new(bench_txn_config(think));
-            let set = BoostedListSet::new();
-            for k in (0..cfg.key_range).step_by(2) {
-                tm.run(|t| set.add(t, k)).unwrap();
-            }
-            let stats = tm.stats();
-            let key_range = cfg.key_range;
-            Workload {
-                run_one: Box::new(move |rng| {
-                    let op = random_set_op(rng, key_range);
-                    tm.run(|t| {
-                        match op {
-                            SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
-                            SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
-                            SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
-                        }
-                        think_wait(think);
-                        Ok(())
-                    })
-                    .unwrap();
-                }),
-                stats,
-                blame: Blame::Object("list"),
-            }
+            boosted_set_workload(BoostedListSet::new(), "list", cfg.key_range, cfg.think)
         }
-        IntroListImpl::RwStm => {
-            let stm = Arc::new(Stm::new(bench_txn_config(think)));
-            let set = StmListSet::new();
-            for k in (0..cfg.key_range).step_by(2) {
-                stm.run(|t| set.add(t, k)).unwrap();
-            }
-            let stats = stm.stats();
-            let key_range = cfg.key_range;
-            let blame = Blame::Stm(Arc::clone(&stm));
-            Workload {
-                run_one: Box::new(move |rng| {
-                    let op = random_set_op(rng, key_range);
-                    stm.run(|t| {
-                        match op {
-                            SetOpKind::Add(k) => set.add(t, k).map(|_| ())?,
-                            SetOpKind::Remove(k) => set.remove(t, &k).map(|_| ())?,
-                            SetOpKind::Contains(k) => set.contains(t, &k).map(|_| ())?,
-                        }
-                        think_wait(think);
-                        Ok(())
-                    })
-                    .unwrap();
-                }),
-                stats,
-                blame,
-            }
-        }
+        IntroListImpl::RwStm => stm_set_workload(
+            StmListSet::new(),
+            (StmListSet::add, StmListSet::remove, StmListSet::contains),
+            cfg.key_range,
+            cfg.think,
+        ),
     };
     drive(cfg, &w)
 }
@@ -675,7 +650,7 @@ pub fn overhead_run(cfg: &RunConfig) -> Vec<(&'static str, f64)> {
 
     // Raw linearizable base object.
     {
-        let set = BoostedSkipListSetBase::default();
+        let set = LazySkipListSet::new();
         for k in (0..cfg.key_range).step_by(2) {
             set.add(k);
         }
@@ -714,10 +689,6 @@ pub fn overhead_run(cfg: &RunConfig) -> Vec<(&'static str, f64)> {
     }
     out
 }
-
-/// Alias so `overhead_run` can name the base object without a direct
-/// linearizable import at every call site.
-type BoostedSkipListSetBase = txboost_linearizable::LazySkipListSet<i64>;
 
 #[cfg(test)]
 mod tests {

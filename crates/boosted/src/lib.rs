@@ -7,9 +7,7 @@
 //!
 //! | Type | Paper example | Base object | Abstract-lock discipline | Inverses |
 //! |---|---|---|---|---|
-//! | [`BoostedSkipListSet`] | `SkipListKey` (Fig. 2) | lazy skip list | lock per key (`LockKey`, Fig. 3) or one coarse lock | `add(x)/true ↩ remove(x)`, `remove(x)/true ↩ add(x)` (Fig. 1) |
-//! | [`BoostedRbTreeSet`] | boosted red-black tree (Sec. 4.1) | synchronized sequential RB tree | single two-phase lock | same Set inverses |
-//! | [`BoostedListSet`] | lock-coupling list (Sec. 1) | hand-over-hand locked list | lock per key | same Set inverses |
+//! | [`BoostedSet`] ([`BoostedSkipListSet`], [`BoostedListSet`], [`BoostedRbTreeSet`]) | `SkipListKey` (Fig. 2); lock-coupling list (Sec. 1); red-black tree (Sec. 4.1) | any `LinearizableSet`: lazy skip list, hand-over-hand locked list, synchronized sequential RB tree | lock per key (`LockKey`, Fig. 3) or one coarse lock (`with_coarse_lock`, Fig. 9's tree) | `add(x)/true ↩ remove(x)`, `remove(x)/true ↩ add(x)` (Fig. 1) |
 //! | [`BoostedPQueue`] | boosted heap (Fig. 5) | Hunt-style concurrent heap | readers-writer: `add` shared, `remove_min` exclusive | `add ↩` mark Holder deleted; `remove_min/x ↩ add(x)` (Fig. 4) |
 //! | [`BoostedBlockingQueue`] | pipeline `BlockingQueue` (Fig. 7) | blocking deque + 2 [`TSemaphore`]s | semaphore gating (state-dependent commutativity) | `offer ↩ take_last`, `take/x ↩ offer_first(x)` (Fig. 6) |
 //! | [`TSemaphore`] | transactional semaphore (Sec. 3.3.1) | counter + condvar | — | `acquire ↩ release`; `release` is **disposable**, deferred to commit |
@@ -67,7 +65,6 @@ mod idgen;
 mod map;
 mod pqueue;
 mod queue;
-mod rbtree_set;
 mod refcount;
 mod semaphore;
 mod set;
@@ -79,7 +76,6 @@ pub use idgen::{ReleasePolicy, UniqueIdGen};
 pub use map::{BoostedHashMap, MapCall};
 pub use pqueue::{BoostedPQueue, PQueueCall};
 pub use queue::BoostedBlockingQueue;
-pub use rbtree_set::BoostedRbTreeSet;
 pub use refcount::{BoostedRefCount, DecrPolicy};
 pub use semaphore::TSemaphore;
-pub use set::{BoostedListSet, BoostedSkipListSet, SetCall};
+pub use set::{BoostedListSet, BoostedRbTreeSet, BoostedSet, BoostedSkipListSet, SetCall};

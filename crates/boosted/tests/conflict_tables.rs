@@ -159,7 +159,16 @@ fn set_calls(check: Check) {
         "list set one lock",
         BoostedListSet::<i64>::with_coarse_lock()
     );
-    check_set!(check, "red-black tree set", BoostedRbTreeSet::<i64>::new());
+    check_set!(
+        check,
+        "red-black tree set per key",
+        BoostedRbTreeSet::<i64>::new()
+    );
+    check_set!(
+        check,
+        "red-black tree set one lock",
+        BoostedRbTreeSet::<i64>::with_coarse_lock()
+    );
 }
 
 fn map_calls(check: Check) {

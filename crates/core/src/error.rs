@@ -20,9 +20,10 @@ pub enum AbortReason {
     /// blocking queue waited past its timeout for a condition that never
     /// became true (e.g. `take` on an empty pipeline stage).
     WouldBlock,
-    /// A mutating call (abstract-lock acquisition, undo logging) was
-    /// attempted inside a read-only snapshot transaction
-    /// ([`crate::TxnManager::begin_read_only`]). Read-only transactions
+    /// A call inside a read-only snapshot transaction
+    /// ([`crate::TxnManager::begin_read_only`]) asked for an abstract
+    /// lock: it mutates, or it reads an object that keeps no committed
+    /// versions (a set, the priority queue). Read-only transactions
     /// never abort on conflicts — this is the one, program-error path
     /// out of them, and it is never retried.
     ReadOnlyViolation,
@@ -37,7 +38,9 @@ impl fmt::Display for AbortReason {
             AbortReason::LockTimeout => "abstract-lock acquisition timed out",
             AbortReason::Conflict => "read/write conflict",
             AbortReason::WouldBlock => "conditional synchronization timed out",
-            AbortReason::ReadOnlyViolation => "mutating call inside a read-only transaction",
+            AbortReason::ReadOnlyViolation => {
+                "abstract lock requested inside a read-only transaction (a mutation, or a read of an object that keeps no versions)"
+            }
             AbortReason::Other => "aborted",
         };
         f.write_str(s)
@@ -82,8 +85,8 @@ impl Abort {
         Abort::new(AbortReason::WouldBlock)
     }
 
-    /// An abort raised by a mutating call inside a read-only snapshot
-    /// transaction.
+    /// An abort raised by an abstract-lock request inside a read-only
+    /// snapshot transaction ([`AbortReason::ReadOnlyViolation`]).
     pub const fn read_only_violation() -> Self {
         Abort::new(AbortReason::ReadOnlyViolation)
     }
@@ -119,8 +122,9 @@ pub enum TxnError {
     /// loop treats them as terminal: the transaction is rolled back and
     /// not re-attempted.
     ExplicitlyAborted,
-    /// A mutating call was attempted inside a read-only snapshot
-    /// transaction ([`crate::TxnManager::run_read_only`]). Like an
+    /// A call inside a read-only snapshot transaction
+    /// ([`crate::TxnManager::run_read_only`]) asked for an abstract
+    /// lock ([`AbortReason::ReadOnlyViolation`]). Like an
     /// explicit abort this is a decision (a program error), not a
     /// transient conflict, and is never retried.
     ReadOnlyViolation,
@@ -133,9 +137,7 @@ impl fmt::Display for TxnError {
                 write!(f, "transaction retry budget exhausted (last abort: {r})")
             }
             TxnError::ExplicitlyAborted => f.write_str("transaction explicitly aborted"),
-            TxnError::ReadOnlyViolation => {
-                f.write_str("mutating call inside a read-only transaction")
-            }
+            TxnError::ReadOnlyViolation => AbortReason::ReadOnlyViolation.fmt(f),
         }
     }
 }

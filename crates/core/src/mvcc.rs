@@ -901,7 +901,7 @@ fn prefetch_hint<T>(p: *const T) {
 pub struct KeyHash(u64);
 
 /// A sharded map from key to [`Slot`] — the per-collection version
-/// side-table behind the boosted map and sets.
+/// side-table behind the boosted map.
 ///
 /// Slots are created on first install. A key with no slot was never
 /// written, hence absent at every snapshot; once created, a slot is

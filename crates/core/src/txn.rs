@@ -228,8 +228,8 @@ impl Txn {
 
     /// Whether this is a read-only snapshot transaction
     /// ([`TxnManager::begin_read_only`]): no abstract locks, no undo
-    /// logging, cannot abort on conflicts. Mutating calls on boosted
-    /// objects fail with [`AbortReason::ReadOnlyViolation`].
+    /// logging, cannot abort on conflicts. Boosted calls that need an
+    /// abstract lock fail with [`AbortReason::ReadOnlyViolation`].
     pub fn is_read_only(&self) -> bool {
         self.snapshot.is_some()
     }
@@ -690,8 +690,9 @@ impl TxnManager {
     /// reader at the global [`crate::MvccDomain`]'s stable timestamp
     /// and reads boosted objects from their version slots at that
     /// snapshot. It acquires no abstract locks, logs no inverses, and
-    /// cannot abort on conflicts — mutating calls fail with
-    /// [`AbortReason::ReadOnlyViolation`] instead. Most callers should
+    /// cannot abort on conflicts — a call that needs an abstract lock
+    /// (a mutation, or a read of an object that keeps no versions) fails
+    /// with [`AbortReason::ReadOnlyViolation`] instead. Most callers should
     /// prefer [`TxnManager::run_read_only`].
     pub fn begin_read_only(&self) -> Txn {
         let id = next_txn_id();
@@ -702,8 +703,9 @@ impl TxnManager {
     /// Run `body` as a read-only snapshot transaction. Exactly one
     /// attempt — there is no conflict to retry: the snapshot is
     /// immutable for the transaction's lifetime, so the only error
-    /// paths are program decisions (an explicit abort, or a mutating
-    /// call answered with [`TxnError::ReadOnlyViolation`]).
+    /// paths are program decisions (an explicit abort, or a call that
+    /// needs an abstract lock, answered with
+    /// [`TxnError::ReadOnlyViolation`]).
     pub fn run_read_only<R>(&self, body: impl FnOnce(&Txn) -> TxResult<R>) -> Result<R, TxnError> {
         let txn = self.begin_read_only();
         match body(&txn) {

@@ -18,6 +18,10 @@
 //! | [`slab`] | concurrent slab allocator | free-storage substrate for transactional malloc/free (Sec. 2) |
 //! | [`counter`] | striped counter and fetch-and-add counter | `getAndAdd()` unique-ID counter (Section 3.4) |
 //!
+//! The three sets ([`LazySkipListSet`], [`LockCouplingList`],
+//! [`SyncRbTreeSet`]) share one interface, [`LinearizableSet`], so one
+//! boosted set wraps any of them.
+//!
 //! Everything here is **non-transactional**: these types know nothing
 //! about transactions, undo logs or abstract locks. The boosted wrappers
 //! live in `txboost-collections` and use these objects exactly as the
@@ -46,3 +50,31 @@ pub use skiplist::LazySkipListSet;
 pub use skipmap::LazySkipListMap;
 pub use slab::{ConcurrentSlab, SlabKey};
 pub use striped_map::StripedHashMap;
+
+/// A linearizable set: the base-object interface a boosted set wraps
+/// (the paper's `ConcurrentSkipListSet` in Fig. 2). `add` and `remove`
+/// report whether the abstract set changed, which is what picks the
+/// inverse a boosted call logs.
+pub trait LinearizableSet<K> {
+    /// Add `key`; returns `true` iff the set changed (the key was
+    /// absent).
+    fn add(&self, key: K) -> bool;
+
+    /// Remove `key`; returns `true` iff the set changed (the key was
+    /// present).
+    fn remove(&self, key: &K) -> bool;
+
+    /// Whether `key` is in the set.
+    fn contains(&self, key: &K) -> bool;
+
+    /// Number of keys (exact only at quiescence).
+    fn len(&self) -> usize;
+
+    /// Whether the set is empty (same caveat as [`LinearizableSet::len`]).
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The keys in ascending order (exact only at quiescence).
+    fn snapshot(&self) -> Vec<K>;
+}

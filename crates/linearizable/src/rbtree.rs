@@ -23,6 +23,7 @@
 //! churn, no parent-pointer `Rc` cycles) it is a copy of the node, key
 //! included.
 
+use crate::LinearizableSet;
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -542,9 +543,15 @@ impl<K: Ord + Clone> RbTreeSet<K> {
 /// sequential tree behind one mutex — a linearizable base type with no
 /// thread-level concurrency, exactly what the paper boosts with a
 /// single two-phase transactional lock.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SyncRbTreeSet<K> {
     inner: Mutex<RbTreeSet<K>>,
+}
+
+impl<K: Ord + Clone> Default for SyncRbTreeSet<K> {
+    fn default() -> Self {
+        SyncRbTreeSet::new()
+    }
 }
 
 impl<K: Ord + Clone> SyncRbTreeSet<K> {
@@ -555,39 +562,31 @@ impl<K: Ord + Clone> SyncRbTreeSet<K> {
         }
     }
 
-    /// Insert `key`; returns `true` iff the set changed.
-    pub fn add(&self, key: K) -> bool {
-        self.inner.lock().add(key)
-    }
-
-    /// Remove `key`; returns `true` iff the set changed.
-    pub fn remove(&self, key: &K) -> bool {
-        self.inner.lock().remove(key)
-    }
-
-    /// Whether `key` is in the set.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.lock().contains(key)
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Keys in ascending order.
-    pub fn to_sorted_vec(&self) -> Vec<K> {
-        self.inner.lock().to_sorted_vec()
-    }
-
     /// Validate the underlying tree's invariants.
     pub fn check_invariants(&self) -> Result<usize, String> {
         self.inner.lock().check_invariants()
+    }
+}
+
+impl<K: Ord + Clone> LinearizableSet<K> for SyncRbTreeSet<K> {
+    fn add(&self, key: K) -> bool {
+        self.inner.lock().add(key)
+    }
+
+    fn remove(&self, key: &K) -> bool {
+        self.inner.lock().remove(key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.inner.lock().contains(key)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.lock().len()
+    }
+
+    fn snapshot(&self) -> Vec<K> {
+        self.inner.lock().to_sorted_vec()
     }
 }
 

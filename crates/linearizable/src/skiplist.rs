@@ -15,15 +15,15 @@
 //! live, in [`crate::skipmap`].
 
 use crate::skipmap::LazySkipListMap;
+use crate::LinearizableSet;
 
 /// A linearizable concurrent sorted-set.
 ///
 /// See the [module docs](self) for the algorithm. The public interface
-/// mirrors the paper's base object: [`add`](LazySkipListSet::add),
-/// [`remove`](LazySkipListSet::remove),
-/// [`contains`](LazySkipListSet::contains), each returning whether the
-/// abstract set changed / holds the key — the booleans the boosted
-/// wrapper uses to select inverses.
+/// is the paper's base object's, [`LinearizableSet`]: `add`, `remove`
+/// and `contains`, each returning whether the abstract set changed /
+/// holds the key — the booleans the boosted wrapper uses to select
+/// inverses.
 pub struct LazySkipListSet<K>(LazySkipListMap<K, ()>);
 
 impl<K> std::fmt::Debug for LazySkipListSet<K> {
@@ -43,39 +43,28 @@ impl<K: Ord> LazySkipListSet<K> {
     pub fn new() -> Self {
         LazySkipListSet(LazySkipListMap::new())
     }
+}
 
-    /// Add `key`; returns `true` iff the set changed (the key was
-    /// absent).
-    pub fn add(&self, key: K) -> bool {
+impl<K: Ord + Clone> LinearizableSet<K> for LazySkipListSet<K> {
+    fn add(&self, key: K) -> bool {
         self.0.put_if_absent(key, ())
     }
 
-    /// Remove `key`; returns `true` iff the set changed (the key was
-    /// present).
-    pub fn remove(&self, key: &K) -> bool {
+    fn remove(&self, key: &K) -> bool {
         self.0.remove(key).is_some()
     }
 
-    /// Whether `key` is in the abstract set. Takes no locks.
-    pub fn contains(&self, key: &K) -> bool {
+    /// Takes no locks.
+    fn contains(&self, key: &K) -> bool {
         self.0.contains_key(key)
     }
 
-    /// Number of present keys (level-0 walk; exact only at quiescence).
-    pub fn len(&self) -> usize {
+    /// A level-0 walk.
+    fn len(&self) -> usize {
         self.0.len()
     }
 
-    /// Whether the set is empty (same caveat as [`LazySkipListSet::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Sorted snapshot of the keys (exact only at quiescence).
-    pub fn snapshot(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
+    fn snapshot(&self) -> Vec<K> {
         self.0.snapshot().into_iter().map(|(k, ())| k).collect()
     }
 }

@@ -30,36 +30,37 @@ fn set_ops() -> impl Strategy<Value = Vec<SetScriptOp>> {
     )
 }
 
+/// `ops` applied to `set` and to a `BTreeSet` oracle: the same
+/// responses, then the same keys.
+fn set_matches_btreeset(set: &impl LinearizableSet<i16>, ops: Vec<SetScriptOp>) {
+    let mut oracle = BTreeSet::new();
+    for op in ops {
+        match op {
+            SetScriptOp::Add(k) => prop_assert_eq!(set.add(k), oracle.insert(k)),
+            SetScriptOp::Remove(k) => prop_assert_eq!(set.remove(&k), oracle.remove(&k)),
+            SetScriptOp::Contains(k) => prop_assert_eq!(set.contains(&k), oracle.contains(&k)),
+        }
+    }
+    prop_assert_eq!(set.snapshot(), oracle.iter().copied().collect::<Vec<_>>());
+    prop_assert_eq!(set.len(), oracle.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn skiplist_set_matches_btreeset(ops in set_ops()) {
-        let s = LazySkipListSet::new();
-        let mut oracle = BTreeSet::new();
-        for op in ops {
-            match op {
-                SetScriptOp::Add(k) => prop_assert_eq!(s.add(k), oracle.insert(k)),
-                SetScriptOp::Remove(k) => prop_assert_eq!(s.remove(&k), oracle.remove(&k)),
-                SetScriptOp::Contains(k) => prop_assert_eq!(s.contains(&k), oracle.contains(&k)),
-            }
-        }
-        prop_assert_eq!(s.snapshot(), oracle.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(s.len(), oracle.len());
+        set_matches_btreeset(&LazySkipListSet::new(), ops);
     }
 
     #[test]
     fn lock_coupling_list_matches_btreeset(ops in set_ops()) {
-        let s = LockCouplingList::new();
-        let mut oracle = BTreeSet::new();
-        for op in ops {
-            match op {
-                SetScriptOp::Add(k) => prop_assert_eq!(s.add(k), oracle.insert(k)),
-                SetScriptOp::Remove(k) => prop_assert_eq!(s.remove(&k), oracle.remove(&k)),
-                SetScriptOp::Contains(k) => prop_assert_eq!(s.contains(&k), oracle.contains(&k)),
-            }
-        }
-        prop_assert_eq!(s.snapshot(), oracle.iter().copied().collect::<Vec<_>>());
+        set_matches_btreeset(&LockCouplingList::new(), ops);
+    }
+
+    #[test]
+    fn sync_rbtree_set_matches_btreeset(ops in set_ops()) {
+        set_matches_btreeset(&SyncRbTreeSet::new(), ops);
     }
 
     #[test]

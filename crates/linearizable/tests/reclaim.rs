@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use txboost_linearizable::{LazySkipListMap, LazySkipListSet};
+use txboost_linearizable::{LazySkipListMap, LazySkipListSet, LinearizableSet};
 
 static CONSTRUCTED: AtomicUsize = AtomicUsize::new(0);
 static DROPPED: AtomicUsize = AtomicUsize::new(0);

@@ -13,7 +13,9 @@
 use rand::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txboost_linearizable::{ConcurrentHeap, LazySkipListSet, SyncRbTreeSet};
+use txboost_linearizable::{
+    ConcurrentHeap, LazySkipListSet, LinearizableSet, LockCouplingList, SyncRbTreeSet,
+};
 use txboost_model::spec::{PQueueOp, PQueueResp, SetOp};
 use txboost_model::{search_serialization, Event, History, PQueueSpec, SetSpec, TxnLabel};
 
@@ -51,19 +53,18 @@ fn precedence_pairs<Op, Resp>(history: &History<Op, Resp>) -> Vec<(TxnLabel, Txn
     pairs
 }
 
-#[test]
-fn lazy_skiplist_set_operations_linearize() {
+/// Fuzz `new()`'s set from `THREADS` threads, `ROUNDS` times, and
+/// require a linearization of every history.
+fn set_operations_linearize<S: LinearizableSet<i64> + Sync>(new: fn() -> S, seed: u64) {
     for round in 0..ROUNDS {
-        let set = Arc::new(LazySkipListSet::new());
-        let recorder = Arc::new(txboost_model::HistoryRecorder::<SetOp, bool>::new());
-        let labels = Arc::new(AtomicU64::new(1));
+        let set = new();
+        let recorder = txboost_model::HistoryRecorder::<SetOp, bool>::new();
+        let labels = AtomicU64::new(1);
         std::thread::scope(|s| {
             for th in 0..THREADS {
-                let set = Arc::clone(&set);
-                let recorder = Arc::clone(&recorder);
-                let labels = Arc::clone(&labels);
+                let (set, recorder, labels) = (&set, &recorder, &labels);
                 s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(round * 31 + th);
+                    let mut rng = StdRng::seed_from_u64(round * seed + th);
                     for _ in 0..OPS_PER_THREAD {
                         let label = TxnLabel(labels.fetch_add(1, Ordering::Relaxed));
                         let k = rng.random_range(0..3i64);
@@ -90,55 +91,26 @@ fn lazy_skiplist_set_operations_linearize() {
         let precedence = precedence_pairs(&history);
         assert!(
             search_serialization(&SetSpec, &txns, &precedence).is_some(),
-            "round {round}: no linearization of skiplist history exists:\n{:?}",
+            "round {round}: no linearization of {} history exists:\n{:?}",
+            std::any::type_name::<S>(),
             history.events
         );
     }
 }
 
 #[test]
+fn lazy_skiplist_set_operations_linearize() {
+    set_operations_linearize(LazySkipListSet::new, 31);
+}
+
+#[test]
+fn lock_coupling_list_operations_linearize() {
+    set_operations_linearize(LockCouplingList::new, 43);
+}
+
+#[test]
 fn sync_rbtree_set_operations_linearize() {
-    for round in 0..ROUNDS {
-        let set = Arc::new(SyncRbTreeSet::new());
-        let recorder = Arc::new(txboost_model::HistoryRecorder::<SetOp, bool>::new());
-        let labels = Arc::new(AtomicU64::new(1));
-        std::thread::scope(|s| {
-            for th in 0..THREADS {
-                let set = Arc::clone(&set);
-                let recorder = Arc::clone(&recorder);
-                let labels = Arc::clone(&labels);
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(round * 57 + th);
-                    for _ in 0..OPS_PER_THREAD {
-                        let label = TxnLabel(labels.fetch_add(1, Ordering::Relaxed));
-                        let k = rng.random_range(0..3i64);
-                        let op = match rng.random_range(0..3) {
-                            0 => SetOp::Add(k),
-                            1 => SetOp::Remove(k),
-                            _ => SetOp::Contains(k),
-                        };
-                        recorder.init(label);
-                        let resp = match op {
-                            SetOp::Add(k) => set.add(k),
-                            SetOp::Remove(k) => set.remove(&k),
-                            SetOp::Contains(k) => set.contains(&k),
-                        };
-                        recorder.call(label, op, resp);
-                        recorder.commit(label);
-                    }
-                });
-            }
-        });
-        let history = recorder.history();
-        history.check_well_formed().unwrap();
-        let txns = history.committed_calls();
-        let precedence = precedence_pairs(&history);
-        assert!(
-            search_serialization(&SetSpec, &txns, &precedence).is_some(),
-            "round {round}: no linearization of rbtree history exists:\n{:?}",
-            history.events
-        );
-    }
+    set_operations_linearize(SyncRbTreeSet::new, 57);
 }
 
 #[test]

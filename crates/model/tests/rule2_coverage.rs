@@ -127,7 +127,7 @@ fn every_set_table_conflicts_on_every_non_commuting_pair() {
     }
     let skiplist = BoostedSkipListSet::with_coarse_lock();
     let list = BoostedListSet::with_coarse_lock();
-    let tree = BoostedRbTreeSet::new();
+    let tree = BoostedRbTreeSet::with_coarse_lock();
     audit(
         "skip-list set, one lock",
         &SetSpec,

@@ -227,7 +227,7 @@ impl GroupCommitWal {
         // its record still pending leads the next flush itself.
         let mut writer = self.lock_writer();
         while !self.covers(lsn) {
-            if !self.lead_det(&mut writer) {
+            if !self.lead(&mut writer) {
                 return false;
             }
         }
@@ -238,7 +238,7 @@ impl GroupCommitWal {
     /// one append for the whole run of frames, one fsync, then the
     /// watermark. `false` when nothing was pending or the log has
     /// failed, now or earlier.
-    fn lead_det(&self, writer: &mut Writer) -> bool {
+    fn lead(&self, writer: &mut Writer) -> bool {
         if writer.failed {
             return false;
         }
@@ -267,8 +267,8 @@ impl GroupCommitWal {
         if det::mutated(det::Mutation::AckBeforeSync) {
             self.durable.store(first_lsn + records, Ordering::Release);
         }
-        let written = writer.wal.append_frames_det(first_lsn, &writer.spare);
-        let synced = written.and_then(|()| writer.wal.sync_det());
+        let written = writer.wal.append_frames(first_lsn, &writer.spare);
+        let synced = written.and_then(|()| writer.wal.sync());
         writer.spare.clear();
         if synced.is_ok() {
             self.durable.store(first_lsn + records, Ordering::Release);
@@ -286,7 +286,7 @@ impl GroupCommitWal {
     pub fn shutdown(&self) -> bool {
         self.pending.lock().closed = true;
         let mut writer = self.lock_writer();
-        while self.lead_det(&mut writer) {}
+        while self.lead(&mut writer) {}
         !writer.failed
     }
 

@@ -79,7 +79,7 @@ impl Wal {
     /// cap falls inside the run: a frame that would push the active
     /// segment past the cap (and is not the segment's first record)
     /// opens a fresh segment named by its LSN. Does **not** sync.
-    pub fn append_frames_det(&mut self, first_lsn: u64, frames: &[u8]) -> io::Result<()> {
+    pub fn append_frames(&mut self, first_lsn: u64, frames: &[u8]) -> io::Result<()> {
         det::yield_point(det::Point::WalAppend);
         // `frames[start..at]` holds the `records` frames that go to the
         // active segment next; `lsn` is the frame at `at`.
@@ -89,7 +89,7 @@ impl Wal {
             let filled = self.active_len + (at - start) as u64;
             if filled + len as u64 > self.segment_bytes && filled > SEGMENT_HEADER_LEN as u64 {
                 self.write(&frames[start..at], records)?;
-                self.roll_segment_det(lsn)?;
+                self.roll_segment(lsn)?;
                 (start, records) = (at, 0);
             }
             at += len;
@@ -114,7 +114,7 @@ impl Wal {
 
     /// Seal the active segment (final sync) and open a fresh one whose
     /// first record will carry `first_lsn`.
-    pub fn roll_segment_det(&mut self, first_lsn: u64) -> io::Result<()> {
+    pub fn roll_segment(&mut self, first_lsn: u64) -> io::Result<()> {
         det::yield_point(det::Point::WalSegmentRoll);
         self.storage.sync(self.active)?;
         self.open_segment(first_lsn)?;
@@ -124,7 +124,7 @@ impl Wal {
 
     /// Fsync the active segment: everything appended so far is durable
     /// when this returns.
-    pub fn sync_det(&mut self) -> io::Result<()> {
+    pub fn sync(&mut self) -> io::Result<()> {
         det::yield_point(det::Point::WalFsync);
         let start = Instant::now();
         self.storage.sync(self.active)?;
@@ -159,9 +159,9 @@ mod tests {
         let payload = vec![0xAB; 800];
         for lsn in 1..=10u64 {
             let frame = frame_record(lsn, &payload);
-            wal.append_frames_det(lsn, &frame).unwrap();
+            wal.append_frames(lsn, &frame).unwrap();
         }
-        wal.sync_det().unwrap();
+        wal.sync().unwrap();
         let segs = storage.list_segments().unwrap();
         assert!(segs.len() >= 2, "expected a roll, got {segs:?}");
         assert_eq!(segs[0], 1);
@@ -184,8 +184,8 @@ mod tests {
         let header = SEGMENT_HEADER_LEN;
         let (storage, metrics, mut wal) = new_wal((header + 4 * frame + frame / 2) as u64);
         let run: Vec<u8> = (1..=10).flat_map(|lsn| frame_record(lsn, &ops)).collect();
-        wal.append_frames_det(1, &run).unwrap();
-        wal.sync_det().unwrap();
+        wal.append_frames(1, &run).unwrap();
+        wal.sync().unwrap();
         // Each new segment is named by the first LSN it holds.
         assert_eq!(storage.list_segments().unwrap(), vec![1, 5, 9]);
         let lens = [1, 5, 9].map(|id| storage.dump_segment(id).unwrap().len());

@@ -9,12 +9,15 @@ Usage: check_bench_json.py NAME PATH
 
 BASELINES below is the whole per-baseline knowledge: where the points
 live, which fields they carry, which labels must appear (in order), and
-which meta scalars bound which.
+which meta scalars are pinned or bound which.
 """
 
 import json
 import math
+import operator
 import sys
+
+OPS = {"<": operator.lt, "<=": operator.le}
 
 SERIES = {
     "points": "series",
@@ -57,10 +60,33 @@ BASELINES = {
             "executor rscan4 script",
             "executor rscan4 script @262144 keys",
         ],
-        "meta": {"allocs_per_script_transfer3": "1"},
-        # meta[first] <= RATIO * meta[second]: the executor's accounting
-        # costs less than the transaction it accounts for.
-        "meta_at_most": (("executor_rscan4_ns", 2.0, "snapshot4_1024_ns"),),
+        # Allocations per transaction: the executor's transfer script
+        # allocates its results vector; an 8-lock, a one-add counter, a
+        # 3-op map and a 4-lookup snapshot transaction, and inline undo
+        # pushes, allocate nothing.
+        "meta": {
+            "allocs_per_script_transfer3": "1",
+            "allocs_per_txn_lock8": "0",
+            "allocs_per_txn_counter_add": "0",
+            "allocs_per_txn_map3": "0",
+            "allocs_per_txn_snapshot4": "0",
+            "allocs_per_txn_log_inline": "0",
+        },
+        # The boxed control: the counting allocator sees boxing at all.
+        "meta_positive": ("allocs_per_txn_log_boxed",),
+        # meta[a] OP RATIO * meta[b]. Reacquiring a held lock is cheaper
+        # than taking it; first acquisition does not depend on the key
+        # universe (the lock table is a fixed slot array); a shared
+        # acquire costs at most two exclusive ones, an empty transaction
+        # three; the executor's accounting costs less than the snapshot
+        # transaction it accounts for.
+        "meta_ratios": (
+            ("reacquire_ns", "<", 1.0, "first_acquire_ns"),
+            ("first_acquire_262144_ns", "<=", 2.0, "first_acquire_ns"),
+            ("shared_acquire_ns", "<=", 2.0, "first_acquire_ns"),
+            ("empty_txn_ns", "<=", 3.0, "first_acquire_ns"),
+            ("executor_rscan4_ns", "<=", 2.0, "snapshot4_1024_ns"),
+        ),
     },
 }
 
@@ -99,10 +125,14 @@ def main():
     for key, want in spec.get("meta", {}).items():
         if doc.get("meta", {}).get(key) != want:
             fail(f"meta.{key} is not {want!r}")
-    for first, ratio, second in spec.get("meta_at_most", ()):
-        meta = doc.get("meta", {})
-        if not float(meta.get(first, "inf")) <= ratio * float(meta.get(second, "0")):
-            fail(f"meta.{first} = {meta.get(first)} above {ratio} x meta.{second} = {meta.get(second)}")
+    meta = doc.get("meta", {})
+    for key in spec.get("meta_positive", ()):
+        if not float(meta.get(key, "0")) > 0:
+            fail(f"meta.{key} = {meta.get(key)} is not positive")
+    for first, op, ratio, second in spec.get("meta_ratios", ()):
+        a, b = float(meta.get(first, "inf")), float(meta.get(second, "0"))
+        if not OPS[op](a, ratio * b):
+            fail(f"meta.{first} = {meta.get(first)} not {op} {ratio} x meta.{second} = {meta.get(second)}")
     points = doc.get(spec["points"])
     if not points:
         fail(f'no {spec["points"]}')
