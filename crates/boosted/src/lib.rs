@@ -9,7 +9,7 @@
 //! |---|---|---|---|---|
 //! | [`BoostedSet`] ([`BoostedSkipListSet`], [`BoostedListSet`], [`BoostedRbTreeSet`]) | `SkipListKey` (Fig. 2); lock-coupling list (Sec. 1); red-black tree (Sec. 4.1) | any `LinearizableSet`: lazy skip list, hand-over-hand locked list, synchronized sequential RB tree | lock per key (`LockKey`, Fig. 3) or one coarse lock (`with_coarse_lock`, Fig. 9's tree) | `add(x)/true ↩ remove(x)`, `remove(x)/true ↩ add(x)` (Fig. 1) |
 //! | [`BoostedPQueue`] | boosted heap (Fig. 5) | Hunt-style concurrent heap | readers-writer: `add` shared, `remove_min` exclusive | `add ↩` mark Holder deleted; `remove_min/x ↩ add(x)` (Fig. 4) |
-//! | [`BoostedBlockingQueue`] | pipeline `BlockingQueue` (Fig. 7) | blocking deque + 2 [`TSemaphore`]s | semaphore gating (state-dependent commutativity) | `offer ↩ take_last`, `take/x ↩ offer_first(x)` (Fig. 6) |
+//! | [`BoostedBlockingQueue`] | pipeline `BlockingQueue` (Fig. 7) | bounded deque + 2 [`TSemaphore`]s | semaphore gating (state-dependent commutativity) | `offer ↩ take_last`, `take/x ↩ offer_first(x)` (Fig. 6) |
 //! | [`TSemaphore`] | transactional semaphore (Sec. 3.3.1) | counter + condvar | — | `acquire ↩ release`; `release` is **disposable**, deferred to commit |
 //! | [`UniqueIdGen`] | unique-ID generator (Fig. 8) | fetch-and-add counter | none needed — `assignID()/x ⇔ assignID()/y` | `assignID ↩ noop`; post-abort **disposable** `releaseID(x)` |
 //! | [`BoostedHashMap`] | collection-class methodology | striped hash map | lock per key | `put ↩` restore previous binding, etc. |

@@ -1,7 +1,7 @@
 //! The boosted blocking queue for pipelined transactions — Figure 7 of
 //! the paper.
 //!
-//! Base object: a blocking **deque** rather than a FIFO queue, because
+//! Base object: a bounded **deque** rather than a FIFO queue, because
 //! the deque's end-specific methods supply inverses (Figure 6):
 //! a transactional `offer` is `offer_last` with inverse `take_last`,
 //! and a transactional `take` is `take_first` with inverse
@@ -19,7 +19,7 @@
 use crate::TSemaphore;
 use std::sync::Arc;
 use txboost_core::{TxResult, Txn};
-use txboost_linearizable::BlockingDeque;
+use txboost_linearizable::BoundedDeque;
 
 /// A bounded transactional FIFO queue for pipeline stages.
 ///
@@ -36,7 +36,7 @@ use txboost_linearizable::BlockingDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoostedBlockingQueue<T: Send + 'static> {
-    base: Arc<BlockingDeque<T>>,
+    base: Arc<BoundedDeque<T>>,
     /// Counts free slots in the committed state; blocks `offer` at
     /// capacity.
     full: TSemaphore,
@@ -51,7 +51,7 @@ impl<T: Send + 'static> BoostedBlockingQueue<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         BoostedBlockingQueue {
-            base: Arc::new(BlockingDeque::new(capacity)),
+            base: Arc::new(BoundedDeque::new(capacity)),
             full: TSemaphore::new(capacity as u64),
             empty: TSemaphore::new(0),
         }

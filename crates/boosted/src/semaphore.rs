@@ -17,15 +17,26 @@ use txboost_core::{Abort, TxResult, Txn};
 
 #[derive(Debug)]
 struct SemInner {
-    count: Mutex<u64>,
+    state: Mutex<SemState>,
     cv: Condvar,
+}
+
+/// The permit count and the number of threads parked in `acquire`,
+/// under one mutex: a waiter counts itself in before it parks, so an
+/// increment that sees no waiter has nobody to wake, and none is lost.
+#[derive(Debug)]
+struct SemState {
+    count: u64,
+    waiters: u32,
 }
 
 impl SemInner {
     fn increment(&self) {
-        let mut c = self.count.lock();
-        *c += 1;
-        self.cv.notify_one();
+        let mut st = self.state.lock();
+        st.count += 1;
+        if st.waiters > 0 {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -62,7 +73,10 @@ impl TSemaphore {
     pub fn new(permits: u64) -> Self {
         TSemaphore {
             inner: Arc::new(SemInner {
-                count: Mutex::new(permits),
+                state: Mutex::new(SemState {
+                    count: permits,
+                    waiters: 0,
+                }),
                 cv: Condvar::new(),
             }),
         }
@@ -86,14 +100,17 @@ impl TSemaphore {
         }
         txboost_core::det::yield_point(txboost_core::det::Point::LockAcquire);
         let deadline = Deadline::after(txn.lock_timeout());
-        let mut count = self.inner.count.lock();
-        while *count == 0 {
-            if deadline.wait(&self.inner.cv, &mut count) && *count == 0 {
+        let mut st = self.inner.state.lock();
+        while st.count == 0 {
+            st.waiters += 1;
+            let timed_out = deadline.wait(&self.inner.cv, &mut st);
+            st.waiters -= 1;
+            if timed_out && st.count == 0 {
                 return Err(Abort::would_block());
             }
         }
-        *count -= 1;
-        drop(count);
+        st.count -= 1;
+        drop(st);
         let inner = Arc::clone(&self.inner);
         txn.log_undo(move || inner.increment());
         Ok(())
@@ -118,12 +135,12 @@ impl TSemaphore {
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());
         }
-        let mut count = self.inner.count.lock();
-        if *count == 0 {
+        let mut st = self.inner.state.lock();
+        if st.count == 0 {
             return Err(Abort::would_block());
         }
-        *count -= 1;
-        drop(count);
+        st.count -= 1;
+        drop(st);
         let inner = Arc::clone(&self.inner);
         txn.log_undo(move || inner.increment());
         Ok(())
@@ -131,7 +148,7 @@ impl TSemaphore {
 
     /// Current committed permit count (diagnostic; racy).
     pub fn available(&self) -> u64 {
-        *self.inner.count.lock()
+        self.inner.state.lock().count
     }
 }
 
@@ -231,6 +248,38 @@ mod tests {
         .unwrap();
         waiter.join().unwrap().unwrap();
         assert_eq!(sem.available(), 0);
+    }
+
+    #[test]
+    fn every_parked_acquirer_wakes_on_a_committed_release() {
+        const N: usize = 4;
+        let tm = TxnManager::new(TxnConfig {
+            lock_timeout: Duration::from_secs(5),
+            max_retries: Some(0),
+        });
+        let sem = TSemaphore::new(0);
+        std::thread::scope(|sc| {
+            let waiters: Vec<_> = (0..N)
+                .map(|_| sc.spawn(|| tm.run(|txn| sem.acquire(txn))))
+                .collect();
+            // Release only once all N are parked, so every release
+            // finds a waiter to wake.
+            while sem.inner.state.lock().waiters < N as u32 {
+                std::thread::yield_now();
+            }
+            for _ in 0..N {
+                tm.run(|txn| {
+                    sem.release(txn);
+                    Ok(())
+                })
+                .unwrap();
+            }
+            for w in waiters {
+                w.join().unwrap().unwrap();
+            }
+        });
+        assert_eq!(sem.available(), 0);
+        assert_eq!(sem.inner.state.lock().waiters, 0);
     }
 
     #[test]

@@ -41,36 +41,27 @@ impl SpinWait {
         }
         true
     }
-
-    /// Restore the full budget (e.g. after a successful acquisition,
-    /// for reuse on the next contended lock).
-    pub fn reset(&mut self) {
-        self.rounds = 0;
-    }
 }
+
+/// First ceiling of a [`Backoff`]: suits in-memory transactions.
+const BACKOFF_MIN: Duration = Duration::from_micros(5);
+
+/// The ceiling a [`Backoff`] never exceeds.
+const BACKOFF_MAX: Duration = Duration::from_millis(1);
 
 /// Randomized exponential backoff.
 ///
 /// After an abort, the paper's runtime delays the retry to reduce the
 /// chance that the same transactions collide on the same abstract locks
-/// again. Each failure doubles the ceiling (up to `max`), and the actual
-/// sleep is drawn uniformly from `[0, ceiling)` to break symmetry
-/// between identical competitors.
+/// again. Each failure doubles the ceiling, from 5 µs up to 1 ms, and
+/// the actual sleep is drawn uniformly from `[0, ceiling)` to break
+/// symmetry between identical competitors.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     ceiling: Duration,
-    max: Duration,
 }
 
 impl Backoff {
-    /// Create a backoff whose first ceiling is `min` and which never
-    /// exceeds `max`.
-    pub fn new(min: Duration, max: Duration) -> Self {
-        assert!(!min.is_zero(), "backoff minimum must be non-zero");
-        assert!(min <= max, "backoff minimum must not exceed maximum");
-        Backoff { ceiling: min, max }
-    }
-
     /// Sleep for a random duration below the current ceiling, then
     /// double the ceiling (saturating at the maximum).
     ///
@@ -81,7 +72,7 @@ impl Backoff {
     pub fn backoff(&mut self) {
         if crate::det::active() {
             crate::det::yield_point(crate::det::Point::Backoff);
-            self.ceiling = (self.ceiling * 2).min(self.max);
+            self.ceiling = (self.ceiling * 2).min(BACKOFF_MAX);
             return;
         }
         let nanos = self.ceiling.as_nanos() as u64;
@@ -99,20 +90,15 @@ impl Backoff {
                 std::thread::sleep(sleep);
             }
         }
-        self.ceiling = (self.ceiling * 2).min(self.max);
-    }
-
-    /// The current ceiling (mostly useful for tests and telemetry).
-    pub fn ceiling(&self) -> Duration {
-        self.ceiling
+        self.ceiling = (self.ceiling * 2).min(BACKOFF_MAX);
     }
 }
 
 impl Default for Backoff {
-    /// A default suitable for in-memory transactions: 5 µs initial
-    /// ceiling, 1 ms maximum.
     fn default() -> Self {
-        Backoff::new(Duration::from_micros(5), Duration::from_millis(1))
+        Backoff {
+            ceiling: BACKOFF_MIN,
+        }
     }
 }
 
@@ -122,30 +108,18 @@ mod tests {
 
     #[test]
     fn ceiling_doubles_and_saturates() {
-        let mut b = Backoff::new(Duration::from_nanos(100), Duration::from_nanos(350));
-        assert_eq!(b.ceiling(), Duration::from_nanos(100));
-        b.backoff();
-        assert_eq!(b.ceiling(), Duration::from_nanos(200));
-        b.backoff();
-        assert_eq!(b.ceiling(), Duration::from_nanos(350));
-        b.backoff();
-        assert_eq!(b.ceiling(), Duration::from_nanos(350));
+        let mut b = Backoff::default();
+        let mut ceilings = vec![b.ceiling];
+        for _ in 0..9 {
+            b.backoff();
+            ceilings.push(b.ceiling);
+        }
+        let micros: Vec<u128> = ceilings.iter().map(Duration::as_micros).collect();
+        assert_eq!(micros, [5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000]);
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_minimum_rejected() {
-        let _ = Backoff::new(Duration::ZERO, Duration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed")]
-    fn inverted_bounds_rejected() {
-        let _ = Backoff::new(Duration::from_millis(2), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn spinwait_budget_is_bounded_and_resettable() {
+    fn spinwait_budget_is_bounded() {
         let mut s = SpinWait::new();
         let mut rounds = 0;
         while s.spin() {
@@ -154,7 +128,5 @@ mod tests {
         }
         assert_eq!(rounds, 6);
         assert!(!s.spin(), "an exhausted spinner stays exhausted");
-        s.reset();
-        assert!(s.spin(), "reset restores the budget");
     }
 }

@@ -24,9 +24,9 @@
 //! window and handed that commit's [`CommitStamp`]). Exactly one arm
 //! consumes the value, or neither does and it is dropped; so one push
 //! and one captured handle serve both fates, and truncating the log
-//! takes a call's install away together with its inverse. [`Run`] and
-//! [`Install`] are the one-armed forms (a bare inverse or deferred
-//! action; a bare install), [`Effect`] the two-armed one.
+//! takes a call's install away together with its inverse. [`Run`] is
+//! the one-armed form (a bare inverse or deferred action), [`Effect`]
+//! the two-armed one.
 //!
 //! Type-erasure works like a hand-rolled three-entry vtable: each slot
 //! carries `undo`, `install` and `drop_fn` function pointers
@@ -83,19 +83,6 @@ impl<F: FnOnce() + Send + 'static> Entry for Run<F> {
     }
 
     fn install(self, _: CommitStamp) {}
-}
-
-/// A version install with no inverse beside it.
-pub(crate) struct Install<F>(pub(crate) F);
-
-impl<F: FnOnce(CommitStamp) + Send + 'static> Entry for Install<F> {
-    const INSTALLS: bool = true;
-
-    fn undo(self) {}
-
-    fn install(self, stamp: CommitStamp) {
-        (self.0)(stamp);
-    }
 }
 
 /// One captured value `H` (a handle to the object plus the call's
@@ -527,9 +514,14 @@ mod tests {
         log.push(record(&hits, 1));
         assert!(!log.has_installs(), "a bare inverse opens no window");
         let seen = Arc::clone(&installed);
-        log.push(Install(move |stamp: CommitStamp| {
-            seen.store(stamp.floor as usize, Ordering::SeqCst);
-        }));
+        // An install whose inverse does nothing.
+        log.push(Effect(
+            seen,
+            |_| {},
+            |seen: Arc<AtomicUsize>, stamp: CommitStamp| {
+                seen.store(stamp.floor as usize, Ordering::SeqCst);
+            },
+        ));
         assert!(log.has_installs());
         // Commit: the inverse is dropped unrun, the install runs.
         log.pop_front().unwrap().install(STAMP);
@@ -537,7 +529,7 @@ mod tests {
         assert_eq!(installed.load(Ordering::SeqCst), STAMP.floor as usize);
         assert!(hits.lock().unwrap().is_empty());
         // Abort: the install is dropped unrun.
-        log.push(Install(|_| panic!("installed on abort")));
+        log.push(Effect((), |()| {}, |(), _| panic!("installed on abort")));
         log.pop().unwrap().invoke();
         assert!(!log.has_installs());
     }

@@ -1,7 +1,7 @@
 //! Transactions and the transaction manager.
 
 use crate::error::{Abort, AbortReason, TxnError};
-use crate::inline::{ActionLog, Effect, Entry, Install, LoggedAction, Run};
+use crate::inline::{ActionLog, Effect, Entry, LoggedAction, Run};
 use crate::locks::AbstractLock;
 use crate::mvcc::{CommitStamp, MvccDomain};
 use crate::stats::TxnStats;
@@ -286,9 +286,12 @@ impl Txn {
     /// handle to the object plus whatever of the call's arguments and
     /// result the arms need — and exactly one arm consumes it. `undo`
     /// is the inverse, run as [`Txn::log_undo`]'s would be; `install`
-    /// is the version install, run as [`Txn::log_version_install`]'s
-    /// would be. A savepoint rollback that undoes the call discards
-    /// its install with it.
+    /// is the version install, run only if the transaction commits:
+    /// inside the commit's [`crate::MvccDomain::commit`] window, while
+    /// abstract locks are still held, in the order logged, handed the
+    /// commit's stamp (it typically calls [`crate::VersionStore::install`]
+    /// or [`crate::DeltaChain::install`] with it). A savepoint rollback
+    /// that undoes the call discards its install with it.
     ///
     /// Heap-allocation-free under [`Txn::log_undo`]'s conditions, the
     /// sizes of `captured` and whatever the arms capture taken together
@@ -305,21 +308,6 @@ impl Txn {
     ) {
         crate::det::yield_point(crate::det::Point::UndoPush);
         self.push_effect("log_effect", Effect(captured, undo, install));
-    }
-
-    /// Log a version install to run if this transaction commits — the
-    /// one-armed form of [`Txn::log_effect`], with no inverse beside
-    /// it. The closure typically calls [`crate::VersionStore::install`]
-    /// (or [`crate::DeltaChain::install`]) with the stamp it is handed;
-    /// it runs inside the commit's [`crate::MvccDomain::commit`]
-    /// window, while abstract locks are still held, in the order
-    /// logged. Discarded without running on abort and on a rollback
-    /// past it.
-    ///
-    /// # Panics
-    /// Panics if the transaction is no longer active.
-    pub fn log_version_install(&self, install: impl FnOnce(CommitStamp) + Send + 'static) {
-        self.push_effect("log_version_install", Install(install));
     }
 
     fn push_effect(&self, op: &str, entry: impl Entry) {
@@ -977,13 +965,13 @@ mod tests {
         let lock = Arc::new(AbstractLock::new());
         let txn = tm.begin();
         lock.acquire(&txn, crate::locks::Mode::Exclusive).unwrap();
-        txn.log_version_install(|_| panic!("install failed"));
+        txn.log_effect((), |()| {}, |(), _| panic!("install failed"));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tm.commit(txn)));
         assert!(unwound.is_err());
         assert_eq!(lock.owner(), None, "lock outlived its transaction");
         // The global commit window closed too: the next commit returns.
         tm.run(|t| {
-            t.log_version_install(|_| {});
+            t.log_effect((), |()| {}, |(), _| {});
             Ok(())
         })
         .unwrap();
@@ -1093,7 +1081,7 @@ mod tests {
             log("before");
             let sp = txn.savepoint();
             log("rolled back");
-            txn.log_version_install(|_| panic!("a rolled-back install ran"));
+            txn.log_effect((), |()| {}, |(), _| panic!("a rolled-back install ran"));
             txn.rollback_to(sp);
             assert_eq!(txn.undo_log_len(), 1, "prefix must survive");
             log("after");

@@ -1,4 +1,4 @@
-//! A bounded blocking double-ended queue.
+//! A bounded double-ended queue that never blocks.
 //!
 //! The Rust stand-in for `java.util.concurrent.LinkedBlockingDeque`,
 //! the base object of the paper's pipeline example (Figure 7). The
@@ -6,38 +6,36 @@
 //! end-specific methods supply the *inverses* a FIFO queue lacks: a
 //! transactional `offer` maps to `offer_last` with inverse `take_last`,
 //! and a transactional `take` maps to `take_first` with inverse
-//! `offer_first`.
+//! `offer_first`. The boosted queue does all its waiting in its two
+//! transactional semaphores, as Figure 7 does, and calls an end method
+//! only once a semaphore has said it succeeds; so the deque itself has
+//! no blocking methods and no condition variables.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
-/// A linearizable bounded blocking deque (mutex + condition variables).
+/// A linearizable bounded deque: a mutex over a `VecDeque`.
 ///
-/// Blocking methods park until space/an item is available or the given
-/// timeout elapses; `try_` variants never block. All methods are
-/// linearizable at the point where they hold the internal mutex.
+/// Every method is linearizable at the point where it holds the
+/// internal mutex. An offer to a full deque hands its item back, and a
+/// take from an empty one returns `None`, at once.
 #[derive(Debug)]
-pub struct BlockingDeque<T> {
+pub struct BoundedDeque<T> {
     inner: Mutex<VecDeque<T>>,
     capacity: usize,
-    not_full: Condvar,
-    not_empty: Condvar,
 }
 
-impl<T> BlockingDeque<T> {
+impl<T> BoundedDeque<T> {
     /// A deque holding at most `capacity` items.
     ///
     /// # Panics
     /// Panics if `capacity` is zero (a zero-capacity pipeline buffer
     /// can never transfer an item under two-phase boosting).
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "BlockingDeque capacity must be positive");
-        BlockingDeque {
+        assert!(capacity > 0, "BoundedDeque capacity must be positive");
+        BoundedDeque {
             inner: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
         }
     }
 
@@ -51,102 +49,42 @@ impl<T> BlockingDeque<T> {
         self.inner.lock().len()
     }
 
-    /// Whether the deque is empty (same caveat as [`BlockingDeque::len`]).
+    /// Whether the deque is empty (same caveat as [`BoundedDeque::len`]).
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
     }
 
-    fn offer_end(&self, item: T, front: bool, timeout: Duration) -> Result<(), T> {
-        let deadline = Instant::now() + timeout;
+    fn offer_end(&self, item: T, front: bool) -> Result<(), T> {
         let mut q = self.inner.lock();
-        while q.len() == self.capacity {
-            if self.not_full.wait_until(&mut q, deadline).timed_out() && q.len() == self.capacity {
-                return Err(item);
-            }
+        if q.len() == self.capacity {
+            return Err(item);
         }
         if front {
             q.push_front(item);
         } else {
             q.push_back(item);
         }
-        self.not_empty.notify_one();
         Ok(())
     }
 
-    fn take_end(&self, front: bool, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.inner.lock();
-        while q.is_empty() {
-            if self.not_empty.wait_until(&mut q, deadline).timed_out() && q.is_empty() {
-                return None;
-            }
-        }
-        let item = if front { q.pop_front() } else { q.pop_back() };
-        self.not_full.notify_one();
-        item
-    }
-
-    /// Enqueue at the front, blocking up to `timeout` for space.
-    /// On timeout the item is handed back in `Err`.
-    pub fn offer_first(&self, item: T, timeout: Duration) -> Result<(), T> {
-        self.offer_end(item, true, timeout)
-    }
-
-    /// Enqueue at the back, blocking up to `timeout` for space.
-    pub fn offer_last(&self, item: T, timeout: Duration) -> Result<(), T> {
-        self.offer_end(item, false, timeout)
-    }
-
-    /// Dequeue from the front, blocking up to `timeout` for an item.
-    pub fn take_first(&self, timeout: Duration) -> Option<T> {
-        self.take_end(true, timeout)
-    }
-
-    /// Dequeue from the back, blocking up to `timeout` for an item.
-    pub fn take_last(&self, timeout: Duration) -> Option<T> {
-        self.take_end(false, timeout)
-    }
-
-    /// Non-blocking `offer_first`.
+    /// Enqueue at the front; a full deque hands the item back in `Err`.
     pub fn try_offer_first(&self, item: T) -> Result<(), T> {
-        let mut q = self.inner.lock();
-        if q.len() == self.capacity {
-            return Err(item);
-        }
-        q.push_front(item);
-        self.not_empty.notify_one();
-        Ok(())
+        self.offer_end(item, true)
     }
 
-    /// Non-blocking `offer_last`.
+    /// Enqueue at the back; a full deque hands the item back in `Err`.
     pub fn try_offer_last(&self, item: T) -> Result<(), T> {
-        let mut q = self.inner.lock();
-        if q.len() == self.capacity {
-            return Err(item);
-        }
-        q.push_back(item);
-        self.not_empty.notify_one();
-        Ok(())
+        self.offer_end(item, false)
     }
 
-    /// Non-blocking `take_first`.
+    /// Dequeue from the front; `None` if the deque is empty.
     pub fn try_take_first(&self) -> Option<T> {
-        let mut q = self.inner.lock();
-        let item = q.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
+        self.inner.lock().pop_front()
     }
 
-    /// Non-blocking `take_last`.
+    /// Dequeue from the back; `None` if the deque is empty.
     pub fn try_take_last(&self) -> Option<T> {
-        let mut q = self.inner.lock();
-        let item = q.pop_back();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
+        self.inner.lock().pop_back()
     }
 
     /// Snapshot of the contents front-to-back (testing/diagnostics).
@@ -163,105 +101,89 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    const T10MS: Duration = Duration::from_millis(10);
-    const T1S: Duration = Duration::from_secs(1);
-
     #[test]
     fn fifo_through_opposite_ends() {
-        let q = BlockingDeque::new(4);
-        q.offer_last(1, T10MS).unwrap();
-        q.offer_last(2, T10MS).unwrap();
-        assert_eq!(q.take_first(T10MS), Some(1));
-        assert_eq!(q.take_first(T10MS), Some(2));
+        let q = BoundedDeque::new(4);
+        q.try_offer_last(1).unwrap();
+        q.try_offer_last(2).unwrap();
+        assert_eq!(q.try_take_first(), Some(1));
+        assert_eq!(q.try_take_first(), Some(2));
     }
 
     #[test]
     fn lifo_through_same_end() {
-        let q = BlockingDeque::new(4);
-        q.offer_last(1, T10MS).unwrap();
-        q.offer_last(2, T10MS).unwrap();
-        assert_eq!(q.take_last(T10MS), Some(2));
-        assert_eq!(q.take_last(T10MS), Some(1));
+        let q = BoundedDeque::new(4);
+        q.try_offer_last(1).unwrap();
+        q.try_offer_last(2).unwrap();
+        assert_eq!(q.try_take_last(), Some(2));
+        assert_eq!(q.try_take_last(), Some(1));
     }
 
     #[test]
     fn undo_shape_offer_last_then_take_last_restores_state() {
         // The boosted queue's inverse pairing relies on this property.
-        let q = BlockingDeque::new(4);
-        q.offer_last(1, T10MS).unwrap();
-        q.offer_last(2, T10MS).unwrap();
-        q.offer_last(99, T10MS).unwrap(); // the transactional offer
-        assert_eq!(q.take_last(T10MS), Some(99)); // its inverse
+        let q = BoundedDeque::new(4);
+        q.try_offer_last(1).unwrap();
+        q.try_offer_last(2).unwrap();
+        q.try_offer_last(99).unwrap(); // the transactional offer
+        assert_eq!(q.try_take_last(), Some(99)); // its inverse
         assert_eq!(q.snapshot(), vec![1, 2]);
     }
 
     #[test]
     fn undo_shape_take_first_then_offer_first_restores_state() {
-        let q = BlockingDeque::new(4);
-        q.offer_last(1, T10MS).unwrap();
-        q.offer_last(2, T10MS).unwrap();
-        let taken = q.take_first(T10MS).unwrap(); // the transactional take
-        q.offer_first(taken, T10MS).unwrap(); // its inverse
+        let q = BoundedDeque::new(4);
+        q.try_offer_last(1).unwrap();
+        q.try_offer_last(2).unwrap();
+        let taken = q.try_take_first().unwrap(); // the transactional take
+        q.try_offer_first(taken).unwrap(); // its inverse
         assert_eq!(q.snapshot(), vec![1, 2]);
     }
 
     #[test]
-    fn offer_times_out_when_full_and_returns_item() {
-        let q = BlockingDeque::new(1);
-        q.offer_last("a", T10MS).unwrap();
-        assert_eq!(q.offer_last("b", T10MS), Err("b"));
-        assert_eq!(q.try_offer_last("c"), Err("c"));
+    fn offer_to_full_deque_returns_item() {
+        let q = BoundedDeque::new(1);
+        q.try_offer_last("a").unwrap();
+        assert_eq!(q.try_offer_last("b"), Err("b"));
+        assert_eq!(q.try_offer_first("c"), Err("c"));
+        assert_eq!(q.snapshot(), vec!["a"]);
     }
 
     #[test]
-    fn take_times_out_when_empty() {
-        let q = BlockingDeque::<u8>::new(1);
-        assert_eq!(q.take_first(T10MS), None);
+    fn take_from_empty_deque_returns_none() {
+        let q = BoundedDeque::<u8>::new(1);
         assert_eq!(q.try_take_first(), None);
         assert_eq!(q.try_take_last(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = BlockingDeque::<u8>::new(0);
-    }
-
-    #[test]
-    fn blocked_producer_wakes_when_consumer_takes() {
-        let q = Arc::new(BlockingDeque::new(1));
-        q.offer_last(0, T10MS).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.offer_last(1, T1S));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.take_first(T10MS), Some(0));
-        assert!(producer.join().unwrap().is_ok());
-        assert_eq!(q.take_first(T10MS), Some(1));
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_when_producer_offers() {
-        let q = Arc::new(BlockingDeque::new(1));
-        let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || q2.take_first(T1S));
-        std::thread::sleep(Duration::from_millis(20));
-        q.offer_last(42, T10MS).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(42));
+        let _ = BoundedDeque::<u8>::new(0);
     }
 
     #[test]
     fn producer_consumer_transfers_everything_in_order() {
-        let q = Arc::new(BlockingDeque::new(4));
+        let q = Arc::new(BoundedDeque::new(4));
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
-            for i in 0..1000 {
-                q2.offer_last(i, T1S).unwrap();
+            for mut i in 0..1000 {
+                while let Err(back) = q2.try_offer_last(i) {
+                    i = back;
+                    std::thread::yield_now();
+                }
             }
         });
         let q3 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             (0..1000)
-                .map(|_| q3.take_first(T1S).unwrap())
+                .map(|_| loop {
+                    match q3.try_take_first() {
+                        Some(i) => break i,
+                        None => std::thread::yield_now(),
+                    }
+                })
                 .collect::<Vec<i32>>()
         });
         producer.join().unwrap();
@@ -271,7 +193,7 @@ mod tests {
 
     #[test]
     fn capacity_is_respected_under_concurrency() {
-        let q = Arc::new(BlockingDeque::new(3));
+        let q = Arc::new(BoundedDeque::new(3));
         let mut handles = Vec::new();
         for t in 0..4 {
             let q = Arc::clone(&q);

@@ -311,16 +311,6 @@ impl<T: Ord> ConcurrentHeap<T> {
             }
         }
     }
-
-    /// Drain everything in ascending order (testing/diagnostics; not
-    /// concurrent-safe in the sense that concurrent adds may interleave).
-    pub fn drain_sorted(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(x) = self.remove_min() {
-            out.push(x);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -330,6 +320,11 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::sync::Arc;
+
+    /// Everything left, popped in ascending order with `remove_min`.
+    fn drain<T: Ord>(h: &ConcurrentHeap<T>) -> Vec<T> {
+        std::iter::from_fn(|| h.remove_min()).collect()
+    }
 
     #[test]
     fn empty_heap_behaviour() {
@@ -356,7 +351,7 @@ mod tests {
         for x in [5, 1, 4, 1, 3, 9, 2] {
             h.add(x);
         }
-        assert_eq!(h.drain_sorted(), vec![1, 1, 2, 3, 4, 5, 9]);
+        assert_eq!(drain(&h), vec![1, 1, 2, 3, 4, 5, 9]);
     }
 
     #[test]
@@ -366,7 +361,7 @@ mod tests {
             h.add(7);
         }
         assert_eq!(h.len(), 5);
-        assert_eq!(h.drain_sorted(), vec![7; 5]);
+        assert_eq!(drain(&h), vec![7; 5]);
     }
 
     #[test]
@@ -394,7 +389,7 @@ mod tests {
             }
         }
         assert_eq!(
-            h.drain_sorted(),
+            drain(&h),
             oracle
                 .into_sorted_vec()
                 .into_iter()
@@ -428,7 +423,7 @@ mod tests {
             .flat_map(|h| h.join().unwrap())
             .collect();
         expected.sort_unstable();
-        let drained = h.drain_sorted();
+        let drained = drain(&h);
         assert_eq!(drained, expected);
     }
 
@@ -462,7 +457,7 @@ mod tests {
             total_added += a;
             total_removed += r.len() as i64;
         }
-        let remaining = h.drain_sorted().len() as i64;
+        let remaining = drain(&h).len() as i64;
         assert_eq!(
             total_added,
             total_removed + remaining,
@@ -509,6 +504,6 @@ mod tests {
             h.add(i);
         }
         assert_eq!(h.len(), n as usize);
-        assert_eq!(h.drain_sorted(), (0..n).collect::<Vec<_>>());
+        assert_eq!(drain(&h), (0..n).collect::<Vec<_>>());
     }
 }

@@ -8,13 +8,12 @@
 //!
 //! | Module | Object | Paper analogue |
 //! |---|---|---|
-//! | [`skiplist`] | lazy skip-list set: the skip-list map with unit values | `ConcurrentSkipListSet` (Fig. 2) |
-//! | [`striped_map`] | lock-striped hash map | `ConcurrentHashMap` (backs `LockKey`, Fig. 3) |
+//! | [`skiplist`] | lazy skip-list set: per-node locks, lock-free `contains` | `ConcurrentSkipListSet` (Fig. 2) |
+//! | [`striped_map`] | lock-striped hash map, the boosted map's base | `ConcurrentHashMap` |
 //! | [`heap`] | Hunt-style fine-grained concurrent binary heap | the "concurrent heap implementation due to Hunt" (Fig. 5) |
-//! | [`deque`] | bounded blocking double-ended queue | `LinkedBlockingDeque` (Fig. 7) |
+//! | [`deque`] | bounded double-ended queue (mutex); never blocks | `LinkedBlockingDeque` (Fig. 7) |
 //! | [`rbtree`] | red-black tree algorithm over a node store, its sequential set + coarse-locked wrapper | the sequential red-black tree of Section 4.1 |
 //! | [`list`] | lock-coupling sorted linked list | the lock-coupling list of Section 1 |
-//! | [`skipmap`] | lazy skip-list **map**: per-node locks, lock-free reads | `ConcurrentSkipListMap` |
 //! | [`slab`] | concurrent slab allocator | free-storage substrate for transactional malloc/free (Sec. 2) |
 //! | [`counter`] | striped counter and fetch-and-add counter | `getAndAdd()` unique-ID counter (Section 3.4) |
 //!
@@ -37,17 +36,15 @@ pub mod heap;
 pub mod list;
 pub mod rbtree;
 pub mod skiplist;
-pub mod skipmap;
 pub mod slab;
 pub mod striped_map;
 
 pub use counter::{FetchAddCounter, StripedCounter};
-pub use deque::BlockingDeque;
+pub use deque::BoundedDeque;
 pub use heap::ConcurrentHeap;
 pub use list::LockCouplingList;
 pub use rbtree::{RbTreeSet, SyncRbTreeSet};
 pub use skiplist::LazySkipListSet;
-pub use skipmap::LazySkipListMap;
 pub use slab::{ConcurrentSlab, SlabKey};
 pub use striped_map::StripedHashMap;
 

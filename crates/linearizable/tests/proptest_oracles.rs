@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::time::Duration;
 use txboost_linearizable::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -81,22 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn skipmap_matches_btreemap(
-        ops in proptest::collection::vec((0..30i16, 0..1000i32, 0..4u8), 0..200)
-    ) {
-        let m = LazySkipListMap::new();
-        let mut oracle = BTreeMap::new();
-        for (k, v, w) in ops {
-            match w {
-                0 | 1 => prop_assert_eq!(m.insert(k, v), oracle.insert(k, v)),
-                2 => prop_assert_eq!(m.remove(&k), oracle.remove(&k)),
-                _ => prop_assert_eq!(m.get(&k), oracle.get(&k).copied()),
-            }
-        }
-        prop_assert_eq!(m.snapshot(), oracle.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
     fn heap_matches_binaryheap(
         ops in proptest::collection::vec(proptest::option::of(0..1000i32), 0..200)
     ) {
@@ -120,23 +103,19 @@ proptest! {
         ops in proptest::collection::vec((0..4u8, 0..100i32), 0..200)
     ) {
         let cap = 8;
-        let q = BlockingDeque::new(cap);
+        let q = BoundedDeque::new(cap);
         let mut oracle: VecDeque<i32> = VecDeque::new();
-        let t0 = Duration::from_millis(0);
         for (w, x) in ops {
             match w {
-                0 => {
-                    let expect = oracle.len() < cap;
-                    prop_assert_eq!(q.offer_first(x, t0).is_ok(), expect);
-                    if expect { oracle.push_front(x); }
+                0 | 1 => {
+                    let room = oracle.len() < cap;
+                    let offered = if w == 0 { q.try_offer_first(x) } else { q.try_offer_last(x) };
+                    prop_assert_eq!(offered, if room { Ok(()) } else { Err(x) });
+                    if room && w == 0 { oracle.push_front(x); }
+                    if room && w == 1 { oracle.push_back(x); }
                 }
-                1 => {
-                    let expect = oracle.len() < cap;
-                    prop_assert_eq!(q.offer_last(x, t0).is_ok(), expect);
-                    if expect { oracle.push_back(x); }
-                }
-                2 => prop_assert_eq!(q.take_first(t0), oracle.pop_front()),
-                _ => prop_assert_eq!(q.take_last(t0), oracle.pop_back()),
+                2 => prop_assert_eq!(q.try_take_first(), oracle.pop_front()),
+                _ => prop_assert_eq!(q.try_take_last(), oracle.pop_back()),
             }
             prop_assert_eq!(q.len(), oracle.len());
         }

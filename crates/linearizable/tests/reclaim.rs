@@ -1,4 +1,4 @@
-//! The one lazy skip list frees what it removes.
+//! The lazy skip-list set frees what it removes.
 //!
 //! A binary of its own: the crossbeam shim reclaims only when no guard
 //! is pinned anywhere in the process, so a neighbouring test's guard
@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use txboost_linearizable::{LazySkipListMap, LazySkipListSet, LinearizableSet};
+use txboost_linearizable::{LazySkipListSet, LinearizableSet};
 
 static CONSTRUCTED: AtomicUsize = AtomicUsize::new(0);
 static DROPPED: AtomicUsize = AtomicUsize::new(0);
@@ -43,10 +43,9 @@ fn removed_nodes_are_freed_at_the_quiescent_point_and_drop_frees_the_rest() {
     const THREADS: u64 = 4;
     const KEYS: u64 = 64;
     let set = Arc::new(LazySkipListSet::new());
-    let map = Arc::new(LazySkipListMap::new());
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let (set, map) = (Arc::clone(&set), Arc::clone(&map));
+            let set = Arc::clone(&set);
             std::thread::spawn(move || {
                 let mut x = 0x9E37_79B9_7F4A_7C15_u64 ^ (t + 1);
                 let mut removed = 0u64;
@@ -57,10 +56,8 @@ fn removed_nodes_are_freed_at_the_quiescent_point_and_drop_frees_the_rest() {
                     let k = x % KEYS;
                     if x & (1 << 40) == 0 {
                         set.add(Counted::new(k));
-                        map.insert(Counted::new(k), t);
                     } else {
                         removed += u64::from(set.remove(&Counted::new(k)));
-                        removed += u64::from(map.remove(&Counted::new(k)).is_some());
                     }
                 }
                 removed
@@ -72,10 +69,10 @@ fn removed_nodes_are_freed_at_the_quiescent_point_and_drop_frees_the_rest() {
     drop(crossbeam::epoch::pin());
     assert_eq!(
         live(),
-        set.len() + map.len(),
+        set.len(),
         "a removed node outlived the quiescent point"
     );
-    drop((set, map));
+    drop(set);
     let (constructed, dropped) = (CONSTRUCTED.load(SeqCst), DROPPED.load(SeqCst));
     assert_eq!(constructed, dropped, "leak or double free");
 }

@@ -204,7 +204,7 @@ fn figure_6_inverses() {
             Some(after_take.clone())
         );
         // …and restoring the head at the front reproduces q exactly
-        // (this is what BlockingDeque::offer_first gives the boosted
+        // (this is what BoundedDeque::try_offer_first gives the boosted
         // queue, and why a plain FIFO queue has no usable inverse).
         let mut restored = after_take;
         restored.push_front(head);

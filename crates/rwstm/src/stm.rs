@@ -310,11 +310,6 @@ impl Stm {
         v
     }
 
-    /// Total conflicts recorded by [`Stm::conflict_breakdown`].
-    pub fn total_conflicts(&self) -> u64 {
-        self.conflicts.lock().values().sum()
-    }
-
     /// Run `body` as a transaction, retrying on conflict with
     /// randomized exponential backoff (same contract as
     /// `TxnManager::run` in `txboost-core`).
@@ -581,8 +576,8 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(stm.total_conflicts() >= 1);
         let breakdown = stm.conflict_breakdown();
+        assert!(breakdown.iter().map(|&(_, n)| n).sum::<u64>() >= 1);
         assert_eq!(breakdown[0].0, hot.addr(), "blame fell on the wrong var");
         assert!(
             breakdown.iter().all(|&(a, _)| a != cold.addr()),

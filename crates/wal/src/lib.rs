@@ -50,4 +50,3 @@ pub use group::{GroupCommitWal, Ticket, WalConfig};
 pub use record::{MAGIC, MAX_PAYLOAD_LEN, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN};
 pub use recover::{recover, rotate_below, RecoveredLog, RecoveredRecord, RecoveryReport};
 pub use storage::{FileStorage, SimStorage, Storage};
-pub use writer::Wal;

@@ -1,7 +1,8 @@
 //! The single-writer append path: one active segment, size-based
 //! rolling, fsync on demand. Owned by whichever waiter currently leads
-//! the group commit (it holds the writer mutex). The `_det` suffix
-//! marks the functions instrumented with deterministic yield points;
+//! the group commit (it holds the writer mutex). `append_frames`,
+//! `roll_segment` and `sync` yield to a deterministic scheduler (the
+//! `WalAppend`, `WalSegmentRoll` and `WalFsync` points), and
 //! `tests/det_tick_crash.rs` asserts that its runs reach each of them.
 
 use std::io;
@@ -22,7 +23,7 @@ pub(crate) const MIN_SEGMENT_BYTES: u64 = 256;
 /// Appends framed records to the active segment, rolling to a fresh
 /// segment when the size cap is reached. Exactly one writer exists
 /// per log, behind the group commit's writer mutex.
-pub struct Wal {
+pub(crate) struct Wal {
     storage: Arc<dyn Storage>,
     segment_bytes: u64,
     active: u64,
@@ -131,11 +132,6 @@ impl Wal {
         self.metrics.record_batch(start.elapsed());
         Ok(())
     }
-
-    /// Id (= first LSN) of the active segment.
-    pub fn active_segment(&self) -> u64 {
-        self.active
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +161,7 @@ mod tests {
         let segs = storage.list_segments().unwrap();
         assert!(segs.len() >= 2, "expected a roll, got {segs:?}");
         assert_eq!(segs[0], 1);
-        assert!(wal.active_segment() > 1);
+        assert!(wal.active > 1);
         assert_eq!(metrics.snapshot().segments_rolled, segs.len() as u64 - 1);
     }
 

@@ -331,18 +331,24 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
                         // older writer parks between its two, the
                         // younger one signals after both of its own.
                         if staged && tid == 0 {
-                            let st = Arc::clone(stage);
-                            t.log_version_install(move |_| {
-                                st.older_parked.store(true, Ordering::SeqCst);
-                                spin_until(&st.older_released);
-                            });
+                            t.log_effect(
+                                Arc::clone(stage),
+                                |_| {},
+                                |st, _| {
+                                    st.older_parked.store(true, Ordering::SeqCst);
+                                    spin_until(&st.older_released);
+                                },
+                            );
                         }
                         b.add(t, 1)?;
                         if staged && tid == 1 {
-                            let st = Arc::clone(stage);
-                            t.log_version_install(move |_| {
-                                st.younger_installed.store(true, Ordering::SeqCst);
-                            });
+                            t.log_effect(
+                                Arc::clone(stage),
+                                |_| {},
+                                |st, _| {
+                                    st.younger_installed.store(true, Ordering::SeqCst);
+                                },
+                            );
                         }
                         Ok(())
                     })
@@ -461,14 +467,17 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
                     w.other.add(t, 1)?;
                     // Stay mid-install until the younger writer has
                     // finished its own installs, and a while longer.
-                    let st = Arc::clone(&w.stage);
-                    t.log_version_install(move |_| {
-                        st.older_parked.store(true, Ordering::SeqCst);
-                        spin_until(&st.younger_installed);
-                        for _ in 0..HOLD {
-                            det::yield_point(det::Point::User);
-                        }
-                    });
+                    t.log_effect(
+                        Arc::clone(&w.stage),
+                        |_| {},
+                        |st, _| {
+                            st.older_parked.store(true, Ordering::SeqCst);
+                            spin_until(&st.younger_installed);
+                            for _ in 0..HOLD {
+                                det::yield_point(det::Point::User);
+                            }
+                        },
+                    );
                     Ok(())
                 })
                 .unwrap();
@@ -477,10 +486,13 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
                 spin_until(&w.stage.older_parked);
                 w.tm.run(|t| {
                     w.map.put(t, 0, 1)?;
-                    let st = Arc::clone(&w.stage);
-                    t.log_version_install(move |_| {
-                        st.younger_installed.store(true, Ordering::SeqCst);
-                    });
+                    t.log_effect(
+                        Arc::clone(&w.stage),
+                        |_| {},
+                        |st, _| {
+                            st.younger_installed.store(true, Ordering::SeqCst);
+                        },
+                    );
                     Ok(())
                 })
                 .unwrap();
