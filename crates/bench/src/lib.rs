@@ -551,8 +551,11 @@ pub fn pipeline_run(capacity: usize, cfg: &RunConfig) -> RunResult {
                 while !stop.load(Ordering::Relaxed) {
                     let r = if stage == 0 {
                         x += 1;
+                        // The source waits for a free slot as every
+                        // producer does, so the `aborted` column counts
+                        // conflicts between stages, not a polling loop.
                         tm.run(|t| {
-                            queues[0].try_offer(t, x)?;
+                            queues[0].offer(t, x)?;
                             think_wait(think);
                             Ok(())
                         })

@@ -76,7 +76,7 @@ pub use backoff::{Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
     CommitClock, CommitStamp, DeltaChain, KeyHash, MvccDomain, MvccMetrics, MvccSnapshot,
-    ReaderRegistry, Slot, SnapshotGuard, VersionStore,
+    ReaderRegistry, SnapshotGuard, VersionStore,
 };
 pub use obs::{DurabilityMetrics, DurabilitySnapshot, HistogramSnapshot, LatencyHistogram};
 pub use stats::{TxnStats, TxnStatsSnapshot};

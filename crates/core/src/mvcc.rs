@@ -58,32 +58,39 @@
 //! ## Version slots and the GC floor
 //!
 //! A [`VersionStore`] shard is one open-addressed, linearly probed
-//! array whose entries *are* the versions: a [`Slot`] holds the key's
-//! two newest versions inline and spills to the heap only while a
-//! registered reader pins more. A snapshot read is one keyed hash —
+//! array whose entries are each a key and its newest committed version
+//! (32 B for `i64` keys and values). The versions a rewrite supersedes
+//! live out of line, in the shard: a small fixed buffer beside the
+//! array, and — only while a registered reader pins more history than
+//! the buffer holds — a keyed heap store, freed when it empties. A
+//! snapshot read at or above a key's newest version is one keyed hash —
 //! which picks both the shard and the home entry — one shard lock, and
-//! one entry read (more only past a collision); an install into an
-//! existing slot allocates nothing. [`VersionStore::prefetch`] starts a
-//! key's home entry on its way into the cache without the lock, so a
-//! script that announces its reads first (the server's snapshot
-//! lookahead) overlaps their misses instead of taking them one by one.
+//! one entry read (more only past a collision); a read below it looks
+//! at that key's superseded versions only. An install allocates nothing
+//! while the buffer has room. [`VersionStore::prefetch`] starts a key's
+//! home entry on its way into the cache without the lock, so a script
+//! that announces its reads first (the server's snapshot lookahead)
+//! overlaps their misses instead of taking them one by one.
 //!
-//! Every install prunes: a version is dropped as soon as a newer
-//! version at-or-below the **GC floor** exists, where the floor is
-//! `min(oldest registered reader, stable)` — so no registered snapshot
-//! reader can ever lose the version it would read. Registration and
-//! floor computation read the clock under the same registry mutex,
-//! which closes the register-vs-GC race: a floor that misses a
-//! concurrent registration is guaranteed (by mutex ordering and the
-//! clock's monotonicity) to be at-or-below that reader's snapshot. For
-//! the same reason a floor stays safe once computed, so a commit reads
-//! it once for all its installs ([`MvccDomain::commit`]).
+//! A version is dropped once a newer version at-or-below the **GC
+//! floor** exists, where the floor is `min(oldest registered reader,
+//! stable)` — so no registered snapshot reader can ever lose the
+//! version it would read. A shard sweeps its superseded versions
+//! whenever an install arrives with a floor above the last one it swept
+//! by. Registration and floor computation read the clock under the
+//! same registry mutex, which closes the register-vs-GC race: a floor
+//! that misses a concurrent registration is guaranteed (by mutex
+//! ordering and the clock's monotonicity) to be at-or-below that
+//! reader's snapshot. For the same reason a floor stays safe once
+//! computed, so a commit reads it once for all its installs
+//! ([`MvccDomain::commit`]).
 //!
 //! Everything here is shared-state-only (no per-`Txn` storage); the
 //! transaction integration — snapshot guards on [`crate::Txn`], the
 //! effect log whose install arms run at commit — lives in `txn.rs`.
 
-use std::hash::{BuildHasher, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -501,157 +508,152 @@ impl Drop for SnapshotGuard<'_> {
 /// (the key was absent as of that commit).
 type Version<V> = (u64, Option<V>);
 
-/// The versions of one key below its newest, ascending by timestamp:
-/// none, one held inline, or — only while a registered reader pins
-/// that much history — a heap vector.
+/// A version a newer one of its key has superseded: what a snapshot at
+/// a timestamp in `[version.0, until)` reads of that key.
 #[derive(Debug)]
-enum Older<V> {
-    None,
-    One(Version<V>),
-    // Boxed so the enum stays the size of one version: the pointer
-    // fits beside `One`'s niche, a `Vec`'s three words would not.
-    #[allow(clippy::box_collection)]
-    Many(Box<Vec<Version<V>>>),
+struct Superseded<V> {
+    version: Version<V>,
+    /// The timestamp of the key's next newer version.
+    until: u64,
 }
 
-impl<V> Older<V> {
-    fn as_slice(&self) -> &[Version<V>] {
-        match self {
-            Older::None => &[],
-            Older::One(v) => std::slice::from_ref(v),
-            Older::Many(vs) => vs,
-        }
+impl<V> Superseded<V> {
+    /// Whether a snapshot at `ts` reads this version.
+    fn covers(&self, ts: u64) -> bool {
+        self.version.0 <= ts && ts < self.until
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Version<V>] {
-        match self {
-            Older::None => &mut [],
-            Older::One(v) => std::slice::from_mut(v),
-            Older::Many(vs) => vs,
-        }
-    }
-
-    fn insert(&mut self, i: usize, version: Version<V>) {
-        *self = match std::mem::replace(self, Older::None) {
-            Older::None => Older::One(version),
-            Older::One(only) => {
-                let mut vs = vec![only];
-                vs.insert(i, version);
-                Older::Many(Box::new(vs))
-            }
-            Older::Many(mut vs) => {
-                vs.insert(i, version);
-                Older::Many(vs)
-            }
-        };
-    }
-
-    /// Drop the `n` oldest versions, returning to the inline forms
-    /// (and freeing the heap vector) once at most one is left.
-    fn drop_oldest(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        *self = match std::mem::replace(self, Older::None) {
-            Older::Many(mut vs) => {
-                vs.drain(..n);
-                if vs.len() > 1 {
-                    Older::Many(vs)
-                } else {
-                    vs.pop().map_or(Older::None, Older::One)
-                }
-            }
-            _ => Older::None,
-        };
+    /// Whether no snapshot at-or-above `floor` can need it: a newer
+    /// version at-or-below the floor exists — or it is a tombstone that
+    /// is the newest version at-or-below the floor. Every older version
+    /// of its key is reclaimable then too, so such a tombstone would
+    /// lead the key's history, and a read that finds no version
+    /// covering its snapshot answers `None` just as the tombstone does.
+    fn reclaimable(&self, floor: u64) -> bool {
+        self.until <= floor || (self.version.0 <= floor && self.version.1.is_none())
     }
 }
 
-/// Every retained committed version of one key — the entry type of a
-/// [`VersionStore`] shard, and the unit both of snapshot reads (newest
-/// version ≤ snapshot ts) and of GC.
+/// Superseded versions a shard holds in place before it spills. A
+/// commit supersedes one version per key it rewrites, and with no
+/// reader pinning history the shard's next install at a higher floor
+/// reclaims it, so a few cover the steady state.
+const BUFFERED: usize = 4;
+
+/// A shard's superseded versions, every key's together: a fixed buffer,
+/// and a keyed heap store for what the buffer cannot hold, allocated
+/// only then and freed as soon as a sweep empties it. Whether a version
+/// can go depends on nothing but its own record, so neither part is
+/// kept in order, and a key's versions may sit in both.
 ///
-/// Two versions fit inline: a commit's timestamp is above the floor
-/// it prunes by, so two is what a rewritten key holds when no reader
-/// pins more. A slot is plain data under the shard mutex; the
-/// deterministic yield points sit in [`VersionStore`], outside it.
+/// Installs reach this store with timestamps above every floor it has
+/// been swept by (the commit protocol's `floor ≤ stable < ts`), which
+/// is what lets [`sort_in`](Self::sort_in) find a version's successor
+/// among the versions kept.
 #[derive(Debug)]
-pub struct Slot<V> {
-    newest: Version<V>,
-    older: Older<V>,
+struct Older<K, V> {
+    buffer: [Option<(K, Superseded<V>)>; BUFFERED],
+    spill: Option<HashMap<K, Vec<Superseded<V>>>>,
+    /// The highest floor the store has been swept by.
+    swept: u64,
 }
 
-impl<V> Slot<V> {
-    /// A slot holding the single version committed at `ts`.
-    pub fn new(ts: u64, value: Option<V>) -> Self {
-        Slot {
-            newest: (ts, value),
-            older: Older::None,
+impl<K: Hash + Eq, V> Older<K, V> {
+    fn new() -> Self {
+        Older {
+            buffer: std::array::from_fn(|_| None),
+            spill: None,
+            swept: 0,
         }
     }
 
-    /// Install the version committed at `ts` (`None` = tombstone) and
-    /// prune by `floor`; returns how many versions were dropped.
-    ///
-    /// Installs may arrive out of timestamp order (commits race
-    /// between `reserve` and `publish`), so the version is sorted in; a
-    /// same-timestamp version is overwritten (one transaction writing
-    /// a key twice installs last-write-wins).
-    pub fn install(&mut self, ts: u64, value: Option<V>, floor: u64) -> usize {
-        // Prune first, so a rewrite makes room inline instead of
-        // spilling; again after, for what the new version supersedes.
-        let reclaimed = self.prune(floor);
-        match ts.cmp(&self.newest.0) {
-            std::cmp::Ordering::Greater => {
-                let prev = std::mem::replace(&mut self.newest, (ts, value));
-                self.older.insert(self.older.as_slice().len(), prev);
+    /// `key`'s superseded versions, in no order.
+    fn of<'s, 'k>(
+        &'s self,
+        key: &'k K,
+    ) -> impl Iterator<Item = &'s Superseded<V>> + use<'s, 'k, K, V> {
+        let buffered = self.buffer.iter().flatten();
+        let buffered = buffered.filter_map(move |(k, s)| (k == key).then_some(s));
+        let spilled = self.spill.as_ref().and_then(|spill| spill.get(key));
+        buffered.chain(spilled.into_iter().flatten())
+    }
+
+    fn of_mut<'s, 'k>(
+        &'s mut self,
+        key: &'k K,
+    ) -> impl Iterator<Item = &'s mut Superseded<V>> + use<'s, 'k, K, V> {
+        let buffered = self.buffer.iter_mut().flatten();
+        let buffered = buffered.filter_map(move |(k, s)| (&*k == key).then_some(s));
+        let spilled = self.spill.as_mut().and_then(|spill| spill.get_mut(key));
+        buffered.chain(spilled.into_iter().flatten())
+    }
+
+    /// Keep `superseded` unless `floor` already reclaims it; returns the
+    /// versions that reclaimed (0 or 1).
+    fn keep(&mut self, key: K, superseded: Superseded<V>, floor: u64) -> usize {
+        if superseded.reclaimable(floor) {
+            return 1;
+        }
+        match self.buffer.iter_mut().find(|entry| entry.is_none()) {
+            Some(free) => *free = Some((key, superseded)),
+            None => self
+                .spill
+                .get_or_insert_with(HashMap::new)
+                .entry(key)
+                .or_default()
+                .push(superseded),
+        }
+        0
+    }
+
+    /// Sort the version `(ts, value)` of `key` in below the key's newest
+    /// version, committed at `newest`: it splits the span of the version
+    /// it lands in, or — in a gap no kept version covers — runs until
+    /// the next version kept. A version kept at `ts` is overwritten.
+    /// Returns the versions reclaimed, as [`keep`](Self::keep) does.
+    fn sort_in(&mut self, key: K, (ts, value): Version<V>, newest: u64, floor: u64) -> usize {
+        let mut until = newest;
+        for s in self.of_mut(&key) {
+            if s.version.0 == ts {
+                s.version.1 = value;
+                return 0;
             }
-            std::cmp::Ordering::Equal => self.newest.1 = value,
-            std::cmp::Ordering::Less => {
-                let older = self.older.as_mut_slice();
-                let i = older.partition_point(|&(t, _)| t < ts);
-                match older.get_mut(i) {
-                    Some(same) if same.0 == ts => same.1 = value,
-                    _ => self.older.insert(i, (ts, value)),
-                }
+            if s.covers(ts) {
+                until = std::mem::replace(&mut s.until, ts);
+            } else if s.version.0 > ts {
+                until = until.min(s.version.0);
             }
         }
-        reclaimed + self.prune(floor)
+        let version = (ts, value);
+        self.keep(key, Superseded { version, until }, floor)
     }
 
-    /// Drop every version no snapshot at-or-above `floor` can read: a
-    /// version goes iff a newer version ≤ `floor` exists — plus one
-    /// special case: a tombstone that *is* the newest version ≤
-    /// `floor`, with nothing older left, reads identically to an empty
-    /// prefix and goes too (unless it is all the slot holds).
-    fn prune(&mut self, floor: u64) -> usize {
-        let older = self.older.as_slice();
-        let cut = if self.newest.0 <= floor {
-            older.len()
-        } else {
-            let at_or_below = older.partition_point(|&(t, _)| t <= floor);
-            match at_or_below.checked_sub(1) {
-                Some(keep) if older[keep].1.is_some() => keep,
-                _ => at_or_below,
-            }
-        };
-        self.older.drop_oldest(cut);
-        cut
-    }
-
-    /// The newest value at-or-below snapshot `ts` (`None`: the key was
-    /// absent — or tombstoned — as of `ts`).
-    pub fn read_at(&self, ts: u64) -> Option<&V> {
-        if self.newest.0 <= ts {
-            return self.newest.1.as_ref();
+    /// Drop every superseded version `floor` reclaims, unless the store
+    /// was swept by a floor at least as high; returns how many went.
+    fn sweep(&mut self, floor: u64) -> usize {
+        if floor <= self.swept {
+            return 0;
         }
-        let older = self.older.as_slice();
-        let i = older.partition_point(|&(t, _)| t <= ts);
-        older[..i].last().and_then(|(_, v)| v.as_ref())
-    }
-
-    /// Number of retained versions (at least one).
-    pub fn versions(&self) -> usize {
-        1 + self.older.as_slice().len()
+        self.swept = floor;
+        let mut reclaimed = 0;
+        for entry in &mut self.buffer {
+            if entry.as_ref().is_some_and(|(_, s)| s.reclaimable(floor)) {
+                *entry = None;
+                reclaimed += 1;
+            }
+        }
+        if let Some(spill) = &mut self.spill {
+            spill.retain(|_, versions| {
+                let kept = versions.len();
+                versions.retain(|s| !s.reclaimable(floor));
+                reclaimed += kept - versions.len();
+                !versions.is_empty()
+            });
+            if spill.is_empty() {
+                self.spill = None;
+            }
+        }
+        reclaimed
     }
 }
 
@@ -751,28 +753,32 @@ const STORE_SHARDS: usize = 1 << STORE_SHARD_BITS;
 /// Entries a shard's slot array starts with on its first install.
 const MIN_ENTRIES: usize = 8;
 
-/// One entry of a shard's slot array: empty, or a key and every
-/// retained version of it (56 B for `K = V = i64`: the `Option` packs
-/// into a niche of the slot's version tags).
-type Entry<K, V> = Option<(K, Slot<V>)>;
+/// One entry of a shard's slot array: empty, or a key and its newest
+/// committed version (32 B for `K = V = i64`: the `Option` packs into a
+/// niche of the version's value tag).
+type Entry<K, V> = Option<(K, Version<V>)>;
 
-/// A [`VersionStore`] shard's slots: one open-addressed array, probed
-/// linearly from the home entry `hash & mask`. Its length is a power of
-/// two (or zero before the first install), it grows once past ¾ full,
-/// and an entry, once filled, is never emptied, so a probe ends at the
-/// first empty entry: had the key been installed, it would sit there or
-/// earlier. Hashes are not stored; a growth recomputes them.
+/// A [`VersionStore`] shard's versions: one open-addressed array of
+/// each key's newest version, probed linearly from the home entry
+/// `hash & mask`, and the versions those superseded, out of line. The
+/// array's length is a power of two (or zero before the first install),
+/// it grows once past ¾ full, and an entry, once filled, is never
+/// emptied, so a probe ends at the first empty entry: had the key been
+/// installed, it would sit there or earlier. Hashes are not stored; a
+/// growth recomputes them.
 #[derive(Debug)]
 struct SlotTable<K, V> {
     entries: Box<[Entry<K, V>]>,
     len: usize,
+    older: Older<K, V>,
 }
 
-impl<K: Eq, V> SlotTable<K, V> {
+impl<K: Hash + Eq, V> SlotTable<K, V> {
     fn new() -> Self {
         SlotTable {
             entries: Box::new([]),
             len: 0,
+            older: Older::new(),
         }
     }
 
@@ -790,21 +796,43 @@ impl<K: Eq, V> SlotTable<K, V> {
         }
     }
 
-    /// `key`'s slot, if it was ever installed.
-    fn get(&self, hash: u64, key: &K) -> Option<&Slot<V>> {
+    /// `key`'s newest version, if it was ever installed.
+    fn newest(&self, hash: u64, key: &K) -> Option<&Version<V>> {
         if self.len == 0 {
             return None;
         }
         self.entries[self.probe(hash, key)]
             .as_ref()
-            .map(|(_, slot)| slot)
+            .map(|(_, newest)| newest)
     }
 
-    /// Install the version `(ts, value)` of `key`, pruning by `floor`
-    /// ([`Slot::install`]), or give `key` a slot holding only it —
-    /// growing the array first if that would fill it past ¾, with
-    /// `hash_of` recomputing the hashes of the keys it moves. Returns
-    /// the key's retained versions and the versions reclaimed.
+    /// The newest value of `key` at-or-below snapshot `ts` (`None`: the
+    /// key was absent — or tombstoned — as of `ts`). Only a read below
+    /// the key's newest version looks out of line.
+    fn read_at(&self, hash: u64, key: &K, ts: u64) -> Option<&V> {
+        let (newest, value) = self.newest(hash, key)?;
+        if *newest <= ts {
+            return value.as_ref();
+        }
+        let superseded = self.older.of(key).find(|s| s.covers(ts));
+        superseded.and_then(|s| s.version.1.as_ref())
+    }
+
+    /// Retained versions of `key`: 0 if it was never installed.
+    fn versions(&self, hash: u64, key: &K) -> usize {
+        self.newest(hash, key)
+            .map_or(0, |_| 1 + self.older.of(key).count())
+    }
+
+    /// Install the version `(ts, value)` of `key`, or give `key` an
+    /// entry holding only it — growing the array first if that would
+    /// fill it past ¾, with `hash_of` recomputing the hashes of the keys
+    /// it moves. A version newer than the key's newest supersedes it; an
+    /// older one is sorted in (commits race between `reserve` and
+    /// `publish`); one at the same timestamp overwrites (a transaction
+    /// that writes a key twice installs last-write-wins). The shard is
+    /// swept by `floor` first if no install swept it that high yet.
+    /// Returns the key's retained versions and the versions reclaimed.
     fn install(
         &mut self,
         hash: u64,
@@ -813,21 +841,38 @@ impl<K: Eq, V> SlotTable<K, V> {
         floor: u64,
         hash_of: impl Fn(&K) -> u64,
     ) -> (usize, usize) {
-        let (ts, value) = version;
+        let mut reclaimed = self.older.sweep(floor);
         if self.len > 0 {
             let i = self.probe(hash, &key);
-            if let Some((_, slot)) = &mut self.entries[i] {
-                let reclaimed = slot.install(ts, value, floor);
-                return (slot.versions(), reclaimed);
+            if let Some((_, newest)) = &mut self.entries[i] {
+                let (ts, value) = version;
+                reclaimed += match ts.cmp(&newest.0) {
+                    std::cmp::Ordering::Greater => {
+                        let version = std::mem::replace(newest, (ts, value));
+                        let superseded = Superseded { version, until: ts };
+                        self.older.keep(key, superseded, floor)
+                    }
+                    std::cmp::Ordering::Equal => {
+                        newest.1 = value;
+                        0
+                    }
+                    std::cmp::Ordering::Less => {
+                        let newest = newest.0;
+                        self.older.sort_in(key, (ts, value), newest, floor)
+                    }
+                };
+                let key = self.entries[i].as_ref().map(|(key, _)| key);
+                let older = key.map_or(0, |key| self.older.of(key).count());
+                return (1 + older, reclaimed);
             }
         }
         if 4 * (self.len + 1) > 3 * self.entries.len() {
             self.grow(hash_of);
         }
         let i = self.probe(hash, &key);
-        self.entries[i] = Some((key, Slot::new(ts, value)));
+        self.entries[i] = Some((key, version));
         self.len += 1;
-        (1, 0)
+        (1, reclaimed)
     }
 
     /// Double the array (or allocate the first one) and move every
@@ -835,9 +880,9 @@ impl<K: Eq, V> SlotTable<K, V> {
     fn grow(&mut self, hash_of: impl Fn(&K) -> u64) {
         let len = (2 * self.entries.len()).max(MIN_ENTRIES);
         let old = std::mem::replace(&mut self.entries, (0..len).map(|_| None).collect());
-        for (key, slot) in old.into_vec().into_iter().flatten() {
+        for (key, newest) in old.into_vec().into_iter().flatten() {
             let i = self.probe(hash_of(&key), &key);
-            self.entries[i] = Some((key, slot));
+            self.entries[i] = Some((key, newest));
         }
     }
 
@@ -851,9 +896,9 @@ impl<K: Eq, V> SlotTable<K, V> {
     }
 }
 
-/// One lock-striped part of a [`VersionStore`]: its slot array under a
-/// mutex, and beside it a lock-free copy of the array's address and
-/// mask. The copy is rewritten, under the mutex, whenever the array
+/// One lock-striped part of a [`VersionStore`]: its versions under a
+/// mutex, and beside them a lock-free copy of the slot array's address
+/// and mask. The copy is rewritten, under the mutex, whenever the array
 /// grows; [`VersionStore::prefetch`] reads it with relaxed loads and
 /// uses it only to compute a cache hint, so a stale one only wastes
 /// the hint.
@@ -864,16 +909,13 @@ struct Shard<K, V> {
     mask: AtomicUsize,
 }
 
-impl<K: Eq, V: Clone> Shard<K, V> {
+impl<K: Hash + Eq, V: Clone> Shard<K, V> {
     /// The newest value of `key` at-or-below snapshot `ts`, under the
     /// shard mutex. Yields exactly once, before the lock.
     fn read_at(&self, hash: KeyHash, key: &K, ts: u64) -> Option<V> {
         det::yield_point(det::Point::SnapshotRead);
         let table = self.table.lock().expect("version shard poisoned");
-        table
-            .get(hash.0, key)
-            .and_then(|slot| slot.read_at(ts))
-            .cloned()
+        table.read_at(hash.0, key, ts).cloned()
     }
 }
 
@@ -900,14 +942,14 @@ fn prefetch_hint<T>(p: *const T) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyHash(u64);
 
-/// A sharded map from key to [`Slot`] — the per-collection version
-/// side-table behind the boosted map.
+/// A sharded map from key to its retained committed versions — the
+/// per-collection version side-table behind the boosted map.
 ///
-/// Slots are created on first install. A key with no slot was never
-/// written, hence absent at every snapshot; once created, a slot is
-/// never removed (it always keeps its newest version). One keyed hash
-/// per call picks both the shard and the home entry; the hash is keyed
-/// because keys arrive over the wire, and linear probing clusters
+/// A key gets its slot on its first install. A key with no slot was
+/// never written, hence absent at every snapshot; once created, a slot
+/// is never removed (it always keeps its newest version). One keyed
+/// hash per call picks both the shard and the home entry; the hash is
+/// keyed because keys arrive over the wire, and linear probing clusters
 /// under chosen collisions.
 #[derive(Debug)]
 pub struct VersionStore<K, V> {
@@ -918,7 +960,7 @@ pub struct VersionStore<K, V> {
 
 impl<K, V> VersionStore<K, V>
 where
-    K: std::hash::Hash + Eq,
+    K: Hash + Eq,
     V: Clone,
 {
     /// An empty store stamping and counting against `domain`.
@@ -953,9 +995,9 @@ where
     }
 
     /// Install `value` (`None` = tombstone) for `key` at the commit
-    /// `stamp` came from, pruning the key's slot by that commit's floor
-    /// (see [`Slot::install`]); the slot is created on first install.
-    /// This is what an effect's install arm calls, inside
+    /// `stamp` came from, sweeping the key's shard by that commit's
+    /// floor; the key's slot is created on its first install. This is
+    /// what an effect's install arm calls, inside
     /// [`MvccDomain::commit`]'s window.
     pub fn install(&self, key: K, value: Option<V>, stamp: CommitStamp) {
         let CommitStamp { ts, floor } = stamp;
@@ -1017,7 +1059,7 @@ where
             .table
             .lock()
             .expect("version shard poisoned");
-        table.get(hash.0, key).map_or(0, Slot::versions)
+        table.versions(hash.0, key)
     }
 }
 
@@ -1241,10 +1283,36 @@ mod tests {
         drop(reader);
     }
 
+    /// One key's versions in a table of their own: what the tests
+    /// below install and read, under the shard's sweep rule.
+    struct OneKey<V>(SlotTable<u64, V>);
+
+    impl<V> OneKey<V> {
+        fn new(ts: u64, value: Option<V>) -> Self {
+            let mut table = SlotTable::new();
+            table.install(0, 0, (ts, value), 0, |_| 0);
+            OneKey(table)
+        }
+
+        /// Install `(ts, value)` by `floor`; returns the versions
+        /// reclaimed.
+        fn install(&mut self, ts: u64, value: Option<V>, floor: u64) -> usize {
+            self.0.install(0, 0, (ts, value), floor, |_| 0).1
+        }
+
+        fn read_at(&self, ts: u64) -> Option<&V> {
+            self.0.read_at(0, &0, ts)
+        }
+
+        fn versions(&self) -> usize {
+            self.0.versions(0, &0)
+        }
+    }
+
     #[test]
     fn slot_reads_the_newest_version_at_or_below_the_snapshot() {
         // Floor 0 throughout: nothing may be pruned.
-        let mut slot = Slot::new(2, Some(20i64));
+        let mut slot = OneKey::new(2, Some(20i64));
         slot.install(5, Some(50), 0);
         slot.install(9, Some(90), 0);
         assert_eq!(slot.read_at(1), None, "before the first version");
@@ -1260,7 +1328,7 @@ mod tests {
 
     #[test]
     fn out_of_order_installs_sort_in_and_a_same_timestamp_install_wins() {
-        let mut slot = Slot::new(7, Some(70));
+        let mut slot = OneKey::new(7, Some(70));
         slot.install(3, Some(30), 0);
         slot.install(5, Some(50), 0);
         assert_eq!(slot.read_at(4), Some(&30));
@@ -1275,7 +1343,7 @@ mod tests {
 
     #[test]
     fn every_install_prunes_to_the_newest_version_at_or_below_the_floor() {
-        let mut slot = Slot::new(1, Some(1));
+        let mut slot = OneKey::new(1, Some(1));
         for ts in 2..=5u64 {
             assert_eq!(
                 slot.install(ts, Some(ts), 0),
@@ -1300,13 +1368,13 @@ mod tests {
     fn gc_drops_a_leading_tombstone() {
         // [tombstone, value]: once the floor reaches the tombstone it
         // reads like the empty prefix, so it goes.
-        let mut slot = Slot::new(1, None);
+        let mut slot = OneKey::new(1, None);
         assert_eq!(slot.install(2, Some(5), 1), 1);
         assert_eq!(slot.versions(), 1);
         assert_eq!(slot.read_at(1), None);
         // A tombstone that shadows an older value must stay until the
         // floor passes it.
-        let mut slot = Slot::new(1, Some(5));
+        let mut slot = OneKey::new(1, Some(5));
         slot.install(2, None, 0);
         assert_eq!(slot.install(3, Some(6), 1), 0);
         assert_eq!(slot.read_at(2), None);
@@ -1316,14 +1384,42 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_two_inline_versions_and_no_wider() {
-        // What the footprint claim rests on: the `older` side adds one
-        // version's worth of bytes, not a `Vec` header on top.
+    fn an_entry_is_a_key_and_one_version_and_no_wider() {
+        // What the footprint claim rests on: an entry is its key and its
+        // newest version — no tag, no stored hash, no room for another.
         use std::mem::size_of;
-        assert_eq!(size_of::<Slot<i64>>(), 2 * size_of::<Version<i64>>());
-        assert_eq!(size_of::<Slot<()>>(), 2 * size_of::<Version<()>>());
-        // And an entry is its key and its slot: no tag, no stored hash.
-        assert_eq!(size_of::<Entry<i64, i64>>(), 56);
+        assert_eq!(size_of::<Entry<i64, i64>>(), 32);
+        assert_eq!(
+            size_of::<Entry<i64, i64>>(),
+            size_of::<i64>() + size_of::<Version<i64>>()
+        );
+    }
+
+    #[test]
+    fn superseded_versions_spill_past_the_buffer_and_the_spill_is_freed() {
+        // Floor 0 keeps every version: two keys rewritten three times
+        // each overflow the shard's buffer.
+        let mut table = SlotTable::new();
+        for ts in 1..=4u64 {
+            for key in [1u64, 2] {
+                table.install(0, key, (ts, Some(ts * 10 + key)), 0, |_| 0);
+            }
+        }
+        assert!(
+            table.older.spill.is_some(),
+            "six versions in a buffer of four"
+        );
+        for key in [1u64, 2] {
+            assert_eq!(table.versions(0, &key), 4);
+            for ts in 1..=4 {
+                assert_eq!(table.read_at(0, &key, ts), Some(&(ts * 10 + key)));
+            }
+        }
+        // A floor past every rewrite reclaims all six and frees the spill.
+        assert_eq!(table.install(0, 1, (5, Some(51)), 4, |_| 0), (2, 6));
+        assert!(table.older.spill.is_none());
+        assert_eq!((table.versions(0, &1), table.versions(0, &2)), (2, 1));
+        assert_eq!(table.read_at(0, &1, 4), Some(&41));
     }
 
     /// The key in each entry of a table's array, in array order.
@@ -1348,14 +1444,13 @@ mod tests {
         (expect[7], expect[0], expect[1]) = (Some(0), Some(1), Some(2));
         assert_eq!(entries(&table), expect);
         for key in 0..3u64 {
-            let slot = table.get(7, &key).expect("installed key");
-            assert_eq!(slot.read_at(1), Some(&(key * 10)));
+            assert_eq!(table.read_at(7, &key, 1), Some(&(key * 10)));
         }
         // The probe for an absent key wraps too, and stops at entry 2.
-        assert!(table.get(7, &3).is_none());
+        assert_eq!(table.versions(7, &3), 0);
         // A rewrite finds the wrapped entry instead of adding one.
         assert_eq!(table.install(7, 2, (2, None), 0, hash_of), (2, 0));
-        assert_eq!((table.len, table.get(7, &2).unwrap().read_at(2)), (3, None));
+        assert_eq!((table.len, table.read_at(7, &2, 2)), (3, None));
     }
 
     #[test]
@@ -1395,7 +1490,7 @@ mod tests {
                         .get(&key)
                         .and_then(|vs| vs.iter().rev().find(|(t, _)| *t <= ts))
                         .and_then(|(_, v)| v.as_ref());
-                    let got = table.get(hash_of(&key), &key).and_then(|s| s.read_at(ts));
+                    let got = table.read_at(hash_of(&key), &key, ts);
                     assert_eq!(got, want, "key {key} at snapshot {ts}");
                 }
             }
@@ -1415,7 +1510,7 @@ mod tests {
             }
         }
         assert_eq!(table.len, KEYS as usize);
-        assert!((0..KEYS).all(|k| table.get(hash_of(&k), &k).unwrap().versions() == 3));
+        assert!((0..KEYS).all(|k| table.versions(hash_of(&k), &k) == 3));
     }
 
     /// Each shard's array length.

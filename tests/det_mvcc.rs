@@ -176,10 +176,15 @@ fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
     );
 }
 
-/// One writer commits `PUTS` versions of a single key while a reader
-/// pins a snapshot from before the churn. Returns how many runs saw
-/// the reader's second read disagree with its first.
-fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>, staged: &[det::Mutation]) -> u64 {
+/// One writer rewrites each of `keys` keys `PUTS` times — one commit
+/// per round, every key in it — while a reader pins a snapshot from
+/// before the churn and reads every key before and after it. Returns
+/// how many runs saw the reader's second reads disagree with its first.
+fn pinned_reader_vs_chain_gc(
+    keys: i64,
+    seeds: std::ops::Range<u64>,
+    staged: &[det::Mutation],
+) -> u64 {
     const PUTS: i64 = 14;
     struct W {
         tm: TxnManager,
@@ -201,30 +206,42 @@ fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>, staged: &[det::Mutatio
             churned: AtomicBool::new(false),
         },
         |w, tid| {
+            let put_all = |value: i64| {
+                w.tm.run(|t| (0..keys).try_for_each(|k| w.map.put(t, k, value).map(|_| ())))
+                    .unwrap();
+            };
             if tid == 0 {
-                w.tm.run(|t| w.map.put(t, 0, -1).map(|_| ())).unwrap();
+                put_all(-1);
                 w.seeded.store(true, Ordering::SeqCst);
                 spin_until(&w.pinned);
-                // Each commit installs one version and prunes by its
-                // floor, so GC is exercised on every one of them: the
-                // pinned version must outlive all `PUTS` prunes, and
-                // under the mutation the second one already drops it.
+                // Each commit supersedes one version per key and sweeps
+                // by its floor, so GC is exercised on every one of them:
+                // the pinned versions must outlive all `PUTS` sweeps,
+                // and under the mutation the second one already drops
+                // them.
                 for i in 0..PUTS {
-                    w.tm.run(|t| w.map.put(t, 0, i).map(|_| ())).unwrap();
+                    put_all(i);
                 }
                 w.churned.store(true, Ordering::SeqCst);
             } else {
                 // Snapshot only after the seed committed, so the pin
-                // lands at-or-after the seed version's timestamp and
-                // the `before` read is provably `Some`.
+                // lands at-or-after the seed versions' timestamp and
+                // the `before` reads are provably `Some`.
                 spin_until(&w.seeded);
                 let outcome = w.tm.run_read_only(|t| {
-                    let before = w.map.get(t, &0)?;
-                    assert!(before.is_some(), "snapshot postdates the seeding commit");
+                    let read_all = || {
+                        (0..keys)
+                            .map(|k| w.map.get(t, &k))
+                            .collect::<Result<Vec<_>, _>>()
+                    };
+                    let before = read_all()?;
+                    assert!(
+                        before.iter().all(Option::is_some),
+                        "snapshot postdates the seeding commit"
+                    );
                     w.pinned.store(true, Ordering::SeqCst);
                     spin_until(&w.churned);
-                    let after = w.map.get(t, &0)?;
-                    Ok(before == after)
+                    Ok(before == read_all()?)
                 });
                 if !outcome.expect("a read-only txn can never abort") {
                     torn.fetch_add(1, Ordering::SeqCst);
@@ -236,32 +253,50 @@ fn pinned_reader_vs_chain_gc(seeds: std::ops::Range<u64>, staged: &[det::Mutatio
     torn.load(Ordering::SeqCst)
 }
 
+/// More keys than a version store has shards: some shard holds two
+/// keys' pinned history at once, more than its fixed buffer, so the
+/// history spills to the shard's keyed store.
+const SPILLING_KEYS: i64 = 65;
+
 #[test]
 fn pinned_snapshots_survive_chain_gc_on_every_seed() {
     // With the reader registry honoured, GC must never reclaim the
     // version a registered snapshot still reads: the reader's two
-    // reads agree on every seed even though the slot was pruned
-    // around its pin.
+    // reads agree on every seed even though the key's versions were
+    // swept around its pin.
     let _g = domain_guard();
-    let torn = pinned_reader_vs_chain_gc(txboost_sched::seeds_from_env(60), &[]);
+    let torn = pinned_reader_vs_chain_gc(1, txboost_sched::seeds_from_env(60), &[]);
     assert_eq!(torn, 0, "GC reclaimed a version a live reader was pinning");
+}
+
+#[test]
+fn pinned_snapshots_survive_spilled_history_gc_on_every_seed() {
+    let _g = domain_guard();
+    let seeds = txboost_sched::seeds_from_env(60);
+    let torn = pinned_reader_vs_chain_gc(SPILLING_KEYS, seeds, &[]);
+    assert_eq!(
+        torn, 0,
+        "GC reclaimed spilled history a live reader was pinning"
+    );
 }
 
 #[test]
 fn skipping_the_reader_registry_floor_is_caught_by_the_sweep() {
     // Mutation check: stage away the reader-registry contribution to
-    // the GC floor and the *same* workload must tear — GC prunes up to
+    // the GC floor and the *same* workload must tear — GC sweeps up to
     // the stable frontier, dropping the pinned version, and the
     // reader's second read comes back different (absent). If this
-    // stopped firing, the honest test above would be vacuous.
+    // stopped firing, the honest tests above would be vacuous.
     let _g = domain_guard();
-    let seeds = txboost_sched::seeds_from_env(60);
-    let torn = pinned_reader_vs_chain_gc(seeds, &[det::Mutation::IgnoreReaderFloor]);
-    assert!(
-        torn > 0,
-        "sweep failed to notice GC ignoring registered readers — the \
-         pinned-snapshot test has no teeth"
-    );
+    let staged = [det::Mutation::IgnoreReaderFloor];
+    for keys in [1, SPILLING_KEYS] {
+        let torn = pinned_reader_vs_chain_gc(keys, txboost_sched::seeds_from_env(60), &staged);
+        assert!(
+            torn > 0,
+            "sweep over {keys} keys failed to notice GC ignoring registered \
+             readers — the pinned-snapshot test has no teeth"
+        );
+    }
 }
 
 /// What `overlapping_install_windows` saw over a sweep.

@@ -23,7 +23,9 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use transactional_boosting::core::{DeltaChain, MvccDomain, Slot, SnapshotGuard, VersionStore};
+use transactional_boosting::core::{
+    CommitStamp, DeltaChain, MvccDomain, SnapshotGuard, VersionStore,
+};
 use transactional_boosting::model::spec::SetOp;
 use transactional_boosting::model::{check_commit_order_serializable, SetSpec, TxnLabel};
 use transactional_boosting::prelude::*;
@@ -227,20 +229,20 @@ proptest! {
         prop_assert_eq!(checker_ok, oracle_ok);
     }
 
-    /// Eager floor-driven pruning must never reclaim a version a
-    /// registered reader can still read: after every install of an
-    /// arbitrary script — values, tombstones, out-of-order pairs,
-    /// same-timestamp rewrites, register, deregister — each live
-    /// reader's `read_at` still answers exactly what the GC-free log
-    /// held at its registration. And pruning must actually happen: at
-    /// most one version at-or-below the floor survives an install, so
-    /// with no reader registered a slot never holds more than two.
+    /// Floor-driven sweeping must never reclaim a version a registered
+    /// reader can still read: after every install of an arbitrary
+    /// script — values, tombstones, out-of-order pairs, same-timestamp
+    /// rewrites, register, deregister — each live reader's `read_at`
+    /// of the key still answers exactly what the GC-free log held at
+    /// its registration. And sweeping must actually happen: at most one
+    /// of the key's versions at-or-below the floor survives an install,
+    /// so with no reader registered it never holds more than two.
     #[test]
     fn slots_never_drop_a_reader_visible_version(
         script in proptest::collection::vec((0..6u8, 0..100i32), 1..80),
     ) {
-        let domain = MvccDomain::new();
-        let mut slot: Option<Slot<i32>> = None;
+        let domain = Arc::new(MvccDomain::new());
+        let store = VersionStore::new(Arc::clone(&domain));
         // Every committed version, never pruned — the oracle. A map,
         // so a same-timestamp rewrite is last-write-wins here too.
         let mut log: BTreeMap<u64, Option<i32>> = BTreeMap::new();
@@ -270,27 +272,22 @@ proptest! {
             let reserved = [domain.clock.reserve(), domain.clock.reserve()];
             for &(nth, val) in installs {
                 let ts = reserved[nth];
-                match slot.as_mut() {
-                    Some(slot) => {
-                        slot.install(ts, val, floor);
-                    }
-                    None => slot = Some(Slot::new(ts, val)),
-                }
+                store.install(0, val, CommitStamp { ts, floor });
                 log.insert(ts, val);
-                let slot = slot.as_ref().unwrap();
+                let versions = store.versions(&0);
                 let above_floor = log.range(floor + 1..).count();
                 prop_assert!(
-                    slot.versions() <= above_floor + 1,
+                    versions <= above_floor + 1,
                     "{} versions kept, only {} above floor {}",
-                    slot.versions(), above_floor, floor
+                    versions, above_floor, floor
                 );
                 if readers.is_empty() && op != 2 {
-                    prop_assert!(slot.versions() <= 2, "unpinned slot holds {}", slot.versions());
+                    prop_assert!(versions <= 2, "unpinned key holds {}", versions);
                 }
                 for (guard, expected) in &readers {
                     prop_assert_eq!(
-                        slot.read_at(guard.ts()),
-                        expected.as_ref(),
+                        store.read_at(&0, guard.ts()),
+                        *expected,
                         "reader pinned at ts {} lost its version",
                         guard.ts()
                     );
