@@ -10,10 +10,10 @@
 //! uncommitted* transaction's committed `release`, which conventional
 //! STM isolation forbids — "they require boosting to avoid deadlock".
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 use txboost_core::locks::Deadline;
-use txboost_core::{Abort, TxResult, Txn};
+use txboost_core::{Abort, SpinWait, TxResult, Txn};
 
 #[derive(Debug)]
 struct SemInner {
@@ -85,8 +85,10 @@ impl TSemaphore {
     /// Transactionally take a permit.
     ///
     /// Takes effect immediately: blocks (up to the transaction's lock
-    /// timeout) while the committed count is zero, then decrements. On
-    /// abort the undo log re-increments. A timeout aborts the
+    /// timeout) while the committed count is zero, then decrements. A
+    /// permit is usually one commit away, so a waiter spins briefly,
+    /// off the mutex, before it parks. On abort the undo log
+    /// re-increments. A timeout aborts the
     /// transaction with [`Abort::would_block`] — the conditional-
     /// synchronization analogue of deadlock recovery. The wait goes
     /// through [`Deadline`], so under a deterministic scheduler every
@@ -101,7 +103,11 @@ impl TSemaphore {
         txboost_core::det::yield_point(txboost_core::det::Point::LockAcquire);
         let deadline = Deadline::after(txn.lock_timeout());
         let mut st = self.inner.state.lock();
+        let mut spin = SpinWait::new();
         while st.count == 0 {
+            if MutexGuard::unlocked(&mut st, || spin.spin()) {
+                continue;
+            }
             st.waiters += 1;
             let timed_out = deadline.wait(&self.inner.cv, &mut st);
             st.waiters -= 1;

@@ -1,8 +1,39 @@
-//! Randomized exponential backoff between transaction retries, and the
+//! The retry loop every transaction runtime here shares, the
+//! randomized exponential backoff it runs between attempts, and the
 //! bounded [`SpinWait`] used before parking on a contended lock.
 
+use crate::{AbortReason, TxResult, TxnError};
 use rand::Rng;
 use std::time::Duration;
+
+/// Run `attempt` until it commits, with a [`Backoff`] between
+/// attempts. `attempt` runs one whole attempt — begin, body, commit or
+/// abort — and returns the value it committed or the abort that ended
+/// it. An explicit abort is a decision, not a conflict, so it is never
+/// retried ([`TxnError::ExplicitlyAborted`]); once `max_retries`
+/// retries (`None`: no bound) have also aborted, the last abort's
+/// reason is returned as [`TxnError::RetriesExhausted`].
+pub fn retry<R>(
+    max_retries: Option<u64>,
+    mut attempt: impl FnMut() -> TxResult<R>,
+) -> Result<R, TxnError> {
+    let mut backoff = Backoff::default();
+    let mut retries: u64 = 0;
+    loop {
+        let reason = match attempt() {
+            Ok(value) => return Ok(value),
+            Err(abort) => abort.reason(),
+        };
+        if reason == AbortReason::Explicit {
+            return Err(TxnError::ExplicitlyAborted);
+        }
+        if max_retries.is_some_and(|max| retries >= max) {
+            return Err(TxnError::RetriesExhausted(reason));
+        }
+        retries += 1;
+        backoff.backoff();
+    }
+}
 
 /// A bounded exponential spinner: the "wait briefly before parking"
 /// phase of a contended lock acquisition.

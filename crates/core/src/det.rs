@@ -117,6 +117,10 @@ pub enum Mutation {
     /// `CommitClock::publish` makes its timestamp stable without waiting
     /// for older ones still installing.
     PublishOutOfOrder,
+    /// A committing transaction releases its abstract locks once it has
+    /// reserved its commit timestamp, before its version installs and
+    /// its `publish`.
+    LocksReleasedBeforeInstall,
     /// The WAL's group-commit leader moves the durable watermark before
     /// the fsync that covers it.
     AckBeforeSync,

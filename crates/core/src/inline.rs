@@ -19,22 +19,21 @@
 //!
 //! An [`Entry`] is one captured value with **two arms**, because a
 //! logged call has two possible fates: `undo` (the inverse — run
-//! newest-first on abort and on savepoint rollback) and `install` (the
-//! committed-version install — run oldest-first inside the commit
-//! window and handed that commit's [`CommitStamp`]). Exactly one arm
-//! consumes the value, or neither does and it is dropped; so one push
-//! and one captured handle serve both fates, and truncating the log
-//! takes a call's install away together with its inverse. [`Run`] is
-//! the one-armed form (a bare inverse or deferred action), [`Effect`]
-//! the two-armed one.
+//! newest-first on abort) and `install` (the committed-version install
+//! — run oldest-first inside the commit window and handed that commit's
+//! [`CommitStamp`]). Exactly one arm consumes the value, or neither
+//! does and it is dropped; so one push and one captured handle serve
+//! both fates. A log only grows until its transaction commits or
+//! aborts, which consumes it whole. [`Run`] is the one-armed form (a
+//! bare inverse or deferred action), [`Effect`] the two-armed one.
 //!
 //! Type-erasure works like a hand-rolled three-entry vtable: each slot
 //! carries `undo`, `install` and `drop_fn` function pointers
 //! instantiated for the concrete entry type at `push` time. Each moves
 //! the entry out of the slot; the first two run an arm, the third
 //! disposes of it without running either (commit discards an inverse
-//! that has no install arm, savepoint rollback discards deferred
-//! actions).
+//! that has no install arm, and each outcome discards the other's
+//! deferred actions).
 
 use crate::mvcc::CommitStamp;
 use std::mem::{align_of, size_of, MaybeUninit};
@@ -362,19 +361,9 @@ impl<const N: usize> ActionLog<N> {
         LoggedAction { slot, live: true }
     }
 
-    /// Discard (without running either arm) every entry past
-    /// `new_len`, newest first. This is the savepoint-truncation
-    /// primitive.
-    pub(crate) fn truncate(&mut self, new_len: usize) {
-        debug_assert_eq!(self.head, 0, "truncate of a draining log");
-        while self.len > new_len {
-            drop(self.pop());
-        }
-    }
-
     /// Discard every entry without running any.
     pub(crate) fn clear(&mut self) {
-        self.truncate(0);
+        while self.pop().is_some() {}
     }
 }
 
@@ -576,20 +565,22 @@ mod tests {
     }
 
     #[test]
-    fn truncate_discards_without_running() {
+    fn clear_discards_without_running() {
         let hits = Hits::default();
         let dropped = Arc::new(AtomicUsize::new(0));
-        let mut log = ActionLog::<2>::new();
+        let mut log = ActionLog::<2>::new(); // three of five spill
         for i in 0..5 {
             log.push(effect(&hits, i, &dropped));
         }
-        log.truncate(2);
-        assert_eq!(log.len(), 2);
-        assert!(hits.lock().unwrap().is_empty(), "truncate must not run");
-        assert_eq!(dropped.load(Ordering::SeqCst), 3, "captures must drop");
-        assert!(log.has_installs(), "two install arms are still live");
+        log.clear();
+        assert_eq!(log.len(), 0);
+        assert!(hits.lock().unwrap().is_empty(), "clear must not run");
+        assert_eq!(dropped.load(Ordering::SeqCst), 5, "captures must drop");
+        assert!(!log.has_installs(), "no install arm is left");
+        // Cleared, the log takes pushes again.
+        log.push(record(&Hits::default(), 0));
+        assert_eq!(log.len(), 1);
         drop(log);
-        assert_eq!(dropped.load(Ordering::SeqCst), 5);
         assert!(hits.lock().unwrap().is_empty());
     }
 

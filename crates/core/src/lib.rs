@@ -72,7 +72,7 @@ pub mod obs;
 mod stats;
 mod txn;
 
-pub use backoff::{Backoff, SpinWait};
+pub use backoff::{retry, Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
     CommitClock, CommitStamp, DeltaChain, KeyHash, MvccDomain, MvccMetrics, MvccSnapshot,
@@ -80,7 +80,7 @@ pub use mvcc::{
 };
 pub use obs::{DurabilityMetrics, DurabilitySnapshot, HistogramSnapshot, LatencyHistogram};
 pub use stats::{TxnStats, TxnStatsSnapshot};
-pub use txn::{Savepoint, Txn, TxnConfig, TxnId, TxnManager, TxnState};
+pub use txn::{Txn, TxnConfig, TxnId, TxnManager, TxnState};
 
 /// Convenience alias for the result type returned by boosted methods.
 ///

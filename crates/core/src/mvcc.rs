@@ -545,11 +545,6 @@ const BUFFERED: usize = 4;
 /// only then and freed as soon as a sweep empties it. Whether a version
 /// can go depends on nothing but its own record, so neither part is
 /// kept in order, and a key's versions may sit in both.
-///
-/// Installs reach this store with timestamps above every floor it has
-/// been swept by (the commit protocol's `floor ≤ stable < ts`), which
-/// is what lets [`sort_in`](Self::sort_in) find a version's successor
-/// among the versions kept.
 #[derive(Debug)]
 struct Older<K, V> {
     buffer: [Option<(K, Superseded<V>)>; BUFFERED],
@@ -578,16 +573,6 @@ impl<K: Hash + Eq, V> Older<K, V> {
         buffered.chain(spilled.into_iter().flatten())
     }
 
-    fn of_mut<'s, 'k>(
-        &'s mut self,
-        key: &'k K,
-    ) -> impl Iterator<Item = &'s mut Superseded<V>> + use<'s, 'k, K, V> {
-        let buffered = self.buffer.iter_mut().flatten();
-        let buffered = buffered.filter_map(move |(k, s)| (&*k == key).then_some(s));
-        let spilled = self.spill.as_mut().and_then(|spill| spill.get_mut(key));
-        buffered.chain(spilled.into_iter().flatten())
-    }
-
     /// Keep `superseded` unless `floor` already reclaims it; returns the
     /// versions that reclaimed (0 or 1).
     fn keep(&mut self, key: K, superseded: Superseded<V>, floor: u64) -> usize {
@@ -604,28 +589,6 @@ impl<K: Hash + Eq, V> Older<K, V> {
                 .push(superseded),
         }
         0
-    }
-
-    /// Sort the version `(ts, value)` of `key` in below the key's newest
-    /// version, committed at `newest`: it splits the span of the version
-    /// it lands in, or — in a gap no kept version covers — runs until
-    /// the next version kept. A version kept at `ts` is overwritten.
-    /// Returns the versions reclaimed, as [`keep`](Self::keep) does.
-    fn sort_in(&mut self, key: K, (ts, value): Version<V>, newest: u64, floor: u64) -> usize {
-        let mut until = newest;
-        for s in self.of_mut(&key) {
-            if s.version.0 == ts {
-                s.version.1 = value;
-                return 0;
-            }
-            if s.covers(ts) {
-                until = std::mem::replace(&mut s.until, ts);
-            } else if s.version.0 > ts {
-                until = until.min(s.version.0);
-            }
-        }
-        let version = (ts, value);
-        self.keep(key, Superseded { version, until }, floor)
     }
 
     /// Drop every superseded version `floor` reclaims, unless the store
@@ -827,17 +790,23 @@ impl<K: Hash + Eq, V> SlotTable<K, V> {
     /// Install the version `(ts, value)` of `key`, or give `key` an
     /// entry holding only it — growing the array first if that would
     /// fill it past ¾, with `hash_of` recomputing the hashes of the keys
-    /// it moves. A version newer than the key's newest supersedes it; an
-    /// older one is sorted in (commits race between `reserve` and
-    /// `publish`); one at the same timestamp overwrites (a transaction
-    /// that writes a key twice installs last-write-wins). The shard is
-    /// swept by `floor` first if no install swept it that high yet.
-    /// Returns the key's retained versions and the versions reclaimed.
+    /// it moves. A version newer than the key's newest supersedes it;
+    /// one at the same timestamp overwrites it (a transaction that
+    /// writes a key twice installs last-write-wins). The shard is swept
+    /// by `floor` first if no install swept it that high yet. Returns
+    /// the key's retained versions and the versions reclaimed.
+    ///
+    /// Installs of one key arrive in non-decreasing timestamp order. The
+    /// writer holds the key's exclusive abstract lock from before
+    /// [`CommitClock::reserve`] until after [`CommitClock::publish`]
+    /// returns, so the next writer of the key reserves its timestamp
+    /// only after this one has installed. (The counter's adds share one
+    /// lock word and do race; [`DeltaChain`] sorts them in.)
     fn install(
         &mut self,
         hash: u64,
         key: K,
-        version: Version<V>,
+        (ts, value): Version<V>,
         floor: u64,
         hash_of: impl Fn(&K) -> u64,
     ) -> (usize, usize) {
@@ -845,22 +814,18 @@ impl<K: Hash + Eq, V> SlotTable<K, V> {
         if self.len > 0 {
             let i = self.probe(hash, &key);
             if let Some((_, newest)) = &mut self.entries[i] {
-                let (ts, value) = version;
-                reclaimed += match ts.cmp(&newest.0) {
-                    std::cmp::Ordering::Greater => {
-                        let version = std::mem::replace(newest, (ts, value));
-                        let superseded = Superseded { version, until: ts };
-                        self.older.keep(key, superseded, floor)
-                    }
-                    std::cmp::Ordering::Equal => {
-                        newest.1 = value;
-                        0
-                    }
-                    std::cmp::Ordering::Less => {
-                        let newest = newest.0;
-                        self.older.sort_in(key, (ts, value), newest, floor)
-                    }
-                };
+                debug_assert!(
+                    ts >= newest.0,
+                    "install at {ts} below the key's newest version at {}",
+                    newest.0
+                );
+                if ts > newest.0 {
+                    let version = std::mem::replace(newest, (ts, value));
+                    let superseded = Superseded { version, until: ts };
+                    reclaimed += self.older.keep(key, superseded, floor);
+                } else {
+                    newest.1 = value;
+                }
                 let key = self.entries[i].as_ref().map(|(key, _)| key);
                 let older = key.map_or(0, |key| self.older.of(key).count());
                 return (1 + older, reclaimed);
@@ -870,7 +835,7 @@ impl<K: Hash + Eq, V> SlotTable<K, V> {
             self.grow(hash_of);
         }
         let i = self.probe(hash, &key);
-        self.entries[i] = Some((key, version));
+        self.entries[i] = Some((key, (ts, value)));
         self.len += 1;
         (1, reclaimed)
     }
@@ -1327,18 +1292,21 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_installs_sort_in_and_a_same_timestamp_install_wins() {
-        let mut slot = OneKey::new(7, Some(70));
-        slot.install(3, Some(30), 0);
-        slot.install(5, Some(50), 0);
-        assert_eq!(slot.read_at(4), Some(&30));
-        assert_eq!(slot.read_at(6), Some(&50));
-        assert_eq!(slot.read_at(8), Some(&70));
+    fn a_same_timestamp_install_wins() {
+        let mut slot = OneKey::new(3, Some(30));
+        slot.install(7, Some(70), 0);
         slot.install(7, Some(71), 0); // the newest version, rewritten
-        slot.install(3, Some(31), 0); // and one below it
-        assert_eq!(slot.versions(), 3, "one version per commit timestamp");
-        assert_eq!(slot.read_at(4), Some(&31));
+        assert_eq!(slot.versions(), 2, "one version per commit timestamp");
+        assert_eq!(slot.read_at(4), Some(&30));
         assert_eq!(slot.read_at(8), Some(&71));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the key's newest version")]
+    fn an_install_below_the_newest_version_is_refused() {
+        let mut slot = OneKey::new(7, Some(70));
+        slot.install(5, Some(50), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::inline::{ActionLog, Effect, Entry, LoggedAction, Run};
 use crate::locks::AbstractLock;
 use crate::mvcc::{CommitStamp, MvccDomain};
 use crate::stats::TxnStats;
-use crate::{Backoff, TxResult};
+use crate::{retry, TxResult};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
@@ -66,7 +66,7 @@ pub struct TxnConfig {
     pub lock_timeout: Duration,
     /// Retry budget for [`TxnManager::run`]. `None` retries forever,
     /// which matches the paper's experimental setup. Retries back off
-    /// by [`Backoff::default`].
+    /// by [`crate::Backoff::default`].
     pub max_retries: Option<u64>,
 }
 
@@ -143,16 +143,6 @@ impl<T, const N: usize> InlineVec<T, N> {
     }
 }
 
-/// A high-water mark in a transaction's logs, one length per log; see
-/// [`Txn::savepoint`].
-#[derive(Debug, Clone, Copy)]
-pub struct Savepoint {
-    txn: TxnId,
-    effects_len: usize,
-    on_commit_len: usize,
-    on_abort_len: usize,
-}
-
 /// A running transaction.
 ///
 /// A `Txn` is handed to the closure passed to [`TxnManager::run`] (or
@@ -176,9 +166,9 @@ pub struct Txn {
     id: TxnId,
     state: Cell<TxnState>,
     /// One entry per logged call, holding both its fates: the inverse
-    /// (run newest-first on abort and savepoint rollback) and the
-    /// version install (run oldest-first at commit, stamped with the
-    /// commit timestamp; see [`crate::mvcc`]).
+    /// (run newest-first on abort) and the version install (run
+    /// oldest-first at commit, stamped with the commit timestamp; see
+    /// [`crate::mvcc`]).
     effects: RefCell<ActionLog<EFFECTS_INLINE>>,
     on_commit: RefCell<ActionLog<DEFER_INLINE>>,
     on_abort: RefCell<ActionLog<DEFER_INLINE>>,
@@ -290,8 +280,7 @@ impl Txn {
     /// inside the commit's [`crate::MvccDomain::commit`] window, while
     /// abstract locks are still held, in the order logged, handed the
     /// commit's stamp (it typically calls [`crate::VersionStore::install`]
-    /// or [`crate::DeltaChain::install`] with it). A savepoint rollback
-    /// that undoes the call discards its install with it.
+    /// or [`crate::DeltaChain::install`] with it).
     ///
     /// Heap-allocation-free under [`Txn::log_undo`]'s conditions, the
     /// sizes of `captured` and whatever the arms capture taken together
@@ -351,76 +340,6 @@ impl Txn {
     /// propagate with `?` (or `return Err(...)`).
     pub fn abort(&self) -> Abort {
         Abort::explicit()
-    }
-
-    /// Mark the current extent of the transaction's logs, for partial
-    /// rollback via [`Txn::rollback_to`]. Savepoints nest naturally
-    /// (each is just a high-water mark); most callers will prefer the
-    /// structured [`Txn::nested`].
-    pub fn savepoint(&self) -> Savepoint {
-        Savepoint {
-            txn: self.id,
-            effects_len: self.effects.borrow().len(),
-            on_commit_len: self.on_commit.borrow().len(),
-            on_abort_len: self.on_abort.borrow().len(),
-        }
-    }
-
-    /// Undo everything logged since `sp`: run the inverses of the
-    /// effect-log suffix in reverse — each entry's version install goes
-    /// with it — and discard deferred actions registered since the
-    /// savepoint. **Abstract locks acquired since the savepoint remain
-    /// held** — releasing mid-transaction would violate two-phase
-    /// locking; holding them is merely conservative (Rule 2 still
-    /// holds).
-    ///
-    /// # Panics
-    /// Panics if `sp` came from a different transaction, if the
-    /// transaction is no longer active, or if `sp` is stale (a
-    /// rollback already passed it).
-    pub fn rollback_to(&self, sp: Savepoint) {
-        self.assert_active("rollback_to");
-        assert_eq!(sp.txn, self.id, "savepoint from a different transaction");
-        assert!(
-            sp.effects_len <= self.effects.borrow().len(),
-            "stale savepoint: effect log already shorter"
-        );
-        let past_sp = |log: &mut ActionLog<EFFECTS_INLINE>| {
-            (log.len() > sp.effects_len).then(|| log.pop()).flatten()
-        };
-        drain(&self.effects, past_sp, LoggedAction::invoke);
-        self.on_commit.borrow_mut().truncate(sp.on_commit_len);
-        self.on_abort.borrow_mut().truncate(sp.on_abort_len);
-    }
-
-    /// Run `body` as a *closed nested* transaction: if it returns
-    /// `Err`, every effect it logged is rolled back (its abstract locks
-    /// stay held) and the error is returned for the parent to handle —
-    /// the parent transaction itself remains active and may continue.
-    ///
-    /// ```
-    /// # use txboost_core::{TxnManager, Abort};
-    /// # let tm = TxnManager::default();
-    /// let result = tm.run(|txn| {
-    ///     // ... parent work ...
-    ///     let attempted = txn.nested(|t| {
-    ///         t.log_undo(|| { /* compensate */ });
-    ///         Err::<(), _>(Abort::explicit()) // give up this sub-step
-    ///     });
-    ///     assert!(attempted.is_err()); // sub-step undone; parent continues
-    ///     Ok(42)
-    /// });
-    /// assert_eq!(result.unwrap(), 42);
-    /// ```
-    pub fn nested<R>(&self, body: impl FnOnce(&Txn) -> TxResult<R>) -> TxResult<R> {
-        let sp = self.savepoint();
-        match body(self) {
-            Ok(v) => Ok(v),
-            Err(abort) => {
-                self.rollback_to(sp);
-                Err(abort)
-            }
-        }
     }
 
     /// Number of entries currently in the effect log: one per logged
@@ -497,6 +416,9 @@ impl Txn {
         // A transaction that logged no install takes no timestamp.
         if self.effects.borrow().has_installs() {
             MvccDomain::global().commit(|stamp| {
+                if crate::det::mutated(crate::det::Mutation::LocksReleasedBeforeInstall) {
+                    self.release_locks();
+                }
                 drain(&self.effects, ActionLog::pop_front, |effect| {
                     effect.install(stamp);
                 });
@@ -618,18 +540,13 @@ impl TxnManager {
         }
     }
 
-    /// The manager's configuration.
-    pub fn config(&self) -> &TxnConfig {
-        &self.config
-    }
-
     /// Shared handle to the manager's counters.
     pub fn stats(&self) -> Arc<TxnStats> {
         Arc::clone(&self.stats)
     }
 
     /// Run `body` as a transaction, retrying on abort with randomized
-    /// exponential backoff.
+    /// exponential backoff ([`retry`]).
     ///
     /// The closure may be executed several times; it observes committed
     /// state only through boosted objects, whose abstract locks and undo
@@ -639,32 +556,15 @@ impl TxnManager {
     /// or `Err(TxnError::RetriesExhausted)` if
     /// [`TxnConfig::max_retries`] is set and exceeded.
     pub fn run<R>(&self, mut body: impl FnMut(&Txn) -> TxResult<R>) -> Result<R, TxnError> {
-        let mut backoff = Backoff::default();
-        let mut attempts: u64 = 0;
-        loop {
+        retry(self.config.max_retries, || {
             let txn = self.begin();
-            match body(&txn) {
-                Ok(value) => {
-                    self.commit(txn);
-                    return Ok(value);
-                }
-                Err(abort) => {
-                    self.abort(txn, abort.reason());
-                    // An explicit abort is a decision, not a conflict:
-                    // honour it instead of re-running the closure.
-                    if abort.reason() == AbortReason::Explicit {
-                        return Err(TxnError::ExplicitlyAborted);
-                    }
-                    attempts += 1;
-                    if let Some(max) = self.config.max_retries {
-                        if attempts > max {
-                            return Err(TxnError::RetriesExhausted(abort.reason()));
-                        }
-                    }
-                    backoff.backoff();
-                }
+            let outcome = body(&txn);
+            match &outcome {
+                Ok(_) => self.commit(txn),
+                Err(abort) => self.abort(txn, abort.reason()),
             }
-        }
+            outcome
+        })
     }
 
     /// Begin a transaction without the retry loop. Useful for tests,
@@ -1016,178 +916,6 @@ mod tests {
             Err(TxnError::RetriesExhausted(AbortReason::Conflict))
         ));
         assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn savepoint_rollback_undoes_only_the_suffix() {
-        let tm = TxnManager::default();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
-        tm.run(move |txn| {
-            let l = Arc::clone(&log2);
-            txn.log_undo(move || l.lock().unwrap().push("undo-A"));
-            let sp = txn.savepoint();
-            let l = Arc::clone(&log2);
-            txn.log_undo(move || l.lock().unwrap().push("undo-B"));
-            let l = Arc::clone(&log2);
-            txn.log_undo(move || l.lock().unwrap().push("undo-C"));
-            txn.rollback_to(sp);
-            assert_eq!(txn.undo_log_len(), 1, "prefix must survive");
-            Ok(())
-        })
-        .unwrap();
-        // C and B ran (reverse order); A never ran (txn committed).
-        assert_eq!(*log.lock().unwrap(), vec!["undo-C", "undo-B"]);
-    }
-
-    #[test]
-    fn savepoint_rollback_discards_deferred_suffix() {
-        let tm = TxnManager::default();
-        let count = Arc::new(AtomicI64::new(0));
-        let c = Arc::clone(&count);
-        tm.run(move |txn| {
-            let sp = txn.savepoint();
-            let c2 = Arc::clone(&c);
-            txn.defer_on_commit(move || {
-                c2.fetch_add(100, Ordering::SeqCst);
-            });
-            txn.rollback_to(sp);
-            let c3 = Arc::clone(&c);
-            txn.defer_on_commit(move || {
-                c3.fetch_add(1, Ordering::SeqCst);
-            });
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 1, "rolled-back deferral ran");
-    }
-
-    #[test]
-    fn a_rolled_back_suffix_takes_its_installs_with_it() {
-        let tm = TxnManager::default();
-        let fates = Arc::new(Mutex::new(Vec::new()));
-        let f = Arc::clone(&fates);
-        tm.run(move |txn| {
-            let log = |call: &'static str| {
-                txn.log_effect(
-                    (Arc::clone(&f), call),
-                    |(f, call)| f.lock().unwrap().push(("undo", call)),
-                    |(f, call), stamp| {
-                        assert!(stamp.ts > stamp.floor, "stamped below its own floor");
-                        f.lock().unwrap().push(("install", call));
-                    },
-                );
-            };
-            log("before");
-            let sp = txn.savepoint();
-            log("rolled back");
-            txn.log_effect((), |()| {}, |(), _| panic!("a rolled-back install ran"));
-            txn.rollback_to(sp);
-            assert_eq!(txn.undo_log_len(), 1, "prefix must survive");
-            log("after");
-            Ok(())
-        })
-        .unwrap();
-        // Each call met exactly one fate, in its fate's order.
-        assert_eq!(
-            *fates.lock().unwrap(),
-            vec![
-                ("undo", "rolled back"),
-                ("install", "before"),
-                ("install", "after")
-            ]
-        );
-    }
-
-    #[test]
-    fn nested_failure_leaves_parent_effects_intact() {
-        let tm = TxnManager::default();
-        let count = Arc::new(AtomicI64::new(0));
-        let c = Arc::clone(&count);
-        let out = tm
-            .run(move |txn| {
-                let c_parent = Arc::clone(&c);
-                c_parent.fetch_add(10, Ordering::SeqCst);
-                let c_undo = Arc::clone(&c);
-                txn.log_undo(move || {
-                    c_undo.fetch_add(-10, Ordering::SeqCst);
-                });
-                let c_in = Arc::clone(&c);
-                let nested: TxResult<()> = txn.nested(move |t| {
-                    c_in.fetch_add(5, Ordering::SeqCst);
-                    let c_nundo = Arc::clone(&c_in);
-                    t.log_undo(move || {
-                        c_nundo.fetch_add(-5, Ordering::SeqCst);
-                    });
-                    Err(Abort::explicit())
-                });
-                assert!(nested.is_err());
-                Ok(c.load(Ordering::SeqCst))
-            })
-            .unwrap();
-        assert_eq!(out, 10, "nested effects not undone or parent's undone");
-        assert_eq!(count.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn nested_success_keeps_effects_and_parent_abort_undoes_all() {
-        let tm = TxnManager::default();
-        let count = Arc::new(AtomicI64::new(0));
-        let c = Arc::clone(&count);
-        let r: Result<(), TxnError> = tm.run(move |txn| {
-            let c_in = Arc::clone(&c);
-            txn.nested(move |t| {
-                c_in.fetch_add(5, Ordering::SeqCst);
-                let c_undo = Arc::clone(&c_in);
-                t.log_undo(move || {
-                    c_undo.fetch_add(-5, Ordering::SeqCst);
-                });
-                Ok(())
-            })?;
-            Err(Abort::explicit())
-        });
-        assert!(r.is_err());
-        assert_eq!(
-            count.load(Ordering::SeqCst),
-            0,
-            "parent abort must undo committed-nested effects too"
-        );
-    }
-
-    #[test]
-    fn savepoints_nest() {
-        let tm = TxnManager::default();
-        let v = Arc::new(Mutex::new(vec![0i32]));
-        let v2 = Arc::clone(&v);
-        tm.run(move |txn| {
-            let push = |x: i32| {
-                let v = Arc::clone(&v2);
-                v.lock().unwrap().push(x);
-                let v = Arc::clone(&v2);
-                move || {
-                    v.lock().unwrap().pop();
-                }
-            };
-            let outer = txn.savepoint();
-            txn.log_undo(push(1));
-            let inner = txn.savepoint();
-            txn.log_undo(push(2));
-            txn.rollback_to(inner); // pops 2
-            txn.rollback_to(outer); // pops 1
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(*v.lock().unwrap(), vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different transaction")]
-    fn foreign_savepoint_rejected() {
-        let tm = TxnManager::default();
-        let a = tm.begin();
-        let b = tm.begin();
-        let sp = a.savepoint();
-        b.rollback_to(sp);
     }
 
     #[test]

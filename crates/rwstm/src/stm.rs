@@ -8,7 +8,7 @@ use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txboost_core::{Abort, Backoff, TxResult, TxnConfig, TxnError, TxnStats};
+use txboost_core::{retry, Abort, TxResult, TxnConfig, TxnError, TxnStats};
 
 struct VarInner<T> {
     /// Raw readers-writer lock guarding `data`. Held shared for the
@@ -310,16 +310,14 @@ impl Stm {
         v
     }
 
-    /// Run `body` as a transaction, retrying on conflict with
-    /// randomized exponential backoff (same contract as
-    /// `TxnManager::run` in `txboost-core`).
+    /// Run `body` as a transaction, retrying on conflict through
+    /// `txboost-core`'s one retry loop ([`retry`]), as `TxnManager::run`
+    /// does.
     pub fn run<R>(
         &self,
         mut body: impl FnMut(&mut StmTxn<'_>) -> TxResult<R>,
     ) -> Result<R, TxnError> {
-        let mut backoff = Backoff::default();
-        let mut attempts: u64 = 0;
-        loop {
+        retry(self.config.max_retries, || {
             let mut txn = StmTxn {
                 stm: self,
                 rv: self.clock.load(Ordering::Acquire),
@@ -327,28 +325,12 @@ impl Stm {
                 writes: BTreeMap::new(),
             };
             let outcome = body(&mut txn).and_then(|value| self.try_commit(txn).map(|()| value));
-            match outcome {
-                Ok(value) => {
-                    self.stats.record_commit();
-                    return Ok(value);
-                }
-                Err(abort) => {
-                    self.stats.record_abort(abort.reason());
-                    // Mirror `TxnManager::run`: explicit aborts are a
-                    // decision, not a conflict — never retried.
-                    if abort.reason() == txboost_core::AbortReason::Explicit {
-                        return Err(TxnError::ExplicitlyAborted);
-                    }
-                    attempts += 1;
-                    if let Some(max) = self.config.max_retries {
-                        if attempts > max {
-                            return Err(TxnError::RetriesExhausted(abort.reason()));
-                        }
-                    }
-                    backoff.backoff();
-                }
+            match &outcome {
+                Ok(_) => self.stats.record_commit(),
+                Err(abort) => self.stats.record_abort(abort.reason()),
             }
-        }
+            outcome
+        })
     }
 
     fn try_commit(&self, txn: StmTxn<'_>) -> TxResult<()> {

@@ -3,6 +3,7 @@
 #
 #   scripts/ab.sh <rev> <pairs> bench <workload> [seed]
 #   scripts/ab.sh <rev> <pairs> hotpath
+#   scripts/ab.sh <rev> <pairs> figures <fig>[,<fig>] [figures flag...]
 #
 # Both sides are exported into a fresh directory under ${TMPDIR:-/tmp}:
 # <rev> with `git archive`, the working tree as its tracked and
@@ -22,13 +23,19 @@
 # hotpath: one default run of the `hotpath` binary per side and pair.
 # Then median [min, max] over the runs for every row, per side.
 #
+# figures: one run of `figures --fig <fig>[,<fig>] --no-csv` per side
+# and pair, with any further flags passed on (`--threads 1,2
+# --duration-ms 400`, say). Then median [min, max] over the runs for
+# every row of every table, per side: the row's `committed` column, or
+# `ops/s` where a table has none.
+#
 # Run nothing else meanwhile: the runs are timed, and on a small host
 # anything beside them moves the numbers. The directory is kept for a
 # second look; its path is printed first.
 set -euo pipefail
 
 usage() {
-    sed -n '4,5p' "$0" | sed 's/^#  */usage: /' >&2
+    sed -n '4,6p' "$0" | sed 's/^#  */usage: /' >&2
     exit 2
 }
 
@@ -40,6 +47,12 @@ case $mode in
         workload=$4 seed=${5:-1}
         ;;
     hotpath) [ $# -eq 3 ] || usage ;;
+    figures)
+        [ $# -ge 4 ] || usage
+        figs=$4
+        shift 4
+        fig_args=("$@")
+        ;;
     *) usage ;;
 esac
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
@@ -74,8 +87,8 @@ for side in base change; do
             (cd "$dir/$side" && CARGO_TARGET_DIR=benchmark/target \
                 cargo build --release --offline --quiet -p txboost-server --bin txboost-server)
             ;;
-        hotpath)
-            (cd "$dir/$side" && cargo build --release --offline --quiet -p txboost-bench --bin hotpath)
+        hotpath | figures)
+            (cd "$dir/$side" && cargo build --release --offline --quiet -p txboost-bench --bin "$mode")
             ;;
     esac
 done
@@ -91,6 +104,11 @@ run() { # <side> <pair>
             ;;
         hotpath)
             "$dir/$side/target/release/hotpath" --no-json >>"$dir/$side.out/hotpath.txt" 2>&1 ||
+                echo "ab: pair $pair, $side: the run failed" >&2
+            ;;
+        figures)
+            "$dir/$side/target/release/figures" --fig "$figs" --no-csv "${fig_args[@]}" \
+                >>"$dir/$side.out/figures.txt" 2>&1 ||
                 echo "ab: pair $pair, $side: the run failed" >&2
             ;;
     esac
@@ -133,6 +151,40 @@ for metric in spec["end_to_end"]:
     print(f"{name:22} base {a2:.4g} [{a1:.4g}, {a3:.4g}]  change {b2:.4g} "
           f"[{b1:.4g}, {b3:.4g}]  {gap:+.1f}%  change won {won}/{min(len(a), len(b))}"
           + (f" ({tied} tied)" if tied else ""))
+EOF
+elif [ "$mode" = figures ]; then
+    python3 - "$dir/base.out/figures.txt" "$dir/change.out/figures.txt" <<'EOF'
+import statistics, sys
+
+def rows(path):
+    # Each table is a `=== title ===` line, a header, a rule, then one
+    # row per line up to the first line that is not one.
+    out, title, header = {}, None, None
+    with open(path) as f:
+        for line in f:
+            cells = line.split()
+            if line.startswith("=== "):
+                title, header = line.strip("= \n"), None
+            elif title and header is None and cells:
+                header = cells
+            elif header and cells and not set(line.strip()) <= {"-"}:
+                if len(cells) != len(header):
+                    title = header = None
+                    continue
+                row = dict(zip(header, cells))
+                col = "committed" if "committed" in row else "ops/s"
+                name = row["impl"] + (f" x{row['threads']}" if "threads" in row else "")
+                out.setdefault(title, {}).setdefault(f"{name} ({col})", []).append(float(row[col]))
+    return out
+
+base, change = rows(sys.argv[1]), rows(sys.argv[2])
+cell = lambda xs: f"{statistics.median(xs):.0f} [{min(xs):.0f}, {max(xs):.0f}]" if xs else "-"
+for title, table in base.items():
+    print(f"\n{title}")
+    print(f"  {'median [min, max]':36} {'base':>28} {'change':>28}")
+    for name, a in table.items():
+        b = change.get(title, {}).get(name, [])
+        print(f"  {name:36} {cell(a):>28} {cell(b):>28}")
 EOF
 else
     python3 - "$dir/base.out/hotpath.txt" "$dir/change.out/hotpath.txt" <<'EOF'

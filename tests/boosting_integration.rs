@@ -309,10 +309,10 @@ fn boosted_and_rwstm_objects_coexist_in_one_program() {
 }
 
 #[test]
-fn a_failed_nested_transaction_leaves_snapshot_and_locked_reads_in_agreement() {
-    // Every call below is rolled back by `nested` while the transaction
-    // around it commits: neither the base objects (locked reads) nor
-    // the committed versions (snapshot reads) may keep any of it.
+fn an_aborted_transaction_leaves_snapshot_and_locked_reads_in_agreement() {
+    // Every call below is rolled back by the abort that ends its
+    // transaction: neither the base objects (locked reads) nor the
+    // committed versions (snapshot reads) may keep any of it.
     let tm = TxnManager::default();
     let map = BoostedHashMap::new();
     let counter = BoostedCounter::new();
@@ -323,26 +323,21 @@ fn a_failed_nested_transaction_leaves_snapshot_and_locked_reads_in_agreement() {
     })
     .unwrap();
 
-    tm.run(|t| {
-        map.put(t, 3, 30)?; // before the savepoint: kept
-        let undone: TxResult<()> = t.nested(|t| {
-            map.put(t, 1, 99)?;
-            map.remove(t, &2)?;
-            map.put(t, 4, 40)?;
-            counter.add(t, 1000)?;
-            Err(Abort::explicit())
-        });
-        assert!(undone.is_err());
-        counter.add(t, 1) // after the rollback: kept
-    })
-    .unwrap();
+    let aborted: Result<(), _> = tm.run(|t| {
+        map.put(t, 1, 99)?;
+        map.remove(t, &2)?;
+        map.put(t, 4, 40)?;
+        counter.add(t, 1000)?;
+        Err(Abort::explicit())
+    });
+    assert!(matches!(aborted, Err(TxnError::ExplicitlyAborted)));
 
     type Seen = (Vec<Option<i32>>, i64);
     let read = |t: &Txn| -> TxResult<Seen> {
         let bindings = (1..=4).map(|k| map.get(t, &k)).collect::<TxResult<_>>()?;
         Ok((bindings, counter.get(t)?))
     };
-    let expect: Seen = (vec![Some(10), Some(20), Some(30), None], 6);
+    let expect: Seen = (vec![Some(10), Some(20), None, None], 5);
     assert_eq!(tm.run(read).unwrap(), expect, "locked reads");
     assert_eq!(tm.run_read_only(read).unwrap(), expect, "snapshot reads");
 }

@@ -1,15 +1,18 @@
 //! Deterministic-harness coverage for the multi-version read path:
 //! read-only snapshot transactions racing committing writers.
 //!
-//! Five behaviours are swept across seeds, plus two *mutation checks*,
+//! Six behaviours are swept across seeds, plus three *mutation checks*,
 //! evidence these tests have teeth. With the reader-registry GC floor
 //! staged away (`Mutation::IgnoreReaderFloor`), install-time GC must
 //! prune a version a registered snapshot reader is still pinning, and
 //! the sweep must observe the resulting torn read. With in-order
 //! publish staged away (`Mutation::PublishOutOfOrder`), a commit must
 //! become visible ahead of an older one still installing, and the
-//! sweep must observe a snapshot with a hole in it. A mutation lives
-//! only inside the runs that stage it.
+//! sweep must observe a snapshot with a hole in it. With a committer's
+//! locks released right after it reserves its timestamp
+//! (`Mutation::LocksReleasedBeforeInstall`), two writers of one key
+//! must install out of timestamp order, and the one-key sweep must
+//! notice. A mutation lives only inside the runs that stage it.
 //!
 //! Every seed of the transfer sweep reaches the version store's three
 //! yield points (install, GC, snapshot read), so a hook removed from
@@ -566,5 +569,125 @@ fn publishing_out_of_order_is_caught_by_the_sweep() {
         seen.broken > 0,
         "sweep failed to notice commits publishing out of timestamp order — \
          the in-order test has no teeth"
+    );
+}
+
+/// Two writers rewrite one map key — three commits each, every one
+/// recording its timestamp and value from an install arm logged ahead
+/// of its put — while a reader pins snapshots of the key and reads it
+/// twice in each. Checks the run against the commit-order oracle:
+/// the key's installs arrive in non-decreasing timestamp order, every
+/// snapshot read is the value of the newest commit at-or-below its
+/// snapshot, and a locked read afterwards is the newest commit's.
+fn one_key_rewrites(seed: u64, staged: &[det::Mutation]) -> Result<(), String> {
+    const COMMITS: i64 = 3;
+    const SNAPSHOTS: usize = 4;
+    type Installs = Arc<Mutex<Vec<(u64, i64)>>>;
+    /// A snapshot's timestamp and its two reads of the key.
+    type Seen = (u64, Option<i64>, Option<i64>);
+    /// Log, ahead of the put it announces, an install arm that records
+    /// the commit's timestamp and `value`.
+    fn record(t: &Txn, installs: &Installs, value: i64) {
+        t.log_effect(
+            Arc::clone(installs),
+            |_| {},
+            move |installs, stamp| installs.lock().unwrap().push((stamp.ts, value)),
+        );
+    }
+    let tm = TxnManager::default();
+    let map: BoostedHashMap<i64, i64> = BoostedHashMap::new();
+    let installs = Installs::default();
+    tm.run(|t| {
+        record(t, &installs, -1);
+        map.put(t, 0, -1).map(|_| ())
+    })
+    .unwrap();
+    let seen: Mutex<Vec<Seen>> = Mutex::default();
+    let report = txboost_sched::run_staged(seed, 3, staged, |tid| {
+        if tid == 2 {
+            for _ in 0..SNAPSHOTS {
+                let read = tm.run_read_only(|t| {
+                    let first = map.get(t, &0)?;
+                    det::yield_point(det::Point::User);
+                    let again = map.get(t, &0)?;
+                    Ok((t.snapshot_ts().expect("read-only"), first, again))
+                });
+                seen.lock()
+                    .unwrap()
+                    .push(read.expect("a read-only txn can never abort"));
+            }
+        } else {
+            for i in 0..COMMITS {
+                let value = i64::try_from(tid).unwrap() * 100 + i;
+                tm.run(|t| {
+                    record(t, &installs, value);
+                    map.put(t, 0, value).map(|_| ())
+                })
+                .unwrap();
+            }
+        }
+    });
+    if report.failed() {
+        return Err(report.render_failure());
+    }
+    let installs = installs.lock().unwrap().clone();
+    let fail = |what: String| Err(format!("{what}\n{}", report.render_schedule()));
+    let back = installs.windows(2).find(|w| w[1].0 < w[0].0);
+    if let Some([before, after]) = back {
+        return fail(format!(
+            "installs went back in time: {before:?} then {after:?}"
+        ));
+    }
+    let at = |ts: u64| {
+        installs
+            .iter()
+            .rev()
+            .find(|(t, _)| *t <= ts)
+            .map(|&(_, v)| v)
+    };
+    for &(ts, first, again) in seen.lock().unwrap().iter() {
+        if (first, again) != (at(ts), at(ts)) {
+            return fail(format!(
+                "snapshot at {ts} read {first:?} then {again:?}, the oracle says {:?}",
+                at(ts)
+            ));
+        }
+    }
+    let last = tm.run(|t| map.get(t, &0)).unwrap();
+    if last != installs.last().map(|&(_, v)| v) {
+        return fail(format!("the key holds {last:?} after {installs:?}"));
+    }
+    Ok(())
+}
+
+#[test]
+fn one_key_rewrites_match_the_commit_order_oracle_on_every_seed() {
+    // A key's exclusive lock is held from `reserve` until `publish`
+    // returns, so the next writer of the key reserves a later
+    // timestamp only after this one has installed: on every seed the
+    // installs arrive in timestamp order and every snapshot reads what
+    // the commit order says it should.
+    let _g = domain_guard();
+    for seed in txboost_sched::seeds_from_env(60) {
+        if let Err(failure) = one_key_rewrites(seed, &[]) {
+            panic!("seed {seed}: {failure}");
+        }
+    }
+}
+
+#[test]
+fn releasing_locks_before_the_installs_is_caught_by_the_sweep() {
+    // Mutation check: a committer that lets its locks go right after
+    // `reserve` lets the next writer of the key reserve and install
+    // before it, so the older install lands after the younger one. If no seed showed that, the honest sweep above would be
+    // vacuous.
+    let _g = domain_guard();
+    let staged = [det::Mutation::LocksReleasedBeforeInstall];
+    let caught =
+        txboost_sched::seeds_from_env(60).any(|seed| one_key_rewrites(seed, &staged).is_err());
+    assert!(
+        caught,
+        "sweep failed to notice locks released before the installs — \
+         the one-key oracle test has no teeth"
     );
 }

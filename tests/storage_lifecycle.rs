@@ -1,6 +1,6 @@
-//! Integration: the Section 2 storage-management trio working together
-//! — transactional allocation, reference counting with deferred
-//! decrements, and savepoint-based partial rollback.
+//! Integration: Section 2's storage management working together —
+//! transactional allocation, and reference counting with deferred
+//! decrements.
 
 use rand::prelude::*;
 use std::sync::Arc;
@@ -74,51 +74,6 @@ fn refcounted_slab_objects_are_freed_exactly_when_unreferenced() {
 }
 
 #[test]
-fn savepoints_compose_with_boosted_objects() {
-    // A transaction builds a batch of allocations; each item is
-    // attempted in a nested scope and individually rolled back on
-    // failure, while the batch as a whole commits.
-    let tm = TxnManager::default();
-    let arena: TxSlabAlloc<u64> = TxSlabAlloc::new();
-    let index: Arc<BoostedHashMap<u64, usize>> = Arc::new(BoostedHashMap::new());
-
-    let arena2 = arena.clone();
-    let index2 = Arc::clone(&index);
-    let stored = tm
-        .run(move |txn| {
-            let mut stored = Vec::new();
-            for item in 0..10u64 {
-                let fails = item % 3 == 0;
-                let r: TxResult<()> = txn.nested(|t| {
-                    let k = arena2.alloc(t, item)?;
-                    index2.put(t, item, k)?;
-                    if fails {
-                        return Err(Abort::explicit()); // validation failed
-                    }
-                    Ok(())
-                });
-                if r.is_ok() {
-                    stored.push(item);
-                }
-            }
-            Ok(stored)
-        })
-        .unwrap();
-
-    assert_eq!(stored, vec![1, 2, 4, 5, 7, 8]);
-    assert_eq!(arena.len(), stored.len(), "failed items leaked slots");
-    assert_eq!(
-        index.len(),
-        stored.len(),
-        "failed items leaked index entries"
-    );
-    for item in stored {
-        let k = tm.run(|t| index.get(t, &item)).unwrap().unwrap();
-        assert_eq!(arena.get(k), Some(item));
-    }
-}
-
-#[test]
 fn batched_decrements_defer_reclamation_until_flush() {
     let tm = TxnManager::default();
     let rc = BoostedRefCount::with_policy(3, DecrPolicy::Batched { batch_size: 10 });
@@ -140,45 +95,4 @@ fn batched_decrements_defer_reclamation_until_flush() {
     assert_eq!(reclaimed.load(std::sync::atomic::Ordering::SeqCst), 0);
     rc.flush();
     assert_eq!(reclaimed.load(std::sync::atomic::Ordering::SeqCst), 1);
-}
-
-#[test]
-fn nested_rollback_under_concurrency_is_isolated_per_transaction() {
-    let tm = Arc::new(TxnManager::default());
-    let arena: TxSlabAlloc<usize> = TxSlabAlloc::new();
-    std::thread::scope(|s| {
-        for th in 0..6usize {
-            let tm = Arc::clone(&tm);
-            let arena = arena.clone();
-            s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(th as u64);
-                for i in 0..200 {
-                    let arena2 = arena.clone();
-                    let keep = rng.random_bool(0.5);
-                    let kept: Option<txboost_linearizable::SlabKey> = tm
-                        .run(move |txn| {
-                            let r = txn.nested(|t| {
-                                let k = arena2.alloc(t, th * 1000 + i)?;
-                                if !keep {
-                                    return Err(Abort::explicit());
-                                }
-                                Ok(k)
-                            });
-                            Ok(r.ok())
-                        })
-                        .unwrap();
-                    if let Some(k) = kept {
-                        assert_eq!(arena.get(k), Some(th * 1000 + i));
-                        let arena3 = arena.clone();
-                        tm.run(move |t| {
-                            arena3.free(t, k);
-                            Ok(())
-                        })
-                        .unwrap();
-                    }
-                }
-            });
-        }
-    });
-    assert!(arena.is_empty(), "nested rollbacks leaked slots");
 }
