@@ -389,7 +389,7 @@ fn bench_locks(iters: u64) -> [Measurement; 5] {
 }
 
 /// The wire benchmark's commonest script: one `add` on a boosted
-/// counter (shared lock, one inverse, one version install).
+/// counter (shared lock, one inverse, no commit timestamp).
 fn bench_counter_add(iters: u64) -> Measurement {
     let tm = TxnManager::default();
     let counter = BoostedCounter::new();

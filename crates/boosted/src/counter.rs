@@ -8,11 +8,15 @@
 //! handles their thread-level interleaving), reads acquire it
 //! **exclusive**. Under read/write STM every increment pair would
 //! conflict; here increment-only workloads never abort.
+//!
+//! The counter keeps no committed versions: `add` logs a plain inverse,
+//! so a transaction that only adds takes no commit timestamp, and `get`
+//! inside a read-only transaction fails with `ReadOnlyViolation`, as a
+//! set read does.
 
-use crate::versioned::Versioned;
 use std::sync::Arc;
 use txboost_core::locks::{AbstractLock, Mode};
-use txboost_core::{DeltaChain, TxResult, Txn};
+use txboost_core::{TxResult, Txn};
 use txboost_linearizable::StripedCounter;
 
 /// A call on a [`BoostedCounter`], as its conflict table reads it.
@@ -27,11 +31,7 @@ pub enum CounterCall {
 /// A transactional signed counter boosted from the striped counter.
 #[derive(Debug, Clone)]
 pub struct BoostedCounter {
-    /// The striped counter and, beside it, the committed-delta chain
-    /// serving read-only snapshot transactions. Deltas, not full
-    /// values: concurrent shared-mode adders commit independently, so
-    /// no single committer knows the whole value.
-    base: Arc<Versioned<StripedCounter, DeltaChain>>,
+    base: Arc<StripedCounter>,
     lock: Arc<AbstractLock>,
 }
 
@@ -44,9 +44,8 @@ impl Default for BoostedCounter {
 impl BoostedCounter {
     /// A counter starting at zero.
     pub fn new() -> Self {
-        let deltas = DeltaChain::new_global();
         BoostedCounter {
-            base: Arc::new(Versioned::new(StripedCounter::default(), deltas)),
+            base: Arc::default(),
             lock: Arc::default(),
         }
     }
@@ -68,22 +67,16 @@ impl BoostedCounter {
         let (lock, mode) = self.conflict(CounterCall::Add);
         lock.acquire(txn, mode)?;
         self.base.add(n);
-        txn.log_effect(
-            (Arc::clone(&self.base), n),
-            |(base, n)| base.add(-n),
-            |(base, n), stamp| base.versions.install(stamp.ts, n, stamp.floor),
-        );
+        let base = Arc::clone(&self.base);
+        txn.log_undo(move || base.add(-n));
         Ok(())
     }
 
     /// Transactionally read the value. Exclusive-mode lock (a read
-    /// does not commute with concurrent increments); no inverse.
-    /// Read-only snapshot transactions instead sum the committed
-    /// delta chain at their snapshot timestamp — no lock, no abort.
+    /// does not commute with concurrent increments); no inverse. The
+    /// counter keeps no versions, so inside a read-only transaction
+    /// this fails with `ReadOnlyViolation`.
     pub fn get(&self, txn: &Txn) -> TxResult<i64> {
-        if let Some(ts) = txn.snapshot_ts() {
-            return Ok(self.base.versions.read_at(ts));
-        }
         let (lock, mode) = self.conflict(CounterCall::Get);
         lock.acquire(txn, mode)?;
         Ok(self.base.sum())
@@ -98,7 +91,7 @@ impl BoostedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txboost_core::{Abort, TxnConfig, TxnManager};
+    use txboost_core::{Abort, TxnConfig, TxnError, TxnManager};
 
     #[test]
     fn add_and_get() {
@@ -149,24 +142,28 @@ mod tests {
     }
 
     #[test]
-    fn read_only_get_needs_no_lock_and_sums_committed_deltas() {
+    fn read_only_get_fails_and_holds_no_lock() {
+        // The counter keeps no committed versions, so a snapshot read
+        // has nothing to read at its timestamp: `get` needs the
+        // counter's exclusive lock, which a read-only transaction may
+        // not take. Adds are refused as every mutation is.
         let tm = TxnManager::new(TxnConfig {
-            lock_timeout: std::time::Duration::from_millis(5),
             max_retries: Some(0),
+            ..TxnConfig::default()
         });
         let c = BoostedCounter::new();
         tm.run(|t| c.add(t, 5)).unwrap();
-        tm.run(|t| c.add(t, 7)).unwrap();
-        // An in-flight adder holds the shared lock: a locked get would
-        // time out, the snapshot get must not — and must not see the
-        // uncommitted +100.
-        let adder = tm.begin();
-        c.add(&adder, 100).unwrap();
-        assert_eq!(tm.run_read_only(|t| c.get(t)).unwrap(), 12);
+        let r = tm.run_read_only(|t| c.get(t));
+        assert!(matches!(r, Err(TxnError::ReadOnlyViolation)));
         let r = tm.run_read_only(|t| c.add(t, 1));
-        assert!(matches!(r, Err(txboost_core::TxnError::ReadOnlyViolation)));
-        tm.commit(adder);
-        assert_eq!(tm.run_read_only(|t| c.get(t)).unwrap(), 112);
+        assert!(matches!(r, Err(TxnError::ReadOnlyViolation)));
+        let (lock, _) = c.conflict(CounterCall::Get);
+        assert_eq!(
+            lock.holders(),
+            (None, 0),
+            "a failed snapshot read left a lock"
+        );
+        assert_eq!(tm.run(|t| c.get(t)).unwrap(), 5);
     }
 
     #[test]

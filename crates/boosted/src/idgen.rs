@@ -71,7 +71,7 @@ impl UniqueIdGen {
     /// A generator starting at ID 0 with the given release policy.
     pub fn new(policy: ReleasePolicy) -> Self {
         UniqueIdGen {
-            counter: Arc::new(FetchAddCounter::new(0)),
+            counter: Arc::new(FetchAddCounter::new()),
             pool: Arc::new(Pool::default()),
             policy,
         }

@@ -68,7 +68,6 @@ mod queue;
 mod refcount;
 mod semaphore;
 mod set;
-mod versioned;
 
 pub use alloc::TxSlabAlloc;
 pub use counter::{BoostedCounter, CounterCall};

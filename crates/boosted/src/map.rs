@@ -10,7 +10,6 @@
 //! across distinct keys), and each mutation logs an inverse that
 //! restores the key's previous binding.
 
-use crate::versioned::Versioned;
 use std::hash::Hash;
 use std::sync::Arc;
 use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
@@ -49,12 +48,19 @@ pub enum MapCall<'a, K> {
 /// ```
 #[derive(Debug)]
 pub struct BoostedHashMap<K: 'static, V: 'static> {
-    /// The striped map and, beside it, the per-key committed-version
-    /// slots serving read-only snapshot transactions (see
-    /// `txboost_core::mvcc`), fed by the install arm of the effect
-    /// `put`/`remove` log.
-    base: Arc<Versioned<StripedHashMap<K, V>, VersionStore<K, V>>>,
+    base: Arc<Base<K, V>>,
     locks: KeyLockMap<K>,
+}
+
+/// The striped map and, beside it, the per-key committed versions that
+/// serve read-only snapshot transactions (see `txboost_core::mvcc`),
+/// allocated together: `put` and `remove` log one effect capturing one
+/// `Arc` of this, whose inverse arm calls `map` and whose install arm
+/// feeds `versions`.
+#[derive(Debug)]
+struct Base<K, V> {
+    map: StripedHashMap<K, V>,
+    versions: VersionStore<K, V>,
 }
 
 impl<K, V> Default for BoostedHashMap<K, V>
@@ -74,9 +80,11 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        let versions = VersionStore::new_global();
         BoostedHashMap {
-            base: Arc::new(Versioned::new(StripedHashMap::new(), versions)),
+            base: Arc::new(Base {
+                map: StripedHashMap::new(),
+                versions: VersionStore::new_global(),
+            }),
             locks: KeyLockMap::new(),
         }
     }
@@ -97,13 +105,13 @@ where
     pub fn put(&self, txn: &Txn, key: K, value: V) -> TxResult<Option<V>> {
         let (lock, mode) = self.conflict(MapCall::Put(&key));
         lock.acquire(txn, mode)?;
-        let previous = self.base.insert(key.clone(), value.clone());
+        let previous = self.base.map.insert(key.clone(), value.clone());
         txn.log_effect(
             (Arc::clone(&self.base), key, previous.clone(), value),
             |(base, key, previous, _)| {
                 match previous {
-                    Some(old) => base.insert(key, old),
-                    None => base.remove(&key),
+                    Some(old) => base.map.insert(key, old),
+                    None => base.map.remove(&key),
                 };
             },
             |(base, key, _, value), stamp| base.versions.install(key, Some(value), stamp),
@@ -116,14 +124,14 @@ where
     pub fn remove(&self, txn: &Txn, key: &K) -> TxResult<Option<V>> {
         let (lock, mode) = self.conflict(MapCall::Remove(key));
         lock.acquire(txn, mode)?;
-        let removed = self.base.remove(key);
+        let removed = self.base.map.remove(key);
         // An effect only when something was actually removed: a remove
         // of an absent key changes neither the base nor committed state.
         if let Some(old) = removed.clone() {
             txn.log_effect(
                 (Arc::clone(&self.base), key.clone(), old),
                 |(base, key, old)| {
-                    base.insert(key, old);
+                    base.map.insert(key, old);
                 },
                 |(base, key, _), stamp| base.versions.install(key, None, stamp),
             );
@@ -142,7 +150,7 @@ where
         }
         let (lock, mode) = self.conflict(MapCall::Get(key));
         lock.acquire(txn, mode)?;
-        Ok(self.base.get(key))
+        Ok(self.base.map.get(key))
     }
 
     /// Transactionally test for `key`.
@@ -152,7 +160,7 @@ where
         }
         let (lock, mode) = self.conflict(MapCall::ContainsKey(key));
         lock.acquire(txn, mode)?;
-        Ok(self.base.contains_key(key))
+        Ok(self.base.map.contains_key(key))
     }
 
     /// Start loading the version slot a snapshot read of `key` will
@@ -178,12 +186,12 @@ where
 
     /// Committed-state entry count (diagnostic; exact at quiescence).
     pub fn len(&self) -> usize {
-        self.base.len()
+        self.base.map.len()
     }
 
     /// Whether the committed state is empty (same caveat).
     pub fn is_empty(&self) -> bool {
-        self.base.is_empty()
+        self.base.map.is_empty()
     }
 
     /// Committed entries, sorted by key — a quiescent-state digest for
@@ -193,8 +201,10 @@ where
     where
         K: Ord,
     {
-        let mut out = Vec::with_capacity(self.base.len());
-        self.base.for_each(|k, v| out.push((k.clone(), v.clone())));
+        let mut out = Vec::with_capacity(self.base.map.len());
+        self.base
+            .map
+            .for_each(|k, v| out.push((k.clone(), v.clone())));
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

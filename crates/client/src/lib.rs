@@ -121,7 +121,8 @@ impl ScriptBuilder {
     /// Mark the script **read-only**: [`Connection::run`] sends it as a
     /// [`Request::ReadOnlyScript`], which the server executes as an
     /// abort-free snapshot transaction — no abstract locks, no undo
-    /// log, no retries. Any mutating op in the script is rejected with
+    /// log, no retries. It serves `map_contains` only: any other op,
+    /// a mutation or `counter_get`, is rejected with
     /// [`ScriptStatus::ReadOnlyViolation`].
     pub fn read_only(mut self) -> Self {
         self.read_only = true;

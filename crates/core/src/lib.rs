@@ -75,8 +75,8 @@ mod txn;
 pub use backoff::{retry, Backoff, SpinWait};
 pub use error::{Abort, AbortReason, TxnError};
 pub use mvcc::{
-    CommitClock, CommitStamp, DeltaChain, KeyHash, MvccDomain, MvccMetrics, MvccSnapshot,
-    ReaderRegistry, SnapshotGuard, VersionStore,
+    CommitClock, CommitStamp, KeyHash, MvccDomain, MvccMetrics, MvccSnapshot, ReaderRegistry,
+    SnapshotGuard, VersionStore,
 };
 pub use obs::{DurabilityMetrics, DurabilitySnapshot, HistogramSnapshot, LatencyHistogram};
 pub use stats::{TxnStats, TxnStatsSnapshot};

@@ -12,6 +12,14 @@
 //! return instantly on the newest version at-or-below their snapshot —
 //! no locks, no undo log, no aborts.
 //!
+//! A version must earn its code, so only the boosted map keeps them:
+//! its keys are what read-only scripts read. Every other boosted type
+//! logs plain inverses, and a transaction touching only those logs no
+//! install and never enters [`MvccDomain::commit`]. So every version
+//! install in the system is a map key's, made under that key's
+//! exclusive lock, and the installs of one key arrive in timestamp
+//! order.
+//!
 //! ## The snapshot protocol
 //!
 //! * [`CommitClock::reserve`] hands a committing writer a fresh
@@ -376,7 +384,7 @@ pub struct MvccSnapshot {
     pub installs: u64,
     /// Reads served from version slots (including misses).
     pub snapshot_reads: u64,
-    /// Versions reclaimed (or deltas folded) by install-time GC.
+    /// Versions reclaimed by install-time GC.
     pub gc_reclaimed: u64,
     /// Retained-versions-per-key histogram (sampled at install).
     pub chain_len: HistogramSnapshot,
@@ -432,10 +440,9 @@ impl MvccDomain {
 
     /// Run `installs` as one commit: read the GC floor, reserve a
     /// timestamp, hand both to the closure — the install window, which
-    /// passes them on to [`VersionStore::install`] and
-    /// [`DeltaChain::install`] — and publish, waiting, if need be, for
-    /// every older commit to publish first, so the commit is in every
-    /// snapshot begun after this returns.
+    /// passes them on to [`VersionStore::install`] — and publish,
+    /// waiting, if need be, for every older commit to publish first, so
+    /// the commit is in every snapshot begun after this returns.
     ///
     /// The caller holds whatever serializes it against conflicting
     /// writers (a transaction's abstract locks) from before this call
@@ -620,94 +627,6 @@ impl<K: Hash + Eq, V> Older<K, V> {
     }
 }
 
-/// The counter's versions: a folded base plus per-commit deltas.
-///
-/// A counter version cannot be captured as a full value at install
-/// time — concurrent writers hold the *shared* counter lock, so the
-/// base object's sum includes their uncommitted increments. Deltas
-/// commute, so each commit installs only its own delta; a snapshot
-/// read sums `base + deltas ≤ ts`, and GC folds reclaimable deltas
-/// into the base instead of dropping state.
-///
-/// Determinism note: here and in [`VersionStore`], `install` yields
-/// to the deterministic scheduler before and after its critical
-/// section and `read_at` once — *unconditionally*, never under the
-/// mutex. Prune amounts depend on cross-test global clock state, so
-/// only structural (never value-dependent) yields keep recorded
-/// schedules replayable.
-#[derive(Debug)]
-pub struct DeltaChain {
-    domain: Arc<MvccDomain>,
-    inner: Mutex<DeltaInner>,
-}
-
-#[derive(Debug, Default)]
-struct DeltaInner {
-    /// Every delta with ts ≤ `base_ts` has been folded into
-    /// `base_value`. Invariant: `base_ts ≤` every registered reader's
-    /// snapshot (folding only crosses the GC floor).
-    base_ts: u64,
-    base_value: i64,
-    /// `(commit ts, delta)` sorted by timestamp; duplicates allowed
-    /// (same-commit deltas just sum).
-    deltas: Vec<(u64, i64)>,
-}
-
-impl DeltaChain {
-    /// An empty delta chain (counter value 0 at every timestamp).
-    pub fn new(domain: Arc<MvccDomain>) -> Self {
-        DeltaChain {
-            domain,
-            inner: Mutex::new(DeltaInner::default()),
-        }
-    }
-
-    /// An empty delta chain on the global domain.
-    pub fn new_global() -> Self {
-        DeltaChain::new(Arc::clone(MvccDomain::global_arc()))
-    }
-
-    /// Install the delta committed at `ts`, then fold every delta
-    /// at-or-below `floor` into the base. Nothing is lost — folding
-    /// moves a delta into `base_value` — and the floor rule is the
-    /// slots': no registered snapshot sinks below `base_ts`. (The
-    /// `Vec` keeps its capacity: steady-state installs do not allocate.)
-    pub fn install(&self, ts: u64, delta: i64, floor: u64) {
-        det::yield_point(det::Point::VersionInstall);
-        let (len, folded) = {
-            let mut inner = self.inner.lock().expect("delta chain poisoned");
-            debug_assert!(ts > inner.base_ts, "install below the folded base");
-            let i = inner.deltas.partition_point(|&(t, _)| t <= ts);
-            inner.deltas.insert(i, (ts, delta));
-            let cut = inner.deltas.partition_point(|&(t, _)| t <= floor);
-            if cut > 0 {
-                inner.base_ts = inner.deltas[cut - 1].0;
-                inner.base_value += inner.deltas.drain(..cut).map(|(_, d)| d).sum::<i64>();
-            }
-            (inner.deltas.len() + 1, cut)
-        };
-        det::yield_point(det::Point::VersionGc);
-        self.domain.metrics.note_install(len, folded);
-    }
-
-    /// The counter value at snapshot `ts`: base plus every delta ≤
-    /// `ts`. Callers must hold a snapshot at-or-above the GC floor
-    /// (any [`SnapshotGuard`] qualifies), so `base_ts ≤ ts` holds.
-    pub fn read_at(&self, ts: u64) -> i64 {
-        det::yield_point(det::Point::SnapshotRead);
-        self.domain.metrics.note_snapshot_read();
-        let inner = self.inner.lock().expect("delta chain poisoned");
-        debug_assert!(inner.base_ts <= ts, "snapshot read below the folded base");
-        inner.base_value
-            + inner
-                .deltas
-                .iter()
-                .take_while(|&&(t, _)| t <= ts)
-                .map(|&(_, d)| d)
-                .sum::<i64>()
-    }
-}
-
 /// Shards in a [`VersionStore`] (power of two); a key's shard is the
 /// top bits of its hash, its home entry the low bits.
 const STORE_SHARD_BITS: u32 = 6;
@@ -800,8 +719,7 @@ impl<K: Hash + Eq, V> SlotTable<K, V> {
     /// writer holds the key's exclusive abstract lock from before
     /// [`CommitClock::reserve`] until after [`CommitClock::publish`]
     /// returns, so the next writer of the key reserves its timestamp
-    /// only after this one has installed. (The counter's adds share one
-    /// lock word and do race; [`DeltaChain`] sorts them in.)
+    /// only after this one has installed.
     fn install(
         &mut self,
         hash: u64,
@@ -916,6 +834,12 @@ pub struct KeyHash(u64);
 /// hash per call picks both the shard and the home entry; the hash is
 /// keyed because keys arrive over the wire, and linear probing clusters
 /// under chosen collisions.
+///
+/// Determinism note: `install` yields to the deterministic scheduler
+/// before and after its critical section and a read once —
+/// *unconditionally*, never under the shard mutex. Prune amounts depend
+/// on cross-test global clock state, so only structural (never
+/// value-dependent) yields keep recorded schedules replayable.
 #[derive(Debug)]
 pub struct VersionStore<K, V> {
     shards: Box<[Shard<K, V>]>,
@@ -1136,16 +1060,19 @@ mod tests {
     fn unserialized_committers_all_become_stable_in_order() {
         // Nothing but the clock orders these commits. Each returns only
         // once stable covers it, and the last leaves stable at the count.
+        // Each thread rewrites a key of its own, so installs of one key
+        // still arrive in timestamp order.
         const THREADS: u64 = 4;
         const COMMITS: u64 = 20_000;
         let d = domain();
+        let store: VersionStore<u64, u64> = VersionStore::new(Arc::clone(&d));
         std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    let mine = DeltaChain::new(Arc::clone(&d));
-                    for _ in 0..COMMITS {
+            for key in 0..THREADS {
+                let (d, store) = (&d, &store);
+                s.spawn(move || {
+                    for i in 0..COMMITS {
                         let ts = d.commit(|stamp| {
-                            mine.install(stamp.ts, 1, stamp.floor);
+                            store.install(key, Some(i), stamp);
                             stamp.ts
                         });
                         assert!(d.clock.stable() >= ts, "returned before stable");
@@ -1541,31 +1468,6 @@ mod tests {
             }
             done.store(true, Ordering::Relaxed);
         });
-    }
-
-    #[test]
-    fn delta_chain_sums_deltas_at_or_below_the_snapshot() {
-        let deltas = DeltaChain::new(domain());
-        deltas.install(2, 10, 0);
-        deltas.install(9, 1, 0);
-        deltas.install(5, -3, 0);
-        assert_eq!(deltas.read_at(1), 0);
-        assert_eq!(deltas.read_at(2), 10);
-        assert_eq!(deltas.read_at(5), 7);
-        assert_eq!(deltas.read_at(100), 8);
-    }
-
-    #[test]
-    fn delta_installs_fold_into_the_base_without_changing_reads() {
-        let d = domain();
-        let deltas = DeltaChain::new(Arc::clone(&d));
-        for _ in 0..6 {
-            d.commit(|stamp| deltas.install(stamp.ts, 1, stamp.floor));
-        }
-        // Each install folds everything its floor (the previous
-        // commit) covers: only the last delta is still unfolded.
-        assert_eq!(d.metrics.snapshot().gc_reclaimed, 5);
-        assert_eq!(deltas.read_at(d.clock.stable()), 6, "folding loses nothing");
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl Txn {
     /// inside the commit's [`crate::MvccDomain::commit`] window, while
     /// abstract locks are still held, in the order logged, handed the
     /// commit's stamp (it typically calls [`crate::VersionStore::install`]
-    /// or [`crate::DeltaChain::install`] with it).
+    /// with it).
     ///
     /// Heap-allocation-free under [`Txn::log_undo`]'s conditions, the
     /// sizes of `captured` and whatever the arms capture taken together

@@ -16,11 +16,9 @@ pub struct FetchAddCounter {
 }
 
 impl FetchAddCounter {
-    /// A counter starting at `initial`.
-    pub fn new(initial: u64) -> Self {
-        FetchAddCounter {
-            value: AtomicU64::new(initial),
-        }
+    /// A counter starting at 0.
+    pub fn new() -> Self {
+        FetchAddCounter::default()
     }
 
     /// Atomically add `n`, returning the value *before* the addition
@@ -53,18 +51,21 @@ pub struct StripedCounter {
     stripes: Box<[PaddedI64]>,
 }
 
+/// Cells in a [`StripedCounter`]: more than the threads of any host the
+/// counter runs on, so two threads rarely share a cell.
+const STRIPES: usize = 64;
+
 impl Default for StripedCounter {
     fn default() -> Self {
-        StripedCounter::new(64)
+        StripedCounter::new()
     }
 }
 
 impl StripedCounter {
-    /// A counter with `stripes` cells (rounded up to at least 1).
-    pub fn new(stripes: usize) -> Self {
-        let n = stripes.max(1);
+    /// A counter starting at 0, over 64 cells.
+    pub fn new() -> Self {
         StripedCounter {
-            stripes: (0..n).map(|_| PaddedI64::default()).collect(),
+            stripes: (0..STRIPES).map(|_| PaddedI64::default()).collect(),
         }
     }
 
@@ -107,7 +108,8 @@ mod tests {
 
     #[test]
     fn get_and_add_returns_previous_value() {
-        let c = FetchAddCounter::new(10);
+        let c = FetchAddCounter::new();
+        assert_eq!(c.get_and_add(10), 0);
         assert_eq!(c.get_and_add(1), 10);
         assert_eq!(c.get_and_add(5), 11);
         assert_eq!(c.get(), 16);
@@ -115,7 +117,7 @@ mod tests {
 
     #[test]
     fn fetch_add_counter_yields_unique_ids_concurrently() {
-        let c = Arc::new(FetchAddCounter::new(0));
+        let c = Arc::new(FetchAddCounter::new());
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&c);
@@ -134,7 +136,7 @@ mod tests {
 
     #[test]
     fn striped_counter_sums_across_threads() {
-        let c = Arc::new(StripedCounter::new(8));
+        let c = Arc::new(StripedCounter::new());
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = Arc::clone(&c);
@@ -149,13 +151,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.sum(), 8 * (2000 - 1));
-    }
-
-    #[test]
-    fn striped_counter_single_stripe_degrades_gracefully() {
-        let c = StripedCounter::new(0); // rounded up to 1
-        c.add(3);
-        c.add(4);
-        assert_eq!(c.sum(), 7);
     }
 }

@@ -225,7 +225,7 @@ mod tests {
         let e = exec();
         let snapshot = |req_id| Request::ReadOnlyScript {
             req_id,
-            ops: script().counter_get("c").build(),
+            ops: script().map_contains("m", 1).build(),
         };
         let tick = |reqs: Vec<Request>| {
             let reqs = reqs.into_iter().map(|req| ((), req)).collect();
@@ -331,11 +331,11 @@ mod tests {
     fn a_tick_that_logs_nothing_waits_for_what_it_may_have_read() {
         // Another loop's commit sits in the log's pending buffer.
         let (e, wal, _storage) = exec_with_wal();
-        e.execute(&add("c", 5));
+        e.execute(&script().map_insert("m", 1, 5).build());
         assert_eq!(wal.metrics().snapshot().records, 0);
         // A tick that only reads it (locked, or from a snapshot) writes
         // it before replying.
-        let read = script().counter_get("c").build();
+        let read = script().map_contains("m", 1).build();
         let reqs = vec![
             (0, locked(0, read.clone())),
             (
@@ -354,7 +354,7 @@ mod tests {
             let Response::Script { results, .. } = resp else {
                 panic!("{resp:?}")
             };
-            assert_eq!(results, vec![OpResult::Value(Some(5))]);
+            assert_eq!(results, vec![OpResult::Bool(true)]);
         }
     }
 }

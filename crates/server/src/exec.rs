@@ -230,9 +230,11 @@ impl Executor {
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
-    /// locks, no undo log, no WAL record. Mutating ops (and
-    /// `DebugAbort`) are rejected with [`ScriptStatus::ReadOnlyViolation`]
-    /// before touching any object.
+    /// locks, no undo log, no WAL record. Only `map_contains` is served,
+    /// the one op with committed versions to read: a script holding any
+    /// other op, `counter_get` included, is rejected with
+    /// [`ScriptStatus::ReadOnlyViolation`] naming the first such op,
+    /// before that op touches any object.
     pub fn execute_read_only(&self, ops: &[ScriptOp]) -> ScriptOutcome {
         self.run(Mode::Snapshot, ops).0
     }
@@ -277,14 +279,14 @@ impl Executor {
             let mut last = t0;
             for (i, sop) in ops.iter().enumerate() {
                 let give_up = |status, abort| Err((abort, status, Some(i as u16)));
-                let debug_abort = matches!(sop.op, Op::DebugAbort);
-                if mode == Mode::Snapshot && (debug_abort || op_mutates(&sop.op)) {
+                // A map key is the one thing a snapshot has versions of.
+                if mode == Mode::Snapshot && !matches!(sop.op, Op::MapContains { .. }) {
                     return give_up(
                         ScriptStatus::ReadOnlyViolation,
                         Abort::read_only_violation(),
                     );
                 }
-                if debug_abort {
+                if matches!(sop.op, Op::DebugAbort) {
                     return give_up(ScriptStatus::DebugAborted, Abort::explicit());
                 }
                 // Lock waits have no deadline: the one abort an op raises
@@ -775,7 +777,7 @@ mod tests {
     #[test]
     fn read_only_script_reads_a_committed_snapshot_without_locks() {
         let e = exec();
-        let seeded = e.execute(&script().map_insert("m", 1, 10).counter_add("c", 5).build());
+        let seeded = e.execute(&script().map_insert("m", 1, 10).build());
         assert_eq!(seeded.status, ScriptStatus::Committed);
         let expect_present = ScriptOp::guarded(
             Op::MapContains {
@@ -784,20 +786,13 @@ mod tests {
             },
             Guard::ExpectTrue,
         );
-        let reads = script()
-            .push(expect_present)
-            .map_contains("m", 2)
-            .counter_get("c");
+        let reads = script().push(expect_present).map_contains("m", 2);
         let out = e.execute_read_only(&reads.build());
         assert_eq!(out.status, ScriptStatus::Committed);
         assert_eq!(out.attempts, 1, "snapshot reads never retry");
         assert_eq!(
             out.results,
-            vec![
-                OpResult::Bool(true),
-                OpResult::Bool(false),
-                OpResult::Value(Some(5)),
-            ]
+            vec![OpResult::Bool(true), OpResult::Bool(false)]
         );
     }
 
@@ -808,6 +803,8 @@ mod tests {
             script().map_insert("m", 1, 1),
             script().map_remove("m", 1),
             script().counter_add("c", 1),
+            // A counter keeps no versions: a snapshot has nothing to read.
+            script().counter_get("c"),
             script().sem_acquire("s"),
             script().sem_release("s"),
             script().id_gen("g"),
@@ -823,7 +820,7 @@ mod tests {
             assert!(out.results.is_empty());
         }
         // Nothing leaked into committed state.
-        let probe = e.execute_read_only(&script().counter_get("c").build());
+        let probe = e.execute(&script().counter_get("c").build());
         assert_eq!(probe.results, vec![OpResult::Value(Some(0))]);
     }
 
@@ -1030,6 +1027,7 @@ mod tests {
     #[test]
     fn a_read_only_violation_creates_only_the_objects_before_it() {
         let e = exec();
+        // A counter keeps no versions: its read is the violation.
         let reads_then_write = script()
             .map_contains("a", 1)
             .counter_get("b")
@@ -1037,8 +1035,8 @@ mod tests {
             .map_contains("d", 1);
         let out = e.execute_read_only(&reads_then_write.build());
         assert_eq!(out.status, ScriptStatus::ReadOnlyViolation);
-        assert_eq!(out.failed_op, Some(2));
-        assert_eq!(e.namespace().object_counts(), (1, 1, 0, 0, 0));
+        assert_eq!(out.failed_op, Some(1));
+        assert_eq!(e.namespace().object_counts(), (1, 0, 0, 0, 0));
     }
 
     #[test]

@@ -274,20 +274,23 @@ fn read_only_scripts_snapshot_without_locks_across_the_wire() {
             ScriptBuilder::new()
                 .read_only()
                 .map_contains("ro_map", 1)
-                .map_contains("ro_map", 2)
-                .counter_get("ro_ctr"),
+                .map_contains("ro_map", 2),
         )
         .unwrap();
     assert_eq!(out.status, ScriptStatus::Committed);
     assert_eq!(out.attempts, 1, "snapshot reads never retry");
     assert_eq!(
         out.results,
-        vec![
-            OpResult::Bool(true),
-            OpResult::Bool(false),
-            OpResult::Value(Some(5)),
-        ]
+        vec![OpResult::Bool(true), OpResult::Bool(false)]
     );
+
+    // A counter keeps no versions, so a snapshot cannot read one.
+    let out = conn
+        .run(ScriptBuilder::new().read_only().counter_get("ro_ctr"))
+        .unwrap();
+    assert_eq!(out.status, ScriptStatus::ReadOnlyViolation);
+    assert_eq!(out.failed_op, Some(0));
+    assert!(out.results.is_empty());
 
     // A mutating op in a read-only script is a typed rejection.
     let out = conn
@@ -310,7 +313,7 @@ fn read_only_scripts_snapshot_without_locks_across_the_wire() {
     assert_eq!(out.results, vec![OpResult::Bool(false)]);
     let json = conn.stats_json().unwrap();
     for needle in [
-        "\"read_only_violation\":1",
+        "\"read_only_violation\":2",
         "\"mvcc\":{\"installs\":",
         "\"snapshot_reads\":",
         "\"gc_reclaimed\":",

@@ -349,7 +349,9 @@ pub enum Request {
     /// Execute `ops` as one **read-only snapshot transaction**: the
     /// server takes no abstract locks, writes no undo log, and never
     /// aborts or retries — every read observes one consistent committed
-    /// snapshot. A mutating op in the list fails the whole script with
+    /// snapshot. Only `map_contains` is served: a map key is the one
+    /// thing with committed versions to read. Any other op, a mutation
+    /// or `counter_get`, fails the whole script with
     /// [`ScriptStatus::ReadOnlyViolation`] (nothing to roll back).
     ReadOnlyScript {
         /// Client-chosen correlation id, echoed in the reply.
@@ -387,9 +389,9 @@ pub enum ScriptStatus {
     /// Retries exhausted for some other reason. `txboost-server` no
     /// longer answers it: a script runs once. The byte stays reserved.
     RetriesExhausted = 5,
-    /// A [`Request::ReadOnlyScript`] contained a mutating op. Read-only
-    /// transactions cannot abort, so this is a rejection, not a
-    /// rollback; `failed_op` names the offending op.
+    /// A [`Request::ReadOnlyScript`] contained an op other than
+    /// `map_contains`. Read-only transactions cannot abort, so this is
+    /// a rejection, not a rollback; `failed_op` names the offending op.
     ReadOnlyViolation = 6,
 }
 

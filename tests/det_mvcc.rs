@@ -16,7 +16,11 @@
 //!
 //! Every seed of the transfer sweep reaches the version store's three
 //! yield points (install, GC, snapshot read), so a hook removed from
-//! the read path fails it.
+//! the read path fails it. A mutation check stops at the first seed
+//! that catches its mutation.
+//!
+//! The map is the one versioned type: a counter-only commit takes no
+//! commit timestamp at all, which a plain test checks on the clock.
 //!
 //! Every boosted collection shares the process-global `MvccDomain`, so
 //! the tests in this binary serialize on a file-level mutex: a setup
@@ -137,28 +141,29 @@ fn read_only_snapshots_hold_the_transfer_invariant_on_every_seed() {
 
 #[test]
 fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
-    // Two writers bump a counter through shared-mode adds while a
-    // reader snapshots it. Within one read-only transaction the two
-    // reads must agree (the snapshot is immutable), and across
-    // successive transactions the value can only grow.
+    // Two writers bump a count kept under one map key while a reader
+    // snapshots it. Within one read-only transaction the two reads
+    // must agree (the snapshot is immutable), and across successive
+    // transactions the count can only grow.
     let _g = domain_guard();
     struct W {
         tm: TxnManager,
-        ctr: BoostedCounter,
+        map: BoostedHashMap<i64, i64>,
     }
+    let count = |t: &Txn, w: &W| Ok(w.map.get(t, &0)?.unwrap_or(0));
     txboost_sched::sweep_setup(
         txboost_sched::seeds_from_env(60),
         3,
         || W {
             tm: TxnManager::default(),
-            ctr: BoostedCounter::new(),
+            map: BoostedHashMap::new(),
         },
         |w, tid| {
             if tid == 2 {
                 let mut last = 0;
                 for _ in 0..5 {
                     let (x, y) =
-                        w.tm.run_read_only(|t| Ok((w.ctr.get(t)?, w.ctr.get(t)?)))
+                        w.tm.run_read_only(|t| Ok((count(t, w)?, count(t, w)?)))
                             .expect("a read-only txn can never abort");
                     assert_eq!(x, y, "snapshot changed under a reader");
                     assert!(x >= last, "committed total went backwards: {last} -> {x}");
@@ -168,26 +173,47 @@ fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
             } else {
                 let amt = i64::try_from(tid).unwrap() + 1;
                 for _ in 0..3 {
-                    w.tm.run(|t| w.ctr.add(t, amt)).unwrap();
+                    w.tm.run(|t| w.map.put(t, 0, count(t, w)? + amt).map(|_| ()))
+                        .unwrap();
                 }
             }
         },
         |w, _report| {
-            let total = w.tm.run(|t| w.ctr.get(t)).unwrap();
+            let total = w.tm.run(|t| count(t, &w)).unwrap();
             assert_eq!(total, 9);
         },
+    );
+}
+
+#[test]
+fn a_counter_only_commit_takes_no_timestamp() {
+    // The counter keeps no versions, so a transaction that only adds
+    // logs no install and never opens a commit window: the global
+    // clock does not move, and nor does a locked read move it.
+    let _g = domain_guard();
+    let tm = TxnManager::default();
+    let ctr = BoostedCounter::new();
+    let clock = &MvccDomain::global().clock;
+    let before = clock.stable();
+    tm.run(|t| {
+        ctr.add(t, 2)?;
+        ctr.add(t, -5)
+    })
+    .unwrap();
+    assert_eq!(tm.run(|t| ctr.get(t)).unwrap(), -3);
+    assert_eq!(
+        clock.stable(),
+        before,
+        "a counter-only commit took a timestamp"
     );
 }
 
 /// One writer rewrites each of `keys` keys `PUTS` times — one commit
 /// per round, every key in it — while a reader pins a snapshot from
 /// before the churn and reads every key before and after it. Returns
-/// how many runs saw the reader's second reads disagree with its first.
-fn pinned_reader_vs_chain_gc(
-    keys: i64,
-    seeds: std::ops::Range<u64>,
-    staged: &[det::Mutation],
-) -> u64 {
+/// whether the run under `seed` saw the reader's second reads disagree
+/// with its first.
+fn pinned_reader_vs_chain_gc(keys: i64, seed: u64, staged: &[det::Mutation]) -> bool {
     const PUTS: i64 = 14;
     struct W {
         tm: TxnManager,
@@ -196,9 +222,9 @@ fn pinned_reader_vs_chain_gc(
         pinned: AtomicBool,
         churned: AtomicBool,
     }
-    let torn = AtomicU64::new(0);
+    let torn = AtomicBool::new(false);
     txboost_sched::sweep_staged(
-        seeds,
+        [seed],
         2,
         staged,
         || W {
@@ -247,7 +273,7 @@ fn pinned_reader_vs_chain_gc(
                     Ok(before == read_all()?)
                 });
                 if !outcome.expect("a read-only txn can never abort") {
-                    torn.fetch_add(1, Ordering::SeqCst);
+                    torn.store(true, Ordering::SeqCst);
                 }
             }
         },
@@ -268,19 +294,25 @@ fn pinned_snapshots_survive_chain_gc_on_every_seed() {
     // reads agree on every seed even though the key's versions were
     // swept around its pin.
     let _g = domain_guard();
-    let torn = pinned_reader_vs_chain_gc(1, txboost_sched::seeds_from_env(60), &[]);
-    assert_eq!(torn, 0, "GC reclaimed a version a live reader was pinning");
+    for seed in txboost_sched::seeds_from_env(60) {
+        let torn = pinned_reader_vs_chain_gc(1, seed, &[]);
+        assert!(
+            !torn,
+            "seed {seed}: GC reclaimed a version a live reader was pinning"
+        );
+    }
 }
 
 #[test]
 fn pinned_snapshots_survive_spilled_history_gc_on_every_seed() {
     let _g = domain_guard();
-    let seeds = txboost_sched::seeds_from_env(60);
-    let torn = pinned_reader_vs_chain_gc(SPILLING_KEYS, seeds, &[]);
-    assert_eq!(
-        torn, 0,
-        "GC reclaimed spilled history a live reader was pinning"
-    );
+    for seed in txboost_sched::seeds_from_env(60) {
+        let torn = pinned_reader_vs_chain_gc(SPILLING_KEYS, seed, &[]);
+        assert!(
+            !torn,
+            "seed {seed}: GC reclaimed spilled history a live reader was pinning"
+        );
+    }
 }
 
 #[test]
@@ -293,40 +325,42 @@ fn skipping_the_reader_registry_floor_is_caught_by_the_sweep() {
     let _g = domain_guard();
     let staged = [det::Mutation::IgnoreReaderFloor];
     for keys in [1, SPILLING_KEYS] {
-        let torn = pinned_reader_vs_chain_gc(keys, txboost_sched::seeds_from_env(60), &staged);
+        let mut seeds = txboost_sched::seeds_from_env(60);
+        let torn = seeds.any(|seed| pinned_reader_vs_chain_gc(keys, seed, &staged));
         assert!(
-            torn > 0,
+            torn,
             "sweep over {keys} keys failed to notice GC ignoring registered \
              readers — the pinned-snapshot test has no teeth"
         );
     }
 }
 
-/// What `overlapping_install_windows` saw over a sweep.
+/// What `overlapping_install_windows` saw in one run.
 struct Overlaps {
     /// Snapshots that were torn or had a hole (half of a commit, or
-    /// timestamp `t + 1` without `t`), plus runs in which the younger
-    /// commit returned while the older one was still installing.
+    /// timestamp `t + 1` without `t`), plus one if the younger commit
+    /// returned while the older one was still installing.
     broken: u64,
-    /// Runs in which a publisher had to wait for its predecessor.
-    waited: u64,
+    /// Whether a publisher had to wait for its predecessor.
+    waited: bool,
 }
 
-/// Two writers whose transactions do not conflict — each bumps its own
-/// pair of counters in shared mode, so both can be inside their install
-/// windows at once — and a reader snapshotting all four counters.
+/// Two writers whose transactions do not conflict — each counts its
+/// commits under both keys of a map of its own, so they share no lock
+/// word and both can be inside their install windows at once — and a
+/// reader snapshotting all four keys.
 ///
 /// The first round is staged: the older writer parks *inside* its
-/// install window (one counter installed, one not) until the reader
-/// lets it go, the younger writer commits meanwhile, and the reader
+/// install window (one key installed, one not) until the reader lets
+/// it go, the younger writer commits meanwhile, and the reader
 /// snapshots across the moment the younger one has finished its
 /// installs. After that everyone runs free.
 ///
 /// Every commit on the global domain during a run adds exactly 1 to
-/// both counters of one pair, so a snapshot at timestamp `S` holds
-/// every commit up to `S`, whole, iff each pair agrees and the pairs
-/// sum to `S` minus the clock's reading when the run began.
-fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutation]) -> Overlaps {
+/// both keys of one map, so a snapshot at timestamp `S` holds every
+/// commit up to `S`, whole, iff each map's keys agree and the maps sum
+/// to `S` minus the clock's reading when the run began.
+fn overlapping_install_windows(seed: u64, staged: &[det::Mutation]) -> Overlaps {
     const COMMITS: i64 = 3;
     const SNAPSHOTS: usize = 8;
     #[derive(Default)]
@@ -338,25 +372,25 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
     }
     struct W {
         tm: TxnManager,
-        pairs: [[BoostedCounter; 2]; 2],
+        pairs: [BoostedHashMap<i64, i64>; 2],
         /// The stable timestamp before the run's first commit.
         base: u64,
         stage: Arc<Stage>,
     }
-    let (broken, waited) = (AtomicU64::new(0), AtomicU64::new(0));
+    let (broken, waited) = (AtomicU64::new(0), AtomicBool::new(false));
     txboost_sched::sweep_staged(
-        seeds,
+        [seed],
         3,
         staged,
         || W {
             tm: TxnManager::default(),
-            pairs: std::array::from_fn(|_| std::array::from_fn(|_| BoostedCounter::new())),
+            pairs: std::array::from_fn(|_| BoostedHashMap::new()),
             base: MvccDomain::global().clock.stable(),
             stage: Arc::default(),
         },
         |w, tid| {
             let stage = &w.stage;
-            if let Some([a, b]) = w.pairs.get(tid) {
+            if let Some(pair) = w.pairs.get(tid) {
                 for done in 1..=COMMITS {
                     let staged = done == 1;
                     if staged && tid == 1 {
@@ -364,7 +398,7 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
                         spin_until(&stage.older_parked);
                     }
                     w.tm.run(|t| {
-                        a.add(t, 1)?;
+                        pair.put(t, 0, done)?;
                         // Version installs run in the order logged: the
                         // older writer parks between its two, the
                         // younger one signals after both of its own.
@@ -378,7 +412,7 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
                                 },
                             );
                         }
-                        b.add(t, 1)?;
+                        pair.put(t, 1, done)?;
                         if staged && tid == 1 {
                             t.log_effect(
                                 Arc::clone(stage),
@@ -396,9 +430,13 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
                     }
                     // The commit has returned, so `stable` covers it:
                     // a snapshot begun now contains it.
-                    let seen = w.tm.run_read_only(|t| a.get(t));
+                    let seen = w.tm.run_read_only(|t| pair.get(t, &0));
                     let seen = seen.expect("a read-only txn can never abort");
-                    assert_eq!(seen, done, "a returned commit is missing from a snapshot");
+                    assert_eq!(
+                        seen,
+                        Some(done),
+                        "a returned commit is missing from a snapshot"
+                    );
                 }
             } else {
                 let snapshots = || {
@@ -406,9 +444,9 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
                         let got = w.tm.run_read_only(|t| {
                             let mut sums = [0; 2];
                             let mut whole = true;
-                            for ([a, b], sum) in w.pairs.iter().zip(&mut sums) {
-                                *sum = a.get(t)?;
-                                whole &= *sum == b.get(t)?;
+                            for (pair, sum) in w.pairs.iter().zip(&mut sums) {
+                                *sum = pair.get(t, &0)?.unwrap_or(0);
+                                whole &= *sum == pair.get(t, &1)?.unwrap_or(0);
                             }
                             let commits = t.snapshot_ts().expect("read-only") - w.base;
                             Ok(whole && u64::try_from(sums[0] + sums[1]) == Ok(commits))
@@ -430,12 +468,10 @@ fn overlapping_install_windows(seeds: std::ops::Range<u64>, staged: &[det::Mutat
             }
         },
         |_w, report| {
-            // Shared-mode adds never block each other and the reader
-            // takes no lock: a blocked tick here is a publisher waiting.
+            // The writers' maps share no lock word and the reader takes
+            // no lock: a blocked tick here is a publisher waiting.
             let blocked = |s: &txboost_sched::Step| s.point == det::Point::LockBlocked;
-            if report.schedule.iter().any(blocked) {
-                waited.fetch_add(1, Ordering::SeqCst);
-            }
+            waited.store(report.schedule.iter().any(blocked), Ordering::SeqCst);
         },
     );
     Overlaps {
@@ -452,14 +488,17 @@ fn commits_publish_in_timestamp_order_on_every_seed() {
     // commit, a returned commit is in the next snapshot, and read-only
     // transactions still never abort.
     let _g = domain_guard();
-    let seeds = txboost_sched::seeds_from_env(60);
-    let runs = seeds.end - seeds.start;
-    let seen = overlapping_install_windows(seeds, &[]);
-    assert_eq!(
-        seen.broken, 0,
-        "t + 1 became visible, or returned, ahead of t"
-    );
-    assert_eq!(seen.waited, runs, "the younger commit did not have to wait");
+    for seed in txboost_sched::seeds_from_env(60) {
+        let seen = overlapping_install_windows(seed, &[]);
+        assert_eq!(
+            seen.broken, 0,
+            "seed {seed}: t + 1 became visible, or returned, ahead of t"
+        );
+        assert!(
+            seen.waited,
+            "seed {seed}: the younger commit did not have to wait"
+        );
+    }
 }
 
 #[test]
@@ -482,7 +521,7 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
     struct W {
         tm: TxnManager,
         map: BoostedHashMap<i64, i64>,
-        other: BoostedCounter,
+        other: BoostedHashMap<i64, i64>,
         stage: Arc<Stage>,
     }
     let _g = domain_guard();
@@ -493,7 +532,7 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
             let w = W {
                 tm: TxnManager::default(),
                 map: BoostedHashMap::new(),
-                other: BoostedCounter::new(),
+                other: BoostedHashMap::new(),
                 stage: Arc::default(),
             };
             w.tm.run(|t| w.map.put(t, 0, 0).map(|_| ())).unwrap();
@@ -502,7 +541,7 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
         |w, tid| match tid {
             0 => {
                 w.tm.run(|t| {
-                    w.other.add(t, 1)?;
+                    w.other.put(t, 0, 1)?;
                     // Stay mid-install until the younger writer has
                     // finished its own installs, and a while longer.
                     t.log_effect(
@@ -563,10 +602,11 @@ fn publishing_out_of_order_is_caught_by_the_sweep() {
     // of the older commit in it (or the younger one returning early).
     // If this stopped firing, the honest test above would be vacuous.
     let _g = domain_guard();
-    let seeds = txboost_sched::seeds_from_env(60);
-    let seen = overlapping_install_windows(seeds, &[det::Mutation::PublishOutOfOrder]);
+    let staged = [det::Mutation::PublishOutOfOrder];
+    let caught = txboost_sched::seeds_from_env(60)
+        .any(|seed| overlapping_install_windows(seed, &staged).broken > 0);
     assert!(
-        seen.broken > 0,
+        caught,
         "sweep failed to notice commits publishing out of timestamp order — \
          the in-order test has no teeth"
     );

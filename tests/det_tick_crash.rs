@@ -4,11 +4,12 @@
 //! [`Batcher::run_tick`] over one [`Executor`] whose commits go to a
 //! [`GroupCommitWal`] over [`SimStorage`] — the path every server reply
 //! takes. Each loop multiplexes two connections, and a tick mixes what
-//! the event loop serves: a guarded token transfer, counter adds, a
-//! locked read script, a [`Request::ReadOnlyScript`] served through the
-//! `other` closure as `eventloop.rs` serves it, and a ping. The
-//! scheduler interleaves the loops at every lock, undo, commit and WAL
-//! yield point.
+//! the event loop serves: a guarded token transfer, counter adds (each
+//! also inserting its loop's next sequence key into a map), a locked
+//! read of the counters, a [`Request::ReadOnlyScript`] of the sequence
+//! keys served through the `other` closure as `eventloop.rs` serves it,
+//! and a ping. The scheduler interleaves the loops at every lock, undo,
+//! commit and WAL yield point.
 //!
 //! Every storage operation is one *storage tick*. A baseline run counts
 //! them; the same seeded schedule then re-runs once per storage tick
@@ -23,8 +24,9 @@
 //!   least the loop's seen transfers and adds (a loop's commits are in
 //!   LSN order and its seen ticks are a prefix, so counts are exact);
 //! * **no resurrected non-commit** — nor more than the loop committed;
-//! * **no read ahead of recovery** — no seen read, locked or snapshot,
-//!   shows a counter above its recovered value;
+//! * **no read ahead of recovery** — no seen locked read shows a
+//!   counter above its recovered value, and no seen snapshot read finds
+//!   more of a loop's sequence keys than the loop's recovered adds;
 //! * **replay re-commits every record, tokens are conserved** — the
 //!   bank holds exactly the recovered seed tokens, and each counter
 //!   equals its recovered records;
@@ -68,6 +70,9 @@ const TICK_MIX: [Kind; 6] = [
     Kind::SnapshotRead,
     Kind::Ping,
 ];
+/// Sequence keys a snapshot read probes per loop: every add one loop
+/// can send (the longest loop's ticks times a tick's adds).
+const SEQ_KEYS: u64 = 4;
 /// Records per fsync in the sweep: the seeding spans three fsyncs, and
 /// a tick's records often more than one, so a crash can split either.
 const SPLIT_BATCHES: usize = 2;
@@ -103,6 +108,11 @@ fn counter(kind: usize, l: usize) -> String {
     format!("{}{l}", ["applied", "hits"][kind])
 }
 
+/// The map loop `l`'s adds insert their sequence keys into.
+fn seq_map(l: usize) -> String {
+    format!("seq{l}")
+}
+
 fn exec() -> Executor {
     Executor::new(TxnConfig::default(), 4)
 }
@@ -115,8 +125,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The request a `kind` sends from loop `l`.
-fn request(kind: Kind, l: usize, req_id: u64, rng: &mut u64) -> Request {
+/// The request a `kind` sends from loop `l`; an add inserts sequence
+/// key `seq`.
+fn request(kind: Kind, l: usize, req_id: u64, seq: u64, rng: &mut u64) -> Request {
     let bank = |key: u64, op: fn(String, i64) -> Op, guard| {
         ScriptOp::guarded(op("bank".into(), key as i64), guard)
     };
@@ -134,9 +145,17 @@ fn request(kind: Kind, l: usize, req_id: u64, rng: &mut u64) -> Request {
             let take = bank(from, remove, Guard::ExpectSome);
             vec![take, bank(to, insert, Guard::ExpectNone), add(0)]
         }
-        Kind::Add => vec![add(1)],
-        Kind::LockedRead | Kind::SnapshotRead => (0..LOOPS)
+        Kind::Add => {
+            assert!(seq < SEQ_KEYS, "a snapshot read would miss key {seq}");
+            let key = seq as i64;
+            vec![add(1), ScriptOp::new(insert(seq_map(l), key))]
+        }
+        Kind::LockedRead => (0..LOOPS)
             .map(|l| ScriptOp::new(Op::CounterGet { obj: counter(1, l) }))
+            .collect(),
+        Kind::SnapshotRead => (0..LOOPS)
+            .flat_map(|l| (0..SEQ_KEYS as i64).map(move |key| (seq_map(l), key)))
+            .map(|(obj, key)| ScriptOp::new(Op::MapContains { obj, key }))
             .collect(),
         Kind::Ping => return Request::Ping { req_id },
     };
@@ -157,7 +176,9 @@ struct Sent {
 
 /// Loop `l`'s `tick`-th request stream: [`TICK_MIX`] shuffled, dealt
 /// to the connections in turn, so consecutive requests usually belong
-/// to different connections. Request ids count per connection.
+/// to different connections. Request ids count per connection, and
+/// the loop's adds number its sequence keys from `tick` times a tick's
+/// adds.
 fn tick_requests(l: usize, tick: usize, rng: &mut u64) -> Vec<(Sent, Request)> {
     let mut kinds = TICK_MIX;
     for i in (1..kinds.len()).rev() {
@@ -170,8 +191,14 @@ fn tick_requests(l: usize, tick: usize, rng: &mut u64) -> Vec<(Sent, Request)> {
         conn: i % CONNS,
         req_id: (tick * per_conn + i / CONNS) as u64,
     });
+    let adds = TICK_MIX.iter().filter(|&&kind| kind == Kind::Add).count();
+    let mut seq = (tick * adds) as u64;
     sends
-        .map(|sent| (sent, request(sent.kind, l, sent.req_id, rng)))
+        .map(|sent| {
+            let req = request(sent.kind, l, sent.req_id, seq, rng);
+            seq += u64::from(sent.kind == Kind::Add);
+            (sent, req)
+        })
         .collect()
 }
 
@@ -198,7 +225,9 @@ fn serve_other(exec: &Executor, req: Request) -> Response {
 struct LoopLog {
     committed: Counts,
     seen: Counts,
-    /// Every seen read's `hits` values, and whether it was a snapshot.
+    /// Every seen read, per loop — a locked read's `hits` values, a
+    /// snapshot's count of present sequence keys — and whether it was
+    /// a snapshot.
     reads: Vec<(Vec<i64>, bool)>,
 }
 
@@ -246,14 +275,22 @@ fn pump_tick(
             Kind::Transfer if !committed => assert_eq!(status, ScriptStatus::GuardFailed),
             Kind::LockedRead | Kind::SnapshotRead => {
                 assert!(committed, "{status:?}");
-                let value = |r: &OpResult| match r {
-                    OpResult::Value(Some(v)) => *v,
-                    other => panic!("a counter read {other:?}"),
-                };
                 let snapshot = sent.kind == Kind::SnapshotRead;
+                let read = if snapshot {
+                    let present = |keys: &[OpResult]| {
+                        let present = keys.iter().filter(|&r| *r == OpResult::Bool(true));
+                        present.count() as i64
+                    };
+                    results.chunks(SEQ_KEYS as usize).map(present).collect()
+                } else {
+                    let value = |r: &OpResult| match r {
+                        OpResult::Value(Some(v)) => *v,
+                        other => panic!("a counter read {other:?}"),
+                    };
+                    results.iter().map(value).collect()
+                };
                 if seen {
-                    log.reads
-                        .push((results.iter().map(value).collect(), snapshot));
+                    log.reads.push((read, snapshot));
                 }
             }
             kind => {
@@ -268,7 +305,7 @@ fn pump_tick(
 
 /// The bank's tokens, and each loop's `[applied, hits]` counters.
 fn census(exec: &Executor) -> (u64, [[i64; LOOPS]; 2]) {
-    let read = |op| match exec.execute_read_only(&[ScriptOp::new(op)]).results[..] {
+    let read = |op| match exec.execute(&[ScriptOp::new(op)]).results[..] {
         [OpResult::Value(Some(v))] => v,
         [OpResult::Bool(present)] => i64::from(present),
         ref other => panic!("a census read {other:?}"),
@@ -343,7 +380,7 @@ fn run_once(
                 conn: 0,
                 req_id,
             };
-            (sent, request(Kind::Seed, 0, req_id, &mut 0))
+            (sent, request(Kind::Seed, 0, req_id, 0, &mut 0))
         });
         pump_tick(&exec, &storage, seeding.collect(), &mut run.seeding);
 

@@ -12,10 +12,10 @@
 //!   offer/take sequences;
 //! * the Section 5 checkers agree with a brute-force oracle on small
 //!   randomly generated histories;
-//! * version slots (and the counter's delta chains) never GC a version
-//!   a registered snapshot reader can still read, whatever the
-//!   install/register/deregister interleaving, and never keep more
-//!   than one version at-or-below the GC floor;
+//! * version slots never GC a version a registered snapshot reader
+//!   can still read, whatever the install/register/deregister
+//!   interleaving, and never keep more than one version at-or-below
+//!   the GC floor;
 //! * a whole version store, its slot arrays growing under runs of fresh
 //!   keys, answers every read a live snapshot may make as a map of
 //!   every committed version does.
@@ -23,9 +23,7 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use transactional_boosting::core::{
-    CommitStamp, DeltaChain, MvccDomain, SnapshotGuard, VersionStore,
-};
+use transactional_boosting::core::{CommitStamp, MvccDomain, SnapshotGuard, VersionStore};
 use transactional_boosting::model::spec::SetOp;
 use transactional_boosting::model::{check_commit_order_serializable, SetSpec, TxnLabel};
 use transactional_boosting::prelude::*;
@@ -293,57 +291,6 @@ proptest! {
             }
             domain.clock.publish(ts);
         }
-    }
-
-    /// Same property for the counter's delta chains: folding deltas
-    /// at-or-below the floor into the base on every install must never
-    /// change the prefix sum any registered reader observes.
-    #[test]
-    fn delta_chains_preserve_registered_reader_sums(
-        script in proptest::collection::vec((0..5u8, -5..6i64), 1..80),
-    ) {
-        let domain = Arc::new(MvccDomain::new());
-        let chain = DeltaChain::new(Arc::clone(&domain));
-        let mut log: Vec<(u64, i64)> = Vec::new();
-        let mut readers: Vec<(SnapshotGuard, i64)> = Vec::new();
-        for (op, d) in script {
-            let installs: &[(usize, i64)] = match op {
-                0 => &[(0, d)],
-                1 => &[(1, d), (0, -d)], // later commit lands first
-                2 => &[(0, d), (0, d + 1)], // one commit, two adds
-                3 => {
-                    let guard = domain.begin_snapshot();
-                    let expected = log.iter().filter(|e| e.0 <= guard.ts()).map(|e| e.1).sum();
-                    readers.push((guard, expected));
-                    &[]
-                }
-                _ => {
-                    if !readers.is_empty() {
-                        readers.remove(0);
-                    }
-                    &[]
-                }
-            };
-            let floor = domain.gc_floor();
-            let reserved = [domain.clock.reserve(), domain.clock.reserve()];
-            for &(nth, delta) in installs {
-                chain.install(reserved[nth], delta, floor);
-                log.push((reserved[nth], delta));
-                for (guard, expected) in &readers {
-                    prop_assert_eq!(
-                        chain.read_at(guard.ts()),
-                        *expected,
-                        "reader pinned at ts {} saw its sum change",
-                        guard.ts()
-                    );
-                }
-            }
-            for ts in reserved {
-                domain.clock.publish(ts);
-            }
-        }
-        let total: i64 = log.iter().map(|e| e.1).sum();
-        prop_assert_eq!(chain.read_at(domain.clock.stable()), total, "folding lost a delta");
     }
 
     /// A whole `VersionStore` — keys spread over its shards' slot
