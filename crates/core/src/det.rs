@@ -75,6 +75,10 @@ pub enum Point {
     /// A version chain is about to garbage-collect versions below the
     /// oldest-live-reader floor.
     VersionGc,
+    /// A map's first snapshot read is about to arm it: wait out its
+    /// writers, copy its bindings into its version store, and from then
+    /// on have every writer install versions.
+    Arm,
     /// A thread's body returned (recorded by the harness itself).
     Finish,
     /// A test-inserted yield (via [`yield_point`] from test code).
@@ -124,6 +128,10 @@ pub enum Mutation {
     /// The WAL's group-commit leader moves the durable watermark before
     /// the fsync that covers it.
     AckBeforeSync,
+    /// Arming a map sets its flag and copies its bindings without first
+    /// taking every slot of its lock table, so writers that skipped
+    /// their installs may still be running.
+    ArmWithoutDraining,
 }
 
 thread_local! {

@@ -27,6 +27,12 @@ pub enum AbortReason {
     /// never abort on conflicts — this is the one, program-error path
     /// out of them, and it is never retried.
     ReadOnlyViolation,
+    /// A read-only transaction's snapshot predates the moment a map it
+    /// read began keeping versions: its first snapshot read armed it,
+    /// and what the map held before that has no versions to read at an
+    /// older timestamp. [`crate::TxnManager::run_read_only`] restarts
+    /// the transaction with a fresh snapshot, once per map it arms.
+    SnapshotTooOld,
     /// Any other application-specific reason.
     Other,
 }
@@ -41,6 +47,7 @@ impl fmt::Display for AbortReason {
             AbortReason::ReadOnlyViolation => {
                 "abstract lock requested inside a read-only transaction (a mutation, or a read of an object that keeps no versions)"
             }
+            AbortReason::SnapshotTooOld => "snapshot predates the versions of an object it read",
             AbortReason::Other => "aborted",
         };
         f.write_str(s)
@@ -89,6 +96,13 @@ impl Abort {
     /// snapshot transaction ([`AbortReason::ReadOnlyViolation`]).
     pub const fn read_only_violation() -> Self {
         Abort::new(AbortReason::ReadOnlyViolation)
+    }
+
+    /// An abort of a read-only transaction whose snapshot is older than
+    /// the versions an object it read keeps
+    /// ([`AbortReason::SnapshotTooOld`]).
+    pub const fn snapshot_too_old() -> Self {
+        Abort::new(AbortReason::SnapshotTooOld)
     }
 
     /// The reason this abort was raised.

@@ -176,12 +176,28 @@ impl AbstractLock {
         Ok(())
     }
 
-    /// Everything past the first compare-and-swap — joining readers,
-    /// upgrading, and the one blocking loop (spin briefly, then park
-    /// until a release notifies or the deadline passes) — kept out of
-    /// line so the two hot outcomes inline into the callers. `cur` is
-    /// the word that compare-and-swap found. Returns the claim and how
-    /// long it waited, if it did.
+    /// Take the lock exclusively for `id`, a transaction id minted for
+    /// this and holding nothing else here, waiting up to `timeout`: no
+    /// [`Txn`], no yield point, no held-list entry — the caller releases
+    /// it with [`release`](Self::release). `Err` carries how long it
+    /// waited before timing out.
+    pub(crate) fn lock_for(&self, id: TxnId, timeout: Duration) -> Result<(), Duration> {
+        let me = id.raw();
+        if self
+            .state
+            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+        {
+            return Ok(());
+        }
+        self.claim_or_wait(me, Mode::Exclusive, false, timeout)
+            .map(|_| ())
+    }
+
+    /// Everything past the first compare-and-swap, kept out of line so
+    /// the two hot outcomes inline into the callers. `cur` is the word
+    /// that compare-and-swap found. Returns the claim and how long it
+    /// waited, if it did.
     #[inline(never)]
     fn acquire_slow(
         self: &Arc<Self>,
@@ -189,15 +205,33 @@ impl AbstractLock {
         mode: Mode,
         cur: u64,
     ) -> TxResult<(Claim, Option<Duration>)> {
-        let me = txn.id().raw();
         // Whether `txn` is one of a `SHARED` word's readers. Settled
         // here for the whole call: if it is, the word stays `SHARED`
         // until it leaves; if the word is not `SHARED` now, it is not.
         let mine = cur & SHARED != 0 && txn.holds_lock(self);
+        self.claim_or_wait(txn.id().raw(), mode, mine, txn.lock_timeout())
+            .map_err(|waited| {
+                txn.charge_lock_wait(waited);
+                Abort::lock_timeout()
+            })
+    }
+
+    /// Joining readers, upgrading, and the one blocking loop: spin
+    /// briefly, then park until a release notifies or `timeout` passes.
+    /// `mine`: `me` is one of a `SHARED` word's readers. Returns the
+    /// claim and how long it waited, if it did; `Err`, how long it
+    /// waited before the timeout passed.
+    fn claim_or_wait(
+        &self,
+        me: u64,
+        mode: Mode,
+        mine: bool,
+        timeout: Duration,
+    ) -> Result<(Claim, Option<Duration>), Duration> {
         if let Ok(claim) = self.try_claim(me, mode, mine, false) {
             return Ok((claim, None));
         }
-        let deadline = Deadline::after(txn.lock_timeout());
+        let deadline = Deadline::after(timeout);
 
         // Phase 1: bounded spin — abstract locks are often released
         // within the holder's commit, a few hundred cycles away.
@@ -221,8 +255,7 @@ impl AbstractLock {
             };
             if timed_out {
                 drop(parked);
-                txn.charge_lock_wait(deadline.elapsed());
-                return Err(Abort::lock_timeout());
+                return Err(deadline.elapsed());
             }
             // Make sure the release we are waiting for will notify.
             if busy & WAITERS == 0

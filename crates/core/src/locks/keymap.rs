@@ -2,11 +2,12 @@
 //! lock words: a key's abstract lock is the slot its hash selects.
 
 use super::abstract_lock::{AbstractLock, Mode};
-use crate::{TxResult, Txn};
+use crate::{Abort, TxResult, Txn, TxnId};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Lock slots per table (a power of two; 64 KiB of empty slots). A
 /// transaction falsely conflicts on an acquire with probability ≈
@@ -90,6 +91,52 @@ impl<K: Hash> KeyLockMap<K> {
         self.slots[self.slot_of(key)]
             .get()
             .is_some_and(|lock| lock.owner().is_some())
+    }
+
+    /// Run `f` while holding every slot of the table exclusively, then
+    /// release them all: `f` starts once every transaction that held a
+    /// slot has committed or aborted, and no transaction takes one
+    /// until `f` returns. The slots are taken in address order, the
+    /// order every multi-op server script takes its locks in, so this
+    /// cannot close a wait cycle with such scripts. Each slot waits up
+    /// to `timeout` (`Duration::MAX`: no deadline); `Err` is a lock
+    /// timeout, with every slot taken so far released and `f` not run.
+    ///
+    /// It takes the slots as a transaction of its own that holds
+    /// nothing else, with no yield point per slot, so must not be
+    /// called from a transaction that holds a slot of this table: it
+    /// would wait for itself.
+    pub fn with_every_slot<R>(&self, timeout: Duration, f: impl FnOnce() -> R) -> TxResult<R> {
+        /// Every slot in address order, the first `taken` of them held
+        /// by `id`; those are released on every exit.
+        struct Held<'a> {
+            id: TxnId,
+            slots: Vec<&'a Arc<AbstractLock>>,
+            taken: usize,
+        }
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                for lock in &self.slots[..self.taken] {
+                    lock.release(self.id);
+                }
+            }
+        }
+        let mut held = Held {
+            id: crate::txn::next_txn_id(),
+            slots: self
+                .slots
+                .iter()
+                .map(|slot| slot.get_or_init(Arc::default))
+                .collect(),
+            taken: 0,
+        };
+        held.slots.sort_unstable_by_key(|lock| Arc::as_ptr(lock));
+        while let Some(lock) = held.slots.get(held.taken) {
+            lock.lock_for(held.id, timeout)
+                .map_err(|_| Abort::lock_timeout())?;
+            held.taken += 1;
+        }
+        Ok(f())
     }
 }
 

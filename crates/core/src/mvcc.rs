@@ -344,6 +344,7 @@ pub struct MvccMetrics {
     pub snapshot_age: LatencyHistogram,
     snapshot_reads: AtomicU64,
     gc_reclaimed: AtomicU64,
+    versioned_stores: AtomicU64,
 }
 
 impl MvccMetrics {
@@ -371,6 +372,7 @@ impl MvccMetrics {
             installs: chain_len.count(),
             snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
             gc_reclaimed: self.gc_reclaimed.load(Ordering::Relaxed),
+            versioned_stores: self.versioned_stores.load(Ordering::Relaxed),
             chain_len,
             snapshot_age: self.snapshot_age.snapshot(),
         }
@@ -386,6 +388,9 @@ pub struct MvccSnapshot {
     pub snapshot_reads: u64,
     /// Versions reclaimed by install-time GC.
     pub gc_reclaimed: u64,
+    /// Stores seeded so far ([`VersionStore::seed`]): the maps whose
+    /// writes install versions because a snapshot read them.
+    pub versioned_stores: u64,
     /// Retained-versions-per-key histogram (sampled at install).
     pub chain_len: HistogramSnapshot,
     /// Snapshot-age histogram (sampled at read-only txn end).
@@ -891,22 +896,26 @@ where
     pub fn install(&self, key: K, value: Option<V>, stamp: CommitStamp) {
         let CommitStamp { ts, floor } = stamp;
         det::yield_point(det::Point::VersionInstall);
-        let (len, reclaimed) = {
-            let hash = self.hash(&key);
-            let shard = self.shard(hash);
-            let mut table = shard.table.lock().expect("version shard poisoned");
-            let entries = table.entries.len();
-            let hash_of = |key: &K| self.hasher.hash_one(key);
-            let installed = table.install(hash.0, key, (ts, value), floor, hash_of);
-            if table.entries.len() != entries {
-                let (base, mask) = table.view();
-                shard.base.store(base, Ordering::Relaxed);
-                shard.mask.store(mask, Ordering::Relaxed);
-            }
-            installed
-        };
+        let (len, reclaimed) = self.put(key, (ts, value), floor);
         det::yield_point(det::Point::VersionGc);
         self.domain.metrics.note_install(len, reclaimed);
+    }
+
+    /// [`SlotTable::install`] under `key`'s shard mutex, moving the
+    /// shard's lock-free view if the array grew.
+    fn put(&self, key: K, version: Version<V>, floor: u64) -> (usize, usize) {
+        let hash = self.hash(&key);
+        let shard = self.shard(hash);
+        let mut table = shard.table.lock().expect("version shard poisoned");
+        let entries = table.entries.len();
+        let hash_of = |key: &K| self.hasher.hash_one(key);
+        let installed = table.install(hash.0, key, version, floor, hash_of);
+        if table.entries.len() != entries {
+            let (base, mask) = table.view();
+            shard.base.store(base, Ordering::Relaxed);
+            shard.mask.store(mask, Ordering::Relaxed);
+        }
+        installed
     }
 
     /// Start loading `key`'s home entry into the cache, and return the
@@ -922,6 +931,29 @@ where
         let mask = shard.mask.load(Ordering::Relaxed);
         prefetch_hint(base.wrapping_add(hash.0 as usize & mask));
         hash
+    }
+
+    /// Start keeping versions: give every binding `bindings` visits its
+    /// first version, at the domain's stable timestamp, and return that
+    /// timestamp. A map that kept none while no snapshot read it calls
+    /// this once, holding off every writer of its keys, so the bindings
+    /// are its committed state at that timestamp; a snapshot below it
+    /// has nothing to read here. The store must have had no install.
+    /// Counted once in [`MvccSnapshot::versioned_stores`], and yields
+    /// nowhere, however many bindings there are.
+    pub fn seed(&self, bindings: impl FnOnce(&mut dyn FnMut(&K, &V))) -> u64
+    where
+        K: Clone,
+    {
+        let ts = self.domain.clock.stable();
+        bindings(&mut |key, value| {
+            self.put(key.clone(), (ts, Some(value.clone())), 0);
+        });
+        self.domain
+            .metrics
+            .versioned_stores
+            .fetch_add(1, Ordering::Relaxed);
+        ts
     }
 
     /// The newest value for `key` at-or-below snapshot `ts`.

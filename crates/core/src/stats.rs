@@ -77,9 +77,12 @@ impl TxnStats {
             crate::AbortReason::Conflict => &stripe.conflict_aborts,
             crate::AbortReason::WouldBlock => &stripe.would_block_aborts,
             // Read-only violations are program errors surfaced to the
-            // caller, not contention; like `Other` they count only in
-            // the total (the server tracks them per-script instead).
-            crate::AbortReason::ReadOnlyViolation | crate::AbortReason::Other => return,
+            // caller, not contention, and a too-old snapshot restarts
+            // at once; like `Other` they count only in the total (the
+            // server tracks violations per-script instead).
+            crate::AbortReason::ReadOnlyViolation
+            | crate::AbortReason::SnapshotTooOld
+            | crate::AbortReason::Other => return,
         };
         c.fetch_add(1, Ordering::Relaxed);
     }

@@ -515,7 +515,7 @@ thread_local! {
 }
 
 /// Mint a fresh id from this thread's block, refilling it when empty.
-fn next_txn_id() -> TxnId {
+pub(crate) fn next_txn_id() -> TxnId {
     let (mut next, mut end) = MY_IDS.get();
     if next == end {
         next = NEXT_TXN_ID.fetch_add(ID_BLOCK, Ordering::Relaxed);
@@ -588,29 +588,41 @@ impl TxnManager {
         Txn::new(id, self.config.lock_timeout, Some(snapshot))
     }
 
-    /// Run `body` as a read-only snapshot transaction. Exactly one
-    /// attempt — there is no conflict to retry: the snapshot is
-    /// immutable for the transaction's lifetime, so the only error
-    /// paths are program decisions (an explicit abort, or a call that
-    /// needs an abstract lock, answered with
-    /// [`TxnError::ReadOnlyViolation`]).
-    pub fn run_read_only<R>(&self, body: impl FnOnce(&Txn) -> TxResult<R>) -> Result<R, TxnError> {
-        let txn = self.begin_read_only();
-        match body(&txn) {
-            Ok(value) => {
-                self.commit(txn);
-                Ok(value)
-            }
-            Err(abort) => {
-                let reason = abort.reason();
-                self.abort(txn, reason);
-                match reason {
-                    AbortReason::Explicit => Err(TxnError::ExplicitlyAborted),
-                    AbortReason::ReadOnlyViolation => Err(TxnError::ReadOnlyViolation),
-                    // Unreachable through in-tree code paths (no locks
-                    // are ever acquired), but user closures may return
-                    // any abort; single attempt, never retried.
-                    other => Err(TxnError::RetriesExhausted(other)),
+    /// Run `body` as a read-only snapshot transaction. There is no
+    /// conflict to retry: the snapshot is immutable for the
+    /// transaction's lifetime, so the error paths are program decisions
+    /// (an explicit abort, or a call that needs an abstract lock,
+    /// answered with [`TxnError::ReadOnlyViolation`]) and a map's first
+    /// snapshot read. That read arms the map, waiting up to the lock
+    /// timeout for the map's writers (a timeout is
+    /// `RetriesExhausted(LockTimeout)`); if the snapshot is older than
+    /// the map's versions, `body` runs again on a fresh snapshot — once
+    /// per map it arms, so at most once for a body that reads one.
+    pub fn run_read_only<R>(
+        &self,
+        mut body: impl FnMut(&Txn) -> TxResult<R>,
+    ) -> Result<R, TxnError> {
+        loop {
+            let txn = self.begin_read_only();
+            match body(&txn) {
+                Ok(value) => {
+                    self.commit(txn);
+                    return Ok(value);
+                }
+                Err(abort) => {
+                    let reason = abort.reason();
+                    self.abort(txn, reason);
+                    if reason == AbortReason::SnapshotTooOld {
+                        continue;
+                    }
+                    return Err(match reason {
+                        AbortReason::Explicit => TxnError::ExplicitlyAborted,
+                        AbortReason::ReadOnlyViolation => TxnError::ReadOnlyViolation,
+                        // A lock timeout is an arming that waited too
+                        // long; user closures may return any abort.
+                        // Never retried.
+                        other => TxnError::RetriesExhausted(other),
+                    });
                 }
             }
         }

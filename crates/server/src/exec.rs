@@ -31,7 +31,8 @@ use std::time::{Duration, Instant};
 use txboost_collections::{BoostedHashMap, CounterCall, MapCall, PQueueCall};
 use txboost_core::locks::{AbstractLock, Mode as LockMode};
 use txboost_core::{
-    Abort, HistogramSnapshot, KeyHash, LatencyHistogram, TxResult, Txn, TxnConfig, TxnManager,
+    Abort, AbortReason, HistogramSnapshot, KeyHash, LatencyHistogram, TxResult, Txn, TxnConfig,
+    TxnManager,
 };
 use txboost_wal::{GroupCommitWal, RecoveredRecord};
 use txboost_wire::{op_name, Op, OpResult, ScriptOp, ScriptStatus, NUM_OPCODES};
@@ -230,7 +231,10 @@ impl Executor {
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
-    /// locks, no undo log, no WAL record. Only `map_contains` is served,
+    /// locks, no undo log, no WAL record. A map's first snapshot read
+    /// arms it before the snapshot begins, waiting with no deadline for
+    /// the map's in-flight writers; later reads never wait. Only
+    /// `map_contains` is served,
     /// the one op with committed versions to read: a script holding any
     /// other op, `counter_get` included, is rejected with
     /// [`ScriptStatus::ReadOnlyViolation`] naming the first such op,
@@ -258,6 +262,13 @@ impl Executor {
     fn run(&self, mode: Mode, ops: &[ScriptOp]) -> (ScriptOutcome, bool) {
         let t0 = begin_run_timed().then(Instant::now);
         let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
+        let objects = self.ns.resolved();
+        // Before the snapshot begins: the lookahead arms every map it
+        // finds, so the snapshot is not older than their versions.
+        let ahead = match mode {
+            Mode::Snapshot => prefetch_reads(ops, objects),
+            Mode::Locked => [None; LOOKAHEAD],
+        };
         let txn = match mode {
             Mode::Locked => self.tm.begin(),
             Mode::Snapshot => self.tm.begin_read_only(),
@@ -265,16 +276,11 @@ impl Executor {
         // `Ok`: whether the log refused the commit record. `Err`: the
         // abort to roll back with, the status it earns, the op to name.
         let mut body = || -> Result<bool, (Abort, ScriptStatus, Option<u16>)> {
-            let objects = self.ns.resolved();
             if mode == Mode::Locked && ops.len() > 1 {
                 // Cannot fail: the wait has no deadline.
                 acquire_footprint(&txn, ops, objects)
                     .map_err(|abort| (abort, ScriptStatus::WouldBlock, None))?;
             }
-            let ahead = match mode {
-                Mode::Snapshot => prefetch_reads(ops, objects),
-                Mode::Locked => [None; LOOKAHEAD],
-            };
             // The previous op boundary of a timed run.
             let mut last = t0;
             for (i, sop) in ops.iter().enumerate() {
@@ -332,6 +338,12 @@ impl Executor {
             }
             Err((abort, status, failed_op)) => {
                 self.tm.abort(txn, abort.reason());
+                // A snapshot that armed a map the lookahead could not
+                // find (its script created it) and began below the
+                // map's versions: run it again, once per such map.
+                if abort.reason() == AbortReason::SnapshotTooOld {
+                    return self.run(mode, ops);
+                }
                 results.clear();
                 (status, failed_op, false)
             }
@@ -454,6 +466,7 @@ impl Executor {
                     .num("gc_reclaimed", mv_snap.gc_reclaimed)
                     .num("stable_ts", mv.clock.stable())
                     .num("live_readers", mv.readers.live_readers() as u64)
+                    .num("versioned_maps", mv_snap.versioned_stores)
                     .hist("chain_len", &mv_snap.chain_len)
                     .hist("snapshot_age", &mv_snap.snapshot_age);
             });
@@ -478,25 +491,38 @@ const LOOKAHEAD: usize = 16;
 /// and its key's hash there.
 type Prefetched<'s> = Option<(&'s Arc<BoostedHashMap<i64, i64>>, KeyHash)>;
 
-/// A snapshot script's lookahead: start the cache miss of every
-/// `map_contains` among its first [`LOOKAHEAD`] ops before the first
-/// read needs its own, so the misses overlap instead of queueing, and
-/// hand each op its map and hash so the read repeats neither lookup.
-/// Only maps that exist are prefetched ([`Resolved::existing_map`]):
-/// creating an object stays the op's job, and a script rejected before
-/// it reaches an op must not create that op's map.
+/// A snapshot script's lookahead, run before its snapshot begins: arm
+/// every map its `map_contains` ops read ([`BoostedHashMap::arm`],
+/// waiting with no deadline, like a script's lock wait), so the
+/// snapshot is never older than their versions; start the cache miss
+/// of every `map_contains` among its first [`LOOKAHEAD`] ops before
+/// the first read needs its own, so the misses overlap instead of
+/// queueing; and hand each of those ops its map and hash so the read
+/// repeats neither lookup. Only maps that exist are armed and
+/// prefetched ([`Resolved::existing_map`]): creating an object stays
+/// the op's job, and a script rejected before it reaches an op must not
+/// create that op's map.
 fn prefetch_reads<'s>(ops: &[ScriptOp], objects: Resolved<'s>) -> [Prefetched<'s>; LOOKAHEAD] {
     let mut ahead = [None; LOOKAHEAD];
     // Scripts read one map several times: look each name up once.
     let mut last = None;
-    for (sop, found) in ops.iter().zip(&mut ahead) {
+    for (i, sop) in ops.iter().enumerate() {
         if let Op::MapContains { obj, key } = &sop.op {
             let map = match last {
                 Some((name, map)) if name == obj => map,
-                _ => objects.existing_map(obj),
+                _ => {
+                    let map = objects.existing_map(obj);
+                    if let Some(map) = map {
+                        // Cannot fail: the wait has no deadline.
+                        let _ = map.arm(Duration::MAX);
+                    }
+                    map
+                }
             };
             last = Some((obj, map));
-            *found = map.map(|map| (map, map.prefetch_snapshot(key)));
+            if let Some(found) = ahead.get_mut(i) {
+                *found = map.map(|map| (map, map.prefetch_snapshot(key)));
+            }
         }
     }
     ahead
@@ -794,6 +820,41 @@ mod tests {
             out.results,
             vec![OpResult::Bool(true), OpResult::Bool(false)]
         );
+    }
+
+    #[test]
+    fn a_snapshot_script_arms_its_map_once_and_never_restarts() {
+        let e = exec();
+        let stat = |e: &Executor, path: &str| {
+            let json = e.stats_json();
+            let found = leaves(&json).into_iter().find(|(p, _)| p == path);
+            found.unwrap_or_else(|| panic!("{path} missing")).1
+        };
+        let seeded = e.execute(&script().map_insert("m", 1, 10).build());
+        assert_eq!(seeded.status, ScriptStatus::Committed);
+        let before = stat(&e, "mvcc.versioned_maps");
+        // A writer of key 1 stays open: the first snapshot read waits
+        // for it before its snapshot begins, and then reads its commit.
+        let map = e.namespace().map("m");
+        let holder = TxnManager::default();
+        let read = script().map_contains("m", 1).map_contains("m", 2).build();
+        let out = std::thread::scope(|s| {
+            let txn = holder.begin();
+            map.remove(&txn, &1).unwrap();
+            let script = s.spawn(|| e.execute_read_only(&read));
+            std::thread::sleep(Duration::from_millis(50));
+            holder.commit(txn);
+            script.join().unwrap()
+        });
+        assert_eq!(out.status, ScriptStatus::Committed);
+        assert_eq!(out.results, vec![OpResult::Bool(false); 2]);
+        // Other tests arm maps of their own meanwhile: at least this one.
+        assert!(stat(&e, "mvcc.versioned_maps") > before);
+        // Armed before its snapshot, the read never restarted.
+        let txn = e.tm.stats().snapshot();
+        assert_eq!((txn.committed, txn.aborted), (2, 0));
+        let out = e.execute_read_only(&read);
+        assert_eq!(out.results, vec![OpResult::Bool(false); 2]);
     }
 
     #[test]
@@ -1096,8 +1157,8 @@ mod tests {
         connections.proto_errors connections.accept_errors wal.records wal.batches wal.bytes \
         wal.segments_rolled wal.errors wal.replayed wal.replay_failures wal.append.# \
         wal.fsync.# mvcc.installs mvcc.snapshot_reads mvcc.gc_reclaimed mvcc.stable_ts \
-        mvcc.live_readers mvcc.chain_len.# mvcc.snapshot_age.# objects.maps objects.counters \
-        objects.sems objects.idgens objects.pqs";
+        mvcc.live_readers mvcc.versioned_maps mvcc.chain_len.# mvcc.snapshot_age.# objects.maps \
+        objects.counters objects.sems objects.idgens objects.pqs";
 
     #[test]
     fn stats_document_keeps_every_key_path_in_order() {

@@ -53,6 +53,7 @@ BASELINES = {
             "log-undo inline",
             "log-undo boxed",
             "map 3-op txn",
+            "map 3-op txn, versioned",
             "snapshot scan4 @1024 keys",
             "snapshot scan4 @262144 keys",
             "executor transfer 3-op script",
@@ -62,13 +63,14 @@ BASELINES = {
         ],
         # Allocations per transaction: the executor's transfer script
         # allocates its results vector; an 8-lock, a one-add counter, a
-        # 3-op map and a 4-lookup snapshot transaction, and inline undo
-        # pushes, allocate nothing.
+        # 3-op map (never read, and versioned) and a 4-lookup snapshot
+        # transaction, and inline undo pushes, allocate nothing.
         "meta": {
             "allocs_per_script_transfer3": "1",
             "allocs_per_txn_lock8": "0",
             "allocs_per_txn_counter_add": "0",
             "allocs_per_txn_map3": "0",
+            "allocs_per_txn_map3_versioned": "0",
             "allocs_per_txn_snapshot4": "0",
             "allocs_per_txn_log_inline": "0",
         },

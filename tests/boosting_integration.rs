@@ -312,9 +312,11 @@ fn boosted_and_rwstm_objects_coexist_in_one_program() {
 fn an_aborted_transaction_leaves_snapshot_and_locked_reads_in_agreement() {
     // Every call below is rolled back by the abort that ends its
     // transaction: neither the base objects (locked reads) nor the
-    // committed versions (snapshot reads) may keep any of it.
+    // committed versions (snapshot reads) may keep any of it. The map
+    // is armed first, so its writes log version installs to skip.
     let tm = TxnManager::default();
     let map = BoostedHashMap::new();
+    map.arm(std::time::Duration::MAX).unwrap();
     let counter = BoostedCounter::new();
     tm.run(|t| {
         map.put(t, 1, 10)?;

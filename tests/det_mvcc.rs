@@ -1,7 +1,7 @@
 //! Deterministic-harness coverage for the multi-version read path:
 //! read-only snapshot transactions racing committing writers.
 //!
-//! Six behaviours are swept across seeds, plus three *mutation checks*,
+//! Seven behaviours are swept across seeds, plus four *mutation checks*,
 //! evidence these tests have teeth. With the reader-registry GC floor
 //! staged away (`Mutation::IgnoreReaderFloor`), install-time GC must
 //! prune a version a registered snapshot reader is still pinning, and
@@ -12,15 +12,21 @@
 //! locks released right after it reserves its timestamp
 //! (`Mutation::LocksReleasedBeforeInstall`), two writers of one key
 //! must install out of timestamp order, and the one-key sweep must
-//! notice. A mutation lives only inside the runs that stage it.
+//! notice. With a map armed without first taking its lock table's slots
+//! (`Mutation::ArmWithoutDraining`), a first snapshot read must copy a
+//! write still uncommitted, or miss one committed without an install,
+//! and the arming sweep must notice. A mutation lives only inside the
+//! runs that stage it.
 //!
 //! Every seed of the transfer sweep reaches the version store's three
 //! yield points (install, GC, snapshot read), so a hook removed from
 //! the read path fails it. A mutation check stops at the first seed
 //! that catches its mutation.
 //!
-//! The map is the one versioned type: a counter-only commit takes no
-//! commit timestamp at all, which a plain test checks on the clock.
+//! The map is the one versioned type, and only from its first snapshot
+//! read on: a counter-only commit takes no commit timestamp at all,
+//! which a plain test checks on the clock, and a sweep whose map has no
+//! snapshot reader before its writers arms the map in setup.
 //!
 //! Every boosted collection shares the process-global `MvccDomain`, so
 //! the tests in this binary serialize on a file-level mutex: a setup
@@ -28,7 +34,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use transactional_boosting::collections::MapCall;
 use transactional_boosting::prelude::*;
+use txboost_core::locks::Mode;
 use txboost_core::MvccDomain;
 use txboost_sched::core_det as det;
 
@@ -38,6 +46,15 @@ fn spin_until(flag: &AtomicBool) {
     while !flag.load(Ordering::SeqCst) {
         det::yield_point(det::Point::User);
     }
+}
+
+/// `map` after one snapshot read: armed, so every commit that writes it
+/// takes a timestamp and installs. A sweep whose map has no snapshot
+/// reader early enough arms it in setup.
+fn armed(map: BoostedHashMap<i64, i64>) -> BoostedHashMap<i64, i64> {
+    let tm = TxnManager::default();
+    tm.run_read_only(|t| map.get(t, &0)).unwrap();
+    map
 }
 
 /// Serializes the tests in this binary: they all read the process-wide
@@ -71,7 +88,7 @@ fn read_only_snapshots_hold_the_transfer_invariant_on_every_seed() {
         3,
         || W {
             tm: TxnManager::default(),
-            map: BoostedHashMap::new(),
+            map: armed(BoostedHashMap::new()),
             seeded: AtomicBool::new(false),
             ro_ok: AtomicU64::new(0),
         },
@@ -384,7 +401,7 @@ fn overlapping_install_windows(seed: u64, staged: &[det::Mutation]) -> Overlaps 
         staged,
         || W {
             tm: TxnManager::default(),
-            pairs: std::array::from_fn(|_| BoostedHashMap::new()),
+            pairs: std::array::from_fn(|_| armed(BoostedHashMap::new())),
             base: MvccDomain::global().clock.stable(),
             stage: Arc::default(),
         },
@@ -531,8 +548,8 @@ fn a_snapshot_after_a_locked_read_is_at_least_as_new_on_every_seed() {
         || {
             let w = W {
                 tm: TxnManager::default(),
-                map: BoostedHashMap::new(),
-                other: BoostedHashMap::new(),
+                map: armed(BoostedHashMap::new()),
+                other: armed(BoostedHashMap::new()),
                 stage: Arc::default(),
             };
             w.tm.run(|t| w.map.put(t, 0, 0).map(|_| ())).unwrap();
@@ -635,7 +652,7 @@ fn one_key_rewrites(seed: u64, staged: &[det::Mutation]) -> Result<(), String> {
         );
     }
     let tm = TxnManager::default();
-    let map: BoostedHashMap<i64, i64> = BoostedHashMap::new();
+    let map = armed(BoostedHashMap::new());
     let installs = Installs::default();
     tm.run(|t| {
         record(t, &installs, -1);
@@ -729,5 +746,162 @@ fn releasing_locks_before_the_installs_is_caught_by_the_sweep() {
         caught,
         "sweep failed to notice locks released before the installs — \
          the one-key oracle test has no teeth"
+    );
+}
+
+/// A map's first snapshot read arms it while two writers rewrite its
+/// keys 0 and 1. Writer 0's transactions also write key 0 of a map
+/// armed in setup; every other round of each writer aborts after its
+/// puts. Each writer takes its keys' locks in address order first, as
+/// a server script does, so the arming cannot deadlock with it. The
+/// reader waits until a writer is inside its first transaction, then
+/// snapshots both maps; its first read waits out the writers with no
+/// deadline, as a server's does (the lock word does not hand off, so
+/// two writers taking turns can outlast any finite one).
+///
+/// Checks the run against the commit-order oracle: the writers' locks
+/// serialize every commit, and each committing transaction records its
+/// value in `history` before it commits. A snapshot must show, for
+/// some prefix of that history at least as long as the number of
+/// commits returned before it began and no shorter than the previous
+/// snapshot's, the last value the prefix wrote to each key — so never
+/// an aborted value, an uncommitted one, or half a commit.
+fn arming_races_writers(seed: u64, staged: &[det::Mutation]) -> Result<(), String> {
+    const ROUNDS: i64 = 4;
+    const SNAPSHOTS: usize = 3;
+    /// `(committed-before, dormant key 0, dormant key 1, armed key 0)`.
+    type Seen = (usize, Option<i64>, Option<i64>, Option<i64>);
+    let tm = TxnManager::default();
+    let reader = TxnManager::new(TxnConfig {
+        lock_timeout: std::time::Duration::MAX,
+        ..TxnConfig::default()
+    });
+    let dormant = BoostedHashMap::new();
+    let armed = armed(BoostedHashMap::new());
+    tm.run(|t| {
+        dormant.put(t, 0, 0)?;
+        dormant.put(t, 1, 0)?;
+        armed.put(t, 0, 0).map(|_| ())
+    })
+    .unwrap();
+    // Each commit's value and whether it wrote `armed` too.
+    let history: Mutex<Vec<(i64, bool)>> = Mutex::default();
+    let returned = AtomicU64::new(0);
+    let started = AtomicBool::new(false);
+    let seen: Mutex<Vec<Seen>> = Mutex::default();
+    let report = txboost_sched::run_staged(seed, 3, staged, |tid| {
+        if tid == 2 {
+            spin_until(&started);
+            for _ in 0..SNAPSHOTS {
+                let before = returned.load(Ordering::SeqCst) as usize;
+                let read = reader.run_read_only(|t| {
+                    let d0 = dormant.get(t, &0)?;
+                    let d1 = dormant.get(t, &1)?;
+                    Ok((before, d0, d1, armed.get(t, &0)?))
+                });
+                seen.lock()
+                    .unwrap()
+                    .push(read.expect("a read-only txn can never abort"));
+            }
+            return;
+        }
+        let both = tid == 0;
+        for round in 0..ROUNDS {
+            let value = i64::try_from(tid).unwrap() * 100 + round + 1;
+            let commits = round % 2 == 0;
+            let outcome = tm.run(|t| {
+                let mut footprint = vec![dormant.conflict(MapCall::Put(&0)).0];
+                footprint.push(dormant.conflict(MapCall::Put(&1)).0);
+                if both {
+                    footprint.push(armed.conflict(MapCall::Put(&0)).0);
+                }
+                footprint.sort_by_key(|lock| Arc::as_ptr(lock));
+                for lock in footprint {
+                    lock.acquire(t, Mode::Exclusive)?;
+                }
+                dormant.put(t, 0, value)?;
+                started.store(true, Ordering::SeqCst);
+                dormant.put(t, 1, value)?;
+                if both {
+                    armed.put(t, 0, value)?;
+                }
+                if !commits {
+                    return Err(Abort::explicit());
+                }
+                history.lock().unwrap().push((value, both));
+                Ok(())
+            });
+            if commits {
+                outcome.unwrap();
+                returned.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    });
+    if report.failed() {
+        return Err(report.render_failure());
+    }
+    let fail = |what: String| Err(format!("{what}\n{}", report.render_schedule()));
+    if !report.reached(det::Point::Arm) {
+        return fail("the first snapshot read never armed the map".into());
+    }
+    let history = history.lock().unwrap().clone();
+    // The three keys after the first `j` commits.
+    let state = |j: usize| {
+        let dormant = j.checked_sub(1).map_or(0, |last| history[last].0);
+        let armed = history[..j].iter().rev().find(|(_, both)| *both);
+        (
+            Some(dormant),
+            Some(dormant),
+            Some(armed.map_or(0, |&(v, _)| v)),
+        )
+    };
+    let mut floor = 0;
+    for &(before, d0, d1, a0) in seen.lock().unwrap().iter() {
+        let prefix =
+            (0..=history.len()).find(|&j| j >= floor.max(before) && state(j) == (d0, d1, a0));
+        let Some(j) = prefix else {
+            return fail(format!(
+                "a snapshot read ({d0:?}, {d1:?}, {a0:?}) after {before} returned commits \
+                 and a snapshot of {floor}; commits in order: {history:?}"
+            ));
+        };
+        floor = j;
+    }
+    let last = tm
+        .run(|t| Ok((dormant.get(t, &0)?, dormant.get(t, &1)?, armed.get(t, &0)?)))
+        .unwrap();
+    if last != state(history.len()) {
+        return fail(format!("the maps hold {last:?} after {history:?}"));
+    }
+    Ok(())
+}
+
+#[test]
+fn arming_a_map_under_its_writers_matches_the_commit_order_oracle_on_every_seed() {
+    // Arming takes every slot of the map's lock table before it copies
+    // the bindings, so it waits out each writer that skipped its
+    // install: on every seed the snapshots match the commit order.
+    let _g = domain_guard();
+    for seed in txboost_sched::seeds_from_env(60) {
+        if let Err(failure) = arming_races_writers(seed, &[]) {
+            panic!("seed {seed}: {failure}");
+        }
+    }
+}
+
+#[test]
+fn arming_without_draining_the_writers_is_caught_by_the_sweep() {
+    // Mutation check: an arming that copies the bindings without first
+    // taking the slots copies a write that is still uncommitted, or
+    // misses one a writer commits without an install. If no seed showed
+    // that, the honest sweep above would be vacuous.
+    let _g = domain_guard();
+    let staged = [det::Mutation::ArmWithoutDraining];
+    let caught =
+        txboost_sched::seeds_from_env(60).any(|seed| arming_races_writers(seed, &staged).is_err());
+    assert!(
+        caught,
+        "sweep failed to notice an arming that did not wait out the writers — \
+         the arming oracle test has no teeth"
     );
 }

@@ -9,10 +9,8 @@
 use std::path::Path;
 
 /// Each doc, its cap, and the target the cap comes down to.
-const CAPS: [(&str, usize, usize); 2] = [
-    ("DESIGN.md", 1_662, 1_000),
-    ("EXPERIMENTS.md", 2_976, 1_200),
-];
+const CAPS: [(&str, usize, usize); 2] =
+    [("DESIGN.md", 1_659, 1_000), ("EXPERIMENTS.md", 638, 1_200)];
 
 #[test]
 fn the_docs_stay_within_their_caps() {

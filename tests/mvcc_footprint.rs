@@ -10,14 +10,18 @@
 //! reader pinning history it does not grow however often keys are
 //! rewritten; steady-state installs and snapshot lookups allocate
 //! nothing; and the history a pinned reader does force onto the heap
-//! is given back by the first install after its guard drops. The same
-//! allocator pins the lock table's claim: its memory is bounded by its
-//! slot count, not by the keys ever locked.
+//! is given back by the first install after its guard drops. A map's
+//! store holds versions only once a snapshot has read the map: until
+//! then it holds no heap block, however many keys are written. The
+//! same allocator pins the lock table's claim: its memory is bounded by
+//! its slot count, not by the keys ever locked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use transactional_boosting::core::locks::KeyLockMap;
 use transactional_boosting::core::{MvccDomain, VersionStore};
+use transactional_boosting::linearizable::StripedHashMap;
 use transactional_boosting::prelude::*;
 
 thread_local! {
@@ -162,9 +166,78 @@ fn an_unpinned_store_is_flat_blockless_and_allocation_free() {
 }
 
 #[test]
+fn a_map_nobody_snapshot_reads_keeps_no_versions() {
+    // The store test's keys and flips, through a map no snapshot has
+    // read: every heap block the map gains is its base's or a lock
+    // slot's, and the flips allocate nothing at all.
+    const KEYS: i64 = 65_536;
+    const FLIPS: i64 = 100_000;
+    let tm = TxnManager::default();
+    tm.run(|_| Ok(())).unwrap(); // one-time per-thread state
+    let mut even_holds = vec![false; (KEYS / 2) as usize];
+    let slots = KeyLockMap::<i64>::new();
+    let slots: std::collections::HashSet<usize> = (0..KEYS).map(|k| slots.slot_of(&k)).collect();
+    // The base alone: the same bindings in a bare striped map.
+    let bare = StripedHashMap::new();
+    let empty = Heap::now();
+    for key in 0..KEYS {
+        bare.insert(key, key);
+    }
+    for key in (0..KEYS).step_by(2) {
+        bare.remove(&key);
+    }
+    let bare_blocks = Heap::now().blocks - empty.blocks;
+
+    let map = BoostedHashMap::<i64, i64>::new();
+    let empty = Heap::now();
+    for key in 0..KEYS {
+        tm.run(|t| map.put(t, key, key)).unwrap();
+    }
+    for key in (0..KEYS).step_by(2) {
+        tm.run(|t| map.remove(t, &key)).unwrap();
+    }
+    let sized = Heap::now();
+    for i in 0..FLIPS {
+        let pair = (i * 7919) % (KEYS / 2);
+        let held = &mut even_holds[pair as usize];
+        let (from, to) = if *held {
+            (2 * pair, 2 * pair + 1)
+        } else {
+            (2 * pair + 1, 2 * pair)
+        };
+        *held = !*held;
+        tm.run(|t| {
+            map.remove(t, &from)?;
+            map.put(t, to, i).map(|_| ())
+        })
+        .unwrap();
+    }
+    let flipped = Heap::now();
+    let store_blocks = sized.blocks - empty.blocks - bare_blocks - slots.len() as isize;
+    println!(
+        "{KEYS} keys, {FLIPS} flips, no snapshot read: {store_blocks} version-store blocks, \
+         {} allocations over the flips",
+        flipped.calls - sized.calls
+    );
+    assert_eq!(store_blocks, 0, "a dormant map's store holds heap blocks");
+    assert_eq!(
+        flipped.calls - sized.calls,
+        0,
+        "allocations over {FLIPS} flips"
+    );
+    assert_eq!(
+        flipped.bytes - sized.bytes,
+        0,
+        "net growth over {FLIPS} flips"
+    );
+}
+
+#[test]
 fn a_four_lookup_snapshot_script_allocates_nothing() {
     let tm = TxnManager::default();
     let map = BoostedHashMap::<i64, i64>::new();
+    // Armed before the puts, so they install versions.
+    tm.run_read_only(|t| map.get(t, &0)).unwrap();
     for key in 0..1024 {
         tm.run(|t| map.put(t, key, key)).unwrap();
     }
