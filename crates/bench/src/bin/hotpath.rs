@@ -24,7 +24,10 @@
 //!   compare-and-swap on the same word — and a one-`add` counter
 //!   transaction, which takes its lock shared, allocates nothing;
 //! * a 3-operation boosted-map transaction performs **zero** heap
-//!   allocations end to end (measured by a counting global allocator);
+//!   allocations end to end (measured by a counting global allocator),
+//!   on a map no snapshot reads and on a versioned one; the versioned
+//!   transaction on two threads over disjoint keys of one map is
+//!   reported beside them, ungated;
 //! * a 4-lookup read-only snapshot script over a 262,144-key map (one
 //!   version-slot probe per lookup, each a cache miss) allocates
 //!   nothing either;
@@ -53,14 +56,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_client::ScriptBuilder;
-use txboost_collections::{BoostedCounter, BoostedHashMap};
+use txboost_collections::{BoostedCounter, BoostedHashMap, MapCall};
 use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
 use txboost_core::{Txn, TxnConfig, TxnManager};
 use txboost_server::Executor;
@@ -242,15 +245,10 @@ fn time_empty_txns(tm: &TxnManager, iters: u64) -> Duration {
     start.elapsed()
 }
 
-/// `timed(0)` and `timed(1)` on two threads released together, `iters`
-/// operations each, as the mean nanoseconds each thread paid per
-/// operation.
-fn measure_x2(
-    label: &'static str,
-    iters: u64,
-    timed: impl Fn(usize) -> Duration + Sync,
-) -> Measurement {
-    let mut m = measure(label, 2 * iters, 2 * iters, || {
+/// A pass of `timed(0)` and `timed(1)` on two threads released
+/// together: the sum of the two threads' windows.
+fn x2_pass(timed: impl Fn(usize) -> Duration + Sync) -> impl FnMut() -> Duration {
+    move || {
         let go = Barrier::new(2);
         let one_thread = |i| {
             go.wait();
@@ -260,7 +258,18 @@ fn measure_x2(
             let other = s.spawn(|| one_thread(1));
             one_thread(0) + other.join().expect("bench thread panicked")
         })
-    });
+    }
+}
+
+/// `timed(0)` and `timed(1)` on two threads released together, `iters`
+/// operations each, as the mean nanoseconds each thread paid per
+/// operation.
+fn measure_x2(
+    label: &'static str,
+    iters: u64,
+    timed: impl Fn(usize) -> Duration + Sync,
+) -> Measurement {
+    let mut m = measure(label, 2 * iters, 2 * iters, x2_pass(timed));
     m.threads = 2;
     m
 }
@@ -472,45 +481,56 @@ fn bench_log_boxed(iters: u64) -> Measurement {
 /// and one get), on a map no snapshot has read — its commits take no
 /// timestamp and install nothing — and on one armed by a snapshot
 /// read, whose two puts install versions: the two rows' gap is what
-/// the installs cost. Neither allocates.
-fn bench_map3(iters: u64) -> [Measurement; 2] {
+/// the installs cost. Neither allocates. Beside them, in the same
+/// rounds and ungated, the versioned transaction on two threads over
+/// keys of one armed map in distinct lock slots: its cost above the
+/// one-thread row is what the two threads' commits share — the install
+/// window, the reader registry's floor pass, the metrics lines.
+fn bench_map3(iters: u64) -> [Measurement; 3] {
     let tm = TxnManager::default();
-    let map3_pass = |versioned: bool| {
+    // A map holding keys `0..keys`, armed if `versioned`.
+    let map_of = |versioned: bool, keys: i64| {
         let map = BoostedHashMap::<i64, i64>::new();
         if versioned {
             tm.run_read_only(|t| map.get(t, &0)).unwrap();
         }
-        tm.run(|t| {
-            for k in 0..3 {
-                map.put(t, k, k)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        let tm = &tm;
-        move || {
-            let start = Instant::now();
-            for i in 0..iters {
-                tm.run(|t| {
-                    map.put(t, 0, i as i64)?;
-                    map.put(t, 1, i as i64)?;
-                    let _ = map.get(t, &2)?;
-                    Ok(())
-                })
-                .unwrap();
-            }
-            start.elapsed()
-        }
+        tm.run(|t| (0..keys).try_for_each(|k| map.put(t, k, k).map(|_| ())))
+            .unwrap();
+        map
     };
-    measure_together([
-        ("map 3-op txn", iters, iters * 3, &mut map3_pass(false)),
+    // `iters` transactions over keys `first..first + 3` of `map`.
+    let timed = |map: &BoostedHashMap<i64, i64>, first: i64| {
+        let start = Instant::now();
+        for i in 0..iters {
+            tm.run(|t| {
+                map.put(t, first, i as i64)?;
+                map.put(t, first + 1, i as i64)?;
+                let _ = map.get(t, &(first + 2))?;
+                Ok(())
+            })
+            .unwrap();
+        }
+        start.elapsed()
+    };
+    let (plain, versioned, shared) = (map_of(false, 3), map_of(true, 3), map_of(true, 6));
+    let slots: BTreeSet<_> = (0..6)
+        .map(|k| Arc::as_ptr(shared.conflict(MapCall::Put(&k)).0))
+        .collect();
+    assert_eq!(slots.len(), 6, "the two threads' keys share a lock slot");
+    let [map3, map3_versioned, mut map3_versioned_x2] = measure_together([
+        ("map 3-op txn", iters, iters * 3, &mut || timed(&plain, 0)),
+        ("map 3-op txn, versioned", iters, iters * 3, &mut || {
+            timed(&versioned, 0)
+        }),
         (
-            "map 3-op txn, versioned",
-            iters,
-            iters * 3,
-            &mut map3_pass(true),
+            "map 3-op txn, versioned x2 threads, disjoint keys",
+            2 * iters,
+            2 * iters * 3,
+            &mut x2_pass(|i| timed(&shared, 3 * i as i64)),
         ),
-    ])
+    ]);
+    map3_versioned_x2.threads = 2;
+    [map3, map3_versioned, map3_versioned_x2]
 }
 
 /// A read-only snapshot script of four lookups scattered over `keys`
@@ -644,7 +664,7 @@ fn main() {
     let counter_add = bench_counter_add(args.iters);
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
-    let [map3, map3_versioned] = bench_map3(args.iters);
+    let [map3, map3_versioned, map3_versioned_x2] = bench_map3(args.iters);
     let iters = args.iters;
     let snapshot4 = measure(
         "snapshot scan4 @262144 keys",
@@ -687,6 +707,7 @@ fn main() {
         &log_boxed,
         &map3,
         &map3_versioned,
+        &map3_versioned_x2,
         &snapshot4_small,
         &snapshot4,
         &exec_transfer3,

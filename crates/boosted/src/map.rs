@@ -234,9 +234,9 @@ where
 
     /// Arm the map for snapshot reads, if no snapshot read has yet, and
     /// return the stable timestamp its versions start at. In order:
-    /// take every slot of the lock table (in address order, each waiting
-    /// up to `timeout`), so every writer that skipped its install has
-    /// finished; copy the bindings into the version store as each key's
+    /// take every slot of the lock table (in address order, waiting up
+    /// to `timeout` in all), so every writer that skipped its install
+    /// has finished; copy the bindings into the version store as each key's
     /// first version, at the stable timestamp; mark the map armed with
     /// that timestamp; release the slots. Every later writer installs
     /// versions. A snapshot below the returned timestamp cannot read

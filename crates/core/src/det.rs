@@ -118,12 +118,9 @@ pub trait DetScheduler: Send + Sync {
 pub enum Mutation {
     /// `MvccDomain::gc_floor` ignores the registered snapshot readers.
     IgnoreReaderFloor,
-    /// `CommitClock::publish` makes its timestamp stable without waiting
-    /// for older ones still installing.
-    PublishOutOfOrder,
     /// A committing transaction releases its abstract locks once it has
-    /// reserved its commit timestamp, before its version installs and
-    /// its `publish`.
+    /// entered its install window, before its version installs and
+    /// before its commit is stable.
     LocksReleasedBeforeInstall,
     /// The WAL's group-commit leader moves the durable watermark before
     /// the fsync that covers it.
@@ -297,7 +294,7 @@ mod tests {
         block_tick();
         assert_eq!(virtual_now(), 1);
         assert!(mutated(Mutation::AckBeforeSync));
-        assert!(!mutated(Mutation::PublishOutOfOrder));
+        assert!(!mutated(Mutation::ArmWithoutDraining));
         uninstall();
         assert!(!active());
         assert!(!mutated(Mutation::AckBeforeSync));

@@ -177,11 +177,16 @@ impl AbstractLock {
     }
 
     /// Take the lock exclusively for `id`, a transaction id minted for
-    /// this and holding nothing else here, waiting up to `timeout`: no
+    /// this and holding nothing else here, waiting until the deadline
+    /// that `deadline` returns (called only if the word is busy): no
     /// [`Txn`], no yield point, no held-list entry — the caller releases
     /// it with [`release`](Self::release). `Err` carries how long it
     /// waited before timing out.
-    pub(crate) fn lock_for(&self, id: TxnId, timeout: Duration) -> Result<(), Duration> {
+    pub(crate) fn lock_for(
+        &self,
+        id: TxnId,
+        deadline: impl FnOnce() -> Deadline,
+    ) -> Result<(), Duration> {
         let me = id.raw();
         if self
             .state
@@ -190,7 +195,7 @@ impl AbstractLock {
         {
             return Ok(());
         }
-        self.claim_or_wait(me, Mode::Exclusive, false, timeout)
+        self.claim_or_wait(me, Mode::Exclusive, false, deadline)
             .map(|_| ())
     }
 
@@ -209,7 +214,8 @@ impl AbstractLock {
         // here for the whole call: if it is, the word stays `SHARED`
         // until it leaves; if the word is not `SHARED` now, it is not.
         let mine = cur & SHARED != 0 && txn.holds_lock(self);
-        self.claim_or_wait(txn.id().raw(), mode, mine, txn.lock_timeout())
+        let deadline = || Deadline::after(txn.lock_timeout());
+        self.claim_or_wait(txn.id().raw(), mode, mine, deadline)
             .map_err(|waited| {
                 txn.charge_lock_wait(waited);
                 Abort::lock_timeout()
@@ -217,21 +223,22 @@ impl AbstractLock {
     }
 
     /// Joining readers, upgrading, and the one blocking loop: spin
-    /// briefly, then park until a release notifies or `timeout` passes.
-    /// `mine`: `me` is one of a `SHARED` word's readers. Returns the
-    /// claim and how long it waited, if it did; `Err`, how long it
-    /// waited before the timeout passed.
+    /// briefly, then park until a release notifies or the deadline
+    /// passes — built by `deadline` once the first claim fails. `mine`:
+    /// `me` is one of a `SHARED` word's readers. Returns the claim and
+    /// how long it waited, if it did; `Err`, how long it waited before
+    /// the deadline passed.
     fn claim_or_wait(
         &self,
         me: u64,
         mode: Mode,
         mine: bool,
-        timeout: Duration,
+        deadline: impl FnOnce() -> Deadline,
     ) -> Result<(Claim, Option<Duration>), Duration> {
         if let Ok(claim) = self.try_claim(me, mode, mine, false) {
             return Ok((claim, None));
         }
-        let deadline = Deadline::after(timeout);
+        let deadline = deadline();
 
         // Phase 1: bounded spin — abstract locks are often released
         // within the holder's commit, a few hundred cycles away.
@@ -366,6 +373,12 @@ impl AbstractLock {
     /// The transaction holding the lock exclusively, if any.
     pub fn owner(&self) -> Option<TxnId> {
         self.holders().0
+    }
+
+    /// Whether a waiter is parked (or about to park) on the word.
+    #[cfg(test)]
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.state.load(Ordering::Relaxed) & WAITERS != 0
     }
 }
 

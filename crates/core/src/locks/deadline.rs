@@ -15,7 +15,9 @@ use parking_lot::{Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// When a blocking wait gives up, fixed at the moment the wait began.
-#[derive(Debug)]
+/// A copy gives up at the same moment, so several waits in a row can
+/// share one bound.
+#[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     start: Instant,
     /// `None`: past what an `Instant` can hold, so never.

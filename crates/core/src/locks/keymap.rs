@@ -2,6 +2,7 @@
 //! lock words: a key's abstract lock is the slot its hash selects.
 
 use super::abstract_lock::{AbstractLock, Mode};
+use super::deadline::Deadline;
 use crate::{Abort, TxResult, Txn, TxnId};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
@@ -98,9 +99,11 @@ impl<K: Hash> KeyLockMap<K> {
     /// slot has committed or aborted, and no transaction takes one
     /// until `f` returns. The slots are taken in address order, the
     /// order every multi-op server script takes its locks in, so this
-    /// cannot close a wait cycle with such scripts. Each slot waits up
-    /// to `timeout` (`Duration::MAX`: no deadline); `Err` is a lock
-    /// timeout, with every slot taken so far released and `f` not run.
+    /// cannot close a wait cycle with such scripts. The whole pass waits
+    /// up to `timeout` in total (`Duration::MAX`: no deadline), on the
+    /// wall clock or, under a det scheduler, on virtual time; `Err` is a
+    /// lock timeout, with every slot taken so far released and `f` not
+    /// run.
     ///
     /// It takes the slots as a transaction of its own that holds
     /// nothing else, with no yield point per slot, so must not be
@@ -131,8 +134,9 @@ impl<K: Hash> KeyLockMap<K> {
             taken: 0,
         };
         held.slots.sort_unstable_by_key(|lock| Arc::as_ptr(lock));
+        let deadline = Deadline::after(timeout);
         while let Some(lock) = held.slots.get(held.taken) {
-            lock.lock_for(held.id, timeout)
+            lock.lock_for(held.id, || deadline)
                 .map_err(|_| Abort::lock_timeout())?;
             held.taken += 1;
         }
@@ -214,6 +218,43 @@ mod tests {
         map.lock(&b, &1).unwrap();
         assert_eq!(b.held_lock_count(), 1);
         tm.commit(b);
+    }
+
+    #[test]
+    fn every_slot_waits_at_most_the_timeout_in_total() {
+        // Two writers hold two slots and let them go one after the
+        // other: the one taken first at 40 ms, within the 50 ms timeout,
+        // the other at 70 ms, past it but within 50 ms of the first. The
+        // pass must time out at 50 ms; a fresh timeout per slot would
+        // wait out both and run `f`.
+        const TIMEOUT: Duration = Duration::from_millis(50);
+        let tm = manager(5);
+        let map = KeyLockMap::<i64>::new();
+        let other = next_key(&map, 0, false);
+        // The pass takes the slots in address order.
+        let (first, second) = if Arc::as_ptr(map.slot(&0)) < Arc::as_ptr(map.slot(&other)) {
+            (0, other)
+        } else {
+            (other, 0)
+        };
+        let held = std::sync::Barrier::new(3);
+        let ran = std::thread::scope(|s| {
+            for (key, hold_ms) in [(first, 40), (second, 70)] {
+                let (tm, map, held) = (&tm, &map, &held);
+                s.spawn(move || {
+                    let t = tm.begin();
+                    map.lock(&t, &key).unwrap();
+                    held.wait();
+                    std::thread::sleep(Duration::from_millis(hold_ms));
+                    tm.commit(t);
+                });
+            }
+            held.wait();
+            map.with_every_slot(TIMEOUT, || ())
+        });
+        assert_eq!(ran, Err(Abort::lock_timeout()));
+        // Nothing taken before the timeout stayed held.
+        assert_eq!(map.with_every_slot(Duration::ZERO, || 1), Ok(1));
     }
 
     #[test]

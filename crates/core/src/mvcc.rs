@@ -22,35 +22,31 @@
 //!
 //! ## The snapshot protocol
 //!
-//! * [`CommitClock::reserve`] hands a committing writer a fresh
-//!   timestamp `ts` *while its abstract locks are still held*, so
-//!   timestamp order extends the lock-serialization order.
-//! * The writer installs one version per mutated key (stamped `ts`),
-//!   then calls [`CommitClock::publish`], which marks `ts` finished and
-//!   returns once the clock's **stable** timestamp covers it. Commits
-//!   become stable **in timestamp order**: `stable` moves from `S` to
-//!   `S + 1` only when commit `S + 1` is marked finished, so it is
-//!   always the largest `S` such that every commit with timestamp ≤ `S`
-//!   has fully installed its versions (no holes). Whoever finds the
-//!   next commit finished moves `stable` over it, so a commit that
-//!   finished early is carried along by the older one it waited for.
-//! * Who waits for whom: a writer that finishes its installs while an
-//!   *older* timestamp is still installing waits for that commit — a
-//!   brief spin, then a park that the advance reaching it wakes. Only a
-//!   commit *mid-install* can hold anyone back; one that has finished
-//!   cannot, whether or not its thread is running. The waiter still
-//!   holds its transaction's abstract locks — they are released only
-//!   once the commit is stable, or a lock-based reader could see its
-//!   effects in the base object before any snapshot can (below). The
-//!   wait cannot cycle all the same: it holds no mutex, the commit it
-//!   waits for is past its last lock acquisition (an install window
-//!   takes no abstract lock), and it waits only for older timestamps.
-//!   The price is paid under oversubscription: a committer preempted
-//!   mid-install delays the commits behind it, locks included.
+//! * A committing writer enters its domain's **install window** —
+//!   [`MvccDomain::commit`], one [`AbstractLock`] word taken with no
+//!   deadline — *while its abstract locks are still held*, so timestamp
+//!   order extends the lock-serialization order. Inside, it stamps
+//!   itself `ts = stable + 1` and installs one version per mutated key
+//!   (stamped `ts`); leaving, on every exit, it stores `stable = ts` and
+//!   releases the word. Commits therefore install one at a time and
+//!   become stable **in timestamp order**: `stable` is always the
+//!   largest `S` such that every commit with timestamp ≤ `S` has fully
+//!   installed its versions (no holes).
+//! * Who waits for whom: a commit that finds the window held waits at
+//!   the word — the lock word's brief spin, then a park that the
+//!   holder's release wakes. The waiter still holds its transaction's
+//!   abstract locks — they are released only once the commit is
+//!   stable, or a lock-based reader could see its effects in the base
+//!   object before any snapshot can (below). The wait cannot cycle all
+//!   the same: the window is the last lock any commit takes, its holder
+//!   waits for nothing (an install takes no abstract lock), and arming
+//!   a map takes key slots, never the window. The price is paid under
+//!   oversubscription: a committer preempted mid-install delays the
+//!   commits behind it, locks included.
 //! * A read-only transaction snapshots at `S = stable()` via
 //!   `ReaderRegistry::register` and reads, per key, the newest
-//!   version with timestamp ≤ `S`. Because `S` is below every
-//!   in-flight commit, the snapshot is a consistent prefix of the
+//!   version with timestamp ≤ `S`. Because `S` is below the commit
+//!   installing, if any, the snapshot is a consistent prefix of the
 //!   serialization order: all-or-nothing per writer, and immutable for
 //!   the reader's whole lifetime. That is why read-only transactions
 //!   *cannot* abort — there is no conflict left to detect — and why
@@ -103,10 +99,10 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use crate::backoff::SpinWait;
 use crate::det::{self, Mutation};
-use crate::locks::Deadline;
+use crate::locks::{AbstractLock, Deadline};
 use crate::obs::{HistogramSnapshot, LatencyHistogram};
+use crate::TxnId;
 
 /// What [`MvccDomain::commit`] hands its install window, and the
 /// window hands every version install in it: neither value exists yet
@@ -119,163 +115,31 @@ pub struct CommitStamp {
     pub floor: u64,
 }
 
-/// Commits that can be between [`CommitClock::reserve`] and the stable
-/// frontier at once (power of two). Each is one thread inside
-/// `commit`, so the bound is never met short of that many committing
-/// threads; one more waits, in [`CommitClock::publish`], for the oldest.
-const IN_FLIGHT: u64 = 64;
-
-/// The global commit-timestamp clock.
+/// The global commit-timestamp clock: the install window's lock word
+/// and the stable frontier.
 ///
 /// `stable()` is the heart of the protocol: the largest timestamp `S`
-/// such that *every* reserved timestamp ≤ `S` has finished installing.
-/// A reader snapshotting at `S` therefore never races an in-flight
-/// install — writers still installing all carry timestamps > `S`.
+/// such that *every* commit with timestamp ≤ `S` has finished
+/// installing. A reader snapshotting at `S` therefore never races an
+/// install — the one commit installing, if any, is stamped `S + 1`.
 ///
-/// Commits become stable in timestamp order and without a lock: a
-/// finished commit marks its slot of a small ring, and whoever finds
-/// the slot after `stable` marked moves `stable` over it — its own or
-/// a later commit's, so a commit that finished early is carried past
-/// by the older one it was waiting for and holds nobody back while its
-/// thread is off the CPU. The park mutex and condvar are for a commit
-/// that must wait for an older one still installing, and for the one
-/// that wakes it.
-#[derive(Debug)]
+/// A commit holds the window from stamping itself `stable + 1` until it
+/// stores that timestamp into `stable` ([`MvccDomain::commit`]), so
+/// commits install one at a time and become stable in timestamp order.
+/// The window is an [`AbstractLock`] taken with no deadline: a commit
+/// that finds it held waits in the lock word's one blocking loop —
+/// spin, then park until the holder's release — on the wall clock or,
+/// under a det scheduler, on virtual time.
+#[derive(Debug, Default)]
 pub struct CommitClock {
-    /// Next timestamp to hand out (timestamps start at 1; 0 means
-    /// "before every commit").
-    next: AtomicU64,
-    /// The stable frontier.
+    /// The install window: held exclusively by the commit installing.
+    window: AbstractLock,
+    /// The stable frontier (timestamps start at 1; 0 means "before
+    /// every commit"). Written only by the window's holder.
     stable: AtomicU64,
-    /// `installed[ts % IN_FLIGHT] == ts` once commit `ts` has finished
-    /// installing; the slot is reused by `ts + IN_FLIGHT`, which
-    /// `publish` holds back until `stable` has passed `ts`.
-    installed: [AtomicU64; IN_FLIGHT as usize],
-    /// Commits parked (or about to park) until `stable` reaches them;
-    /// read by whoever advances `stable`, after advancing it.
-    waiters: AtomicU64,
-    park: parking_lot::Mutex<()>,
-    stable_advanced: parking_lot::Condvar,
-}
-
-impl Default for CommitClock {
-    fn default() -> Self {
-        CommitClock {
-            next: AtomicU64::new(1),
-            stable: AtomicU64::new(0),
-            installed: [const { AtomicU64::new(0) }; IN_FLIGHT as usize],
-            waiters: AtomicU64::new(0),
-            park: parking_lot::Mutex::new(()),
-            stable_advanced: parking_lot::Condvar::new(),
-        }
-    }
 }
 
 impl CommitClock {
-    /// Reserve the next commit timestamp. Relaxed: the value publishes
-    /// nothing, and `stable` cannot pass it before its own
-    /// [`publish`](Self::publish).
-    pub fn reserve(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Mark `ts` fully installed, move the stable frontier as far as it
-    /// will go, and return once it covers `ts` — at once if every older
-    /// commit had finished, else when the last of them has (it moves
-    /// `stable` over `ts` on its way).
-    ///
-    /// Every access below is `SeqCst`. For visibility release/acquire
-    /// would do: the slot store follows this commit's installs, the
-    /// advancing compare-exchanges form one chain, and a reader that
-    /// observes `stable() >= ts` (an `Acquire` load) therefore observes
-    /// every version install of every commit ≤ `ts`. `SeqCst` is for
-    /// the two store-then-load races. Of two commits finishing together
-    /// one must see the other's slot: if the older one's advance stops
-    /// short of the younger's slot, that slot was stored later in the
-    /// one total order, so the younger's advance — later still — starts
-    /// from where the older one stopped and moves `stable` over itself;
-    /// nobody waits for a mark nobody will read. And an advance must see
-    /// the count of a commit that is about to park, or that commit's
-    /// re-check the advance.
-    pub fn publish(&self, ts: u64) {
-        if Self::cannot_wait() {
-            self.stable.fetch_max(ts, Ordering::SeqCst);
-            return;
-        }
-        let slot = &self.installed[(ts % IN_FLIGHT) as usize];
-        // The slot's last user, `ts - IN_FLIGHT`, must be stable first.
-        self.wait_until(|| ts <= self.stable.load(Ordering::SeqCst) + IN_FLIGHT);
-        slot.store(ts, Ordering::SeqCst);
-        self.advance();
-        self.wait_until(|| self.stable.load(Ordering::SeqCst) >= ts);
-    }
-
-    /// Move `stable` over every consecutive finished commit, and wake
-    /// the parked commits if that reached any.
-    fn advance(&self) {
-        let mut stable = self.stable.load(Ordering::SeqCst);
-        let mut advanced = false;
-        loop {
-            let next = stable + 1;
-            let slot = &self.installed[(next % IN_FLIGHT) as usize];
-            if slot.load(Ordering::SeqCst) != next {
-                break;
-            }
-            // Losing the race means someone else made `next` stable —
-            // or went past it out of order (`cannot_wait`); go on from
-            // where they stopped.
-            match self
-                .stable
-                .compare_exchange(stable, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => (stable, advanced) = (next, true),
-                Err(now) => stable = now,
-            }
-        }
-        if advanced && self.waiters.load(Ordering::SeqCst) > 0 {
-            // Take and drop the park mutex first: a waiter that counted
-            // itself but has not reached `wait` still holds it, so the
-            // notify lands after it is waiting.
-            drop(self.park.lock());
-            self.stable_advanced.notify_all();
-        }
-    }
-
-    /// Return once `ready()`: at once if it already is, else spin
-    /// briefly — an install window is a few hundred nanoseconds — then
-    /// park until an advance notifies. The caller holds no mutex and no
-    /// abstract lock a committer could need, and under a det scheduler
-    /// each parked wait is a scheduling round in which the commit it
-    /// waits for can run.
-    fn wait_until(&self, ready: impl Fn() -> bool) {
-        if ready() {
-            return;
-        }
-        let mut spin = SpinWait::new();
-        while spin.spin() {
-            if ready() {
-                return;
-            }
-        }
-        let mut parked = self.park.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        while !ready() {
-            // Every advance notifies while `waiters > 0`; the bound
-            // only paces a re-check.
-            Deadline::after(Duration::from_millis(1)).wait(&self.stable_advanced, &mut parked);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Whether this publish must go ahead of older ones: the run staged
-    /// [`Mutation::PublishOutOfOrder`], or the thread is unwinding under
-    /// a det scheduler, where a wait cannot yield to the commit it waits
-    /// for ([`det::block_tick`] is a no-op while panicking) and would
-    /// hang the run whose failure is being reported.
-    fn cannot_wait() -> bool {
-        det::active() && (std::thread::panicking() || det::mutated(Mutation::PublishOutOfOrder))
-    }
-
     /// The stable frontier: every commit with timestamp ≤ this value
     /// has fully installed its versions. Monotonically non-decreasing.
     pub fn stable(&self) -> u64 {
@@ -443,37 +307,55 @@ impl MvccDomain {
         SnapshotGuard { domain: self, ts }
     }
 
-    /// Run `installs` as one commit: read the GC floor, reserve a
-    /// timestamp, hand both to the closure — the install window, which
-    /// passes them on to [`VersionStore::install`] — and publish,
-    /// waiting, if need be, for every older commit to publish first, so
-    /// the commit is in every snapshot begun after this returns.
+    /// Run `installs` as one commit: enter the install window, stamp
+    /// the commit `stable + 1`, read the GC floor, hand both to the
+    /// closure — which passes them on to [`VersionStore::install`] —
+    /// and leave, making the commit stable, so it is in every snapshot
+    /// begun after this returns. A commit that finds the window held
+    /// waits, with no deadline, for the one inside to leave.
     ///
     /// The caller holds whatever serializes it against conflicting
     /// writers (a transaction's abstract locks) from before this call
-    /// until after it returns: the timestamp is reserved inside the
-    /// locked window, and nobody who waited for those locks can see the
-    /// commit's effects before a snapshot can.
+    /// until after it returns: the timestamp is taken inside the locked
+    /// window, and nobody who waited for those locks can see the
+    /// commit's effects before a snapshot can. The window is the last
+    /// lock a commit takes and its holder waits for nothing, so waiting
+    /// for it cannot close a cycle.
     ///
     /// The window closes on every exit, unwinding included: if an
-    /// install panics the timestamp is still published, so later commits
-    /// and snapshots are not wedged behind it. That commit is *torn* —
-    /// the versions installed before the panic are stamped with its
-    /// timestamp and visible to every snapshot at-or-above it, the rest
-    /// are missing, and such a snapshot reads the previous version of
-    /// those keys.
+    /// install panics the timestamp is still made stable, so later
+    /// commits and snapshots are not wedged behind it. That commit is
+    /// *torn* — the versions installed before the panic are stamped with
+    /// its timestamp and visible to every snapshot at-or-above it, the
+    /// rest are missing, and such a snapshot reads the previous version
+    /// of those keys.
     pub fn commit<R>(&self, installs: impl FnOnce(CommitStamp) -> R) -> R {
-        struct Window<'d>(&'d CommitClock, u64);
+        /// The window held by `id` for commit `ts`: leaving makes `ts`
+        /// stable, then releases the word.
+        struct Window<'c> {
+            clock: &'c CommitClock,
+            id: TxnId,
+            ts: u64,
+        }
         impl Drop for Window<'_> {
             fn drop(&mut self) {
-                self.0.publish(self.1);
+                self.clock.stable.store(self.ts, Ordering::Release);
+                self.clock.window.release(self.id);
             }
         }
+        let clock = &self.clock;
+        let id = crate::txn::next_txn_id();
+        clock
+            .window
+            .lock_for(id, || Deadline::after(Duration::MAX))
+            .expect("a wait with no deadline timed out");
+        // Relaxed: only the window's holder stores it, and taking the
+        // word ordered this load after the last holder's store.
+        let ts = clock.stable.load(Ordering::Relaxed) + 1;
+        let _window = Window { clock, id, ts };
         // One registry-mutex pass per commit, not per install: the
         // floor only rises, so a stale one prunes less, never more.
         let floor = self.gc_floor();
-        let ts = self.clock.reserve();
-        let _window = Window(&self.clock, ts);
         installs(CommitStamp { ts, floor })
     }
 
@@ -720,11 +602,9 @@ impl<K: Hash + Eq, V> SlotTable<K, V> {
     /// by `floor` first if no install swept it that high yet. Returns
     /// the key's retained versions and the versions reclaimed.
     ///
-    /// Installs of one key arrive in non-decreasing timestamp order. The
-    /// writer holds the key's exclusive abstract lock from before
-    /// [`CommitClock::reserve`] until after [`CommitClock::publish`]
-    /// returns, so the next writer of the key reserves its timestamp
-    /// only after this one has installed.
+    /// Installs of one key arrive in non-decreasing timestamp order:
+    /// installs run only inside [`MvccDomain::commit`]'s window, one
+    /// commit at a time, each stamped above every commit before it.
     fn install(
         &mut self,
         hash: u64,
@@ -996,28 +876,21 @@ mod tests {
 
     #[test]
     fn clock_starts_before_every_commit() {
-        let clock = CommitClock::default();
-        assert_eq!(clock.stable(), 0);
-        let ts = clock.reserve();
-        assert_eq!(ts, 1);
-        assert_eq!(clock.stable(), 0, "reserved but unpublished");
-        clock.publish(ts);
-        assert_eq!(clock.stable(), 1);
-    }
-
-    /// Spin until a publisher is parked behind its predecessor.
-    fn until_a_publisher_waits(clock: &CommitClock) {
-        while clock.waiters.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
+        let d = domain();
+        assert_eq!(d.clock.stable(), 0);
+        let ts = d.commit(|stamp| {
+            assert_eq!(d.clock.stable(), 0, "stable inside its own window");
+            stamp.ts
+        });
+        assert_eq!((ts, d.clock.stable()), (1, 1));
     }
 
     #[test]
     fn a_commit_returns_after_older_installs_and_the_next_snapshot_contains_it() {
-        // T0's install window is held open while T1 (a later timestamp)
-        // finishes its installs: T1's `commit` may not return — and
-        // `stable` may not move — until T0 publishes, and a snapshot
-        // begun once T1 has returned contains both without waiting.
+        // T0 stays inside its window: T1 waits at the window word, and
+        // `stable` does not move, until T0 leaves; then T1 commits at
+        // the next timestamp, and a snapshot begun once T1 has returned
+        // contains both without waiting.
         let d = domain();
         let (entered, release) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -1033,7 +906,9 @@ mod tests {
                 std::thread::yield_now();
             }
             let later = s.spawn(|| d.commit(|stamp| stamp.ts));
-            until_a_publisher_waits(&d.clock);
+            while !d.clock.window.has_waiters() {
+                std::thread::yield_now();
+            }
             assert!(!later.is_finished(), "T1 returned ahead of T0's installs");
             assert_eq!(d.clock.stable(), 0, "T0 still installing");
             release.store(true, Ordering::SeqCst);
@@ -1045,55 +920,13 @@ mod tests {
                 "snapshot misses a returned commit"
             );
         });
-        assert_eq!(d.clock.waiters.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn stable_waits_for_the_oldest_pending_commit() {
-        let clock = CommitClock::default();
-        let a = clock.reserve();
-        let b = clock.reserve();
-        std::thread::scope(|s| {
-            s.spawn(|| clock.publish(b));
-            until_a_publisher_waits(&clock);
-            // a (the oldest) is still installing: nothing newer is stable.
-            assert_eq!(clock.stable(), a - 1);
-            clock.publish(a);
-            // a carried b along: b's thread need not run for the commits
-            // behind it to go ahead.
-            assert_eq!(clock.stable(), b);
-        });
-    }
-
-    #[test]
-    fn a_commit_that_would_reuse_a_live_ring_slot_waits_for_it() {
-        // Timestamps 2..=65 finish while 1 is still installing; 65
-        // shares 1's slot and must not mark it until 1 is stable.
-        let clock = CommitClock::default();
-        let oldest = clock.reserve();
-        std::thread::scope(|s| {
-            for _ in 0..IN_FLIGHT {
-                let ts = clock.reserve();
-                let clock = &clock;
-                s.spawn(move || clock.publish(ts));
-            }
-            while clock.waiters.load(Ordering::SeqCst) < IN_FLIGHT {
-                std::thread::yield_now();
-            }
-            assert_eq!(clock.stable(), 0);
-            let shared = &clock.installed[(oldest % IN_FLIGHT) as usize];
-            assert_eq!(shared.load(Ordering::SeqCst), 0, "slot taken early");
-            clock.publish(oldest);
-        });
-        assert_eq!(clock.stable(), oldest + IN_FLIGHT);
+        assert_eq!(d.clock.window.holders(), (None, 0), "the window left held");
     }
 
     #[test]
     fn unserialized_committers_all_become_stable_in_order() {
-        // Nothing but the clock orders these commits. Each returns only
+        // Nothing but the window orders these commits. Each returns only
         // once stable covers it, and the last leaves stable at the count.
-        // Each thread rewrites a key of its own, so installs of one key
-        // still arrive in timestamp order.
         const THREADS: u64 = 4;
         const COMMITS: u64 = 20_000;
         let d = domain();
@@ -1113,7 +946,6 @@ mod tests {
             }
         });
         assert_eq!(d.clock.stable(), THREADS * COMMITS);
-        assert_eq!(d.clock.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -1141,13 +973,11 @@ mod tests {
     #[test]
     fn snapshot_guards_pin_and_release_the_floor() {
         let d = domain();
-        let t1 = d.clock.reserve();
-        d.clock.publish(t1);
+        let t1 = d.commit(|stamp| stamp.ts);
         let old = d.begin_snapshot();
         assert_eq!(old.ts(), t1);
         for _ in 0..3 {
-            let ts = d.clock.reserve();
-            d.clock.publish(ts);
+            d.commit(|_| ());
         }
         assert_eq!(d.gc_floor(), t1, "oldest reader pins the floor");
         let young = d.begin_snapshot();
@@ -1177,11 +1007,9 @@ mod tests {
     #[test]
     fn a_staged_mutation_is_inert_on_a_thread_without_a_scheduler() {
         let d = domain();
-        let pinned = d.clock.reserve();
-        d.clock.publish(pinned);
+        let pinned = d.commit(|stamp| stamp.ts);
         let reader = d.begin_snapshot();
-        let stable = d.clock.reserve();
-        d.clock.publish(stable);
+        let stable = d.commit(|stamp| stamp.ts);
         let (staged_tx, staged) = std::sync::mpsc::channel();
         let (done, done_rx) = std::sync::mpsc::channel::<()>();
         let staging = Arc::clone(&d);

@@ -407,13 +407,13 @@ impl Txn {
         self.state.set(TxnState::Committed);
         self.on_abort.borrow_mut().clear();
         // Stamp and install versions while abstract locks are still
-        // held: the timestamp is reserved inside the locked window, so
-        // timestamp order extends the lock-serialization order, and a
-        // conflicting writer cannot commit between our installs. The
+        // held: the timestamp is taken inside the locked window, so
+        // timestamp order extends the lock-serialization order. The
         // locks stay held until the commit is stable too (`commit`
-        // returns), so whoever takes one next — a locked reader
-        // included — saw nothing a snapshot begun afterwards could miss.
-        // A transaction that logged no install takes no timestamp.
+        // returns, having left the install window), so whoever takes one
+        // next — a locked reader included — saw nothing a snapshot begun
+        // afterwards could miss. A transaction that logged no install
+        // takes no timestamp.
         if self.effects.borrow().has_installs() {
             MvccDomain::global().commit(|stamp| {
                 if crate::det::mutated(crate::det::Mutation::LocksReleasedBeforeInstall) {

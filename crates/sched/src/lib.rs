@@ -141,7 +141,7 @@ impl Inner {
     /// A thread that reports itself blocked is not a candidate at that
     /// decision while another thread is alive: it cannot move until
     /// someone else has, and a wait with no timeout (a commit waiting
-    /// for an older one to publish) would otherwise let the DFS mode's
+    /// at the install window's word) would otherwise let the DFS mode's
     /// lowest-thread-first completion re-run the waiter for ever.
     fn decide(&mut self, tid: usize, point: Point) -> usize {
         let mut candidates = self.alive_tids();
@@ -373,11 +373,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Held for the length of a run: one run at a time, process-wide. The
 /// runtime has process-global state a run can block on — a commit
-/// waits for every older timestamp of `MvccDomain::global()`'s clock to
-/// publish — so a second run in the same process (another `#[test]` of
-/// the binary) parked inside its install window would show up in this
-/// one's schedule as blocked ticks, and the run would no longer be a
-/// function of its seed.
+/// waits at the install window of `MvccDomain::global()`'s clock while
+/// another commit is inside it — so a second run in the same process
+/// (another `#[test]` of the binary) parked inside its install window
+/// would show up in this one's schedule as blocked ticks, and the run
+/// would no longer be a function of its seed.
 static ONE_RUN: Mutex<()> = Mutex::new(());
 
 fn run_mode(

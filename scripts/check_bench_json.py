@@ -54,6 +54,7 @@ BASELINES = {
             "log-undo boxed",
             "map 3-op txn",
             "map 3-op txn, versioned",
+            "map 3-op txn, versioned x2 threads, disjoint keys",
             "snapshot scan4 @1024 keys",
             "snapshot scan4 @262144 keys",
             "executor transfer 3-op script",

@@ -246,8 +246,6 @@ proptest! {
         let mut log: BTreeMap<u64, Option<i32>> = BTreeMap::new();
         let mut readers: Vec<(SnapshotGuard, Option<i32>)> = Vec::new();
         for (op, v) in script {
-            // Commit protocol order: floor, reserve, install, publish.
-            // One commit installs each entry at its timestamp.
             let installs: &[Option<i32>] = match op {
                 0 => &[Some(v)],
                 1 => &[None],
@@ -265,31 +263,32 @@ proptest! {
                     &[]
                 }
             };
-            let floor = domain.gc_floor();
-            let ts = domain.clock.reserve();
-            for &val in installs {
-                store.install(0, val, CommitStamp { ts, floor });
-                log.insert(ts, val);
-                let versions = store.versions(&0);
-                let above_floor = log.range(floor + 1..).count();
-                prop_assert!(
-                    versions <= above_floor + 1,
-                    "{} versions kept, only {} above floor {}",
-                    versions, above_floor, floor
-                );
-                if readers.is_empty() {
-                    prop_assert!(versions <= 2, "unpinned key holds {}", versions);
-                }
-                for (guard, expected) in &readers {
-                    prop_assert_eq!(
-                        store.read_at(&0, guard.ts()),
-                        *expected,
-                        "reader pinned at ts {} lost its version",
-                        guard.ts()
+            // One commit installs each entry at its timestamp.
+            domain.commit(|stamp| {
+                let CommitStamp { ts, floor } = stamp;
+                for &val in installs {
+                    store.install(0, val, stamp);
+                    log.insert(ts, val);
+                    let versions = store.versions(&0);
+                    let above_floor = log.range(floor + 1..).count();
+                    prop_assert!(
+                        versions <= above_floor + 1,
+                        "{} versions kept, only {} above floor {}",
+                        versions, above_floor, floor
                     );
+                    if readers.is_empty() {
+                        prop_assert!(versions <= 2, "unpinned key holds {}", versions);
+                    }
+                    for (guard, expected) in &readers {
+                        prop_assert_eq!(
+                            store.read_at(&0, guard.ts()),
+                            *expected,
+                            "reader pinned at ts {} lost its version",
+                            guard.ts()
+                        );
+                    }
                 }
-            }
-            domain.clock.publish(ts);
+            });
         }
     }
 
