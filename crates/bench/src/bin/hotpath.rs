@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_client::ScriptBuilder;
 use txboost_collections::{BoostedCounter, BoostedHashMap, MapCall};
-use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
+use txboost_core::locks::{KeyLockMap, Mode, ObjectLock};
 use txboost_core::{Txn, TxnConfig, TxnManager};
 use txboost_server::Executor;
 use txboost_wire::{ScriptOp, ScriptStatus};
@@ -340,12 +340,13 @@ fn acquire_pass(universe: i64, iters: u64) -> impl FnMut() -> (Duration, Duratio
 /// `iters` of each.
 fn shared_acquire_pass(iters: u64) -> impl FnMut() -> Duration {
     let tm = TxnManager::default();
-    let locks: [Arc<AbstractLock>; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| Arc::default());
+    let locks: [ObjectLock; ACQUIRE_KEYS as usize] = std::array::from_fn(|_| ObjectLock::new());
     move || {
+        let words = locks.each_ref().map(ObjectLock::word);
         let empty = time_empty_txns(&tm, iters);
         let start = Instant::now();
         for _ in 0..iters {
-            tm.run(|t| locks.iter().try_for_each(|l| l.acquire(t, Mode::Shared)))
+            tm.run(|t| words.iter().try_for_each(|w| w.acquire(t, Mode::Shared)))
                 .unwrap();
         }
         start.elapsed().saturating_sub(empty)
@@ -514,7 +515,7 @@ fn bench_map3(iters: u64) -> [Measurement; 3] {
     };
     let (plain, versioned, shared) = (map_of(false, 3), map_of(true, 3), map_of(true, 6));
     let slots: BTreeSet<_> = (0..6)
-        .map(|k| Arc::as_ptr(shared.conflict(MapCall::Put(&k)).0))
+        .map(|k| std::ptr::from_ref(shared.conflict(MapCall::Put(&k)).0))
         .collect();
     assert_eq!(slots.len(), 6, "the two threads' keys share a lock slot");
     let [map3, map3_versioned, mut map3_versioned_x2] = measure_together([

@@ -15,7 +15,7 @@
 //! set read does.
 
 use std::sync::Arc;
-use txboost_core::locks::{AbstractLock, Mode};
+use txboost_core::locks::{AbstractLock, Mode, ObjectLock};
 use txboost_core::{TxResult, Txn};
 use txboost_linearizable::StripedCounter;
 
@@ -29,10 +29,10 @@ pub enum CounterCall {
 }
 
 /// A transactional signed counter boosted from the striped counter.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BoostedCounter {
     base: Arc<StripedCounter>,
-    lock: Arc<AbstractLock>,
+    lock: ObjectLock,
 }
 
 impl Default for BoostedCounter {
@@ -46,7 +46,7 @@ impl BoostedCounter {
     pub fn new() -> Self {
         BoostedCounter {
             base: Arc::default(),
-            lock: Arc::default(),
+            lock: ObjectLock::new(),
         }
     }
 
@@ -54,10 +54,10 @@ impl BoostedCounter {
     /// and its mode. Adds commute with each other and share the
     /// counter's one word; a read commutes with no add and takes it
     /// exclusively.
-    pub fn conflict(&self, call: CounterCall) -> (&Arc<AbstractLock>, Mode) {
+    pub fn conflict(&self, call: CounterCall) -> (&'static AbstractLock, Mode) {
         match call {
-            CounterCall::Add => (&self.lock, Mode::Shared),
-            CounterCall::Get => (&self.lock, Mode::Exclusive),
+            CounterCall::Add => (self.lock.word(), Mode::Shared),
+            CounterCall::Get => (self.lock.word(), Mode::Exclusive),
         }
     }
 
@@ -124,13 +124,10 @@ mod tests {
 
     #[test]
     fn increment_only_workload_never_aborts() {
-        let tm = std::sync::Arc::new(TxnManager::default());
-        let c = BoostedCounter::new();
+        let (tm, c) = (TxnManager::default(), BoostedCounter::new());
         std::thread::scope(|sc| {
             for _ in 0..8 {
-                let tm = std::sync::Arc::clone(&tm);
-                let c = c.clone();
-                sc.spawn(move || {
+                sc.spawn(|| {
                     for _ in 0..500 {
                         tm.run(|t| c.add(t, 1)).unwrap();
                     }

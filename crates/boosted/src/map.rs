@@ -129,7 +129,7 @@ where
 
     /// The map's conflict abstraction: the lock word `call` takes, and
     /// its mode. Every call on `k` takes `k`'s slot exclusively.
-    pub fn conflict(&self, call: MapCall<'_, K>) -> (&Arc<AbstractLock>, Mode) {
+    pub fn conflict(&self, call: MapCall<'_, K>) -> (&'static AbstractLock, Mode) {
         let (MapCall::Put(key)
         | MapCall::Remove(key)
         | MapCall::Get(key)

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use txboost_core::locks::{AbstractLock, Mode};
+use txboost_core::locks::{AbstractLock, Mode, ObjectLock};
 use txboost_core::{TxResult, Txn};
 use txboost_linearizable::ConcurrentHeap;
 
@@ -75,7 +75,7 @@ pub enum PQueueCall {
 #[derive(Debug)]
 pub struct BoostedPQueue<K: 'static> {
     base: Arc<ConcurrentHeap<Arc<Holder<K>>>>,
-    lock: Arc<AbstractLock>,
+    lock: ObjectLock,
 }
 
 impl<K: Ord + Clone + Send + Sync + 'static> Default for BoostedPQueue<K> {
@@ -89,7 +89,7 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     pub fn new() -> Self {
         BoostedPQueue {
             base: Arc::new(ConcurrentHeap::new()),
-            lock: Arc::default(),
+            lock: ObjectLock::new(),
         }
     }
 
@@ -98,10 +98,10 @@ impl<K: Ord + Clone + Send + Sync + 'static> BoostedPQueue<K> {
     /// queue's one word. `removeMin` commutes with nothing, and `min()/x`
     /// not with `add(y)` for `y < x`, which one word cannot express, so
     /// both take it exclusively.
-    pub fn conflict(&self, call: PQueueCall) -> (&Arc<AbstractLock>, Mode) {
+    pub fn conflict(&self, call: PQueueCall) -> (&'static AbstractLock, Mode) {
         match call {
-            PQueueCall::Add => (&self.lock, Mode::Shared),
-            PQueueCall::RemoveMin | PQueueCall::Min => (&self.lock, Mode::Exclusive),
+            PQueueCall::Add => (self.lock.word(), Mode::Shared),
+            PQueueCall::RemoveMin | PQueueCall::Min => (self.lock.word(), Mode::Exclusive),
         }
     }
 

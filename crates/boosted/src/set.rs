@@ -5,7 +5,7 @@
 
 use std::hash::Hash;
 use std::sync::Arc;
-use txboost_core::locks::{AbstractLock, KeyLockMap, Mode};
+use txboost_core::locks::{AbstractLock, KeyLockMap, Mode, ObjectLock};
 use txboost_core::{TxResult, Txn};
 use txboost_linearizable::{LazySkipListSet, LinearizableSet, LockCouplingList, SyncRbTreeSet};
 
@@ -29,7 +29,7 @@ enum SetLocks<K> {
     PerKey(KeyLockMap<K>),
     /// One lock for the whole set: the paper's single two-phase lock
     /// (Fig. 9's tree) and Fig. 10's coarse baseline.
-    Coarse(Arc<AbstractLock>),
+    Coarse(ObjectLock),
 }
 
 /// A transactional set boosted from the linearizable set `B`.
@@ -86,7 +86,7 @@ where
     /// An empty set with a single coarse transactional lock: correct,
     /// but it serializes every transaction touching the set.
     pub fn with_coarse_lock() -> Self {
-        Self::with_locks(SetLocks::Coarse(Arc::default()))
+        Self::with_locks(SetLocks::Coarse(ObjectLock::new()))
     }
 
     fn with_locks(locks: SetLocks<K>) -> Self {
@@ -99,11 +99,11 @@ where
     /// The set's conflict abstraction: the lock word `call` takes, and
     /// its mode. Every call on `x` takes `x`'s slot exclusively, or
     /// under the coarse lock the set's one word.
-    pub fn conflict(&self, call: SetCall<'_, K>) -> (&Arc<AbstractLock>, Mode) {
+    pub fn conflict(&self, call: SetCall<'_, K>) -> (&'static AbstractLock, Mode) {
         let (SetCall::Add(key) | SetCall::Remove(key) | SetCall::Contains(key)) = call;
         match &self.locks {
             SetLocks::PerKey(map) => (map.slot(key), Mode::Exclusive),
-            SetLocks::Coarse(lock) => (lock, Mode::Exclusive),
+            SetLocks::Coarse(lock) => (lock.word(), Mode::Exclusive),
         }
     }
 

@@ -24,7 +24,6 @@
 //! exception; [`pqueue_check`] says why.
 
 use std::fmt::Debug;
-use std::sync::Arc;
 use std::time::Duration;
 use txboost_collections::{
     BoostedCounter, BoostedHashMap, BoostedListSet, BoostedPQueue, BoostedRbTreeSet,
@@ -48,7 +47,7 @@ const OUTCOMES: [(i64, bool); 4] = [(1, false), (1, true), (2, false), (2, true)
 fn run_check<S: PartialEq + Debug, R>(
     check: Check,
     what: &str,
-    request: (&Arc<AbstractLock>, Mode),
+    request: (&'static AbstractLock, Mode),
     state: impl Fn() -> S,
     call: impl FnOnce(&Txn) -> TxResult<R>,
 ) {

@@ -13,10 +13,10 @@
 //!   commits or aborts. Acquisition uses timeouts so that deadlocked
 //!   transactions abort and retry rather than hang (Section 2 of the
 //!   paper). There is one lock ([`locks::AbstractLock`], a lock word
-//!   held shared or exclusive) and one table of them
-//!   ([`locks::KeyLockMap`], the paper's `LockKey` with a fixed
-//!   footprint); each boosted object states once which word a call
-//!   takes, and in which [`locks::Mode`].
+//!   held shared or exclusive), owned alone ([`locks::ObjectLock`]) or
+//!   in one table ([`locks::KeyLockMap`], the paper's `LockKey` with a
+//!   fixed footprint); each boosted object states once which word a
+//!   call takes, and in which [`locks::Mode`].
 //! * **Undo logs of inverses** — [`Txn::log_undo`] records the inverse
 //!   of each successful method call; on abort the log is replayed in
 //!   reverse order (the paper's Rule 3, *Compensating Actions*). No
@@ -33,15 +33,15 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::sync::atomic::{AtomicI64, Ordering};
-//! use txboost_core::{TxnManager, locks::{AbstractLock, Mode}};
+//! use txboost_core::{TxnManager, locks::{Mode, ObjectLock}};
 //!
 //! let tm = TxnManager::default();
-//! let lock = Arc::new(AbstractLock::new());
+//! let lock = ObjectLock::new();
 //! let balance = Arc::new(AtomicI64::new(100));
 //!
 //! let b = balance.clone();
 //! let result = tm.run(move |txn| {
-//!     lock.acquire(txn, Mode::Exclusive)?;   // abstract lock, held to commit
+//!     lock.word().acquire(txn, Mode::Exclusive)?; // held to commit
 //!     b.fetch_add(-30, Ordering::SeqCst);    // call on the base object
 //!     let b2 = b.clone();
 //!     txn.log_undo(move || {                 // inverse, replayed on abort

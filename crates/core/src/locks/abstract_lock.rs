@@ -1,71 +1,49 @@
 //! The abstract lock: one owner-tracked, transaction-reentrant,
-//! two-mode, timeout lock. Every discipline in [`super`] is a choice of
-//! these words and modes.
+//! two-mode, timeout lock, and the one table its waiters park in. Every
+//! discipline in [`super`] is a choice of these words and modes.
 //!
-//! # Lock-word state encoding
+//! The whole lock is one `AtomicU64` (DESIGN.md §11, "The lock word"):
+//! bit 63 `WAITERS`, bit 62 `SHARED`, bits 61..0 the owner's `TxnId` or
+//! the reader count. `0` is free, and an uncontended acquire in either
+//! mode is one `compare_exchange` (`0 → id` or `0 → SHARED | 1`): no
+//! mutex, no clock read. A `SHARED` word counts its readers without
+//! naming them, so a transaction learns it is one of them from its own
+//! held-lock list. The only reader may upgrade (`SHARED | 1 → id`);
+//! readers join whether or not a writer waits (no writer preference).
 //!
-//! The whole lock state is a single `AtomicU64`:
+//! A contended acquire spins ([`crate::backoff::SpinWait`]), then parks
+//! in the bucket of the process-wide park table that its word's address
+//! selects, as `parking_lot_core` does: under the bucket mutex it tries
+//! to claim, sets `WAITERS` by `compare_exchange` against the exact word
+//! it found busy, and waits ([`Deadline::wait`]). A release that
+//! replaced a word carrying `WAITERS` locks and drops that bucket's
+//! mutex before `notify_all`. Either the waiter's CAS came first, and
+//! the notify finds it waiting, or the release came first, and the
+//! waiter's CAS fails and it re-reads: no wakeup is lost. Every release
+//! with the bit set notifies, a reader leaving included (it may leave an
+//! upgrader the only reader). Words that share a bucket share its count
+//! and condvar, which can only keep `WAITERS` set longer or wake a
+//! waiter spuriously; the wait loop re-checks either way.
 //!
-//! ```text
-//! ┌─────────┬────────┬──────────────────────────────────────┐
-//! │ bit 63  │ bit 62 │ bits 61..0                           │
-//! │ WAITERS │ SHARED │ owner TxnId, or reader count         │
-//! └─────────┴────────┴──────────────────────────────────────┘
-//! ```
-//!
-//! * `0` — free. An uncontended acquire in either mode is one
-//!   `compare_exchange` (`0 → id` or `0 → SHARED | 1`): no mutex, no
-//!   condvar, no clock read.
-//! * `id` — held exclusively by transaction `id`.
-//! * `SHARED | n` — held in shared mode by `n ≥ 1` transactions. The
-//!   word counts them, it does not name them: a transaction learns "I
-//!   am one of the `n`" from its own held-lock list, consulted only
-//!   when the word is already `SHARED`.
-//! * `… | WAITERS` — at least one transaction is parked (or about to
-//!   park) on the condvar; the release that makes progress possible
-//!   must take the park mutex and `notify_all`.
-//!
-//! Exclusive mode implies shared mode, and the only reader may upgrade
-//! (`SHARED | 1 → id`). Readers join a `SHARED` word whether or not a
-//! writer is parked — there is no writer preference.
-//!
-//! A contended acquire spins briefly ([`crate::backoff::SpinWait`]) and
-//! then parks: under the park mutex it tries to claim, sets `WAITERS`
-//! on the word it found busy, and waits ([`Deadline::wait`]). Setting
-//! `WAITERS` by `compare_exchange` against the exact word that was
-//! found busy, under the mutex every notifier must take, is the
-//! no-lost-wakeup protocol: either that CAS lands before the holder's
-//! releasing CAS — which then sees the bit and notifies, after the
-//! waiter is in `wait` — or it fails because the word changed, and the
-//! waiter re-reads instead of parking. Every release with the bit set
-//! notifies, a reader leaving included: the departure that leaves one
-//! reader wakes a parked upgrader, the last one wakes parked writers.
-//!
-//! The lock itself counts nothing. An acquire that had to wait, granted
-//! or timed out, charges the time to the waiting [`Txn`] — thread-
-//! confined, so a plain cell — off the [`Deadline`] the timeout reads
-//! anyway; the manager folds it into [`crate::TxnStats`] when the
-//! attempt ends. An acquire that never blocks reads no clock.
+//! The lock counts nothing: a blocked acquire, granted or timed out,
+//! charges its wait to the waiting [`Txn`], off the [`Deadline`] its
+//! timeout reads anyway. An acquire that never blocks reads no clock.
 
 use super::deadline::Deadline;
 use crate::backoff::SpinWait;
 use crate::{Abort, TxResult, Txn, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Waiters-parked flag in the lock word.
 const WAITERS: u64 = 1 << 63;
 
-/// Shared-mode flag: the low bits count readers instead of naming an
-/// owner.
+/// Shared-mode flag: the low bits count readers, not name an owner.
 const SHARED: u64 = 1 << 62;
 
-/// Mask selecting the owner id, or the reader count, from the lock
-/// word. Transaction ids are drawn from a counter starting at 1, so an
-/// id cannot reach the flag bits within the lifetime of any conceivable
-/// process.
+/// The owner id, or the reader count. Ids count up from 1, so none
+/// reaches the flag bits in any conceivable process lifetime.
 const OWNER_MASK: u64 = SHARED - 1;
 
 /// The two ways to hold an [`AbstractLock`]. Calls that commute with
@@ -99,12 +77,24 @@ enum Claim {
     Reentrant,
 }
 
+/// Buckets in the park table (a power of two).
+const BUCKETS: usize = 256;
+
+/// One bucket of the park table, on cache lines of its own: the count
+/// of waiters parked (or committed to parking) on its condvar, for every
+/// word whose address selects it — the condvar's guarded state, and
+/// whether a claimer keeps [`WAITERS`] set.
+#[repr(align(128))]
+struct Bucket(Mutex<usize>, Condvar);
+
+/// The park table: every lock word's waiters.
+static PARK: [Bucket; BUCKETS] = [const { Bucket(Mutex::new(0), Condvar::new()) }; BUCKETS];
+
 /// A two-phase abstract lock held by one transaction exclusively or by
-/// several in shared mode.
-///
-/// A boosted object owns one of these, or a [`super::KeyLockMap`] (the
-/// paper's `LockKey`) of them, and its conflict table says which word a
-/// call takes in which [`Mode`]. Unlike an OS lock it is:
+/// several in shared mode: one 64-bit word. A boosted object owns one
+/// ([`super::ObjectLock`]) or a [`super::KeyLockMap`] of them, and its
+/// conflict table says which word a call takes in which [`Mode`].
+/// Unlike an OS lock it is:
 ///
 /// * **transaction-owned** — the holder is a [`TxnId`], not a thread, so
 ///   a transaction may re-acquire a lock it already holds no matter how
@@ -119,17 +109,27 @@ enum Claim {
 pub struct AbstractLock {
     /// The lock word; see the module docs.
     state: AtomicU64,
-    /// Number of waiters parked (or committed to parking) on `cv`.
-    /// Serves as the condvar's guarded state and tells a claimer
-    /// whether to keep [`WAITERS`] set.
-    park: Mutex<usize>,
-    cv: Condvar,
 }
 
 impl AbstractLock {
     /// A fresh, unheld lock.
-    pub fn new() -> Self {
-        AbstractLock::default()
+    pub const fn new() -> Self {
+        AbstractLock {
+            state: AtomicU64::new(0),
+        }
+    }
+
+    /// The park bucket of this word's waiters: its address, hashed.
+    fn bucket(&self) -> &'static Bucket {
+        let hash =
+            (std::ptr::from_ref(self).addr() as u64 >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &PARK[(hash >> (64 - BUCKETS.ilog2())) as usize]
+    }
+
+    /// Whether the word reads 0 (`Acquire`). Every hold makes it
+    /// non-zero, so no transaction holds a word that is free.
+    pub(crate) fn is_free(&self) -> bool {
+        self.state.load(Ordering::Acquire) == 0
     }
 
     /// Acquire in `mode` for `txn`, registering with the transaction so
@@ -139,11 +139,9 @@ impl AbstractLock {
     ///
     /// Returns `Err(Abort::lock_timeout())` if conflicting holders kept
     /// the lock for the entire timeout window.
-    pub fn acquire(self: &Arc<Self>, txn: &Txn, mode: Mode) -> TxResult<()> {
-        // Read-only snapshot transactions hold no abstract locks, in
-        // either mode — that structural guarantee (not a convention) is
-        // what makes them abort-free. Any locking call funnels through
-        // here and is rejected with a typed, non-retried error.
+    pub fn acquire(&'static self, txn: &Txn, mode: Mode) -> TxResult<()> {
+        // Read-only snapshot transactions hold no abstract locks: that
+        // structural guarantee is what makes them abort-free.
         if txn.is_read_only() {
             return Err(Abort::read_only_violation());
         }
@@ -171,7 +169,7 @@ impl AbstractLock {
             txn.charge_lock_wait(waited);
         }
         if matches!(claim, Claim::New) {
-            txn.register_held_lock(Arc::clone(self));
+            txn.register_held_lock(self);
         }
         Ok(())
     }
@@ -187,15 +185,7 @@ impl AbstractLock {
         id: TxnId,
         deadline: impl FnOnce() -> Deadline,
     ) -> Result<(), Duration> {
-        let me = id.raw();
-        if self
-            .state
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return Ok(());
-        }
-        self.claim_or_wait(me, Mode::Exclusive, false, deadline)
+        self.claim_or_wait(id.raw(), Mode::Exclusive, false, deadline)
             .map(|_| ())
     }
 
@@ -204,12 +194,7 @@ impl AbstractLock {
     /// that compare-and-swap found. Returns the claim and how long it
     /// waited, if it did.
     #[inline(never)]
-    fn acquire_slow(
-        self: &Arc<Self>,
-        txn: &Txn,
-        mode: Mode,
-        cur: u64,
-    ) -> TxResult<(Claim, Option<Duration>)> {
+    fn acquire_slow(&self, txn: &Txn, mode: Mode, cur: u64) -> TxResult<(Claim, Option<Duration>)> {
         // Whether `txn` is one of a `SHARED` word's readers. Settled
         // here for the whole call: if it is, the word stays `SHARED`
         // until it leaves; if the word is not `SHARED` now, it is not.
@@ -249,9 +234,10 @@ impl AbstractLock {
             }
         }
 
-        // Phase 2: park. All waiter bookkeeping happens under the park
-        // mutex; see the module docs for the lost-wakeup argument.
-        let mut parked = self.park.lock();
+        // Phase 2: park. All waiter bookkeeping happens under the
+        // bucket mutex; see the module docs for the lost-wakeup argument.
+        let bucket = self.bucket();
+        let mut parked = bucket.0.lock();
         let mut timed_out = false;
         loop {
             // After a timeout this is the last chance: the release may
@@ -274,7 +260,7 @@ impl AbstractLock {
                 continue; // the word changed under us; re-read
             }
             *parked += 1;
-            timed_out = deadline.wait(&self.cv, &mut parked);
+            timed_out = deadline.wait(&bucket.1, &mut parked);
             *parked -= 1;
         }
     }
@@ -307,11 +293,7 @@ impl AbstractLock {
                     Mode::Exclusive => return Err(cur),
                 }
             };
-            let flag = if parked_others {
-                WAITERS
-            } else {
-                cur & WAITERS
-            };
+            let flag = cur & WAITERS | u64::from(parked_others) << 63;
             match self.state.compare_exchange(
                 cur,
                 next | flag,
@@ -348,14 +330,15 @@ impl AbstractLock {
             }
         };
         if prev & WAITERS != 0 {
-            // Take and drop the park mutex before notifying: a waiter
+            // Take and drop the bucket mutex before notifying: a waiter
             // that set WAITERS but has not yet reached `wait` still
             // holds the mutex, and this acquisition orders the notify
             // after its registration — no wakeup can be lost.
-            drop(self.park.lock());
-            // Several transactions may be parked; they race for the
-            // lock when woken, losers go back to sleep.
-            self.cv.notify_all();
+            let bucket = self.bucket();
+            drop(bucket.0.lock());
+            // Wake the whole bucket: each waiter re-checks its own word,
+            // and losers go back to sleep.
+            bucket.1.notify_all();
         }
     }
 
@@ -385,34 +368,68 @@ impl AbstractLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TxnConfig, TxnManager};
-    use std::time::Duration;
+    use crate::{AbortReason, TxnConfig, TxnManager};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::Instant;
 
-    fn manager(timeout_ms: u64) -> TxnManager {
-        TxnManager::new(TxnConfig {
+    /// A lock word for one test, never freed.
+    fn word() -> &'static AbstractLock {
+        Box::leak(Box::default())
+    }
+
+    fn manager(timeout_ms: u64) -> Arc<TxnManager> {
+        Arc::new(TxnManager::new(TxnConfig {
             lock_timeout: Duration::from_millis(timeout_ms),
             max_retries: Some(0),
+        }))
+    }
+
+    /// A transaction of `tm` holding `lock` in `mode`.
+    fn holding(tm: &TxnManager, lock: &'static AbstractLock, mode: Mode) -> Txn {
+        let txn = tm.begin();
+        lock.acquire(&txn, mode).unwrap();
+        txn
+    }
+
+    /// On a new thread: acquire `lock` in `mode`, run `inside`, commit.
+    fn spawn_acquire<R: Send + 'static>(
+        tm: &Arc<TxnManager>,
+        lock: &'static AbstractLock,
+        mode: Mode,
+        inside: impl FnOnce(&Txn) -> R + Send + 'static,
+    ) -> JoinHandle<TxResult<R>> {
+        let tm = Arc::clone(tm);
+        std::thread::spawn(move || {
+            let txn = tm.begin();
+            let r = lock.acquire(&txn, mode).map(|()| inside(&txn));
+            tm.commit(txn);
+            r
         })
     }
 
+    /// Spin until a waiter has registered itself on `lock`'s word.
+    fn until_parked(lock: &AbstractLock) {
+        while !lock.has_waiters() {
+            std::thread::yield_now();
+        }
+    }
+
+    const TIMED_OUT: TxResult<()> = Err(Abort::lock_timeout());
+
     #[test]
     fn acquire_registers_and_releases_on_commit() {
-        let tm = manager(50);
-        let lock = Arc::new(AbstractLock::new());
-        let txn = tm.begin();
-        lock.acquire(&txn, Mode::Exclusive).unwrap();
-        assert_eq!(lock.owner(), Some(txn.id()));
-        assert_eq!(txn.held_lock_count(), 1);
+        let (tm, lock) = (manager(50), word());
+        let txn = holding(&tm, lock, Mode::Exclusive);
+        assert_eq!((lock.owner(), txn.held_lock_count()), (Some(txn.id()), 1));
         tm.commit(txn);
         assert_eq!(lock.owner(), None);
     }
 
     #[test]
     fn reentrant_acquire_registers_once() {
-        let tm = manager(50);
-        let lock = Arc::new(AbstractLock::new());
-        let txn = tm.begin();
-        lock.acquire(&txn, Mode::Exclusive).unwrap();
+        let (tm, lock) = (manager(50), word());
+        let txn = holding(&tm, lock, Mode::Exclusive);
         lock.acquire(&txn, Mode::Exclusive).unwrap();
         assert_eq!(txn.held_lock_count(), 1);
         tm.commit(txn);
@@ -421,18 +438,14 @@ mod tests {
 
     #[test]
     fn contended_acquire_times_out_with_abort() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
-
+        let (tm, lock) = (manager(5), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
         let waiter = tm.begin();
-        let err = lock.acquire(&waiter, Mode::Exclusive).unwrap_err();
-        assert_eq!(err, Abort::lock_timeout());
+        assert_eq!(lock.acquire(&waiter, Mode::Exclusive), TIMED_OUT);
         // The loser holds nothing new.
         assert_eq!(waiter.held_lock_count(), 0);
         tm.commit(holder);
-        tm.abort(waiter, crate::AbortReason::LockTimeout);
+        tm.abort(waiter, AbortReason::LockTimeout);
     }
 
     /// The exclusive case only: a shared word counts its holders without
@@ -440,11 +453,9 @@ mod tests {
     /// caller, `Txn::release_locks`, walks its own held list.
     #[test]
     fn release_is_noop_for_non_owner() {
-        let tm = manager(50);
-        let lock = Arc::new(AbstractLock::new());
-        let a = tm.begin();
+        let (tm, lock) = (manager(50), word());
+        let a = holding(&tm, lock, Mode::Exclusive);
         let b = tm.begin();
-        lock.acquire(&a, Mode::Exclusive).unwrap();
         // b never acquired; releasing on b's behalf must not free a's lock.
         lock.release(b.id());
         assert_eq!(lock.owner(), Some(a.id()));
@@ -454,18 +465,9 @@ mod tests {
 
     #[test]
     fn waiter_wakes_when_owner_commits() {
-        let tm = Arc::new(manager(1_000));
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
-
-        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-        let waiter = std::thread::spawn(move || {
-            let txn = tm2.begin();
-            let r = lock2.acquire(&txn, Mode::Exclusive);
-            tm2.commit(txn);
-            r
-        });
+        let (tm, lock) = (manager(1_000), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
+        let waiter = spawn_acquire(&tm, lock, Mode::Exclusive, |_| ());
         std::thread::sleep(Duration::from_millis(20));
         tm.commit(holder); // releases the lock, wakes the waiter
         assert!(waiter.join().unwrap().is_ok());
@@ -473,11 +475,9 @@ mod tests {
 
     #[test]
     fn abort_releases_lock_too() {
-        let tm = manager(50);
-        let lock = Arc::new(AbstractLock::new());
-        let txn = tm.begin();
-        lock.acquire(&txn, Mode::Exclusive).unwrap();
-        tm.abort(txn, crate::AbortReason::Explicit);
+        let (tm, lock) = (manager(50), word());
+        let txn = holding(&tm, lock, Mode::Exclusive);
+        tm.abort(txn, AbortReason::Explicit);
         assert_eq!(lock.owner(), None);
     }
 
@@ -485,101 +485,64 @@ mod tests {
     fn lockword_timeout_clears_stale_waiters_path() {
         // A waiter that parks and times out leaves; the owner's later
         // release must still work (possibly notifying nobody).
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
         let loser = tm.begin();
-        assert_eq!(
-            lock.acquire(&loser, Mode::Exclusive).unwrap_err(),
-            Abort::lock_timeout()
-        );
+        assert_eq!(lock.acquire(&loser, Mode::Exclusive), TIMED_OUT);
         tm.commit(holder); // release with WAITERS still set
-        assert_eq!(lock.owner(), None);
-        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+        assert!(lock.is_free());
         // The word is fully free again: a fresh acquire takes the fast path.
-        let next = tm.begin();
-        lock.acquire(&next, Mode::Exclusive).unwrap();
+        let next = holding(&tm, lock, Mode::Exclusive);
         assert_eq!(lock.state.load(Ordering::Relaxed), next.id().raw());
         tm.commit(next);
-        tm.abort(loser, crate::AbortReason::LockTimeout);
+        tm.abort(loser, AbortReason::LockTimeout);
     }
 
     #[test]
     fn lockword_two_parked_waiters_both_eventually_acquire() {
-        let tm = Arc::new(manager(2_000));
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
-
-        let spawn_waiter = || {
-            let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-            std::thread::spawn(move || {
-                let txn = tm2.begin();
-                let r = lock2.acquire(&txn, Mode::Exclusive);
-                tm2.commit(txn);
-                r.is_ok()
-            })
-        };
-        let w1 = spawn_waiter();
-        let w2 = spawn_waiter();
+        let (tm, lock) = (manager(2_000), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
+        let w1 = spawn_acquire(&tm, lock, Mode::Exclusive, |_| ());
+        let w2 = spawn_acquire(&tm, lock, Mode::Exclusive, |_| ());
         std::thread::sleep(Duration::from_millis(20));
         tm.commit(holder);
-        assert!(w1.join().unwrap());
-        assert!(w2.join().unwrap());
+        assert!(w1.join().unwrap().is_ok() && w2.join().unwrap().is_ok());
         assert_eq!(lock.owner(), None);
     }
 
     #[test]
     fn an_exclusive_holder_excludes_both_modes_until_it_commits() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let w = tm.begin();
-        lock.acquire(&w, Mode::Exclusive).unwrap();
-        let r = tm.begin();
-        assert_eq!(
-            lock.acquire(&r, Mode::Shared).unwrap_err(),
-            Abort::lock_timeout()
-        );
-        let w2 = tm.begin();
-        assert_eq!(
-            lock.acquire(&w2, Mode::Exclusive).unwrap_err(),
-            Abort::lock_timeout()
-        );
+        let (tm, lock) = (manager(5), word());
+        let w = holding(&tm, lock, Mode::Exclusive);
+        let (r, w2) = (tm.begin(), tm.begin());
+        assert_eq!(lock.acquire(&r, Mode::Shared), TIMED_OUT);
+        assert_eq!(lock.acquire(&w2, Mode::Exclusive), TIMED_OUT);
         tm.commit(w);
         lock.acquire(&r, Mode::Shared).unwrap();
         tm.commit(r);
-        tm.abort(w2, crate::AbortReason::LockTimeout);
+        tm.abort(w2, AbortReason::LockTimeout);
     }
 
     #[test]
     fn exclusive_implies_shared() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let t = tm.begin();
-        lock.acquire(&t, Mode::Exclusive).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let t = holding(&tm, lock, Mode::Exclusive);
         lock.acquire(&t, Mode::Shared).unwrap(); // free, no extra registration
         assert_eq!(lock.holders(), (Some(t.id()), 0));
         assert_eq!(t.held_lock_count(), 1);
         tm.commit(t);
     }
 
+    // In the wake-up tests below the timeout is far beyond the test: a
+    // lost wakeup shows as a stall that trips the elapsed-time bound.
+
     #[test]
     fn a_shared_waiter_wakes_when_the_exclusive_holder_commits() {
-        // The timeout is far beyond the test: a lost wakeup is a stall.
-        let tm = Arc::new(manager(20_000));
-        let lock = Arc::new(AbstractLock::new());
-        let w = tm.begin();
-        lock.acquire(&w, Mode::Exclusive).unwrap();
-        let start = std::time::Instant::now();
-        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-        let reader = std::thread::spawn(move || {
-            let t = tm2.begin();
-            let r = lock2.acquire(&t, Mode::Shared);
-            tm2.commit(t);
-            r
-        });
-        until_parked(&lock);
+        let (tm, lock) = (manager(20_000), word());
+        let w = holding(&tm, lock, Mode::Exclusive);
+        let start = Instant::now();
+        let reader = spawn_acquire(&tm, lock, Mode::Shared, |_| ());
+        until_parked(lock);
         tm.commit(w);
         assert!(reader.join().unwrap().is_ok());
         assert!(start.elapsed() < Duration::from_secs(10));
@@ -587,10 +550,8 @@ mod tests {
 
     #[test]
     fn a_sole_reader_upgrades_at_once_and_holds_once() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let t = tm.begin();
-        lock.acquire(&t, Mode::Shared).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let t = holding(&tm, lock, Mode::Shared);
         lock.acquire(&t, Mode::Exclusive).unwrap();
         // An upgrade is not a second hold.
         assert_eq!(lock.holders(), (Some(t.id()), 0));
@@ -601,18 +562,13 @@ mod tests {
 
     #[test]
     fn an_upgrade_blocked_by_a_second_reader_times_out() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let (a, b) = (tm.begin(), tm.begin());
-        lock.acquire(&a, Mode::Shared).unwrap();
-        lock.acquire(&b, Mode::Shared).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let a = holding(&tm, lock, Mode::Shared);
+        let b = holding(&tm, lock, Mode::Shared);
         // a cannot upgrade while b reads: the upgrade deadlock, broken
         // by the timeout.
-        assert_eq!(
-            lock.acquire(&a, Mode::Exclusive).unwrap_err(),
-            Abort::lock_timeout()
-        );
-        tm.abort(a, crate::AbortReason::LockTimeout);
+        assert_eq!(lock.acquire(&a, Mode::Exclusive), TIMED_OUT);
+        tm.abort(a, AbortReason::LockTimeout);
         // a's abort released its shared hold; now b can upgrade.
         lock.acquire(&b, Mode::Exclusive).unwrap();
         assert_eq!(lock.holders(), (Some(b.id()), 0));
@@ -624,13 +580,11 @@ mod tests {
     fn stress_shared_holders_never_overlap_an_exclusive_holder() {
         // The Fig. 11 heap's shape: shared adds never co-exist with an
         // exclusive remove, and two exclusive holders never co-exist.
-        use std::sync::atomic::AtomicU64;
-        let tm = TxnManager::default();
-        let lock = Arc::new(AbstractLock::new());
+        let (tm, lock) = (TxnManager::default(), word());
         let writers_inside = AtomicU64::new(0);
         std::thread::scope(|s| {
             for i in 0..8 {
-                let (tm, lock, wi) = (&tm, &lock, &writers_inside);
+                let (tm, wi) = (&tm, &writers_inside);
                 s.spawn(move || {
                     for _ in 0..100 {
                         tm.run(|txn| {
@@ -653,68 +607,51 @@ mod tests {
     }
 
     #[test]
-    fn the_lock_stays_one_word_a_park_mutex_and_a_condvar() {
-        // 4,096 of these per `KeyLockMap`: the shared mode must not
-        // have grown the slot.
-        assert!(std::mem::size_of::<AbstractLock>() <= 32);
+    fn the_lock_is_its_word() {
+        // 4,096 of these per `KeyLockMap`: the park state lives in the
+        // bucket table, not beside the word.
+        assert_eq!(std::mem::size_of::<AbstractLock>(), 8);
     }
 
     #[test]
     fn lockword_counts_readers_and_keeps_waiters_until_the_last_leaves() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let (a, b) = (tm.begin(), tm.begin());
-        lock.acquire(&a, Mode::Shared).unwrap();
-        lock.acquire(&b, Mode::Shared).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let a = holding(&tm, lock, Mode::Shared);
+        let b = holding(&tm, lock, Mode::Shared);
         lock.acquire(&a, Mode::Shared).unwrap(); // reentrant: not counted twice
         assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 2);
         assert_eq!((a.held_lock_count(), b.held_lock_count()), (1, 1));
         // A writer parks, times out and leaves its WAITERS bit behind.
         let w = tm.begin();
-        assert_eq!(
-            lock.acquire(&w, Mode::Exclusive).unwrap_err(),
-            Abort::lock_timeout()
-        );
+        assert_eq!(lock.acquire(&w, Mode::Exclusive), TIMED_OUT);
         assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 2 | WAITERS);
         // A reader joining or leaving keeps the bit; the last one clears it.
-        let c = tm.begin();
-        lock.acquire(&c, Mode::Shared).unwrap();
+        let c = holding(&tm, lock, Mode::Shared);
         assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 3 | WAITERS);
         tm.commit(c);
         tm.commit(a);
         assert_eq!(lock.state.load(Ordering::Relaxed), SHARED | 1 | WAITERS);
         tm.commit(b);
         assert_eq!(lock.state.load(Ordering::Relaxed), 0);
-        tm.abort(w, crate::AbortReason::LockTimeout);
-    }
-
-    /// Spin until a waiter has registered itself on `lock`'s word.
-    fn until_parked(lock: &AbstractLock) {
-        while lock.state.load(Ordering::Relaxed) & WAITERS == 0 {
-            std::thread::yield_now();
-        }
+        tm.abort(w, AbortReason::LockTimeout);
     }
 
     #[test]
     fn a_timeout_is_one_wait_and_an_acquire_that_never_blocked_is_none() {
-        let tm = manager(5);
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        let (tm, lock) = (manager(5), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
         lock.acquire(&holder, Mode::Shared).unwrap();
         tm.commit(holder);
         // Nothing charged means no clock read: the one `Instant::now`
         // on this path is the `Deadline` a charge is taken from.
         let idle = tm.stats().snapshot();
         assert_eq!((idle.lock_waits, idle.lock_wait.count()), (0, 0));
-
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
+        let holder = holding(&tm, lock, Mode::Exclusive);
         let waiter = tm.begin();
         assert!(lock.acquire(&waiter, Mode::Exclusive).is_err());
         // The waiter keeps the time until its attempt ends.
         assert_eq!(tm.stats().snapshot().lock_waits, 0);
-        tm.abort(waiter, crate::AbortReason::LockTimeout);
+        tm.abort(waiter, AbortReason::LockTimeout);
         tm.commit(holder);
         let snap = tm.stats().snapshot();
         assert_eq!((snap.lock_timeouts, snap.lock_waits), (1, 1));
@@ -724,47 +661,29 @@ mod tests {
 
     #[test]
     fn a_blocked_then_granted_acquire_is_one_wait_of_the_time_it_blocked() {
-        let tm = Arc::new(manager(20_000));
-        let lock = Arc::new(AbstractLock::new());
-        let holder = tm.begin();
-        lock.acquire(&holder, Mode::Exclusive).unwrap();
-        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-        let waiter = std::thread::spawn(move || {
-            let txn = tm2.begin();
-            lock2.acquire(&txn, Mode::Exclusive).unwrap();
-            lock2.acquire(&txn, Mode::Exclusive).unwrap(); // reentrant: no wait
-            tm2.commit(txn);
+        let (tm, lock) = (manager(20_000), word());
+        let holder = holding(&tm, lock, Mode::Exclusive);
+        let waiter = spawn_acquire(&tm, lock, Mode::Exclusive, move |txn| {
+            lock.acquire(txn, Mode::Exclusive) // reentrant: no wait
         });
-        until_parked(&lock);
+        until_parked(lock);
         std::thread::sleep(Duration::from_millis(3));
         tm.commit(holder);
-        waiter.join().unwrap();
+        assert_eq!(waiter.join().unwrap(), Ok(Ok(())));
         let snap = tm.stats().snapshot();
         assert_eq!((snap.lock_timeouts, snap.lock_waits), (0, 1));
         assert_eq!(snap.lock_wait.count(), 1);
         assert!(snap.lock_wait.sum >= 3_000_000, "parked across the sleep");
     }
 
-    // In the two tests below the timeout is far beyond the test: a lost
-    // wakeup shows as a stall that trips the elapsed-time bound.
-
     #[test]
     fn lockword_parked_writer_wakes_on_the_last_shared_release() {
-        let tm = Arc::new(manager(20_000));
-        let lock = Arc::new(AbstractLock::new());
-        let (r1, r2) = (tm.begin(), tm.begin());
-        lock.acquire(&r1, Mode::Shared).unwrap();
-        lock.acquire(&r2, Mode::Shared).unwrap();
-        let start = std::time::Instant::now();
-        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-        let writer = std::thread::spawn(move || {
-            let txn = tm2.begin();
-            let r = lock2.acquire(&txn, Mode::Exclusive);
-            let inside = lock2.holders();
-            tm2.commit(txn);
-            r.map(|()| inside)
-        });
-        until_parked(&lock);
+        let (tm, lock) = (manager(20_000), word());
+        let r1 = holding(&tm, lock, Mode::Shared);
+        let r2 = holding(&tm, lock, Mode::Shared);
+        let start = Instant::now();
+        let writer = spawn_acquire(&tm, lock, Mode::Exclusive, move |_| lock.holders());
+        until_parked(lock);
         tm.commit(r1); // one reader left: still nothing for the writer
         assert_eq!(lock.holders(), (None, 1));
         tm.commit(r2);
@@ -776,27 +695,53 @@ mod tests {
 
     #[test]
     fn lockword_parked_upgrader_wakes_when_it_becomes_the_only_reader() {
-        let tm = Arc::new(manager(20_000));
-        let lock = Arc::new(AbstractLock::new());
-        let other = tm.begin();
-        lock.acquire(&other, Mode::Shared).unwrap();
-        let start = std::time::Instant::now();
-        let (tm2, lock2) = (Arc::clone(&tm), Arc::clone(&lock));
-        let upgrader = std::thread::spawn(move || {
-            let txn = tm2.begin();
-            lock2.acquire(&txn, Mode::Shared).unwrap();
-            let r = lock2.acquire(&txn, Mode::Exclusive);
-            let inside = (lock2.owner(), txn.held_lock_count());
-            tm2.commit(txn);
-            r.map(|()| inside)
+        let (tm, lock) = (manager(20_000), word());
+        let other = holding(&tm, lock, Mode::Shared);
+        let start = Instant::now();
+        let upgrader = spawn_acquire(&tm, lock, Mode::Shared, move |txn| {
+            let r = lock.acquire(txn, Mode::Exclusive);
+            r.map(|()| (lock.owner(), txn.held_lock_count()))
         });
-        until_parked(&lock);
+        until_parked(lock);
         assert_eq!(lock.holders(), (None, 2));
         tm.commit(other);
-        let (owner, held) = upgrader.join().unwrap().unwrap();
+        let (owner, held) = upgrader.join().unwrap().unwrap().unwrap();
         assert!(owner.is_some());
         assert_eq!(held, 1, "an upgrade is not a second hold");
         assert!(start.elapsed() < Duration::from_secs(10));
         assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_parked_waiter_wakes_on_its_word_while_a_bucket_mate_churns() {
+        // Two words in one park bucket: a waiter parked on `a` must wake
+        // on `a`'s release while `b`'s holders park, notify and keep
+        // `WAITERS` in the same bucket.
+        let a = word();
+        let b = std::iter::repeat_with(word)
+            .find(|b| std::ptr::eq(b.bucket(), a.bucket()))
+            .unwrap();
+        let tm = manager(20_000);
+        let (holder, start) = (holding(&tm, a, Mode::Exclusive), Instant::now());
+        let done = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while done.load(Ordering::Relaxed) == 0 {
+                        let churn = |()| std::thread::sleep(Duration::from_millis(1));
+                        tm.run(|t| b.acquire(t, Mode::Exclusive).map(churn))
+                            .unwrap();
+                    }
+                });
+            }
+            let waiter = spawn_acquire(&tm, a, Mode::Exclusive, |_| ());
+            until_parked(a);
+            until_parked(b);
+            tm.commit(holder);
+            assert!(waiter.join().unwrap().is_ok());
+            assert!(start.elapsed() < Duration::from_secs(10));
+            done.store(1, Ordering::Relaxed);
+        });
+        assert!(a.is_free() && b.is_free());
     }
 }

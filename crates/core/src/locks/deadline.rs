@@ -69,24 +69,21 @@ impl Deadline {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use std::sync::Arc;
 
     #[test]
     fn a_wait_with_no_deadline_parks_until_notified() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let waiter = {
-            let pair = Arc::clone(&pair);
-            std::thread::spawn(move || {
+        let (woken, cv) = (Mutex::new(false), Condvar::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 let deadline = Deadline::after(Duration::MAX);
-                let mut woken = pair.0.lock();
+                let mut woken = woken.lock();
                 while !*woken {
-                    assert!(!deadline.wait(&pair.1, &mut woken), "Duration::MAX passed");
+                    assert!(!deadline.wait(&cv, &mut woken), "Duration::MAX passed");
                 }
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        *pair.0.lock() = true;
-        pair.1.notify_all();
-        waiter.join().expect("waiter panicked");
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            *woken.lock() = true;
+            cv.notify_all();
+        });
     }
 }

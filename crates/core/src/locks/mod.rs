@@ -17,13 +17,13 @@
 //! out: its timeout is `Duration::MAX`.
 //!
 //! There is one lock — [`AbstractLock`], a lock word held in
-//! [`Mode::Shared`] or [`Mode::Exclusive`] — and one table of them,
-//! [`KeyLockMap`], whose slot for key `x` is the paper's `LockKey(x)`
-//! (Fig. 3). Each boosted type states its *conflict abstraction* once,
-//! as one function from a call to the lock word it takes and the mode
-//! it takes it in (Proust, arXiv 1702.04866), and every transactional
-//! method acquires through that function. The paper's disciplines are
-//! rows of those tables:
+//! [`Mode::Shared`] or [`Mode::Exclusive`] — owned alone
+//! ([`ObjectLock`]) or in one table ([`KeyLockMap`], whose slot for key
+//! `x` is the paper's `LockKey(x)`, Fig. 3). Each boosted type states
+//! its *conflict abstraction* once, as one function from a call to the
+//! lock word it takes and the mode it takes it in (Proust, arXiv
+//! 1702.04866), and every transactional method acquires through that
+//! function. The paper's disciplines are rows of those tables:
 //!
 //! | Discipline | Paper analogue | Table |
 //! |---|---|---|
@@ -31,11 +31,10 @@
 //! | readers-writer | the heap (Fig. 5) | `add` → the object's word, shared; `removeMin` → the same word, exclusive |
 //! | single lock | the coarse baselines (Figs. 9, 10, 11) | every call → the object's word, exclusive |
 //!
-//! The choice of discipline is an engineering trade-off the paper
-//! discusses under Rule 2: a maximally precise discipline may cost more
-//! to evaluate than it saves; an overly conservative one (a single
-//! lock) serializes commuting calls. Figure 10's experiment quantifies
-//! exactly this trade-off and is reproduced in `txboost-bench`.
+//! A transaction holds the words it took as `&'static AbstractLock`: no
+//! table of words is ever freed, and one is reused only once every word
+//! in it is free. Figure 10 (`txboost-bench`) measures the discipline
+//! trade-off the paper discusses under Rule 2.
 
 mod abstract_lock;
 mod deadline;
@@ -43,4 +42,4 @@ mod keymap;
 
 pub use abstract_lock::{AbstractLock, Mode};
 pub use deadline::Deadline;
-pub use keymap::KeyLockMap;
+pub use keymap::{KeyLockMap, ObjectLock};

@@ -175,7 +175,7 @@ pub struct Txn {
     /// `Some` for read-only snapshot transactions: the registered
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard<'static>>,
-    held_locks: RefCell<InlineVec<Arc<AbstractLock>, LOCKS_INLINE>>,
+    held_locks: RefCell<InlineVec<&'static AbstractLock, LOCKS_INLINE>>,
     lock_timeout: Duration,
     /// This attempt's blocked lock acquires and the time they took in
     /// all. Written only by an acquire that had to wait; the manager
@@ -369,7 +369,7 @@ impl Txn {
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
-    pub(crate) fn register_held_lock(&self, lock: Arc<AbstractLock>) {
+    pub(crate) fn register_held_lock(&self, lock: &'static AbstractLock) {
         self.assert_active("register_held_lock");
         self.held_locks.borrow_mut().push(lock);
     }
@@ -384,11 +384,11 @@ impl Txn {
     /// Whether `lock` is on this transaction's held list. A lock word in
     /// shared mode counts its holders without naming them, so this list
     /// is how a transaction recognises its own shared hold.
-    pub(crate) fn holds_lock(&self, lock: &Arc<AbstractLock>) -> bool {
+    pub(crate) fn holds_lock(&self, lock: &AbstractLock) -> bool {
         self.held_locks
             .borrow()
             .iter()
-            .any(|held| Arc::ptr_eq(held, lock))
+            .any(|held| std::ptr::eq(*held, lock))
     }
 
     fn assert_active(&self, op: &str) {
@@ -874,8 +874,8 @@ mod tests {
     #[test]
     fn a_panicking_version_install_still_releases_locks() {
         let tm = TxnManager::default();
-        let lock = Arc::new(AbstractLock::new());
-        let txn = tm.begin();
+        let owner = crate::locks::ObjectLock::new();
+        let (lock, txn) = (owner.word(), tm.begin());
         lock.acquire(&txn, crate::locks::Mode::Exclusive).unwrap();
         txn.log_effect((), |()| {}, |(), _| panic!("install failed"));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tm.commit(txn)));

@@ -13,7 +13,6 @@
 //! change that makes a table finer lowers its ceiling with it.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use txboost_collections::{
     BoostedCounter, BoostedListSet, BoostedPQueue, BoostedRbTreeSet, BoostedSkipListSet,
     CounterCall, PQueueCall, SetCall,
@@ -23,10 +22,10 @@ use txboost_model::spec::{CounterOp, PQueueOp, PQueueResp, SetOp};
 use txboost_model::{calls_commute, Call, CounterSpec, PQueueSpec, SequentialSpec, SetSpec};
 
 /// One row of a conflict table: a lock word and the mode it is taken in.
-type Request<'o> = (&'o Arc<AbstractLock>, Mode);
+type Request<'o> = (&'o AbstractLock, Mode);
 
 fn conflicting(a: Request<'_>, b: Request<'_>) -> bool {
-    Arc::ptr_eq(a.0, b.0) && !(a.1 == Mode::Shared && b.1 == Mode::Shared)
+    std::ptr::eq(a.0, b.0) && !(a.1 == Mode::Shared && b.1 == Mode::Shared)
 }
 
 /// Every ordered pair of `calls`: if it does not commute over `states`,

@@ -552,13 +552,13 @@ fn acquire_footprint(txn: &Txn, ops: &[ScriptOp], objects: Resolved<'_>) -> TxRe
     // By address, and at one address `Exclusive` first: the first entry
     // of each word carries its strongest mode.
     entries.sort_unstable_by_key(|entry| {
-        entry.map(|(lock, mode)| (Arc::as_ptr(lock), mode == LockMode::Shared))
+        entry.map(|(lock, mode)| (std::ptr::from_ref(lock), mode == LockMode::Shared))
     });
     let mut taken = None;
     for &(lock, mode) in entries.iter().flatten() {
-        if taken != Some(Arc::as_ptr(lock)) {
+        if taken != Some(std::ptr::from_ref(lock)) {
             lock.acquire(txn, mode)?;
-            taken = Some(Arc::as_ptr(lock));
+            taken = Some(std::ptr::from_ref(lock));
         }
     }
     Ok(())
@@ -567,7 +567,7 @@ fn acquire_footprint(txn: &Txn, ops: &[ScriptOp], objects: Resolved<'_>) -> TxRe
 /// The lock word `op` takes and its mode, from its object's conflict
 /// table; `None` for the ops that take no abstract lock (the
 /// semaphore's, the id generator's, `DebugAbort`).
-fn conflict<'s>(op: &Op, objects: Resolved<'s>) -> Option<(&'s Arc<AbstractLock>, LockMode)> {
+fn conflict(op: &Op, objects: Resolved<'_>) -> Option<(&'static AbstractLock, LockMode)> {
     Some(match op {
         Op::MapInsert { obj, key, .. } => objects.map(obj).conflict(MapCall::Put(key)),
         Op::MapRemove { obj, key } => objects.map(obj).conflict(MapCall::Remove(key)),

@@ -80,7 +80,7 @@ fn abort_storm_leaves_all_objects_consistent() {
         for th in 0..8u64 {
             let tm = Arc::clone(&tm);
             let map = Arc::clone(&map);
-            let counter = counter.clone();
+            let counter = &counter;
             handles.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(th);
                 let mut net: i64 = 0;

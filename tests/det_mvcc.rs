@@ -752,7 +752,7 @@ fn arming_races_writers(seed: u64, staged: &[det::Mutation]) -> Result<(), Strin
                 if both {
                     footprint.push(armed.conflict(MapCall::Put(&0)).0);
                 }
-                footprint.sort_by_key(|lock| Arc::as_ptr(lock));
+                footprint.sort_by_key(|lock| std::ptr::from_ref(*lock));
                 for lock in footprint {
                     lock.acquire(t, Mode::Exclusive)?;
                 }

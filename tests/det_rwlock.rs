@@ -17,10 +17,9 @@
 //! any reader's departure, "writer saw readers" does.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use transactional_boosting::prelude::*;
-use txboost_core::locks::{AbstractLock, Mode};
+use txboost_core::locks::{Mode, ObjectLock};
 use txboost_sched::core_det as det;
 
 /// Yield (without advancing virtual time) until `cond` holds — the
@@ -79,7 +78,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
     // and then all three in mixed rounds, check exclusion from inside.
     struct W {
         tm: TxnManager,
-        lock: Arc<AbstractLock>,
+        lock: ObjectLock,
         inside: Inside,
         met: AtomicBool,
         reader_timeouts: AtomicU64,
@@ -89,7 +88,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
         3,
         || W {
             tm: TxnManager::default(),
-            lock: Arc::default(),
+            lock: ObjectLock::new(),
             inside: Inside::default(),
             met: AtomicBool::new(false),
             reader_timeouts: AtomicU64::new(0),
@@ -97,7 +96,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
         |w, tid| {
             if tid < 2 {
                 w.tm.run(|t| {
-                    if let Err(abort) = w.lock.acquire(t, Mode::Shared) {
+                    if let Err(abort) = w.lock.word().acquire(t, Mode::Shared) {
                         // Only thread 2 holding exclusive can cause this.
                         w.reader_timeouts.fetch_add(1, Ordering::Relaxed);
                         return Err(abort);
@@ -116,18 +115,18 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
             for round in 0..4 {
                 w.tm.run(|t| {
                     if (tid + round) % 3 == 2 {
-                        w.lock.acquire(t, Mode::Exclusive)?;
+                        w.lock.word().acquire(t, Mode::Exclusive)?;
                         w.inside.as_writer(|| yields(2));
                     } else {
-                        w.lock.acquire(t, Mode::Shared)?;
+                        w.lock.word().acquire(t, Mode::Shared)?;
                         w.inside.as_reader(|| yields(2));
                         if round == 3 {
                             // Write implies read, and the other way round
                             // is an upgrade: same lock, still held once.
-                            w.lock.acquire(t, Mode::Exclusive)?;
+                            w.lock.word().acquire(t, Mode::Exclusive)?;
                             assert_eq!(t.held_lock_count(), 1);
                             w.inside.as_writer(|| yields(1));
-                            w.lock.acquire(t, Mode::Shared)?;
+                            w.lock.word().acquire(t, Mode::Shared)?;
                         }
                     }
                     Ok(())
@@ -142,7 +141,7 @@ fn shared_holders_overlap_and_an_exclusive_holder_excludes_both_modes_on_every_s
             );
             assert_eq!(w.reader_timeouts.load(Ordering::Relaxed), 0);
             assert_eq!(w.tm.stats().snapshot().committed, 2 + 3 * 4);
-            assert_eq!(w.lock.holders(), (None, 0));
+            assert_eq!(w.lock.word().holders(), (None, 0));
         },
     );
 }
@@ -156,7 +155,7 @@ fn two_upgraders_resolve_by_exactly_one_timeout_and_the_survivor_upgrades() {
     // its shared hold, and thread 1 must then upgrade without aborting.
     struct W {
         tm: [TxnManager; 2],
-        lock: Arc<AbstractLock>,
+        lock: ObjectLock,
         shared: AtomicU64,
         upgrades: AtomicU64,
     }
@@ -174,17 +173,17 @@ fn two_upgraders_resolve_by_exactly_one_timeout_and_the_survivor_upgrades() {
                     ..TxnConfig::default()
                 }),
             ],
-            lock: Arc::default(),
+            lock: ObjectLock::new(),
             shared: AtomicU64::new(0),
             upgrades: AtomicU64::new(0),
         },
         |w, tid| {
             let upgrade = |t: &Txn| {
-                w.lock.acquire(t, Mode::Shared)?;
+                w.lock.word().acquire(t, Mode::Shared)?;
                 w.shared.fetch_add(1, Ordering::SeqCst);
                 spin_until(|| w.shared.load(Ordering::SeqCst) >= 2);
-                w.lock.acquire(t, Mode::Exclusive)?;
-                assert_eq!(w.lock.holders(), (Some(t.id()), 0));
+                w.lock.word().acquire(t, Mode::Exclusive)?;
+                assert_eq!(w.lock.word().holders(), (Some(t.id()), 0));
                 assert_eq!(t.held_lock_count(), 1, "an upgrade is not a second hold");
                 w.upgrades.fetch_add(1, Ordering::SeqCst);
                 Ok(())
@@ -208,7 +207,7 @@ fn two_upgraders_resolve_by_exactly_one_timeout_and_the_survivor_upgrades() {
             assert_eq!((loser.lock_timeouts, loser.committed), (1, 1));
             assert_eq!((survivor.aborted, survivor.committed), (0, 1));
             assert_eq!(w.upgrades.load(Ordering::SeqCst), 2);
-            assert_eq!(w.lock.holders(), (None, 0));
+            assert_eq!(w.lock.word().holders(), (None, 0));
         },
     );
 }
@@ -223,7 +222,7 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
     struct W {
         tm: TxnManager,
         writer_tm: TxnManager,
-        lock: Arc<AbstractLock>,
+        lock: ObjectLock,
         inside: Inside,
         asking: AtomicBool,
     }
@@ -236,14 +235,14 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
                 max_retries: Some(0),
                 ..TxnConfig::default()
             }),
-            lock: Arc::default(),
+            lock: ObjectLock::new(),
             inside: Inside::default(),
             asking: AtomicBool::new(false),
         },
         |w, tid| {
             if tid < 2 {
                 w.tm.run(|t| {
-                    w.lock.acquire(t, Mode::Shared)?;
+                    w.lock.word().acquire(t, Mode::Shared)?;
                     w.inside.as_reader(|| {
                         spin_until(|| w.asking.load(Ordering::SeqCst));
                         yields(3 + 7 * tid);
@@ -256,7 +255,7 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
                 w.asking.store(true, Ordering::SeqCst);
                 w.writer_tm
                     .run(|t| {
-                        w.lock.acquire(t, Mode::Exclusive)?;
+                        w.lock.word().acquire(t, Mode::Exclusive)?;
                         w.inside.as_writer(|| yields(1));
                         Ok(())
                     })
@@ -267,7 +266,7 @@ fn a_blocked_writer_gets_the_lock_from_the_last_departing_reader() {
             assert_eq!(w.tm.stats().snapshot().committed, 2);
             let writer = w.writer_tm.stats().snapshot();
             assert_eq!((writer.committed, writer.aborted), (1, 0));
-            assert_eq!(w.lock.holders(), (None, 0));
+            assert_eq!(w.lock.word().holders(), (None, 0));
         },
     );
 }

@@ -10,7 +10,7 @@ use std::path::Path;
 
 /// Each doc, its cap, and the target the cap comes down to.
 const CAPS: [(&str, usize, usize); 2] =
-    [("DESIGN.md", 1_630, 1_000), ("EXPERIMENTS.md", 634, 1_200)];
+    [("DESIGN.md", 1_630, 1_000), ("EXPERIMENTS.md", 633, 1_200)];
 
 #[test]
 fn the_docs_stay_within_their_caps() {

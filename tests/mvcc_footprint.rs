@@ -13,13 +13,12 @@
 //! is given back by the first install after its guard drops. A map's
 //! store holds versions only once a snapshot has read the map: until
 //! then it holds no heap block, however many keys are written. The
-//! same allocator pins the lock table's claim: its memory is bounded by
-//! its slot count, not by the keys ever locked.
+//! same allocator pins the lock table's claims: its memory is bounded by
+//! its slot count, not by the keys ever locked, and arming allocates none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use transactional_boosting::core::locks::KeyLockMap;
 use transactional_boosting::core::{MvccDomain, VersionStore};
 use transactional_boosting::linearizable::StripedHashMap;
 use transactional_boosting::prelude::*;
@@ -168,15 +167,13 @@ fn an_unpinned_store_is_flat_blockless_and_allocation_free() {
 #[test]
 fn a_map_nobody_snapshot_reads_keeps_no_versions() {
     // The store test's keys and flips, through a map no snapshot has
-    // read: every heap block the map gains is its base's or a lock
-    // slot's, and the flips allocate nothing at all.
+    // read: every heap block the map gains is its base's, and the flips
+    // allocate nothing at all.
     const KEYS: i64 = 65_536;
     const FLIPS: i64 = 100_000;
     let tm = TxnManager::default();
     tm.run(|_| Ok(())).unwrap(); // one-time per-thread state
     let mut even_holds = vec![false; (KEYS / 2) as usize];
-    let slots = KeyLockMap::<i64>::new();
-    let slots: std::collections::HashSet<usize> = (0..KEYS).map(|k| slots.slot_of(&k)).collect();
     // The base alone: the same bindings in a bare striped map.
     let bare = StripedHashMap::new();
     let empty = Heap::now();
@@ -213,7 +210,7 @@ fn a_map_nobody_snapshot_reads_keeps_no_versions() {
         .unwrap();
     }
     let flipped = Heap::now();
-    let store_blocks = sized.blocks - empty.blocks - bare_blocks - slots.len() as isize;
+    let store_blocks = sized.blocks - empty.blocks - bare_blocks;
     println!(
         "{KEYS} keys, {FLIPS} flips, no snapshot read: {store_blocks} version-store blocks, \
          {} allocations over the flips",
@@ -230,6 +227,15 @@ fn a_map_nobody_snapshot_reads_keeps_no_versions() {
         0,
         "net growth over {FLIPS} flips"
     );
+}
+
+#[test]
+fn arming_a_map_never_used_allocates_nothing() {
+    // Its lock table is one array of words, taken whole with the map.
+    let map = BoostedHashMap::<i64, i64>::new();
+    let before = Heap::now();
+    assert!(map.arm(std::time::Duration::MAX).is_ok());
+    assert_eq!(Heap::now().calls - before.calls, 0, "allocations arming");
 }
 
 #[test]
