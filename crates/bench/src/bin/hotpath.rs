@@ -38,6 +38,10 @@
 //! * the `exec_contended` transfer script through the server's executor
 //!   allocates exactly once (its `results` vector); the same script on
 //!   two threads over disjoint objects is reported beside it, ungated;
+//! * the workload's queue script (`pq_remove_min` + `pq_add` over 1,024
+//!   keys) costs at most 1.5 transfer scripts, timed in the same passes,
+//!   and allocates its results vector and the added key's holder; the
+//!   same two calls as a library transaction allocate only the holder;
 //! * the executor's accounting costs less than the transaction it
 //!   accounts for: a four-lookup snapshot script through
 //!   `Executor::execute_read_only` costs at most twice the same four
@@ -63,7 +67,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_client::ScriptBuilder;
-use txboost_collections::{BoostedCounter, BoostedHashMap, MapCall};
+use txboost_collections::{BoostedCounter, BoostedHashMap, BoostedPQueue, MapCall};
 use txboost_core::locks::{KeyLockMap, Mode, ObjectLock};
 use txboost_core::{Txn, TxnConfig, TxnManager};
 use txboost_server::Executor;
@@ -600,13 +604,65 @@ fn time_transfers(exec: &Executor, there_and_back: &[Vec<ScriptOp>; 2], iters: u
     start.elapsed()
 }
 
-/// The transfer script on one thread.
-fn bench_exec_transfer3(iters: u64) -> Measurement {
+/// Keys the queue rows hold, as `exec_contended`'s queue is seeded.
+const PQ_KEYS: i64 = 1024;
+
+/// The `i`th key a queue row adds: scattered over `0..2^30`, like the
+/// benchmark's random keys, so an add lands anywhere in the heap.
+fn pq_key(i: u64) -> i64 {
+    (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 34) as i64
+}
+
+/// The transfer script, and the queue's two-op cycle (`remove_min`
+/// then `add`, over `PQ_KEYS` keys) as a library transaction and as the
+/// `exec_contended` script through the executor, in one round: the
+/// queue rows are priced against the transfer in the same passes.
+fn bench_exec_transfer3_and_pq(iters: u64) -> [Measurement; 3] {
     let exec = seeded_executor(1);
     let there_and_back = transfer_scripts("accounts", "moves");
-    measure("executor transfer 3-op script", iters, iters, || {
-        time_transfers(&exec, &there_and_back, iters)
-    })
+    let tm = TxnManager::default();
+    let q = BoostedPQueue::new();
+    tm.run(|t| (0..PQ_KEYS).try_for_each(|k| q.add(t, k)))
+        .unwrap();
+    let seed_q = (0..PQ_KEYS).fold(ScriptBuilder::new(), |s, k| s.pq_add("q", k));
+    assert_eq!(
+        exec.execute(&seed_q.build()).status,
+        ScriptStatus::Committed
+    );
+    let cycles: Vec<_> = (0..PQ_KEYS as u64)
+        .map(|i| {
+            ScriptBuilder::new()
+                .pq_remove_min("q")
+                .pq_add("q", pq_key(i))
+                .build()
+        })
+        .collect();
+    let mut next_key = 0u64;
+    measure_together([
+        ("executor transfer 3-op script", iters, iters, &mut || {
+            time_transfers(&exec, &there_and_back, iters)
+        }),
+        ("pq remove_min+add 2-op txn", iters, iters, &mut || {
+            let start = Instant::now();
+            for _ in 0..iters {
+                next_key += 1;
+                tm.run(|t| {
+                    q.remove_min(t)?;
+                    q.add(t, pq_key(next_key))
+                })
+                .unwrap();
+            }
+            start.elapsed()
+        }),
+        ("executor pq cycle 2-op script", iters, iters, &mut || {
+            let start = Instant::now();
+            for script in cycles.iter().cycle().take(iters as usize) {
+                let out = exec.execute(script);
+                assert_eq!(out.status, ScriptStatus::Committed);
+            }
+            start.elapsed()
+        }),
+    ])
 }
 
 /// The transfer script on two threads sharing one executor, each over a
@@ -673,7 +729,7 @@ fn main() {
         iters,
         snapshot4_pass(262_144, iters),
     );
-    let exec_transfer3 = bench_exec_transfer3(iters);
+    let [exec_transfer3, pq2, exec_pq2] = bench_exec_transfer3_and_pq(iters);
     let exec_transfer3_x2 = bench_exec_transfer3_x2(iters);
     let [snapshot4_small, exec_rscan4] = measure_together([
         (
@@ -713,6 +769,8 @@ fn main() {
         &snapshot4,
         &exec_transfer3,
         &exec_transfer3_x2,
+        &pq2,
+        &exec_pq2,
         &exec_rscan4,
         &exec_rscan4_wide,
     ];
@@ -752,9 +810,23 @@ fn main() {
         exec_rscan4.ns_per_op,
         snapshot4_small.ns_per_op
     );
+    assert!(
+        exec_pq2.ns_per_op <= 1.5 * exec_transfer3.ns_per_op,
+        "an executor pq cycle script ({:.1} ns) must stay within 1.5x of the transfer script ({:.1} ns)",
+        exec_pq2.ns_per_op,
+        exec_transfer3.ns_per_op
+    );
     assert_eq!(
         exec_transfer3.allocs_per_txn, 1,
         "an executor transfer script allocates its results vector and nothing else"
+    );
+    assert_eq!(
+        pq2.allocs_per_txn, 1,
+        "a pq remove_min+add transaction allocates the added key's holder and nothing else"
+    );
+    assert_eq!(
+        exec_pq2.allocs_per_txn, 2,
+        "an executor pq cycle script allocates its results vector and one holder"
     );
     assert_eq!(
         first.allocs_per_txn, 0,
@@ -784,8 +856,9 @@ fn main() {
     println!(
         "invariants: reacquire < first-acquire; first-acquire independent of the key universe; \
          shared-acquire <= 2x first-acquire; empty-txn <= 3x first-acquire; executor rscan4 <= 2x \
-         snapshot scan4; 8-lock txn, counter-add txn, map 3-op txns and 4-lookup snapshot \
-         allocation-free; executor transfer script 1 alloc"
+         snapshot scan4; executor pq cycle <= 1.5x executor transfer; 8-lock txn, counter-add \
+         txn, map 3-op txns and 4-lookup snapshot allocation-free; executor transfer script 1 \
+         alloc, pq 2-op txn 1, executor pq cycle 2"
     );
 
     if let Some(dir) = args.out_dir {
@@ -816,6 +889,8 @@ fn main() {
                 "executor_transfer3_2threads_ns",
                 format!("{:.1}", exec_transfer3_x2.ns_per_op),
             )
+            .meta("pq_txn2_ns", format!("{:.1}", pq2.ns_per_op))
+            .meta("executor_pq_cycle_ns", format!("{:.1}", exec_pq2.ns_per_op))
             .meta(
                 "executor_rscan4_ns",
                 format!("{:.1}", exec_rscan4.ns_per_op),
@@ -846,6 +921,11 @@ fn main() {
             .meta(
                 "allocs_per_script_transfer3",
                 exec_transfer3.allocs_per_txn.to_string(),
+            )
+            .meta("allocs_per_txn_pq2", pq2.allocs_per_txn.to_string())
+            .meta(
+                "allocs_per_script_pq_cycle",
+                exec_pq2.allocs_per_txn.to_string(),
             )
             .meta(
                 "allocs_per_txn_log_inline",

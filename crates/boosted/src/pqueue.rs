@@ -1,10 +1,11 @@
 //! The boosted priority queue — Figure 5 of the paper.
 //!
-//! Base object: the Hunt-style fine-grained concurrent heap. Abstract
+//! Base object: a linearizable binary heap behind one mutex. Abstract
 //! locks: one two-phase lock word used as a readers-writer lock;
 //! `add` calls commute with each other and acquire it **shared**
-//! (relying on the heap's own thread-level synchronization for their
-//! interleaving), while `remove_min` acquires it **exclusive**.
+//! (relying on the heap's own thread-level synchronization, one short
+//! critical section per call, for their interleaving), while
+//! `remove_min` acquires it **exclusive**.
 //!
 //! Because most heaps provide no inverse for `add`, the paper
 //! synthesizes one with a `Holder`: instead of the key itself, the heap

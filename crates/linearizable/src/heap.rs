@@ -1,84 +1,40 @@
-//! A fine-grained concurrent binary min-heap.
+//! A linearizable binary min-heap: one mutex around a sequential heap.
 //!
-//! The Rust stand-in for the paper's base priority queue — "a
-//! linearizable heap implementation due to Hunt" with fine-grained
-//! locks, where `removeMin` removes the root and re-balances while
-//! `add` places the value at a leaf and percolates up (Section 3.2).
+//! The base object of the paper's boosted priority queue (Fig. 5).
+//! The paper uses "a linearizable heap implementation due to Hunt";
+//! boosting needs only the word *linearizable*, because it treats its
+//! base object as a black box (Theorem 5.3 assumes nothing more). Every
+//! call here takes one [`parking_lot::Mutex`] around std's
+//! [`BinaryHeap`], so each call takes effect inside its critical
+//! section, and [`ConcurrentHeap::len`] is always exact.
 //!
-//! ## Algorithm
+//! ## Why one mutex is enough
 //!
-//! The heap is a 1-based implicit binary tree of slots, each with its
-//! own mutex and a tag:
-//!
-//! * `Empty` — past the end of the heap;
-//! * `Available` — holds a settled item;
-//! * `Busy(owner)` — holds an item still percolating up on behalf of
-//!   the `add` operation identified by `owner`.
-//!
-//! `add` reserves the next leaf under a small allocation lock, tags it
-//! `Busy`, then repeatedly locks (parent, child) pairs — always in
-//! ascending index order, which rules out deadlock — swapping its item
-//! up while it beats its parent. `remove_min` waits until the root and
-//! the last slot are both `Available` (in-flight `Busy` items are moved
-//! only by their owners, never by other operations), moves the last
-//! item to the root, then percolates down hand-over-hand. A `Busy`
-//! child simply stops the downward pass: its owner re-establishes the
-//! heap order on its way up.
-//!
-//! ## Consistency contract
-//!
-//! Like Hunt's original, this heap is **quiescently consistent** rather
-//! than linearizable: a `remove_min` overlapping an `add` of a smaller
-//! item may miss that item. This is exactly the contract the boosted
-//! priority queue needs — its readers-writer abstract lock (the paper's
-//! Figure 5) runs `add`s concurrently with each other but gives
-//! `removeMin` exclusive access, so every `remove_min` executes with no
-//! in-flight `add` and observes a true minimum.
+//! The boosted queue's readers-writer abstract lock gives `removeMin`
+//! and `min` the whole queue, so the only base calls that ever overlap
+//! are `add`s from transactions holding the lock shared. Each of those
+//! is a push and a sift-up, a critical section of tens of nanoseconds:
+//! thread-level synchronization, under the transaction-level
+//! synchronization the abstract lock provides. Hunt's per-slot locks
+//! would let those `add`s percolate in parallel, but taking a lock per
+//! level costs more than the serialization it avoids.
 
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-const ROOT: usize = 1;
-const CHUNK: usize = 1024;
-const DEFAULT_MAX_CHUNKS: usize = 4096; // 4M items
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    Empty,
-    Available,
-    Busy(u64),
-}
-
-#[derive(Debug)]
-struct SlotInner<T> {
-    tag: Tag,
-    item: Option<T>,
-}
-
-type Slot<T> = Mutex<SlotInner<T>>;
-/// A lazily-allocated, immovable block of slots.
-type Chunk<T> = OnceLock<Box<[Slot<T>]>>;
-
-/// A concurrent binary min-heap with per-slot locks.
+/// A concurrent binary min-heap behind one mutex.
 ///
 /// `T`'s `Ord` is the priority order; ties break arbitrarily. See the
-/// [module docs](self) for the algorithm and the consistency contract.
+/// [module docs](self) for why one lock serves the boosted queue.
 pub struct ConcurrentHeap<T> {
-    /// Index of the next free slot (1-based); doubles as the allocation
-    /// lock serializing slot reservation and release.
-    next: Mutex<usize>,
-    /// Chunked slot directory: chunks are allocated on demand and never
-    /// move, so slot references stay valid without a directory lock.
-    chunks: Box<[Chunk<T>]>,
-    /// Owner-id source for `Busy` tags.
-    op_id: AtomicU64,
+    items: Mutex<BinaryHeap<Reverse<T>>>,
 }
 
 impl<T> std::fmt::Debug for ConcurrentHeap<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentHeap")
-            .field("len", &(*self.next.lock() - ROOT))
+            .field("len", &self.items.lock().len())
             .finish()
     }
 }
@@ -90,203 +46,32 @@ impl<T: Ord> Default for ConcurrentHeap<T> {
 }
 
 impl<T: Ord> ConcurrentHeap<T> {
-    /// An empty heap with the default maximum capacity (~4M items).
+    /// An empty heap. It grows without bound.
     pub fn new() -> Self {
-        ConcurrentHeap::with_max_chunks(DEFAULT_MAX_CHUNKS)
-    }
-
-    fn with_max_chunks(max_chunks: usize) -> Self {
         ConcurrentHeap {
-            next: Mutex::new(ROOT),
-            chunks: (0..max_chunks.max(1)).map(|_| OnceLock::new()).collect(),
-            op_id: AtomicU64::new(1),
+            items: Mutex::new(BinaryHeap::new()),
         }
     }
 
-    fn slot(&self, i: usize) -> &Slot<T> {
-        let idx = i - 1;
-        let chunk = self.chunks[idx / CHUNK]
-            .get()
-            .expect("slot accessed before its chunk was allocated");
-        &chunk[idx % CHUNK]
-    }
-
-    /// Whether slot `i`'s chunk exists (slots in unallocated chunks are
-    /// implicitly `Empty`).
-    fn slot_exists(&self, i: usize) -> bool {
-        let idx = i - 1;
-        idx / CHUNK < self.chunks.len() && self.chunks[idx / CHUNK].get().is_some()
-    }
-
-    fn ensure_chunk(&self, i: usize) {
-        let c = (i - 1) / CHUNK;
-        assert!(
-            c < self.chunks.len(),
-            "ConcurrentHeap capacity exceeded ({} slots)",
-            self.chunks.len() * CHUNK
-        );
-        self.chunks[c].get_or_init(|| {
-            (0..CHUNK)
-                .map(|_| {
-                    Mutex::new(SlotInner {
-                        tag: Tag::Empty,
-                        item: None,
-                    })
-                })
-                .collect()
-        });
-    }
-
-    /// Number of items (exact only at quiescence).
+    /// Number of items.
     pub fn len(&self) -> usize {
-        *self.next.lock() - ROOT
+        self.items.lock().len()
     }
 
-    /// Whether the heap is empty (same caveat as [`ConcurrentHeap::len`]).
+    /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Insert `item`. Runs concurrently with other `add`s; disjoint
-    /// percolation paths never contend.
+    /// Insert `item`.
     pub fn add(&self, item: T) {
-        let me = self.op_id.fetch_add(1, Ordering::Relaxed);
-        // Reserve a leaf: allocation lock → slot lock → release
-        // allocation lock. The slot is tagged Busy before its mutex is
-        // released, so observers never see a reserved-but-untagged slot.
-        let mut next = self.next.lock();
-        let leaf = *next;
-        self.ensure_chunk(leaf);
-        let mut slot = self.slot(leaf).lock();
-        *next += 1;
-        drop(next);
-        debug_assert_eq!(slot.tag, Tag::Empty);
-        slot.tag = Tag::Busy(me);
-        slot.item = Some(item);
-        drop(slot);
-
-        // Percolate up. Invariant: our Busy item sits exactly at
-        // `child` — nothing else ever moves a Busy item.
-        let mut child = leaf;
-        while child > ROOT {
-            let parent = child / 2;
-            let mut pg = self.slot(parent).lock();
-            let mut cg = self.slot(child).lock();
-            debug_assert_eq!(cg.tag, Tag::Busy(me), "Busy item moved by a non-owner");
-            match pg.tag {
-                Tag::Available => {
-                    if cg.item < pg.item {
-                        std::mem::swap(&mut pg.item, &mut cg.item);
-                        pg.tag = Tag::Busy(me);
-                        cg.tag = Tag::Available;
-                        child = parent;
-                    } else {
-                        cg.tag = Tag::Available;
-                        return;
-                    }
-                }
-                // Another add's item is passing through the parent; let
-                // it move on and retry.
-                Tag::Busy(_) => {}
-                Tag::Empty => unreachable!("occupied slot has an empty parent"),
-            }
-        }
-        // Reached the root still Busy: settle there.
-        let mut rg = self.slot(ROOT).lock();
-        debug_assert_eq!(rg.tag, Tag::Busy(me));
-        rg.tag = Tag::Available;
+        self.items.lock().push(Reverse(item));
     }
 
     /// Remove and return a minimal item, or `None` if the heap is
-    /// empty. Overlapping `remove_min`s serialize on the root handoff
-    /// but percolate down different branches concurrently.
+    /// empty.
     pub fn remove_min(&self) -> Option<T> {
-        let mut next = self.next.lock();
-        if *next == ROOT {
-            return None;
-        }
-        let bottom = *next - 1;
-        loop {
-            if bottom == ROOT {
-                let mut rg = self.slot(ROOT).lock();
-                if rg.tag == Tag::Available {
-                    let item = rg.item.take();
-                    rg.tag = Tag::Empty;
-                    *next -= 1;
-                    return item;
-                }
-                // An add is finalizing the root; let it finish.
-                drop(rg);
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut rg = self.slot(ROOT).lock();
-            let mut bg = self.slot(bottom).lock();
-            if rg.tag == Tag::Available && bg.tag == Tag::Available {
-                let min_item = rg.item.take();
-                rg.item = bg.item.take();
-                bg.tag = Tag::Empty;
-                *next -= 1;
-                drop(bg);
-                drop(next);
-                self.percolate_down(rg);
-                return min_item;
-            }
-            // The root or the last slot belongs to an in-flight add;
-            // only its owner can settle it, and the owner never needs
-            // the allocation lock we hold — so spinning here is safe.
-            drop(bg);
-            drop(rg);
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Hand-over-hand downward pass starting from a locked root.
-    fn percolate_down<'a>(&'a self, mut pg: MutexGuard<'a, SlotInner<T>>) {
-        let mut parent = ROOT;
-        loop {
-            let left = 2 * parent;
-            let right = left + 1;
-            // Lock existing children in ascending index order.
-            let lg = if self.slot_exists(left) {
-                Some(self.slot(left).lock())
-            } else {
-                None
-            };
-            let rg = if self.slot_exists(right) {
-                Some(self.slot(right).lock())
-            } else {
-                None
-            };
-            // Candidates are Available children; a Busy child's owner
-            // restores heap order on its way up, and Empty means past
-            // the end of the heap.
-            let l_ok = matches!(lg.as_ref().map(|g| g.tag), Some(Tag::Available));
-            let r_ok = matches!(rg.as_ref().map(|g| g.tag), Some(Tag::Available));
-            let pick_left = match (l_ok, r_ok) {
-                (false, false) => {
-                    return; // no settled child to compare against
-                }
-                (true, false) => true,
-                (false, true) => false,
-                (true, true) => lg.as_ref().unwrap().item <= rg.as_ref().unwrap().item,
-            };
-            let (child, mut cg) = if pick_left {
-                drop(rg);
-                (left, lg.unwrap())
-            } else {
-                drop(lg);
-                (right, rg.unwrap())
-            };
-            if cg.item < pg.item {
-                std::mem::swap(&mut pg.item, &mut cg.item);
-                drop(pg);
-                parent = child;
-                pg = cg;
-            } else {
-                return;
-            }
-        }
+        self.items.lock().pop().map(|Reverse(item)| item)
     }
 
     /// A clone of a minimal item without removing it, or `None` if
@@ -295,21 +80,7 @@ impl<T: Ord> ConcurrentHeap<T> {
     where
         T: Clone,
     {
-        let next = self.next.lock();
-        if *next == ROOT {
-            return None;
-        }
-        loop {
-            let rg = self.slot(ROOT).lock();
-            match rg.tag {
-                Tag::Available => return rg.item.clone(),
-                Tag::Busy(_) => {
-                    drop(rg);
-                    std::hint::spin_loop();
-                }
-                Tag::Empty => unreachable!("non-empty heap has an empty root"),
-            }
-        }
+        self.items.lock().peek().map(|Reverse(item)| item.clone())
     }
 }
 
@@ -317,8 +88,6 @@ impl<T: Ord> ConcurrentHeap<T> {
 mod tests {
     use super::*;
     use rand::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use std::sync::Arc;
 
     /// Everything left, popped in ascending order with `remove_min`.
@@ -488,22 +257,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity exceeded")]
-    fn exceeding_capacity_panics_cleanly() {
-        let h = ConcurrentHeap::with_max_chunks(1);
-        for i in 0..=(CHUNK as i64) {
-            h.add(i);
-        }
-    }
-
-    #[test]
     fn heap_grows_across_chunk_boundaries() {
-        let h = ConcurrentHeap::with_max_chunks(3);
-        let n = (2 * CHUNK + 10) as i64;
+        // Past two 1,024-item boundaries, drained in full.
+        let h = ConcurrentHeap::new();
+        let n = 2 * 1024 + 10;
         for i in (0..n).rev() {
             h.add(i);
         }
         assert_eq!(h.len(), n as usize);
-        assert_eq!(drain(&h), (0..n).collect::<Vec<_>>());
+        assert_eq!(drain(&h), (0..n).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn grows_past_4m_items() {
+        // One past 4,096 chunks of 1,024 slots: the heap has no cap.
+        let n: i64 = 4096 * 1024 + 1;
+        let h = ConcurrentHeap::new();
+        for i in (0..n).rev() {
+            h.add(i);
+        }
+        assert_eq!(h.len(), n as usize);
+        for want in 0..3 {
+            assert_eq!(h.remove_min(), Some(want));
+        }
+        assert_eq!(h.len(), n as usize - 3);
     }
 }

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`skiplist`] | lazy skip-list set: per-node locks, lock-free `contains` | `ConcurrentSkipListSet` (Fig. 2) |
 //! | [`striped_map`] | lock-striped hash map, the boosted map's base | `ConcurrentHashMap` |
-//! | [`heap`] | Hunt-style fine-grained concurrent binary heap | the "concurrent heap implementation due to Hunt" (Fig. 5) |
+//! | [`heap`] | binary min-heap behind one mutex (linearizable) | the "concurrent heap implementation due to Hunt" (Fig. 5) |
 //! | [`deque`] | bounded double-ended queue (mutex); never blocks | `LinkedBlockingDeque` (Fig. 7) |
 //! | [`rbtree`] | red-black tree algorithm over a node store, its sequential set + coarse-locked wrapper | the sequential red-black tree of Section 4.1 |
 //! | [`list`] | lock-coupling sorted linked list | the lock-coupling list of Section 1 |

@@ -173,8 +173,15 @@ def rows(path):
                     continue
                 row = dict(zip(header, cells))
                 col = "committed" if "committed" in row else "ops/s"
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    # Not a row: the next run's banner, as wide as the
+                    # header, ends the table.
+                    title = header = None
+                    continue
                 name = row["impl"] + (f" x{row['threads']}" if "threads" in row else "")
-                out.setdefault(title, {}).setdefault(f"{name} ({col})", []).append(float(row[col]))
+                out.setdefault(title, {}).setdefault(f"{name} ({col})", []).append(value)
     return out
 
 base, change = rows(sys.argv[1]), rows(sys.argv[2])
@@ -203,8 +210,9 @@ def rows(path):
 
 base, change = rows(sys.argv[1]), rows(sys.argv[2])
 print(f"{'ns/op, median [min, max]':48} {'base':>24} {'change':>24}")
-for name, a in base.items():
-    b = change.get(name, [])
+# Rows only one side has (one a change adds, say) are listed too.
+for name in [*base, *(n for n in change if n not in base)]:
+    a, b = base.get(name, []), change.get(name, [])
     cell = lambda xs: f"{statistics.median(xs):.1f} [{min(xs):.1f}, {max(xs):.1f}]" if xs else "-"
     print(f"{name:48} {cell(a):>24} {cell(b):>24}")
 EOF

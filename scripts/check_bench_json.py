@@ -59,15 +59,21 @@ BASELINES = {
             "snapshot scan4 @262144 keys",
             "executor transfer 3-op script",
             "executor transfer x2 threads, disjoint keys",
+            "pq remove_min+add 2-op txn",
+            "executor pq cycle 2-op script",
             "executor rscan4 script",
             "executor rscan4 script @262144 keys",
         ],
         # Allocations per transaction: the executor's transfer script
-        # allocates its results vector; an 8-lock, a one-add counter, a
-        # 3-op map (never read, and versioned) and a 4-lookup snapshot
+        # allocates its results vector; the queue's remove_min+add
+        # allocates the added key's holder, and through the executor
+        # its results vector too; an 8-lock, a one-add counter, a 3-op
+        # map (never read, and versioned) and a 4-lookup snapshot
         # transaction, and inline undo pushes, allocate nothing.
         "meta": {
             "allocs_per_script_transfer3": "1",
+            "allocs_per_txn_pq2": "1",
+            "allocs_per_script_pq_cycle": "2",
             "allocs_per_txn_lock8": "0",
             "allocs_per_txn_counter_add": "0",
             "allocs_per_txn_map3": "0",
@@ -82,13 +88,16 @@ BASELINES = {
         # universe (the lock table is a fixed slot array); a shared
         # acquire costs at most two exclusive ones, an empty transaction
         # three; the executor's accounting costs less than the snapshot
-        # transaction it accounts for.
+        # transaction it accounts for; the queue's two-op script costs
+        # at most one and a half three-op transfers (its base heap is
+        # one short critical section per call).
         "meta_ratios": (
             ("reacquire_ns", "<", 1.0, "first_acquire_ns"),
             ("first_acquire_262144_ns", "<=", 2.0, "first_acquire_ns"),
             ("shared_acquire_ns", "<=", 2.0, "first_acquire_ns"),
             ("empty_txn_ns", "<=", 3.0, "first_acquire_ns"),
             ("executor_rscan4_ns", "<=", 2.0, "snapshot4_1024_ns"),
+            ("executor_pq_cycle_ns", "<=", 1.5, "executor_transfer3_ns"),
         ),
     },
 }
