@@ -7,10 +7,19 @@
 //! locks; `add` and `remove` lock only the handful of predecessor nodes
 //! they relink, so operations on disjoint keys proceed fully in
 //! parallel. Logical deletion (a `marked` flag) precedes physical
-//! unlinking, and unlinked nodes are reclaimed with epoch-based memory
-//! management (`crossbeam::epoch`), playing the role of the JVM's
-//! garbage collector. A node holds its key and one lock, which guards
-//! the node's links.
+//! unlinking. A node holds its key and one lock, which guards the
+//! node's links.
+//!
+//! The set reclaims its own nodes, playing the role of the JVM's
+//! garbage collector. Every operation pins the set for its duration (a
+//! count of live pins), and a remover puts the node it unlinked on the
+//! set's retired list. The unpin that brings the count to zero frees
+//! that list: at that instant no operation holds a reference into the
+//! set, and a later one starts at the head, from which no retired node
+//! is reachable. Pins are per set, so a reader of one set never holds
+//! back another's garbage; only a set whose operations overlap without
+//! a break keeps its retired nodes until they do. `Drop` frees the
+//! rest.
 //!
 //! Linearization points:
 //! * `add` of an absent key — setting `fully_linked` after the node is
@@ -20,11 +29,13 @@
 //!   instant the traversal observed the relevant node (or its absence).
 
 use crate::LinearizableSet;
-use crossbeam::epoch::{self, Atomic, Guard, Owned, Shared};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::marker::PhantomData;
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Tallest tower; supports ~2^32 elements with good expected search
 /// cost, which is far beyond anything the benchmarks construct.
@@ -48,6 +59,10 @@ impl<K: Ord> Key<K> {
     }
 }
 
+/// A link holds null (the tail's) or the pointer `Box::into_raw` gave
+/// for its node, and a node is freed only through that pointer.
+type Link<K> = AtomicPtr<Node<K>>;
+
 struct Node<K> {
     key: Key<K>,
     /// Highest level this node occupies; `next.len() == top_level + 1`.
@@ -60,7 +75,7 @@ struct Node<K> {
     /// present key spins on this so it never reports a half-linked
     /// node as present.
     fully_linked: AtomicBool,
-    next: Vec<Atomic<Node<K>>>,
+    next: Vec<Link<K>>,
 }
 
 impl<K> Node<K> {
@@ -71,7 +86,9 @@ impl<K> Node<K> {
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(fully_linked),
-            next: (0..=top_level).map(|_| Atomic::null()).collect(),
+            next: (0..=top_level)
+                .map(|_| AtomicPtr::new(ptr::null_mut()))
+                .collect(),
         }
     }
 }
@@ -87,7 +104,7 @@ fn random_level() -> usize {
         let mut x = c.get();
         if x == 0 {
             // Seed from the TLS slot's address, unique per thread.
-            x = (std::ptr::from_ref(c) as u64) | 0x9E37_79B9_7F4A_7C15;
+            x = (ptr::from_ref(c) as u64) | 0x9E37_79B9_7F4A_7C15;
         }
         x ^= x << 13;
         x ^= x >> 7;
@@ -104,9 +121,34 @@ fn random_level() -> usize {
 /// and `contains`, each returning whether the abstract set changed /
 /// holds the key — the booleans the boosted wrapper uses to select
 /// inverses.
+///
+/// Every thread that reaches a node shares its key, so the set is
+/// `Send` and `Sync` only when `K` is both:
+///
+/// ```compile_fail
+/// fn sync<T: Sync>() {}
+/// sync::<txboost_linearizable::LazySkipListSet<std::rc::Rc<i64>>>();
+/// ```
 pub struct LazySkipListSet<K> {
-    head: Atomic<Node<K>>,
+    /// The `NegInf` sentinel. No link points to it, so it lives inline.
+    head: Node<K>,
+    /// Operations in progress (see [`Pin`]).
+    pins: AtomicUsize,
+    /// Unlinked nodes, each as the pointer its links held, waiting for
+    /// `pins` to reach zero. (`AtomicPtr` only because a raw pointer
+    /// is not `Send`.)
+    retired: Mutex<Vec<Link<K>>>,
+    /// `retired` may be non-empty: spares an unpin the lock otherwise.
+    has_retired: AtomicBool,
+    /// Links are `AtomicPtr`s, which are `Send + Sync` whatever they
+    /// point to; this restores the bounds of owning shared `K`s.
+    _keys: PhantomData<Arc<K>>,
 }
+
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<LazySkipListSet<i64>>();
+};
 
 impl<K> std::fmt::Debug for LazySkipListSet<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -120,48 +162,71 @@ impl<K: Ord> Default for LazySkipListSet<K> {
     }
 }
 
-impl<K: Ord> LazySkipListSet<K> {
-    /// An empty set.
-    pub fn new() -> Self {
-        // SAFETY: the set is still under construction and visible to no
-        // other thread, so an unpinned (unprotected) guard cannot race
-        // with epoch reclamation.
-        let init_guard = unsafe { epoch::unprotected() };
-        let tail = Owned::new(Node::new(Key::PosInf, MAX_LEVEL - 1, true)).into_shared(init_guard);
-        let head = Node::new(Key::NegInf, MAX_LEVEL - 1, true);
-        for lvl in 0..MAX_LEVEL {
-            head.next[lvl].store(tail, Ordering::Relaxed);
-        }
-        LazySkipListSet {
-            head: Atomic::new(head),
-        }
+/// One operation's hold on its set: no retired node of the set is freed
+/// while a pin is live, so a node reached under a pin outlives it.
+struct Pin<'s, K> {
+    set: &'s LazySkipListSet<K>,
+}
+
+impl<K> Pin<'_, K> {
+    /// The node `link` points to. Every caller in this module passes a
+    /// link of the head or of a node reached under this pin, and stops
+    /// at the tail, whose links are null.
+    #[allow(clippy::unused_self)] // the borrow of `self` bounds the result
+    fn load<'p>(&'p self, link: &Link<K>) -> &'p Node<K> {
+        let node = link.load(Ordering::Acquire);
+        debug_assert!(!node.is_null(), "followed a link of the tail");
+        // SAFETY: a non-tail link holds a `Box::into_raw` pointer. A
+        // node reached from the head under this pin was linked at some
+        // instant after the pin was taken (an unlinked node's links
+        // still point at nodes that were linked when it was unlinked),
+        // so it is retired, if at all, while this pin is live, and
+        // retired nodes are freed only once `pins` reads zero, which
+        // `self` prevents for `'p`.
+        unsafe { &*node }
     }
 
+    /// Hand `node` to the set to free once no pin is live.
+    ///
+    /// # Safety
+    /// `node` is the pointer a link held, and the node is unlinked from
+    /// every level (no link of a linked node reaches it) and retired
+    /// only this once.
+    unsafe fn retire(&self, node: *mut Node<K>) {
+        let mut retired = self.set.retired.lock();
+        retired.push(AtomicPtr::new(node));
+        self.set.has_retired.store(true, Ordering::SeqCst);
+    }
+}
+
+impl<K> Drop for Pin<'_, K> {
+    fn drop(&mut self) {
+        let set = self.set;
+        if set.pins.fetch_sub(1, Ordering::SeqCst) == 1 && set.has_retired.load(Ordering::SeqCst) {
+            set.collect();
+        }
+    }
+}
+
+impl<K: Ord> Pin<'_, K> {
     /// Walk the towers, filling `preds`/`succs` per level; returns the
     /// topmost level at which a node with `key` was found.
-    fn find<'g>(
-        &self,
+    fn find<'p>(
+        &'p self,
         key: &K,
-        preds: &mut [Shared<'g, Node<K>>; MAX_LEVEL],
-        succs: &mut [Shared<'g, Node<K>>; MAX_LEVEL],
-        guard: &'g Guard,
+        preds: &mut [&'p Node<K>; MAX_LEVEL],
+        succs: &mut [&'p Node<K>; MAX_LEVEL],
     ) -> Option<usize> {
         let mut found = None;
-        let mut pred = self.head.load(Ordering::Acquire, guard);
+        let mut pred = &self.set.head;
         for lvl in (0..MAX_LEVEL).rev() {
-            // SAFETY: `pred` is the head sentinel or a node reached from
-            // it under `guard`; unlinked nodes are freed only via
-            // defer_destroy, which cannot run while `guard` is pinned.
-            let mut curr = unsafe { pred.deref() }.next[lvl].load(Ordering::Acquire, guard);
+            // The PosInf sentinel bounds every level's walk.
+            let mut curr = self.load(&pred.next[lvl]);
             loop {
-                // SAFETY: `curr` was loaded from a live node's tower
-                // under the same pinned `guard`; the PosInf sentinel
-                // bounds the walk, so it is never null.
-                let curr_ref = unsafe { curr.deref() };
-                match curr_ref.key.cmp_key(key) {
+                match curr.key.cmp_key(key) {
                     CmpOrdering::Less => {
                         pred = curr;
-                        curr = curr_ref.next[lvl].load(Ordering::Acquire, guard);
+                        curr = self.load(&curr.next[lvl]);
                     }
                     CmpOrdering::Equal => {
                         if found.is_none() {
@@ -177,32 +242,77 @@ impl<K: Ord> LazySkipListSet<K> {
         }
         found
     }
+}
+
+impl<K> LazySkipListSet<K> {
+    fn pin(&self) -> Pin<'_, K> {
+        self.pins.fetch_add(1, Ordering::SeqCst);
+        Pin { set: self }
+    }
+
+    /// Free the retired nodes if no operation is in progress.
+    fn collect(&self) {
+        let mut retired = self.retired.lock();
+        // Under the lock: a remover retires while pinned, so a node on
+        // the list either has its remover's pin counted here (whose
+        // unpin collects it) or is reachable by no live pin. A
+        // read-modify-write, not a load, so that the next pin reads its
+        // write and sees every unlink before this point.
+        if self
+            .pins
+            .compare_exchange(0, 0, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return;
+        }
+        let nodes = std::mem::take(&mut *retired);
+        self.has_retired.store(false, Ordering::SeqCst);
+        drop(retired);
+        for node in nodes {
+            // SAFETY: `retire`'s contract: `node` is the `Box::into_raw`
+            // pointer its links held, unlinked before it was retired,
+            // once. No pin is live, and a later pin cannot reach it.
+            drop(unsafe { Box::from_raw(node.into_inner()) });
+        }
+    }
+}
+
+impl<K: Ord> LazySkipListSet<K> {
+    /// An empty set.
+    pub fn new() -> Self {
+        let tail = Box::into_raw(Box::new(Node::new(Key::PosInf, MAX_LEVEL - 1, true)));
+        let head = Node::new(Key::NegInf, MAX_LEVEL - 1, true);
+        for link in &head.next {
+            link.store(tail, Ordering::Relaxed);
+        }
+        LazySkipListSet {
+            head,
+            pins: AtomicUsize::new(0),
+            retired: Mutex::new(Vec::new()),
+            has_retired: AtomicBool::new(false),
+            _keys: PhantomData,
+        }
+    }
 
     /// Lock `preds[0..=top]` (deduplicating repeats) and validate that
     /// every `pred` is unmarked and still points to `expected(lvl)` at
     /// its level. Returns the held guards on success.
     #[allow(clippy::needless_range_loop)] // symmetric indexing of preds/succs is clearer
-    fn lock_and_validate<'g>(
-        preds: &[Shared<'g, Node<K>>; MAX_LEVEL],
-        expected: impl Fn(usize) -> Shared<'g, Node<K>>,
+    fn lock_and_validate<'p>(
+        preds: &[&'p Node<K>; MAX_LEVEL],
+        expected: impl Fn(usize) -> &'p Node<K>,
         top: usize,
-        guard: &'g Guard,
-    ) -> Option<Vec<MutexGuard<'g, ()>>> {
-        let mut locks: Vec<MutexGuard<'g, ()>> = Vec::with_capacity(top + 1);
-        let mut prev: Option<Shared<'g, Node<K>>> = None;
+    ) -> Option<Vec<MutexGuard<'p, ()>>> {
+        let mut locks: Vec<MutexGuard<'p, ()>> = Vec::with_capacity(top + 1);
+        let mut prev: Option<&Node<K>> = None;
         for lvl in 0..=top {
             let pred = preds[lvl];
-            if prev != Some(pred) {
-                // SAFETY: every `preds` entry was produced by `find`
-                // under `guard` (still pinned here via the `'g` bound),
-                // so the node is not yet reclaimed.
-                locks.push(unsafe { pred.deref() }.lock.lock());
+            if !prev.is_some_and(|p| ptr::eq(p, pred)) {
+                locks.push(pred.lock.lock());
                 prev = Some(pred);
             }
-            // SAFETY: as above — same pinned `guard`, same provenance.
-            let p = unsafe { pred.deref() };
-            if p.marked.load(Ordering::Acquire)
-                || p.next[lvl].load(Ordering::Acquire, guard) != expected(lvl)
+            if pred.marked.load(Ordering::Acquire)
+                || !ptr::eq(pred.next[lvl].load(Ordering::Acquire), expected(lvl))
             {
                 return None;
             }
@@ -213,16 +323,9 @@ impl<K: Ord> LazySkipListSet<K> {
     /// Visit every key in the abstract set, in ascending order (a
     /// level-0 walk; exact only at quiescence).
     fn walk(&self, mut f: impl FnMut(&K)) {
-        let guard = epoch::pin();
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: the head sentinel lives as long as the set and is
-        // never unlinked or reclaimed.
-        let mut curr = unsafe { head.deref() }.next[0].load(Ordering::Acquire, &guard);
+        let pin = self.pin();
+        let mut node = pin.load(&self.head.next[0]);
         loop {
-            // SAFETY: level-0 successors read under the pinned `guard`
-            // stay live until it is dropped; PosInf terminates the walk
-            // before any null.
-            let node = unsafe { curr.deref() };
             match &node.key {
                 Key::PosInf => break,
                 Key::Value(k) => {
@@ -234,7 +337,7 @@ impl<K: Ord> LazySkipListSet<K> {
                 }
                 Key::NegInf => unreachable!("NegInf is never a successor"),
             }
-            curr = node.next[0].load(Ordering::Acquire, &guard);
+            node = pin.load(&node.next[0]);
         }
     }
 }
@@ -245,14 +348,12 @@ impl<K: Ord + Clone> LinearizableSet<K> for LazySkipListSet<K> {
     #[allow(clippy::needless_range_loop)] // symmetric indexing of preds/succs is clearer
     fn add(&self, key: K) -> bool {
         let top_level = random_level();
-        let guard = epoch::pin();
-        let mut preds = [Shared::null(); MAX_LEVEL];
-        let mut succs = [Shared::null(); MAX_LEVEL];
+        let pin = self.pin();
+        let mut preds = [&self.head; MAX_LEVEL];
+        let mut succs = [&self.head; MAX_LEVEL];
         loop {
-            if let Some(l_found) = self.find(&key, &mut preds, &mut succs, &guard) {
-                // SAFETY: `find` filled `succs` under `guard`, which is
-                // pinned for the whole loop; the node cannot be freed.
-                let node = unsafe { succs[l_found].deref() };
+            if let Some(l_found) = pin.find(&key, &mut preds, &mut succs) {
+                let node = succs[l_found];
                 if !node.marked.load(Ordering::Acquire) {
                     // Present (or about to be): wait out a concurrent
                     // inserter.
@@ -266,33 +367,27 @@ impl<K: Ord + Clone> LinearizableSet<K> for LazySkipListSet<K> {
             }
             // Validate each succ is unmarked too (an adjacent victim in
             // mid-removal invalidates the splice).
-            let locks = Self::lock_and_validate(&preds, |lvl| succs[lvl], top_level, &guard);
+            let locks = Self::lock_and_validate(&preds, |lvl| succs[lvl], top_level);
             let Some(locks) = locks else { continue };
-            let any_succ_marked = (0..=top_level).any(|lvl| {
-                // SAFETY: `succs` was filled by `find` under the still-
-                // pinned `guard`; validation holds the predecessor
-                // locks, so the successors cannot be unlinked either.
-                unsafe { succs[lvl].deref() }.marked.load(Ordering::Acquire)
-            });
-            if any_succ_marked {
+            if (0..=top_level).any(|lvl| succs[lvl].marked.load(Ordering::Acquire)) {
                 drop(locks);
                 continue;
             }
-            let node = Owned::new(Node::new(Key::Value(key), top_level, false));
+            let node = Node::new(Key::Value(key), top_level, false);
             for lvl in 0..=top_level {
-                node.next[lvl].store(succs[lvl], Ordering::Relaxed);
+                // Copy the locked pred's link, which validation found
+                // pointing at `succs[lvl]`: links keep `into_raw` pointers.
+                node.next[lvl].store(
+                    preds[lvl].next[lvl].load(Ordering::Relaxed),
+                    Ordering::Relaxed,
+                );
             }
-            let node_shared = node.into_shared(&guard);
+            let node = Box::into_raw(Box::new(node));
             for lvl in 0..=top_level {
-                // SAFETY: `preds` entries are pinned by `guard` and
-                // locked+validated above, so each is live and still the
-                // correct predecessor at this level.
-                unsafe { preds[lvl].deref() }.next[lvl].store(node_shared, Ordering::Release);
+                preds[lvl].next[lvl].store(node, Ordering::Release);
             }
-            // SAFETY: `node_shared` came from `into_shared` two lines
-            // up; the new node is owned by this thread until
-            // `fully_linked` is published.
-            unsafe { node_shared.deref() }
+            // `preds[0]` is still locked, so its level-0 link is `node`.
+            pin.load(&preds[0].next[0])
                 .fully_linked
                 .store(true, Ordering::Release);
             return true;
@@ -301,70 +396,59 @@ impl<K: Ord + Clone> LinearizableSet<K> for LazySkipListSet<K> {
 
     /// Locks the victim, then its predecessors.
     fn remove(&self, key: &K) -> bool {
-        let guard = epoch::pin();
-        let mut preds = [Shared::null(); MAX_LEVEL];
-        let mut succs = [Shared::null(); MAX_LEVEL];
-        let mut victim: Shared<'_, Node<K>> = Shared::null();
-        let mut victim_lock: Option<MutexGuard<'_, ()>> = None;
-        let mut top_level = 0usize;
+        let pin = self.pin();
+        let mut preds = [&self.head; MAX_LEVEL];
+        let mut succs = [&self.head; MAX_LEVEL];
+        let mut marked: Option<(&Node<K>, MutexGuard<'_, ()>)> = None;
         loop {
-            let l_found = self.find(key, &mut preds, &mut succs, &guard);
-            if victim_lock.is_none() {
-                // Not yet marked: decide whether the key is removable.
-                let Some(lf) = l_found else { return false };
-                let v = succs[lf];
-                // SAFETY: `find` produced `v` under `guard`, pinned for
-                // the whole call — reclamation is deferred past it.
-                let v_ref = unsafe { v.deref() };
-                if !v_ref.fully_linked.load(Ordering::Acquire)
-                    || v_ref.top_level != lf
-                    || v_ref.marked.load(Ordering::Acquire)
-                {
-                    return false;
+            let l_found = pin.find(key, &mut preds, &mut succs);
+            let victim = match &marked {
+                Some((victim, _)) => *victim,
+                None => {
+                    // Not yet marked: decide whether the key is removable.
+                    let Some(lf) = l_found else { return false };
+                    let v = succs[lf];
+                    if !v.fully_linked.load(Ordering::Acquire)
+                        || v.top_level != lf
+                        || v.marked.load(Ordering::Acquire)
+                    {
+                        return false;
+                    }
+                    let lock = v.lock.lock();
+                    if v.marked.load(Ordering::Acquire) {
+                        return false; // lost the race to another remover
+                    }
+                    v.marked.store(true, Ordering::Release); // linearization point
+                    marked = Some((v, lock));
+                    v
                 }
-                let lock = v_ref.lock.lock();
-                if v_ref.marked.load(Ordering::Acquire) {
-                    return false; // lost the race to another remover
-                }
-                v_ref.marked.store(true, Ordering::Release); // linearization point
-                victim = v;
-                victim_lock = Some(lock);
-                top_level = lf;
-            }
-            let locks = Self::lock_and_validate(&preds, |_| victim, top_level, &guard);
+            };
+            let locks = Self::lock_and_validate(&preds, |_| victim, victim.top_level);
             let Some(locks) = locks else { continue };
-            // SAFETY: the victim is marked and its lock held by this
-            // thread; only this remover will unlink and reclaim it, and
-            // `guard` keeps it live meanwhile.
-            let v_ref = unsafe { victim.deref() };
-            for lvl in (0..=top_level).rev() {
-                let succ = v_ref.next[lvl].load(Ordering::Acquire, &guard);
-                // SAFETY: `preds` entries were locked and validated by
-                // `lock_and_validate` under the pinned `guard`.
-                unsafe { preds[lvl].deref() }.next[lvl].store(succ, Ordering::Release);
+            let mut unlinked = ptr::null_mut();
+            for lvl in (0..=victim.top_level).rev() {
+                let succ = victim.next[lvl].load(Ordering::Acquire);
+                unlinked = preds[lvl].next[lvl].swap(succ, Ordering::Release);
             }
-            drop(victim_lock);
+            drop(marked);
             drop(locks);
-            // SAFETY: the victim is now unlinked from every level and
-            // marked, so no new traversal can reach it; defer_destroy
-            // frees it only after all current pins are released.
-            unsafe {
-                guard.defer_destroy(victim);
-            }
+            // SAFETY: under the victim's and every pred's lock, each
+            // level's swap took out the victim's pointer, which the
+            // level-0 swap returned; only the remover that marked the
+            // victim gets here, once.
+            unsafe { pin.retire(unlinked) };
             return true;
         }
     }
 
     /// Takes no locks.
     fn contains(&self, key: &K) -> bool {
-        let guard = epoch::pin();
-        let mut preds = [Shared::null(); MAX_LEVEL];
-        let mut succs = [Shared::null(); MAX_LEVEL];
-        match self.find(key, &mut preds, &mut succs, &guard) {
+        let pin = self.pin();
+        let mut preds = [&self.head; MAX_LEVEL];
+        let mut succs = [&self.head; MAX_LEVEL];
+        match pin.find(key, &mut preds, &mut succs) {
             Some(lf) => {
-                // SAFETY: `succs[lf]` was read under `guard`, still
-                // pinned here, so the node has not been reclaimed.
-                let node = unsafe { succs[lf].deref() };
+                let node = succs[lf];
                 node.fully_linked.load(Ordering::Acquire) && !node.marked.load(Ordering::Acquire)
             }
             None => false,
@@ -387,18 +471,14 @@ impl<K: Ord + Clone> LinearizableSet<K> for LazySkipListSet<K> {
 
 impl<K> Drop for LazySkipListSet<K> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` ⇒ no concurrent access, so the
-        // unprotected guard and immediate `into_owned` frees are sound.
-        // Nodes removed earlier went to the epoch collector and are no
-        // longer reachable from level 0.
-        unsafe {
-            let guard = epoch::unprotected();
-            let mut curr = self.head.load(Ordering::Relaxed, guard);
-            while !curr.is_null() {
-                let next = curr.deref().next[0].load(Ordering::Relaxed, guard);
-                drop(curr.into_owned());
-                curr = next;
-            }
+        self.collect();
+        let mut node = *self.head.next[0].get_mut();
+        while !node.is_null() {
+            // SAFETY: `&mut self`, so no pin is live and the set alone
+            // owns each node still linked at level 0, the tail included;
+            // `node` is the `Box::into_raw` pointer its link held.
+            let owned = unsafe { Box::from_raw(node) };
+            node = owned.next[0].load(Ordering::Relaxed);
         }
     }
 }
@@ -583,6 +663,66 @@ mod tests {
             assert!(h.join().unwrap() > 0);
         }
         assert!(s.contains(&50));
+    }
+
+    #[test]
+    fn a_set_frees_removed_nodes_while_another_set_is_being_read() {
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        static ENTERED: AtomicBool = AtomicBool::new(false);
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+        #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+        struct Counted(u64);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        /// A key whose comparisons wait while `GATE` is held.
+        #[derive(Clone, PartialEq, Eq)]
+        struct Held(u64);
+        impl PartialOrd for Held {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Held {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                ENTERED.store(true, Ordering::SeqCst);
+                drop(GATE.lock());
+                self.0.cmp(&other.0)
+            }
+        }
+
+        const KEYS: u64 = 100;
+        let a = LazySkipListSet::new();
+        std::thread::scope(|scope| {
+            let gate = GATE.lock().unwrap();
+            let reader = scope.spawn(|| {
+                let b = LazySkipListSet::new();
+                b.add(Held(1));
+                b.contains(&Held(1))
+            });
+            // B's `contains` is now pinned inside a comparison.
+            while !ENTERED.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            for k in 0..KEYS {
+                assert!(a.add(Counted(k)));
+            }
+            for k in 0..KEYS {
+                assert!(a.remove(&Counted(k)));
+            }
+            // Each remove drops its argument and, once freed, the node's.
+            assert_eq!(
+                DROPPED.load(Ordering::SeqCst),
+                2 * KEYS as usize,
+                "a reader of another set held back this set's removed nodes"
+            );
+            drop(gate);
+            assert!(reader.join().unwrap());
+        });
     }
 
     #[test]

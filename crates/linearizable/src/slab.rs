@@ -3,10 +3,12 @@
 //! The linearizable substrate for the paper's *free-storage management*
 //! discussion (Section 2): transactional `malloc()`/`free()` need an
 //! allocator whose allocate/deallocate are linearizable and cheap. A
-//! slab hands out stable `usize` handles to stored values; handles are
-//! recycled through a lock-free Treiber free list, and the backing
-//! storage grows in immovable chunks so `get` never takes a lock on the
-//! slow path of another thread.
+//! slab hands out stable `usize` handles to stored values; freed handles
+//! are recycled through a free list threaded through the vacant slots,
+//! its head behind one mutex. The storage grows in immovable chunks of
+//! per-slot mutexes: every call takes the chunk directory's read lock
+//! and then its slot's mutex, and only growing takes the directory's
+//! write lock.
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,8 +1,6 @@
-//! The lazy skip-list set frees what it removes.
-//!
-//! A binary of its own: the crossbeam shim reclaims only when no guard
-//! is pinned anywhere in the process, so a neighbouring test's guard
-//! would hold this one's garbage back.
+//! The lazy skip-list set frees what it removes: the last operation to
+//! leave a set frees the nodes removed from it, and its drop frees the
+//! rest.
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
@@ -66,7 +64,6 @@ fn removed_nodes_are_freed_at_the_quiescent_point_and_drop_frees_the_rest() {
         .collect();
     let removed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(removed > 0, "the churn removed nothing");
-    drop(crossbeam::epoch::pin());
     assert_eq!(
         live(),
         set.len(),
